@@ -1,7 +1,7 @@
 """One frozen run configuration for the scattered ``REPRO_*`` toggles.
 
-Before this module, four environment variables steered performance
-plumbing from four different modules:
+Six environment variables steer performance plumbing in five
+different modules:
 
 ============================  =========================================
 ``REPRO_CLOSENESS_KERNEL``    fused bit-plane kernel on/off
@@ -11,19 +11,27 @@ plumbing from four different modules:
 ``REPRO_COLUMNAR_BACKEND``    ``auto`` / ``numpy`` / ``python``
 ``REPRO_SHARD_JOBS``          shard-task worker count
                               (:mod:`repro.experiments.parallel`)
+``REPRO_ENGINE``              ``heap`` / ``calendar`` event queue
+                              (:mod:`repro.sim.engine`)
+``REPRO_DELIVERY_BATCH``      batched fault-free client delivery on/off
+                              (:mod:`repro.pubsub.network`)
 ============================  =========================================
 
-A :class:`RunConfig` consolidates them into one frozen, picklable
-record that the runner, the sweeps, and the spawn-pool cells all
-thread explicitly, plus the :class:`~repro.core.online.OnlineSpec`
-steering online incremental reallocation.
+A :class:`RunConfig` consolidates the first five into one frozen,
+picklable record that the runner, the sweeps, and the spawn-pool cells
+all thread explicitly, plus the :class:`~repro.core.online.OnlineSpec`
+steering online incremental reallocation and the
+:class:`~repro.core.energy.EnergySpec` for energy accounting.
+``REPRO_DELIVERY_BATCH`` has no field: the network reads it directly
+(:func:`delivery_batch_from_env`).
 
 Precedence (single order, everywhere)
 -------------------------------------
 1. an explicit non-``None`` ``RunConfig`` field set in code or via CLI;
 2. the corresponding ``REPRO_*`` environment variable;
 3. the built-in default (kernel on, columnar on, backend ``auto``,
-   shard jobs serial, online reallocation off).
+   shard jobs serial, engine ``heap``, delivery batching on, online
+   reallocation off).
 
 Fields left ``None`` mean "defer to 2–3" — the modules owning each
 toggle already implement that fallback, so a default-constructed

@@ -6,7 +6,13 @@ from collections import defaultdict
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.pubsub.message import Advertisement, Publication, Subscription
-from repro.pubsub.predicate import Operator, Predicate, covers as predicate_covers, intersects
+from repro.pubsub.predicate import (
+    Operator,
+    Predicate,
+    Test,
+    covers as predicate_covers,
+    intersects,
+)
 
 #: Destination kinds for SRT payloads.  Defined here (the bottom of the
 #: pub/sub layer) and re-exported by :mod:`repro.pubsub.broker` so the
@@ -33,31 +39,6 @@ def matches(subscription: Subscription, publication: Publication) -> bool:
     return True
 
 
-_MISSING = object()
-
-
-def _residual_matches(residual: Tuple[Predicate, ...],
-                      attributes: Dict[str, Any]) -> bool:
-    """Evaluate a bucket entry's non-indexed predicates.
-
-    The bucket hit already proved the indexed equality, so this is
-    :func:`matches` restricted to the leftover predicates, taking the
-    publication's attribute dict directly.
-    """
-    for predicate in residual:
-        value = attributes.get(predicate.attribute, _MISSING)
-        if value is _MISSING:
-            return False
-        # EQ is the overwhelmingly common residual (the workload's
-        # 'class' pin); dispatching it here skips a method call.
-        if predicate.operator is Operator.EQ:
-            if value != predicate.value:
-                return False
-        elif not predicate.matches(value):
-            return False
-    return True
-
-
 def overlaps(subscription: Subscription, advertisement: Advertisement) -> bool:
     """Whether the advertisement's space can produce matching events.
 
@@ -65,9 +46,7 @@ def overlaps(subscription: Subscription, advertisement: Advertisement) -> bool:
     be jointly satisfiable with all advertisement predicates on it.
     Used to decide which last-hops a subscription is routed toward.
     """
-    advertised: Dict[str, List[Predicate]] = defaultdict(list)
-    for predicate in advertisement.predicates:
-        advertised[predicate.attribute].append(predicate)
+    advertised = advertisement.constraints
     for predicate in subscription.predicates:
         constraints = advertised.get(predicate.attribute)
         if constraints is None:
@@ -95,8 +74,60 @@ def subscription_covers(general: Subscription, specific: Subscription) -> bool:
     return True
 
 
+#: A subscription's residual predicates, compiled for the per-publication
+#: loop: ``(attribute, test, value)`` triples (:meth:`Predicate.compiled`).
+#: Equal filters compile to equal (and hashable) tuples, which is what
+#: lets a link keep one copy however many subscriptions carry it.
+Filter = Tuple[Tuple[str, Test, Any], ...]
+
+_MISSING = object()
+
+
+class _Bucket:
+    """The routes behind one ``(attribute, value)`` bucket key.
+
+    A publication that hits the bucket has to answer two different
+    questions.  *Which clients?* — every client entry is its own
+    delivery, profile update and output-lane slot, and their order is
+    the delivery order, so they are kept as a list in insertion order
+    and evaluated one by one.  *Which links?* — a yes/no per neighbour
+    broker, so each link keeps only the *distinct* residual filters
+    behind it (reference-counted, so removals know when one is gone)
+    and evaluation stops at the first that passes.
+    """
+
+    __slots__ = ("clients", "links")
+
+    def __init__(self) -> None:
+        self.clients: List[Tuple[Subscription, Destination, Filter]] = []
+        #: neighbour -> {distinct filter -> number of entries carrying
+        #: it}, each dict in shortest-filter-first order.
+        self.links: Dict[str, Dict[Filter, int]] = {}
+
+    def add_link(self, neighbor: str, residual: Filter) -> None:
+        filters = self.links.get(neighbor)
+        if filters is not None and residual in filters:
+            filters[residual] += 1
+            return
+        # A filter this link has not seen: rebuild the (small) dict so
+        # iteration keeps trying the cheapest, least selective first.
+        held = list(filters.items()) if filters else []
+        held.append((residual, 1))
+        held.sort(key=lambda item: len(item[0]))
+        self.links[neighbor] = dict(held)
+
+    def remove_link(self, neighbor: str, residual: Filter) -> None:
+        filters = self.links[neighbor]
+        if filters[residual] > 1:
+            filters[residual] -= 1
+            return
+        del filters[residual]
+        if not filters:
+            del self.links[neighbor]
+
+
 class MatchingIndex:
-    """An index of subscriptions keyed by their equality predicates.
+    """A broker's Subscription Routing Table, indexed for matching.
 
     Matching a publication against all subscriptions at a broker is the
     dominant cost of the simulation, so subscriptions carrying an
@@ -104,11 +135,21 @@ class MatchingIndex:
     ``symbol``) are bucketed by their most selective ``(attribute,
     value)`` pair; the rest live in a linear-scan fallback list.
 
-    Entries carry an opaque payload (the routing destination).
+    Entries are ``(subscription, destination)`` pairs, independent per
+    pair: the same subscription may be routed to several destinations,
+    and a repeated pair is ignored.  ``len()`` counts entries — it
+    feeds the broker's matching-delay model, which charges per routing
+    table entry however the table is laid out.
 
-    Two auxiliary structures keep the hot paths cheap:
+    Inside a bucket the entries are grouped by where they lead (see
+    :class:`_Bucket`), and carry only the subscription's *residual*
+    predicates — everything except the indexed equality, which the
+    bucket hit already proves satisfied — compiled to plain
+    ``(attribute, test, value)`` triples.
 
-    * ``_by_sub`` maps each subscription id to its entry keys, so
+    Two auxiliary structures keep the other paths cheap:
+
+    * ``_by_sub`` maps each subscription id to its routes, so
       :meth:`remove_subscription` touches only that subscription's
       buckets instead of scanning every entry (churn workloads would
       otherwise go quadratic).
@@ -118,20 +159,16 @@ class MatchingIndex:
       repeat (publisher, broker) case reuses one precomputed probe
       list per routing-table epoch instead of hashing every
       ``(attribute, value)`` pair per message.
-
-    Bucket entries additionally carry the subscription's *residual*
-    predicates — everything except the indexed equality, which the
-    bucket hit already proves satisfied — so the per-candidate check
-    evaluates only what the index could not.
     """
 
-    def __init__(self):
-        self._buckets: Dict[
-            Tuple[str, Hashable], List[Tuple[Subscription, Any, Tuple[Predicate, ...]]]
+    def __init__(self) -> None:
+        self._buckets: Dict[Tuple[str, Hashable], _Bucket] = {}
+        self._fallback: List[Tuple[Subscription, Destination]] = []
+        #: sub_id -> its entries as (subscription, destination, bucket key).
+        self._by_sub: Dict[
+            str,
+            List[Tuple[Subscription, Destination, Optional[Tuple[str, Hashable]]]],
         ] = {}
-        self._fallback: List[Tuple[Subscription, Any]] = []
-        self._keys: Dict[Tuple[str, Any], Optional[Tuple[str, Hashable]]] = {}
-        self._by_sub: Dict[str, List[Tuple[str, Any]]] = {}
         #: attribute -> number of bucketed entries pinning it.
         self._bucket_attrs: Dict[str, int] = {}
         #: publication attribute-name tuple -> names worth probing.
@@ -158,23 +195,34 @@ class MatchingIndex:
     def __len__(self) -> int:
         return self._size
 
-    def add(self, subscription: Subscription, payload: Any) -> None:
+    @staticmethod
+    def _residual(subscription: Subscription, key: Tuple[str, Hashable]) -> Filter:
+        """Everything but the indexed equality, compiled."""
+        return tuple(
+            predicate.compiled()
+            for predicate in subscription.predicates
+            if (predicate.attribute, predicate.value) != key
+            or predicate.operator is not Operator.EQ
+        )
+
+    def add(self, subscription: Subscription, destination: Destination) -> None:
+        routes = self._by_sub.setdefault(subscription.sub_id, [])
+        for _sub, known, _key in routes:
+            if known == destination:
+                return
         key = self._index_key(subscription)
-        entry_key = (subscription.sub_id, payload)
-        if entry_key in self._keys:
-            return
-        self._keys[entry_key] = key
-        self._by_sub.setdefault(subscription.sub_id, []).append(entry_key)
+        routes.append((subscription, destination, key))
         if key is None:
-            self._fallback.append((subscription, payload))
+            self._fallback.append((subscription, destination))
         else:
-            residual = tuple(
-                predicate
-                for predicate in subscription.predicates
-                if (predicate.attribute, predicate.value) != key
-                or predicate.operator is not Operator.EQ
-            )
-            self._buckets.setdefault(key, []).append((subscription, payload, residual))
+            residual = self._residual(subscription, key)
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                bucket = self._buckets[key] = _Bucket()
+            if destination[0] == CLIENT:
+                bucket.clients.append((subscription, destination, residual))
+            else:
+                bucket.add_link(destination[1], residual)
             attribute = key[0]
             count = self._bucket_attrs.get(attribute, 0)
             self._bucket_attrs[attribute] = count + 1
@@ -185,23 +233,28 @@ class MatchingIndex:
     def remove_subscription(self, sub_id: str) -> None:
         """Drop every entry of the given subscription.
 
-        O(entries-of-sub) via the ``sub_id -> entry keys`` side index
-        (plus the length of each touched bucket), not O(all entries).
+        O(entries-of-sub) via the ``sub_id -> routes`` side index, plus
+        the one client list or link group each entry sits in — never a
+        scan of other buckets or other links.
         """
-        for entry_key in self._by_sub.pop(sub_id, ()):
-            key = self._keys.pop(entry_key)
+        for subscription, destination, key in self._by_sub.pop(sub_id, ()):
             if key is None:
                 self._fallback = [
-                    (sub, payload)
-                    for sub, payload in self._fallback
-                    if sub.sub_id != sub_id
-                ]
-            elif key in self._buckets:
-                self._buckets[key] = [
-                    entry for entry in self._buckets[key]
+                    entry for entry in self._fallback
                     if entry[0].sub_id != sub_id
                 ]
-                if not self._buckets[key]:
+            else:
+                bucket = self._buckets[key]
+                if destination[0] == CLIENT:
+                    bucket.clients = [
+                        entry for entry in bucket.clients
+                        if entry[0].sub_id != sub_id or entry[1] != destination
+                    ]
+                else:
+                    bucket.remove_link(
+                        destination[1], self._residual(subscription, key)
+                    )
+                if not bucket.clients and not bucket.links:
                     del self._buckets[key]
                 attribute = key[0]
                 remaining = self._bucket_attrs[attribute] - 1
@@ -231,81 +284,65 @@ class MatchingIndex:
             self.probe_cache_hits += 1
         return probes
 
-    def matching_payloads(self, publication: Publication) -> List[Any]:
-        """Distinct payloads of subscriptions matching the publication."""
-        found: List[Any] = []
-        seen: Set[Any] = set()
-        attributes = publication.attributes
-        for attribute in self._bucket_probes(publication):
-            bucket = self._buckets.get((attribute, attributes[attribute]))
-            if not bucket:
-                continue
-            for subscription, payload, residual in bucket:
-                if payload not in seen and _residual_matches(residual, attributes):
-                    seen.add(payload)
-                    found.append(payload)
-        for subscription, payload in self._fallback:
-            if payload not in seen and matches(subscription, publication):
-                seen.add(payload)
-                found.append(payload)
-        return found
-
-    def matching_entries(
-        self, publication: Publication
-    ) -> List[Tuple[Subscription, Any]]:
-        """All (subscription, payload) pairs matching the publication.
-
-        Unlike :meth:`matching_payloads` this does not de-duplicate:
-        local delivery needs every matched subscription individually
-        (each is a separate delivery and a separate profile update).
-        """
-        found: List[Tuple[Subscription, Any]] = []
-        seen_subs: Set[str] = set()
-        attributes = publication.attributes
-        for attribute in self._bucket_probes(publication):
-            bucket = self._buckets.get((attribute, attributes[attribute]))
-            if not bucket:
-                continue
-            for subscription, payload, residual in bucket:
-                if subscription.sub_id not in seen_subs and _residual_matches(
-                    residual, attributes
-                ):
-                    seen_subs.add(subscription.sub_id)
-                    found.append((subscription, payload))
-        for subscription, payload in self._fallback:
-            if subscription.sub_id not in seen_subs and matches(
-                subscription, publication
-            ):
-                seen_subs.add(subscription.sub_id)
-                found.append((subscription, payload))
-        return found
-
     def matching_routes(
         self, publication: Publication, exclude: Optional[Destination] = None
     ) -> Tuple[List[Tuple[Subscription, Destination]], Set[str]]:
-        """Partition :meth:`matching_entries` into delivery routes.
+        """Where a publication goes: ``(clients, brokers)``.
 
-        Only meaningful when payloads are ``(kind, identifier)``
-        destination tuples (the broker's SRT).  Returns ``(clients,
-        brokers)``: the per-subscription client deliveries in match
-        order (each is a separate delivery and profile update) and the
-        de-duplicated set of next-hop broker ids.  ``exclude`` drops
-        the destination the publication arrived from, so a publication
-        never bounces back out of the link it came in on.
+        ``clients`` is one ``(subscription, destination)`` per matching
+        client entry (each is a separate delivery and profile update),
+        ordered by the publication's attribute order over the buckets
+        hit, insertion order within a bucket, fallback entries last;
+        ``brokers`` is the set of next-hop broker ids with at least one
+        matching entry.  ``exclude`` drops the destination the
+        publication arrived from, so a publication never bounces back
+        out of the link it came in on — that link's filters are not
+        even evaluated, nor are those of a link already selected.
         """
         clients: List[Tuple[Subscription, Destination]] = []
         brokers: Set[str] = set()
-        for subscription, destination in self.matching_entries(publication):
+        attributes = publication.attributes
+        lookup = attributes.get
+        missing = _MISSING
+        came_from = exclude[1] if exclude is not None and exclude[0] != CLIENT else None
+        buckets = self._buckets
+        for attribute in self._bucket_probes(publication):
+            bucket = buckets.get((attribute, attributes[attribute]))
+            if bucket is None:
+                continue
+            # The filter loop is written out twice (for/else = "every
+            # triple passed") rather than shared: a helper call per
+            # evaluation is the overhead this layout exists to remove.
+            for subscription, destination, residual in bucket.clients:
+                for name, test, wanted in residual:
+                    value = lookup(name, missing)
+                    if value is missing or not test(value, wanted):
+                        break
+                else:
+                    if destination != exclude:
+                        clients.append((subscription, destination))
+            for neighbor, filters in bucket.links.items():
+                if neighbor == came_from or neighbor in brokers:
+                    continue
+                for residual in filters:
+                    for name, test, wanted in residual:
+                        value = lookup(name, missing)
+                        if value is missing or not test(value, wanted):
+                            break
+                    else:
+                        brokers.add(neighbor)
+                        break
+        for subscription, destination in self._fallback:
             if destination == exclude:
                 continue
             if destination[0] == CLIENT:
-                clients.append((subscription, destination))
-            else:
+                if matches(subscription, publication):
+                    clients.append((subscription, destination))
+            elif destination[1] not in brokers and matches(subscription, publication):
                 brokers.add(destination[1])
         return clients, brokers
 
-    def entries(self) -> Iterable[Tuple[Subscription, Any]]:
-        for bucket in self._buckets.values():
-            for subscription, payload, _residual in bucket:
-                yield subscription, payload
-        yield from self._fallback
+    def entries(self) -> Iterable[Tuple[Subscription, Destination]]:
+        for routes in self._by_sub.values():
+            for subscription, destination, _key in routes:
+                yield subscription, destination

@@ -10,8 +10,9 @@ payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.core.protocol import (  # noqa: F401 — historical public path
     CONTROL_MESSAGE_KB,
@@ -40,6 +41,22 @@ class Advertisement:
     adv_id: str
     publisher_id: str
     predicates: Tuple[Predicate, ...]
+
+    @cached_property
+    def constraints(self) -> Mapping[str, Tuple[Predicate, ...]]:
+        """The predicates grouped by the attribute they constrain.
+
+        Subscription routing asks every broker whether each of its
+        subscriptions overlaps this advertisement, so the grouping is
+        derived once per advertisement (the one object floods the whole
+        overlay), not once per question.
+        """
+        grouped: Dict[str, Tuple[Predicate, ...]] = {}
+        for predicate in self.predicates:
+            grouped[predicate.attribute] = (
+                grouped.get(predicate.attribute, ()) + (predicate,)
+            )
+        return grouped
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"Adv({self.adv_id}: {','.join(map(str, self.predicates))})"
@@ -83,7 +100,8 @@ class Publication:
 
     def hopped(self) -> "Publication":
         """A copy with one more broker hop recorded."""
-        return replace(self, hops=self.hops + 1)
+        return Publication(self.adv_id, self.message_id, self.attributes,
+                           self.publish_time, self.size_kb, self.hops + 1)
 
 
 # The control-plane types (BrokerInformationRequest/Answer, BrokerReport,

@@ -14,25 +14,87 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Tuple, Union
+from typing import Any, Callable, Iterable, Optional, Tuple, Union
 
 Value = Union[str, float, int, bool]
 
+#: A predicate's comparison as a plain two-argument function:
+#: ``test(publication_value, predicate_value)``.
+Test = Callable[[Any, Any], bool]
+
+
+# One plain function per operator: ``test(publication_value,
+# predicate_value)``.  Written out rather than built from a combinator
+# because the numeric ones sit in the routing table's per-publication
+# loop, where a second call level per comparison is measurable.
+def _lt(value: Any, wanted: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return value < wanted
+
+
+def _le(value: Any, wanted: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return value <= wanted
+
+
+def _gt(value: Any, wanted: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return value > wanted
+
+
+def _ge(value: Any, wanted: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return value >= wanted
+
+
+def _prefix(value: Any, wanted: Any) -> bool:
+    return isinstance(value, str) and isinstance(wanted, str) and value.startswith(wanted)
+
+
+def _suffix(value: Any, wanted: Any) -> bool:
+    return isinstance(value, str) and isinstance(wanted, str) and value.endswith(wanted)
+
+
+def _contains(value: Any, wanted: Any) -> bool:
+    return isinstance(value, str) and isinstance(wanted, str) and wanted in value
+
+
+def _present(value: Any, wanted: Any) -> bool:
+    return True
+
 
 class Operator(enum.Enum):
-    """Comparison operators supported by the language."""
+    """Comparison operators supported by the language.
 
-    EQ = "="
-    NEQ = "<>"
-    LT = "<"
-    LE = "<="
-    GT = ">"
-    GE = ">="
-    PREFIX = "str-prefix"
-    SUFFIX = "str-suffix"
-    CONTAINS = "str-contains"
-    PRESENT = "isPresent"
+    Each member carries its token (``.value``) and its truth table as
+    a plain function (``.test``), so evaluating a predicate is one
+    attribute read and one call — no dispatch on, or hashing of, the
+    member.  A numeric operator is false for a non-number or a bool; a
+    string operator is false unless both sides are strings.
+    """
+
+    def __new__(cls, token: str, test: Test) -> "Operator":
+        member = object.__new__(cls)
+        member._value_ = token
+        member.test = test
+        return member
+
+    EQ = "=", operator.eq
+    NEQ = "<>", operator.ne
+    LT = "<", _lt
+    LE = "<=", _le
+    GT = ">", _gt
+    GE = ">=", _ge
+    PREFIX = "str-prefix", _prefix
+    SUFFIX = "str-suffix", _suffix
+    CONTAINS = "str-contains", _contains
+    PRESENT = "isPresent", _present
 
     @classmethod
     def parse(cls, token: str) -> "Operator":
@@ -69,30 +131,16 @@ class Predicate:
     # ------------------------------------------------------------------
     def matches(self, value: Any) -> bool:
         """Whether a publication's attribute value satisfies this predicate."""
-        op = self.operator
-        if op is Operator.PRESENT:
-            return True
-        if op is Operator.EQ:
-            return value == self.value
-        if op is Operator.NEQ:
-            return value != self.value
-        if op in _NUMERIC_OPS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return False
-            if op is Operator.LT:
-                return value < self.value
-            if op is Operator.LE:
-                return value <= self.value
-            if op is Operator.GT:
-                return value > self.value
-            return value >= self.value
-        if not isinstance(value, str) or not isinstance(self.value, str):
-            return False
-        if op is Operator.PREFIX:
-            return value.startswith(self.value)
-        if op is Operator.SUFFIX:
-            return value.endswith(self.value)
-        return self.value in value  # CONTAINS
+        return self.operator.test(value, self.value)
+
+    def compiled(self) -> Tuple[str, Test, Value]:
+        """``(attribute, test, value)`` with the operator already resolved.
+
+        ``test(publication_value, value)`` is :meth:`matches`; a loop
+        over many predicates (the routing table's) unpacks the triple
+        instead of making a method call per predicate.
+        """
+        return (self.attribute, self.operator.test, self.value)
 
     # ------------------------------------------------------------------
     # Interval view (for satisfiability tests)

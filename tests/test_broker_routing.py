@@ -129,6 +129,58 @@ class TestEndToEndDelivery:
         assert {r.adv_id for r in msft.history} == {"adv-MSFT"}
 
 
+class TestForwardingLinks:
+    """Per-link forwarding decisions of the route-grouped SRT."""
+
+    def test_never_forwarded_back_over_the_arrival_link(self):
+        """b1 holds YHOO routes toward *both* neighbours (a second YHOO
+        publisher sits behind b2, so b0's subscription is routed through
+        b1 too); a publication arriving from b0 must leave only to b2."""
+        network = make_network(3)
+        near = make_subscriber("near")   # at the first publisher's broker
+        far = make_subscriber("far")
+        network.attach_subscriber(near, "b0")
+        network.attach_subscriber(far, "b2")
+        network.attach_publisher(make_publisher(), "b0")
+        network.attach_publisher(
+            PublisherClient(
+                client_id="pub-2",
+                advertisement=stock_advertisement(
+                    "YHOO", adv_id="adv-2", publisher_id="pub-2"),
+                feed=iter({"class": "STOCK", "symbol": "YHOO", "low": 5.0}
+                          for _ in range(10**6)),
+                rate=10.0,
+                size_kb=0.5,
+            ),
+            "b2",
+        )
+        network.run(2.0)
+        for subscriber, local, remote in ((near, "adv-YHOO", "adv-2"),
+                                          (far, "adv-2", "adv-YHOO")):
+            hops = {}
+            for record in subscriber.history:
+                hops.setdefault(record.adv_id, []).append(record.hops)
+            assert hops[local] and set(hops[local]) == {0}
+            assert hops[remote] and set(hops[remote]) == {2}
+            seen = [(r.adv_id, r.message_id) for r in subscriber.history]
+            assert len(seen) == len(set(seen))  # a bounce would duplicate
+
+    def test_link_selected_by_a_later_subscription(self):
+        """The neighbour's first subscription never matches; the
+        publication must still be forwarded for its second one."""
+        network = make_network(2)
+        never = make_subscriber("never", extra=[("low", ">", 10.0**9)])
+        always = make_subscriber("always", extra=[("low", "<", 10.0**9)])
+        network.attach_subscriber(never, "b1")
+        network.run(0.5)
+        network.attach_subscriber(always, "b1")
+        network.attach_publisher(make_publisher(), "b0")
+        network.run(1.0)
+        assert network.brokers["b0"].srt_size == 2
+        assert never.delivered == 0
+        assert always.delivered > 0
+
+
 class TestBandwidthLimiter:
     def test_throttled_broker_delays_delivery(self):
         fast = make_network(2, bandwidth=10000.0)

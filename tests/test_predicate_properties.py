@@ -92,3 +92,60 @@ def test_prop_string_predicates_consistent(op, text, fragment):
         assert result == text.endswith(fragment)
     else:
         assert result == (fragment in text)
+
+
+# ----------------------------------------------------------------------
+# The per-operator truth table, against a written-out reference
+# ----------------------------------------------------------------------
+def reference_matches(predicate, value):
+    """The language's truth table, spelled out operator by operator."""
+    op, wanted = predicate.operator, predicate.value
+    if op is Operator.PRESENT:
+        return True
+    if op is Operator.EQ:
+        return value == wanted
+    if op is Operator.NEQ:
+        return value != wanted
+    if op in (Operator.LT, Operator.LE, Operator.GT, Operator.GE):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False  # numeric operator on a non-number or a bool
+        return {Operator.LT: value < wanted, Operator.LE: value <= wanted,
+                Operator.GT: value > wanted, Operator.GE: value >= wanted}[op]
+    if not isinstance(value, str) or not isinstance(wanted, str):
+        return False
+    return {Operator.PREFIX: value.startswith(wanted),
+            Operator.SUFFIX: value.endswith(wanted),
+            Operator.CONTAINS: wanted in value}[op]
+
+
+typed_values = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    st.booleans(),
+    st.text(alphabet="ab", max_size=3),
+)
+
+
+@given(op=st.sampled_from(list(Operator)), wanted=typed_values,
+       value=typed_values | st.none())
+@settings(max_examples=600)
+def test_prop_compiled_test_is_matches(op, wanted, value):
+    """Every operator x value type: the compiled triple the routing
+    table evaluates, ``Predicate.matches`` and the reference agree."""
+    if op in (Operator.LT, Operator.LE, Operator.GT, Operator.GE) \
+            and isinstance(wanted, str):
+        wanted = len(wanted)  # the constructor rejects a string bound
+    predicate = Predicate("x", op, wanted)
+    attribute, test, compiled_value = predicate.compiled()
+    expected = reference_matches(predicate, value)
+    assert attribute == "x"
+    assert test(value, compiled_value) == expected
+    assert predicate.matches(value) == expected
+
+
+def test_compiled_filters_of_equal_predicates_are_equal():
+    """What lets a link keep one copy of a filter many entries share."""
+    first = Predicate("low", Operator.LT, 20.0).compiled()
+    second = Predicate("low", Operator.LT, 20.0).compiled()
+    assert first == second and hash(first) == hash(second)
+    assert first != Predicate("low", Operator.LE, 20.0).compiled()
