@@ -14,7 +14,7 @@ import operator
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.capacity import AllocationResult, BrokerSpec
-from repro.core.fbf import first_fit
+from repro.core.fbf import PackedPool, UnitRun, first_fit, first_fit_runs
 from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherDirectory
 from repro.core.units import AllocationUnit
@@ -25,19 +25,36 @@ def decreasing_bandwidth(units: Sequence[AllocationUnit]) -> List[AllocationUnit
     """Units sorted by descending bandwidth requirement.
 
     Ties break on unit ID so runs are deterministic.  The key is
-    precomputed on the unit (``binpack_key``): CRAM re-sorts the pool
-    on every probe-merge, and an attrgetter over a ready tuple beats a
-    per-element lambda by a wide margin at that call volume.
+    precomputed on the unit (``binpack_key``): an attrgetter over a
+    ready tuple beats a per-element lambda, and CRAM's standing order
+    bisects on the same key instead of re-sorting per probe.
     """
     return sorted(units, key=operator.attrgetter("binpack_key"))
+
+
+def first_fit_decreasing_runs(
+    runs: Sequence[UnitRun],
+    size: int,
+    pool: PackedPool,
+    directory: PublisherDirectory,
+    kernel: ClosenessKernel,
+) -> AllocationResult:
+    """BIN PACKING of a ready order: ``size`` units in decreasing
+    bandwidth, held as ``runs`` of twins (CRAM's standing order).
+
+    Opens the span :meth:`BinPackingAllocator.allocate` opens, so a
+    trace cannot tell which of the two ran a pass.
+    """
+    with obs.span("binpacking.first_fit", units=size):
+        return first_fit_runs(runs, pool, directory, kernel)
 
 
 class BinPackingAllocator:
     """First-fit decreasing over descending-capacity brokers.
 
     ``kernel`` is carried as allocator state (the ``allocate`` signature
-    is fixed); CRAM sets it so every probe-merge binpacking pass runs on
-    packed broker bins.
+    is fixed); CRAM sets it so its binpacking passes run on packed
+    broker bins.
     """
 
     name = "binpacking"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bitvector import BitVector
-from repro.core.kernel import ClosenessKernel
+from repro.core.kernel import ClosenessKernel, PackedProfile
 from repro.core.profiles import PublisherDirectory
 from repro.core.units import AllocationUnit, approx_le
 
@@ -71,6 +71,20 @@ class BrokerSpec:
     def capacity_key(self) -> Tuple[float, str]:
         """Deterministic 'most resourceful first' sort key."""
         return (-self.total_output_bandwidth, self.broker_id)
+
+
+def packed_unit(unit: AllocationUnit, kernel: ClosenessKernel) -> PackedProfile:
+    """The unit's profile packed by ``kernel``.
+
+    Cached on the unit itself, keyed by kernel identity, so the many
+    feasibility probes of one CRAM run skip the kernel's pack cache.
+    """
+    hint = unit.pack_hint
+    if hint is not None and hint[0] is kernel:
+        return hint[1]
+    packed = kernel.pack(unit.profile)
+    unit.pack_hint = (kernel, packed)
+    return packed
 
 
 class BrokerBin:
@@ -167,19 +181,12 @@ class BrokerBin:
         input load — the per-publisher union captures that.
         """
         if self._packed_mode:
-            # Packed fast path — the single hottest call of a CRAM
-            # run's thousands of binpack probes.  The packed form is
-            # cached on the unit itself (keyed by kernel identity); a
-            # unit that cannot pack purely demotes the bin to the naive
-            # union path for good, since mixing packed and naive union
-            # state would break the exact-equivalence guarantee.
-            kernel = self._kernel
-            hint = unit.pack_hint
-            if hint is not None and hint[0] is kernel:
-                packed = hint[1]
-            else:
-                packed = kernel.pack(unit.profile)  # type: ignore[union-attr]
-                unit.pack_hint = (kernel, packed)  # type: ignore[assignment]
+            # Packed path.  A unit that cannot pack purely demotes the
+            # bin to the naive union path for good, since mixing packed
+            # and naive union state would break the exact-equivalence
+            # guarantee.
+            assert self._kernel is not None
+            packed = packed_unit(unit, self._kernel)
             if packed.pure:
                 bin_bits = self._packed_bits
                 value = packed.rate_memo.get(bin_bits)

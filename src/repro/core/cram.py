@@ -34,6 +34,7 @@ Per-relationship clustering rules (paper §IV-C.1):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -49,9 +50,25 @@ from typing import (
     Union,
 )
 
-from repro.core.binpacking import BinPackingAllocator
-from repro.core.capacity import AllocationResult, BrokerSpec
+from repro.core.binpacking import (
+    BinPackingAllocator,
+    decreasing_bandwidth,
+    first_fit_decreasing_runs,
+)
+from repro.core.capacity import (
+    AllocationResult,
+    BrokerSpec,
+    packed_unit,
+    sorted_broker_pool,
+)
 from repro.core.closeness import ClosenessMetric, make_metric
+from repro.core.fbf import (
+    PackedPool,
+    UnitRun,
+    is_twin,
+    pool_columns,
+    unit_runs,
+)
 from repro.core.gif import Gif, build_gifs
 from repro.core.kernel import ClosenessKernel, kernel_enabled
 from repro.core.poset import Poset
@@ -159,7 +176,6 @@ class CramAllocator:
         self.columnar_backend = columnar_backend
         self.name = f"cram-{metric.name}"
         self.last_stats = CramStats()
-        self._binpack = BinPackingAllocator()
 
     # ------------------------------------------------------------------
     # Entry point
@@ -189,7 +205,6 @@ class CramAllocator:
             )
             stats.kernel_used = True
         self.metric.attach_kernel(kernel)
-        self._binpack.kernel = kernel
         try:
             with obs.span("cram.clustering", metric=self.metric.name,
                           units=len(units), kernel=stats.kernel_used):
@@ -200,7 +215,6 @@ class CramAllocator:
                 stats.kernel_memo_hits = kernel.memo_hits
                 stats.kernel_fallback_evaluations = kernel.fallback_evaluations
             self.metric.attach_kernel(None)
-            self._binpack.kernel = None
 
     def _clustering_run(
         self,
@@ -211,13 +225,6 @@ class CramAllocator:
         kernel: Optional[ClosenessKernel],
     ) -> AllocationResult:
         """The paper's clustering loop (kernel already attached)."""
-        base = self._binpack.allocate(units, pool, directory)
-        stats.binpack_runs += 1
-        if not base.success:
-            # Paper: if the unclustered allocation fails, terminate.
-            return base
-        best = base
-
         state = _CramState(
             units=units,
             pool=pool,
@@ -228,6 +235,11 @@ class CramAllocator:
             stats=stats,
             kernel=kernel,
         )
+        base = state.allocate_unclustered()
+        if not base.success:
+            # Paper: if the unclustered allocation fails, terminate.
+            return base
+        best = base
         stats.initial_gifs = len(state.gifs)
         state.refresh_partners()
         stats.initial_search_evaluations = self.metric.evaluations
@@ -300,7 +312,7 @@ class CramAllocator:
         low, high = 2, len(ordered)
         while low <= high:
             mid = (low + high) // 2
-            result = state.probe_merge(ordered[:mid], sources=[gif])
+            result = state.probe_merge(ordered[:mid])
             if result is not None:
                 best_result, best_k = result, mid
                 low = mid + 1
@@ -321,7 +333,7 @@ class CramAllocator:
         low, high = 1, len(ordered)
         while low <= high:
             mid = (low + high) // 2
-            result = state.probe_merge([anchor] + ordered[:mid], sources=[coverer, covered])
+            result = state.probe_merge([anchor] + ordered[:mid])
             if result is not None:
                 best_result, best_k = result, mid
                 low = mid + 1
@@ -402,6 +414,90 @@ def pair_value_load_bound(parent: Gif, pair_value: float) -> float:
     return parent.lightest_unit().delivery_bandwidth
 
 
+class _StandingOrder:
+    """The pool in first-fit-decreasing order, held as runs of twins.
+
+    ``keys[i]`` is the ``binpack_key`` the first member of ``runs[i]``
+    had when the run was created.  Members only ever leave a run or
+    join it at its end, so ``keys[i] <= unit.binpack_key < keys[i + 1]``
+    holds for every member of run ``i`` for the run's whole life and a
+    bisect over ``keys`` finds any unit's run.  Orders are never
+    mutated: a probe derives a throw-away successor, a commit adopts it.
+    """
+
+    __slots__ = ("runs", "keys", "size", "pool", "kernel")
+
+    def __init__(
+        self,
+        runs: List[UnitRun],
+        keys: List[Tuple[float, int]],
+        size: int,
+        pool: PackedPool,
+        kernel: ClosenessKernel,
+    ):
+        self.runs = runs
+        self.keys = keys
+        self.size = size  # units in the order (the obs span reports it)
+        self.pool = pool  # the brokers it is first-fitted onto, sorted
+        self.kernel = kernel  # packed every run (the state's is Optional)
+
+    @classmethod
+    def build(
+        cls,
+        units: Sequence[AllocationUnit],
+        pool: Sequence[BrokerSpec],
+        kernel: ClosenessKernel,
+    ) -> Optional["_StandingOrder"]:
+        """The order of ``units``, or ``None`` if one packs impurely."""
+        runs = unit_runs(decreasing_bandwidth(units), kernel)
+        if runs is None:
+            return None
+        keys = [run[3][0].binpack_key for run in runs]
+        packed_pool = pool_columns(sorted_broker_pool(pool))
+        return cls(runs, keys, len(units), packed_pool, kernel)
+
+    def first_fit(self, directory: PublisherDirectory) -> AllocationResult:
+        """BIN PACKING of the order's units onto its pool."""
+        return first_fit_decreasing_runs(
+            self.runs, self.size, self.pool, directory, self.kernel
+        )
+
+    def after_merge(
+        self, merge_units: Sequence[AllocationUnit], merged: AllocationUnit
+    ) -> Optional["_StandingOrder"]:
+        """The order once ``merge_units`` (two or more) fuse into ``merged``.
+
+        ``merged`` is newer than every pool unit, so its ``unit_id``
+        puts it behind all units of equal bandwidth: it lands between
+        two runs, never inside one.  ``None`` if it packs impurely.
+        """
+        packed = packed_unit(merged, self.kernel)
+        if not packed.pure:
+            return None
+        runs = list(self.runs)
+        keys = list(self.keys)
+        gone = {unit.unit_id for unit in merge_units}
+        touched = {bisect_right(keys, unit.binpack_key) - 1 for unit in merge_units}
+        for index in sorted(touched, reverse=True):  # deletions keep lower indexes valid
+            survivors = [unit for unit in runs[index][3] if unit.unit_id not in gone]
+            if survivors:
+                runs[index] = runs[index][:3] + (survivors,)
+            else:
+                del runs[index], keys[index]
+        position = bisect_right(keys, merged.binpack_key)
+        if position and is_twin(runs[position - 1], merged, packed):
+            previous = runs[position - 1]
+            runs[position - 1] = previous[:3] + (previous[3] + [merged],)
+        else:
+            runs.insert(
+                position,
+                (merged.delivery_bandwidth, merged.subscription_count, packed, [merged]),
+            )
+            keys.insert(position, merged.binpack_key)
+        size = self.size - len(merge_units) + 1
+        return _StandingOrder(runs, keys, size, self.pool, self.kernel)
+
+
 class _CramState:
     """Mutable state of one CRAM run: GIFs, poset, partner cache."""
 
@@ -424,6 +520,12 @@ class _CramState:
         self.kernel = kernel
         self._binpack = BinPackingAllocator()
         self._binpack.kernel = kernel
+        #: With a kernel, BIN PACKING passes first-fit a standing FFD
+        #: order instead of re-flattening and re-sorting the pool;
+        #: ``None`` without a kernel or once a unit has packed impurely.
+        self._order: Optional[_StandingOrder] = None
+        if kernel is not None:
+            self._order = _StandingOrder.build(units, self.pool, kernel)
         if enable_gif_grouping:
             self.gifs: List[Gif] = build_gifs(units)
         else:
@@ -549,24 +651,36 @@ class _CramState:
     # Pool bookkeeping
     # ------------------------------------------------------------------
     def all_units(self) -> List[AllocationUnit]:
-        # Empty GIFs contribute nothing to the inner loop, so no
-        # ``is_empty`` filter — this runs once per binpack probe.
+        # Empty GIFs contribute nothing, so no ``is_empty`` filter.
         return [unit for gif in self.gifs for unit in gif.units]
 
     def unit_count(self) -> int:
         return sum(gif.unit_count for gif in self.gifs)
 
+    def allocate_unclustered(self) -> AllocationResult:
+        """The base pass: plain BIN PACKING of the initial units."""
+        self.stats.binpack_runs += 1
+        if self._order is not None:
+            return self._order.first_fit(self.directory)
+        return self._binpack.allocate(self.all_units(), self.pool, self.directory)
+
     def probe_merge(
-        self, merge_units: Sequence[AllocationUnit], sources: Sequence[Gif]
+        self, merge_units: Sequence[AllocationUnit]
     ) -> Optional[AllocationResult]:
         """Test-allocate the pool with ``merge_units`` fused; no commit."""
         merged = AllocationUnit.merged(list(merge_units), self.directory, kernel=self.kernel)
-        doomed = {unit.unit_id for unit in merge_units}
-        pool_units = [
-            unit for unit in self.all_units() if unit.unit_id not in doomed
-        ]
-        pool_units.append(merged)
-        result = self._binpack.allocate(pool_units, self.pool, self.directory)
+        order = None
+        if self._order is not None:
+            order = self._order.after_merge(merge_units, merged)
+        if order is not None:
+            result = order.first_fit(self.directory)
+        else:
+            doomed = {unit.unit_id for unit in merge_units}
+            pool_units = [
+                unit for unit in self.all_units() if unit.unit_id not in doomed
+            ]
+            pool_units.append(merged)
+            result = self._binpack.allocate(pool_units, self.pool, self.directory)
         self.stats.binpack_runs += 1
         if self.kernel is not None:
             # The probe's merged profile is ephemeral (a commit builds a
@@ -580,7 +694,7 @@ class _CramState:
         self, merge_units: Sequence[AllocationUnit], sources: Sequence[Gif]
     ) -> Optional[AllocationResult]:
         """Probe and, on success, commit in one step."""
-        result = self.probe_merge(merge_units, sources)
+        result = self.probe_merge(merge_units)
         if result is None:
             return None
         return self.commit_merge(merge_units, sources, result)
@@ -593,6 +707,8 @@ class _CramState:
     ) -> AllocationResult:
         """Apply a validated merge to the GIF pool and poset."""
         merged = AllocationUnit.merged(list(merge_units), self.directory, kernel=self.kernel)
+        if self._order is not None:
+            self._order = self._order.after_merge(merge_units, merged)
         for gif in sources:
             gif.remove_units(merge_units)
             self._dirty.add(gif.gif_id)

@@ -13,20 +13,86 @@ S >> number of brokers).
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.capacity import (
     AllocationResult,
     BrokerBin,
     BrokerSpec,
+    packed_unit,
     sorted_broker_pool,
 )
-from repro.core.kernel import ClosenessKernel
+from repro.core.kernel import ClosenessKernel, PackedProfile
 from repro.core.profiles import PublisherDirectory
 from repro.core.units import EPSILON, AllocationUnit
 from repro.obs import recorder as obs
 from repro.core.rng import SeededRng
+
+
+#: Consecutive interchangeable units of a first-fit order: ``(delivery
+#: bandwidth, subscription count, packed profile, members)``.  Members
+#: agree on all three (see :func:`is_twin`), so whatever a bin answers
+#: to the first it answers to every other.  Never empty.
+UnitRun = Tuple[float, int, PackedProfile, List[AllocationUnit]]
+
+
+class PackedPool(NamedTuple):
+    """The descending-capacity pool as the columns the packed loop reads."""
+
+    specs: Sequence[BrokerSpec]
+    #: ``total_output_bandwidth + EPSILON`` — the tolerance test's right side.
+    bandwidth_limits: List[float]
+    delay_bases: List[float]
+    delay_slopes: List[float]
+
+
+def pool_columns(specs: Sequence[BrokerSpec]) -> PackedPool:
+    """Columns of an already sorted pool (``sorted_broker_pool``)."""
+    return PackedPool(
+        specs,
+        [spec.total_output_bandwidth + EPSILON for spec in specs],
+        [spec.delay_function.base for spec in specs],
+        [spec.delay_function.per_subscription for spec in specs],
+    )
+
+
+def is_twin(run: UnitRun, unit: AllocationUnit, packed: PackedProfile) -> bool:
+    """Whether ``unit`` (packed as ``packed``) is interchangeable with ``run``.
+
+    Equal packed bits over the same planes make every rate delta the
+    same float; the bandwidth must be the same float too.
+    """
+    bandwidth, subscription_count, run_packed, _ = run
+    return (
+        # Exact on purpose: a unit 1e-10 lighter changes the float sums of
+        # every bin it joins, so a tolerance would break bit-identity.
+        unit.delivery_bandwidth == bandwidth  # reprolint: disable=float-equality
+        and unit.subscription_count == subscription_count
+        and packed.bits == run_packed.bits
+        and packed.planes == run_packed.planes
+    )
+
+
+def unit_runs(
+    ordered_units: Iterable[AllocationUnit], kernel: ClosenessKernel
+) -> Optional[List[UnitRun]]:
+    """Group an ordered unit sequence into runs of consecutive twins.
+
+    Returns ``None`` when a unit's profile does not pack purely: mixed
+    pools belong to the :class:`BrokerBin` loop and its per-bin demotion.
+    """
+    runs: List[UnitRun] = []
+    for unit in ordered_units:
+        packed = packed_unit(unit, kernel)
+        if not packed.pure:
+            return None
+        if runs and is_twin(runs[-1], unit, packed):
+            runs[-1][3].append(unit)
+        else:
+            runs.append(
+                (unit.delivery_bandwidth, unit.subscription_count, packed, [unit])
+            )
+    return runs
 
 
 def first_fit(
@@ -41,13 +107,13 @@ def first_fit(
     they order the unit sequence.  Each unit goes to the first broker
     (most resourceful first) that passes the feasibility test.  An
     optional fused ``kernel`` switches to a flat loop over packed bin
-    state (same results, fewer big-int shifts and method calls).
+    state and runs of twin units (same results, far fewer bin tests).
     """
     specs = sorted_broker_pool(pool)
     if kernel is not None:
-        result = _packed_first_fit(ordered_units, specs, directory, kernel)
-        if result is not None:
-            return result
+        runs = unit_runs(ordered_units, kernel)
+        if runs is not None:
+            return first_fit_runs(runs, pool_columns(specs), directory, kernel)
     bins = [BrokerBin(spec, directory, kernel=kernel) for spec in specs]
     for unit in ordered_units:
         for bin_ in bins:
@@ -59,69 +125,82 @@ def first_fit(
     return AllocationResult(bins, success=True)
 
 
-def _packed_first_fit(
-    ordered_units: Sequence[AllocationUnit],
-    specs: Sequence[BrokerSpec],
+def first_fit_runs(
+    runs: Iterable[UnitRun],
+    pool: PackedPool,
     directory: PublisherDirectory,
     kernel: ClosenessKernel,
-) -> Optional[AllocationResult]:
-    """First fit over flat packed bin state — CRAM probes thousands of
-    these runs, so the inner loop avoids per-bin method dispatch.
+) -> AllocationResult:
+    """First fit over runs of twins and flat packed bin state.
 
-    Verdicts and float updates are identical to the :class:`BrokerBin`
-    loop: same tolerance checks, same inlined delay arithmetic, same
-    memoized packed rate deltas.  Returns ``None`` when a unit's
-    profile does not pack purely; the caller then reruns the generic
-    loop, whose per-bin demotion handles mixed pools.
+    The first member of a run scans the bins exactly as the
+    :class:`BrokerBin` loop would: same tolerance checks, same inlined
+    delay arithmetic, same memoized packed rate deltas.  Its twins then
+    join the bin it landed in for as long as that bin takes them — the
+    bin already holds their bits, so their rate delta is exactly
+    ``0.0`` and only the bandwidth sum and the matching-rate ceiling
+    (which falls as subscriptions arrive) are re-checked.  When a twin
+    is turned away the scan resumes at the *next* bin, never at bin 0:
+    first fit touched no earlier bin since each of them turned the
+    run's first member away, so they would turn this one away too.
+    Every accepted unit sees the float operations of the one-by-one
+    loop in the same order, so the result is bit-identical.
     """
+    specs, bandwidth_limits, delay_bases, delay_slopes = pool
     count = len(specs)
-    capacities = [spec.total_output_bandwidth for spec in specs]
-    delay_bases = [spec.delay_function.base for spec in specs]
-    delay_slopes = [spec.delay_function.per_subscription for spec in specs]
     used = [0.0] * count
     subscription_counts = [0] * count
     input_rates = [0.0] * count
     union_bits = [0] * count
     contents: List[List[AllocationUnit]] = [[] for _ in range(count)]
     bin_indices = range(count)
-    infinity = math.inf
     failed: Optional[AllocationUnit] = None
-    for unit in ordered_units:
-        hint = unit.pack_hint
-        if hint is not None and hint[0] is kernel:
-            packed = hint[1]
-        else:
-            packed = kernel.pack(unit.profile)
-            unit.pack_hint = (kernel, packed)
-        if not packed.pure:
-            return None
-        bandwidth = unit.delivery_bandwidth
-        unit_subscriptions = unit.subscription_count
+    for bandwidth, unit_subscriptions, packed, members in runs:
         rate_memo = packed.rate_memo
+        size = len(members)
+        placed = 0
         for index in bin_indices:
-            if used[index] + bandwidth > capacities[index] + EPSILON:
+            limit = bandwidth_limits[index]
+            load = used[index] + bandwidth
+            if load > limit:
                 continue
             total_subs = subscription_counts[index] + unit_subscriptions
-            delay = delay_bases[index] + delay_slopes[index] * total_subs
-            max_rate = infinity if delay <= 0 else 1.0 / delay
+            base = delay_bases[index]
+            slope = delay_slopes[index]
+            delay = base + slope * total_subs
             bin_bits = union_bits[index]
             increase = rate_memo.get(bin_bits)
             if increase is None:
                 increase = packed.rate_increase(bin_bits)
-            if input_rates[index] + increase > max_rate + EPSILON:
+            rate = input_rates[index] + increase
+            if delay > 0 and rate > 1.0 / delay + EPSILON:
                 continue
-            input_rates[index] += increase
-            union_bits[index] = bin_bits | packed.bits
-            used[index] += bandwidth
+            first = placed
+            placed += 1
+            while placed < size:
+                more_load = load + bandwidth
+                if more_load > limit:
+                    break
+                more_subs = total_subs + unit_subscriptions
+                delay = base + slope * more_subs
+                if delay > 0 and rate > 1.0 / delay + EPSILON:
+                    break
+                load = more_load
+                total_subs = more_subs
+                placed += 1
+            used[index] = load
             subscription_counts[index] = total_subs
-            contents[index].append(unit)
-            break
+            input_rates[index] = rate
+            union_bits[index] = bin_bits | packed.bits
+            contents[index].extend(members[first:placed])
+            if placed == size:
+                break
         else:
-            failed = unit
+            failed = members[placed]
             break
     bins = [
         BrokerBin.from_packed_state(
-            spec,
+            specs[index],
             directory,
             kernel,
             contents[index],
@@ -130,11 +209,10 @@ def _packed_first_fit(
             input_rates[index],
             union_bits[index],
         )
-        for index, spec in enumerate(specs)
+        for index in bin_indices
+        if contents[index]
     ]
-    if failed is not None:
-        return AllocationResult(bins, success=False, failed_unit=failed)
-    return AllocationResult(bins, success=True)
+    return AllocationResult(bins, success=failed is None, failed_unit=failed)
 
 
 class FbfAllocator:

@@ -16,12 +16,16 @@ moves units out into a new GIF keyed by the merged profile.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.profiles import SubscriptionProfile
 from repro.core.units import AllocationUnit
 
 _gif_ids = itertools.count()
+
+#: ``(delivery_bandwidth, unit_id)``, precomputed on the unit.
+_LIGHTEST_KEY = operator.attrgetter("lightest_key")
 
 
 class Gif:
@@ -55,7 +59,7 @@ class Gif:
 
     def units_ascending_bandwidth(self) -> List[AllocationUnit]:
         """Units ordered lightest first (deterministic tie-break)."""
-        return sorted(self.units, key=lambda unit: (unit.delivery_bandwidth, unit.unit_id))
+        return sorted(self.units, key=_LIGHTEST_KEY)
 
     def lightest_unit(self) -> AllocationUnit:
         """The least-loaded unit — the one the paper clusters first.
@@ -66,9 +70,7 @@ class Gif:
         if not self.units:
             raise ValueError(f"GIF {self.gif_id} has no units")
         if self._lightest is None:
-            self._lightest = min(
-                self.units, key=lambda unit: (unit.delivery_bandwidth, unit.unit_id)
-            )
+            self._lightest = min(self.units, key=_LIGHTEST_KEY)
         return self._lightest
 
     def remove_units(self, units: Sequence[AllocationUnit]) -> None:

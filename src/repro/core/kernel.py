@@ -224,8 +224,9 @@ class PackedProfile:
         self.profile = profile
         self.bits = bits
         self.residual = dict(residual)
-        #: Planes in the profile's vector-dict order — the rate-path
-        #: float sums must add terms in exactly the naive order.
+        #: Planes holding at least one bit, in the profile's vector-dict
+        #: order — the rate-path float sums must add terms in exactly
+        #: the naive order.
         self.planes = planes
         self.exact = exact
         #: Exact with no residual vectors: eligible for packed bin math.
@@ -356,8 +357,13 @@ class ClosenessKernel:
             if window != plane.span:
                 exact = False
                 continue
-            bits |= vector.raw_bits() << plane.offset
-            planes.append(plane)
+            raw = vector.raw_bits()
+            if raw:
+                # An empty vector adds no rate term (the naive walk skips
+                # it too); leaving its plane out makes equal bits over
+                # equal planes the test for interchangeable profiles.
+                bits |= raw << plane.offset
+                planes.append(plane)
         packed = PackedProfile(profile, bits, residual, tuple(planes), exact)
         store = self.store
         if store is not None and packed.pure:

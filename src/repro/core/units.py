@@ -92,6 +92,7 @@ class AllocationUnit:
         "child_broker_ids",
         "pack_hint",
         "binpack_key",
+        "lightest_key",
     )
 
     def __init__(
@@ -117,11 +118,13 @@ class AllocationUnit:
         #: pack-cache lookup; invalid the moment a different kernel
         #: (i.e. a different allocation run) shows up.
         self.pack_hint: Optional[Tuple["ClosenessKernel", "PackedProfile"]] = None
-        #: Precomputed first-fit-decreasing sort key.  ``delivery_bandwidth``
-        #: is fixed at construction, and BIN PACKING re-sorts the pool on
-        #: every CRAM probe — thousands of sorts per run, so the key is
-        #: built once instead of inside a sort lambda.
+        #: Precomputed first-fit-decreasing sort key (``delivery_bandwidth``
+        #: is fixed at construction): BIN PACKING sorts on it and CRAM's
+        #: standing order bisects on it.
         self.binpack_key: Tuple[float, int] = (-delivery_bandwidth, self.unit_id)
+        #: The same idea for the opposite order: a GIF sorts its units
+        #: lightest first on every clustering attempt.
+        self.lightest_key: Tuple[float, int] = (delivery_bandwidth, self.unit_id)
 
     # ------------------------------------------------------------------
     # Construction

@@ -1,10 +1,20 @@
 """Tests for the CRAM allocator (paper §IV-C)."""
 
+from bisect import bisect_right
+
 import pytest
 
-from repro.core.binpacking import BinPackingAllocator
+from repro.core import cram as cram_module
+from repro.core.binpacking import BinPackingAllocator, decreasing_bandwidth
+from repro.core.capacity import packed_unit
 from repro.core.closeness import make_metric
 from repro.core.cram import CramAllocator
+from repro.core.fbf import is_twin
+from repro.core.kernel import ClosenessKernel
+from repro.core.units import units_from_records
+from repro.obs import recorder as obs
+from repro.workloads.offline import offline_gather
+from repro.workloads.scenarios import cluster_homogeneous
 
 from conftest import make_directory, make_pool, make_spec, make_unit
 
@@ -259,3 +269,122 @@ class TestStats:
         cram = CramAllocator(metric="ios")
         cram.allocate(units, make_pool(4, bandwidth=100.0), directory)
         assert cram.last_stats.binpack_runs >= 1
+
+
+class TestStandingOrder:
+    """The FFD order CRAM keeps between probes (DESIGN.md §5e)."""
+
+    @staticmethod
+    def gathered():
+        gather = offline_gather(
+            cluster_homogeneous(subscriptions_per_publisher=8, scale=0.08), seed=7
+        )
+        return gather, units_from_records(gather.records, gather.directory)
+
+    @staticmethod
+    def flat(order):
+        return [unit for run in order.runs for unit in run[3]]
+
+    def check_invariants(self, order, pool_units):
+        """``order`` is exactly ``decreasing_bandwidth(pool_units)``, in runs."""
+        flat = self.flat(order)
+        expected = decreasing_bandwidth(pool_units)
+        assert len(flat) == len(expected) == order.size
+        assert all(got is want for got, want in zip(flat, expected))
+        assert len(order.keys) == len(order.runs)
+        assert order.keys == sorted(set(order.keys))
+        for index, run in enumerate(order.runs):
+            assert run[3], "empty run"
+            for unit in run[3]:
+                assert is_twin(run, unit, packed_unit(unit, order.kernel))
+                assert bisect_right(order.keys, unit.binpack_key) - 1 == index
+
+    def test_order_follows_every_probe_and_commit(self, monkeypatch):
+        gather, units = self.gathered()
+        real_after = cram_module._StandingOrder.after_merge
+        real_commit = cram_module._CramState.commit_merge
+        seen = {"derived": 0, "commits": 0, "shrunk_runs": 0}
+
+        def spy_after(order, merge_units, merged):
+            before = [(run, list(run[3])) for run in order.runs]
+            keys = list(order.keys)
+            derived = real_after(order, merge_units, merged)
+            # The standing order is untouched ...
+            assert len(order.runs) == len(before) and order.keys == keys
+            for run, (same_run, members) in zip(order.runs, before):
+                assert run is same_run and run[3] == members
+            # ... and the derived one is the pool with the merge applied.
+            doomed = {unit.unit_id for unit in merge_units}
+            pool_units = [u for u in self.flat(order) if u.unit_id not in doomed]
+            self.check_invariants(derived, pool_units + [merged])
+            seen["derived"] += 1
+            seen["shrunk_runs"] += len(derived.runs) < len(order.runs)
+            return derived
+
+        def spy_commit(state, merge_units, sources, result):
+            outcome = real_commit(state, merge_units, sources, result)
+            self.check_invariants(state._order, state.all_units())
+            seen["commits"] += 1
+            return outcome
+
+        monkeypatch.setattr(cram_module._StandingOrder, "after_merge", spy_after)
+        monkeypatch.setattr(cram_module._CramState, "commit_merge", spy_commit)
+        cram = CramAllocator(metric="ios", failure_budget=25, use_kernel=True)
+        assert cram.allocate(units, gather.broker_pool, gather.directory).success
+        stats = cram.last_stats
+        assert seen["commits"] == stats.merges > 10
+        # Every probe and every commit derives one order; the first
+        # binpack run (the base pass) packs the standing order as built.
+        assert seen["derived"] == (stats.binpack_runs - 1) + stats.merges
+        assert seen["shrunk_runs"] > 0  # some merge emptied a run
+
+    def test_probes_keep_their_span_and_their_count(self):
+        """Kernel on (standing order) and off (flatten, sort, BrokerBin
+        loop) open the same ``binpacking.first_fit`` spans."""
+        spans, runs = [], []
+        for use_kernel in (False, True):
+            gather, units = self.gathered()
+            cram = CramAllocator(metric="ios", failure_budget=25, use_kernel=use_kernel)
+            with obs.attached(obs.Recorder()) as recorder:
+                cram.allocate(units, gather.broker_pool, gather.directory)
+            spans.append([
+                span.attrs["units"] for span in recorder.spans
+                if span.name == "binpacking.first_fit"
+            ])
+            runs.append(cram.last_stats.binpack_runs)
+        assert runs[0] == runs[1] == len(spans[0])
+        assert spans[0] == spans[1]
+        assert spans[1][0] == len(units) and len(set(spans[1])) > 5
+
+    def test_no_kernel_keeps_no_order(self, directory):
+        units = symbol_units(directory, per_symbol=3, symbols=2)
+        state = cram_module._CramState(
+            units, make_pool(4), directory, make_metric("ios"), True, True,
+            cram_module.CramStats(),
+        )
+        assert state._order is None
+        assert state.probe_merge(units[:2]) is not None
+
+    def test_impure_merge_drops_the_order(self, directory, monkeypatch):
+        """A merged unit the kernel cannot pack purely ends the fast path
+        for the rest of the run; probes fall back to BIN PACKING."""
+        units = symbol_units(directory, per_symbol=3, symbols=2)
+        kernel = ClosenessKernel(directory, [unit.profile for unit in units])
+        metric = make_metric("ios")
+        metric.attach_kernel(kernel)
+        state = cram_module._CramState(
+            units, make_pool(4), directory, metric, True, True,
+            cram_module.CramStats(), kernel=kernel,
+        )
+        assert state._order is not None and state._order.size == 6
+        stranger = make_unit({"P0": [1]}, directory, capacity=16)
+        monkeypatch.setattr(
+            cram_module.AllocationUnit, "merged",
+            classmethod(lambda cls, units, directory, kernel=None: stranger),
+        )
+        pair = units[:2]
+        result = state.probe_merge(pair)
+        assert result is not None and state._order is not None
+        assert stranger in [unit for bin_ in result.bins for unit in bin_.units]
+        state.commit_merge(pair, [state.gifs[0]], result)
+        assert state._order is None

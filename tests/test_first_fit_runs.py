@@ -1,0 +1,240 @@
+"""Run-length first fit vs the :class:`BrokerBin` loop (its oracle).
+
+With a kernel, ``first_fit`` groups consecutive interchangeable units
+into runs and lets the twins of a placed unit join its bin on a
+two-comparison test.  The claim is bit-identity with the one-unit-at-
+a-time loop, so everything here compares with ``==`` and ``is`` —
+never a tolerance, never a clock.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.capacity import BrokerSpec, MatchingDelayFunction
+from repro.core.fbf import first_fit, unit_runs
+from repro.core.kernel import ClosenessKernel
+from repro.core.profiles import PublisherProfile
+from repro.core.units import AllocationUnit
+
+from conftest import make_profile, make_record
+
+#: Unequal rates so that input-rate sums are not round numbers.
+DIRECTORY = {
+    adv_id: PublisherProfile(
+        adv_id=adv_id, publication_rate=rate, bandwidth=10.0, last_message_id=63
+    )
+    for adv_id, rate in (("P0", 10.0), ("P1", 7.0), ("P2", 3.5), ("P3", 1.25))
+}
+
+#: ``0.1 + 0.2`` is one ulp above ``0.3``: equal within any tolerance,
+#: yet not interchangeable.  Two of ``0.5 + 2e-8`` overshoot a 1.0
+#: broker by more than EPSILON, ten of ``0.1`` undershoot it by an ulp.
+BANDWIDTHS = (0.0, 0.1, 0.3, 0.1 + 0.2, 0.5 + 2e-8, 1.0, 2.5)
+
+
+def make_units(shapes, patterns):
+    """Fresh units from ``(pattern, bandwidth, subscriptions, repeat)``."""
+    units = []
+    for pattern, bandwidth, subscriptions, repeat in shapes:
+        for _ in range(repeat):
+            record = make_record(patterns[pattern])
+            units.append(
+                AllocationUnit(
+                    members=(record,),
+                    profile=record.profile,
+                    delivery_bandwidth=bandwidth,
+                    delivery_rate=1.0,
+                    subscription_count=subscriptions,
+                )
+            )
+    return units
+
+
+def make_brokers(rows):
+    return [
+        BrokerSpec(f"B{index:02d}", capacity, MatchingDelayFunction(base, slope))
+        for index, (capacity, base, slope) in enumerate(rows)
+    ]
+
+
+def kernel_for(units):
+    return ClosenessKernel(DIRECTORY, [unit.profile for unit in units])
+
+
+def snapshot(result):
+    """Everything an allocation result exposes, floats untouched."""
+    return (
+        result.success,
+        result.failed_unit.unit_id if result.failed_unit is not None else None,
+        [
+            (
+                bin_.spec.broker_id,
+                [unit.unit_id for unit in bin_.units],
+                bin_.used_bandwidth,
+                bin_.input_rate,
+                bin_.subscription_count,
+            )
+            for bin_ in result.bins
+        ],
+    )
+
+
+def assert_matches_oracle(units, pool):
+    oracle = first_fit(units, pool, DIRECTORY)
+    packed = first_fit(units, pool, DIRECTORY, kernel=kernel_for(units))
+    assert snapshot(packed) == snapshot(oracle)
+    assert packed.failed_unit is oracle.failed_unit
+    return packed
+
+
+patterns_strategy = st.lists(
+    st.dictionaries(
+        st.sampled_from(sorted(DIRECTORY)),
+        st.frozensets(st.integers(0, 63), max_size=6),
+        max_size=3,
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+shapes_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 4),  # pattern (taken modulo the pattern count)
+        st.sampled_from(BANDWIDTHS),
+        st.sampled_from((1, 1, 1, 2, 5)),
+        st.sampled_from((1, 1, 2, 3, 40)),  # mostly short runs, some long
+    ),
+    max_size=25,
+)
+
+brokers_strategy = st.lists(
+    st.tuples(
+        st.sampled_from((0.5, 1.0, 3.0, 10.0)),
+        st.sampled_from((1e-4, 0.01, 0.05)),
+        # The steep slopes put the matching-rate ceiling below a
+        # handful of subscriptions' input rate: it, not bandwidth,
+        # then ends a twin run in the middle of a bin.
+        st.sampled_from((0.0, 1e-6, 0.005, 0.02)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(patterns=patterns_strategy, shapes=shapes_strategy, brokers=brokers_strategy)
+def test_prop_runs_match_the_brokerbin_loop(patterns, shapes, brokers):
+    """Any order, any pool — fitting or not: the same bins, bit for bit."""
+    shapes = [(pattern % len(patterns), *rest) for pattern, *rest in shapes]
+    assert_matches_oracle(make_units(shapes, patterns), make_brokers(brokers))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    patterns=patterns_strategy,
+    picks=st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, 2))), max_size=60),
+    brokers=brokers_strategy,
+)
+def test_prop_interleaved_equal_bandwidth_profiles(patterns, picks, brokers):
+    """One bandwidth throughout: only the profile separates the runs."""
+    shapes = [(pattern % len(patterns), 0.3, subs, 1) for pattern, subs in picks]
+    assert_matches_oracle(make_units(shapes, patterns), make_brokers(brokers))
+
+
+class TestRunBoundaries:
+    PATTERNS = [{"P0": range(32)}, {"P1": range(32)}]
+
+    def test_rate_ceiling_ends_a_twin_run_mid_bin(self):
+        """Free bandwidth everywhere; the ceiling alone moves the run on."""
+        units = make_units([(0, 0.0, 1, 30)], self.PATTERNS)
+        # 32 of 64 slots at 10 msg/s is an input rate of 5 msg/s, and
+        # 1 / (0.01 + 0.02 n) stays above 5 only up to nine subscriptions.
+        pool = make_brokers([(10.0, 0.01, 0.02)] * 4)
+        result = assert_matches_oracle(units, pool)
+        assert [len(bin_.units) for bin_ in result.bins] == [9, 9, 9, 3]
+        assert {bin_.used_bandwidth for bin_ in result.bins} == {0.0}
+
+    def test_failing_run_reports_the_first_unplaced_twin(self):
+        units = make_units([(0, 1.0, 1, 7)], self.PATTERNS)
+        result = assert_matches_oracle(units, make_brokers([(3.0, 1e-4, 0.0)] * 2))
+        assert not result.success
+        assert result.failed_unit is units[6]
+
+    def test_a_later_run_restarts_at_the_first_bin(self):
+        """Skipping earlier bins is per run, never carried to the next."""
+        shapes = [(0, 2.5, 1, 3), (1, 0.3, 1, 4)]
+        result = assert_matches_oracle(
+            make_units(shapes, self.PATTERNS), make_brokers([(3.0, 1e-4, 0.0)] * 4)
+        )
+        assert [len(bin_.units) for bin_ in result.bins] == [2, 2, 2, 1]
+
+    def test_one_ulp_apart_is_not_a_twin(self):
+        units = make_units([(0, 0.3, 1, 2), (0, 0.1 + 0.2, 1, 2)], self.PATTERNS)
+        runs = unit_runs(units, kernel_for(units))
+        assert [[unit.unit_id for unit in run[3]] for run in runs] == [
+            [units[0].unit_id, units[1].unit_id],
+            [units[2].unit_id, units[3].unit_id],
+        ]
+        assert_matches_oracle(units, make_brokers([(0.5, 1e-4, 0.0)] * 4))
+
+    def test_runs_split_on_subscription_count_and_profile(self):
+        shapes = [(0, 1.0, 1, 2), (0, 1.0, 2, 1), (1, 1.0, 2, 1), (0, 1.0, 1, 1)]
+        units = make_units(shapes, self.PATTERNS)
+        runs = unit_runs(units, kernel_for(units))
+        assert [len(run[3]) for run in runs] == [2, 1, 1, 1]
+
+    def test_empty_vectors_do_not_separate_twins(self):
+        """A vector with no bit set adds no rate term and no plane."""
+        units = make_units([(0, 1.0, 1, 1), (1, 1.0, 1, 1)],
+                           [{"P0": [1, 2]}, {"P0": [1, 2], "P1": [5]}])
+        units[1].profile.vector("P1").load_bits(0)
+        kernel = kernel_for(units)
+        assert len(units[1].profile) == 2 and len(units[0].profile) == 1
+        assert len(unit_runs(units, kernel)) == 1
+        assert_matches_oracle(units, make_brokers([(1.0, 1e-4, 0.0)] * 2))
+
+    def test_impure_pool_takes_the_brokerbin_loop(self):
+        units = make_units([(0, 1.0, 1, 3)], self.PATTERNS)
+        kernel = kernel_for(units)
+        stranger = AllocationUnit(
+            members=(), profile=make_profile({"P0": [1]}, capacity=16),
+            delivery_bandwidth=1.0, delivery_rate=1.0, subscription_count=1,
+        )
+        mixed = units + [stranger]
+        assert unit_runs(mixed, kernel) is None
+        pool = make_brokers([(3.0, 1e-4, 0.0)] * 2)
+        assert snapshot(first_fit(mixed, pool, DIRECTORY, kernel=kernel)) == snapshot(
+            first_fit(mixed, pool, DIRECTORY)
+        )
+
+
+class CountingMemo(dict):
+    """A ``rate_memo`` that counts its look-ups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_twins_cost_one_rate_lookup_per_bin_visited():
+    """1,000 twins over 4 of 10 bins: a look-up per bin, not per unit."""
+    profile = make_profile({"P0": range(16), "P2": range(8)})
+    units = [
+        AllocationUnit(
+            members=(make_record({}),), profile=profile, delivery_bandwidth=1.0,
+            delivery_rate=1.0, subscription_count=1,
+        )
+        for _ in range(1000)
+    ]
+    kernel = kernel_for(units)
+    memo = kernel.pack(profile).rate_memo = CountingMemo()
+    pool = make_brokers([(250.0, 1e-4, 1e-7)] * 10)
+    result = first_fit(units, pool, DIRECTORY, kernel=kernel)
+    assert [len(bin_.units) for bin_ in result.bins] == [250] * 4
+    # One look-up per bin visited; a miss repeats it inside
+    # ``rate_increase``, and the four bins share one state (empty).
+    assert len(memo) == 1
+    assert memo.lookups == 4 + 1
+    assert snapshot(result) == snapshot(first_fit(units, pool, DIRECTORY))
