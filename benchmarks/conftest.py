@@ -72,6 +72,18 @@ def run_matrix(
     return results
 
 
+def pool_speedup(speedup: float, jobs: int, cores: int) -> dict:
+    """A ``jobs``-worker speedup as row fields — or why it is not one.
+
+    With fewer usable CPUs than workers the workers time-slice the
+    cores, so the wall time says nothing about the pool: the row
+    records that instead of a ratio nobody should read.
+    """
+    if cores < jobs:
+        return {"skipped": f"usable_cpus < {jobs}"}
+    return {"speedup": speedup}
+
+
 # suite key -> {"title", "rows", "extra"}; flushed to BENCH_<suite>.json
 _RECORDED: Dict[str, dict] = {}
 

@@ -1,8 +1,9 @@
 """Fused closeness-kernel speedup on the reduced-scale CRAM scenario.
 
-Times full CRAM allocations with the bit-plane kernel forced on and
-forced off (``use_kernel``) on one homogeneous pool, per metric, and
-asserts the kernel's contract from both sides:
+Times full CRAM allocations with the bit-plane kernel and on the
+kernel-less fallback (the override ``tests/naive_cram.py`` uses) on one
+homogeneous pool, per metric, and asserts the kernel's contract from
+both sides:
 
 * **exactness** — identical broker counts and closeness-evaluation
   counters either way;
@@ -37,6 +38,12 @@ ROUNDS = int(os.environ.get("REPRO_BENCH_KERNEL_ROUNDS", "2"))
 #: Wall-clock floors asserted below (and recorded in the JSON).
 MIN_SPEEDUP = {"xor": 3.0, "iou": 2.0}
 
+
+class NaiveCramAllocator(CramAllocator):
+    def _build_kernel(self, units, directory):
+        return None
+
+
 _pool_cache = {}
 
 
@@ -53,15 +60,13 @@ def pool():
     return _pool_cache["units"], _pool_cache["gathered"]
 
 
-def _timed_run(metric: str, use_kernel: bool):
+def _timed_run(metric: str, allocator_class):
     """Best-of-ROUNDS wall clock for one CRAM configuration."""
     units, gathered = pool()
     best_seconds = None
     result = allocator = None
     for _ in range(ROUNDS):
-        allocator = CramAllocator(
-            metric=metric, failure_budget=150, use_kernel=use_kernel
-        )
+        allocator = allocator_class(metric=metric, failure_budget=150)
         started = time.perf_counter()
         result = allocator.allocate(
             units, gathered.broker_pool, gathered.directory
@@ -74,8 +79,10 @@ def _timed_run(metric: str, use_kernel: bool):
 
 @pytest.mark.parametrize("metric", ["xor", "iou", "ios", "intersect"])
 def test_kernel_speedup(benchmark, metric):
-    naive_seconds, naive_result, naive_stats = _timed_run(metric, use_kernel=False)
-    fused_seconds, fused_result, fused_stats = _timed_run(metric, use_kernel=True)
+    naive_seconds, naive_result, naive_stats = _timed_run(
+        metric, NaiveCramAllocator
+    )
+    fused_seconds, fused_result, fused_stats = _timed_run(metric, CramAllocator)
 
     # Exactness: the kernel must not change the outcome, only the clock.
     assert fused_result.success == naive_result.success

@@ -49,13 +49,11 @@ AllocatorBuilder = Callable[..., AllocatorFactory]
 #: The capability vocabulary specs may advertise:
 #: ``incremental`` — exposes ``plan_migrations`` for the online
 #: scheduler; ``sharded`` — partitions Phase 2 across shard workers;
-#: ``kernel_aware`` — honors the ``use_kernel``/``use_columnar``/
-#: ``columnar_backend`` knobs of :class:`~repro.core.config.RunConfig`;
 #: ``energy_aware`` — accepts the ``energy`` knob (an
 #: :class:`~repro.core.energy.EnergySpec`) and carries it for
 #: energy-conscious scheduling decisions (never altering allocations).
 KNOWN_CAPABILITIES: FrozenSet[str] = frozenset(
-    {"incremental", "sharded", "kernel_aware", "energy_aware"}
+    {"incremental", "sharded", "energy_aware"}
 )
 
 
@@ -223,18 +221,12 @@ class _CramBuilder:
     def __call__(
         self,
         failure_budget: Any = None,
-        use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
         **_: Any,
     ) -> AllocatorFactory:
         metric, budget = self.metric, failure_budget
         return lambda: CramAllocator(
             metric=metric,
             failure_budget=budget,
-            use_kernel=use_kernel,
-            use_columnar=use_columnar,
-            columnar_backend=columnar_backend,
         )
 
 
@@ -256,9 +248,6 @@ class _ShardedCramBuilder:
     def __call__(
         self,
         failure_budget: Any = None,
-        use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
         **_: Any,
     ) -> AllocatorFactory:
         metric, shards, budget = self.metric, self.shards, failure_budget
@@ -266,9 +255,6 @@ class _ShardedCramBuilder:
             metric=metric,
             shards=shards,
             failure_budget=budget,
-            use_kernel=use_kernel,
-            use_columnar=use_columnar,
-            columnar_backend=columnar_backend,
         )
 
 
@@ -290,9 +276,6 @@ class _OnlineBuilder:
         failure_budget: Any = None,
         online: Optional[OnlineSpec] = None,
         energy: Any = None,
-        use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
         **_: Any,
     ) -> AllocatorFactory:
         strategy, metric, budget = self.strategy, self.metric, failure_budget
@@ -303,24 +286,20 @@ class _OnlineBuilder:
             failure_budget=budget,
             spec=spec,
             energy=energy_spec,
-            use_kernel=use_kernel,
-            use_columnar=use_columnar,
-            columnar_backend=columnar_backend,
         )
 
 
 register("fbf", _fbf_builder)
 register("binpacking", _binpacking_builder)
 for _metric in ("intersect", "xor", "ios", "iou"):
-    register(f"cram-{_metric}", _CramBuilder(_metric),
-             capabilities=("kernel_aware",))
+    register(f"cram-{_metric}", _CramBuilder(_metric))
 del _metric
 register("cram-ios-sharded", _ShardedCramBuilder("ios"),
-         capabilities=("kernel_aware", "sharded"))
+         capabilities=("sharded",))
 register("inc-trade", _OnlineBuilder("inc_trade"),
-         capabilities=("incremental", "kernel_aware", "energy_aware"))
+         capabilities=("incremental", "energy_aware"))
 register("fij-trade", _OnlineBuilder("fij_trade"),
-         capabilities=("incremental", "kernel_aware", "energy_aware"))
+         capabilities=("incremental", "energy_aware"))
 
 #: Import-time snapshot of the built-in registrations.  Every Python
 #: process that imports this module gets exactly these, so a spawned

@@ -70,7 +70,7 @@ from repro.core.fbf import (
     unit_runs,
 )
 from repro.core.gif import Gif, build_gifs
-from repro.core.kernel import ClosenessKernel, kernel_enabled
+from repro.core.kernel import ClosenessKernel
 from repro.core.poset import Poset
 from repro.core.profiles import (
     PublisherDirectory,
@@ -99,7 +99,7 @@ class CramStats:
     closeness_evaluations: int = 0
     initial_search_evaluations: int = 0
     binpack_runs: int = 0
-    # Fused-kernel diagnostics (all zero when the kernel is disabled).
+    # Fused-kernel diagnostics.
     kernel_used: bool = False
     kernel_fused_evaluations: int = 0
     kernel_memo_hits: int = 0
@@ -137,13 +137,6 @@ class CramAllocator:
         before giving up (the paper runs to exhaustion; the budget keeps
         XOR — which cannot prune empty relations — bounded in the
         benchmark harness).
-    use_kernel:
-        Tri-state opt-out of the fused bit-plane kernel
-        (:mod:`repro.core.kernel`): ``True``/``False`` force it on/off,
-        ``None`` (default) defers to the ``REPRO_CLOSENESS_KERNEL``
-        environment variable.  The kernel is value-exact, so this knob
-        only changes speed — it exists for benchmarking and as an
-        escape hatch.
     """
 
     def __init__(
@@ -154,9 +147,6 @@ class CramAllocator:
         enable_one_to_many: bool = True,
         failure_budget: Optional[int] = None,
         max_iterations: Optional[int] = None,
-        use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
     ):
         if isinstance(metric, str):
             metric = make_metric(metric)
@@ -166,14 +156,6 @@ class CramAllocator:
         self.enable_one_to_many = enable_one_to_many
         self.failure_budget = failure_budget
         self.max_iterations = max_iterations
-        self.use_kernel = use_kernel
-        #: Tri-state opt-out of the columnar row store inside the
-        #: kernel (``REPRO_COLUMNAR`` when ``None``).  Like
-        #: ``use_kernel`` this is value-exact — speed only.
-        self.use_columnar = use_columnar
-        #: Columnar backend request (``REPRO_COLUMNAR_BACKEND`` when
-        #: ``None``); both backends are bit-identical by contract.
-        self.columnar_backend = columnar_backend
         self.name = f"cram-{metric.name}"
         self.last_stats = CramStats()
 
@@ -195,15 +177,8 @@ class CramAllocator:
         self.last_stats = stats
         self.metric.reset_counter()
 
-        kernel: Optional[ClosenessKernel] = None
-        if kernel_enabled(self.use_kernel):
-            kernel = ClosenessKernel(
-                directory,
-                [unit.profile for unit in units],
-                columnar=self.use_columnar,
-                backend=self.columnar_backend,
-            )
-            stats.kernel_used = True
+        kernel = self._build_kernel(units, directory)
+        stats.kernel_used = kernel is not None
         self.metric.attach_kernel(kernel)
         try:
             with obs.span("cram.clustering", metric=self.metric.name,
@@ -215,6 +190,18 @@ class CramAllocator:
                 stats.kernel_memo_hits = kernel.memo_hits
                 stats.kernel_fallback_evaluations = kernel.fallback_evaluations
             self.metric.attach_kernel(None)
+
+    def _build_kernel(
+        self, units: Sequence[AllocationUnit], directory: PublisherDirectory
+    ) -> Optional[ClosenessKernel]:
+        """The fused kernel over this run's profiles.
+
+        Everything downstream takes ``Optional[ClosenessKernel]`` and
+        walks the profiles naively on ``None``; the equivalence suites
+        override this (``tests/naive_cram.py``) to compare against that
+        walk.
+        """
+        return ClosenessKernel(directory, [unit.profile for unit in units])
 
     def _clustering_run(
         self,
@@ -789,9 +776,6 @@ class ShardTask:
     enable_one_to_many: bool = True
     failure_budget: Optional[int] = None
     max_iterations: Optional[int] = None
-    use_kernel: Optional[bool] = None
-    use_columnar: Optional[bool] = None
-    columnar_backend: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -843,9 +827,6 @@ def run_shard_task(task: ShardTask) -> ShardOutcome:
         enable_one_to_many=task.enable_one_to_many,
         failure_budget=task.failure_budget,
         max_iterations=task.max_iterations,
-        use_kernel=task.use_kernel,
-        use_columnar=task.use_columnar,
-        columnar_backend=task.columnar_backend,
     )
     units = units_from_records(task.records, task.directory)
     with _recorder_silenced():
@@ -992,9 +973,6 @@ class ShardedCramAllocator:
         enable_one_to_many: bool = True,
         failure_budget: Optional[int] = None,
         max_iterations: Optional[int] = None,
-        use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
         runner: Optional[ShardRunner] = None,
     ):
         if isinstance(metric, ClosenessMetric):
@@ -1006,9 +984,6 @@ class ShardedCramAllocator:
         self.enable_one_to_many = enable_one_to_many
         self.failure_budget = failure_budget
         self.max_iterations = max_iterations
-        self.use_kernel = use_kernel
-        self.use_columnar = use_columnar
-        self.columnar_backend = columnar_backend
         self.runner = runner
         self.name = f"cram-{metric}-sharded"
         self.last_stats = CramStats()
@@ -1021,9 +996,6 @@ class ShardedCramAllocator:
             enable_one_to_many=self.enable_one_to_many,
             failure_budget=self.failure_budget,
             max_iterations=self.max_iterations,
-            use_kernel=self.use_kernel,
-            use_columnar=self.use_columnar,
-            columnar_backend=self.columnar_backend,
         )
 
     def _monolithic(
@@ -1066,9 +1038,6 @@ class ShardedCramAllocator:
                 enable_one_to_many=self.enable_one_to_many,
                 failure_budget=self.failure_budget,
                 max_iterations=self.max_iterations,
-                use_kernel=self.use_kernel,
-                use_columnar=self.use_columnar,
-                columnar_backend=self.columnar_backend,
             )
             for index, bucket in enumerate(buckets)
         ]

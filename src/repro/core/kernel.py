@@ -1,7 +1,9 @@
-"""Fused bit-plane closeness kernel (CRAM hot path).
+"""Fused bit-plane closeness kernel (CRAM clustering).
 
-Closeness evaluation dominates CRAM's Phase-2 runtime: every naive
-evaluation walks a per-publisher dict of
+Closeness evaluation is not where most of CRAM's Phase-2 time goes —
+the bin-packing probes are — but without this kernel it would be: the
+benchmark's allocation-only workload (``plan_offline``) takes 3.5x as
+long on the naive path.  Every naive evaluation walks a per-publisher dict of
 :class:`~repro.core.bitvector.BitVector`, re-aligns each pair of
 windows with big-int shifts, and repeats the walk for every metric
 component.  After Phase 1 all profiles are synchronized against the
@@ -25,38 +27,19 @@ The kernel is *exact*: a profile whose vectors do not fit the layout
 (mismatched window, unknown publisher) is marked non-packable and every
 pair involving it falls back to the naive profile walk, so attaching
 the kernel never changes a metric value, an allocation, or an
-evaluation counter — only wall-clock time.  The
-``REPRO_CLOSENESS_KERNEL`` environment variable (``0``/``off``/
-``false``/``no``) or the allocators' ``use_kernel`` flag opts out.
+evaluation counter — only wall-clock time
+(``tests/test_kernel_equivalence.py`` pins that against the kernel-less
+allocator in ``tests/naive_cram.py``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.bitvector import BitVector
 from repro.core.closeness import XOR_MAX
-from repro.core.columnar import ColumnarStore, columnar_enabled
 from repro.core.popcount import popcount
 from repro.core.profiles import PublisherDirectory, SubscriptionProfile
-
-#: Environment opt-out: set to 0/off/false/no to force the naive path.
-KERNEL_ENV_VAR = "REPRO_CLOSENESS_KERNEL"
-
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
-
-
-def kernel_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the kernel opt-out: explicit flag wins, then environment.
-
-    ``override=None`` defers to :data:`KERNEL_ENV_VAR`; the kernel is on
-    by default because it is value-exact (see module docstring).
-    """
-    if override is not None:
-        return override
-    value = os.environ.get(KERNEL_ENV_VAR, "1").strip().lower()
-    return value not in _DISABLED_VALUES
 
 
 class Plane:
@@ -100,7 +83,7 @@ class BitPlaneLayout:
     for the same publisher).
     """
 
-    __slots__ = ("planes", "conflicted", "total_bits")
+    __slots__ = ("planes", "conflicted")
 
     def __init__(
         self,
@@ -133,61 +116,6 @@ class BitPlaneLayout:
             self.planes[adv_id] = Plane(adv_id, offset, first_id, capacity, window, rate)
             offset += capacity
         self.conflicted = conflicted
-        self.total_bits = offset
-
-    @classmethod
-    def from_directory(
-        cls, directory: PublisherDirectory, capacity: int
-    ) -> "BitPlaneLayout":
-        """Layout derived from the publisher directory alone.
-
-        Streaming ingest cannot scan all profiles up front (they are
-        produced lazily), but after Phase-1 synchronization every
-        vector's window is determined by its publisher:
-        ``first_id = max(0, last_message_id - capacity + 1)``.  A
-        directory-derived layout therefore matches the scanned layout
-        for any synchronized pool sharing ``capacity``.
-        """
-        layout = cls(directory, ())
-        offset = 0
-        for adv_id in sorted(directory):
-            publisher = directory[adv_id]
-            first_id = max(0, publisher.last_message_id - capacity + 1)
-            window = max(
-                1, min(capacity, publisher.last_message_id - first_id + 1)
-            )
-            layout.planes[adv_id] = Plane(
-                adv_id,
-                offset,
-                first_id,
-                capacity,
-                window,
-                publisher.publication_rate,
-            )
-            offset += capacity
-        layout.total_bits = offset
-        return layout
-
-
-def pack_profile_bits(
-    profile: SubscriptionProfile, layout: BitPlaneLayout
-) -> Optional[int]:
-    """Pure packed plane bits of ``profile``, or ``None`` if unpackable.
-
-    The standalone projection of :meth:`ClosenessKernel.pack` used by
-    streaming ingest: it needs only the bits (for
-    :meth:`~repro.core.columnar.ColumnarStore.add_rows`), never a
-    :class:`PackedProfile`, so the profile object can be dropped
-    immediately after the call.
-    """
-    bits = 0
-    planes = layout.planes
-    for adv_id, vector in profile.items():
-        plane = planes.get(adv_id)
-        if plane is None or (vector.first_id, len(vector)) != plane.span:
-            return None
-        bits |= vector.raw_bits() << plane.offset
-    return bits
 
 
 class PackedProfile:
@@ -210,7 +138,6 @@ class PackedProfile:
         "key",
         "pcard",
         "rate_memo",
-        "row",
     )
 
     def __init__(
@@ -234,9 +161,6 @@ class PackedProfile:
         #: Popcount of the packed planes (``|A∪B| = |A|+|B|-|A∩B|``
         #: turns the pairwise union into integer arithmetic).
         self.pcard = popcount(bits)
-        #: Columnar-store row index; assigned by the kernel when a
-        #: store is attached and the pack is pure, ``None`` otherwise.
-        self.row: Optional[int] = None
         #: bin bits -> rate delta.  CRAM's probe runs rebuild the same
         #: bin fill sequences over and over; the delta is a pure
         #: function of (this pack, bin bits), so caching on the pack
@@ -294,21 +218,10 @@ class ClosenessKernel:
         self,
         directory: PublisherDirectory,
         profiles: Iterable[SubscriptionProfile],
-        columnar: Optional[bool] = None,
-        backend: Optional[str] = None,
     ):
         pool = list(profiles)
         self.directory = directory
         self.layout = BitPlaneLayout(directory, pool)
-        #: Columnar row store for pure packs; ``None`` when opted out
-        #: via ``columnar=False`` or ``REPRO_COLUMNAR``.  The store only
-        #: changes *how* intersections are counted (matrix sweep vs
-        #: per-pair big-int AND), never the values or the counters.
-        self.store: Optional[ColumnarStore] = (
-            ColumnarStore(self.layout.total_bits, backend=backend)
-            if columnar_enabled(columnar)
-            else None
-        )
         self._packs: Dict[int, Tuple[SubscriptionProfile, PackedProfile]] = {}
         self._memo: Dict[Tuple[Tuple[int, Tuple], Tuple[int, Tuple]], Tuple[int, int]] = {}
         self._pair_index: Dict[Tuple[int, Tuple], List[Tuple]] = {}
@@ -365,9 +278,6 @@ class ClosenessKernel:
                 bits |= raw << plane.offset
                 planes.append(plane)
         packed = PackedProfile(profile, bits, residual, tuple(planes), exact)
-        store = self.store
-        if store is not None and packed.pure:
-            packed.row = store.add_row(bits)
         self._packs[id(profile)] = (profile, packed)
         if packed.key is not None:
             self._key_refs[packed.key] = self._key_refs.get(packed.key, 0) + 1
@@ -383,10 +293,6 @@ class ClosenessKernel:
         entry = self._packs.pop(profile_id, None)
         if entry is None:
             return
-        row = entry[1].row
-        if row is not None and self.store is not None:
-            self.store.free_row(row)
-            entry[1].row = None
         for pair in self._id_pairs.pop(profile_id, ()):
             self._id_memo.pop(pair, None)
         key = entry[1].key
@@ -530,8 +436,6 @@ class ClosenessKernel:
         packs = self._packs
         entry = packs.get(ia)
         pa = entry[1] if entry is not None else self.pack(first)
-        if self.store is not None and pa.pure:
-            return self._columnar_row(mode, first, pa, others)
         pa_pure = pa.pure
         pa_bits = pa.bits
         pa_pcard = pa.pcard
@@ -575,103 +479,6 @@ class ClosenessKernel:
                 append(intersect * intersect / union)
         self.memo_hits += hits
         self.fused_evaluations += fused
-        return row
-
-    def _columnar_row(
-        self,
-        mode: int,
-        first: SubscriptionProfile,
-        pa: PackedProfile,
-        others: Sequence[SubscriptionProfile],
-    ) -> List[float]:
-        """Columnar variant of :meth:`closeness_row` for pure anchors.
-
-        Classification (memo hit / pure / fallback) stays the scalar
-        loop; every memo-missed *pure* pair is deferred and its
-        intersection filled by one :meth:`ColumnarStore.intersections`
-        sweep.  Unions come from cached pack popcounts and the metric
-        floats are computed pair-by-pair exactly as the scalar path
-        does, so values, memo contents, and all three kernel counters
-        are bit-identical to the store-off path.
-        """
-        ia = id(first)
-        id_memo = self._id_memo
-        id_pairs = self._id_pairs
-        packs = self._packs
-        store = self.store
-        assert store is not None and pa.row is not None
-        pa_pcard = pa.pcard
-        fused_counts = self.fused_counts
-        first_card = first.cardinality if mode == 2 else 0
-        hits = 0
-        count = len(others)
-        inters = [0] * count
-        unions = [0] * count
-        pend_slots: List[int] = []
-        pend_rows: List[int] = []
-        pend_cards: List[int] = []
-        pend_pairs: List[Tuple[int, int]] = []
-        pending_at: Dict[Tuple[int, int], int] = {}
-        aliases: List[Tuple[int, int]] = []
-        for slot, other in enumerate(others):
-            ib = id(other)
-            id_pair = (ia, ib) if ia <= ib else (ib, ia)
-            counts = id_memo.get(id_pair)
-            if counts is not None:
-                hits += 1
-                inters[slot], unions[slot] = counts
-                continue
-            entry = packs.get(ib)
-            pb = entry[1] if entry is not None else self.pack(other)
-            if pb.pure:
-                seen = pending_at.get(id_pair)
-                if seen is not None:
-                    # Duplicate candidate within one row: the scalar
-                    # loop's second visit is an id-memo hit.
-                    hits += 1
-                    aliases.append((slot, seen))
-                    continue
-                pending_at[id_pair] = len(pend_rows)
-                pend_slots.append(slot)
-                assert pb.row is not None
-                pend_rows.append(pb.row)
-                pend_cards.append(pb.pcard)
-                pend_pairs.append(id_pair)
-            else:
-                inters[slot], unions[slot] = fused_counts(first, other)
-        if pend_rows:
-            batch = store.intersections(pa.row, pend_rows)
-            for index, intersect in enumerate(batch):
-                union = pa_pcard + pend_cards[index] - intersect
-                slot = pend_slots[index]
-                inters[slot] = intersect
-                unions[slot] = union
-                id_pair = pend_pairs[index]
-                id_memo[id_pair] = (intersect, union)
-                id_pairs.setdefault(id_pair[0], []).append(id_pair)
-                id_pairs.setdefault(id_pair[1], []).append(id_pair)
-        for slot, index in aliases:
-            source = pend_slots[index]
-            inters[slot] = inters[source]
-            unions[slot] = unions[source]
-        self.memo_hits += hits
-        self.fused_evaluations += len(pend_rows)
-        row: List[float] = []
-        append = row.append
-        for slot, other in enumerate(others):
-            intersect = inters[slot]
-            union = unions[slot]
-            if mode == 0:
-                append(float(intersect))
-            elif mode == 1:
-                xor = union - intersect
-                append(XOR_MAX if xor == 0 else 1.0 / xor)
-            elif intersect == 0:
-                append(0.0)
-            elif mode == 2:
-                append(intersect * intersect / (first_card + other.cardinality))
-            else:
-                append(intersect * intersect / union)
         return row
 
     # ------------------------------------------------------------------

@@ -532,9 +532,6 @@ class OnlineAllocator:
         failure_budget: Optional[int] = None,
         spec: Optional[OnlineSpec] = None,
         energy: Any = None,
-        use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
     ):
         if spec is None:
             spec = OnlineSpec(strategy=strategy)
@@ -551,13 +548,7 @@ class OnlineAllocator:
         self.energy_spec = energy
         self.strategy = make_strategy(self.spec)
         self.name = strategy.replace("_", "-")
-        self._inner = CramAllocator(
-            metric=metric,
-            failure_budget=failure_budget,
-            use_kernel=use_kernel,
-            use_columnar=use_columnar,
-            columnar_backend=columnar_backend,
-        )
+        self._inner = CramAllocator(metric=metric, failure_budget=failure_budget)
 
     @property
     def last_stats(self) -> CramStats:

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.capacity import AllocationResult, BrokerBin, BrokerSpec
 from repro.core.closeness import ClosenessMetric, make_metric
-from repro.core.kernel import ClosenessKernel, kernel_enabled
+from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherDirectory
 from repro.core.units import AllocationUnit
 from repro.core.rng import SeededRng
@@ -34,7 +34,6 @@ def pairwise_cluster(
     cluster_count: int,
     directory: PublisherDirectory,
     metric: Union[str, ClosenessMetric] = "xor",
-    use_kernel: Optional[bool] = None,
 ) -> List[AllocationUnit]:
     """Merge the closest pair until ``cluster_count`` clusters remain.
 
@@ -43,18 +42,14 @@ def pairwise_cluster(
     O(C) metric evaluations instead of an O(C²) rescan; the cache is
     maintained so the merge sequence is *identical* to the rescan's
     (``tests/test_pairwise_cache.py`` checks this property).  The fused
-    kernel (see :func:`repro.core.kernel.kernel_enabled` for the
-    ``use_kernel`` semantics) accelerates the rows without changing any
-    value.
+    kernel accelerates the rows without changing any value.
     """
     if isinstance(metric, str):
         metric = make_metric(metric)
     clusters: List[AllocationUnit] = list(units)
     if cluster_count < 1:
         raise ValueError("cluster_count must be at least 1")
-    kernel: Optional[ClosenessKernel] = None
-    if kernel_enabled(use_kernel):
-        kernel = ClosenessKernel(directory, [unit.profile for unit in clusters])
+    kernel = ClosenessKernel(directory, [unit.profile for unit in clusters])
     metric.attach_kernel(kernel)
     try:
         return _pairwise_cluster(clusters, cluster_count, directory, metric, kernel)
@@ -140,11 +135,9 @@ class PairwiseAllocator:
     """Common machinery of the two pairwise derivatives."""
 
     def __init__(self, metric: Union[str, ClosenessMetric] = "xor",
-                 rng: Optional[SeededRng] = None,
-                 use_kernel: Optional[bool] = None):
+                 rng: Optional[SeededRng] = None):
         self.metric = make_metric(metric) if isinstance(metric, str) else metric
         self._rng = rng if rng is not None else SeededRng(0, "pairwise")
-        self.use_kernel = use_kernel
 
     def _force_assign(
         self,
@@ -173,9 +166,8 @@ class PairwiseKAllocator(PairwiseAllocator):
     name = "pairwise-k"
 
     def __init__(self, cluster_count: int, metric: Union[str, ClosenessMetric] = "xor",
-                 rng: Optional[SeededRng] = None,
-                 use_kernel: Optional[bool] = None):
-        super().__init__(metric, rng, use_kernel)
+                 rng: Optional[SeededRng] = None):
+        super().__init__(metric, rng)
         if cluster_count < 1:
             raise ValueError("cluster_count must be at least 1")
         self.cluster_count = cluster_count
@@ -188,8 +180,7 @@ class PairwiseKAllocator(PairwiseAllocator):
     ) -> AllocationResult:
         pool = list(pool)
         count = min(self.cluster_count, len(units)) or 1
-        clusters = pairwise_cluster(units, count, directory, self.metric,
-                                    use_kernel=self.use_kernel)
+        clusters = pairwise_cluster(units, count, directory, self.metric)
         targets = [self._rng.choice(pool) for _ in clusters]
         return self._force_assign(clusters, targets, directory)
 
@@ -207,7 +198,6 @@ class PairwiseNAllocator(PairwiseAllocator):
     ) -> AllocationResult:
         pool = list(pool)
         count = min(len(pool), len(units)) or 1
-        clusters = pairwise_cluster(units, count, directory, self.metric,
-                                    use_kernel=self.use_kernel)
+        clusters = pairwise_cluster(units, count, directory, self.metric)
         targets = self._rng.shuffled(pool)[: len(clusters)]
         return self._force_assign(clusters, targets, directory)

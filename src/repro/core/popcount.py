@@ -1,10 +1,10 @@
 """Shared popcount primitives for every bit-counting path.
 
-Three call sites used to re-implement the same aligned-AND/OR/XOR
+Two call sites used to re-implement the same aligned-AND/OR/XOR
 popcount dance: :class:`~repro.core.bitvector.BitVector`'s cardinality
-methods, the fused kernel's residual fallback, and (new) the columnar
-store's pure-Python backend.  They all route through this module now,
-so the counting semantics live in exactly one place.
+methods and the fused kernel's residual fallback.  They both route
+through this module now, so the counting semantics live in exactly one
+place.
 
 Everything here operates on plain non-negative ints (packed bit
 patterns); window alignment stays the callers' job.
@@ -12,7 +12,7 @@ patterns); window alignment stays the callers' job.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 
 def popcount(bits: int) -> int:
@@ -30,23 +30,3 @@ def fused_counts(mine: int, theirs: int) -> Tuple[int, int, int]:
     union = (mine | theirs).bit_count()
     return intersect, union, union - intersect
 
-
-def split_words(bits: int, words: int) -> List[int]:
-    """Split a packed pattern into ``words`` little-endian 64-bit words.
-
-    Word ``j`` holds bits ``64*j .. 64*j+63``; the columnar store's
-    backends share this layout so numpy and pure-Python rows are
-    byte-identical.
-    """
-    if words <= 0:
-        return []
-    mask = (1 << 64) - 1
-    return [(bits >> (64 * j)) & mask for j in range(words)]
-
-
-def join_words(words: List[int]) -> int:
-    """Inverse of :func:`split_words`."""
-    bits = 0
-    for j, word in enumerate(words):
-        bits |= word << (64 * j)
-    return bits

@@ -88,10 +88,7 @@ class SubscriptionProfile:
     (advertisement ID) the subscription received publications from.
     """
 
-    # ``__weakref__`` lets streaming tests observe profile lifetimes
-    # (peak-liveness assertions) without keeping profiles alive; copyreg
-    # excludes it from pickling, so records still ship to pool workers.
-    __slots__ = ("_capacity", "_vectors", "_card", "_sig", "__weakref__")
+    __slots__ = ("_capacity", "_vectors", "_card", "_sig")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self._capacity = capacity
@@ -235,7 +232,7 @@ class SubscriptionProfile:
         is aligned once via
         :meth:`~repro.core.bitvector.BitVector.fused_cardinalities`
         (which routes through :mod:`repro.core.popcount`, the same
-        helper the fused kernel and the columnar store use), and the
+        helper the fused kernel uses), and the
         one-sided vectors contribute their cached cardinalities.
         :meth:`union_cardinality` and :meth:`xor_cardinality` are thin
         projections of this walk rather than duplicated traversals.

@@ -105,8 +105,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shard-jobs", type=int, default=None, metavar="N",
                         help="worker processes for intra-run Phase-2 "
                              "shards (cram-ios-sharded; default: "
-                             "REPRO_SHARD_JOBS or serial; 0 = one per "
-                             "CPU); results are bit-identical to serial")
+                             "serial; 0 = one per CPU); results are "
+                             "bit-identical to serial")
     parser.add_argument("--profile", metavar="DIR", default=None,
                         help="profile each cell with cProfile and write "
                              "DIR/<scenario>__<approach>.pstats (forces "

@@ -38,10 +38,7 @@ from multiprocessing import get_context
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core import allocators, cram
-# SHARD_JOBS_ENV_VAR moved to repro.core.config (the consolidated
-# RunConfig home) and stays re-exported here for its historical users.
-from repro.core.config import SHARD_JOBS_ENV_VAR as SHARD_JOBS_ENV_VAR
-from repro.core.config import RunConfig, shard_jobs_from_env
+from repro.core.config import RunConfig
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.obs import recorder as obs
 from repro.sim.faults import FaultPlan
@@ -70,10 +67,10 @@ class CellSpec:
     #: ship its snapshot back on ``result.obs``.  Does not change the
     #: deterministic outputs (pinned by ``tests/test_obs_equivalence``).
     observe: bool = False
-    #: The performance / online-reallocation knobs for this cell.
-    #: ``RunConfig`` is frozen and picklable, so a spec carries the
-    #: exact configuration into spawned workers instead of relying on
-    #: inherited environment variables.  ``None`` = all defaults.
+    #: The shard-jobs / online-reallocation / energy knobs for this
+    #: cell.  ``RunConfig`` is frozen and picklable, so a spec carries
+    #: the exact configuration into spawned workers.  ``None`` = all
+    #: defaults.
     config: Optional[RunConfig] = None
 
     @property
@@ -95,8 +92,8 @@ def run_spec(spec: CellSpec) -> ExperimentResult:
     shard_override = spec.config.shard_jobs if spec.config is not None else None
     previous = _default_shard_jobs
     if shard_override is not None:
-        # The spec's explicit shard count beats any ambient default or
-        # environment variable for the duration of this cell.
+        # The spec's explicit shard count beats the process default for
+        # the duration of this cell.
         set_default_shard_jobs(shard_override)
     try:
         if not spec.observe:
@@ -296,8 +293,7 @@ def execute_cells(
 # Shard runner: ShardedCramAllocator tasks on the spawn pool
 # ----------------------------------------------------------------------
 
-#: Explicit override of the shard job count (``--shard-jobs``); ``None``
-#: defers to :data:`SHARD_JOBS_ENV_VAR`.
+#: Process-wide shard job count (``--shard-jobs``); ``None`` = serial.
 _default_shard_jobs: Optional[int] = None
 
 
@@ -308,7 +304,7 @@ def set_default_shard_jobs(jobs: Optional[int]) -> None:
 
 
 def shard_jobs() -> int:
-    """Resolve the shard job count: explicit default, env, else 1.
+    """Resolve the shard job count: the process default, else 1.
 
     Serial is the default on purpose: shard tasks may themselves run
     inside sweep-pool workers, and only an explicit opt-in should nest
@@ -316,7 +312,7 @@ def shard_jobs() -> int:
     """
     if _default_shard_jobs is not None:
         return resolve_jobs(_default_shard_jobs)
-    return resolve_jobs(shard_jobs_from_env(default=1))
+    return 1
 
 
 def run_shards(

@@ -42,7 +42,6 @@ from repro.obs.timeline import TimelineSampler
 from repro.pubsub.client import PublisherClient, SubscriberClient
 from repro.pubsub.metrics import MetricsSummary
 from repro.pubsub.network import PubSubNetwork
-from repro.sim.engine import make_simulator
 from repro.sim.faults import FaultPlan
 from repro.sim.rng import SeededRng
 from repro.workloads.scenarios import Scenario
@@ -167,10 +166,9 @@ class ExperimentRunner:
         plan) leaves every run bit-identical to the fault-free code
         path.
     config:
-        A :class:`~repro.core.config.RunConfig` with the performance
-        and online-reallocation knobs.  The default (all fields
-        ``None``) defers every toggle to its environment variable, so
-        omitting it is bit-identical to the pre-config behavior.
+        A :class:`~repro.core.config.RunConfig` with the shard worker
+        count and the online-reallocation and energy specs.  The
+        default (all fields ``None``) switches none of them on.
     """
 
     def __init__(
@@ -199,7 +197,6 @@ class ExperimentRunner:
     def _build_network(self) -> PubSubNetwork:
         scenario = self.scenario
         network = PubSubNetwork(
-            sim=make_simulator(self.config.engine),
             profile_capacity=scenario.profile_capacity,
             enable_covering=scenario.enable_covering,
         )

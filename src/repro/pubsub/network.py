@@ -14,14 +14,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.bitvector import DEFAULT_CAPACITY
 from repro.core.capacity import BrokerSpec
-from repro.core.config import delivery_batch_from_env
 from repro.core.deployment import Deployment
 from repro.pubsub.broker import BROKER, Broker, CLIENT, Destination
 from repro.pubsub.client import PublisherClient, SubscriberClient
 from repro.pubsub.faults import FaultInjector
 from repro.pubsub.message import Publication
 from repro.pubsub.metrics import MetricsCollector
-from repro.sim.engine import SimulatorCore, make_simulator
+from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan
 
 #: One-way link latency inside the data center (seconds).
@@ -95,13 +94,13 @@ class PubSubNetwork:
 
     def __init__(
         self,
-        sim: Optional[SimulatorCore] = None,
+        sim: Optional[Simulator] = None,
         link_latency: float = DEFAULT_LINK_LATENCY,
         profile_capacity: int = DEFAULT_CAPACITY,
         enable_covering: bool = False,
         bir_timeout: float = DEFAULT_BIR_TIMEOUT,
     ):
-        self.sim = sim if sim is not None else make_simulator()
+        self.sim = sim if sim is not None else Simulator()
         self.metrics = MetricsCollector(self.sim)
         self.link_latency = link_latency
         self.profile_capacity = profile_capacity
@@ -131,9 +130,7 @@ class PubSubNetwork:
         #: Optional repro.pubsub.tracing.MessageTracer; brokers and the
         #: network record publication trace events while it is set.
         self.tracer = None
-        #: Fan-out batching knob (:data:`REPRO_DELIVERY_BATCH`) and the
-        #: batches whose final-arrival event has not fired yet.
-        self._delivery_batching = delivery_batch_from_env()
+        #: Fan-out batches whose final-arrival event has not fired yet.
         self._pending_batches: List[_FanoutBatch] = []
 
     # ------------------------------------------------------------------
@@ -282,7 +279,7 @@ class PubSubNetwork:
         and link fault events never touch client deliveries, so an
         otherwise-degradation-free plan keeps the fast path.
         """
-        if not self._delivery_batching or self.tracer is not None:
+        if self.tracer is not None:
             return False
         faults = self.faults
         if faults is None:

@@ -10,23 +10,14 @@ exactly reproducible.
 
 from __future__ import annotations
 
-from repro.sim.engine import (
-    CalendarSimulator,
-    Event,
-    Simulator,
-    SimulatorCore,
-    make_simulator,
-)
+from repro.sim.engine import Event, Simulator
 from repro.sim.estimator import BrokerLoadEstimator, LoadSample
 from repro.sim.faults import FaultEvent, FaultPlan
 from repro.sim.rng import SeededRng, derive_seed
 
 __all__ = [
-    "CalendarSimulator",
     "Event",
     "Simulator",
-    "SimulatorCore",
-    "make_simulator",
     "BrokerLoadEstimator",
     "LoadSample",
     "FaultEvent",

@@ -1,31 +1,12 @@
 """A minimal, deterministic discrete-event simulation engine.
 
-The engine is a priority queue of timestamped callbacks.  Ties are
-broken by insertion order, which keeps runs bit-for-bit reproducible
-regardless of hash randomization or dict ordering quirks.
+The engine is a priority queue of timestamped callbacks: a binary heap
+of ``(time, sequence, event)`` tuples (``heapq``).  Ties are broken by
+insertion order, which keeps runs bit-for-bit reproducible regardless
+of hash randomization or dict ordering quirks.
 
-Two interchangeable queue structures implement that contract:
-
-* :class:`Simulator` — the reference implementation, a binary heap of
-  ``(time, sequence, event)`` tuples (``heapq``).  Every push and pop
-  costs O(log n) tuple comparisons, which dominates once tens of
-  thousands of timers are pending.
-* :class:`CalendarSimulator` — a bucketed *calendar queue* (Brown,
-  CACM 1988): virtual time is tiled into fixed-width buckets and an
-  event lands in ``bucket[int(time / width) % count]``.  Scheduling
-  and popping are O(1) for the uniform-ish event populations a
-  pub/sub simulation produces, independent of how many far-future
-  timers are pending.  Buckets resize automatically when occupancy
-  skews; FIFO order inside a bucket is kept by the same ``(time,
-  sequence)`` key, so the execution order is bit-identical to the
-  heap's (pinned by ``tests/test_engine_equivalence.py``).
-
-The engine to use is selected by :func:`make_simulator`, driven by
-``RunConfig(engine=...)`` or the ``REPRO_ENGINE`` environment variable
-(see :mod:`repro.core.config`); the heap stays the default.
-
-Two fast paths keep either event loop cheap at scale without changing
-the execution order:
+Two fast paths keep the event loop cheap at scale without changing the
+execution order:
 
 * **Same-timestamp batching** — once an event fires, every further
   event sharing its timestamp is drained in one inner loop that skips
@@ -54,26 +35,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import insort
-from sys import maxsize
 from typing import Callable, List, Optional, Tuple
-
-from repro.core.config import resolve_engine
 
 #: Compaction threshold: rebuild the queue once at least this many
 #: cancelled events linger in it *and* they make up half the queue.
 #: The floor keeps tiny queues from compacting constantly; the ratio
 #: keeps compaction amortized O(1) per cancellation.
 COMPACT_MIN_CANCELLED = 64
-
-#: Calendar queue geometry: the bucket count stays a power of two in
-#: ``[CALENDAR_MIN_BUCKETS, ...)`` and doubles/halves around a target
-#: occupancy of a few events per bucket.
-CALENDAR_MIN_BUCKETS = 16
-
-#: Entries sampled from the queue head when a resize re-estimates the
-#: bucket width from observed inter-event gaps.
-CALENDAR_WIDTH_SAMPLE = 64
 
 
 class SimulationError(Exception):
@@ -83,7 +51,7 @@ class SimulationError(Exception):
 class Event:
     """A scheduled callback.
 
-    Events are returned by :meth:`SimulatorCore.schedule` and can be
+    Events are returned by :meth:`Simulator.schedule` and can be
     cancelled before they fire.  A cancelled event stays queued but is
     skipped when popped, which keeps cancellation O(1); the owning
     simulator counts still-queued cancellations so it can compact the
@@ -93,13 +61,13 @@ class Event:
     __slots__ = ("time", "callback", "cancelled", "_sim")
 
     def __init__(self, time: float, callback: Callable[[], None],
-                 sim: Optional["SimulatorCore"] = None):
+                 sim: Optional["Simulator"] = None):
         self.time = time
         self.callback = callback
         self.cancelled = False
         #: Owning simulator while the event is queued; cleared when the
-        #: event leaves the queue (popped, or dropped by a compaction /
-        #: bucket rebuild) so late cancels don't skew the count.
+        #: event leaves the queue (popped, or dropped by a compaction)
+        #: so late cancels don't skew the count.
         self._sim = sim
 
     def cancel(self) -> None:
@@ -116,14 +84,13 @@ class Event:
         return f"Event(t={self.time:.6f}, {state})"
 
 
-class SimulatorCore:
-    """Clock, counters, and scheduling contract shared by both engines.
+class Simulator:
+    """Virtual-time event loop over a binary heap.
 
-    Subclasses own the queue structure and implement
-    :meth:`schedule_at`, :meth:`run`, :attr:`pending`, and
-    :meth:`_maybe_compact`; everything observable (clock semantics,
-    validation, counter meanings) lives here so the two engines cannot
-    drift apart.
+    Parameters
+    ----------
+    start_time:
+        Initial value of the clock.  Experiments usually start at 0.
     """
 
     __slots__ = (
@@ -134,6 +101,7 @@ class SimulatorCore:
         "_cancelled_in_heap",
         "_batched_events",
         "_compactions",
+        "_heap",
     )
 
     def __init__(self, start_time: float = 0.0):
@@ -144,6 +112,7 @@ class SimulatorCore:
         self._cancelled_in_heap = 0
         self._batched_events = 0
         self._compactions = 0
+        self._heap: List[Tuple[float, int, Event]] = []
 
     @property
     def now(self) -> float:
@@ -159,7 +128,7 @@ class SimulatorCore:
     def pending(self) -> int:
         """Number of events still queued (cancelled events included
         until the next compaction removes them)."""
-        raise NotImplementedError
+        return len(self._heap)
 
     @property
     def cancelled_pending(self) -> int:
@@ -184,56 +153,17 @@ class SimulatorCore:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at an absolute virtual time."""
-        raise NotImplementedError
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run events in timestamp order (see subclass docstrings)."""
-        raise NotImplementedError
-
-    def _note_cancelled(self) -> None:
-        """Record one more cancelled-but-queued event (see :meth:`Event.cancel`)."""
-        self._cancelled_in_heap += 1
-
-    def _maybe_compact(self) -> None:
-        raise NotImplementedError
-
-    def _check_schedule_time(self, time: float) -> None:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-
-    def drain(self) -> None:
-        """Run until the queue is completely empty."""
-        self.run()
-
-
-class Simulator(SimulatorCore):
-    """Virtual-time event loop over a binary heap (the reference engine).
-
-    Parameters
-    ----------
-    start_time:
-        Initial value of the clock.  Experiments usually start at 0.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, start_time: float = 0.0):
-        super().__init__(start_time)
-        self._heap: List[Tuple[float, int, Event]] = []
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at an absolute virtual time."""
-        self._check_schedule_time(time)
         event = Event(time, callback, self)
         heapq.heappush(self._heap, (time, next(self._sequence), event))
         return event
+
+    def _note_cancelled(self) -> None:
+        """Record one more cancelled-but-queued event (see :meth:`Event.cancel`)."""
+        self._cancelled_in_heap += 1
 
     def _maybe_compact(self) -> None:
         """Drop cancelled events once they dominate the heap.
@@ -257,6 +187,10 @@ class Simulator(SimulatorCore):
         heapq.heapify(heap)
         self._cancelled_in_heap = 0
         self._compactions += 1
+
+    def drain(self) -> None:
+        """Run until the queue is completely empty."""
+        self.run()
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events in timestamp order.
@@ -327,408 +261,3 @@ class Simulator(SimulatorCore):
             self._running = False
         if until is not None and self._now < until:
             self._now = until
-
-
-#: Calendar entry: ``(time, sequence, event, virtual_bucket)``.  The
-#: fourth field is the *unwrapped* bucket index ``int(time / width)``;
-#: comparing it against the sweep cursor is an exact integer test for
-#: "due on this sweep lap", immune to float rounding at bucket
-#: boundaries.  Sorting still keys on ``(time, sequence)`` — the
-#: sequence is unique, so the trailing fields are never compared.
-_CalendarEntry = Tuple[float, int, Event, int]
-
-#: Bound ``object.__new__`` for the calendar's inlined event
-#: construction — skips the ``Event.__init__`` frame on the hottest
-#: line in :meth:`CalendarSimulator.schedule_at` (the four slot
-#: stores below mirror ``Event.__init__`` exactly).
-_EVENT_NEW = object.__new__
-
-
-class CalendarSimulator(SimulatorCore):
-    """Virtual-time event loop over a bucketed calendar queue.
-
-    Executes the exact event order of :class:`Simulator` — same
-    ``(time, sequence)`` total order, same clock semantics, same
-    counters — with O(1) amortized scheduling and popping.  A sweep
-    cursor walks buckets in virtual-bucket order; inserts behind the
-    cursor pull it back, and a lap that finds nothing due jumps
-    straight to the globally earliest entry, so sparse far-future
-    regions cost one scan instead of one step per empty bucket.
-
-    Resizes double (or halve) the bucket count when occupancy drifts
-    outside a few events per bucket and re-estimate the bucket width
-    from the observed inter-event gaps near the queue head; rebuilds
-    also purge cancelled corpses, clearing their ``Event._sim`` like
-    the heap's compaction does.
-    """
-
-    __slots__ = (
-        "_width",
-        "_bucket_count",
-        "_buckets",
-        "_size",
-        "_cursor_virtual",
-        "_grow_at",
-        "_next_seq",
-        "_resizes",
-    )
-
-    def __init__(self, start_time: float = 0.0):
-        super().__init__(start_time)
-        self._width = 1.0
-        self._bucket_count = CALENDAR_MIN_BUCKETS
-        self._buckets: List[List[_CalendarEntry]] = [
-            [] for _ in range(self._bucket_count)
-        ]
-        self._size = 0
-        self._cursor_virtual = int(start_time / self._width)
-        #: Cached ``2 * bucket_count`` growth trigger (hot-path saving).
-        self._grow_at = 2 * self._bucket_count
-        #: Bound ``__next__`` of the shared sequence counter (hot-path
-        #: saving; the counter object itself still lives in the base).
-        self._next_seq = self._sequence.__next__
-        self._resizes = 0
-
-    @property
-    def pending(self) -> int:
-        return self._size
-
-    @property
-    def bucket_count(self) -> int:
-        """Current number of calendar buckets (diagnostic)."""
-        return self._bucket_count
-
-    @property
-    def bucket_width(self) -> float:
-        """Current bucket width in virtual seconds (diagnostic)."""
-        return self._width
-
-    @property
-    def bucket_resizes(self) -> int:
-        """Times the calendar rebuilt its bucket array (diagnostic)."""
-        return self._resizes
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at an absolute virtual time."""
-        if time < self._now:
-            self._check_schedule_time(time)
-        event = _EVENT_NEW(Event)
-        event.time = time
-        event.callback = callback
-        event.cancelled = False
-        event._sim = self
-        virtual = int(time / self._width)
-        bucket = self._buckets[virtual % self._bucket_count]
-        # Events arrive mostly in increasing time order, so the append
-        # fast path covers the common case (sequence numbers strictly
-        # increase, so an equal-or-later time always sorts last);
-        # insort keeps the bucket sorted by (time, sequence) otherwise.
-        if bucket and time < bucket[-1][0]:
-            insort(bucket, (time, self._next_seq(), event, virtual))
-        else:
-            bucket.append((time, self._next_seq(), event, virtual))
-        size = self._size + 1
-        self._size = size
-        if virtual < self._cursor_virtual:
-            # Scheduled behind the sweep cursor (the cursor ran ahead
-            # over an empty region): pull the cursor back so the new
-            # event is not missed.
-            self._cursor_virtual = virtual
-        if size > self._grow_at:
-            self._resize(self._bucket_count * 2)
-        return event
-
-    def _maybe_compact(self) -> None:
-        """Purge cancelled corpses by rebuilding the current geometry."""
-        cancelled = self._cancelled_in_heap
-        if cancelled < COMPACT_MIN_CANCELLED or 2 * cancelled < self._size:
-            return
-        self._resize(self._bucket_count)
-        self._compactions += 1
-
-    def _resize(self, count: int) -> None:
-        """Rebuild with ``count`` buckets and a re-estimated width.
-
-        Entries keep their (time, sequence) identity; cancelled events
-        are dropped with ``_sim`` cleared, exactly like the heap's
-        compaction, so cancellation accounting stays consistent.
-        """
-        entries: List[_CalendarEntry] = []
-        dropped = 0
-        for bucket in self._buckets:
-            for entry in bucket:
-                event = entry[2]
-                if event.cancelled:
-                    event._sim = None
-                    dropped += 1
-                else:
-                    entries.append(entry)
-        entries.sort()
-        self._cancelled_in_heap -= dropped
-        self._size = len(entries)
-        count = max(CALENDAR_MIN_BUCKETS, count)
-        while count > CALENDAR_MIN_BUCKETS and count >= 4 * max(1, self._size):
-            count //= 2
-        width = self._estimate_width(entries)
-        self._width = width
-        self._bucket_count = count
-        self._grow_at = 2 * count
-        buckets: List[List[_CalendarEntry]] = [[] for _ in range(count)]
-        for time, seq, event, _old_virtual in entries:
-            virtual = int(time / width)
-            buckets[virtual % count].append((time, seq, event, virtual))
-        self._buckets = buckets
-        if entries:
-            self._cursor_virtual = int(entries[0][0] / width)
-        else:
-            self._cursor_virtual = int(self._now / width)
-        self._resizes += 1
-
-    def _estimate_width(self, entries: List[_CalendarEntry]) -> float:
-        """Bucket width from inter-event gaps near the queue head.
-
-        Aims for a handful of events per bucket: the average positive
-        gap over a head sample, times a small multiplier.  Pure
-        function of the queue contents, so resizes are deterministic.
-        """
-        sample = entries[:CALENDAR_WIDTH_SAMPLE]
-        total = 0.0
-        gaps = 0
-        for i in range(1, len(sample)):
-            gap = sample[i][0] - sample[i - 1][0]
-            if gap > 0.0:
-                total += gap
-                gaps += 1
-        if gaps == 0:
-            return self._width
-        width = 4.0 * total / gaps
-        if width <= 0.0:  # pragma: no cover - defensive (gaps are > 0)
-            return self._width
-        return width
-
-    def _locate_next(
-        self, limit_virtual: Optional[int]
-    ) -> Optional[List[_CalendarEntry]]:
-        """Advance the sweep to the bucket holding the earliest entry.
-
-        Returns that bucket with the globally next entry at index 0,
-        or ``None`` once the sweep passes ``limit_virtual`` (the
-        bucket of an ``until`` bound) without finding anything due —
-        the caller then stops without paying for a full lap.  The
-        cursor keeps the progress either way, so repeated bounded runs
-        never rescan swept-empty regions.  Must not be called on an
-        empty queue.
-        """
-        buckets = self._buckets
-        count = self._bucket_count
-        virtual = self._cursor_virtual
-        scanned = 0
-        while scanned < count:
-            if limit_virtual is not None and virtual > limit_virtual:
-                self._cursor_virtual = virtual
-                return None
-            bucket = buckets[virtual % count]
-            if bucket and bucket[0][3] <= virtual:
-                self._cursor_virtual = virtual
-                return bucket
-            virtual += 1
-            scanned += 1
-        # A full lap found nothing due: every entry is more than one
-        # calendar year ahead.  Jump straight to the earliest one.
-        best: Optional[List[_CalendarEntry]] = None
-        for bucket in buckets:
-            if bucket and (best is None or bucket[0] < best[0]):
-                best = bucket
-        assert best is not None, "empty calendar queue"
-        self._cursor_virtual = best[0][3]
-        return best
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events in timestamp order.
-
-        Same contract as :meth:`Simulator.run`: events at exactly
-        ``until`` execute, the clock advances to ``until`` when the
-        queue drains early, and ``max_events`` stops after that many
-        callbacks.  Ties share a bucket (equal time means equal
-        virtual index), so a same-timestamp fan-out drains as one
-        slice extraction instead of one front pop per event.
-        """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        processed = self._events_processed
-        batched = self._batched_events
-        # Sentinel bound: one plain integer compare per event instead
-        # of a ``None`` test plus a second counter.
-        stop_at = maxsize if max_events is None else processed + max_events
-        try:
-            while self._size:
-                if self._cancelled_in_heap >= COMPACT_MIN_CANCELLED:
-                    self._maybe_compact()
-                    if not self._size:
-                        break
-                cursor = self._cursor_virtual
-                bucket = self._buckets[cursor % self._bucket_count]
-                if not bucket or bucket[0][3] > cursor:
-                    # Bound the sweep by ``until``: every entry due at
-                    # or before it has virtual index <= int(until /
-                    # width), so a sweep past that bound proves nothing
-                    # is due and the run can stop without a full lap.
-                    limit = (
-                        None if until is None else int(until / self._width)
-                    )
-                    bucket = self._locate_next(limit)
-                    if bucket is None:
-                        break
-                time = bucket[0][0]
-                if until is not None and time > until:
-                    break
-                # Drain every entry tied at ``time``.  The first live
-                # callback of the group is the regular pop; the rest
-                # count as batched, matching the heap's inner loop.
-                # ``_now`` is set when the first live callback runs and
-                # is already ``time`` for the rest of the group, so the
-                # clock is observably identical to the heap's
-                # store-per-event.  Callbacks may schedule new ties
-                # (which insort at the evolving bucket front with later
-                # sequence numbers) or trigger a resize (which rebuilds
-                # the bucket array), so the bucket is reloaded after
-                # every slice.
-                first = True
-                hit_max = False
-                while True:
-                    blen = len(bucket)
-                    if blen == 1 or bucket[1][0] != time:
-                        # Lone entry at this timestamp: pop directly,
-                        # skipping the slice machinery.
-                        event = bucket.pop(0)[2]
-                        self._size -= 1
-                        if event.cancelled:
-                            self._cancelled_in_heap -= 1
-                            event._sim = None
-                        else:
-                            event._sim = None
-                            if first:
-                                first = False
-                                self._now = time
-                            else:
-                                batched += 1
-                            event.callback()
-                            processed += 1
-                            if processed >= stop_at:
-                                hit_max = True
-                    elif stop_at == maxsize:
-                        # Unbounded fast path: no per-event bound
-                        # check, no slice-position tracking.
-                        k = 2
-                        while k < blen and bucket[k][0] == time:
-                            k += 1
-                        if k == blen:
-                            # The whole bucket is one tie group (the
-                            # common fan-out shape): take the list
-                            # itself instead of copy-and-shift.
-                            batch = bucket
-                            bucket = self._buckets[
-                                self._cursor_virtual % self._bucket_count
-                            ] = []
-                        else:
-                            batch = bucket[:k]
-                            del bucket[:k]
-                        self._size -= k
-                        for entry in batch:
-                            event = entry[2]
-                            if event.cancelled:
-                                self._cancelled_in_heap -= 1
-                                event._sim = None
-                                continue
-                            event._sim = None
-                            if first:
-                                first = False
-                                self._now = time
-                            else:
-                                batched += 1
-                            event.callback()
-                            processed += 1
-                    else:
-                        k = 2
-                        while k < blen and bucket[k][0] == time:
-                            k += 1
-                        batch = bucket[:k]
-                        del bucket[:k]
-                        self._size -= k
-                        index = 0
-                        for entry in batch:
-                            index += 1
-                            event = entry[2]
-                            if event.cancelled:
-                                self._cancelled_in_heap -= 1
-                                event._sim = None
-                                continue
-                            event._sim = None
-                            if first:
-                                first = False
-                                self._now = time
-                            else:
-                                batched += 1
-                            event.callback()
-                            processed += 1
-                            if processed >= stop_at:
-                                hit_max = True
-                                if index < len(batch):
-                                    self._reinsert(batch[index:])
-                                break
-                    if hit_max:
-                        break
-                    if not self._size:
-                        break
-                    bucket = self._buckets[
-                        self._cursor_virtual % self._bucket_count
-                    ]
-                    if not bucket or bucket[0][0] != time:
-                        break
-                if hit_max:
-                    break
-        finally:
-            self._events_processed = processed
-            self._batched_events = batched
-            self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-
-    def _reinsert(self, entries: List[_CalendarEntry]) -> None:
-        """Put extracted-but-unexecuted entries back in the calendar.
-
-        Only reached when ``max_events`` stops a run mid-tie-group.
-        The entries hold the globally smallest (time, sequence) keys
-        still pending, but a callback executed earlier in the group
-        may have resized the calendar, so virtual indexes are
-        recomputed against the current geometry instead of trusting
-        the stale ones captured at extraction time.
-        """
-        width = self._width
-        count = self._bucket_count
-        for time, seq, event, _stale_virtual in entries:
-            virtual = int(time / width)
-            insort(self._buckets[virtual % count], (time, seq, event, virtual))
-            self._size += 1
-            if virtual < self._cursor_virtual:
-                self._cursor_virtual = virtual
-
-
-#: Engine name -> simulator class (the total set of engine choices).
-ENGINES = {
-    "heap": Simulator,
-    "calendar": CalendarSimulator,
-}
-
-
-def make_simulator(engine: Optional[str] = None,
-                   start_time: float = 0.0) -> SimulatorCore:
-    """Build the simulator selected by ``engine``.
-
-    ``None`` defers to the ``REPRO_ENGINE`` environment variable and
-    then to the heap default — the same explicit > environment >
-    default precedence every other ``RunConfig`` knob follows (see
-    :func:`repro.core.config.resolve_engine`).
-    """
-    return ENGINES[resolve_engine(engine)](start_time)

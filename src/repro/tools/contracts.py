@@ -52,13 +52,6 @@ Several families of checks, all whole-program:
   through the :mod:`repro.core.floats` helpers (``approx_le``,
   ``approx_ge``, ``approx_eq``, ``approx_zero``) or the Pareto ranking
   silently flips on accumulation noise.
-
-* **Engine queue encapsulation** — ``heapq`` imports and ``heapq.*``
-  calls are allowed only in :mod:`repro.sim.engine`.  The event queue
-  is the engine's private structure; a heap maintained anywhere else
-  bypasses the ``REPRO_ENGINE`` heap/calendar toggle and the engine's
-  determinism contract (tie order, cancellation accounting,
-  same-timestamp batching).
 """
 
 from __future__ import annotations
@@ -84,7 +77,7 @@ _SPEC_CLASS_NAME = "AllocatorSpec"
 #: vocabulary is duplicated here; ``tests/test_reprolint.py`` pins the
 #: two sets equal so they cannot drift apart.
 KNOWN_CAPABILITIES = frozenset(
-    {"incremental", "sharded", "kernel_aware", "energy_aware"}
+    {"incremental", "sharded", "energy_aware"}
 )
 
 
@@ -588,52 +581,6 @@ def _energy_comparison_findings(info: ModuleInfo) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Engine queue encapsulation
-# ----------------------------------------------------------------------
-
-#: The one module allowed to use ``heapq``: the simulation engine owns
-#: the event-queue structure.  Everything else schedules through
-#: ``SimulatorCore``, so the heap/calendar engines stay interchangeable
-#: (``REPRO_ENGINE``) — a private heap elsewhere would silently bypass
-#: that toggle and the engine's determinism contract (tie order,
-#: cancellation accounting, same-timestamp batching).
-_QUEUE_OWNER = "repro.sim.engine"
-
-
-def _heapq_findings(info: ModuleInfo) -> Iterator[Finding]:
-    if info.name == _QUEUE_OWNER:
-        return
-
-    def finding(node: ast.AST, what: str) -> Finding:
-        return Finding(
-            info.path,
-            node.lineno,
-            node.col_offset,
-            "api-contract",
-            f"{what} outside {_QUEUE_OWNER}: the event queue belongs to "
-            "the engine — schedule through SimulatorCore so the "
-            "heap/calendar toggle and the determinism contract apply",
-        )
-
-    for node in ast.walk(info.module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "heapq" or alias.name.startswith("heapq."):
-                    yield finding(node, "direct 'import heapq'")
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "heapq" and node.level == 0:
-                names = ", ".join(alias.name for alias in node.names)
-                yield finding(node, f"direct 'from heapq import {names}'")
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "heapq"
-        ):
-            yield finding(node, f"direct heapq.{node.func.attr}() call")
-
-
-# ----------------------------------------------------------------------
 # The pass
 # ----------------------------------------------------------------------
 
@@ -644,8 +591,7 @@ def _heapq_findings(info: ModuleInfo) -> Iterator[Finding]:
     "callables keeping allocate(self, units, pool, directory); __all__ "
     "must be consistent and free of dead exports; shard-merge helpers "
     "must not iterate dict views or sets of their inputs; energy-model "
-    "float functions must compare via repro.core.floats; heapq stays "
-    "encapsulated in repro.sim.engine",
+    "float functions must compare via repro.core.floats",
 )
 def check_api_contract(project: Project) -> List[Finding]:
     findings: List[Finding] = []
@@ -681,7 +627,6 @@ def check_api_contract(project: Project) -> List[Finding]:
     for name in sorted(project.modules):
         findings.extend(_shard_merge_findings(project.modules[name]))
         findings.extend(_energy_comparison_findings(project.modules[name]))
-        findings.extend(_heapq_findings(project.modules[name]))
 
     # Name-reference index for the dead-export scan: everything any
     # *other* module (or the usage index) references.

@@ -14,9 +14,9 @@ state runs unchanged on it.
 
 Record production is streaming: :func:`iter_offline_records` yields one
 :class:`~repro.core.units.SubscriptionRecord` at a time, holding only
-one symbol's publication window in memory, so arbitrarily large
-workloads can feed the columnar packer in chunks without ever
-materializing every profile object.  :func:`offline_gather` is the
+one symbol's publication window in memory, so a consumer can walk an
+arbitrarily large workload without ever materializing every profile
+object.  :func:`offline_gather` is the
 eager wrapper.  Laziness cannot perturb the RNG: every stream is a
 *keyed* child (``rng.child("stock", symbol)`` inside the quote feed,
 ``rng.child("subs", symbol)`` inside the subscription generator), so

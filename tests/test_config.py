@@ -1,0 +1,63 @@
+"""RunConfig carries features, not path selectors — and nothing reads the
+environment behind its back."""
+
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core.config import RunConfig
+from repro.core.cram import CramAllocator, ShardedCramAllocator
+from repro.core.online import OnlineAllocator, OnlineSpec
+from repro.core.pairwise import PairwiseAllocator
+
+PACKAGE = Path(repro.__file__).parent
+
+
+def test_runconfig_has_no_performance_field():
+    assert {f.name for f in dataclasses.fields(RunConfig)} == {
+        "shard_jobs", "online", "energy",
+    }
+    assert not hasattr(RunConfig, "resolved")
+
+
+def test_runconfig_validates_and_feeds_builders():
+    with pytest.raises(ValueError, match="shard_jobs"):
+        RunConfig(shard_jobs=-1)
+    online = OnlineSpec()
+    assert RunConfig(shard_jobs=0, online=online).allocator_knobs() == {
+        "online": online, "energy": None,
+    }
+
+
+def test_allocators_take_no_path_selecting_parameter():
+    for allocator in (CramAllocator, ShardedCramAllocator, OnlineAllocator,
+                      PairwiseAllocator):
+        parameters = inspect.signature(allocator).parameters
+        assert not [name for name in parameters
+                    if "kernel" in name or "columnar" in name], allocator
+
+
+def test_no_environment_reads_and_no_numpy_outside_tools():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if "tools" in path.relative_to(PACKAGE).parts:
+            continue  # the linter names these things in order to forbid them
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "os" and node.attr in ("environ", "getenv"):
+                    offenders.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                if node.module == "os" and any(
+                    alias.name in ("environ", "getenv") for alias in node.names
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} from os import")
+                if (node.module or "").split(".")[0] == "numpy":
+                    offenders.append(f"{path.name}:{node.lineno} numpy")
+            elif isinstance(node, ast.Import):
+                if any(alias.name.split(".")[0] == "numpy" for alias in node.names):
+                    offenders.append(f"{path.name}:{node.lineno} numpy")
+    assert offenders == []

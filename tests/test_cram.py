@@ -17,6 +17,7 @@ from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_homogeneous
 
 from conftest import make_directory, make_pool, make_spec, make_unit
+from naive_cram import NaiveCramAllocator
 
 
 @pytest.fixture
@@ -329,7 +330,7 @@ class TestStandingOrder:
 
         monkeypatch.setattr(cram_module._StandingOrder, "after_merge", spy_after)
         monkeypatch.setattr(cram_module._CramState, "commit_merge", spy_commit)
-        cram = CramAllocator(metric="ios", failure_budget=25, use_kernel=True)
+        cram = CramAllocator(metric="ios", failure_budget=25)
         assert cram.allocate(units, gather.broker_pool, gather.directory).success
         stats = cram.last_stats
         assert seen["commits"] == stats.merges > 10
@@ -342,9 +343,9 @@ class TestStandingOrder:
         """Kernel on (standing order) and off (flatten, sort, BrokerBin
         loop) open the same ``binpacking.first_fit`` spans."""
         spans, runs = [], []
-        for use_kernel in (False, True):
+        for allocator in (NaiveCramAllocator, CramAllocator):
             gather, units = self.gathered()
-            cram = CramAllocator(metric="ios", failure_budget=25, use_kernel=use_kernel)
+            cram = allocator(metric="ios", failure_budget=25)
             with obs.attached(obs.Recorder()) as recorder:
                 cram.allocate(units, gather.broker_pool, gather.directory)
             spans.append([

@@ -1,75 +1,90 @@
-"""Heap/calendar engine and batched-delivery bit-identity.
+"""Event-order oracle and batched-delivery bit-identity.
 
-The determinism contract of the event-core speed push: selecting the
-:class:`~repro.sim.engine.CalendarSimulator` (``REPRO_ENGINE=calendar``
-or ``RunConfig(engine="calendar")``) and/or the batched fault-free
-delivery path (``REPRO_DELIVERY_BATCH``) must leave every
-deterministic output — execution traces, allocations, metric rows,
-evaluation counters — bit-identical to the binary-heap reference with
-per-destination delivery.  Pinned at three levels:
+The determinism contract of the event core, pinned at two levels:
 
 * **trace level** — a Hypothesis property interprets random
   schedule/cancel/run programs (with in-callback scheduling and
-  cancellation) against both engines and demands identical traces and
-  counters;
-* **engine edge cases** — cancellation inside a same-timestamp batch,
-  ties spawned mid-drain, bucket resizes during bounded runs, sweeps
-  over empty calendar regions, and the compaction/late-``cancel()``
-  accounting both queue rebuilds share;
-* **experiment level** — full cells (fault plan, attached recorder,
-  ``jobs=4`` pool) run under every engine/batching combination and
-  compare ``comparable()`` views.
+  cancellation) against the engine and against
+  :class:`SortedListOracle`, the contract stated the slow way, and
+  demands identical traces, clocks and executed-event counts;
+* **experiment level** — batched client delivery must leave every
+  deterministic output bit-identical to the per-destination schedule.
+  The network picks between the two from what it can observe; a
+  tracer is one of the observables that switches batching off, so
+  attaching one that stores nothing runs the per-destination side.
 
-Queue *diagnostics* (``pending``, ``cancelled_pending`` mid-run) are
-deliberately outside the cross-engine contract: the calendar purges
-cancelled corpses on every geometry rebuild, the heap only on
-compaction, so a timeline sample may legitimately disagree about how
-many corpses are still queued.  Everything the paper's tables are
-built from must match exactly.
+Engine edge cases (ties, cancellation, compaction) live in
+``tests/test_sim.py``.
 """
 
 from __future__ import annotations
 
-import pytest
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import DELIVERY_BATCH_ENV_VAR, ENGINE_ENV_VAR, RunConfig
-from repro.experiments.parallel import CellSpec, execute_cells, run_spec
-from repro.experiments.sweeps import sweep_specs
+from repro.experiments.parallel import CellSpec, run_spec
+from repro.experiments.runner import ExperimentRunner
 from repro.pubsub.network import PubSubNetwork
-from repro.sim.engine import (
-    CalendarSimulator,
-    SimulationError,
-    Simulator,
-    make_simulator,
-)
+from repro.pubsub.tracing import MessageTracer
+from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan
 
 from test_parallel_equivalence import comparable, tiny_homo
 
-ENGINE_CLASSES = (Simulator, CalendarSimulator)
-
-
-@pytest.fixture(params=ENGINE_CLASSES, ids=["heap", "calendar"])
-def sim_cls(request):
-    return request.param
-
 
 # ----------------------------------------------------------------------
-# Trace-level property: random programs execute identically
+# Trace-level property: random programs execute in (time, seq) order
 # ----------------------------------------------------------------------
 
 
-def run_program(sim_cls, program):
+class _OracleEvent:
+    def __init__(self, time, seq, callback):
+        self.key = (time, seq)
+        self.callback = callback
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class SortedListOracle:
+    """Every pending event in one list; run the smallest (time, seq)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._seq = itertools.count()
+        self._queue = []
+
+    def schedule(self, delay, callback):
+        event = _OracleEvent(self.now + delay, next(self._seq), callback)
+        self._queue.append(event)
+        return event
+
+    def run(self, until=None):
+        while True:
+            live = sorted((e for e in self._queue if not e.cancelled),
+                          key=lambda e: e.key)
+            if not live or (until is not None and live[0].key[0] > until):
+                break
+            self._queue.remove(live[0])
+            self.now = live[0].key[0]
+            live[0].callback()
+            self.events_processed += 1
+        if until is not None and self.now < until:
+            self.now = until
+
+
+def run_program(sim, program):
     """Interpret a schedule/cancel/run program, returning its trace.
 
-    Callback behavior is a pure function of the event's tag, so both
-    engines see the same in-callback scheduling (including zero-delay
-    ties landing inside the batch being drained) and the same
-    in-callback cancellations.
+    Callback behavior is a pure function of the event's tag, so engine
+    and oracle see the same in-callback scheduling (including
+    zero-delay ties landing inside the batch being drained) and the
+    same in-callback cancellations.
     """
-    sim = sim_cls()
     trace = []
     events = []
 
@@ -92,17 +107,11 @@ def run_program(sim_cls, program):
             events[index % len(events)].cancel()
         sim.run(until=sim.now + run_for)
     sim.run()
-    return trace, {
-        "now": repr(sim.now),
-        "processed": sim.events_processed,
-        "batched": sim.batched_events,
-        "pending": sim.pending,
-        "cancelled_pending": sim.cancelled_pending,
-    }
+    return trace, repr(sim.now), sim.events_processed
 
 
 #: Coarse time grid with duplicates so tie groups are common, plus a
-#: far-future value that lands beyond one calendar lap.
+#: far-future value well past every bounded run.
 _OFFSETS = st.sampled_from(
     [0.0, 0.0, 0.1, 0.25, 0.25, 0.5, 1.0, 1.0, 1.75, 3.0, 40.0]
 )
@@ -120,232 +129,16 @@ _SEGMENTS = st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(program=_SEGMENTS)
-def test_prop_heap_and_calendar_execute_identically(program):
-    assert run_program(Simulator, program) == run_program(CalendarSimulator, program)
+def test_prop_engine_matches_sorted_list_oracle(program):
+    sim = Simulator()
+    assert run_program(sim, program) == run_program(SortedListOracle(), program)
+    assert sim.pending == 0
+    assert sim.cancelled_pending == 0
 
 
 # ----------------------------------------------------------------------
-# Engine edge cases (both engines unless calendar-specific)
+# Experiment-level bit-identity of batched delivery
 # ----------------------------------------------------------------------
-
-
-def _noop():
-    return None
-
-
-class TestEngineEdgeCases:
-    def test_cancel_inside_same_timestamp_batch(self, sim_cls):
-        """A tie-group member cancelled by an earlier member is skipped
-        mid-drain, with the cancellation count settled by the pop."""
-        sim = sim_cls()
-        fired = []
-        victims = []
-
-        def killer():
-            fired.append("killer")
-            victims[0].cancel()
-
-        sim.schedule_at(1.0, killer)
-        victims.append(sim.schedule_at(1.0, lambda: fired.append("victim")))
-        sim.schedule_at(1.0, lambda: fired.append("survivor"))
-        sim.run()
-        assert fired == ["killer", "survivor"]
-        assert sim.events_processed == 2
-        assert sim.cancelled_pending == 0
-
-    def test_tie_spawned_during_batch_drains_in_order(self, sim_cls):
-        """A zero-delay event scheduled by a batched callback joins the
-        tail of the tie group being drained (later sequence number)."""
-        sim = sim_cls()
-        fired = []
-
-        def spawner():
-            fired.append("spawner")
-            sim.schedule(0.0, lambda: fired.append("spawned"))
-
-        sim.schedule_at(2.0, spawner)
-        sim.schedule_at(2.0, lambda: fired.append("peer"))
-        sim.run()
-        assert fired == ["spawner", "peer", "spawned"]
-
-    def test_schedule_into_past_raises(self, sim_cls):
-        sim = sim_cls()
-        sim.schedule_at(5.0, _noop)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(1.0, _noop)
-        with pytest.raises(SimulationError):
-            sim.schedule(-0.1, _noop)
-
-    def test_max_events_stops_inside_tie_group(self, sim_cls):
-        sim = sim_cls()
-        fired = []
-        for index in range(6):
-            sim.schedule_at(1.0, lambda i=index: fired.append(i))
-        sim.run(max_events=3)
-        assert fired == [0, 1, 2]
-        assert sim.pending == 3
-        sim.run()
-        assert fired == [0, 1, 2, 3, 4, 5]
-
-    def test_growth_resize_during_bounded_run_matches_heap(self):
-        """Callbacks schedule enough new work to force calendar growth
-        resizes mid-run; the bounded trace must still match the heap's
-        and stop exactly at ``until``."""
-
-        def drive(sim_cls):
-            sim = sim_cls()
-            fired = []
-            budget = [200]
-
-            def fan(depth):
-                def cb():
-                    fired.append((repr(sim.now), depth))
-                    if budget[0] > 0:
-                        budget[0] -= 4
-                        for k in range(4):
-                            sim.schedule(0.37 + 0.01 * k + 0.001 * depth, fan(depth + 1))
-
-                return cb
-
-            sim.schedule_at(0.0, fan(0))
-            sim.run(until=1.0)
-            return sim, fired, repr(sim.now)
-
-        heap, heap_trace, heap_now = drive(Simulator)
-        calendar, cal_trace, cal_now = drive(CalendarSimulator)
-        assert cal_trace == heap_trace
-        assert cal_now == heap_now == repr(1.0)
-        assert calendar.pending == heap.pending > 0
-        assert calendar.bucket_resizes > 0  # the growth path really ran
-
-    def test_calendar_resizes_fired_for_large_populations(self):
-        sim = CalendarSimulator()
-        for i in range(200):
-            sim.schedule_at(float(i), _noop)
-        assert sim.bucket_resizes > 0
-        assert sim.bucket_count > 16
-        sim.run()
-        assert sim.events_processed == 200
-
-    def test_until_inside_empty_calendar_region_advances_clock(self):
-        """A bounded run whose window holds no events stops the bucket
-        sweep at the window's bucket instead of scanning a full lap."""
-        sim = CalendarSimulator()
-        sim.schedule_at(1000.0, _noop)
-        sim.run(until=1.0)
-        assert sim.now == 1.0
-        assert sim.events_processed == 0
-        sim.run(until=1000.0)
-        assert sim.events_processed == 1
-
-    def test_far_future_event_beyond_one_lap(self):
-        """Draining past a sparse region more than one calendar year
-        wide exercises the full-lap jump to the earliest entry."""
-        sim = CalendarSimulator()
-        fired = []
-        sim.schedule_at(0.5, lambda: fired.append(sim.now))
-        sim.schedule_at(1.0e6, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [0.5, 1.0e6]
-        assert sim.now == 1.0e6
-
-
-class TestCompactionAccounting:
-    """Cancelled-event compaction drops corpses from the queue; their
-    ``Event._sim`` back-reference must be cleared so nothing a caller
-    does with a stale handle can skew the cancellation count."""
-
-    def _compact_once(self, sim):
-        doomed = [sim.schedule_at(1000.0 + i, _noop) for i in range(80)]
-        keep = [sim.schedule_at(2000.0 + i, _noop) for i in range(20)]
-        for event in doomed:
-            event.cancel()
-        assert sim.cancelled_pending == 80
-        sim.schedule_at(0.5, _noop)
-        sim.run(until=1.0)  # loop head triggers the compaction
-        return doomed, keep
-
-    def test_compaction_clears_sim_backref(self, sim_cls):
-        sim = sim_cls()
-        doomed, keep = self._compact_once(sim)
-        assert sim.heap_compactions == 1
-        assert sim.cancelled_pending == 0
-        assert all(event._sim is None for event in doomed)
-        assert all(event._sim is sim for event in keep)
-        assert sim.pending == len(keep)
-
-    def test_cancel_after_compaction_does_not_skew_count(self, sim_cls):
-        sim = sim_cls()
-        doomed, keep = self._compact_once(sim)
-        for event in doomed:
-            event.cancel()  # stale handles: idempotent, no recount
-        assert sim.cancelled_pending == 0
-        keep[0].cancel()  # live handles still count normally
-        assert sim.cancelled_pending == 1
-        sim.run()
-        assert sim.cancelled_pending == 0
-        assert sim.pending == 0
-
-    def test_cancel_after_execution_does_not_skew_count(self, sim_cls):
-        sim = sim_cls()
-        event = sim.schedule_at(1.0, _noop)
-        sim.run()
-        assert event._sim is None
-        event.cancel()
-        assert sim.cancelled_pending == 0
-
-    def test_calendar_resize_purges_corpses_early(self):
-        """Growth resizes reuse the compaction bookkeeping: corpses are
-        dropped and their back-references cleared even before the
-        compaction threshold is reached."""
-        sim = CalendarSimulator()
-        doomed = [sim.schedule_at(10.0 + 0.01 * i, _noop) for i in range(20)]
-        for event in doomed:
-            event.cancel()
-        for i in range(40):  # push occupancy past the growth trigger
-            sim.schedule_at(50.0 + float(i), _noop)
-        assert sim.bucket_resizes > 0
-        assert sim.cancelled_pending == 0
-        assert all(event._sim is None for event in doomed)
-
-
-# ----------------------------------------------------------------------
-# Engine selection plumbing
-# ----------------------------------------------------------------------
-
-
-class TestEngineSelection:
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert type(make_simulator()) is Simulator
-
-    def test_env_var_selects_calendar(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "calendar")
-        assert type(make_simulator()) is CalendarSimulator
-
-    def test_explicit_choice_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "calendar")
-        assert type(make_simulator("heap")) is Simulator
-
-    def test_malformed_env_degrades_to_default(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "splay-tree")
-        assert type(make_simulator()) is Simulator
-
-    def test_explicit_unknown_name_is_an_error(self):
-        with pytest.raises(ValueError):
-            make_simulator("splay-tree")
-
-    def test_start_time_forwarded(self):
-        assert make_simulator("calendar", start_time=7.5).now == 7.5
-
-
-# ----------------------------------------------------------------------
-# Experiment-level bit-identity
-# ----------------------------------------------------------------------
-
-HEAP = RunConfig(engine="heap")
-CALENDAR = RunConfig(engine="calendar")
 
 FAULT_PLAN = FaultPlan(
     crash_fraction=0.25, crash_start=4.0, downtime=5.0,
@@ -353,66 +146,40 @@ FAULT_PLAN = FaultPlan(
 )
 
 
-def _cell(approach, config, **kwargs):
+def _cell(approach, **kwargs):
     return run_spec(
-        CellSpec(scenario=tiny_homo()[0], approach=approach, seed=11,
-                 config=config, **kwargs)
+        CellSpec(scenario=tiny_homo()[0], approach=approach, seed=11, **kwargs)
     )
 
 
-class TestExperimentBitIdentity:
-    def test_single_cell_heap_equals_calendar(self):
-        for approach in ("manual", "binpacking", "cram-ios"):
-            heap = _cell(approach, HEAP)
-            calendar = _cell(approach, CALENDAR)
-            assert comparable(heap) == comparable(calendar), approach
-
-    def test_heap_equals_calendar_under_fault_plan(self):
-        heap = _cell("cram-ios", HEAP, fault_plan=FAULT_PLAN)
-        calendar = _cell("cram-ios", CALENDAR, fault_plan=FAULT_PLAN)
-        assert comparable(heap) == comparable(calendar)
-        # The plan actually fired, or this test is vacuous.
-        assert calendar.summary.broker_crashes > 0
-
-    def test_heap_equals_calendar_with_recorder_attached(self):
-        heap = _cell("binpacking", HEAP, observe=True)
-        calendar = _cell("binpacking", CALENDAR, observe=True)
-        assert comparable(heap) == comparable(calendar)
-        assert heap.obs is not None and calendar.obs is not None
-        # Timeline samples include queue diagnostics (corpse counts)
-        # that the contract does not pin across engines; the events
-        # *executed* must still agree at every sample point.
-        heap_processed = [s["events_processed"] for s in heap.obs["samples"]]
-        cal_processed = [s["events_processed"] for s in calendar.obs["samples"]]
-        assert heap_processed == cal_processed
-
-    def test_calendar_jobs4_matches_serial_heap(self):
-        specs_heap = sweep_specs(tiny_homo(), ("manual", "cram-ios"),
-                                 seed=11, config=HEAP)
-        specs_cal = sweep_specs(tiny_homo(), ("manual", "cram-ios"),
-                                seed=11, config=CALENDAR)
-        serial = execute_cells(specs_heap, jobs=1)
-        pooled = execute_cells(specs_cal, jobs=4)
-        for spec, heap, calendar in zip(specs_heap, serial, pooled):
-            assert comparable(heap) == comparable(calendar), spec.label
-
-
 class TestDeliveryBatchingEquivalence:
-    def _run(self, monkeypatch, batching, approach="cram-ios", config=None):
-        monkeypatch.setenv(DELIVERY_BATCH_ENV_VAR, "1" if batching else "0")
-        return _cell(approach, config)
+    def _per_destination(self, monkeypatch, approach):
+        """The cell with a store-nothing tracer on its network."""
+        build = ExperimentRunner._build_network
+
+        def traced(runner):
+            network = build(runner)
+            network.tracer = MessageTracer(limit=0)
+            return network
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ExperimentRunner, "_build_network", traced)
+            return _cell(approach)
 
     def test_batched_rows_identical_to_per_destination(self, monkeypatch):
         for approach in ("manual", "cram-ios"):
-            off = self._run(monkeypatch, False, approach)
-            on = self._run(monkeypatch, True, approach)
+            off = self._per_destination(monkeypatch, approach)
+            on = _cell(approach)
             assert comparable(off) == comparable(on), approach
 
-    def test_batched_calendar_matches_per_destination_heap(self, monkeypatch):
-        """The shipping fast configuration against the full reference."""
-        off = self._run(monkeypatch, False, config=HEAP)
-        on = self._run(monkeypatch, True, config=CALENDAR)
-        assert comparable(off) == comparable(on)
+    def test_tracer_disables_batching(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(
+            PubSubNetwork, "deliver_fanout",
+            lambda self, *args: called.append(args),
+        )
+        self._per_destination(monkeypatch, "manual")
+        assert not called
 
     def test_batching_actually_engages(self, monkeypatch):
         fanouts = []
@@ -423,20 +190,19 @@ class TestDeliveryBatchingEquivalence:
             return original(self, sender_broker, message, sends)
 
         monkeypatch.setattr(PubSubNetwork, "deliver_fanout", spy)
-        self._run(monkeypatch, True)
+        _cell("cram-ios")
         assert fanouts, "batched path never taken"
         assert max(fanouts) > 1, "no multi-destination batch exercised"
 
     def test_lossy_fault_plan_disables_batching(self, monkeypatch):
         """Loss/jitter must flow through the per-destination fault path
         so the injector's RNG stream is consumed per delivery."""
-        monkeypatch.setenv(DELIVERY_BATCH_ENV_VAR, "1")
         called = []
         original = PubSubNetwork.deliver_fanout
         monkeypatch.setattr(
             PubSubNetwork, "deliver_fanout",
             lambda self, *args: called.append(args) or original(self, *args),
         )
-        result = _cell("manual", None, fault_plan=FAULT_PLAN)
+        result = _cell("manual", fault_plan=FAULT_PLAN)
         assert not called
         assert result.summary.publications_lost >= 0

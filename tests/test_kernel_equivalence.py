@@ -1,4 +1,4 @@
-"""Kernel-on vs kernel-off equivalence (the kernel's exactness contract).
+"""Kernel vs naive equivalence (the kernel's exactness contract).
 
 The fused bit-plane kernel (:mod:`repro.core.kernel`) promises to be a
 pure wall-clock optimization: attaching it must never change a metric
@@ -19,6 +19,7 @@ from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_heterogeneous, cluster_homogeneous
 
 from conftest import make_directory, make_profile
+from naive_cram import NaiveCramAllocator
 
 # Three seeded scenarios: two homogeneous sizes and one heterogeneous
 # pool (different tiers, skewed subscription counts).
@@ -53,11 +54,9 @@ class TestAllocationEquivalence:
         _, spec, seed = scenario
         signatures = []
         counters = []
-        for use_kernel in (False, True):
+        for allocator in (NaiveCramAllocator, CramAllocator):
             gather, units = _gathered(spec, seed)
-            cram = CramAllocator(
-                metric=metric_name, failure_budget=25, use_kernel=use_kernel
-            )
+            cram = allocator(metric=metric_name, failure_budget=25)
             result = cram.allocate(units, gather.broker_pool, gather.directory)
             signatures.append(_placement_signature(result))
             stats = cram.last_stats
@@ -70,7 +69,7 @@ class TestAllocationEquivalence:
                     cram.metric.evaluations,
                 )
             )
-            assert stats.kernel_used is use_kernel
+            assert stats.kernel_used is (allocator is CramAllocator)
         assert signatures[0] == signatures[1]
         assert counters[0] == counters[1]
 

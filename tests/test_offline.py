@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.units import units_from_records
-from repro.workloads.offline import offline_gather
+from repro.workloads.offline import (
+    iter_offline_records,
+    offline_directory,
+    offline_gather,
+)
 from repro.workloads.scenarios import cluster_homogeneous
 
 
@@ -50,6 +54,25 @@ class TestOfflineGather:
         small = offline_gather(scenario, seed=3, window=16)
         for publisher in small.directory.values():
             assert publisher.last_message_id == 16
+
+    def test_iter_offline_records_matches_gather(self):
+        scenario = cluster_homogeneous(
+            subscriptions_per_publisher=8, scale=0.1, profile_capacity=64
+        )
+        eager = offline_gather(scenario, seed=3)
+        directory = offline_directory(scenario)
+        assert {
+            adv_id: repr(profile)
+            for adv_id, profile in directory.items()
+        } == {
+            adv_id: repr(profile)
+            for adv_id, profile in eager.directory.items()
+        }
+        lazy = iter_offline_records(scenario, seed=3, directory=directory)
+        for expected, got in zip(eager.records, lazy, strict=True):
+            assert got.sub_id == expected.sub_id
+            assert got.subscriber_id == expected.subscriber_id
+            assert got.profile.signature() == expected.profile.signature()
 
     def test_deterministic(self):
         scenario = cluster_homogeneous(subscriptions_per_publisher=10, scale=0.1)

@@ -262,7 +262,6 @@ class TestRegistryCapabilities:
         for name in ("inc-trade", "fij-trade"):
             assert allocators.is_registered(name)
             assert allocators.supports(name, "incremental")
-            assert allocators.supports(name, "kernel_aware")
         assert set(allocators.names_with("incremental")) == {
             "inc-trade", "fij-trade",
         }

@@ -6,7 +6,7 @@ shifting, stale-row recompute, merged-row refresh with the lower-index
 tie rule) claims to reproduce the brute-force O(C²) rescan *exactly* —
 same pair picked at every step, so the same clusters at every K.  This
 file checks that claim against a straightforward rescan oracle on
-randomized seeded pools, with the fused kernel both on and off.
+randomized seeded pools, with the fused kernel and without it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 import pytest
 
 from repro.core.closeness import METRIC_NAMES, make_metric
-from repro.core.pairwise import pairwise_cluster
+from repro.core.pairwise import _pairwise_cluster, pairwise_cluster
 from repro.core.units import AllocationUnit
 from repro.sim.rng import SeededRng
 
@@ -76,10 +76,19 @@ def _random_units(seed: int, count: int, directory) -> List[AllocationUnit]:
     return units
 
 
+def _naive_cluster(units, cluster_count, directory, metric_name):
+    """The cached search on its kernel-less fallback."""
+    return _pairwise_cluster(
+        list(units), cluster_count, directory, make_metric(metric_name), kernel=None
+    )
+
+
 @pytest.mark.parametrize("metric_name", METRIC_NAMES)
 @pytest.mark.parametrize("seed", [11, 47, 2011])
-@pytest.mark.parametrize("use_kernel", [False, True], ids=["naive", "kernel"])
-def test_cached_search_matches_brute_force(metric_name, seed, use_kernel):
+@pytest.mark.parametrize(
+    "cluster", [_naive_cluster, pairwise_cluster], ids=["naive", "kernel"]
+)
+def test_cached_search_matches_brute_force(metric_name, seed, cluster):
     directory = make_directory([f"P{i}" for i in range(5)])
     units = _random_units(seed, count=12, directory=directory)
     # Checking every K pins the entire merge sequence: a single
@@ -88,9 +97,7 @@ def test_cached_search_matches_brute_force(metric_name, seed, use_kernel):
         expected = _brute_force_cluster(
             units, cluster_count, directory, metric_name
         )
-        actual = pairwise_cluster(
-            units, cluster_count, directory, metric_name, use_kernel=use_kernel
-        )
+        actual = cluster(units, cluster_count, directory, metric_name)
         assert _signature(actual) == _signature(expected), (
             f"divergence at K={cluster_count}"
         )
@@ -101,7 +108,7 @@ def test_cache_saves_evaluations_vs_rescan():
     directory = make_directory([f"P{i}" for i in range(5)])
     units = _random_units(7, count=14, directory=directory)
     metric = make_metric("iou")
-    pairwise_cluster(units, 2, directory, metric, use_kernel=False)
+    pairwise_cluster(units, 2, directory, metric)
     cached_evals = metric.evaluations
     count = len(units)
     rescan_evals = sum(c * (c - 1) for c in range(count, 2, -1))

@@ -99,19 +99,6 @@ def test_contract_fixture_flags_all_families():
     assert not any("'mean_watts'" in message for message in messages)
     assert not any("'mean_delay_ms'" in message for message in messages)
     assert not any("'energy_label'" in message for message in messages)
-    # Engine queue encapsulation: import, from-import, and call forms
-    # are all caught outside repro.sim.engine ...
-    heapq_findings = [
-        finding for finding in findings if "heapq" in finding.message
-    ]
-    heapq_messages = [finding.message for finding in heapq_findings]
-    assert any("'import heapq'" in message for message in heapq_messages)
-    assert any(
-        "'from heapq import heappop'" in message for message in heapq_messages
-    )
-    assert any("heapq.heappush() call" in message for message in heapq_messages)
-    # ... and the engine module itself stays exempt.
-    assert all("badheap.py" in finding.path for finding in heapq_findings)
 
 
 def test_real_tree_is_clean_modulo_baseline():
