@@ -38,7 +38,6 @@ from repro.core import allocators
 from repro.core.allocators import (
     AllocatorSpec,
     get_allocator,
-    register_allocator,
     register_spec,
     registered_allocators,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "allocators",
     "AllocatorSpec",
     "get_allocator",
-    "register_allocator",
     "register_spec",
     "registered_allocators",
     # Run configuration and online reallocation

@@ -19,7 +19,6 @@ from repro.core.allocators import (
     AllocatorSpec,
     get_allocator,
     names_with,
-    register_allocator,
     register_spec,
     registered_allocators,
     supports,
@@ -100,7 +99,6 @@ __all__ = [
     "KNOWN_CAPABILITIES",
     "get_allocator",
     "names_with",
-    "register_allocator",
     "register_spec",
     "registered_allocators",
     "supports",

@@ -12,8 +12,7 @@ of :class:`AllocatorSpec` records:
   consumes — plus a **capability set** (:data:`KNOWN_CAPABILITIES`)
   that lets the CLI, the spawn-pool worker replay, and the online
   scheduler query what an allocator can do without instantiating it;
-* :func:`register` binds name + builder (the historical shim — specs
-  are built for you) and :func:`register_spec` registers a ready spec;
+* :func:`register_spec` registers a spec;
 * :func:`get` resolves a name to a ready factory;
 * :func:`registered_names` drives CLI choices and the approach tables,
   preserving registration order (the paper's presentation order).
@@ -26,14 +25,14 @@ Example
 >>> factory = get("cram-ios")
 >>> factory().name
 'cram-ios'
->>> supports("cram-ios-sharded", "sharded")
+>>> supports("inc-trade", "incremental")
 True
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.binpacking import BinPackingAllocator
 from repro.core.cram import CramAllocator, ShardedCramAllocator
@@ -48,13 +47,10 @@ AllocatorBuilder = Callable[..., AllocatorFactory]
 
 #: The capability vocabulary specs may advertise:
 #: ``incremental`` — exposes ``plan_migrations`` for the online
-#: scheduler; ``sharded`` — partitions Phase 2 across shard workers;
-#: ``energy_aware`` — accepts the ``energy`` knob (an
+#: scheduler; ``energy_aware`` — accepts the ``energy`` knob (an
 #: :class:`~repro.core.energy.EnergySpec`) and carries it for
 #: energy-conscious scheduling decisions (never altering allocations).
-KNOWN_CAPABILITIES: FrozenSet[str] = frozenset(
-    {"incremental", "sharded", "energy_aware"}
-)
+KNOWN_CAPABILITIES: FrozenSet[str] = frozenset({"incremental", "energy_aware"})
 
 
 @dataclass(frozen=True)
@@ -108,26 +104,6 @@ def register_spec(spec: AllocatorSpec, *, replace: bool = False) -> None:
             "(pass replace=True to override)"
         )
     _REGISTRY[spec.name] = spec
-
-
-def register(
-    name: str,
-    builder: AllocatorBuilder,
-    *,
-    capabilities: Iterable[str] = (),
-    replace: bool = False,
-) -> None:
-    """Bind ``name`` to an allocator ``builder`` (spec-building shim).
-
-    The historical two-argument form keeps working; ``capabilities``
-    defaults to none declared.  See :func:`register_spec` for the
-    record-based API.
-    """
-    register_spec(
-        AllocatorSpec(name=name, builder=builder,
-                      capabilities=frozenset(capabilities)),
-        replace=replace,
-    )
 
 
 def unregister(name: str) -> None:
@@ -234,11 +210,7 @@ class _ShardedCramBuilder:
     """Builder for sharded-Phase-2 CRAM (see ``repro.core.cram``).
 
     Module-level class for the same pickling-by-reference reason as
-    :class:`_CramBuilder`.  The shard *runner* is intentionally not a
-    knob here: it is process state installed by
-    ``repro.experiments.parallel`` (or left serial), so a worker that
-    replays this registration builds an allocator wired to *its own*
-    runner.
+    :class:`_CramBuilder`.
     """
 
     def __init__(self, metric: str, shards: int = 4):
@@ -289,17 +261,16 @@ class _OnlineBuilder:
         )
 
 
-register("fbf", _fbf_builder)
-register("binpacking", _binpacking_builder)
+register_spec(AllocatorSpec("fbf", _fbf_builder))
+register_spec(AllocatorSpec("binpacking", _binpacking_builder))
 for _metric in ("intersect", "xor", "ios", "iou"):
-    register(f"cram-{_metric}", _CramBuilder(_metric))
+    register_spec(AllocatorSpec(f"cram-{_metric}", _CramBuilder(_metric)))
 del _metric
-register("cram-ios-sharded", _ShardedCramBuilder("ios"),
-         capabilities=("sharded",))
-register("inc-trade", _OnlineBuilder("inc_trade"),
-         capabilities=("incremental", "energy_aware"))
-register("fij-trade", _OnlineBuilder("fij_trade"),
-         capabilities=("incremental", "energy_aware"))
+register_spec(AllocatorSpec("cram-ios-sharded", _ShardedCramBuilder("ios")))
+register_spec(AllocatorSpec("inc-trade", _OnlineBuilder("inc_trade"),
+                            capabilities=("incremental", "energy_aware")))
+register_spec(AllocatorSpec("fij-trade", _OnlineBuilder("fij_trade"),
+                            capabilities=("incremental", "energy_aware")))
 
 #: Import-time snapshot of the built-in registrations.  Every Python
 #: process that imports this module gets exactly these, so a spawned
@@ -324,6 +295,5 @@ def custom_registrations() -> Tuple[AllocatorSpec, ...]:
 
 #: Aliases re-exported at the :mod:`repro.core` / :mod:`repro` level,
 #: where the short names would be ambiguous.
-register_allocator = register
 get_allocator = get
 registered_allocators = registered_names

@@ -1,10 +1,10 @@
 """One frozen run configuration.
 
 A :class:`RunConfig` is the picklable record that the runner, the
-sweeps, and the spawn-pool cells all thread explicitly: the shard
-worker count, the :class:`~repro.core.online.OnlineSpec` steering
-online incremental reallocation, and the
-:class:`~repro.core.energy.EnergySpec` for energy accounting.
+sweeps, and the spawn-pool cells all thread explicitly: the
+:class:`~repro.core.online.OnlineSpec` steering online incremental
+reallocation, and the :class:`~repro.core.energy.EnergySpec` for
+energy accounting.
 
 No field selects between implementations of the same computation, and
 no configuration value flows into reported metrics except through the
@@ -26,10 +26,6 @@ class RunConfig:
 
     Parameters
     ----------
-    shard_jobs:
-        Worker count for sharded Phase-2 allocation; ``0`` = one per
-        CPU, ``1`` = serial, ``None`` = the process default (serial
-        unless ``--shard-jobs`` set it).
     online:
         An :class:`~repro.core.online.OnlineSpec` enabling online
         incremental reallocation between full CROC cycles; ``None``
@@ -41,15 +37,8 @@ class RunConfig:
         knob (pinned by the energy equivalence suite).
     """
 
-    shard_jobs: Optional[int] = None
     online: Optional[OnlineSpec] = None
     energy: Optional[EnergySpec] = None
-
-    def __post_init__(self) -> None:
-        if self.shard_jobs is not None and self.shard_jobs < 0:
-            raise ValueError(
-                f"shard_jobs must be >= 0, got {self.shard_jobs}"
-            )
 
     def allocator_knobs(self) -> Dict[str, Any]:
         """The knob subset allocator builders understand.

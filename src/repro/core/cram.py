@@ -35,13 +35,10 @@ Per-relationship clustering rules (paper §IV-C.1):
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
-    Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -72,13 +69,9 @@ from repro.core.fbf import (
 from repro.core.gif import Gif, build_gifs
 from repro.core.kernel import ClosenessKernel
 from repro.core.poset import Poset
-from repro.core.profiles import (
-    PublisherDirectory,
-    PublisherProfile,
-    SubscriptionProfile,
-)
+from repro.core.profiles import PublisherDirectory, SubscriptionProfile
 from repro.core.relations import Relation, relationship
-from repro.core.units import AllocationUnit, SubscriptionRecord, units_from_records
+from repro.core.units import AllocationUnit, units_from_records
 from repro.obs import recorder as obs
 
 #: Marker used in the partner table for "GIF paired with itself".
@@ -738,136 +731,16 @@ class _CramState:
 # ----------------------------------------------------------------------
 #
 # The partner search is quadratic in the GIF count, so splitting a pool
-# into S shards cuts the dominant cost by ~S even on one core.  Shards
-# are allocated independently (each by a fresh monolithic CRAM run,
-# possibly on the spawn pool — see ``install_shard_runner``), and every
-# shard-local broker bin comes back as one *pseudo-subscription* merged
+# into S shards cuts the dominant cost by ~S on one core.  Shards are
+# allocated one after another, each by a fresh monolithic CRAM run, and
+# every shard-local broker bin becomes one *pseudo-subscription* merged
 # from its members; a final CRAM pass over the pseudo-units then plays
-# the role Phase 3 plays for brokers, recursively clustering the
-# shard results onto the real pool.
+# the role Phase 3 plays for brokers, recursively clustering the shard
+# results onto the real pool.
 #
 # Determinism: the shard partition is a pure function of the unit list
-# (GIF groups, first-occurrence order, greedy lightest-shard placement),
-# shard results are consumed strictly in submission order (the
-# ``index`` check below makes a runner that reorders — e.g. by
-# iterating a dict of futures — an immediate error), and each shard's
-# bin contents are returned as record positions, so the merge rebuilds
-# pseudo-units in one deterministic order regardless of worker timing.
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """One shard's allocation job, shippable to a spawn-pool worker.
-
-    Records (not units) cross the process boundary: workers rebuild
-    units with :func:`~repro.core.units.units_from_records`, so the
-    fresh ``unit_id`` sequence in the worker is order-isomorphic to the
-    parent's — every comparison CRAM performs on unit IDs is relative,
-    never absolute.
-    """
-
-    index: int
-    records: Tuple[SubscriptionRecord, ...]
-    pool: Tuple[BrokerSpec, ...]
-    directory: Dict[str, PublisherProfile]
-    metric: str
-    enable_gif_grouping: bool = True
-    enable_pruning: bool = True
-    enable_one_to_many: bool = True
-    failure_budget: Optional[int] = None
-    max_iterations: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ShardOutcome:
-    """One shard's result: per-bin record positions into the task.
-
-    ``groups`` lists, for every non-empty broker bin of the shard's
-    allocation, the positions (into ``task.records``) of the records it
-    holds, in bin fill order.  Positions — not objects — so the parent
-    maps them back onto *its* units without any pickling identity
-    games.
-    """
-
-    index: int
-    success: bool
-    groups: Tuple[Tuple[int, ...], ...] = ()
-    stats: CramStats = field(default_factory=CramStats)
-
-
-@contextmanager
-def _recorder_silenced() -> Iterator[None]:
-    """Detach any active obs recorder for the duration of a block.
-
-    Shard allocations run without observability no matter where they
-    execute: a spawned worker has no recorder, so the serial in-process
-    runner must not record either — otherwise serial and pooled runs
-    would disagree on the obs surface, breaking bit-identity.
-    """
-    previous = obs.active()
-    if previous is not None:
-        obs.detach()
-    try:
-        yield
-    finally:
-        if previous is not None:
-            obs.attach(previous)
-
-
-def run_shard_task(task: ShardTask) -> ShardOutcome:
-    """Allocate one shard with a fresh monolithic CRAM run.
-
-    Module-level by design: spawn-pool workers pickle this function by
-    reference, importing only ``repro.core.cram``.
-    """
-    allocator = CramAllocator(
-        metric=task.metric,
-        enable_gif_grouping=task.enable_gif_grouping,
-        enable_pruning=task.enable_pruning,
-        enable_one_to_many=task.enable_one_to_many,
-        failure_budget=task.failure_budget,
-        max_iterations=task.max_iterations,
-    )
-    units = units_from_records(task.records, task.directory)
-    with _recorder_silenced():
-        result = allocator.allocate(units, list(task.pool), task.directory)
-    if not result.success:
-        return ShardOutcome(task.index, False, (), allocator.last_stats)
-    position = {
-        record.sub_id: offset for offset, record in enumerate(task.records)
-    }
-    groups = tuple(
-        tuple(
-            position[record.sub_id]
-            for unit in broker_bin.units
-            for record in unit.members
-        )
-        for broker_bin in result.bins
-        if broker_bin.units
-    )
-    return ShardOutcome(task.index, True, groups, allocator.last_stats)
-
-
-#: A shard runner maps submitted tasks to outcomes **in list order**.
-ShardRunner = Callable[[Sequence[ShardTask]], List[ShardOutcome]]
-
-
-def run_shards_serial(tasks: Sequence[ShardTask]) -> List[ShardOutcome]:
-    """The default runner: in-process, one task at a time, list order."""
-    return [run_shard_task(task) for task in tasks]
-
-
-_shard_runner: ShardRunner = run_shards_serial
-
-
-def install_shard_runner(runner: Optional[ShardRunner]) -> None:
-    """Swap the process-wide shard runner (``None`` restores serial).
-
-    ``repro.experiments.parallel`` installs its spawn-pool runner here
-    at import time; core itself never imports upward.
-    """
-    global _shard_runner
-    _shard_runner = runner if runner is not None else run_shards_serial
+# (GIF groups, first-occurrence order, greedy lightest-shard placement)
+# and shards are allocated and merged in partition order.
 
 
 def plan_shards(
@@ -916,52 +789,19 @@ def plan_shards(
     return buckets
 
 
-def merge_shard_outcomes(
-    outcomes: Sequence[ShardOutcome],
-    shard_units: Sequence[Sequence[AllocationUnit]],
-    directory: PublisherDirectory,
-) -> Optional[List[AllocationUnit]]:
-    """Fold shard results into pseudo-subscriptions, submission order.
-
-    Consumes ``outcomes`` strictly as the submission-order list
-    (never a dict/set view): outcome *i* belongs to shard *i*.  Each
-    shard-local broker bin becomes one pseudo-subscription via
-    :meth:`AllocationUnit.merged` — the same profile-union Phase 3
-    applies to whole brokers.  Returns ``None`` (monolithic fallback)
-    if any shard failed.
-    """
-    pseudo: List[AllocationUnit] = []
-    for expected, (outcome, members) in enumerate(zip(outcomes, shard_units)):
-        if outcome.index != expected:
-            raise ValueError(
-                "shard runner returned outcomes out of submission order: "
-                f"expected shard {expected}, got {outcome.index}"
-            )
-        if not outcome.success:
-            return None
-        for group in outcome.groups:
-            pseudo.append(
-                AllocationUnit.merged(
-                    [members[offset] for offset in group], directory
-                )
-            )
-    return pseudo
-
-
 class ShardedCramAllocator:
     """CRAM with intra-run sharded Phase 2.
 
     Partitions the pool with :func:`plan_shards`, allocates each shard
-    through the installed :data:`ShardRunner` (serial by default, the
-    spawn pool when ``repro.experiments.parallel`` is imported), merges
-    per-bin results as pseudo-subscriptions, and runs one final CRAM
-    pass over the pseudo-units — the paper's Phase-3 recursion applied
-    inside Phase 2.  Falls back to a single monolithic run whenever the
-    pool is unshardable or any shard (or the final pass) fails, so the
+    with a fresh :class:`CramAllocator`, turns every shard-local broker
+    bin into one pseudo-subscription, and runs one final CRAM pass over
+    the pseudo-units — the paper's Phase-3 recursion applied inside
+    Phase 2.  Falls back to a single monolithic run whenever the pool
+    is unshardable or any shard (or the final pass) fails, so the
     sharded allocator never succeeds less often than plain CRAM.
 
-    The shard count is fixed (default 4) and independent of how many
-    workers execute the tasks — results are invariant to ``--jobs``.
+    The shard count is fixed (default 4), so results are a function of
+    the pool alone.
     """
 
     def __init__(
@@ -973,7 +813,6 @@ class ShardedCramAllocator:
         enable_one_to_many: bool = True,
         failure_budget: Optional[int] = None,
         max_iterations: Optional[int] = None,
-        runner: Optional[ShardRunner] = None,
     ):
         if isinstance(metric, ClosenessMetric):
             metric = metric.name
@@ -984,7 +823,6 @@ class ShardedCramAllocator:
         self.enable_one_to_many = enable_one_to_many
         self.failure_budget = failure_budget
         self.max_iterations = max_iterations
-        self.runner = runner
         self.name = f"cram-{metric}-sharded"
         self.last_stats = CramStats()
 
@@ -1026,49 +864,77 @@ class ShardedCramAllocator:
         buckets = plan_shards(units, self.shards)
         if buckets is None:
             return self._monolithic(units, pool, directory, after_sharding=False)
-        tasks = [
-            ShardTask(
-                index=index,
-                records=tuple(unit.members[0] for unit in bucket),
-                pool=tuple(pool),
-                directory=dict(directory),
-                metric=self.metric,
-                enable_gif_grouping=self.enable_gif_grouping,
-                enable_pruning=self.enable_pruning,
-                enable_one_to_many=self.enable_one_to_many,
-                failure_budget=self.failure_budget,
-                max_iterations=self.max_iterations,
-            )
-            for index, bucket in enumerate(buckets)
-        ]
-        runner = self.runner if self.runner is not None else _shard_runner
+        runs: List[CramStats] = []
         with obs.span("cram.sharding", shards=len(buckets), units=len(units)):
-            outcomes = list(runner(tasks))
-        pseudo = merge_shard_outcomes(outcomes, buckets, directory)
-        if pseudo is None:
-            return self._monolithic(units, pool, directory, after_sharding=True)
-        final = self._make_allocator()
-        result = final.allocate(pseudo, pool, directory)
-        if not result.success:
-            return self._monolithic(units, pool, directory, after_sharding=True)
-        self.last_stats = self._aggregate_stats(
-            units, buckets, outcomes, final.last_stats
-        )
-        return result
+            pseudo = self._pseudo_units(buckets, pool, directory, runs)
+        if pseudo is not None:
+            final = self._make_allocator()
+            result = final.allocate(pseudo, pool, directory)
+            if result.success:
+                runs.append(final.last_stats)
+                self.last_stats = self._aggregate_stats(units, len(buckets), runs)
+                return result
+        return self._monolithic(units, pool, directory, after_sharding=True)
+
+    def _pseudo_units(
+        self,
+        buckets: Sequence[Sequence[AllocationUnit]],
+        pool: List[BrokerSpec],
+        directory: PublisherDirectory,
+        runs: List[CramStats],
+    ) -> Optional[List[AllocationUnit]]:
+        """One pseudo-subscription per shard-local broker bin, shard order.
+
+        A bin's members are merged as the caller's singleton units, in
+        bin fill order, via :meth:`AllocationUnit.merged` — the same
+        profile-union Phase 3 applies to whole brokers.  Appends each
+        shard run's stats to ``runs``; returns ``None`` as soon as a
+        shard fails (monolithic fallback).
+        """
+        pseudo: List[AllocationUnit] = []
+        for bucket in buckets:
+            allocator = self._make_allocator()
+            # The shard runs on units rebuilt from its records: their
+            # IDs ascend in bucket order, so every unit-ID tie-break in
+            # the run depends on the bucket alone, not on how IDs fell
+            # across the whole pool.
+            result = allocator.allocate(
+                units_from_records(
+                    [unit.members[0] for unit in bucket], directory
+                ),
+                pool,
+                directory,
+            )
+            if not result.success:
+                return None
+            runs.append(allocator.last_stats)
+            own = {unit.members[0].sub_id: unit for unit in bucket}
+            for broker_bin in result.bins:
+                pseudo.append(
+                    AllocationUnit.merged(
+                        [
+                            own[record.sub_id]
+                            for unit in broker_bin.units
+                            for record in unit.members
+                        ],
+                        directory,
+                    )
+                )
+        return pseudo
 
     @staticmethod
     def _aggregate_stats(
         units: Sequence[AllocationUnit],
-        buckets: Sequence[Sequence[AllocationUnit]],
-        outcomes: Sequence[ShardOutcome],
-        final_stats: CramStats,
+        shard_count: int,
+        runs: Sequence[CramStats],
     ) -> CramStats:
+        """Sum the shard runs' and the final pass's (last) counters."""
         stats = CramStats(
             subscriptions=sum(unit.subscription_count for unit in units),
             initial_units=len(units),
-            shard_count=len(buckets),
+            shard_count=shard_count,
         )
-        for part in [outcome.stats for outcome in outcomes] + [final_stats]:
+        for part in runs:
             stats.initial_gifs += part.initial_gifs
             stats.iterations += part.iterations
             stats.merges += part.merges
@@ -1080,5 +946,5 @@ class ShardedCramAllocator:
             stats.kernel_fused_evaluations += part.kernel_fused_evaluations
             stats.kernel_memo_hits += part.kernel_memo_hits
             stats.kernel_fallback_evaluations += part.kernel_fallback_evaluations
-        stats.final_units = final_stats.final_units
+        stats.final_units = runs[-1].final_units
         return stats

@@ -29,11 +29,7 @@ from repro.core.config import RunConfig
 from repro.core.croc import ReconfigurationError
 from repro.core.energy import EnergySpec
 from repro.core.online import OnlineSpec
-from repro.experiments.parallel import (
-    CellSpec,
-    execute_cells,
-    set_default_shard_jobs,
-)
+from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.report import format_rows, summarize_pareto
 from repro.experiments.runner import available_approaches
 from repro.obs import export as obs_export
@@ -102,11 +98,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for independent cells "
                              "(default 1 = serial; 0 = one per CPU); "
                              "results are bit-identical to serial")
-    parser.add_argument("--shard-jobs", type=int, default=None, metavar="N",
-                        help="worker processes for intra-run Phase-2 "
-                             "shards (cram-ios-sharded; default: "
-                             "serial; 0 = one per CPU); results are "
-                             "bit-identical to serial")
     parser.add_argument("--profile", metavar="DIR", default=None,
                         help="profile each cell with cProfile and write "
                              "DIR/<scenario>__<approach>.pstats (forces "
@@ -186,14 +177,13 @@ def _run_config(args) -> Optional[RunConfig]:
     config-free cell specs (bit-identical to earlier releases).
     """
     online = getattr(args, "online", None)
-    shard_jobs = getattr(args, "shard_jobs", None)
     energy = getattr(args, "energy", None)
     if energy is None and getattr(args, "pareto", False):
         # Pareto ranking needs joules; default the model when unset.
         energy = EnergySpec()
-    if online is None and shard_jobs is None and energy is None:
+    if online is None and energy is None:
         return None
-    return RunConfig(shard_jobs=shard_jobs, online=online, energy=energy)
+    return RunConfig(online=online, energy=energy)
 
 
 def _write_obs(path: str, labeled_results) -> None:
@@ -376,8 +366,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("run", "figure") and not args.subs:
         args.subs = [25]
-    if getattr(args, "shard_jobs", None) is not None:
-        set_default_shard_jobs(args.shard_jobs)
     if args.command == "run":
         return cmd_run(args)
     if args.command == "figure":

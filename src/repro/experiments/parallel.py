@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.core import allocators, cram
+from repro.core import allocators
 from repro.core.config import RunConfig
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.obs import recorder as obs
@@ -67,9 +67,9 @@ class CellSpec:
     #: ship its snapshot back on ``result.obs``.  Does not change the
     #: deterministic outputs (pinned by ``tests/test_obs_equivalence``).
     observe: bool = False
-    #: The shard-jobs / online-reallocation / energy knobs for this
-    #: cell.  ``RunConfig`` is frozen and picklable, so a spec carries
-    #: the exact configuration into spawned workers.  ``None`` = all
+    #: The online-reallocation / energy specs for this cell.
+    #: ``RunConfig`` is frozen and picklable, so a spec carries the
+    #: exact configuration into spawned workers.  ``None`` = all
     #: defaults.
     config: Optional[RunConfig] = None
 
@@ -89,22 +89,12 @@ def run_spec(spec: CellSpec) -> ExperimentResult:
         fault_plan=spec.fault_plan,
         config=spec.config,
     )
-    shard_override = spec.config.shard_jobs if spec.config is not None else None
-    previous = _default_shard_jobs
-    if shard_override is not None:
-        # The spec's explicit shard count beats the process default for
-        # the duration of this cell.
-        set_default_shard_jobs(shard_override)
-    try:
-        if not spec.observe:
-            return runner.run(spec.approach)
-        with obs.attached(obs.Recorder()) as recorder:
-            result = runner.run(spec.approach)
-        result.obs = recorder.snapshot()
-        return result
-    finally:
-        if shard_override is not None:
-            set_default_shard_jobs(previous)
+    if not spec.observe:
+        return runner.run(spec.approach)
+    with obs.attached(obs.Recorder()) as recorder:
+        result = runner.run(spec.approach)
+    result.obs = recorder.snapshot()
+    return result
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -148,13 +138,7 @@ def _ensure_spawnable(snapshot: RegistrySnapshot) -> None:
 def _worker_init(snapshot: RegistrySnapshot) -> None:
     """Per-worker setup: mirror the parent's non-built-in registrations."""
     for spec in snapshot:
-        name, builder = spec.name, spec.builder
-        # Replays builders the parent already proved picklable (the
-        # snapshot itself crossed the process boundary); audited in
-        # reprolint-baseline.json.
-        allocators.register(
-            name, builder, capabilities=spec.capabilities, replace=True
-        )
+        allocators.register_spec(spec, replace=True)
 
 
 def _profile_path(profile_dir: str, spec: CellSpec) -> str:
@@ -287,67 +271,3 @@ def execute_cells(
             progress(f"[parallel] worker pool broke ({exc}); rerunning serially")
         return _run_serial(specs, progress, return_exceptions)
     return results
-
-
-# ----------------------------------------------------------------------
-# Shard runner: ShardedCramAllocator tasks on the spawn pool
-# ----------------------------------------------------------------------
-
-#: Process-wide shard job count (``--shard-jobs``); ``None`` = serial.
-_default_shard_jobs: Optional[int] = None
-
-
-def set_default_shard_jobs(jobs: Optional[int]) -> None:
-    """Set the shard job count used when :func:`run_shards` gets none."""
-    global _default_shard_jobs
-    _default_shard_jobs = jobs
-
-
-def shard_jobs() -> int:
-    """Resolve the shard job count: the process default, else 1.
-
-    Serial is the default on purpose: shard tasks may themselves run
-    inside sweep-pool workers, and only an explicit opt-in should nest
-    process pools.
-    """
-    if _default_shard_jobs is not None:
-        return resolve_jobs(_default_shard_jobs)
-    return 1
-
-
-def run_shards(
-    tasks: Sequence[cram.ShardTask], jobs: Optional[int] = None
-) -> List[cram.ShardOutcome]:
-    """Execute shard tasks, returning outcomes in submission order.
-
-    The pool variant of :func:`repro.core.cram.run_shards_serial` with
-    the same degradation ladder as :func:`execute_cells`: ``jobs <= 1``
-    or a single task runs serially in-process, and any pool-level
-    failure falls back to the serial path.  Shard outcomes are pure
-    functions of their tasks, so every path is bit-identical.
-    """
-    jobs = shard_jobs() if jobs is None else resolve_jobs(jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        return cram.run_shards_serial(tasks)
-    try:
-        context = get_context("spawn")
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)), mp_context=context
-        )
-    except (OSError, ValueError, ImportError):
-        return cram.run_shards_serial(tasks)
-    try:
-        with pool:
-            futures: List[Future] = [
-                pool.submit(cram.run_shard_task, task) for task in tasks
-            ]
-            # Submission-order collection — never a set/dict of futures.
-            return [future.result() for future in futures]
-    except BrokenExecutor:
-        return cram.run_shards_serial(tasks)
-
-
-# Installing at import time wires every ShardedCramAllocator (registry
-# builds included) to the pool runner whenever the experiments layer is
-# in play; pure-core users keep the serial default.
-cram.install_shard_runner(run_shards)

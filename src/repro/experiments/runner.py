@@ -166,9 +166,9 @@ class ExperimentRunner:
         plan) leaves every run bit-identical to the fault-free code
         path.
     config:
-        A :class:`~repro.core.config.RunConfig` with the shard worker
-        count and the online-reallocation and energy specs.  The
-        default (all fields ``None``) switches none of them on.
+        A :class:`~repro.core.config.RunConfig` with the
+        online-reallocation and energy specs.  The default (both
+        fields ``None``) switches neither on.
     """
 
     def __init__(

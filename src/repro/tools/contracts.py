@@ -2,25 +2,24 @@
 
 Several families of checks, all whole-program:
 
-* **Registered allocators** — every ``register(...)`` call that
-  resolves to :func:`repro.core.allocators.register` (directly or via
-  an alias) is located repo-wide; its *builder* argument must resolve,
-  through the import graph, to a module-level function or class (or an
-  instance of a module-level class), because process-pool workers
-  replay registrations by pickling builders by reference.  This
-  supersedes the per-file unpicklable-worker heuristic for builders:
-  resolution follows ``from x import y`` chains instead of guessing
-  from local syntax.  Every allocator class reachable from a builder
-  must keep the interchangeable-scheme signature
+* **Registered allocators** — every ``AllocatorSpec(...)`` record
+  (the only way into :func:`repro.core.allocators.register_spec`) is
+  located repo-wide, the registry module's own built-ins included; its
+  *builder* argument must resolve, through the import graph, to a
+  module-level function or class (or an instance of a module-level
+  class), because process-pool workers replay registrations by
+  pickling builders by reference.  This supersedes the per-file
+  unpicklable-worker heuristic for builders: resolution follows
+  ``from x import y`` chains instead of guessing from local syntax.
+  Every allocator class reachable from a builder must keep the
+  interchangeable-scheme signature
   ``allocate(self, units, pool, directory)``.
 
-* **AllocatorSpec shapes** — ``AllocatorSpec(...)`` records built
-  outside the registry module get the same builder resolution check as
-  ``register`` calls, and any *literal* capability collection (on a
-  spec or a ``register(..., capabilities=...)`` call) may only use the
-  known capability vocabulary.  A typo'd capability never errors at
-  runtime — ``supports``/``names_with`` gates just silently never
-  select the allocator — so the pass catches it statically.
+* **Capability vocabulary** — any *literal* capability collection on a
+  spec may only use the known capability vocabulary.  A typo'd
+  capability never errors at runtime — ``supports``/``names_with``
+  gates just silently never select the allocator — so the pass catches
+  it statically.
 
 * **``__all__`` consistency** — every name a module exports must be
   bound at module level (a typo in ``__all__`` breaks
@@ -33,16 +32,6 @@ Several families of checks, all whole-program:
   ``__all__`` is the public API for downstream users, not for this
   repo.  The reference scan is name-based (any load/attribute/import
   of the name anywhere counts), so it errs toward keeping exports.
-
-* **Shard-merge ordering** — a function whose name marks it as a
-  shard merge/collection helper (``shard`` plus one of ``merge`` /
-  ``combine`` / ``collect`` / ``gather``) must not iterate a dict view
-  (``.values()`` / ``.items()`` / ``.keys()``) or ``set(...)`` of one
-  of its parameters.  The sharded Phase-2 contract
-  (:func:`repro.core.cram.merge_shard_outcomes`) is that shard results
-  are consumed in *submission order*; hash-order iteration over the
-  caller's container silently breaks that bit-identity guarantee, so
-  the pass catches the shape statically.
 
 * **Energy float comparisons** — a function whose name marks it as
   part of the energy model (``energy`` / ``watts``) and whose return
@@ -62,9 +51,8 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.tools.engine import Finding
 from repro.tools.project import ModuleInfo, Project, project_pass
 
-#: The registry module and the callables that bind builders.
+#: The registry module, home of the spec class.
 REGISTRY_MODULE = "repro.core.allocators"
-_REGISTER_NAMES = {"register", "register_allocator"}
 
 #: The interchangeable-scheme entry-point signature.
 ALLOCATE_PARAMS = ("self", "units", "pool", "directory")
@@ -76,9 +64,7 @@ _SPEC_CLASS_NAME = "AllocatorSpec"
 #: layer is an import leaf (it may not import repro.core), so the
 #: vocabulary is duplicated here; ``tests/test_reprolint.py`` pins the
 #: two sets equal so they cannot drift apart.
-KNOWN_CAPABILITIES = frozenset(
-    {"incremental", "sharded", "energy_aware"}
-)
+KNOWN_CAPABILITIES = frozenset({"incremental", "energy_aware"})
 
 
 # ----------------------------------------------------------------------
@@ -178,52 +164,6 @@ def _referenced_names(info: ModuleInfo) -> Set[str]:
 # ----------------------------------------------------------------------
 # Registered-builder resolution
 # ----------------------------------------------------------------------
-
-
-def _is_register_call(
-    project: Project, info: ModuleInfo, node: ast.Call
-) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name):
-        if func.id not in _REGISTER_NAMES:
-            return False
-        resolved = project.resolve_name(info.name, func.id)
-        if resolved is not None:
-            return resolved[0] == REGISTRY_MODULE
-        # Inside the registry module itself the def resolves locally.
-        return info.name == REGISTRY_MODULE
-    if isinstance(func, ast.Attribute) and func.attr in _REGISTER_NAMES:
-        base = func.value
-        parts: List[str] = []
-        while isinstance(base, ast.Attribute):
-            parts.append(base.attr)
-            base = base.value
-        if isinstance(base, ast.Name):
-            parts.append(base.id)
-            dotted = ".".join(reversed(parts))
-            return dotted.endswith("allocators") or dotted == REGISTRY_MODULE
-    return False
-
-
-def _builder_argument(node: ast.Call) -> Optional[ast.AST]:
-    if len(node.args) >= 2:
-        return node.args[1]
-    for keyword in node.keywords:
-        if keyword.arg == "builder":
-            return keyword.value
-    return None
-
-
-def _iter_register_calls(
-    project: Project,
-) -> Iterator[Tuple[ModuleInfo, ast.Call, ast.AST]]:
-    for name in sorted(project.modules):
-        info = project.modules[name]
-        for node in ast.walk(info.module.tree):
-            if isinstance(node, ast.Call) and _is_register_call(project, info, node):
-                builder = _builder_argument(node)
-                if builder is not None:
-                    yield info, node, builder
 
 
 def _classes_reached(
@@ -365,10 +305,6 @@ def _is_spec_call(project: Project, info: ModuleInfo, node: ast.Call) -> bool:
 
 def _iter_spec_calls(project: Project) -> Iterator[Tuple[ModuleInfo, ast.Call]]:
     for name in sorted(project.modules):
-        if name == REGISTRY_MODULE:
-            # The shim inside the registry builds specs from its own
-            # parameters; its call sites are checked where they occur.
-            continue
         info = project.modules[name]
         for node in ast.walk(info.module.tree):
             if isinstance(node, ast.Call) and _is_spec_call(project, info, node):
@@ -376,10 +312,10 @@ def _iter_spec_calls(project: Project) -> Iterator[Tuple[ModuleInfo, ast.Call]]:
 
 
 def _call_argument(
-    node: ast.Call, position: Optional[int], keyword: str
+    node: ast.Call, position: int, keyword: str
 ) -> Optional[ast.AST]:
-    """Positional-or-keyword lookup (``position=None`` = keyword-only)."""
-    if position is not None and len(node.args) > position:
+    """Positional-or-keyword lookup."""
+    if len(node.args) > position:
         return node.args[position]
     for item in node.keywords:
         if item.arg == keyword:
@@ -427,103 +363,6 @@ def _capability_findings(
                 f"vocabulary {sorted(KNOWN_CAPABILITIES)}; capability gates "
                 "(supports / names_with) would silently never select it",
             )
-
-
-# ----------------------------------------------------------------------
-# Shard-merge ordering
-# ----------------------------------------------------------------------
-
-#: Name fragments that, combined with ``shard``, mark a merge helper.
-_SHARD_MERGE_HINTS = ("merge", "combine", "collect", "gather")
-
-#: Dict views whose iteration order is the dict's, not the caller's.
-_UNORDERED_VIEWS = frozenset({"values", "items", "keys"})
-
-
-def _is_shard_merge_function(name: str) -> bool:
-    lowered = name.lower()
-    return "shard" in lowered and any(
-        hint in lowered for hint in _SHARD_MERGE_HINTS
-    )
-
-
-def _function_params(
-    func: "ast.FunctionDef | ast.AsyncFunctionDef",
-) -> Set[str]:
-    args = func.args
-    params = {
-        arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
-    }
-    if args.vararg is not None:
-        params.add(args.vararg.arg)
-    if args.kwarg is not None:
-        params.add(args.kwarg.arg)
-    params.discard("self")
-    params.discard("cls")
-    return params
-
-
-def _unordered_param_iterable(
-    expr: ast.expr, params: Set[str]
-) -> Optional[str]:
-    """Describe ``expr`` if it is an unordered view over a parameter."""
-    if not isinstance(expr, ast.Call):
-        return None
-    func = expr.func
-    if (
-        isinstance(func, ast.Attribute)
-        and func.attr in _UNORDERED_VIEWS
-        and isinstance(func.value, ast.Name)
-        and func.value.id in params
-        and not expr.args
-        and not expr.keywords
-    ):
-        return f"{func.value.id}.{func.attr}()"
-    if (
-        isinstance(func, ast.Name)
-        and func.id in {"set", "frozenset"}
-        and len(expr.args) == 1
-        and not expr.keywords
-        and isinstance(expr.args[0], ast.Name)
-        and expr.args[0].id in params
-    ):
-        return f"{func.id}({expr.args[0].id})"
-    return None
-
-
-def _iteration_sites(
-    func: "ast.FunctionDef | ast.AsyncFunctionDef",
-) -> Iterator[ast.expr]:
-    for node in ast.walk(func):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            yield node.iter
-        elif isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            for generator in node.generators:
-                yield generator.iter
-
-
-def _shard_merge_findings(info: ModuleInfo) -> Iterator[Finding]:
-    for node in ast.walk(info.module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not _is_shard_merge_function(node.name):
-            continue
-        params = _function_params(node)
-        for iterable in _iteration_sites(node):
-            described = _unordered_param_iterable(iterable, params)
-            if described is not None:
-                yield Finding(
-                    info.path,
-                    iterable.lineno,
-                    iterable.col_offset,
-                    "api-contract",
-                    f"shard-merge function {node.name!r} iterates "
-                    f"{described}; shard outcomes must be consumed in "
-                    "submission order, and dict/set iteration order is "
-                    "not the submission order",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -589,15 +428,14 @@ def _energy_comparison_findings(info: ModuleInfo) -> Iterator[Finding]:
     "api-contract",
     "registered allocator builders must be picklable module-level "
     "callables keeping allocate(self, units, pool, directory); __all__ "
-    "must be consistent and free of dead exports; shard-merge helpers "
-    "must not iterate dict views or sets of their inputs; energy-model "
-    "float functions must compare via repro.core.floats",
+    "must be consistent and free of dead exports; energy-model float "
+    "functions must compare via repro.core.floats",
 )
 def check_api_contract(project: Project) -> List[Finding]:
     findings: List[Finding] = []
 
-    # A class reached from several register calls would repeat its
-    # signature finding; dedupe on the full finding identity.
+    # A class reached from several specs would repeat its signature
+    # finding; dedupe on the full finding identity.
     seen: Set[Tuple[str, int, int, str]] = set()
 
     def emit(found: Finding) -> None:
@@ -605,14 +443,6 @@ def check_api_contract(project: Project) -> List[Finding]:
         if key not in seen:
             seen.add(key)
             findings.append(found)
-
-    for info, call, builder in _iter_register_calls(project):
-        for found in _builder_findings(project, info, call, builder):
-            emit(found)
-        for found in _capability_findings(
-            info, call, _call_argument(call, None, "capabilities")
-        ):
-            emit(found)
 
     for info, call in _iter_spec_calls(project):
         builder = _call_argument(call, 1, "builder")
@@ -625,7 +455,6 @@ def check_api_contract(project: Project) -> List[Finding]:
             emit(found)
 
     for name in sorted(project.modules):
-        findings.extend(_shard_merge_findings(project.modules[name]))
         findings.extend(_energy_comparison_findings(project.modules[name]))
 
     # Name-reference index for the dead-export scan: everything any

@@ -14,8 +14,11 @@ def make_wrong(**_):
     return WrongAllocator
 
 
-allocators.register("lambda-builder", lambda **_: WrongAllocator)
-allocators.register("wrong-signature", make_wrong)
+allocators.register_spec(
+    allocators.AllocatorSpec("lambda-builder", lambda **_: WrongAllocator)
+)
+allocators.register_spec(allocators.AllocatorSpec("wrong-signature", make_wrong))
+allocators.register_spec(allocators.AllocatorSpec("ghost-builder", ghost_maker))
 allocators.register_spec(
     allocators.AllocatorSpec(
         "typo-capability",

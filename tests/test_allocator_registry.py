@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import allocators
+from repro.core.allocators import AllocatorSpec, register_spec
 from repro.core.binpacking import BinPackingAllocator
 from repro.experiments.runner import (
     APPROACHES,
@@ -41,17 +42,19 @@ class TestRegistryContract:
 
     def test_register_rejects_empty_and_duplicate_names(self):
         with pytest.raises(ValueError, match="non-empty"):
-            allocators.register("", lambda **_: BinPackingAllocator)
+            AllocatorSpec("", lambda **_: BinPackingAllocator)
         with pytest.raises(ValueError, match="already registered"):
-            allocators.register("fbf", lambda **_: BinPackingAllocator)
+            register_spec(AllocatorSpec("fbf", lambda **_: BinPackingAllocator))
 
     def test_replace_and_unregister_roundtrip(self):
         marker = lambda **_: BinPackingAllocator  # noqa: E731
-        allocators.register("toy-replaceable", marker)
+        register_spec(AllocatorSpec("toy-replaceable", marker))
         try:
             assert allocators.is_registered("toy-replaceable")
             replacement = lambda **_: BinPackingAllocator  # noqa: E731
-            allocators.register("toy-replaceable", replacement, replace=True)
+            register_spec(
+                AllocatorSpec("toy-replaceable", replacement), replace=True
+            )
             assert allocators.get("toy-replaceable") is BinPackingAllocator
         finally:
             allocators.unregister("toy-replaceable")
@@ -60,7 +63,6 @@ class TestRegistryContract:
             allocators.unregister("toy-replaceable")
 
     def test_aliases_are_the_same_objects(self):
-        assert allocators.register_allocator is allocators.register
         assert allocators.get_allocator is allocators.get
         assert allocators.registered_allocators is allocators.registered_names
 
@@ -77,7 +79,7 @@ class TestRunnerIntegration:
         assert set(allocators.registered_names()) <= set(APPROACHES)
 
     def test_available_approaches_tracks_live_registry(self):
-        allocators.register("toy", lambda **_: _ToyAllocator)
+        register_spec(AllocatorSpec("toy", lambda **_: _ToyAllocator))
         try:
             assert "toy" in available_approaches()
             assert "toy" not in APPROACHES  # import-time snapshot stays fixed
@@ -86,7 +88,7 @@ class TestRunnerIntegration:
         assert "toy" not in available_approaches()
 
     def test_runner_drives_a_registered_plugin_end_to_end(self):
-        allocators.register("toy", lambda **_: _ToyAllocator)
+        register_spec(AllocatorSpec("toy", lambda **_: _ToyAllocator))
         try:
             scenario = cluster_homogeneous(
                 subscriptions_per_publisher=8, scale=0.1, measurement_time=10.0

@@ -18,17 +18,15 @@ PACKAGE = Path(repro.__file__).parent
 
 
 def test_runconfig_has_no_performance_field():
-    assert {f.name for f in dataclasses.fields(RunConfig)} == {
-        "shard_jobs", "online", "energy",
-    }
+    assert {f.name for f in dataclasses.fields(RunConfig)} == {"online", "energy"}
     assert not hasattr(RunConfig, "resolved")
 
 
 def test_runconfig_validates_and_feeds_builders():
-    with pytest.raises(ValueError, match="shard_jobs"):
-        RunConfig(shard_jobs=-1)
+    with pytest.raises(TypeError, match="shard_jobs"):
+        RunConfig(shard_jobs=1)
     online = OnlineSpec()
-    assert RunConfig(shard_jobs=0, online=online).allocator_knobs() == {
+    assert RunConfig(online=online).allocator_knobs() == {
         "online": online, "energy": None,
     }
 
@@ -39,6 +37,34 @@ def test_allocators_take_no_path_selecting_parameter():
         parameters = inspect.signature(allocator).parameters
         assert not [name for name in parameters
                     if "kernel" in name or "columnar" in name], allocator
+    with pytest.raises(TypeError, match="runner"):
+        ShardedCramAllocator(runner=list)
+
+
+def _pool_constructions(root):
+    return [
+        node for node in ast.walk(root)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("ProcessPoolExecutor")
+    ]
+
+
+def test_one_process_pool_and_no_install_hooks_in_core():
+    sites, hooks = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        if "core" in path.relative_to(PACKAGE).parts:
+            hooks += [f.name for f in functions if f.name.startswith("install_")]
+        inside = [f.name for f in functions for _ in _pool_constructions(f)]
+        # Every construction sits in a def: none runs at import time.
+        assert len(inside) == len(_pool_constructions(tree)), path
+        sites += inside
+    assert sites == ["execute_cells"]
+    assert hooks == []
 
 
 def test_no_environment_reads_and_no_numpy_outside_tools():

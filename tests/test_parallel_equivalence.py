@@ -101,7 +101,9 @@ def custom_binpacking_builder(**_knobs):
 
 @pytest.fixture
 def custom_allocator():
-    allocators.register("custom-binpacking", custom_binpacking_builder)
+    allocators.register_spec(
+        allocators.AllocatorSpec("custom-binpacking", custom_binpacking_builder)
+    )
     try:
         yield "custom-binpacking"
     finally:
@@ -119,7 +121,9 @@ class TestCustomAllocatorInWorkers:
         assert result.allocated_brokers <= result.pool_size
 
     def test_unpicklable_builder_rejected_up_front(self):
-        allocators.register("bad-lambda", lambda **_: BinPackingAllocator)
+        allocators.register_spec(
+            allocators.AllocatorSpec("bad-lambda", lambda **_: BinPackingAllocator)
+        )
         try:
             specs = sweep_specs(tiny_homo(3), ("manual", "binpacking"), seed=1)
             with pytest.raises(ValueError, match="module-level"):

@@ -189,7 +189,7 @@ def test_dotted_register_with_keyword_lambda(tmp_path):
         tmp_path,
         "from __future__ import annotations\n"
         "import repro.core.allocators\n"
-        "repro.core.allocators.register('x', builder=lambda **_: None)\n",
+        "repro.core.allocators.AllocatorSpec('x', builder=lambda **_: None)\n",
     )
     assert any("lambda" in f.message for f in findings)
 
@@ -200,7 +200,7 @@ def test_unresolvable_builder_call_is_flagged(tmp_path):
         "from __future__ import annotations\n"
         "from repro.core import allocators\n"
         "from somewhere import factory\n"
-        "allocators.register('x', factory())\n",
+        "allocators.AllocatorSpec('x', factory())\n",
     )
     assert any("not" in f.message and "resolvable" in f.message
                for f in findings)
@@ -212,7 +212,7 @@ def test_opaque_builder_expression_is_flagged(tmp_path):
         "from __future__ import annotations\n"
         "from repro.core import allocators\n"
         "import somewhere\n"
-        "allocators.register('x', somewhere.builders['x'])\n",
+        "allocators.AllocatorSpec('x', somewhere.builders['x'])\n",
     )
     assert any("not statically resolvable" in f.message for f in findings)
 
@@ -223,7 +223,7 @@ def test_lambda_valued_name_builder_is_flagged(tmp_path):
         "from __future__ import annotations\n"
         "from repro.core import allocators\n"
         "make = lambda **_: None\n"
-        "allocators.register('x', make)\n",
+        "allocators.AllocatorSpec('x', make)\n",
     )
     assert any("lambda-valued name" in f.message for f in findings)
 
