@@ -188,11 +188,7 @@ class BrokerBin:
             assert self._kernel is not None
             packed = packed_unit(unit, self._kernel)
             if packed.pure:
-                bin_bits = self._packed_bits
-                value = packed.rate_memo.get(bin_bits)
-                if value is None:
-                    value = packed.rate_increase(bin_bits)
-                return value
+                return packed.rate_increase(self._packed_bits)
             self._demote()
         increase = 0.0
         for adv_id, vector in unit.profile.items():

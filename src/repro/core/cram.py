@@ -507,25 +507,28 @@ class _CramState:
         if kernel is not None:
             self._order = _StandingOrder.build(units, self.pool, kernel)
         if enable_gif_grouping:
-            self.gifs: List[Gif] = build_gifs(units)
+            gifs = build_gifs(units)
         else:
-            self.gifs = [Gif(unit.profile, [unit]) for unit in units]
+            gifs = [Gif(unit.profile, [unit]) for unit in units]
+        #: ``gif_id`` -> live GIF, in creation order: every scan walks
+        #: ``values()`` (IDs are never reused, so retiring one GIF and
+        #: adding another keeps the order a filtered list would have).
+        self.gifs: Dict[int, Gif] = {gif.gif_id: gif for gif in gifs}
         self.poset = Poset(kernel=kernel)
-        for gif in self.gifs:
+        for gif in gifs:
             self.poset.insert(gif)
         self._by_signature: Dict[Tuple, Gif] = {
-            gif.profile.signature(): gif for gif in self.gifs
+            gif.profile.signature(): gif for gif in gifs
         }
         self._entries: Dict[int, _PartnerEntry] = {}
         self._dirty: Set[int] = set()
         self._blacklist: Set[frozenset] = set()
-        self._gif_by_id: Dict[int, Gif] = {gif.gif_id: gif for gif in self.gifs}
 
     # ------------------------------------------------------------------
     # Partner cache
     # ------------------------------------------------------------------
     def refresh_partners(self) -> None:
-        for gif in self.gifs:
+        for gif in self.gifs.values():
             self._entries[gif.gif_id] = self._compute_entry(gif)
 
     def _compute_entry(self, gif: Gif) -> _PartnerEntry:
@@ -573,7 +576,7 @@ class _CramState:
         gif_id = gif.gif_id
         entries = self._entries
         blacklist = self._blacklist
-        others = [other for other in self.gifs if other.gif_id != gif_id]
+        others = [other for other in self.gifs.values() if other.gif_id != gif_id]
         row = self.metric.closeness_row(gif.profile, [other.profile for other in others])
         for other, value in zip(others, row):
             if value <= 0:
@@ -596,7 +599,7 @@ class _CramState:
         """The pair with the highest non-zero closeness, or ``None``."""
         while self._dirty:
             gif_id = self._dirty.pop()
-            gif = self._gif_by_id.get(gif_id)
+            gif = self.gifs.get(gif_id)
             if gif is None or gif.is_empty():
                 continue
             self._entries[gif_id] = self._compute_entry(gif)
@@ -604,7 +607,7 @@ class _CramState:
         for gif_id, entry in self._entries.items():
             if entry.partner is None or entry.value <= 0:
                 continue
-            gif = self._gif_by_id.get(gif_id)
+            gif = self.gifs.get(gif_id)
             if gif is None or gif.is_empty():
                 continue
             if isinstance(entry.partner, Gif) and entry.partner.is_empty():
@@ -632,10 +635,10 @@ class _CramState:
     # ------------------------------------------------------------------
     def all_units(self) -> List[AllocationUnit]:
         # Empty GIFs contribute nothing, so no ``is_empty`` filter.
-        return [unit for gif in self.gifs for unit in gif.units]
+        return [unit for gif in self.gifs.values() for unit in gif.units]
 
     def unit_count(self) -> int:
-        return sum(gif.unit_count for gif in self.gifs)
+        return sum(gif.unit_count for gif in self.gifs.values())
 
     def allocate_unclustered(self) -> AllocationResult:
         """The base pass: plain BIN PACKING of the initial units."""
@@ -699,10 +702,9 @@ class _CramState:
             self._dirty.add(home.gif_id)
         else:
             home = Gif(merged.profile, [merged])
-            self.gifs.append(home)
+            self.gifs[home.gif_id] = home
             self.poset.insert(home)
             self._by_signature[signature] = home
-            self._gif_by_id[home.gif_id] = home
             self._dirty.add(home.gif_id)
         for gif in sources:
             if gif.is_empty() and gif.gif_id != home.gif_id:
@@ -716,11 +718,10 @@ class _CramState:
         if gif in self.poset:
             self.poset.remove(gif)
         self._entries.pop(gif.gif_id, None)
-        self._gif_by_id.pop(gif.gif_id, None)
+        self.gifs.pop(gif.gif_id, None)
         signature = gif.profile.signature()
         if self._by_signature.get(signature) is gif:
             del self._by_signature[signature]
-        self.gifs = [g for g in self.gifs if g.gif_id != gif.gif_id]
         for gif_id, entry in list(self._entries.items()):
             if isinstance(entry.partner, Gif) and entry.partner.gif_id == gif.gif_id:
                 self._dirty.add(gif_id)

@@ -56,6 +56,16 @@ def pool_columns(specs: Sequence[BrokerSpec]) -> PackedPool:
     )
 
 
+def same_bandwidth(bandwidth: float, other: Optional[float]) -> bool:
+    """Whether two delivery bandwidths are the same float.
+
+    Exact on purpose: a unit 1e-10 lighter changes the float sums of
+    every bin it joins and the outcome of every load test it takes, so
+    a tolerance would break bit-identity.  ``None`` equals no bandwidth.
+    """
+    return bandwidth == other  # reprolint: disable=float-equality
+
+
 def is_twin(run: UnitRun, unit: AllocationUnit, packed: PackedProfile) -> bool:
     """Whether ``unit`` (packed as ``packed``) is interchangeable with ``run``.
 
@@ -64,9 +74,7 @@ def is_twin(run: UnitRun, unit: AllocationUnit, packed: PackedProfile) -> bool:
     """
     bandwidth, subscription_count, run_packed, _ = run
     return (
-        # Exact on purpose: a unit 1e-10 lighter changes the float sums of
-        # every bin it joins, so a tolerance would break bit-identity.
-        unit.delivery_bandwidth == bandwidth  # reprolint: disable=float-equality
+        same_bandwidth(unit.delivery_bandwidth, bandwidth)
         and unit.subscription_count == subscription_count
         and packed.bits == run_packed.bits
         and packed.planes == run_packed.planes
@@ -143,6 +151,18 @@ def first_fit_runs(
     is turned away the scan resumes at the *next* bin, never at bin 0:
     first fit touched no earlier bin since each of them turned the
     run's first member away, so they would turn this one away too.
+
+    The same holds from one run to the next while the bandwidth stays
+    the same float: a run starts at the first bin that did *not* turn
+    the previous run away on load.  The bins before it failed ``used +
+    bandwidth > limit`` for a run of this streak and no run has visited
+    them since, so they would fail the same comparison again (and had
+    they grown, float addition is monotone: the test only gets truer).
+    A bin that refused on the matching-rate ceiling is never skipped —
+    the next profile may add less input rate — and a change of
+    bandwidth, up or down (FBF's shuffled order shares this loop),
+    sends the scan back to bin 0.
+
     Every accepted unit sees the float operations of the one-by-one
     loop in the same order, so the result is bit-identical.
     """
@@ -153,23 +173,31 @@ def first_fit_runs(
     input_rates = [0.0] * count
     union_bits = [0] * count
     contents: List[List[AllocationUnit]] = [[] for _ in range(count)]
-    bin_indices = range(count)
     failed: Optional[AllocationUnit] = None
+    streak: Optional[float] = None  # the previous run's bandwidth
+    start = 0
     for bandwidth, unit_subscriptions, packed, members in runs:
+        if not same_bandwidth(bandwidth, streak):
+            streak = bandwidth
+            start = 0
         rate_memo = packed.rate_memo
         size = len(members)
         placed = 0
-        for index in bin_indices:
+        scan = range(start, count)
+        start = count  # until a bin passes the load test
+        for index in scan:
             limit = bandwidth_limits[index]
             load = used[index] + bandwidth
             if load > limit:
                 continue
+            if start == count:
+                start = index
             total_subs = subscription_counts[index] + unit_subscriptions
             base = delay_bases[index]
             slope = delay_slopes[index]
             delay = base + slope * total_subs
             bin_bits = union_bits[index]
-            increase = rate_memo.get(bin_bits)
+            increase = rate_memo.get(packed.memo_key(bin_bits))
             if increase is None:
                 increase = packed.rate_increase(bin_bits)
             rate = input_rates[index] + increase
@@ -209,7 +237,7 @@ def first_fit_runs(
             input_rates[index],
             union_bits[index],
         )
-        for index in bin_indices
+        for index in range(count)
         if contents[index]
     ]
     return AllocationResult(bins, success=failed is None, failed_unit=failed)

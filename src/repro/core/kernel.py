@@ -137,6 +137,7 @@ class PackedProfile:
         "pure",
         "key",
         "pcard",
+        "shift",
         "rate_memo",
     )
 
@@ -161,10 +162,13 @@ class PackedProfile:
         #: Popcount of the packed planes (``|A∪B| = |A|+|B|-|A∩B|``
         #: turns the pairwise union into integer arithmetic).
         self.pcard = popcount(bits)
-        #: bin bits -> rate delta.  CRAM's probe runs rebuild the same
-        #: bin fill sequences over and over; the delta is a pure
-        #: function of (this pack, bin bits), so caching on the pack
-        #: itself is exact and dies with the pack (no id-reuse hazard).
+        #: Offset of the lowest plane this pack owns (see :meth:`memo_key`).
+        self.shift = min((plane.offset for plane in planes), default=0)
+        #: :meth:`memo_key` of a bin -> rate delta.  CRAM's probe runs
+        #: rebuild the same bin fill sequences over and over; the delta
+        #: is a pure function of (this pack, the bin's bits under this
+        #: pack's own), so caching on the pack itself is exact and dies
+        #: with the pack (no id-reuse hazard).
         self.rate_memo: Dict[int, float] = {}
         if exact:
             # The memo key must pin down every input of a pairwise
@@ -182,6 +186,20 @@ class PackedProfile:
         else:
             self.key = None
 
+    def memo_key(self, bin_bits: int) -> int:
+        """What of a bin's packed union :meth:`rate_increase` depends on.
+
+        The delta is computed from ``bits & ~bin_bits``, which equals
+        ``bits & ~(bin_bits & bits)``: only the bin's bits *under this
+        pack's own* matter (the paper's per-publisher estimate — a unit
+        adds what is not already flowing, publisher by publisher).
+        Bins that differ on planes the unit does not sink from share a
+        key, and shifting the lowest owned plane down to bit 0 keeps the
+        key as narrow as the pack's own plane span instead of as wide
+        as the layout.
+        """
+        return (bin_bits & self.bits) >> self.shift
+
     def rate_increase(self, bin_bits: int) -> float:
         """Input-rate delta vs a bin's packed union (memoized; exact).
 
@@ -190,7 +208,8 @@ class PackedProfile:
         result is bit-identical.  Only meaningful for ``pure`` packs.
         """
         memo = self.rate_memo
-        value = memo.get(bin_bits)
+        key = self.memo_key(bin_bits)
+        value = memo.get(key)
         if value is None:
             added = self.bits & ~bin_bits
             value = 0.0
@@ -201,7 +220,7 @@ class PackedProfile:
                         continue
                     fraction = delta.bit_count() / plane.window
                     value += min(1.0, fraction) * plane.rate
-            memo[bin_bits] = value
+            memo[key] = value
         return value
 
 

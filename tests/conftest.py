@@ -5,11 +5,19 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import pytest
+from hypothesis import settings
 
 from repro.core.bitvector import BitVector
 from repro.core.capacity import BrokerSpec, MatchingDelayFunction
 from repro.core.profiles import PublisherProfile, SubscriptionProfile
 from repro.core.units import AllocationUnit, SubscriptionRecord
+
+# The suite asserts on values and counts, never on a clock: Hypothesis's
+# default 200 ms per-example deadline would be the one assertion that
+# depends on how loaded the box is.  ``print_blob`` makes a failure seen
+# once on such a box reproducible (``@reproduce_failure``).
+settings.register_profile("repro", deadline=None, print_blob=True)
+settings.load_profile("repro")
 
 # ----------------------------------------------------------------------
 # Profile / unit builders used across most core tests

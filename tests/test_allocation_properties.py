@@ -97,7 +97,7 @@ def check_invariants(result, units, pool):
 
 
 @given(spec_list=subscription_specs, bandwidths=broker_specs)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_prop_binpacking_invariants(spec_list, bandwidths):
     units, directory = build_pool(spec_list)
     pool = build_brokers(bandwidths)
@@ -107,7 +107,7 @@ def test_prop_binpacking_invariants(spec_list, bandwidths):
 
 @given(spec_list=subscription_specs, bandwidths=broker_specs,
        seed=st.integers(0, 5))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_prop_fbf_invariants(spec_list, bandwidths, seed):
     units, directory = build_pool(spec_list)
     pool = build_brokers(bandwidths)
@@ -118,7 +118,7 @@ def test_prop_fbf_invariants(spec_list, bandwidths, seed):
 
 
 @given(spec_list=subscription_specs, bandwidths=broker_specs)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_prop_cram_invariants_and_dominance(spec_list, bandwidths):
     units, directory = build_pool(spec_list)
     pool = build_brokers(bandwidths)
@@ -132,7 +132,7 @@ def test_prop_cram_invariants_and_dominance(spec_list, bandwidths):
 
 
 @given(spec_list=subscription_specs, bandwidths=broker_specs)
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_prop_cram_xor_invariants(spec_list, bandwidths):
     units, directory = build_pool(spec_list)
     pool = build_brokers(bandwidths)
@@ -142,7 +142,7 @@ def test_prop_cram_xor_invariants(spec_list, bandwidths):
 
 
 @given(spec_list=subscription_specs)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_prop_merged_unit_conserves_members(spec_list):
     units, directory = build_pool(spec_list)
     merged = AllocationUnit.merged(units, directory)

@@ -387,5 +387,5 @@ class TestStandingOrder:
         result = state.probe_merge(pair)
         assert result is not None and state._order is not None
         assert stranger in [unit for bin_ in result.bins for unit in bin_.units]
-        state.commit_merge(pair, [state.gifs[0]], result)
+        state.commit_merge(pair, [next(iter(state.gifs.values()))], result)
         assert state._order is None

@@ -127,7 +127,7 @@ _SEGMENTS = st.lists(
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(program=_SEGMENTS)
 def test_prop_engine_matches_sorted_list_oracle(program):
     sim = Simulator()

@@ -139,7 +139,7 @@ sample_strategy = st.tuples(
 )
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(sample_strategy, max_size=60), st.integers(2, DEFAULT_WINDOW))
 def test_identical_streams_fit_identically(raw_samples, window):
     streams = []
@@ -158,7 +158,7 @@ def test_identical_streams_fit_identically(raw_samples, window):
     assert repr(streams[0]) == repr(streams[1])
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(sample_strategy, min_size=1, max_size=40))
 def test_predictions_never_negative(raw_samples):
     estimator = BrokerLoadEstimator(window=4, horizon=3.0)

@@ -90,7 +90,12 @@ def assert_matches_oracle(units, pool):
 patterns_strategy = st.lists(
     st.dictionaries(
         st.sampled_from(sorted(DIRECTORY)),
-        st.frozensets(st.integers(0, 63), max_size=6),
+        st.one_of(
+            st.frozensets(st.integers(0, 63), max_size=6),
+            # Dense blocks: two or three of them reach a steep broker's
+            # ceiling, so bins refuse on input rate as well as on load.
+            st.sampled_from((frozenset(range(32)), frozenset(range(24, 64)))),
+        ),
         max_size=3,
     ),
     min_size=1,
@@ -121,7 +126,7 @@ brokers_strategy = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(patterns=patterns_strategy, shapes=shapes_strategy, brokers=brokers_strategy)
 def test_prop_runs_match_the_brokerbin_loop(patterns, shapes, brokers):
     """Any order, any pool — fitting or not: the same bins, bit for bit."""
@@ -129,15 +134,29 @@ def test_prop_runs_match_the_brokerbin_loop(patterns, shapes, brokers):
     assert_matches_oracle(make_units(shapes, patterns), make_brokers(brokers))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120)
 @given(
     patterns=patterns_strategy,
-    picks=st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, 2))), max_size=60),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.sampled_from((1, 2)),
+            # Long streaks of one bandwidth, ended now and then by a
+            # heavier, a lighter or a one-ulp-different unit — FBF's
+            # shuffled order, where the scan's start must fall back to
+            # the first bin on every change and survive none.
+            st.sampled_from((0.3,) * 6 + (0.1 + 0.2, 0.1, 1.0)),
+        ),
+        max_size=60,
+    ),
     brokers=brokers_strategy,
 )
 def test_prop_interleaved_equal_bandwidth_profiles(patterns, picks, brokers):
-    """One bandwidth throughout: only the profile separates the runs."""
-    shapes = [(pattern % len(patterns), 0.3, subs, 1) for pattern, subs in picks]
+    """Streaks of one bandwidth: only the profile separates their runs."""
+    shapes = [
+        (pattern % len(patterns), bandwidth, subs, 1)
+        for pattern, subs, bandwidth in picks
+    ]
     assert_matches_oracle(make_units(shapes, patterns), make_brokers(brokers))
 
 
@@ -206,6 +225,50 @@ class TestRunBoundaries:
         assert snapshot(first_fit(mixed, pool, DIRECTORY, kernel=kernel)) == snapshot(
             first_fit(mixed, pool, DIRECTORY)
         )
+
+
+class TestEqualBandwidthResume:
+    """A run starts where the previous run of its bandwidth first passed
+    the load test — and nowhere later."""
+
+    #: 32 of 64 slots: 5 msg/s from P0, 3.5 msg/s from P1.
+    PATTERNS = [{"P0": range(32)}, {"P1": range(32)}, {"P2": range(32)}]
+
+    @staticmethod
+    def placement(result, units):
+        names = {unit.unit_id: index for index, unit in enumerate(units)}
+        return [[names[unit.unit_id] for unit in bin_.units] for bin_ in result.bins]
+
+    def test_a_rate_refusal_does_not_move_the_start(self):
+        """Bin 0 turns run A away on the ceiling, not on load: run B, of
+        the same bandwidth, adds no input rate there and must get in."""
+        units = make_units([(1, 1.0, 1, 1), (0, 0.3, 1, 1), (1, 0.3, 1, 1)],
+                           self.PATTERNS)
+        # A ceiling of 1 / 0.15 = 6.67 msg/s holds P1 (3.5) or P0 (5),
+        # not both (8.5).
+        result = assert_matches_oracle(units, make_brokers([(3.0, 0.15, 0.0)] * 3))
+        assert self.placement(result, units) == [[0, 2], [1]]
+
+    def test_load_refusals_carry_over_within_a_streak_only(self):
+        """2.5, 2.5, 0.3, 2.5, 0.3 onto brokers of 3.0, each unit a run
+        of its own: every change of bandwidth, down or up, is answered
+        by the bins *before* the previous streak's start."""
+        shapes = [(0, 2.5, 1, 1), (1, 2.5, 1, 1), (0, 0.3, 1, 1),
+                  (2, 2.5, 1, 1), (1, 0.3, 1, 1), (2, 0.3, 1, 1)]
+        units = make_units(shapes, self.PATTERNS)
+        assert len(unit_runs(units, kernel_for(units))) == len(units)
+        result = assert_matches_oracle(units, make_brokers([(3.0, 1e-4, 0.0)] * 4))
+        # The last unit is the one that resumes: bin 0 refused its
+        # predecessor on load (2.8 + 0.3), so it starts at bin 1.
+        assert self.placement(result, units) == [[0, 2], [1, 4], [3, 5]]
+
+    def test_a_resumed_run_fails_on_the_same_unit(self):
+        shapes = [(0, 0.5, 1, 1), (1, 0.5, 1, 1), (0, 0.5, 1, 3), (1, 0.5, 1, 2)]
+        units = make_units(shapes, self.PATTERNS)
+        result = assert_matches_oracle(units, make_brokers([(1.0, 1e-4, 0.0)] * 3))
+        assert not result.success
+        assert result.failed_unit is units[6]
+        assert self.placement(result, units) == [[0, 1], [2, 3], [4, 5]]
 
 
 class CountingMemo(dict):

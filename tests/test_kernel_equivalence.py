@@ -9,16 +9,24 @@ contract on seeded end-to-end scenarios and on targeted fallback cases
 
 from __future__ import annotations
 
-import pytest
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import allocators
+from repro.core.capacity import BrokerBin
 from repro.core.closeness import METRIC_NAMES, make_metric
 from repro.core.cram import CramAllocator
+from repro.core.croc import Croc
 from repro.core.kernel import ClosenessKernel
+from repro.core.profiles import PublisherProfile
 from repro.core.units import units_from_records
 from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_heterogeneous, cluster_homogeneous
 
-from conftest import make_directory, make_profile
+from conftest import make_directory, make_profile, make_spec, make_unit
 from naive_cram import NaiveCramAllocator
 
 # Three seeded scenarios: two homogeneous sizes and one heterogeneous
@@ -159,3 +167,96 @@ class TestFusedCountsFallbacks:
             expected = [naive(anchor, other) for other in others]
             assert fused.closeness_row(anchor, others) == expected
             assert fused.evaluations == naive.evaluations
+
+
+# ----------------------------------------------------------------------
+# Packed rate deltas and their memo key
+# ----------------------------------------------------------------------
+
+#: Unequal rates, and one publisher whose window (21 slots) is shorter
+#: than its vectors, so the ``min(1.0, fraction)`` clamp takes part.
+RATE_DIRECTORY = {
+    adv_id: PublisherProfile(
+        adv_id=adv_id, publication_rate=rate, bandwidth=10.0, last_message_id=last
+    )
+    for adv_id, rate, last in (
+        ("P0", 10.0, 63), ("P1", 7.0, 63), ("P2", 3.5, 20), ("P3", 1.25, 63),
+    )
+}
+
+#: From no publisher at all (a zero-plane pack) to every publisher (the
+#: span of a Phase-3 pseudo-unit).
+rate_pattern = st.dictionaries(
+    st.sampled_from(sorted(RATE_DIRECTORY)),
+    st.frozensets(st.integers(0, 63), max_size=8),
+    max_size=len(RATE_DIRECTORY),
+)
+
+
+def own_span(packed):
+    """Bits from the pack's lowest plane to the end of its highest."""
+    if not packed.planes:
+        return 0
+    return max(plane.offset + plane.capacity for plane in packed.planes) - packed.shift
+
+
+@settings(max_examples=200)
+@given(
+    unit_pattern=rate_pattern,
+    bin_patterns=st.lists(rate_pattern, max_size=5),
+    elsewhere=st.lists(rate_pattern, min_size=1, max_size=3),
+)
+def test_prop_rate_increase_matches_the_brokerbin_walk(
+    unit_pattern, bin_patterns, elsewhere
+):
+    """The memoized packed delta is the kernel-less bin's float, and two
+    bins that differ only on planes the unit does not own share a key."""
+    owned = {adv_id for adv_id, ids in unit_pattern.items() if ids}
+    unit = make_unit(unit_pattern, RATE_DIRECTORY)
+    first_bin = [make_unit(pattern, RATE_DIRECTORY) for pattern in bin_patterns]
+    second_bin = first_bin + [
+        make_unit(
+            {adv_id: ids for adv_id, ids in pattern.items() if adv_id not in owned},
+            RATE_DIRECTORY,
+        )
+        for pattern in elsewhere
+    ]
+    kernel = ClosenessKernel(
+        RATE_DIRECTORY, [member.profile for member in [unit] + second_bin]
+    )
+    packed = kernel.pack(unit.profile)
+    assert packed.pure and {plane.adv_id for plane in packed.planes} == owned
+    for content in (first_bin, second_bin):
+        naive = BrokerBin(make_spec("B00"), RATE_DIRECTORY)
+        union = 0
+        for member in content:
+            naive.add(member)
+            union |= kernel.pack(member.profile).bits
+        assert packed.rate_increase(union) == naive._rate_increase(unit)
+    (key,) = packed.rate_memo
+    assert key.bit_length() <= own_span(packed)
+
+
+def test_rate_memo_keys_stay_plane_local(monkeypatch):
+    """What a CRAM run retains per memo entry is a few machine words,
+    not a copy of a bin's union across every publisher's plane."""
+    packs = {}
+    pack = ClosenessKernel.pack
+
+    def recording_pack(kernel, profile):
+        packed = pack(kernel, profile)
+        packs[id(packed)] = packed  # retired packs too
+        return packed
+
+    monkeypatch.setattr(ClosenessKernel, "pack", recording_pack)
+    gathered = offline_gather(cluster_homogeneous(25, scale=0.6), seed=2011)
+    assert len(gathered.records) == 600
+    report = Croc(allocators.get("cram-ios", failure_budget=150)).plan(gathered)
+    assert report.allocated_brokers > 1
+    entries = [(packed, key) for packed in packs.values() for key in packed.rate_memo]
+    assert len(entries) > len(gathered.records)
+    for packed, key in entries:
+        assert key.bit_length() <= own_span(packed)
+    # Measured 43 kB (1,244 keys); keyed on whole bin unions the same
+    # run kept 12,908 keys of 7.7 MB.
+    assert sum(sys.getsizeof(key) for _, key in entries) < 200_000

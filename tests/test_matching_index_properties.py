@@ -137,6 +137,6 @@ class IndexAgainstOracle(RuleBasedStateMachine):
 
 
 IndexAgainstOracle.TestCase.settings = settings(
-    max_examples=150, stateful_step_count=50, deadline=None
+    max_examples=150, stateful_step_count=50
 )
 TestIndexAgainstOracle = IndexAgainstOracle.TestCase

@@ -242,7 +242,7 @@ profile_sets = st.lists(
 
 
 @given(bit_sets=profile_sets)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_prop_insertion_keeps_invariants(bit_sets):
     directory = make_directory(["A"], last_message_id=12)
     poset = Poset()
@@ -278,7 +278,7 @@ def gif_of(bits, directory, capacity=64):  # redefined for hypothesis scope
 
 
 @given(bit_sets=profile_sets)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_prop_pruned_intersect_search_matches_exhaustive(bit_sets):
     """For INTERSECT the decrease-prune is exact: |∩| is non-increasing
     down the poset, so a pruned subtree can never hold a better pair."""
@@ -298,7 +298,7 @@ def test_prop_pruned_intersect_search_matches_exhaustive(bit_sets):
 
 
 @given(bit_sets=profile_sets)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_prop_pruned_ios_search_is_sound_heuristic(bit_sets):
     """For IOS/IOU the decrease-prune is the paper's heuristic: it may
     return a lower-closeness pair on adversarial posets, but it never

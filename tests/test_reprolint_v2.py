@@ -147,7 +147,7 @@ def test_graph_report_mentions_every_package_edge():
     assert "experiments  → core" in report
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.randoms(use_true_random=False))
 def test_import_graph_is_visit_order_independent(rng):
     files = sorted(
