@@ -22,19 +22,10 @@ else
     echo "pytest-cov not installed; coverage floor skipped (pip install -e .[test])"
 fi
 
-echo "== reprolint v2 (rules + layering/taint/contract passes) =="
+echo "== reprolint (rules + layering/taint/contract passes) =="
 # Exit 1 = findings, exit 2 = parse failures; both are hard errors
-# under `set -e`.  The committed baseline carries the audited
-# suppressions (layering entries are impossible by construction).  The
-# SARIF pass runs first so the code-scanning artifact exists even when
-# the gating text run below fails the build.
-python -m repro.tools lint src \
-    --usage tests --usage benchmarks \
-    --baseline reprolint-baseline.json \
-    --format sarif --output reprolint.sarif || true
-python -m repro.tools lint src \
-    --usage tests --usage benchmarks \
-    --baseline reprolint-baseline.json
+# under `set -e`.
+python -m repro.tools lint src --usage tests --usage benchmarks
 
 echo "== ruff =="
 if command -v ruff >/dev/null 2>&1; then

@@ -1,7 +1,9 @@
 """Repo-specific correctness tooling.
 
 :mod:`repro.tools.lint` (``python -m repro.tools lint``) is *reprolint*,
-an AST-based static analyzer with two planes:
+an AST-based static analyzer with two planes run as one pipeline —
+parse the project, run the per-file rules, run the whole-program
+passes, print the findings as text, exit 0/1/2:
 
 **Per-file rules** enforce the invariants the reproduction's headline
 numbers depend on:
@@ -24,24 +26,22 @@ the project import graph at once:
   wall-clock reads, and unmanaged randomness are tracked through
   assignments and cross-module calls until they reach allocation
   decisions or exported output;
-* **contracts** — every registered allocator honours the
-  ``allocate(units, pool, directory)`` signature, builders stay
-  picklable, and ``__all__`` lists stay honest.
+* **contracts** — registered allocator builders stay picklable and
+  use the known capability vocabulary, and ``__all__`` lists stay
+  honest.
 
 See the "Static analysis & invariants" section of the README for the
-rule list, pass descriptions, baseline format, and suppression syntax.
+rule list, pass descriptions, and suppression syntax.
 """
 
 from __future__ import annotations
 
-from repro.tools.baseline import BaselineEntry, apply_baseline, load_baseline
 from repro.tools.engine import (
     Finding,
     LintError,
     Module,
     Rule,
     all_rules,
-    lint_paths,
     lint_source,
     rule,
 )
@@ -58,7 +58,6 @@ from repro.tools.project import (
 )
 
 __all__ = [
-    "BaselineEntry",
     "Finding",
     "ImportEdge",
     "LintError",
@@ -71,10 +70,7 @@ __all__ = [
     "Rule",
     "all_passes",
     "all_rules",
-    "apply_baseline",
-    "lint_paths",
     "lint_source",
-    "load_baseline",
     "project_pass",
     "rule",
     "run_lint",

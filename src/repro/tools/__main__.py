@@ -1,9 +1,7 @@
-"""``python -m repro.tools`` — subcommand dispatch for the dev tooling.
+"""``python -m repro.tools`` — the dev-tooling entry point.
 
-``lint`` is the only subcommand today; the package entry point exists
-so future tools (``graph``, ``fix`` as first-class verbs) slot in
-without another module path to remember.  ``python -m
-repro.tools.lint`` keeps working unchanged.
+``lint`` is the only subcommand, and ``python -m repro.tools lint`` the
+only way to run it.
 """
 
 from __future__ import annotations

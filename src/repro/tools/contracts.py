@@ -1,6 +1,6 @@
 """The ``api-contract`` pass: the pluggable-allocator surface, enforced.
 
-Several families of checks, all whole-program:
+Four families of checks, all whole-program:
 
 * **Registered allocators** — every ``AllocatorSpec(...)`` record
   (the only way into :func:`repro.core.allocators.register_spec`) is
@@ -11,9 +11,9 @@ Several families of checks, all whole-program:
   pickling builders by reference.  This supersedes the per-file
   unpicklable-worker heuristic for builders: resolution follows
   ``from x import y`` chains instead of guessing from local syntax.
-  Every allocator class reachable from a builder must keep the
-  interchangeable-scheme signature
-  ``allocate(self, units, pool, directory)``.
+  (The ``allocate(self, units, pool, directory)`` signature itself is
+  owned by the per-file ``allocator-signature`` rule, which sees every
+  class in ``core/``, not only those a builder reaches.)
 
 * **Capability vocabulary** — any *literal* capability collection on a
   spec may only use the known capability vocabulary.  A typo'd
@@ -32,15 +32,6 @@ Several families of checks, all whole-program:
   ``__all__`` is the public API for downstream users, not for this
   repo.  The reference scan is name-based (any load/attribute/import
   of the name anywhere counts), so it errs toward keeping exports.
-
-* **Energy float comparisons** — a function whose name marks it as
-  part of the energy model (``energy`` / ``watts``) and whose return
-  annotation is ``float`` must not compare with raw operators
-  (``<`` ``<=`` ``>`` ``>=`` ``==`` ``!=``): joule and watt totals are
-  sums of float products, so ordering/equality decisions must go
-  through the :mod:`repro.core.floats` helpers (``approx_le``,
-  ``approx_ge``, ``approx_eq``, ``approx_zero``) or the Pareto ranking
-  silently flips on accumulation noise.
 """
 
 from __future__ import annotations
@@ -53,9 +44,6 @@ from repro.tools.project import ModuleInfo, Project, project_pass
 
 #: The registry module, home of the spec class.
 REGISTRY_MODULE = "repro.core.allocators"
-
-#: The interchangeable-scheme entry-point signature.
-ALLOCATE_PARAMS = ("self", "units", "pool", "directory")
 
 #: The registry's record class, checked wherever it is constructed.
 _SPEC_CLASS_NAME = "AllocatorSpec"
@@ -166,51 +154,6 @@ def _referenced_names(info: ModuleInfo) -> Set[str]:
 # ----------------------------------------------------------------------
 
 
-def _classes_reached(
-    project: Project, module_name: str, root: ast.AST
-) -> Iterator[Tuple[str, ast.ClassDef]]:
-    """Class definitions referenced (by name) inside ``root``."""
-    seen: Set[Tuple[str, str]] = set()
-    for node in ast.walk(root):
-        if not isinstance(node, ast.Name):
-            continue
-        resolved = project.resolve_name(module_name, node.id)
-        if resolved is None or not isinstance(resolved[1], ast.ClassDef):
-            continue
-        key = (resolved[0], resolved[1].name)
-        if key not in seen:
-            seen.add(key)
-            yield resolved[0], resolved[1]
-
-
-def _allocate_signature_findings(
-    project: Project, module_name: str, cls: ast.ClassDef
-) -> Iterator[Finding]:
-    for item in cls.body:
-        if (
-            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and item.name == "allocate"
-        ):
-            args = item.args
-            names = tuple(arg.arg for arg in args.posonlyargs + args.args)
-            irregular = (
-                names != ALLOCATE_PARAMS
-                or args.vararg is not None
-                or args.kwarg is not None
-                or bool(args.kwonlyargs)
-            )
-            if irregular:
-                yield Finding(
-                    project.modules[module_name].path,
-                    item.lineno,
-                    item.col_offset,
-                    "api-contract",
-                    f"registered allocator {cls.name}.allocate has signature "
-                    f"{names}; the registry contract is "
-                    "allocate(self, units, pool, directory)",
-                )
-
-
 def _builder_findings(
     project: Project, info: ModuleInfo, call: ast.Call, builder: ast.AST
 ) -> Iterator[Finding]:
@@ -225,7 +168,6 @@ def _builder_findings(
             "registrations by pickling builders by reference — register a "
             "module-level function or class instance"
         )
-        body_module, body = info.name, builder
     elif isinstance(builder, ast.Name):
         resolved = project.resolve_name(info.name, builder.id)
         if resolved is None:
@@ -234,9 +176,7 @@ def _builder_findings(
                 "module-level definition in the analyzed tree; builders "
                 "must be statically resolvable for pickling by reference"
             )
-            return
-        body_module, body = resolved
-        if isinstance(body, ast.Lambda):
+        elif isinstance(resolved[1], ast.Lambda):
             yield finding(
                 f"allocator builder {builder.id!r} is a lambda-valued name; "
                 "pickling by reference needs a module-level def or class"
@@ -248,9 +188,7 @@ def _builder_findings(
                 f"allocator builder {ast.dump(builder.func)} is not "
                 "statically resolvable"
             )
-            return
-        body_module, body = resolved
-        if isinstance(body, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        elif isinstance(resolved[1], (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield finding(
                 f"allocator builder {builder.func.id}(...) is produced by a "
                 "function call — the closure it returns cannot be pickled "
@@ -262,10 +200,6 @@ def _builder_findings(
             "allocator builder expression is not statically resolvable "
             "(expected a module-level name, class instance, or def)"
         )
-        return
-
-    for class_module, cls in _classes_reached(project, body_module, body):
-        yield from _allocate_signature_findings(project, class_module, cls)
 
 
 # ----------------------------------------------------------------------
@@ -366,60 +300,6 @@ def _capability_findings(
 
 
 # ----------------------------------------------------------------------
-# Energy float comparisons
-# ----------------------------------------------------------------------
-
-#: Name fragments that mark a function as part of the energy model.
-_ENERGY_HINTS = ("energy", "watts")
-
-#: The raw comparison operators the energy model may not use directly.
-_RAW_COMPARE_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-
-
-def _is_energy_float_function(
-    func: "ast.FunctionDef | ast.AsyncFunctionDef",
-) -> bool:
-    lowered = func.name.lower()
-    if not any(hint in lowered for hint in _ENERGY_HINTS):
-        return False
-    returns = func.returns
-    if isinstance(returns, ast.Name):
-        return returns.id == "float"
-    if isinstance(returns, ast.Constant):  # string annotation
-        return returns.value == "float"
-    return False
-
-
-def _energy_comparison_findings(info: ModuleInfo) -> Iterator[Finding]:
-    seen_sites: Set[Tuple[int, int]] = set()
-    for node in ast.walk(info.module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not _is_energy_float_function(node):
-            continue
-        for inner in ast.walk(node):
-            if not isinstance(inner, ast.Compare):
-                continue
-            if not any(isinstance(op, _RAW_COMPARE_OPS) for op in inner.ops):
-                continue
-            site = (inner.lineno, inner.col_offset)
-            if site in seen_sites:  # nested matching defs walk twice
-                continue
-            seen_sites.add(site)
-            yield Finding(
-                info.path,
-                inner.lineno,
-                inner.col_offset,
-                "api-contract",
-                f"energy-model function {node.name!r} (returns float) "
-                "uses a raw comparison operator; joule/watt totals are "
-                "float accumulations — route the comparison through "
-                "repro.core.floats (approx_le / approx_ge / approx_eq "
-                "/ approx_zero)",
-            )
-
-
-# ----------------------------------------------------------------------
 # The pass
 # ----------------------------------------------------------------------
 
@@ -427,35 +307,21 @@ def _energy_comparison_findings(info: ModuleInfo) -> Iterator[Finding]:
 @project_pass(
     "api-contract",
     "registered allocator builders must be picklable module-level "
-    "callables keeping allocate(self, units, pool, directory); __all__ "
-    "must be consistent and free of dead exports; energy-model float "
-    "functions must compare via repro.core.floats",
+    "callables using the known capability vocabulary; __all__ must be "
+    "consistent and free of dead exports",
 )
 def check_api_contract(project: Project) -> List[Finding]:
     findings: List[Finding] = []
 
-    # A class reached from several specs would repeat its signature
-    # finding; dedupe on the full finding identity.
-    seen: Set[Tuple[str, int, int, str]] = set()
-
-    def emit(found: Finding) -> None:
-        key = (found.path, found.line, found.col, found.message)
-        if key not in seen:
-            seen.add(key)
-            findings.append(found)
-
     for info, call in _iter_spec_calls(project):
         builder = _call_argument(call, 1, "builder")
         if builder is not None:
-            for found in _builder_findings(project, info, call, builder):
-                emit(found)
-        for found in _capability_findings(
-            info, call, _call_argument(call, 2, "capabilities")
-        ):
-            emit(found)
-
-    for name in sorted(project.modules):
-        findings.extend(_energy_comparison_findings(project.modules[name]))
+            findings.extend(_builder_findings(project, info, call, builder))
+        findings.extend(
+            _capability_findings(
+                info, call, _call_argument(call, 2, "capabilities")
+            )
+        )
 
     # Name-reference index for the dead-export scan: everything any
     # *other* module (or the usage index) references.

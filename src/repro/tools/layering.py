@@ -18,14 +18,13 @@ exact trick that used to hide ``obs → experiments``.  Import-time
 *cycles*, by contrast, are only possible through eager imports, so the
 cycle check runs on the eager subgraph.
 
-There is deliberately no baseline escape hatch for this pass (see
-:mod:`repro.tools.baseline`): a layering violation is fixed by moving
-code down the stack, not grandfathered.
+A layering violation is fixed by moving code down the stack, not
+grandfathered.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.tools.engine import Finding
 from repro.tools.project import Project, project_pass
@@ -131,36 +130,3 @@ def check_layering(project: Project) -> List[Finding]:
 def _fmt(packages: Set[str]) -> str:
     return ", ".join(sorted(packages))
 
-
-def graph_report(project: Project) -> str:
-    """The ``--graph`` listing: layers, edges, and any cycles."""
-    lines = ["package layering (bottom → top): " + " → ".join(LAYERS)]
-    lines.append("leaves (import nothing): " + ", ".join(LEAVES))
-    lines.append("")
-    counts: Dict[Tuple[str, str], int] = {}
-    for (source_pkg, target_pkg), edges in project.package_edges().items():
-        if target_pkg == "<external>":
-            continue
-        counts[(source_pkg, target_pkg)] = len(edges)
-    lines.append("package edges (modules importing across packages):")
-    for (source_pkg, target_pkg) in sorted(counts):
-        marker = (
-            "ok   "
-            if target_pkg in allowed_imports(source_pkg)
-            else "VIOLATION "
-        )
-        lines.append(
-            f"  {marker}{source_pkg:12s} → {target_pkg:12s} "
-            f"({counts[(source_pkg, target_pkg)]} import(s))"
-        )
-    if not counts:
-        lines.append("  (none)")
-    cycles = project.import_cycles()
-    lines.append("")
-    if cycles:
-        lines.append("import-time cycles:")
-        for cycle in cycles:
-            lines.append("  " + " → ".join(cycle + [cycle[0]]))
-    else:
-        lines.append("import-time cycles: none")
-    return "\n".join(lines)

@@ -1,14 +1,13 @@
-"""``python -m repro.tools lint`` — the *reprolint* v2 command line.
+"""``python -m repro.tools lint`` — the *reprolint* command line.
 
 Usage::
 
     python -m repro.tools lint [PATH ...]
-        [--format text|json|sarif] [--output FILE]
         [--select RULE[,RULE...]] [--passes PASS[,PASS...]|none]
-        [--usage PATH ...] [--baseline FILE|none] [--cache FILE]
-        [--graph] [--fix] [--list-rules] [--list-passes]
+        [--usage PATH ...] [--list-rules] [--list-passes]
 
-(``python -m repro.tools.lint`` remains an equivalent entry point.)
+One pipeline: parse the project, run the per-file rules, run the
+whole-program passes, print the findings as text.
 
 Exit codes: 0 — clean; 1 — findings reported; 2 — usage error, I/O
 error, or one or more files failed to parse.  Parse failures never
@@ -24,20 +23,15 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.tools import autofix as autofix_mod
-from repro.tools import baseline as baseline_mod
-from repro.tools.cache import LintCache, project_signature, rules_signature
 from repro.tools.engine import (
     Finding,
     LintError,
     all_rules,
-    iter_python_files,
     resolve_rules,
     run_rules,
 )
-from repro.tools.output import render_json, render_sarif, render_text
 from repro.tools.project import (
     ParseFailure,
     Project,
@@ -50,17 +44,12 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
-#: Conventional baseline filename (applied only when --baseline names it:
-#: a baseline silently inherited from the cwd would change results of
-#: unrelated scoped runs).
-DEFAULT_BASELINE = "reprolint-baseline.json"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools lint",
         description=(
-            "reprolint v2 — per-file invariants plus whole-program layering, "
+            "reprolint — per-file invariants plus whole-program layering, "
             "determinism-taint, and API-contract analysis"
         ),
     )
@@ -68,17 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         help="files or directories to lint (default: src, else the cwd)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
     )
     parser.add_argument(
         "--select",
@@ -98,32 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "extra trees (tests, benchmarks) indexed for the dead-export "
             "scan but not linted; may repeat"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            f"audited-findings baseline (the repo commits {DEFAULT_BASELINE}; "
-            "no baseline is applied unless this flag is given)"
-        ),
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="content-hash result cache file (off unless given)",
-    )
-    parser.add_argument(
-        "--graph",
-        action="store_true",
-        help="print the package import graph and layering verdicts, then exit",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help=(
-            "rewrite files to fix the mechanically safe rules "
-            "(missing future annotations, unused imports) before linting"
         ),
     )
     parser.add_argument(
@@ -150,11 +102,8 @@ class LintRun:
     findings: List[Finding] = field(default_factory=list)
     parse_failures: List[ParseFailure] = field(default_factory=list)
     checked: int = 0
-    suppressed: int = 0
     rule_names: List[str] = field(default_factory=list)
     pass_names: List[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -164,6 +113,19 @@ class LintRun:
             return EXIT_FINDINGS
         return EXIT_CLEAN
 
+    def render_text(self) -> str:
+        """One line per parse failure and finding, then the summary line."""
+        lines = [f"{failure} [parse-error]" for failure in self.parse_failures]
+        lines += [str(finding) for finding in self.findings]
+        if self.findings or self.parse_failures:
+            status = f"{len(self.findings)} finding(s)"
+            if self.parse_failures:
+                status += f", {len(self.parse_failures)} parse failure(s)"
+        else:
+            status = "clean"
+        lines.append(f"reprolint: {self.checked} file(s) checked, {status}")
+        return "\n".join(lines)
+
 
 def run_lint(
     paths: Sequence[str],
@@ -171,83 +133,28 @@ def run_lint(
     select: Optional[Sequence[str]] = None,
     passes: Optional[Sequence[str]] = None,
     usage_paths: Sequence[str] = (),
-    baseline_path: Optional[Path] = None,
-    cache_path: Optional[Path] = None,
 ) -> LintRun:
-    """The full pipeline: rules + passes + baseline + cache."""
+    """The full pipeline: parse, per-file rules, whole-program passes."""
     selected_rules = resolve_rules(select)
     selected_passes = resolve_passes(passes)
 
     project, parse_failures = Project.load(paths, usage_paths)
-    run = LintRun(
+    findings: List[Finding] = []
+    for name in sorted(project.modules):
+        findings.extend(run_rules(project.modules[name].module, selected_rules))
+    findings.extend(run_passes(project, selected_passes))
+
+    return LintRun(
+        findings=sorted(findings, key=lambda finding: finding.sort_key),
         parse_failures=parse_failures,
         checked=len(project.modules),
         rule_names=[rule_.name for rule_ in selected_rules],
         pass_names=[pass_.name for pass_ in selected_passes],
     )
 
-    cache = LintCache(cache_path) if cache_path is not None else None
-    rules_sig = rules_signature(run.rule_names)
-
-    findings: List[Finding] = []
-    for name in sorted(project.modules):
-        info = project.modules[name]
-        cached = (
-            cache.get_file(info.path, info.sha256, rules_sig)
-            if cache is not None
-            else None
-        )
-        if cached is None:
-            file_findings = run_rules(info.module, selected_rules)
-            if cache is not None:
-                cache.put_file(info.path, info.sha256, rules_sig, file_findings)
-        else:
-            file_findings = cached
-        findings.extend(file_findings)
-
-    if selected_passes:
-        hashes = [
-            (info.path, info.sha256)
-            for info in list(project.modules.values())
-            + list(project.usage_modules.values())
-        ]
-        project_sig = project_signature(hashes, run.pass_names)
-        cached_pass = (
-            cache.get_project(project_sig) if cache is not None else None
-        )
-        if cached_pass is None:
-            pass_findings = run_passes(project, selected_passes)
-            if cache is not None:
-                cache.put_project(project_sig, pass_findings)
-        else:
-            pass_findings = cached_pass
-        findings.extend(pass_findings)
-
-    if baseline_path is not None:
-        entries = baseline_mod.load_baseline(baseline_path)
-        findings, run.suppressed = baseline_mod.apply_baseline(
-            findings, entries, str(baseline_path)
-        )
-
-    if cache is not None:
-        cache.save()
-        run.cache_hits = cache.hits
-        run.cache_misses = cache.misses
-
-    run.findings = sorted(findings, key=lambda finding: finding.sort_key)
-    return run
-
-
-def _rule_metadata() -> Dict[str, str]:
-    metadata = {rule_.name: rule_.summary for rule_ in all_rules()}
-    metadata.update({pass_.name: pass_.summary for pass_ in all_passes()})
-    metadata["stale-baseline"] = "baseline entries must match a live finding"
-    return metadata
-
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    options = parser.parse_args(argv)
+    options = build_parser().parse_args(argv)
 
     if options.list_rules:
         for rule_ in all_rules():
@@ -258,84 +165,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{pass_.name:22s} {pass_.summary}")
         return EXIT_CLEAN
 
-    paths = options.paths or _default_paths()
+    pass_names: Optional[Sequence[str]]
+    if options.passes is None:
+        pass_names = None
+    elif options.passes == "none":
+        pass_names = []
+    else:
+        pass_names = options.passes.split(",")
 
     try:
-        if options.graph:
-            from repro.tools.layering import graph_report
-
-            project, parse_failures = Project.load(paths, options.usage)
-            print(graph_report(project))
-            for failure in parse_failures:
-                print(f"parse failure: {failure}", file=sys.stderr)
-            return EXIT_ERROR if parse_failures else EXIT_CLEAN
-
-        if options.fix:
-            files = list(iter_python_files(paths))
-            results = autofix_mod.fix_paths(files)
-            fixed = [result for result in results if result.changed]
-            for result in fixed:
-                details = []
-                if result.added_future:
-                    details.append("added future annotations")
-                if result.removed_imports:
-                    details.append(
-                        f"removed {result.removed_imports} unused import(s)"
-                    )
-                print(f"fixed {result.path}: {', '.join(details)}")
-            if fixed:
-                print(f"reprolint --fix: rewrote {len(fixed)} file(s)")
-
-        baseline_path: Optional[Path]
-        if options.baseline and options.baseline != "none":
-            baseline_path = Path(options.baseline)
-        else:
-            baseline_path = None
-
-        pass_names: Optional[Sequence[str]]
-        if options.passes is None:
-            pass_names = None
-        elif options.passes == "none":
-            pass_names = []
-        else:
-            pass_names = options.passes.split(",")
-
         run = run_lint(
-            paths,
+            options.paths or _default_paths(),
             select=options.select.split(",") if options.select else None,
             passes=pass_names,
             usage_paths=options.usage,
-            baseline_path=baseline_path,
-            cache_path=Path(options.cache) if options.cache else None,
         )
     except LintError as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if options.format == "json":
-        report = render_json(
-            run.findings,
-            run.parse_failures,
-            run.checked,
-            run.rule_names,
-            run.pass_names,
-            run.suppressed,
-        )
-    elif options.format == "sarif":
-        report = render_sarif(run.findings, run.parse_failures, _rule_metadata())
-    else:
-        report = render_text(
-            run.findings, run.parse_failures, run.checked, run.suppressed
-        )
-
-    if options.output:
-        Path(options.output).write_text(report + "\n", encoding="utf-8")
-        if options.format == "text":
-            print(report.splitlines()[-1])
-    else:
-        print(report)
+    print(run.render_text())
     return run.exit_code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,8 +6,7 @@ dotted module name from its path (``src/repro/core/croc.py`` →
 the facts the per-file rule engine cannot see.  Project *passes*
 (:data:`ProjectPass`) consume the model and report
 :class:`~repro.tools.engine.Finding` objects through the same pipeline
-as the per-file rules, so suppression comments, baselines, and output
-formats apply uniformly.
+as the per-file rules, so suppression comments apply uniformly.
 
 The model is deterministic by construction: modules are keyed and
 iterated in sorted dotted-name order and edges are sorted, so the
@@ -19,7 +18,6 @@ in the test suite).
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -80,7 +78,6 @@ class ModuleInfo:
     name: str
     path: str
     module: Module
-    sha256: str
     imports: List[ImportEdge] = field(default_factory=list)
 
     @property
@@ -217,7 +214,6 @@ class Project:
                         name=module_name_for(file_path),
                         path=str(file_path),
                         module=module,
-                        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
                     )
                 )
             return infos

@@ -505,26 +505,15 @@ _MONOTONIC_TIMER_CALLS = {
     "time.process_time_ns",
 }
 
-#: Modules audited to keep monotonic readings out of deterministic
-#: outputs: the obs recorder segregates them behind ``include_wall``,
-#: and croc.py / runner.py only feed the excluded-by-contract
-#: ``computation_s`` measurement.
-_WALL_TIME_ALLOWLIST = (
-    ("core", "croc.py"),
-    ("experiments", "runner.py"),
-)
-
 
 @rule(
     "wall-clock-output",
     "time.perf_counter()/monotonic() only in the audited wall-time "
-    "allowlist (obs/, core/croc.py, experiments/runner.py) — elsewhere "
+    "allowlist (repro.tools.engine.WALL_TIME_ALLOWLIST) — elsewhere "
     "the reading leaks into deterministic outputs",
 )
 def check_wall_clock_output(module: Module) -> Iterator[Finding]:
-    if module.in_package("obs"):
-        return
-    if any(module.is_module(*relative) for relative in _WALL_TIME_ALLOWLIST):
+    if module.wall_time_exempt:
         return
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
@@ -542,7 +531,7 @@ def check_wall_clock_output(module: Module) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 11 — no unused imports (autofixable)
+# Rule 11 — no unused imports
 # ----------------------------------------------------------------------
 
 
@@ -608,9 +597,7 @@ def unused_import_aliases(
 ) -> List[Tuple[ast.stmt, ast.alias]]:
     """(import statement, alias) pairs bound but never used.
 
-    Shared by the ``unused-import`` rule and the ``--fix`` rewriter so
-    the two can never disagree about what is removable.  Skips
-    ``__future__`` imports, star imports, explicit re-exports
+    Skips ``__future__`` imports, star imports, explicit re-exports
     (``import x as x`` / ``from m import n as n``), and ``__init__.py``
     files without an ``__all__`` (their imports *are* the API).
     """
@@ -652,7 +639,7 @@ def unused_import_aliases(
 @rule(
     "unused-import",
     "imported names must be used, exported via __all__, or re-exported "
-    "with the `as` convention (autofixable with --fix)",
+    "with the `as` convention",
 )
 def check_unused_import(module: Module) -> Iterator[Finding]:
     for node, alias in unused_import_aliases(module):

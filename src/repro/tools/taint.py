@@ -25,10 +25,12 @@ A finding fires when a tainted value reaches a *sink*: an output or
 export call (``print``, ``repr``, ``json.dump[s]``, ``.write*``,
 ``write_*(...)``), the return value of an ``allocate()`` method (an
 allocation decision), or the return value of a metrics-row builder
-(``as_row``/``*_row``/``rows``).  The audited allowlist below excuses
-specific (module, kind) pairs the repo has proven safe by other means,
-mirroring the per-file ``wall-clock-output`` rule; everything else is
-a defect or a justified baseline entry.
+(``as_row``/``*_row``/``rows``).  The audited wall-time allowlist
+(:data:`repro.tools.engine.WALL_TIME_ALLOWLIST`, the same table the
+per-file ``wall-clock-output`` rule reads) excuses ``wall-clock`` taint
+in the modules the repo has proven safe by other means; everything
+else is a defect or a ``# reprolint: disable=`` comment with its
+reason.
 
 Known approximations (all conservative in the safe direction for this
 codebase, and documented in DESIGN.md): attribute stores are not
@@ -115,31 +117,9 @@ def _is_row_builder(name: str) -> bool:
     return name in {"as_row", "to_row", "rows"} or name.endswith("_row")
 
 
-#: Audited allowlist: (package, filename or "*") → kinds excused there.
-#: Every entry must cite the mechanism that makes the taint harmless.
-ALLOWLIST: Dict[Tuple[str, str], FrozenSet[str]] = {
-    # The obs recorder segregates wall readings behind include_wall;
-    # bit-identity attached vs. detached is pinned by
-    # tests/test_obs_equivalence.py.
-    ("obs", "*"): frozenset({KIND_WALL_CLOCK}),
-    # croc.py and runner.py feed only the excluded-by-contract
-    # computation_s measurement (see the wall-clock-output rule).
-    ("core", "croc.py"): frozenset({KIND_WALL_CLOCK}),
-    ("experiments", "runner.py"): frozenset({KIND_WALL_CLOCK}),
-}
-
-
 def _excused(info: ModuleInfo, kind: str) -> bool:
-    parts = info.module.package_parts
-    if not parts:
-        return False
-    package = parts[0]
-    filename = parts[-1]
-    for (pkg, name), kinds in ALLOWLIST.items():
-        if pkg == package and (name == "*" or name == filename):
-            if kind in kinds:
-                return True
-    return False
+    """Only ``wall-clock`` taint is ever excused, and only by the allowlist."""
+    return kind == KIND_WALL_CLOCK and info.module.wall_time_exempt
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +235,7 @@ class _Analyzer:
                 f"value tainted by {detail} reaches {sink}; sort/sanitize "
                 "before it lands in a deterministic output "
                 "(sorted() clears set-order; env/clock/randomness need a "
-                "seam or a justified baseline entry)",
+                "seam or a disable= comment with its reason)",
             )
         )
 
