@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# One-shot correctness gate: tier-1 tests + reprolint + ruff + mypy.
+# One-shot correctness gate: tier-1 tests + hash-seed independence of
+# the answers + reprolint + ruff + mypy.
 #
 # ruff and mypy are optional dependencies (pyproject [project.optional-
 # dependencies].lint); when they are not installed — e.g. in the minimal
@@ -21,6 +22,11 @@ else
     python -m pytest -x -q
     echo "pytest-cov not installed; coverage floor skipped (pip install -e .[test])"
 fi
+
+echo "== answers under PYTHONHASHSEED 0 / 7 / 2011 =="
+# The four bench_e2e workloads at smoke size, a fresh interpreter per
+# hash seed; rows and answers must be identical (about 2 s).
+python scripts/hashseed_rows.py
 
 echo "== reprolint (rules + layering/taint/contract passes) =="
 # Exit 1 = findings, exit 2 = parse failures; both are hard errors

@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Answers must not depend on the string-hash seed.
+
+    scripts/hashseed_rows.py            # exit 0: identical, 1: they differ
+
+Builds the four workloads of ``bench_e2e/workloads.py`` (imported, not
+edited) at ``smoke`` size, once per ``PYTHONHASHSEED`` in
+:data:`HASH_SEEDS`, each in a fresh interpreter, and compares every
+workload's ``Outcome.row`` and ``Outcome.answers`` across them as JSON
+text.  ``bench_e2e/run.py`` pins ``PYTHONHASHSEED=0`` for its children,
+so an iteration over a ``set`` of strings that reached an answer — or
+an ordering argument that quietly leaned on hashing, like a stable sort
+whose ties are meant to keep append order — would pass there on every
+run and differ on a user's machine.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict
+
+ROOT = Path(__file__).resolve().parent.parent
+HASH_SEEDS = ("0", "7", "2011")
+WORKLOAD_SEED = 2011
+
+
+def outcomes() -> Dict[str, Dict[str, str]]:
+    """Run every smoke workload in this interpreter."""
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+    from bench_e2e import workloads
+
+    result = {}
+    for name in workloads.SIZES["smoke"]:
+        workload = workloads.build(name, "smoke")
+        workload.prepare(WORKLOAD_SEED)
+        workload.run()
+        outcome = workload.outcome()
+        failed = [check for check, passed in outcome.checks if not passed]
+        if failed:
+            raise SystemExit(f"{name}: checks failed: {failed}")
+        result[name] = {"row": json.dumps(outcome.row),
+                        "answers": json.dumps(outcome.answers)}
+    return result
+
+
+def outcomes_under(hash_seed: str) -> Dict[str, Dict[str, str]]:
+    """:func:`outcomes` from a fresh interpreter with that hash seed."""
+    done = subprocess.run([sys.executable, __file__, "--child"], cwd=ROOT,
+                          env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+                          check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    if sys.argv[1:] == ["--child"]:
+        print(json.dumps(outcomes()))
+        return 0
+    reference = outcomes_under(HASH_SEEDS[0])
+    differing = 0
+    for hash_seed in HASH_SEEDS[1:]:
+        seen = outcomes_under(hash_seed)
+        for name, expected in reference.items():
+            for part in ("row", "answers"):
+                if seen[name][part] != expected[part]:
+                    differing += 1
+                    print(f"{name}: {part} differs under PYTHONHASHSEED="
+                          f"{hash_seed}\n  {HASH_SEEDS[0]:>4}: {expected[part]}"
+                          f"\n  {hash_seed:>4}: {seen[name][part]}")
+    if differing:
+        return 1
+    print(f"{len(reference)} workloads: rows and answers identical under "
+          f"PYTHONHASHSEED {', '.join(HASH_SEEDS)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

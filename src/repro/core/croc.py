@@ -247,7 +247,10 @@ class Croc:
         request = BrokerInformationRequest()
         network.client_send(croc_id, entry, request, CONTROL_MESSAGE_KB)
         deadline = network.sim.now + wait
-        while not inbox and network.sim.now < deadline and network.sim.pending:
+        # Live while anything is still to happen: scheduled events, or
+        # publications on their way to subscribers (logged, not events).
+        while (not inbox and network.sim.now < deadline
+               and (network.sim.pending or network.deliveries_in_flight)):
             network.sim.run(until=min(network.sim.now + 0.05, deadline))
         network.brokers[entry].detach_client(croc_id)
         network.unregister_control_client(croc_id)

@@ -9,9 +9,11 @@ ever enters the heap, which would shift sequence numbers and change
 on it).  That is what keeps sampled runs bit-identical to unsampled
 ones.
 
-Each sample captures queue depth (pending events), in-flight events
-(pending minus cancelled corpses), cumulative events processed, and
-per-broker message rates over the elapsed interval.
+Each sample captures queue depth (pending events), what is in flight
+(pending minus cancelled corpses, plus logged client deliveries that
+have not arrived — reading that count settles the delivery log to the
+sample time), cumulative events processed, and per-broker message rates
+over the elapsed interval.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class TimelineSampler:
         return self._recorder.sample(
             now,
             queue_depth=pending,
-            in_flight=pending - cancelled,
+            in_flight=pending - cancelled + network.deliveries_in_flight,
             events_processed=sim.events_processed,
             broker_rates=rates,
         )

@@ -209,18 +209,15 @@ class Broker:
             start = max(self._sim.now, self._ctl_free_at)
             sent = start + serialization
             self._ctl_free_at = sent
-        self._metrics.on_send(
-            self.broker_id, size_kb, is_publication, to_client=destination[0] == CLIENT
-        )
+        self._metrics.on_send(self.broker_id, size_kb, is_publication)
         self._network.deliver(self.broker_id, destination, message, sent)
 
     def _serialize_publication(self, size_kb: float) -> float:
         """Advance the publication output lane by one message.
 
-        Returns the virtual time serialization completes — the same
-        FIFO bandwidth-limiter arithmetic whether the delivery is then
-        scheduled per destination or drained by one batched fan-out
-        event.
+        Returns the virtual time serialization completes (the FIFO
+        bandwidth limiter).  The client fan-out of
+        :meth:`_handle_publication` runs the same arithmetic hoisted.
         """
         bandwidth = self.spec.total_output_bandwidth
         serialization = size_kb / bandwidth if bandwidth > 0 else 0.0
@@ -237,40 +234,45 @@ class Broker:
             self.cbc.on_local_publication(publication, self._sim.now)
         clients, forwarded_brokers = self._srt.matching_routes(publication, source)
         if clients:
+            # Client fan-out: a delivery schedules nothing, so it is
+            # logged with its final arrival time instead of becoming an
+            # event.  Loss and jitter are drawn here, at send time, in
+            # the order PubSubNetwork.deliver draws them for a hop.
+            network = self._network
             local = self.local_clients
             size_kb = publication.size_kb
-            if self._network.delivery_batching:
-                # Fault-free fan-out: run the same per-subscriber lane
-                # arithmetic and send accounting, then hand the whole
-                # fan-out to the network as one batched delivery event
-                # instead of one event per subscriber.
-                sends = []
-                on_send = self._metrics.on_send
-                cbc_on_delivery = self.cbc.on_delivery
-                broker_id = self.broker_id
-                # The publication lane arithmetic of
-                # _serialize_publication, hoisted: now and the per-copy
-                # serialization time are loop constants.
-                bandwidth = self.spec.total_output_bandwidth
-                serialization = size_kb / bandwidth if bandwidth > 0 else 0.0
-                now = self._sim.now
-                free_at = self._out_free_at
-                for subscription, destination in clients:
-                    if destination[1] not in local:
+            on_send = self._metrics.on_send
+            cbc_on_delivery = self.cbc.on_delivery
+            broker_id = self.broker_id
+            faults = network.faults
+            latency = network.link_latency
+            log = network.delivery_log
+            log_delivery = log.append
+            # The publication lane arithmetic of _serialize_publication,
+            # hoisted: now and the per-copy serialization time are loop
+            # constants.
+            bandwidth = self.spec.total_output_bandwidth
+            serialization = size_kb / bandwidth if bandwidth > 0 else 0.0
+            now = self._sim.now
+            free_at = self._out_free_at
+            for subscription, destination in clients:
+                client_id = destination[1]
+                if client_id not in local:
+                    continue
+                cbc_on_delivery(subscription.sub_id, publication)
+                start = free_at if free_at > now else now
+                free_at = start + serialization
+                on_send(broker_id, size_kb, True, to_client=True)
+                arrival = free_at + latency
+                if faults is not None:
+                    if faults.drop_in_transit():
+                        self._metrics.on_fault_drop(True, to_client=True)
                         continue
-                    cbc_on_delivery(subscription.sub_id, publication)
-                    start = free_at if free_at > now else now
-                    free_at = start + serialization
-                    on_send(broker_id, size_kb, True, to_client=True)
-                    sends.append((free_at, destination[1]))
-                if sends:
-                    self._out_free_at = free_at
-                    self._network.deliver_fanout(broker_id, publication, sends)
-            else:
-                for subscription, destination in clients:
-                    if destination[1] in local:
-                        self.cbc.on_delivery(subscription.sub_id, publication)
-                        self._transmit(destination, publication, size_kb)
+                    arrival += faults.extra_latency()
+                log_delivery((arrival, client_id, publication))
+            self._out_free_at = free_at
+            if len(log) >= network.settle_at:
+                network.settle_deliveries()
         tracer = self._network.tracer
         for broker_id in sorted(forwarded_brokers):
             if tracer is not None:

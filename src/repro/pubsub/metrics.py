@@ -16,7 +16,7 @@ allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.energy import WindowUsage
 
@@ -165,11 +165,20 @@ class MetricsSummary:
         )
 
 
+def _nothing() -> None:
+    """Default ``before_read``: a collector with no network behind it."""
+
+
 class MetricsCollector:
     """Counters shared by every broker in one network."""
 
     def __init__(self, sim):
         self._sim = sim
+        #: Run before every read of the delivery sums.  The network
+        #: installs its ``settle_deliveries`` here, so a reader sees every
+        #: delivery that has arrived by ``sim.now`` however the clock was
+        #: driven there.
+        self.before_read: Callable[[], None] = _nothing
         self._counters: Dict[str, BrokerCounters] = {}
         self._window_start = 0.0
         self._delay_sum = 0.0
@@ -179,6 +188,7 @@ class MetricsCollector:
         # Per-window fault losses.
         self._messages_lost = 0
         self._publications_lost = 0
+        self._deliveries_lost = 0  # the client-bound share of the above
         # Cumulative control-plane lifecycle counters (reconfiguration
         # happens between windows, so these survive reset_window).
         self._broker_crashes = 0
@@ -231,11 +241,13 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # Fault / availability hooks (fault injector and robust gather)
     # ------------------------------------------------------------------
-    def on_fault_drop(self, is_publication: bool) -> None:
+    def on_fault_drop(self, is_publication: bool, to_client: bool = False) -> None:
         """A message was dropped by the fault layer (crash, link, loss)."""
         self._messages_lost += 1
         if is_publication:
             self._publications_lost += 1
+            if to_client:
+                self._deliveries_lost += 1
 
     def on_broker_crash(self, broker_id: Optional[str] = None) -> None:
         """A broker crashed now; start its open downtime interval.
@@ -306,6 +318,7 @@ class MetricsCollector:
 
     @property
     def delivery_count(self) -> int:
+        self.before_read()
         return self._delivery_count
 
     @property
@@ -315,6 +328,11 @@ class MetricsCollector:
     @property
     def publications_lost(self) -> int:
         return self._publications_lost
+
+    @property
+    def deliveries_lost(self) -> int:
+        """Publications dropped on the last hop, broker to subscriber."""
+        return self._deliveries_lost
 
     @property
     def broker_crashes(self) -> int:
@@ -359,6 +377,7 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     def reset_window(self) -> None:
         """Start a fresh measurement window at the current time."""
+        self.before_read()  # arrived deliveries belong to the closing window
         self._counters.clear()
         self._window_start = self._sim.now
         self._delay_sum = 0.0
@@ -367,6 +386,7 @@ class MetricsCollector:
         self._delivery_count = 0
         self._messages_lost = 0
         self._publications_lost = 0
+        self._deliveries_lost = 0
         # Downtime is per-window: drop completed intervals and re-pin
         # still-down brokers to the new window start, so their open
         # interval is charged within this window only.  (Clearing
@@ -388,6 +408,7 @@ class MetricsCollector:
         bandwidth_by_broker: Optional[Dict[str, float]] = None,
     ) -> MetricsSummary:
         """Summarize the current window."""
+        self.before_read()
         duration = max(self._sim.now - self._window_start, 1e-9)
         total_messages = sum(
             counters.messages_total for counters in self._counters.values()

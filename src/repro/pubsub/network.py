@@ -10,7 +10,9 @@ the new tree, and re-attaching every client at its assigned broker.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.bitvector import DEFAULT_CAPACITY
 from repro.core.capacity import BrokerSpec
@@ -33,60 +35,15 @@ DEFAULT_LINK_LATENCY = 0.0005
 DEFAULT_BIR_TIMEOUT = 2.0
 
 
-class _FanoutBatch:
-    """One batched publication fan-out, drained by a single event.
+#: The delivery log is settled from the fan-out loop once it has doubled
+#: since the last settle, and never below this many entries — what keeps
+#: a long window from holding every publication it delivered alive.
+SETTLE_FLOOR = 512
 
-    ``entries`` holds ``(arrival, client_id)`` pairs in arrival order
-    (the sender's FIFO output lane makes them non-decreasing).  The
-    network schedules :meth:`fire` at the *last* arrival; deliveries
-    carry their own arrival time, so every per-delivery observable
-    (delay, hop count, subscriber bookkeeping) is the value the
-    per-destination schedule would have produced.
-    """
+#: One logged client delivery: ``(arrival, client_id, publication)``.
+LoggedDelivery = Tuple[float, str, Publication]
 
-    __slots__ = ("_network", "message", "entries", "index")
-
-    def __init__(self, network: "PubSubNetwork", message: Publication,
-                 entries: List[Tuple[float, str]]):
-        self._network = network
-        self.message = message
-        self.entries = entries
-        self.index = 0
-
-    def drain(self, until: float) -> None:
-        """Deliver every not-yet-delivered entry with arrival <= until.
-
-        Inlined subscriber delivery: batches exist only on the
-        fault-free, untraced path, and publications are matched out of
-        the SRT, so no entry can name a control client — the full
-        :meth:`PubSubNetwork._deliver_to_client` dispatch would re-test
-        both per subscriber.
-        """
-        network = self._network
-        subscribers = network.subscribers
-        on_delivery = network.metrics.on_delivery
-        message = self.message
-        publish_time = message.publish_time
-        hops = message.hops
-        entries = self.entries
-        index = self.index
-        size = len(entries)
-        while index < size:
-            arrival, client_id = entries[index]
-            if arrival > until:
-                break
-            index += 1
-            subscriber = subscribers.get(client_id)
-            if subscriber is None:
-                continue  # migrated away mid-flight
-            on_delivery(arrival - publish_time, hops)
-            subscriber.receive(message, arrival)
-        self.index = index
-
-    def fire(self) -> None:
-        """Drain the whole batch at its final arrival time."""
-        self.drain(float("inf"))
-        self._network._pending_batches.remove(self)
+_arrival = itemgetter(0)
 
 
 class PubSubNetwork:
@@ -130,8 +87,16 @@ class PubSubNetwork:
         #: Optional repro.pubsub.tracing.MessageTracer; brokers and the
         #: network record publication trace events while it is set.
         self.tracer = None
-        #: Fan-out batches whose final-arrival event has not fired yet.
-        self._pending_batches: List[_FanoutBatch] = []
+        #: Client deliveries of publications not yet completed.  Handing
+        #: a publication to a subscriber schedules nothing, so brokers
+        #: append it here with its final arrival time (loss and jitter
+        #: are drawn at send time) instead of scheduling an event;
+        #: :meth:`settle_deliveries` completes what has arrived.
+        self.delivery_log: List[LoggedDelivery] = []
+        #: Log length at which the brokers' fan-out loop settles it.
+        self.settle_at = SETTLE_FLOOR
+        # Every reader of the delivery sums settles first.
+        self.metrics.before_read = self.settle_deliveries
 
     # ------------------------------------------------------------------
     # Construction
@@ -267,97 +232,80 @@ class PubSubNetwork:
         receive = self._receive_of[broker_id]
         self.sim.schedule(delay, lambda: receive(message, source))
 
+    def settle_deliveries(self) -> None:
+        """Complete every logged delivery that has arrived by ``sim.now``.
+
+        The log is stable-sorted by arrival and append order is schedule
+        order, so entries complete exactly as one ``(time, sequence)``
+        event per delivery would have fired.  Settling at any moment is
+        order-safe: whatever is appended later arrives no earlier than
+        ``sim.now`` and sorts behind what is already here.
+        """
+        log = self.delivery_log
+        if log:
+            log.sort(key=_arrival)
+            done = bisect_right(log, self.sim.now, key=_arrival)
+            if done:
+                self._complete(log[:done])
+                del log[:done]
+        self.settle_at = max(SETTLE_FLOOR, 2 * len(log))
+
+    def _complete(self, deliveries: Iterable[LoggedDelivery]) -> None:
+        """Hand each publication to its subscriber, stamped with its arrival."""
+        subscribers = self.subscribers
+        on_delivery = self.metrics.on_delivery
+        tracer = self.tracer
+        for arrival, client_id, message in deliveries:
+            subscriber = subscribers.get(client_id)
+            if subscriber is None:
+                continue  # not a registered subscriber
+            if tracer is not None:
+                tracer.record(arrival, "deliver", client_id,
+                              message.adv_id, message.message_id,
+                              detail=f"hops={message.hops}")
+            on_delivery(arrival - message.publish_time, message.hops)
+            subscriber.receive(message, arrival)
+
     @property
-    def delivery_batching(self) -> bool:
-        """Whether client fan-outs may be drained by one batched event.
-
-        Batching must be observably identical to the per-destination
-        schedule, so it switches off whenever something watches or
-        perturbs individual deliveries: a tracer records per-delivery
-        events at ``sim.now``, and a fault plan with loss or jitter
-        draws from the transit RNG once per scheduled delivery.  Crash
-        and link fault events never touch client deliveries, so an
-        otherwise-degradation-free plan keeps the fast path.
-        """
-        if self.tracer is not None:
-            return False
-        faults = self.faults
-        if faults is None:
-            return True
-        plan = faults.plan
-        return plan.loss_rate <= 0.0 and plan.jitter <= 0.0
-
-    def deliver_fanout(self, sender_broker: str, message: Publication,
-                       sends: List[Tuple[float, str]]) -> None:
-        """Complete a whole client fan-out with one scheduled event.
-
-        ``sends`` is the per-subscriber ``(sent_at, client_id)`` list
-        in transmission order.  One-destination fan-outs keep the plain
-        per-destination schedule; larger ones register a
-        :class:`_FanoutBatch` that fires at the last arrival and is
-        partially drained by :meth:`flush_deliveries` at run
-        boundaries.
-        """
-        latency = self.link_latency
-        if len(sends) == 1:
-            sent_at, client_id = sends[0]
-            arrival = sent_at + latency
-            self.sim.schedule_at(
-                arrival, lambda: self._deliver_to_client(client_id, message, arrival)
-            )
-            return
-        entries = [(sent_at + latency, client_id) for sent_at, client_id in sends]
-        batch = _FanoutBatch(self, message, entries)
-        self._pending_batches.append(batch)
-        self.sim.schedule_at(entries[-1][0], batch.fire)
-
-    def flush_deliveries(self, until: float) -> None:
-        """Deliver batched entries due by ``until`` whose batch event
-        is still in the future.
-
-        Called at the end of :meth:`run` so window boundaries see every
-        delivery with arrival <= ``until``, exactly like the
-        per-destination schedule would.  Batches are never emptied
-        here: their last entry arrives at the batch event's own time,
-        which is past ``until`` or the event would already have fired.
-        """
-        for batch in self._pending_batches:
-            batch.drain(until)
+    def deliveries_in_flight(self) -> int:
+        """Logged deliveries that have not arrived by ``sim.now``."""
+        self.settle_deliveries()
+        return len(self.delivery_log)
 
     def deliver(self, sender_broker: str, destination: Destination, message: Any,
                 sent_at: float) -> None:
-        """Complete a broker transmission after serialization + latency."""
+        """Complete a broker transmission after serialization + latency.
+
+        Client destinations here are control clients only (the BIA back
+        to CROC); publications reach subscribers through the delivery
+        log.
+        """
         arrival = sent_at + self.link_latency
         kind, identifier = destination
-        if self.faults is not None:
-            if kind == BROKER and self.faults.link_down(sender_broker, identifier):
+        faults = self.faults
+        if faults is not None:
+            if kind == BROKER and faults.link_down(sender_broker, identifier):
                 self.metrics.on_fault_drop(isinstance(message, Publication))
                 return
-            if self.faults.drop_in_transit():
+            if faults.drop_in_transit():
                 self.metrics.on_fault_drop(isinstance(message, Publication))
                 return
-            arrival += self.faults.extra_latency()
-            if kind == BROKER:
-                source = self._broker_sources[sender_broker]
-                self.sim.schedule_at(
-                    arrival, lambda: self._arrive_at_broker(
-                        identifier, message, source)
-                )
-            else:
-                self.sim.schedule_at(
-                    arrival, lambda: self._deliver_to_client(identifier, message)
-                )
-            return
-        if kind == BROKER:
+            arrival += faults.extra_latency()
+        if kind != BROKER:
+            self.sim.schedule_at(
+                arrival, lambda: self._deliver_to_control_client(identifier, message)
+            )
+        elif faults is not None:
+            source = self._broker_sources[sender_broker]
+            self.sim.schedule_at(
+                arrival, lambda: self._arrive_at_broker(identifier, message, source)
+            )
+        else:
             # Fault-free fast path: reuse the interned source tuple and
             # the receiving broker's bound method for this repeat hop.
             receive = self._receive_of[identifier]
             source = self._broker_sources[sender_broker]
             self.sim.schedule_at(arrival, lambda: receive(message, source))
-        else:
-            self.sim.schedule_at(
-                arrival, lambda: self._deliver_to_client(identifier, message)
-            )
 
     def _arrive_at_broker(self, broker_id: str, message: Any,
                           source: Destination) -> None:
@@ -379,26 +327,10 @@ class PubSubNetwork:
         """Drop a control client; late replies to it are discarded."""
         self._control_clients.pop(client_id, None)
 
-    def _deliver_to_client(self, client_id: str, message: Any,
-                           arrival: Optional[float] = None) -> None:
+    def _deliver_to_control_client(self, client_id: str, message: Any) -> None:
         control = self._control_clients.get(client_id)
-        if control is not None:
+        if control is not None:  # else unregistered: the late reply is discarded
             control(message)
-            return
-        subscriber = self.subscribers.get(client_id)
-        if subscriber is None:
-            return  # publisher clients, or client migrated away mid-flight
-        if isinstance(message, Publication):
-            # Batched deliveries pass their own arrival time (the batch
-            # event runs at the *last* arrival); per-destination events
-            # run exactly at arrival, so the clock is the same thing.
-            now = self.sim.now if arrival is None else arrival
-            if self.tracer is not None:
-                self.tracer.record(now, "deliver", client_id,
-                                   message.adv_id, message.message_id,
-                                   detail=f"hops={message.hops}")
-            self.metrics.on_delivery(now - message.publish_time, message.hops)
-            subscriber.receive(message, now)
 
     # ------------------------------------------------------------------
     # Deployment execution
@@ -463,8 +395,7 @@ class PubSubNetwork:
             self.obs_sampler.run(until)
         else:
             self.sim.run(until=until)
-        if self._pending_batches:
-            self.flush_deliveries(until)
+        self.settle_deliveries()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

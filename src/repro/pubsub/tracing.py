@@ -57,8 +57,12 @@ class MessageTracer:
     message_ids:
         Optional additional filter on message IDs.
     limit:
-        Hard cap on stored events (oldest kept); tracing never grows
-        without bound.
+        Hard cap on stored events; tracing never grows without bound.
+        The first ``limit`` events *recorded* are kept.  A ``deliver``
+        event is recorded when its delivery completes — stamped with
+        its arrival time, but possibly after later-stamped hop events
+        — so at the cap it is deliveries that go missing first;
+        :meth:`route` sorts by time, so what is kept reads in order.
     """
 
     def __init__(

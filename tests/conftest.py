@@ -101,3 +101,52 @@ def make_pool(count: int, bandwidth: float = 100.0) -> List[BrokerSpec]:
 def directory():
     """Two publishers, 10 msg/s and 10 kB/s each, window of 64."""
     return make_directory(["A", "B"])
+
+
+# ----------------------------------------------------------------------
+# Delivery conservation (ROADMAP items 1(3) / 2(b), first instalment)
+# ----------------------------------------------------------------------
+
+
+class ConservationWatch:
+    """Asserts delivery conservation at every run boundary of a network.
+
+    Over a measurement window that opened with nothing in flight, every
+    copy a broker sent toward a subscriber (``BrokerCounters.deliveries``,
+    counted at send, before the loss draw) has by any later run boundary
+    been delivered, been dropped on that last hop, or is still in flight.
+    A window that opened with a backlog also completes deliveries sent
+    before it opened, so it is skipped (and counted in ``skipped``).
+    """
+
+    def __init__(self, network):
+        self.network = network
+        self.checked = 0
+        self.skipped = 0
+        self._opened_empty = network.deliveries_in_flight == 0
+        run, reset_window = network.run, network.metrics.reset_window
+
+        def watched_run(duration):
+            run(duration)
+            self.check()
+
+        def watched_reset():
+            reset_window()
+            self._opened_empty = network.deliveries_in_flight == 0
+
+        network.run = watched_run
+        network.metrics.reset_window = watched_reset
+
+    def check(self) -> None:
+        if not self._opened_empty:
+            self.skipped += 1
+            return
+        network, metrics = self.network, self.network.metrics
+        # Not metrics.counters(): that creates entries the summary reads.
+        sent = sum(counters.deliveries for counters in metrics._counters.values())
+        assert sent == (metrics.delivery_count + metrics.deliveries_lost
+                        + network.deliveries_in_flight), (
+            f"t={network.sim.now}: {sent} sent to clients, "
+            f"{metrics.delivery_count} delivered, {metrics.deliveries_lost} "
+            f"dropped, {network.deliveries_in_flight} in flight")
+        self.checked += 1

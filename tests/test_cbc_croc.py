@@ -7,7 +7,11 @@ from repro.core.capacity import BrokerSpec, MatchingDelayFunction
 from repro.core.croc import Croc, ReconfigurationError
 from repro.pubsub.cbc import CrocBackendComponent
 from repro.pubsub.message import Publication
+from repro.pubsub.network import PubSubNetwork
+from repro.sim.faults import FaultPlan
 
+from conftest import make_spec
+from per_delivery_oracle import PerDeliveryNetwork
 from test_broker_routing import make_network, make_publisher, make_subscriber
 
 
@@ -120,11 +124,34 @@ class TestGatherProtocol:
         assert len(gathered.broker_pool) == 3
 
     def test_gather_empty_network_raises(self):
-        from repro.pubsub.network import PubSubNetwork
-
         croc = Croc(allocator_factory=BinPackingAllocator)
         with pytest.raises(ReconfigurationError):
             croc.gather(PubSubNetwork())
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_lost_bir_is_retried_when_only_deliveries_remain(self, seed):
+        """The gather loop stays live while publications are still on
+        their way to subscribers, although they are no longer events:
+        with the feed exhausted and the BIR lost, it waits out the
+        attempt exactly as the one-event-per-delivery schedule does."""
+        spec = make_spec("b0", bandwidth=10.0)
+        outcomes = []
+        for network_class in (PerDeliveryNetwork, PubSubNetwork):
+            network = network_class(profile_capacity=64)
+            network.add_broker(spec)
+            network.install_faults(FaultPlan(loss_rate=0.4), seed=seed)
+            for index in range(20):
+                network.attach_subscriber(make_subscriber(f"s{index}"), "b0")
+            quotes = iter([{"class": "STOCK", "symbol": "YHOO", "low": 1.0 + i,
+                            "volume": 10} for i in range(30)])
+            network.attach_publisher(make_publisher(rate=100.0, quotes=quotes), "b0")
+            network.run(1.0)  # feed exhausted, ~20 s of copies queued
+            assert network.deliveries_in_flight > 100
+            gathered = Croc(allocator_factory=BinPackingAllocator).gather(
+                network, timeout=1.0)
+            outcomes.append((gathered.attempts, network.sim.now))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] > 1, "the BIR was never lost: pick another seed"
 
     def test_gather_single_broker(self):
         network = make_network(1)

@@ -7,6 +7,7 @@ from repro.core.croc import Croc
 from repro.experiments.continuous import ContinuousReconfigurator, SubscriberChurn
 from repro.sim.rng import SeededRng
 
+from per_delivery_oracle import small_churn_online
 from test_continuous import deployed_network
 
 
@@ -111,3 +112,19 @@ class TestSubscriberChurn:
         network.run(30.0)
         for client_id, count in before.items():
             assert network.subscribers[client_id].delivered > count
+
+
+def test_delivery_backlog_grows_cycle_over_cycle():
+    """A recording, not a bound (ROADMAP item 2 owes the verdict): under
+    ``churn_online``-shaped load the deliveries still in flight when a
+    cycle ends are not zero and keep growing, which is where the 10 s
+    delivery delays come from.  Delivery rate stays 1.0 throughout."""
+    reports, network, backlog = small_churn_online(cycles=4)
+    assert len(backlog) == 4
+    assert all(later > earlier for earlier, later in zip(backlog, backlog[1:]))
+    assert backlog[-1] > 1000
+    assert reports[-1].summary.mean_delivery_delay > 5.0
+    assert all(report.summary.delivery_rate == 1.0 for report in reports)
+    # Conservation is checked in the windows that opened empty and skipped
+    # in those the backlog above carried into.
+    assert network.watch.checked and network.watch.skipped

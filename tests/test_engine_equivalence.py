@@ -1,4 +1,4 @@
-"""Event-order oracle and batched-delivery bit-identity.
+"""Event-order oracle and logged-delivery bit-identity.
 
 The determinism contract of the event core, pinned at two levels:
 
@@ -7,11 +7,11 @@ The determinism contract of the event core, pinned at two levels:
   cancellation) against the engine and against
   :class:`SortedListOracle`, the contract stated the slow way, and
   demands identical traces, clocks and executed-event counts;
-* **experiment level** — batched client delivery must leave every
-  deterministic output bit-identical to the per-destination schedule.
-  The network picks between the two from what it can observe; a
-  tracer is one of the observables that switches batching off, so
-  attaching one that stores nothing runs the per-destination side.
+* **experiment level** — client deliveries are logged and completed in
+  stable arrival order instead of being simulator events; every
+  deterministic output must be bit-identical to one event per delivery
+  (``tests/per_delivery_oracle.py``) under any fault plan, and a tracer
+  must observe without changing the schedule.
 
 Engine edge cases (ties, cancellation, compaction) live in
 ``tests/test_sim.py``.
@@ -20,17 +20,23 @@ Engine edge cases (ties, cancellation, compaction) live in
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.parallel import CellSpec, run_spec
-from repro.experiments.runner import ExperimentRunner
 from repro.pubsub.network import PubSubNetwork
 from repro.pubsub.tracing import MessageTracer
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan
+from repro.workloads.scenarios import cluster_homogeneous
 
+from per_delivery_oracle import (
+    PerDeliveryNetwork,
+    networks_built,
+    small_churn_online,
+)
 from test_parallel_equivalence import comparable, tiny_homo
 
 
@@ -137,72 +143,110 @@ def test_prop_engine_matches_sorted_list_oracle(program):
 
 
 # ----------------------------------------------------------------------
-# Experiment-level bit-identity of batched delivery
+# Experiment-level bit-identity of logged delivery
 # ----------------------------------------------------------------------
 
-FAULT_PLAN = FaultPlan(
-    crash_fraction=0.25, crash_start=4.0, downtime=5.0,
-    loss_rate=0.01, jitter=0.001, seed=5,
+
+def _assert_same_run(logged, oracle):
+    """Two networks that ran the same program ended in the same state.
+
+    Delay sums are compared with ``==``: completing the log in stable
+    arrival order must add the delays in the order the heap would have.
+    """
+    assert logged.sim.now == oracle.sim.now
+    assert logged.metrics._delay_sum == oracle.metrics._delay_sum
+    for client_id, subscriber in logged.subscribers.items():
+        assert subscriber.history == oracle.subscribers[client_id].history, client_id
+    if logged.faults is not None:
+        assert logged.faults.drops == oracle.faults.drops
+        assert (logged.faults._transit_rng.random()
+                == oracle.faults._transit_rng.random())
+    # One event fewer per completed or still-travelling delivery.
+    delivered = sum(s.delivered for s in logged.subscribers.values())
+    assert (oracle.sim.events_processed + oracle.sim.pending
+            - logged.sim.events_processed - logged.sim.pending
+            == delivered + logged.deliveries_in_flight)
+    for network in (logged, oracle):
+        assert network.watch.checked, "conservation never checked"
+
+
+#: Eight 30 kB/s brokers, 160 subscriptions: enough load that fan-outs
+#: of different brokers interleave and output queues build up; on the
+#: tiny cell of the other suites a log completed in append order passes
+#: by accident.
+LOADED = cluster_homogeneous(40, scale=0.1, broker_bandwidth_kbps=30,
+                             profile_capacity=96, measurement_time=6.0)
+
+
+def _cell(network_class, approach, seed=11, scenario=LOADED, **kwargs):
+    with networks_built(network_class, keep_history=True) as built:
+        result = run_spec(CellSpec(scenario=scenario, approach=approach,
+                                   seed=seed, **kwargs))
+    return result, built[0]
+
+
+@settings(max_examples=15)
+@given(
+    loss_rate=st.sampled_from([0.0, 0.01, 0.05]),
+    # 0.05 s of jitter exceeds one 0.5 kB serialization (about 17 ms at
+    # 30 kB/s), so arrivals cross between consecutive fan-outs of one
+    # broker: draining per fan-out gets those wrong, a global stable
+    # sort gets them right.
+    jitter=st.sampled_from([0.0, 0.001, 0.05]),
+    crash_fraction=st.sampled_from([0.0, 0.25]),
+    approach=st.sampled_from(["manual", "binpacking", "cram-ios"]),
+    seed=st.integers(0, 999),
 )
+def test_prop_logged_delivery_equals_one_event_per_delivery(
+        loss_rate, jitter, crash_fraction, approach, seed):
+    plan = FaultPlan(crash_fraction=crash_fraction, crash_start=4.0, downtime=5.0,
+                     loss_rate=loss_rate, jitter=jitter, seed=5)
+    result, logged = _cell(PubSubNetwork, approach, seed, fault_plan=plan)
+    expected, oracle = _cell(PerDeliveryNetwork, approach, seed, fault_plan=plan)
+    assert result.summary == expected.summary  # field by field, floats by ==
+    assert result.baseline_summary == expected.baseline_summary
+    assert comparable(result) == comparable(expected)
+    _assert_same_run(logged, oracle)
 
 
-def _cell(approach, **kwargs):
-    return run_spec(
-        CellSpec(scenario=tiny_homo()[0], approach=approach, seed=11, **kwargs)
-    )
+def test_continuous_churn_equals_one_event_per_delivery():
+    reports, logged, _ = small_churn_online(PubSubNetwork)
+    expected, oracle, _ = small_churn_online(PerDeliveryNetwork)
+    assert [r.summary for r in reports] == [r.summary for r in expected]
+    assert [r.as_row() for r in reports] == [r.as_row() for r in expected]
+    assert sum(r.summary.delivery_count for r in reports) > 1000
+    _assert_same_run(logged, oracle)
 
 
-class TestDeliveryBatchingEquivalence:
-    def _per_destination(self, monkeypatch, approach):
-        """The cell with a store-nothing tracer on its network."""
-        build = ExperimentRunner._build_network
+class TestTracerIsAPureObserver:
+    def _traced(self, network_class, tracer):
+        with networks_built(network_class, tracer=tracer) as built:
+            result = run_spec(CellSpec(scenario=tiny_homo()[0],
+                                       approach="cram-ios", seed=11))
+        return result, built[0]
 
-        def traced(runner):
-            network = build(runner)
-            network.tracer = MessageTracer(limit=0)
-            return network
+    def test_tracer_changes_no_event_and_no_row(self):
+        bare, bare_network = self._traced(PubSubNetwork, None)
+        tracer = MessageTracer()
+        traced, traced_network = self._traced(PubSubNetwork, tracer)
+        assert (traced_network.sim.events_processed
+                == bare_network.sim.events_processed)
+        assert comparable(traced) == comparable(bare)
+        assert tracer.dropped == 0
 
-        with monkeypatch.context() as patch:
-            patch.setattr(ExperimentRunner, "_build_network", traced)
-            return _cell(approach)
-
-    def test_batched_rows_identical_to_per_destination(self, monkeypatch):
-        for approach in ("manual", "cram-ios"):
-            off = self._per_destination(monkeypatch, approach)
-            on = _cell(approach)
-            assert comparable(off) == comparable(on), approach
-
-    def test_tracer_disables_batching(self, monkeypatch):
-        called = []
-        monkeypatch.setattr(
-            PubSubNetwork, "deliver_fanout",
-            lambda self, *args: called.append(args),
-        )
-        self._per_destination(monkeypatch, "manual")
-        assert not called
-
-    def test_batching_actually_engages(self, monkeypatch):
-        fanouts = []
-        original = PubSubNetwork.deliver_fanout
-
-        def spy(self, sender_broker, message, sends):
-            fanouts.append(len(sends))
-            return original(self, sender_broker, message, sends)
-
-        monkeypatch.setattr(PubSubNetwork, "deliver_fanout", spy)
-        _cell("cram-ios")
-        assert fanouts, "batched path never taken"
-        assert max(fanouts) > 1, "no multi-destination batch exercised"
-
-    def test_lossy_fault_plan_disables_batching(self, monkeypatch):
-        """Loss/jitter must flow through the per-destination fault path
-        so the injector's RNG stream is consumed per delivery."""
-        called = []
-        original = PubSubNetwork.deliver_fanout
-        monkeypatch.setattr(
-            PubSubNetwork, "deliver_fanout",
-            lambda self, *args: called.append(args) or original(self, *args),
-        )
-        result = _cell("manual", fault_plan=FAULT_PLAN)
-        assert not called
-        assert result.summary.publications_lost >= 0
+    def test_routes_equal_the_per_delivery_schedule(self):
+        tracer, expected = MessageTracer(), MessageTracer()
+        self._traced(PubSubNetwork, tracer)
+        self._traced(PerDeliveryNetwork, expected)
+        publications = sorted({(e.adv_id, e.message_id) for e in expected.events})
+        assert len(publications) > 100
+        assert sum(expected.delivery_count(*key) for key in publications) > 100
+        # The same events, recorded in a different order (deliveries
+        # when they complete) ...
+        by_time = attrgetter("time", "kind", "where", "adv_id", "message_id")
+        assert tracer.events != expected.events
+        assert sorted(tracer.events, key=by_time) == sorted(expected.events, key=by_time)
+        # ... so the queries, which scan every event, agree.
+        for key in publications[::7]:
+            assert tracer.route(*key) == expected.route(*key), key
+            assert tracer.delivery_count(*key) == expected.delivery_count(*key)

@@ -21,6 +21,8 @@ from repro.experiments.runner import ExperimentRunner
 from repro.sim.faults import FaultPlan
 from repro.workloads.scenarios import cluster_homogeneous
 
+from per_delivery_oracle import networks_built
+
 SEED = 2011
 
 
@@ -32,7 +34,10 @@ def _scenario():
 
 def _run(approach, fault_plan):
     runner = ExperimentRunner(_scenario(), seed=SEED, fault_plan=fault_plan)
-    return runner.run(approach)
+    with networks_built() as built:
+        result = runner.run(approach)
+    assert built[0].watch.checked  # delivery conservation at every boundary
+    return result
 
 
 @pytest.mark.parametrize("approach", ["fbf", "binpacking", "cram-ios", "automatic"])

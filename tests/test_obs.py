@@ -28,6 +28,10 @@ from repro.obs.timeline import TimelineSampler
 from repro.pubsub.network import PubSubNetwork
 from repro.sim.engine import Simulator
 
+from conftest import make_spec
+from per_delivery_oracle import PerDeliveryNetwork
+from test_broker_routing import make_publisher, make_subscriber
+
 
 # ----------------------------------------------------------------------
 # Spans
@@ -233,6 +237,30 @@ class TestTimeline:
         sampler.run(6.0)
         times = [sample["t"] for sample in recorder.samples]
         assert times == [0.0, 5.25, 6.0]
+
+    def test_in_flight_counts_logged_deliveries_like_delivery_events(self):
+        """``in_flight`` means messages not yet completed: the logged
+        deliveries still travelling count as the heap events they used
+        to be, and taking the sample settles the ones that arrived."""
+        def samples(network_class):
+            network = network_class(profile_capacity=64)
+            network.add_broker(make_spec("b0", bandwidth=20.0))
+            for index in range(6):
+                network.attach_subscriber(make_subscriber(f"s{index}"), "b0")
+            network.attach_publisher(make_publisher(rate=10.0), "b0")
+            recorder = Recorder(clock=lambda: network.sim.now)
+            sampler = TimelineSampler(network, recorder, interval=0.13)
+            sampler.run(1.0)  # not network.run: nothing else settles
+            return recorder.samples, network
+
+        logged, network = samples(PubSubNetwork)
+        expected, oracle = samples(PerDeliveryNetwork)
+        # Nothing is cancelled in this run, so with one event per delivery
+        # the messages not yet completed are exactly the pending events.
+        in_flight = [sample["in_flight"] for sample in logged]
+        assert in_flight == [sample["queue_depth"] for sample in expected]
+        assert in_flight != [sample["queue_depth"] for sample in logged]
+        assert network.metrics.delivery_count == oracle.metrics.delivery_count > 20
 
     def test_sampler_rejects_bad_interval(self):
         network = PubSubNetwork(sim=Simulator())
