@@ -11,7 +11,7 @@ checks the same ordering.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.core.capacity import AllocationResult, BrokerSpec
 from repro.core.fbf import PackedPool, UnitRun, first_fit, first_fit_runs
@@ -50,17 +50,9 @@ def first_fit_decreasing_runs(
 
 
 class BinPackingAllocator:
-    """First-fit decreasing over descending-capacity brokers.
-
-    ``kernel`` is carried as allocator state (the ``allocate`` signature
-    is fixed); CRAM sets it so its binpacking passes run on packed
-    broker bins.
-    """
+    """First-fit decreasing over descending-capacity brokers."""
 
     name = "binpacking"
-
-    def __init__(self) -> None:
-        self.kernel: Optional[ClosenessKernel] = None
 
     def allocate(
         self,
@@ -69,4 +61,4 @@ class BinPackingAllocator:
         directory: PublisherDirectory,
     ) -> AllocationResult:
         with obs.span("binpacking.first_fit", units=len(units)):
-            return first_fit(decreasing_bandwidth(units), pool, directory, kernel=self.kernel)
+            return first_fit(decreasing_bandwidth(units), pool, directory)

@@ -251,8 +251,8 @@ class BitVector:
 
         One ``_aligned_with`` pass feeds the shared
         :func:`repro.core.popcount.fused_counts` helper, so callers that
-        need several counts (the XOR closeness metric, the fused
-        kernel's fallback path) pay the big-int shifts only once.
+        need several counts (the XOR closeness metric) pay the big-int
+        shifts only once.
         """
         _f, _c, mine, theirs = self._aligned_with(other)
         return fused_counts(mine, theirs)

@@ -100,16 +100,10 @@ class BrokerBin:
         "_adv_vectors",
         "_adv_cardinality",
         "_kernel",
-        "_packed_mode",
         "_packed_bits",
     )
 
-    def __init__(
-        self,
-        spec: BrokerSpec,
-        directory: PublisherDirectory,
-        kernel: Optional[ClosenessKernel] = None,
-    ):
+    def __init__(self, spec: BrokerSpec, directory: PublisherDirectory):
         self.spec = spec
         self._directory = directory
         self.units: List[AllocationUnit] = []
@@ -118,11 +112,9 @@ class BrokerBin:
         self.input_rate = 0.0
         self._adv_vectors: Dict[str, BitVector] = {}
         self._adv_cardinality: Dict[str, int] = {}
-        # With a fused kernel the per-publisher union is one packed
-        # integer; the bin demotes itself to the naive dict-of-vectors
-        # path the moment a unit arrives that the kernel cannot pack.
-        self._kernel = kernel
-        self._packed_mode = kernel is not None
+        # A bin of a packed pool (:meth:`from_packed_state`) keeps the
+        # per-publisher union as one packed integer instead.
+        self._kernel: Optional[ClosenessKernel] = None
         self._packed_bits = 0
 
     @classmethod
@@ -139,10 +131,11 @@ class BrokerBin:
     ) -> "BrokerBin":
         """Materialize a bin from the flat packed first-fit loop's state.
 
-        The result is indistinguishable from a bin filled one
-        :meth:`add` at a time with the same kernel.
+        The bin keeps accepting units of the same pool exactly as one
+        filled by :meth:`add` alone would.
         """
-        bin_ = cls(spec, directory, kernel=kernel)
+        bin_ = cls(spec, directory)
+        bin_._kernel = kernel
         bin_.units = units
         bin_.used_bandwidth = used_bandwidth
         bin_.subscription_count = subscription_count
@@ -180,16 +173,8 @@ class BrokerBin:
         Only the publications *not already flowing* to the broker add
         input load — the per-publisher union captures that.
         """
-        if self._packed_mode:
-            # Packed path.  A unit that cannot pack purely demotes the
-            # bin to the naive union path for good, since mixing packed
-            # and naive union state would break the exact-equivalence
-            # guarantee.
-            assert self._kernel is not None
-            packed = packed_unit(unit, self._kernel)
-            if packed.pure:
-                return packed.rate_increase(self._packed_bits)
-            self._demote()
+        if self._kernel is not None:
+            return packed_unit(unit, self._kernel).rate_increase(self._packed_bits)
         increase = 0.0
         for adv_id, vector in unit.profile.items():
             if not vector:
@@ -210,29 +195,6 @@ class BrokerBin:
             fraction = (new_cardinality - old_cardinality) / window
             increase += min(1.0, fraction) * publisher.publication_rate
         return increase
-
-    # ------------------------------------------------------------------
-    # Fused-kernel fast path
-    # ------------------------------------------------------------------
-    def _demote(self) -> None:
-        """Materialize the naive per-publisher union from packed bits.
-
-        Called once, when a unit that the kernel cannot pack reaches a
-        packed bin; afterwards the bin behaves exactly like one built
-        without a kernel.
-        """
-        assert self._kernel is not None
-        bits = self._packed_bits
-        for adv_id, plane in self._kernel.layout.planes.items():
-            plane_bits = (bits >> plane.offset) & plane.mask
-            if not plane_bits:
-                continue
-            vector = BitVector(capacity=plane.capacity, first_id=plane.first_id)
-            vector.load_bits(plane_bits)
-            self._adv_vectors[adv_id] = vector
-            self._adv_cardinality[adv_id] = vector.cardinality
-        self._packed_mode = False
-        self._packed_bits = 0
 
     # ------------------------------------------------------------------
     # Feasibility and mutation
@@ -259,19 +221,9 @@ class BrokerBin:
 
     def _absorb(self, unit: AllocationUnit) -> None:
         """Fold ``unit`` into the per-publisher union and bookkeeping."""
-        absorbed = False
-        if self._packed_mode:
-            # ``_rate_increase`` just ran: the hint is fresh and the
-            # bin stayed packed only if the unit's profile packs purely.
-            hint = unit.pack_hint
-            assert hint is not None and hint[0] is self._kernel
-            packed = hint[1]
-            if packed.pure:
-                self._packed_bits |= packed.bits
-                absorbed = True
-            else:  # pragma: no cover - _rate_increase demotes first
-                self._demote()
-        if not absorbed:
+        if self._kernel is not None:
+            self._packed_bits |= packed_unit(unit, self._kernel).bits
+        else:
             for adv_id, vector in unit.profile.items():
                 if not vector:
                     continue

@@ -106,10 +106,9 @@ class ClosenessMetric:
     def attach_kernel(self, kernel: Optional["ClosenessKernel"]) -> None:
         """Route evaluations through a fused bit-plane kernel.
 
-        The kernel produces bit-for-bit identical values (it falls back
-        to the naive profile walk whenever a profile does not fit its
-        packed layout), so attaching one only changes speed.  Pass
-        ``None`` to detach.
+        The kernel produces bit-for-bit identical values, so attaching
+        one only changes speed; it must have been built over the pool
+        the evaluated profiles come from.  Pass ``None`` to detach.
         """
         self._kernel = kernel
 

@@ -67,7 +67,7 @@ from repro.core.fbf import (
     unit_runs,
 )
 from repro.core.gif import Gif, build_gifs
-from repro.core.kernel import ClosenessKernel
+from repro.core.kernel import ClosenessKernel, pool_windows
 from repro.core.poset import Poset
 from repro.core.profiles import PublisherDirectory, SubscriptionProfile
 from repro.core.relations import Relation, relationship
@@ -96,7 +96,8 @@ class CramStats:
     kernel_used: bool = False
     kernel_fused_evaluations: int = 0
     kernel_memo_hits: int = 0
-    kernel_fallback_evaluations: int = 0
+    #: Pools whose publishers were seen under two windows (kernel-less run).
+    kernel_declined_pools: int = 0
     # Sharded Phase-2 diagnostics (zero for monolithic runs).
     shard_count: int = 0
     shard_fallbacks: int = 0
@@ -172,29 +173,36 @@ class CramAllocator:
 
         kernel = self._build_kernel(units, directory)
         stats.kernel_used = kernel is not None
+        declined: Dict[str, int] = {}
+        if kernel is None:
+            # Said of the pool, so the kernel-less reference run reports
+            # it too and the two stay comparable field by field.
+            disagreeing = pool_windows(unit.profile for unit in units)[1]
+            if disagreeing:
+                stats.kernel_declined_pools = 1
+                declined["disagreeing_publishers"] = len(disagreeing)
         self.metric.attach_kernel(kernel)
         try:
             with obs.span("cram.clustering", metric=self.metric.name,
-                          units=len(units), kernel=stats.kernel_used):
+                          units=len(units), kernel=stats.kernel_used, **declined):
                 return self._clustering_run(units, pool, directory, stats, kernel)
         finally:
             if kernel is not None:
                 stats.kernel_fused_evaluations = kernel.fused_evaluations
                 stats.kernel_memo_hits = kernel.memo_hits
-                stats.kernel_fallback_evaluations = kernel.fallback_evaluations
             self.metric.attach_kernel(None)
 
     def _build_kernel(
         self, units: Sequence[AllocationUnit], directory: PublisherDirectory
     ) -> Optional[ClosenessKernel]:
-        """The fused kernel over this run's profiles.
+        """The fused kernel over this run's profiles, if the pool packs.
 
         Everything downstream takes ``Optional[ClosenessKernel]`` and
         walks the profiles naively on ``None``; the equivalence suites
         override this (``tests/naive_cram.py``) to compare against that
         walk.
         """
-        return ClosenessKernel(directory, [unit.profile for unit in units])
+        return ClosenessKernel.for_pool(directory, [unit.profile for unit in units])
 
     def _clustering_run(
         self,
@@ -427,11 +435,9 @@ class _StandingOrder:
         units: Sequence[AllocationUnit],
         pool: Sequence[BrokerSpec],
         kernel: ClosenessKernel,
-    ) -> Optional["_StandingOrder"]:
-        """The order of ``units``, or ``None`` if one packs impurely."""
+    ) -> "_StandingOrder":
+        """The order of ``units``."""
         runs = unit_runs(decreasing_bandwidth(units), kernel)
-        if runs is None:
-            return None
         keys = [run[3][0].binpack_key for run in runs]
         packed_pool = pool_columns(sorted_broker_pool(pool))
         return cls(runs, keys, len(units), packed_pool, kernel)
@@ -444,16 +450,14 @@ class _StandingOrder:
 
     def after_merge(
         self, merge_units: Sequence[AllocationUnit], merged: AllocationUnit
-    ) -> Optional["_StandingOrder"]:
+    ) -> "_StandingOrder":
         """The order once ``merge_units`` (two or more) fuse into ``merged``.
 
         ``merged`` is newer than every pool unit, so its ``unit_id``
         puts it behind all units of equal bandwidth: it lands between
-        two runs, never inside one.  ``None`` if it packs impurely.
+        two runs, never inside one.
         """
         packed = packed_unit(merged, self.kernel)
-        if not packed.pure:
-            return None
         runs = list(self.runs)
         keys = list(self.keys)
         gone = {unit.unit_id for unit in merge_units}
@@ -499,10 +503,9 @@ class _CramState:
         self.stats = stats
         self.kernel = kernel
         self._binpack = BinPackingAllocator()
-        self._binpack.kernel = kernel
         #: With a kernel, BIN PACKING passes first-fit a standing FFD
         #: order instead of re-flattening and re-sorting the pool;
-        #: ``None`` without a kernel or once a unit has packed impurely.
+        #: ``None`` exactly when the kernel is.
         self._order: Optional[_StandingOrder] = None
         if kernel is not None:
             self._order = _StandingOrder.build(units, self.pool, kernel)
@@ -652,11 +655,8 @@ class _CramState:
     ) -> Optional[AllocationResult]:
         """Test-allocate the pool with ``merge_units`` fused; no commit."""
         merged = AllocationUnit.merged(list(merge_units), self.directory, kernel=self.kernel)
-        order = None
         if self._order is not None:
-            order = self._order.after_merge(merge_units, merged)
-        if order is not None:
-            result = order.first_fit(self.directory)
+            result = self._order.after_merge(merge_units, merged).first_fit(self.directory)
         else:
             doomed = {unit.unit_id for unit in merge_units}
             pool_units = [
@@ -946,6 +946,6 @@ class ShardedCramAllocator:
             stats.kernel_used = stats.kernel_used or part.kernel_used
             stats.kernel_fused_evaluations += part.kernel_fused_evaluations
             stats.kernel_memo_hits += part.kernel_memo_hits
-            stats.kernel_fallback_evaluations += part.kernel_fallback_evaluations
+            stats.kernel_declined_pools += part.kernel_declined_pools
         stats.final_units = runs[-1].final_units
         return stats

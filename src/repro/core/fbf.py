@@ -83,17 +83,11 @@ def is_twin(run: UnitRun, unit: AllocationUnit, packed: PackedProfile) -> bool:
 
 def unit_runs(
     ordered_units: Iterable[AllocationUnit], kernel: ClosenessKernel
-) -> Optional[List[UnitRun]]:
-    """Group an ordered unit sequence into runs of consecutive twins.
-
-    Returns ``None`` when a unit's profile does not pack purely: mixed
-    pools belong to the :class:`BrokerBin` loop and its per-bin demotion.
-    """
+) -> List[UnitRun]:
+    """Group an ordered unit sequence into runs of consecutive twins."""
     runs: List[UnitRun] = []
     for unit in ordered_units:
         packed = packed_unit(unit, kernel)
-        if not packed.pure:
-            return None
         if runs and is_twin(runs[-1], unit, packed):
             runs[-1][3].append(unit)
         else:
@@ -107,22 +101,16 @@ def first_fit(
     ordered_units: Sequence[AllocationUnit],
     pool: Iterable[BrokerSpec],
     directory: PublisherDirectory,
-    kernel: Optional[ClosenessKernel] = None,
 ) -> AllocationResult:
     """Place units, in the given order, onto the descending-capacity pool.
 
     Shared engine of FBF and BIN PACKING: the two differ only in how
     they order the unit sequence.  Each unit goes to the first broker
-    (most resourceful first) that passes the feasibility test.  An
-    optional fused ``kernel`` switches to a flat loop over packed bin
-    state and runs of twin units (same results, far fewer bin tests).
+    (most resourceful first) that passes the feasibility test.  CRAM's
+    packed pools take :func:`first_fit_runs` instead (same results, far
+    fewer bin tests).
     """
-    specs = sorted_broker_pool(pool)
-    if kernel is not None:
-        runs = unit_runs(ordered_units, kernel)
-        if runs is not None:
-            return first_fit_runs(runs, pool_columns(specs), directory, kernel)
-    bins = [BrokerBin(spec, directory, kernel=kernel) for spec in specs]
+    bins = [BrokerBin(spec, directory) for spec in sorted_broker_pool(pool)]
     for unit in ordered_units:
         for bin_ in bins:
             if bin_.can_accept(unit):
@@ -258,10 +246,6 @@ class FbfAllocator:
 
     def __init__(self, rng: Optional[SeededRng] = None):
         self._rng = rng if rng is not None else SeededRng(0, "fbf")
-        #: Optional fused kernel for packed bin bookkeeping (set by
-        #: callers that pre-packed the pool; the signature of
-        #: ``allocate`` is fixed by the allocator protocol).
-        self.kernel: Optional[ClosenessKernel] = None
 
     def allocate(
         self,
@@ -272,4 +256,4 @@ class FbfAllocator:
         """Allocate ``units`` onto ``pool`` in random draw order."""
         with obs.span("fbf.first_fit", units=len(units)):
             order = self._rng.shuffled(units)
-            return first_fit(order, pool, directory, kernel=self.kernel)
+            return first_fit(order, pool, directory)

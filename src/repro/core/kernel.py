@@ -3,33 +3,34 @@
 Closeness evaluation is not where most of CRAM's Phase-2 time goes —
 the bin-packing probes are — but without this kernel it would be: the
 benchmark's allocation-only workload (``plan_offline``) takes 3.5x as
-long on the naive path.  Every naive evaluation walks a per-publisher dict of
-:class:`~repro.core.bitvector.BitVector`, re-aligns each pair of
-windows with big-int shifts, and repeats the walk for every metric
-component.  After Phase 1 all profiles are synchronized against the
-publisher directory (croc/offline both call
+long on the kernel-less path.  That path walks a per-publisher dict of
+:class:`~repro.core.bitvector.BitVector` per evaluation, re-aligns each
+pair of windows with big-int shifts, and repeats the walk for every
+metric component.  After Phase 1 all profiles are synchronized against
+the publisher directory (croc/offline both call
 ``SubscriptionProfile.synchronize``), so the per-publisher windows of
 every profile in a pool coincide — which means the whole dict-of-
 vectors representation can be flattened once:
 
-* a :class:`BitPlaneLayout` assigns each publisher a fixed bit range
-  (a *plane*) inside one contiguous integer;
+* each publisher gets a fixed bit range (a :class:`Plane`) inside one
+  contiguous integer;
 * packing a profile ORs its per-publisher bits into that integer, so
   any pairwise ``{intersect, union, xor}`` cardinality is a single
   aligned pass of C-speed big-int ops plus ``int.bit_count()`` instead
   of a dict walk;
-* fused ``(intersect, union)`` counts are memoized per unordered pair,
-  keyed by the packed bits (the profile's content signature under the
-  layout), so CRAM's re-validation loop stops recomputing unchanged
-  pairs.
+* fused ``(intersect, union)`` counts are memoized per unordered pair
+  of profile objects, so CRAM's re-validation loop stops recomputing
+  unchanged pairs.
 
-The kernel is *exact*: a profile whose vectors do not fit the layout
-(mismatched window, unknown publisher) is marked non-packable and every
-pair involving it falls back to the naive profile walk, so attaching
-the kernel never changes a metric value, an allocation, or an
-evaluation counter — only wall-clock time
-(``tests/test_kernel_equivalence.py`` pins that against the kernel-less
-allocator in ``tests/naive_cram.py``).
+A pool packs whole or not at all, and :meth:`ClosenessKernel.for_pool`
+is the one place that decides: it returns ``None`` when some publisher
+is seen under two windows (under loss or jitter a gather's directory
+can be stale, so ``synchronize`` cannot align), and the run takes the
+kernel-less path every caller already has.  Equal windows in give equal
+windows out of every OR-merge, so a packed pool stays packed; a profile
+that does not fit is an error, not a slower mode.  The kernel changes
+only wall-clock time (``tests/test_kernel_equivalence.py`` pins every
+value and counter against ``tests/naive_cram.py``).
 """
 
 from __future__ import annotations
@@ -73,92 +74,40 @@ class Plane:
         self.rate = rate
 
 
-class BitPlaneLayout:
-    """Global plane assignment derived from a synchronized pool.
+Window = Tuple[int, int]  # a vector's (first_id, capacity)
 
-    A publisher is *packable* when every vector observed for it shares
-    one ``(first_id, capacity)`` window — the invariant ``synchronize``
-    establishes.  Publishers with conflicting windows stay unpacked for
-    every profile (so pairwise math never mixes packed and naive bits
-    for the same publisher).
+
+def pool_windows(
+    profiles: Iterable[SubscriptionProfile],
+) -> Tuple[Dict[str, Window], Set[str]]:
+    """Each publisher's window over a pool, and who is seen under two.
+
+    ``synchronize`` leaves every vector of a publisher on one window;
+    the second set names the publishers for which it could not.
     """
-
-    __slots__ = ("planes", "conflicted")
-
-    def __init__(
-        self,
-        directory: PublisherDirectory,
-        profiles: Iterable[SubscriptionProfile],
-    ):
-        windows: Dict[str, Tuple[int, int]] = {}
-        conflicted: Set[str] = set()
-        for profile in profiles:
-            for adv_id, vector in profile.items():
-                key = (vector.first_id, vector.capacity)
-                seen = windows.get(adv_id)
-                if seen is None:
-                    windows[adv_id] = key
-                elif seen != key:
-                    conflicted.add(adv_id)
-        self.planes: Dict[str, Plane] = {}
-        offset = 0
-        for adv_id in sorted(windows):
-            if adv_id in conflicted:
-                continue
-            first_id, capacity = windows[adv_id]
-            publisher = directory.get(adv_id)
-            if publisher is None:
-                window = capacity
-                rate = 0.0
-            else:
-                window = max(1, min(capacity, publisher.last_message_id - first_id + 1))
-                rate = publisher.publication_rate
-            self.planes[adv_id] = Plane(adv_id, offset, first_id, capacity, window, rate)
-            offset += capacity
-        self.conflicted = conflicted
+    windows: Dict[str, Window] = {}
+    disagreeing: Set[str] = set()
+    for profile in profiles:
+        for adv_id, vector in profile.items():
+            window = (vector.first_id, vector.capacity)
+            if windows.setdefault(adv_id, window) != window:
+                disagreeing.add(adv_id)
+    return windows, disagreeing
 
 
 class PackedProfile:
-    """One profile flattened onto a :class:`BitPlaneLayout`.
+    """One profile flattened onto a kernel's planes."""
 
-    ``exact`` is False when any vector missed its plane window; such
-    profiles keep working — every computation touching them routes
-    through the naive profile walk.  ``residual`` holds vectors for
-    publishers that are unpacked *for everyone* (layout conflicts);
-    those combine naively per pair without breaking exactness.
-    """
+    __slots__ = ("profile", "bits", "planes", "pcard", "shift", "rate_memo")
 
-    __slots__ = (
-        "profile",
-        "bits",
-        "residual",
-        "planes",
-        "exact",
-        "pure",
-        "key",
-        "pcard",
-        "shift",
-        "rate_memo",
-    )
-
-    def __init__(
-        self,
-        profile: SubscriptionProfile,
-        bits: int,
-        residual: Mapping[str, BitVector],
-        planes: Tuple[Plane, ...],
-        exact: bool,
-    ):
+    def __init__(self, profile: SubscriptionProfile, bits: int, planes: Tuple[Plane, ...]):
+        #: Held so the kernel's ``id(profile)`` keys cannot be recycled.
         self.profile = profile
         self.bits = bits
-        self.residual = dict(residual)
         #: Planes holding at least one bit, in the profile's vector-dict
         #: order — the rate-path float sums must add terms in exactly
         #: the naive order.
         self.planes = planes
-        self.exact = exact
-        #: Exact with no residual vectors: eligible for packed bin math.
-        self.pure = exact and not residual
         #: Popcount of the packed planes (``|A∪B| = |A|+|B|-|A∩B|``
         #: turns the pairwise union into integer arithmetic).
         self.pcard = popcount(bits)
@@ -170,21 +119,6 @@ class PackedProfile:
         #: pack's own), so caching on the pack itself is exact and dies
         #: with the pack (no id-reuse hazard).
         self.rate_memo: Dict[int, float] = {}
-        if exact:
-            # The memo key must pin down every input of a pairwise
-            # count.  For residual vectors that includes the window
-            # (first_id, capacity), not just the normalized signature:
-            # alignment discards bits below the later window start, so
-            # even an *empty* vector's window changes the result.
-            residual_sig = tuple(
-                sorted(
-                    (adv, vec.first_id, vec.capacity, vec.raw_bits())
-                    for adv, vec in residual.items()
-                )
-            )
-            self.key: Optional[Tuple[int, Tuple]] = (bits, residual_sig)
-        else:
-            self.key = None
 
     def memo_key(self, bin_bits: int) -> int:
         """What of a bin's packed union :meth:`rate_increase` depends on.
@@ -205,7 +139,7 @@ class PackedProfile:
 
         Terms are added in the profile's vector-dict order with the same
         skip conditions as the naive per-publisher walk, so the float
-        result is bit-identical.  Only meaningful for ``pure`` packs.
+        result is bit-identical.
         """
         memo = self.rate_memo
         key = self.memo_key(bin_bits)
@@ -228,67 +162,83 @@ class ClosenessKernel:
     """Packs a pool once, then serves fused pairwise set cardinalities.
 
     Drop-in acceleration behind :class:`~repro.core.closeness.
-    ClosenessMetric` (via ``attach_kernel``), ``BrokerBin`` (packed
-    union/rate bookkeeping), ``AllocationUnit.merged`` (packed
-    OR-merge), and the poset builder (packed ``covers``).
+    ClosenessMetric` (via ``attach_kernel``), the run-length first fit
+    (packed union/rate bookkeeping), ``AllocationUnit.merged`` (packed
+    OR-merge), and the poset builder (packed ``covers``).  Built by
+    :meth:`for_pool` only.
     """
 
-    def __init__(
-        self,
-        directory: PublisherDirectory,
-        profiles: Iterable[SubscriptionProfile],
-    ):
-        pool = list(profiles)
-        self.directory = directory
-        self.layout = BitPlaneLayout(directory, pool)
-        self._packs: Dict[int, Tuple[SubscriptionProfile, PackedProfile]] = {}
-        self._memo: Dict[Tuple[Tuple[int, Tuple], Tuple[int, Tuple]], Tuple[int, int]] = {}
-        self._pair_index: Dict[Tuple[int, Tuple], List[Tuple]] = {}
-        self._key_refs: Dict[Tuple[int, Tuple], int] = {}
-        # Object-identity pair memo in front of the content memo: the
-        # pack cache pins every profile's id with a strong reference and
-        # profiles are immutable during a run, so an id pair uniquely
-        # identifies a (possibly non-packable) profile pair.  Entries
-        # die with :meth:`forget`, before the id can be recycled.
+    def __init__(self, directory: PublisherDirectory, windows: Mapping[str, Window]):
+        #: One plane per publisher, laid out in ``adv_id`` order.
+        self.planes: Dict[str, Plane] = {}
+        offset = 0
+        for adv_id in sorted(windows):
+            first_id, capacity = windows[adv_id]
+            publisher = directory.get(adv_id)
+            if publisher is None:
+                window = capacity
+                rate = 0.0
+            else:
+                window = max(1, min(capacity, publisher.last_message_id - first_id + 1))
+                rate = publisher.publication_rate
+            self.planes[adv_id] = Plane(adv_id, offset, first_id, capacity, window, rate)
+            offset += capacity
+        #: ``id(profile)`` -> pack; the pack pins the profile, so the key
+        #: cannot be recycled while the entry lives (see :meth:`forget`).
+        self._packs: Dict[int, PackedProfile] = {}
+        # Pair memo keyed on object identity: profiles are immutable
+        # during a run, so an id pair uniquely identifies a profile
+        # pair.  Entries die with :meth:`forget`, before the id can be
+        # recycled.
         self._id_memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._id_pairs: Dict[int, List[Tuple[int, int]]] = {}
         # Diagnostics consumed by CramStats / the benchmark harness.
         self.fused_evaluations = 0
         self.memo_hits = 0
-        self.fallback_evaluations = 0
+
+    @classmethod
+    def for_pool(
+        cls, directory: PublisherDirectory, profiles: Iterable[SubscriptionProfile]
+    ) -> Optional["ClosenessKernel"]:
+        """The kernel over a pool, or ``None`` if the pool does not pack.
+
+        The one decision point: a pool packs when every publisher is
+        seen under a single window.  A declined run is kernel-less from
+        its first probe to its last.
+        """
+        pool = list(profiles)
+        windows, disagreeing = pool_windows(pool)
+        if disagreeing:
+            return None
+        kernel = cls(directory, windows)
         for profile in pool:
-            self.pack(profile)
+            kernel.pack(profile)
+        return kernel
 
     # ------------------------------------------------------------------
     # Packing
     # ------------------------------------------------------------------
     def pack(self, profile: SubscriptionProfile) -> PackedProfile:
-        """Flatten ``profile`` onto the layout (cached per object).
+        """Flatten ``profile`` onto the planes (cached per object).
 
-        The cache holds a strong reference to the profile, so the
-        ``id()`` key cannot be recycled while the entry lives; call
-        :meth:`forget` when CRAM retires a profile.
+        Raises ``ValueError`` for a profile from outside the pool's
+        windows: every OR-merge of pool profiles fits, so a misfit is a
+        caller's bug.  Call :meth:`forget` when CRAM retires a profile.
         """
-        cached = self._packs.get(id(profile))
-        if cached is not None:
-            return cached[1]
-        layout_planes = self.layout.planes
+        packed = self._packs.get(id(profile))
+        if packed is not None:
+            return packed
         bits = 0
-        residual: Dict[str, BitVector] = {}
         planes: List[Plane] = []
-        exact = True
         for adv_id, vector in profile.items():
-            plane = layout_planes.get(adv_id)
-            if plane is None:
-                if adv_id in self.layout.conflicted:
-                    residual[adv_id] = vector
-                else:
-                    exact = False  # publisher unknown to the layout
-                continue
-            window = (vector.first_id, len(vector))
-            if window != plane.span:
-                exact = False
-                continue
+            plane = self.planes.get(adv_id)
+            window = (vector.first_id, vector.capacity)
+            if plane is None or window != plane.span:
+                expected = "no plane" if plane is None else f"window {plane.span}"
+                raise ValueError(
+                    f"profile does not fit the packed pool: publisher {adv_id!r} "
+                    f"has window {window}, the pool has {expected} for it"
+                )
             raw = vector.raw_bits()
             if raw:
                 # An empty vector adds no rate term (the naive walk skips
@@ -296,34 +246,17 @@ class ClosenessKernel:
                 # equal planes the test for interchangeable profiles.
                 bits |= raw << plane.offset
                 planes.append(plane)
-        packed = PackedProfile(profile, bits, residual, tuple(planes), exact)
-        self._packs[id(profile)] = (profile, packed)
-        if packed.key is not None:
-            self._key_refs[packed.key] = self._key_refs.get(packed.key, 0) + 1
+        packed = PackedProfile(profile, bits, tuple(planes))
+        self._packs[id(profile)] = packed
         return packed
 
     def forget(self, profile: SubscriptionProfile) -> None:
-        """Invalidate a retired profile (CRAM calls this on merge).
-
-        Drops the pack-cache entry and, once no live profile shares the
-        same content key, every memoized pair that mentions it.
-        """
+        """Drop a retired profile's pack and every memoized pair naming it."""
         profile_id = id(profile)
-        entry = self._packs.pop(profile_id, None)
-        if entry is None:
+        if self._packs.pop(profile_id, None) is None:
             return
         for pair in self._id_pairs.pop(profile_id, ()):
             self._id_memo.pop(pair, None)
-        key = entry[1].key
-        if key is None:
-            return
-        remaining = self._key_refs.get(key, 0) - 1
-        if remaining > 0:
-            self._key_refs[key] = remaining
-            return
-        self._key_refs.pop(key, None)
-        for pair in self._pair_index.pop(key, ()):
-            self._memo.pop(pair, None)
 
     # ------------------------------------------------------------------
     # Fused pairwise counts
@@ -331,7 +264,7 @@ class ClosenessKernel:
     def fused_counts(
         self, first: SubscriptionProfile, second: SubscriptionProfile
     ) -> Tuple[int, int]:
-        """``(|∩|, |∪|)`` for a profile pair, memoized when packable."""
+        """``(|∩|, |∪|)`` for a profile pair, memoized per object pair."""
         ia = id(first)
         ib = id(second)
         id_pair = (ia, ib) if ia <= ib else (ib, ia)
@@ -340,64 +273,16 @@ class ClosenessKernel:
             self.memo_hits += 1
             return hit
         packs = self._packs
-        entry = packs.get(ia)
-        pa = entry[1] if entry is not None else self.pack(first)
-        entry = packs.get(ib)
-        pb = entry[1] if entry is not None else self.pack(second)
-        if not (pa.exact and pb.exact):
-            self.fallback_evaluations += 1
-            counts = (
-                first.intersection_cardinality(second),
-                first.union_cardinality(second),
-            )
-            self._remember_id_pair(id_pair, counts)
-            return counts
-        ka = pa.key
-        kb = pb.key
-        assert ka is not None and kb is not None
-        pair = (ka, kb) if ka <= kb else (kb, ka)
-        hit = self._memo.get(pair)
-        if hit is not None:
-            self.memo_hits += 1
-            self._remember_id_pair(id_pair, hit)
-            return hit
+        pa = packs.get(ia) or self.pack(first)
+        pb = packs.get(ib) or self.pack(second)
         intersect = (pa.bits & pb.bits).bit_count()
-        union = pa.pcard + pb.pcard - intersect
-        if pa.residual or pb.residual:
-            intersect, union = self._residual_counts(pa, pb, intersect, union)
+        counts = (intersect, pa.pcard + pb.pcard - intersect)
         self.fused_evaluations += 1
-        counts = (intersect, union)
-        self._memo[pair] = counts
-        self._pair_index.setdefault(ka, []).append(pair)
-        if kb != ka:
-            self._pair_index.setdefault(kb, []).append(pair)
-        self._remember_id_pair(id_pair, counts)
-        return counts
-
-    def _remember_id_pair(self, id_pair: Tuple[int, int], counts: Tuple[int, int]) -> None:
-        """Front the content memo with an identity-keyed entry."""
         self._id_memo[id_pair] = counts
-        self._id_pairs.setdefault(id_pair[0], []).append(id_pair)
-        if id_pair[1] != id_pair[0]:
-            self._id_pairs.setdefault(id_pair[1], []).append(id_pair)
-
-    @staticmethod
-    def _residual_counts(
-        pa: PackedProfile, pb: PackedProfile, intersect: int, union: int
-    ) -> Tuple[int, int]:
-        """Add the unpacked publishers' naive pairwise contributions."""
-        for adv_id, mine in pa.residual.items():
-            theirs = pb.residual.get(adv_id)
-            if theirs is None:
-                union += mine.cardinality
-            else:
-                both, either, _xor = mine.fused_cardinalities(theirs)
-                intersect += both
-                union += either
-        for adv_id, theirs in pb.residual.items():
-            if adv_id not in pa.residual:
-                union += theirs.cardinality
-        return intersect, union
+        self._id_pairs.setdefault(ia, []).append(id_pair)
+        if ib != ia:
+            self._id_pairs.setdefault(ib, []).append(id_pair)
+        return counts
 
     # ------------------------------------------------------------------
     # Closeness metrics (identical arithmetic to repro.core.closeness)
@@ -433,11 +318,9 @@ class ClosenessKernel:
         """Batched one-vs-all closeness (CRAM partner search, pairwise).
 
         Equivalent to ``[closeness(name, first, o) for o in others]``
-        but with the pair-memo lookup, the pure-pair popcounts, and the
-        metric arithmetic inlined into one loop — this is the hot row
-        of CRAM's partner searches.  Pairs computed here skip the
-        content memo (rows almost never see content-equal re-packs);
-        the identity memo still catches every repeat scan.
+        but with the pair-memo lookup, the popcounts, and the metric
+        arithmetic inlined into one loop — this is the hot row of
+        CRAM's partner searches.
         """
         if name == "intersect":
             mode = 0
@@ -453,12 +336,9 @@ class ClosenessKernel:
         id_memo = self._id_memo
         id_pairs = self._id_pairs
         packs = self._packs
-        entry = packs.get(ia)
-        pa = entry[1] if entry is not None else self.pack(first)
-        pa_pure = pa.pure
+        pa = packs.get(ia) or self.pack(first)
         pa_bits = pa.bits
         pa_pcard = pa.pcard
-        fused_counts = self.fused_counts
         first_card = first.cardinality if mode == 2 else 0
         hits = 0
         fused = 0
@@ -472,19 +352,15 @@ class ClosenessKernel:
                 hits += 1
                 intersect, union = counts
             else:
-                entry = packs.get(ib)
-                pb = entry[1] if entry is not None else self.pack(other)
-                if pa_pure and pb.pure:
-                    intersect = (pa_bits & pb.bits).bit_count()
-                    union = pa_pcard + pb.pcard - intersect
-                    fused += 1
-                    # ``_remember_id_pair`` inlined (hot row): ia != ib
-                    # here, so both reverse-index entries are recorded.
-                    id_memo[id_pair] = (intersect, union)
-                    id_pairs.setdefault(id_pair[0], []).append(id_pair)
-                    id_pairs.setdefault(id_pair[1], []).append(id_pair)
-                else:
-                    intersect, union = fused_counts(first, other)
+                pb = packs.get(ib) or self.pack(other)
+                intersect = (pa_bits & pb.bits).bit_count()
+                union = pa_pcard + pb.pcard - intersect
+                fused += 1
+                # ``fused_counts``' bookkeeping inlined (hot row): ia != ib
+                # here, so both reverse-index entries are recorded.
+                id_memo[id_pair] = (intersect, union)
+                id_pairs.setdefault(ia, []).append(id_pair)
+                id_pairs.setdefault(ib, []).append(id_pair)
             if mode == 0:
                 append(float(intersect))
             elif mode == 1:
@@ -503,46 +379,22 @@ class ClosenessKernel:
     # ------------------------------------------------------------------
     # Coverage (poset builder)
     # ------------------------------------------------------------------
-    def covers(
-        self, first: SubscriptionProfile, second: SubscriptionProfile
-    ) -> Optional[bool]:
-        """Packed superset test, or ``None`` when a side is unpackable."""
-        pa = self.pack(first)
-        pb = self.pack(second)
-        if not (pa.exact and pb.exact):
-            return None
-        if pb.bits & ~pa.bits:
-            return False
-        for adv_id, theirs in pb.residual.items():
-            if not theirs:
-                continue
-            mine = pa.residual.get(adv_id)
-            if mine is None or not mine.covers(theirs):
-                return False
-        return True
+    def covers(self, first: SubscriptionProfile, second: SubscriptionProfile) -> bool:
+        """Packed superset test."""
+        return not (self.pack(second).bits & ~self.pack(first).bits)
 
     # ------------------------------------------------------------------
     # Packed OR-merge (CRAM clustering)
     # ------------------------------------------------------------------
-    def merge_profiles(
-        self, profiles: Sequence[SubscriptionProfile]
-    ) -> Optional[SubscriptionProfile]:
-        """OR-merge via one pass of big-int ORs, or ``None`` to fall back.
+    def merge_profiles(self, profiles: Sequence[SubscriptionProfile]) -> SubscriptionProfile:
+        """OR-merge via one pass of big-int ORs.
 
         Reproduces ``repro.core.profiles.merge_profiles`` exactly —
-        same vector windows, same bits, same first-seen publisher order
-        — whenever every member is pure-packed.
+        same vector windows, same bits, same first-seen publisher order.
         """
-        packs = []
-        for profile in profiles:
-            packed = self.pack(profile)
-            if not packed.pure:
-                return None
-            packs.append(packed)
         bits = 0
-        for packed in packs:
-            bits |= packed.bits
-        layout_planes = self.layout.planes
+        for profile in profiles:
+            bits |= self.pack(profile).bits
         merged = SubscriptionProfile(
             capacity=max(profile.capacity for profile in profiles)
         )
@@ -551,7 +403,7 @@ class ClosenessKernel:
             for adv_id in profile.adv_ids():
                 if adv_id in vectors:
                     continue
-                plane = layout_planes[adv_id]
+                plane = self.planes[adv_id]
                 vector = BitVector(capacity=plane.capacity, first_id=plane.first_id)
                 vector.load_bits((bits >> plane.offset) & plane.mask)
                 vectors[adv_id] = vector

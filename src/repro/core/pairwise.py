@@ -27,6 +27,7 @@ from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherDirectory
 from repro.core.units import AllocationUnit
 from repro.core.rng import SeededRng
+from repro.obs import recorder as obs
 
 
 def pairwise_cluster(
@@ -49,7 +50,9 @@ def pairwise_cluster(
     clusters: List[AllocationUnit] = list(units)
     if cluster_count < 1:
         raise ValueError("cluster_count must be at least 1")
-    kernel = ClosenessKernel(directory, [unit.profile for unit in clusters])
+    kernel = ClosenessKernel.for_pool(directory, [unit.profile for unit in clusters])
+    if kernel is None:
+        obs.add("kernel.declined_pools")
     metric.attach_kernel(kernel)
     try:
         return _pairwise_cluster(clusters, cluster_count, directory, metric, kernel)

@@ -1,9 +1,8 @@
 """Shared popcount primitives for every bit-counting path.
 
-Two call sites used to re-implement the same aligned-AND/OR/XOR
-popcount dance: :class:`~repro.core.bitvector.BitVector`'s cardinality
-methods and the fused kernel's residual fallback.  They both route
-through this module now, so the counting semantics live in exactly one
+Both bit-counting paths — :class:`~repro.core.bitvector.BitVector`'s
+cardinality methods and the fused kernel's packed profiles — route
+through this module, so the counting semantics live in exactly one
 place.
 
 Everything here operates on plain non-negative ints (packed bit

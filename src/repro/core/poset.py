@@ -112,8 +112,6 @@ class Poset:
             if self._kernel is not None:
                 verdict = self._kernel.covers(node.gif.profile, other.gif.profile)
             else:
-                verdict = None
-            if verdict is None:
                 verdict = node.gif.profile.covers(other.gif.profile)
             self._cover_memo[key] = verdict
         return verdict

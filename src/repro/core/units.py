@@ -186,8 +186,8 @@ class AllocationUnit:
         broker still gets its own downlink stream.
 
         With a fused ``kernel`` the profile OR-merge happens on packed
-        bits (one big-int pass) whenever every member profile packs
-        exactly; the result is bit-identical to the naive merge.
+        bits (one big-int pass); the result is bit-identical to the
+        naive merge.
         """
         if not units:
             raise ValueError("cannot merge zero units")
@@ -196,10 +196,9 @@ class AllocationUnit:
             raise ValueError(f"cannot merge units of mixed kinds {sorted(kinds)}")
         if len(units) == 1:
             return units[0]
-        profile = None
         if kernel is not None:
             profile = kernel.merge_profiles([unit.profile for unit in units])
-        if profile is None:
+        else:
             profile = merge_profiles(unit.profile for unit in units)
         members = tuple(itertools.chain.from_iterable(unit.members for unit in units))
         children = tuple(

@@ -79,7 +79,8 @@ def allocator_counters(allocator) -> Dict[str, float]:
     if stats.kernel_used:
         counters["kernel.fused_evaluations"] = stats.kernel_fused_evaluations
         counters["kernel.memo_hits"] = stats.kernel_memo_hits
-        counters["kernel.fallback_evaluations"] = stats.kernel_fallback_evaluations
+    if stats.kernel_declined_pools:  # a degradation: listed only when it happened
+        counters["kernel.declined_pools"] = stats.kernel_declined_pools
     return counters
 
 

@@ -2,8 +2,9 @@
 
 With no kernel every closeness evaluation walks the per-publisher
 ``BitVector`` dicts, every bin keeps ``BrokerBin`` bookkeeping, and
-every probe flattens, sorts and first-fits unit by unit — the code
-production keeps as the fallback for impure packs.  The equivalence
+every probe flattens, sorts and first-fits unit by unit — the path
+production takes for a pool ``ClosenessKernel.for_pool`` declines, and
+the one FBF, BIN PACKING and Phase 3 always run.  The equivalence
 suites run it on the same input and demand the same placements, the
 same counters and the same spans.
 """

@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.core.config import RunConfig
 from repro.core.cram import CramAllocator, ShardedCramAllocator
+from repro.core.fbf import first_fit
 from repro.core.online import OnlineAllocator, OnlineSpec
 from repro.core.pairwise import PairwiseAllocator
 
@@ -65,6 +66,32 @@ def test_one_process_pool_and_no_install_hooks_in_core():
         sites += inside
     assert sites == ["execute_cells"]
     assert hooks == []
+
+
+def test_one_kernel_decision_point_and_no_fallback_returns():
+    """Whether a pool packs is decided where the kernel is built, once:
+    nothing else constructs one, the kernel-less first fit takes none,
+    and no packed operation may answer "fall back" instead."""
+    sites = []
+    returns = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and path.name != "kernel.py"
+            and ast.unparse(node.func).endswith("ClosenessKernel")
+        ]
+        if path.name in ("kernel.py", "fbf.py", "cram.py"):
+            returns.update({
+                node.name: ast.unparse(node.returns)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.returns is not None
+            })
+    assert sites == []
+    for name in ("unit_runs", "merge_profiles", "covers", "build", "after_merge"):
+        assert "Optional" not in returns[name] and "None" not in returns[name], name
+    assert "Optional" in returns["for_pool"]
+    assert "kernel" not in inspect.signature(first_fit).parameters
 
 
 def test_no_environment_reads_and_no_numpy_outside_tools():

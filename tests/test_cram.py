@@ -10,7 +10,6 @@ from repro.core.capacity import packed_unit
 from repro.core.closeness import make_metric
 from repro.core.cram import CramAllocator
 from repro.core.fbf import is_twin
-from repro.core.kernel import ClosenessKernel
 from repro.core.units import units_from_records
 from repro.obs import recorder as obs
 from repro.workloads.offline import offline_gather
@@ -366,26 +365,19 @@ class TestStandingOrder:
         assert state._order is None
         assert state.probe_merge(units[:2]) is not None
 
-    def test_impure_merge_drops_the_order(self, directory, monkeypatch):
-        """A merged unit the kernel cannot pack purely ends the fast path
-        for the rest of the run; probes fall back to BIN PACKING."""
+    def test_declined_pool_builds_no_order(self, directory, monkeypatch):
+        """No kernel means no order, and that is settled before the
+        first probe: a pool that does not pack never builds one."""
         units = symbol_units(directory, per_symbol=3, symbols=2)
-        kernel = ClosenessKernel(directory, [unit.profile for unit in units])
-        metric = make_metric("ios")
-        metric.attach_kernel(kernel)
-        state = cram_module._CramState(
-            units, make_pool(4), directory, metric, True, True,
-            cram_module.CramStats(), kernel=kernel,
-        )
-        assert state._order is not None and state._order.size == 6
-        stranger = make_unit({"P0": [1]}, directory, capacity=16)
+        units.append(make_unit({"P0": [1]}, directory, capacity=16))
+        built = []
         monkeypatch.setattr(
-            cram_module.AllocationUnit, "merged",
-            classmethod(lambda cls, units, directory, kernel=None: stranger),
+            cram_module._StandingOrder, "build",
+            classmethod(lambda cls, *args: built.append(args)),
         )
-        pair = units[:2]
-        result = state.probe_merge(pair)
-        assert result is not None and state._order is not None
-        assert stranger in [unit for bin_ in result.bins for unit in bin_.units]
-        state.commit_merge(pair, [next(iter(state.gifs.values()))], result)
-        assert state._order is None
+        cram = CramAllocator(metric="ios")
+        assert cram.allocate(units, make_pool(4), directory).success
+        assert not built
+        stats = cram.last_stats
+        assert stats.merges > 0 and stats.binpack_runs > stats.merges
+        assert not stats.kernel_used and stats.kernel_declined_pools == 1

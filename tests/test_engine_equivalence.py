@@ -19,13 +19,19 @@ Engine edge cases (ties, cancellation, compaction) live in
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
+import json
 from operator import attrgetter
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.parallel import CellSpec, run_spec
+from repro.obs import recorder as obs
 from repro.pubsub.network import PubSubNetwork
 from repro.pubsub.tracing import MessageTracer
 from repro.sim.engine import Simulator
@@ -207,6 +213,41 @@ def test_prop_logged_delivery_equals_one_event_per_delivery(
     assert result.baseline_summary == expected.baseline_summary
     assert comparable(result) == comparable(expected)
     _assert_same_run(logged, oracle)
+
+
+#: ``LOADED`` / ``cram-ios`` under one fault at a time, recorded at the
+#: last commit whose kernel still packed part of a pool (``c92a17e``):
+#: plan -> seed -> digest of everything :func:`comparable` covers bar
+#: ``CramStats``' ``kernel_*`` diagnostics, which say which path ran.
+FAULT_PLAN_ROWS = {
+    "loss_rate": (0.05, {1: "49cdd644c7ce74e7", 2: "9726d2607171e106"}),
+    "jitter": (0.05, {1: "be5ad35700e3618a", 2: "1ba3ea63ddae1d68"}),
+    "crash_fraction": (0.25, {1: "edd01812cebfe110", 2: "3853bd5dbe0d392d"}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULT_PLAN_ROWS))
+def test_declined_pools_move_no_row_under_fault_plans(fault):
+    """Loss and jitter leave a gather's directory stale, the pool does
+    not pack, and the kernel-less run it takes is the run the mixed
+    mode made; a crash plan's pools all pack."""
+    level, pinned = FAULT_PLAN_ROWS[fault]
+    declined = 0
+    for seed, digest in pinned.items():
+        plan = FaultPlan(crash_start=4.0, downtime=5.0, seed=5, **{fault: level})
+        with obs.attached(obs.Recorder()) as recorder:
+            result = run_spec(CellSpec(scenario=LOADED, approach="cram-ios",
+                                       seed=seed, fault_plan=plan))
+        record = comparable(result)
+        record["cram_stats"] = {
+            name: value
+            for name, value in dataclasses.asdict(result.cram_stats).items()
+            if not name.startswith("kernel_")
+        }
+        text = json.dumps(record, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, seed
+        declined += recorder.counters.get("kernel.declined_pools", 0)
+    assert (declined > 0) is (fault != "crash_fraction")
 
 
 def test_continuous_churn_equals_one_event_per_delivery():

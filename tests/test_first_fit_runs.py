@@ -1,17 +1,19 @@
 """Run-length first fit vs the :class:`BrokerBin` loop (its oracle).
 
-With a kernel, ``first_fit`` groups consecutive interchangeable units
-into runs and lets the twins of a placed unit join its bin on a
-two-comparison test.  The claim is bit-identity with the one-unit-at-
-a-time loop, so everything here compares with ``==`` and ``is`` —
-never a tolerance, never a clock.
+``first_fit_runs`` takes consecutive interchangeable units as runs
+(``unit_runs``) and lets the twins of a placed unit join its bin on a
+two-comparison test.  The claim is bit-identity with ``first_fit``, the
+one-unit-at-a-time loop every kernel-less allocator runs, so everything
+here compares with ``==`` and ``is`` — never a tolerance, never a clock.
 """
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.capacity import BrokerSpec, MatchingDelayFunction
-from repro.core.fbf import first_fit, unit_runs
+from repro.core.capacity import BrokerSpec, MatchingDelayFunction, sorted_broker_pool
+from repro.core.fbf import first_fit, first_fit_runs, pool_columns, unit_runs
 from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherProfile
 from repro.core.units import AllocationUnit
@@ -58,7 +60,14 @@ def make_brokers(rows):
 
 
 def kernel_for(units):
-    return ClosenessKernel(DIRECTORY, [unit.profile for unit in units])
+    return ClosenessKernel.for_pool(DIRECTORY, [unit.profile for unit in units])
+
+
+def packed_first_fit(units, pool, kernel=None):
+    """The production pairing: runs of twins onto the pool's columns."""
+    kernel = kernel if kernel is not None else kernel_for(units)
+    columns = pool_columns(sorted_broker_pool(pool))
+    return first_fit_runs(unit_runs(units, kernel), columns, DIRECTORY, kernel)
 
 
 def snapshot(result):
@@ -81,7 +90,7 @@ def snapshot(result):
 
 def assert_matches_oracle(units, pool):
     oracle = first_fit(units, pool, DIRECTORY)
-    packed = first_fit(units, pool, DIRECTORY, kernel=kernel_for(units))
+    packed = packed_first_fit(units, pool)
     assert snapshot(packed) == snapshot(oracle)
     assert packed.failed_unit is oracle.failed_unit
     return packed
@@ -212,19 +221,38 @@ class TestRunBoundaries:
         assert len(unit_runs(units, kernel)) == 1
         assert_matches_oracle(units, make_brokers([(1.0, 1e-4, 0.0)] * 2))
 
-    def test_impure_pool_takes_the_brokerbin_loop(self):
+    def test_a_unit_from_outside_the_pool_is_an_error(self):
         units = make_units([(0, 1.0, 1, 3)], self.PATTERNS)
         kernel = kernel_for(units)
         stranger = AllocationUnit(
             members=(), profile=make_profile({"P0": [1]}, capacity=16),
             delivery_bandwidth=1.0, delivery_rate=1.0, subscription_count=1,
         )
-        mixed = units + [stranger]
-        assert unit_runs(mixed, kernel) is None
-        pool = make_brokers([(3.0, 1e-4, 0.0)] * 2)
-        assert snapshot(first_fit(mixed, pool, DIRECTORY, kernel=kernel)) == snapshot(
-            first_fit(mixed, pool, DIRECTORY)
-        )
+        with pytest.raises(ValueError, match="'P0'"):
+            unit_runs(units + [stranger], kernel)
+
+    def test_packed_bins_keep_accepting_pool_units(self):
+        """A bin materialized from the flat loop's state answers and
+        grows like one filled an ``add`` at a time."""
+        shapes = [(0, 1.0, 1, 3), (1, 0.3, 2, 2), (0, 0.3, 1, 2)]
+        units = make_units(shapes, self.PATTERNS)
+        late = make_units([(1, 1.0, 1, 1), (0, 2.5, 1, 1), (1, 0.1, 3, 1)], self.PATTERNS)
+        pool = make_brokers([(3.0, 0.1, 0.02)] * 3)
+        kernel = kernel_for(units + late)
+        packed = packed_first_fit(units, pool, kernel)
+        oracle = first_fit(units, pool, DIRECTORY)
+        verdicts = []
+        for unit in late:
+            for packed_bin, oracle_bin in zip(packed.bins, oracle.bins):
+                verdict = oracle_bin.can_accept(unit)
+                assert packed_bin.can_accept(unit) is verdict
+                verdicts.append(verdict)
+                if verdict:
+                    packed_bin.add(unit)
+                    oracle_bin.add(unit)
+                    break
+        assert True in verdicts and False in verdicts
+        assert snapshot(packed) == snapshot(oracle)
 
 
 class TestEqualBandwidthResume:
@@ -294,7 +322,7 @@ def test_twins_cost_one_rate_lookup_per_bin_visited():
     kernel = kernel_for(units)
     memo = kernel.pack(profile).rate_memo = CountingMemo()
     pool = make_brokers([(250.0, 1e-4, 1e-7)] * 10)
-    result = first_fit(units, pool, DIRECTORY, kernel=kernel)
+    result = packed_first_fit(units, pool, kernel)
     assert [len(bin_.units) for bin_ in result.bins] == [250] * 4
     # One look-up per bin visited; a miss repeats it inside
     # ``rate_increase``, and the four bins share one state (empty).

@@ -3,8 +3,9 @@
 The fused bit-plane kernel (:mod:`repro.core.kernel`) promises to be a
 pure wall-clock optimization: attaching it must never change a metric
 value, an allocation, or an evaluation counter.  These tests pin that
-contract on seeded end-to-end scenarios and on targeted fallback cases
-(mismatched windows, layout conflicts, unknown publishers).
+contract on seeded end-to-end scenarios, on generated pools, and on the
+pools the kernel declines (a publisher seen under two windows), where
+production runs the kernel-less path itself.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from repro.core.croc import Croc
 from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherProfile
 from repro.core.units import units_from_records
+from repro.obs import recorder as obs
+from repro.obs.collect import allocator_counters
 from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_heterogeneous, cluster_homogeneous
 
-from conftest import make_directory, make_profile, make_spec, make_unit
+from conftest import make_directory, make_pool, make_profile, make_spec, make_unit
 from naive_cram import NaiveCramAllocator
 
 # Three seeded scenarios: two homogeneous sizes and one heterogeneous
@@ -88,7 +91,7 @@ class TestAllocationEquivalence:
         profiles = [unit.profile for unit in units][:40]
         naive = make_metric(metric_name)
         fused = make_metric(metric_name)
-        fused.attach_kernel(ClosenessKernel(gather.directory, profiles))
+        fused.attach_kernel(ClosenessKernel.for_pool(gather.directory, profiles))
         anchor = profiles[0]
         others = profiles[1:]
         naive_row = [naive(anchor, other) for other in others]
@@ -99,8 +102,55 @@ class TestAllocationEquivalence:
         assert fused.closeness_row(anchor, others) == naive_row
 
 
+def _bins(result):
+    """Placements and bin floats, by subscription (unit IDs are per run)."""
+    return (
+        result.success,
+        [
+            (
+                bin_.spec.broker_id,
+                [unit.member_ids for unit in bin_.units],
+                bin_.used_bandwidth,
+                bin_.input_rate,
+                bin_.subscription_count,
+            )
+            for bin_ in result.bins
+        ],
+    )
+
+
+def assert_declined_and_equal_to_naive(patterns, directory, disagreeing):
+    """The pool does not pack, and CRAM on it *is* the kernel-less run."""
+
+    def make_units():
+        """Fresh units per run, synchronized the way a gather leaves them."""
+        units = [make_unit(pattern, directory, sub_id=f"s{index}")
+                 for index, pattern in enumerate(patterns)]
+        for unit in units:
+            unit.profile.synchronize(directory)
+        return units
+
+    profiles = [unit.profile for unit in make_units()]
+    assert ClosenessKernel.for_pool(directory, profiles) is None
+    for metric_name in METRIC_NAMES:
+        runs = []
+        for allocator in (NaiveCramAllocator, CramAllocator):
+            cram = allocator(metric=metric_name)
+            with obs.attached(obs.Recorder()) as recorder:
+                result = cram.allocate(make_units(), make_pool(6, bandwidth=30.0), directory)
+            (span,) = [s for s in recorder.spans if s.name == "cram.clustering"]
+            assert span.attrs["kernel"] is False
+            assert span.attrs["disagreeing_publishers"] == disagreeing
+            runs.append((_bins(result), cram.last_stats))
+        assert runs[0] == runs[1]
+        stats = runs[1][1]
+        assert stats.merges > 0 and not stats.kernel_used
+        assert stats.kernel_declined_pools == 1
+        assert allocator_counters(cram)["kernel.declined_pools"] == 1
+
+
 class TestFusedCountsFallbacks:
-    """Direct fused_counts checks, including the non-packable paths."""
+    """Direct fused_counts checks, and the pools that get no kernel."""
 
     def _naive_counts(self, first, second):
         return (
@@ -112,61 +162,53 @@ class TestFusedCountsFallbacks:
         directory = make_directory(["A", "B"])
         a = make_profile({"A": [1, 2, 3], "B": [10, 11]})
         b = make_profile({"A": [2, 3, 4]})
-        kernel = ClosenessKernel(directory, [a, b])
-        assert kernel.pack(a).pure and kernel.pack(b).pure
+        kernel = ClosenessKernel.for_pool(directory, [a, b])
         assert kernel.fused_counts(a, b) == self._naive_counts(a, b)
         assert kernel.fused_evaluations == 1
         assert kernel.fused_counts(a, b) == self._naive_counts(a, b)
         assert kernel.memo_hits == 1
 
-    def test_conflicted_window_goes_residual(self):
-        """Same publisher observed under two windows: plane conflict."""
-        directory = make_directory(["A", "B"])
-        a = make_profile({"A": [1, 2], "B": [3]}, capacity=64)
-        b = make_profile({"A": [2, 5]}, capacity=32)  # conflicting window
-        kernel = ClosenessKernel(directory, [a, b])
-        assert "A" in kernel.layout.conflicted
-        pa = kernel.pack(a)
-        assert pa.exact and not pa.pure  # residual vector for A
-        assert kernel.fused_counts(a, b) == self._naive_counts(a, b)
+    def test_conflicted_window_pool_is_declined(self):
+        """A stale directory: some subscribers saw publications past its
+        ``last_message_id``, so ``synchronize`` leaves their window of A
+        ahead of everyone else's."""
+        directory = make_directory(["A", "B"])  # last_message_id 63
+        patterns = [{"A": range(8), "B": range(16)}] * 3
+        patterns += [{"A": range(4, 12)}] * 2 + [{"B": range(8, 24)}] * 2
+        patterns += [{"A": range(70, 101), "B": range(16)}] * 2  # A slides to 37
+        late = make_profile(patterns[-1])
+        late.synchronize(directory)
+        assert late.vector("A").first_id == 37 and late.vector("B").first_id == 0
+        assert_declined_and_equal_to_naive(patterns, directory, disagreeing=1)
 
-    def test_unseen_window_falls_back_naive(self):
-        """A profile outside the constructor pool with a new window."""
+    def test_pool_missing_a_publisher_is_declined(self):
+        """The gather lost GHOST's advertisement: nothing aligns its vectors."""
+        directory = make_directory(["A"])
+        patterns = [{"A": range(8), "GHOST": range(40, 90)}] * 3
+        patterns += [{"A": range(4, 12), "GHOST": range(8)}] * 3
+        patterns += [{"GHOST": range(60, 120)}] * 2
+        assert_declined_and_equal_to_naive(patterns, directory, disagreeing=1)
+
+    def test_foreign_profile_is_an_error(self):
+        """A profile from outside the pool's windows is a caller's bug,
+        named as such — not a slower third state."""
         directory = make_directory(["A"])
         a = make_profile({"A": [1, 2, 3]}, capacity=64)
-        kernel = ClosenessKernel(directory, [a])
+        kernel = ClosenessKernel.for_pool(directory, [a])
         late = make_profile({"A": [2, 9]}, capacity=16)
-        assert not kernel.pack(late).exact
-        assert kernel.fused_counts(a, late) == self._naive_counts(a, late)
-        assert kernel.fallback_evaluations == 1
-        # Fallback pairs are still id-memoized.
-        assert kernel.fused_counts(a, late) == self._naive_counts(a, late)
-        assert kernel.memo_hits == 1
+        with pytest.raises(ValueError, match=r"'A'.*\(0, 16\).*\(0, 64\)"):
+            kernel.pack(late)
+        with pytest.raises(ValueError, match=r"'B'.*\(0, 64\).*no plane"):
+            kernel.fused_counts(a, make_profile({"B": [1]}))
+        assert kernel.fused_evaluations == kernel.memo_hits == 0
 
     def test_unknown_publisher_still_exact(self):
         """Publishers absent from the directory pack with rate 0."""
         directory = make_directory(["A"])
         a = make_profile({"A": [1], "GHOST": [2, 3]})
         b = make_profile({"GHOST": [3, 4]})
-        kernel = ClosenessKernel(directory, [a, b])
+        kernel = ClosenessKernel.for_pool(directory, [a, b])
         assert kernel.fused_counts(a, b) == self._naive_counts(a, b)
-
-    def test_closeness_row_mixed_pack_purity(self):
-        """Rows over a mix of pure, residual, and fallback profiles."""
-        directory = make_directory(["A", "B"])
-        anchor = make_profile({"A": [1, 2, 3], "B": [7]})
-        pure = make_profile({"A": [3, 4]})
-        conflicted = make_profile({"B": [1, 2]}, capacity=32)
-        kernel = ClosenessKernel(directory, [anchor, pure, conflicted])
-        late = make_profile({"A": [2]}, capacity=16)  # non-exact pack
-        others = [pure, conflicted, late]
-        for name in METRIC_NAMES:
-            naive = make_metric(name)
-            fused = make_metric(name)
-            fused.attach_kernel(kernel)
-            expected = [naive(anchor, other) for other in others]
-            assert fused.closeness_row(anchor, others) == expected
-            assert fused.evaluations == naive.evaluations
 
 
 # ----------------------------------------------------------------------
@@ -205,12 +247,19 @@ def own_span(packed):
     unit_pattern=rate_pattern,
     bin_patterns=st.lists(rate_pattern, max_size=5),
     elsewhere=st.lists(rate_pattern, min_size=1, max_size=3),
+    metric_name=st.sampled_from(METRIC_NAMES),
+    flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    bandwidth=st.sampled_from((8.0, 16.0, 100.0)),
 )
 def test_prop_rate_increase_matches_the_brokerbin_walk(
-    unit_pattern, bin_patterns, elsewhere
+    unit_pattern, bin_patterns, elsewhere, metric_name, flags, bandwidth
 ):
     """The memoized packed delta is the kernel-less bin's float, and two
-    bins that differ only on planes the unit does not own share a key."""
+    bins that differ only on planes the unit does not own share a key.
+    A full ``allocate`` over the same synchronized pool (each pattern
+    twice, so GIFs and twin runs form) then equals the kernel-less
+    allocator under every metric and ablation, and no merge or CGS
+    union it builds is ever a misfit for ``pack``."""
     owned = {adv_id for adv_id, ids in unit_pattern.items() if ids}
     unit = make_unit(unit_pattern, RATE_DIRECTORY)
     first_bin = [make_unit(pattern, RATE_DIRECTORY) for pattern in bin_patterns]
@@ -221,11 +270,11 @@ def test_prop_rate_increase_matches_the_brokerbin_walk(
         )
         for pattern in elsewhere
     ]
-    kernel = ClosenessKernel(
+    kernel = ClosenessKernel.for_pool(
         RATE_DIRECTORY, [member.profile for member in [unit] + second_bin]
     )
     packed = kernel.pack(unit.profile)
-    assert packed.pure and {plane.adv_id for plane in packed.planes} == owned
+    assert {plane.adv_id for plane in packed.planes} == owned
     for content in (first_bin, second_bin):
         naive = BrokerBin(make_spec("B00"), RATE_DIRECTORY)
         union = 0
@@ -235,6 +284,21 @@ def test_prop_rate_increase_matches_the_brokerbin_walk(
         assert packed.rate_increase(union) == naive._rate_increase(unit)
     (key,) = packed.rate_memo
     assert key.bit_length() <= own_span(packed)
+    patterns = [unit_pattern] + bin_patterns + elsewhere
+    runs = []
+    for allocator in (NaiveCramAllocator, CramAllocator):
+        cram = allocator(metric_name, *flags)
+        result = cram.allocate(
+            [make_unit(pattern, RATE_DIRECTORY, sub_id=f"s{index}")
+             for index, pattern in enumerate(patterns + patterns)],
+            make_pool(6, bandwidth=bandwidth), RATE_DIRECTORY,
+        )
+        stats = cram.last_stats
+        assert stats.kernel_used is (allocator is CramAllocator)
+        assert stats.kernel_declined_pools == 0
+        runs.append((_bins(result), stats.merges, stats.failures, stats.binpack_runs,
+                     stats.final_units, stats.closeness_evaluations))
+    assert runs[0] == runs[1]
 
 
 def test_rate_memo_keys_stay_plane_local(monkeypatch):
