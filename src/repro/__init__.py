@@ -35,12 +35,6 @@ from repro.core import (
     SubscriptionProfile,
 )
 from repro.core import allocators
-from repro.core.allocators import (
-    AllocatorSpec,
-    get_allocator,
-    register_spec,
-    registered_allocators,
-)
 from repro.core.config import RunConfig
 from repro.core.energy import EnergyAccountant, EnergyReport, EnergySpec
 from repro.core.online import OnlineSpec
@@ -53,7 +47,6 @@ from repro.experiments.runner import (
     APPROACHES,
     ExperimentResult,
     ExperimentRunner,
-    available_approaches,
 )
 from repro.obs import Recorder, TimelineSampler
 from repro.pubsub.faults import FaultInjector
@@ -86,12 +79,8 @@ __all__ = [
     "PublisherProfile",
     "ReconfigurationError",
     "SubscriptionProfile",
-    # Allocator registry
+    # Allocator table
     "allocators",
-    "AllocatorSpec",
-    "get_allocator",
-    "register_spec",
-    "registered_allocators",
     # Run configuration and online reallocation
     "RunConfig",
     "OnlineSpec",
@@ -102,7 +91,6 @@ __all__ = [
     "BrokerLoadEstimator",
     # Experiment drivers
     "APPROACHES",
-    "available_approaches",
     "ContinuousReconfigurator",
     "CycleReport",
     "ExperimentResult",

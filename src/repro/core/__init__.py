@@ -14,15 +14,6 @@ Related and baseline approaches — :mod:`repro.core.pairwise`,
 from __future__ import annotations
 
 from repro.core import allocators
-from repro.core.allocators import (
-    KNOWN_CAPABILITIES,
-    AllocatorSpec,
-    get_allocator,
-    names_with,
-    register_spec,
-    registered_allocators,
-    supports,
-)
 from repro.core.bitvector import DEFAULT_CAPACITY, BitVector
 from repro.core.config import RunConfig
 from repro.core.energy import (
@@ -95,13 +86,6 @@ from repro.core.validation import (
 
 __all__ = [
     "allocators",
-    "AllocatorSpec",
-    "KNOWN_CAPABILITIES",
-    "get_allocator",
-    "names_with",
-    "register_spec",
-    "registered_allocators",
-    "supports",
     "RunConfig",
     "BrokerEnergy",
     "EnergyAccountant",

@@ -14,7 +14,7 @@ features the fields switch on, so determinism contracts are unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.core.energy import EnergySpec
 from repro.core.online import OnlineSpec
@@ -39,12 +39,3 @@ class RunConfig:
 
     online: Optional[OnlineSpec] = None
     energy: Optional[EnergySpec] = None
-
-    def allocator_knobs(self) -> Dict[str, Any]:
-        """The knob subset allocator builders understand.
-
-        Fed to :func:`repro.core.allocators.get` alongside the
-        runner-owned knobs (``rng``, ``failure_budget``); builders pick
-        what they support and ignore the rest.
-        """
-        return {"online": self.online, "energy": self.energy}

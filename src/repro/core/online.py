@@ -514,13 +514,13 @@ def make_strategy(spec: OnlineSpec) -> _TradeStrategy:
 
 
 class OnlineAllocator:
-    """Registry-facing allocator pairing full CROC with online trades.
+    """Allocator pairing full CROC with online trades.
 
     As a Phase-2 allocator it delegates :meth:`allocate` to an inner
     :class:`~repro.core.cram.CramAllocator` — running ``inc-trade`` or
     ``fij-trade`` as a one-shot approach produces the same allocation
-    quality as the CRAM metric it wraps.  What the registry's
-    ``incremental`` capability advertises is :meth:`plan_migrations`:
+    as the CRAM metric it wraps.  What makes the two approaches
+    :data:`~repro.core.allocators.INCREMENTAL` is :meth:`plan_migrations`:
     the online scheduler calls it between full cycles with estimator
     predictions and per-subscription loads.
     """
@@ -531,21 +531,14 @@ class OnlineAllocator:
         metric: str = "ios",
         failure_budget: Optional[int] = None,
         spec: Optional[OnlineSpec] = None,
-        energy: Any = None,
     ):
         if spec is None:
             spec = OnlineSpec(strategy=strategy)
         elif spec.strategy != strategy:
-            # The registered approach name decides the strategy; the
-            # spec contributes every other knob.
+            # The approach name decides the strategy; the spec
+            # contributes every other knob.
             spec = replace(spec, strategy=strategy)
         self.spec = spec
-        #: The ``energy_aware`` capability: an attached
-        #: :class:`~repro.core.energy.EnergySpec` rides along for the
-        #: scheduler's per-cycle accounting.  Never consulted during
-        #: :meth:`allocate` / :meth:`plan_migrations` — attaching it
-        #: cannot change any allocation (the equivalence contract).
-        self.energy_spec = energy
         self.strategy = make_strategy(self.spec)
         self.name = strategy.replace("_", "-")
         self._inner = CramAllocator(metric=metric, failure_budget=failure_budget)

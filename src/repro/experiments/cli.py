@@ -31,7 +31,7 @@ from repro.core.energy import EnergySpec
 from repro.core.online import OnlineSpec
 from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.report import format_rows, summarize_pareto
-from repro.experiments.runner import available_approaches
+from repro.experiments.runner import APPROACHES
 from repro.obs import export as obs_export
 from repro.obs import report as obs_report
 from repro.experiments.sweeps import (
@@ -130,12 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    approaches = available_approaches()
     run_cmd = commands.add_parser(
         "run", help="run one or more approaches on one scenario family"
     )
     _add_common(run_cmd)
-    run_cmd.add_argument("--approach", action="append", choices=approaches,
+    run_cmd.add_argument("--approach", action="append", choices=APPROACHES,
                          help="repeatable; default: manual + cram-ios")
     run_cmd.add_argument("--pareto", action="store_true",
                          help="rank the approaches by non-dominated "
@@ -151,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(figure_cmd)
     figure_cmd.add_argument("--figure", choices=sorted(FIGURES), required=True)
-    figure_cmd.add_argument("--approach", action="append", choices=approaches,
-                            help="repeatable; default: all registered")
+    figure_cmd.add_argument("--approach", action="append", choices=APPROACHES,
+                            help="repeatable; default: all")
 
     report_cmd = commands.add_parser(
         "report", help="summarize a recorded artifact"
@@ -296,7 +295,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    approaches = tuple(args.approach or available_approaches())
+    approaches = tuple(args.approach or APPROACHES)
     scenarios = _build_scenarios(args)
     try:
         results = sweep(
@@ -345,13 +344,9 @@ def cmd_report(args) -> int:
 
 def cmd_list(_args) -> int:
     print("approaches:")
-    for approach in available_approaches():
-        caps = ""
-        if allocators.is_registered(approach):
-            declared = sorted(allocators.capabilities(approach))
-            if declared:
-                caps = f"  [{', '.join(declared)}]"
-        print(f"  {approach}{caps}")
+    for approach in APPROACHES:
+        tag = "  [incremental]" if approach in allocators.INCREMENTAL else ""
+        print(f"  {approach}{tag}")
     print("figures:")
     for name, metric in sorted(FIGURES.items()):
         print(f"  {name:20s} -> {metric}")

@@ -133,8 +133,8 @@ class OnlineScheduler:
         self.network = network
         self.spec = spec
         #: Any object with ``plan_migrations(brokers, subscriptions)``
-        #: — a core strategy by default, or an allocator registered
-        #: with the ``incremental`` capability.
+        #: — a core strategy by default, or the allocator of one of the
+        #: ``allocators.INCREMENTAL`` approaches.
         self.planner = planner if planner is not None else make_strategy(spec)
         self.estimator = BrokerLoadEstimator(
             window=spec.window, horizon=spec.horizon

@@ -15,12 +15,9 @@ merges the results in submission order, with three guarantees:
   ``computation_seconds``, a wall-clock *measurement* of the allocator
   run, which is not part of the determinism contract.
 * **Spawn-safety** — workers start from a fresh interpreter (no
-  inherited fork state), re-import :mod:`repro`, and replay any
-  allocator registrations beyond the built-ins
-  (:func:`repro.core.allocators.custom_registrations`), so registry
-  approaches resolve inside workers.  Custom builders must be
-  module-level callables; unpicklable ones are rejected up front with
-  a pointed error instead of a cryptic pool crash.
+  inherited fork state) and re-import :mod:`repro`; a cell ships its
+  approach as a *name*, which the worker resolves through the same
+  closed table (:mod:`repro.core.allocators`) the parent would.
 * **Graceful fallback** — ``jobs <= 1``, a single cell, or a platform
   where the pool cannot start all run serially in-process, same code
   path as :func:`repro.experiments.sweeps.run_cell`.
@@ -30,24 +27,17 @@ from __future__ import annotations
 
 import cProfile
 import os
-import pickle
 import re
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
-from repro.core import allocators
 from repro.core.config import RunConfig
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.obs import recorder as obs
 from repro.sim.faults import FaultPlan
 from repro.workloads.scenarios import Scenario
-
-#: Registration list shipped to each worker: the exact
-#: :class:`~repro.core.allocators.AllocatorSpec` records the parent
-#: registered beyond the built-ins (capabilities included).
-RegistrySnapshot = Tuple[allocators.AllocatorSpec, ...]
 
 
 @dataclass(frozen=True)
@@ -119,26 +109,6 @@ def usable_cpus() -> int:
         except OSError:  # pragma: no cover - exotic platforms
             pass
     return max(1, os.cpu_count() or 1)
-
-
-def _ensure_spawnable(snapshot: RegistrySnapshot) -> None:
-    """Reject custom allocator builders a spawned worker cannot import."""
-    for spec in snapshot:
-        try:
-            pickle.dumps(spec.builder)
-        except Exception as exc:
-            raise ValueError(
-                f"allocator {spec.name!r} is registered with a builder that "
-                f"cannot be pickled for pool workers ({exc}); register a "
-                "module-level callable (not a lambda, closure, or locally "
-                "defined function) or run with jobs=1"
-            ) from None
-
-
-def _worker_init(snapshot: RegistrySnapshot) -> None:
-    """Per-worker setup: mirror the parent's non-built-in registrations."""
-    for spec in snapshot:
-        allocators.register_spec(spec, replace=True)
 
 
 def _profile_path(profile_dir: str, spec: CellSpec) -> str:
@@ -228,17 +198,12 @@ def execute_cells(
     if jobs <= 1 or len(specs) <= 1:
         return _run_serial(specs, progress, return_exceptions)
 
-    snapshot = allocators.custom_registrations()
-    _ensure_spawnable(snapshot)
     try:
         # spawn, not fork: workers must re-import repro from scratch so
         # results cannot depend on inherited parent-process state.
         context = get_context("spawn")
         pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(specs)),
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(snapshot,),
+            max_workers=min(jobs, len(specs)), mp_context=context
         )
     except (OSError, ValueError, ImportError) as exc:
         # Pool unavailable (no spawn support, process limits, …):

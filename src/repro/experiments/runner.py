@@ -57,17 +57,10 @@ BASE_APPROACHES: Tuple[str, ...] = (
     "pairwise-n",
 )
 
-#: The paper's ten evaluated approaches: two baselines, two related
-#: derivatives, plus every allocator in the registry at import time
-#: (two sorting allocators, four CRAM closeness metrics).  This is a
-#: snapshot — use :func:`available_approaches` for the live set
-#: including allocators registered after import.
-APPROACHES: Tuple[str, ...] = BASE_APPROACHES + allocators.registered_names()
-
-
-def available_approaches() -> Tuple[str, ...]:
-    """The currently runnable approaches: baselines + live registry."""
-    return BASE_APPROACHES + allocators.registered_names()
+#: Every runnable approach: the paper's ten (two baselines, two
+#: related derivatives, two sorting allocators, four CRAM closeness
+#: metrics), then sharded CRAM and the two online strategies.
+APPROACHES: Tuple[str, ...] = BASE_APPROACHES + allocators.NAMES
 
 #: Virtual seconds allowed for control traffic to quiesce after a
 #: reconfiguration, before the measurement window opens.
@@ -260,19 +253,16 @@ class ExperimentRunner:
     # Approach factories
     # ------------------------------------------------------------------
     def _allocator_factory(self, approach: str):
-        """Resolve a registry allocator with this experiment's knobs.
+        """Resolve an allocator with this experiment's knobs.
 
-        Every registered builder receives the same knob set and picks
-        what it understands; the derived RNG child is keyed by the
-        approach name so streams stay independent per allocator.
+        The derived RNG child is keyed by the approach name so streams
+        stay independent per allocator.
         """
-        if not allocators.is_registered(approach):
-            raise ValueError(f"no allocator for approach {approach!r}")
         return allocators.get(
             approach,
             rng=self._rng.child(approach),
             failure_budget=self.cram_failure_budget,
-            **self.config.allocator_knobs(),
+            online=self.config.online,
         )
 
     def croc_for(self, approach: str, overlay_builder: Optional[OverlayBuilder] = None) -> Croc:
@@ -290,9 +280,8 @@ class ExperimentRunner:
     def run(self, approach: str,
             overlay_builder: Optional[OverlayBuilder] = None) -> ExperimentResult:
         """Execute the full pipeline for one approach."""
-        known = available_approaches()
-        if approach not in known:
-            raise ValueError(f"unknown approach {approach!r}; pick from {known}")
+        if approach not in APPROACHES:
+            raise ValueError(f"unknown approach {approach!r}; pick from {APPROACHES}")
         scenario = self.scenario
         network = self._build_network()
         self.network = network
@@ -345,8 +334,10 @@ class ExperimentRunner:
             )
             summary = self._measure(network, pool, bandwidths)
             extra["phase2_brokers"] = report.allocation.broker_count
-            if approach.startswith("cram-"):
-                cram_stats = getattr(croc.last_allocator, "last_stats", None)
+            # Every CRAM-backed allocator, the online ones included.
+            stats = getattr(croc.last_allocator, "last_stats", None)
+            if isinstance(stats, CramStats):
+                cram_stats = stats
 
         obs_collect.add_network(network)
         energy: Optional[EnergyReport] = None
@@ -392,24 +383,20 @@ class ExperimentRunner:
         measurement_time: float = 30.0,
         make_driver=None,
     ) -> List[CycleReport]:
-        """Run the continuous control loop for a registry allocator.
+        """Run the continuous control loop for one of :data:`allocators.NAMES`.
 
         Deploys the MANUAL baseline, then executes ``cycles`` cycles of
         :class:`~repro.experiments.continuous.ContinuousReconfigurator`.
         When ``self.config.online`` is set the loop runs the mixed
-        schedule; approaches declaring the ``incremental`` capability
-        supply their own migration planner (the allocator instance),
-        others fall back to the core strategy named in the spec.
+        schedule; the :data:`allocators.INCREMENTAL` approaches supply
+        their own migration planner (the allocator instance), others
+        fall back to the core strategy named in the spec.
 
         ``make_driver`` (optional) receives the freshly built network
         and returns the per-cycle drift hook — e.g.
         ``lambda net: SubscriberChurn(net, rng)``.
         """
-        if not allocators.is_registered(approach):
-            raise ValueError(
-                f"continuous operation needs a registry allocator; "
-                f"{approach!r} is not one of {allocators.registered_names()}"
-            )
+        croc = self.croc_for(approach)  # rejects a non-allocator approach
         network = self._build_network()
         self.network = network
         recorder = obs.active()
@@ -419,10 +406,10 @@ class ExperimentRunner:
         self._deploy_manual(network)
         online = self.config.online
         planner = None
-        if online is not None and allocators.supports(approach, "incremental"):
+        if online is not None and approach in allocators.INCREMENTAL:
             planner = self._allocator_factory(approach)()
         loop = ContinuousReconfigurator(
-            self.croc_for(approach),
+            croc,
             profiling_time=profiling_time,
             measurement_time=measurement_time,
             on_cycle_start=make_driver(network) if make_driver else None,

@@ -26,9 +26,8 @@ the project import graph at once:
   wall-clock reads, and unmanaged randomness are tracked through
   assignments and cross-module calls until they reach allocation
   decisions or exported output;
-* **contracts** — registered allocator builders stay picklable and
-  use the known capability vocabulary, and ``__all__`` lists stay
-  honest.
+* **api-contract** — ``__all__`` lists name only bound names and no
+  dead exports.
 
 See the "Static analysis & invariants" section of the README for the
 rule list, pass descriptions, and suppression syntax.

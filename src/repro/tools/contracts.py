@@ -1,25 +1,6 @@
-"""The ``api-contract`` pass: the pluggable-allocator surface, enforced.
+"""The ``api-contract`` pass: honest ``__all__`` lists, whole-program.
 
-Four families of checks, all whole-program:
-
-* **Registered allocators** — every ``AllocatorSpec(...)`` record
-  (the only way into :func:`repro.core.allocators.register_spec`) is
-  located repo-wide, the registry module's own built-ins included; its
-  *builder* argument must resolve, through the import graph, to a
-  module-level function or class (or an instance of a module-level
-  class), because process-pool workers replay registrations by
-  pickling builders by reference.  This supersedes the per-file
-  unpicklable-worker heuristic for builders: resolution follows
-  ``from x import y`` chains instead of guessing from local syntax.
-  (The ``allocate(self, units, pool, directory)`` signature itself is
-  owned by the per-file ``allocator-signature`` rule, which sees every
-  class in ``core/``, not only those a builder reaches.)
-
-* **Capability vocabulary** — any *literal* capability collection on a
-  spec may only use the known capability vocabulary.  A typo'd
-  capability never errors at runtime — ``supports``/``names_with``
-  gates just silently never select the allocator — so the pass catches
-  it statically.
+Two families of checks:
 
 * **``__all__`` consistency** — every name a module exports must be
   bound at module level (a typo in ``__all__`` breaks
@@ -37,22 +18,10 @@ Four families of checks, all whole-program:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.tools.engine import Finding
 from repro.tools.project import ModuleInfo, Project, project_pass
-
-#: The registry module, home of the spec class.
-REGISTRY_MODULE = "repro.core.allocators"
-
-#: The registry's record class, checked wherever it is constructed.
-_SPEC_CLASS_NAME = "AllocatorSpec"
-
-#: Mirror of ``repro.core.allocators.KNOWN_CAPABILITIES``.  The tools
-#: layer is an import leaf (it may not import repro.core), so the
-#: vocabulary is duplicated here; ``tests/test_reprolint.py`` pins the
-#: two sets equal so they cannot drift apart.
-KNOWN_CAPABILITIES = frozenset({"incremental", "energy_aware"})
 
 
 # ----------------------------------------------------------------------
@@ -150,178 +119,16 @@ def _referenced_names(info: ModuleInfo) -> Set[str]:
 
 
 # ----------------------------------------------------------------------
-# Registered-builder resolution
-# ----------------------------------------------------------------------
-
-
-def _builder_findings(
-    project: Project, info: ModuleInfo, call: ast.Call, builder: ast.AST
-) -> Iterator[Finding]:
-    def finding(message: str) -> Finding:
-        return Finding(
-            info.path, call.lineno, call.col_offset, "api-contract", message
-        )
-
-    if isinstance(builder, ast.Lambda):
-        yield finding(
-            "allocator builder is a lambda; spawned pool workers replay "
-            "registrations by pickling builders by reference — register a "
-            "module-level function or class instance"
-        )
-    elif isinstance(builder, ast.Name):
-        resolved = project.resolve_name(info.name, builder.id)
-        if resolved is None:
-            yield finding(
-                f"allocator builder {builder.id!r} does not resolve to a "
-                "module-level definition in the analyzed tree; builders "
-                "must be statically resolvable for pickling by reference"
-            )
-        elif isinstance(resolved[1], ast.Lambda):
-            yield finding(
-                f"allocator builder {builder.id!r} is a lambda-valued name; "
-                "pickling by reference needs a module-level def or class"
-            )
-    elif isinstance(builder, ast.Call) and isinstance(builder.func, ast.Name):
-        resolved = project.resolve_name(info.name, builder.func.id)
-        if resolved is None:
-            yield finding(
-                f"allocator builder {ast.dump(builder.func)} is not "
-                "statically resolvable"
-            )
-        elif isinstance(resolved[1], (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield finding(
-                f"allocator builder {builder.func.id}(...) is produced by a "
-                "function call — the closure it returns cannot be pickled "
-                "by reference; register an instance of a module-level "
-                "class instead"
-            )
-    else:
-        yield finding(
-            "allocator builder expression is not statically resolvable "
-            "(expected a module-level name, class instance, or def)"
-        )
-
-
-# ----------------------------------------------------------------------
-# AllocatorSpec shapes
-# ----------------------------------------------------------------------
-
-
-def _dotted_suffix(func: ast.Attribute) -> Optional[str]:
-    """``a.b.c`` rendered as a dotted string, when statically plain."""
-    parts: List[str] = [func.attr]
-    base = func.value
-    while isinstance(base, ast.Attribute):
-        parts.append(base.attr)
-        base = base.value
-    if isinstance(base, ast.Name):
-        parts.append(base.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _is_spec_call(project: Project, info: ModuleInfo, node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name):
-        if func.id != _SPEC_CLASS_NAME:
-            return False
-        resolved = project.resolve_name(info.name, func.id)
-        # Unresolved names keep the distinctive class name's intent.
-        return resolved is None or resolved[0] == REGISTRY_MODULE
-    if isinstance(func, ast.Attribute) and func.attr == _SPEC_CLASS_NAME:
-        dotted = _dotted_suffix(func)
-        if dotted is None:
-            return False
-        prefix = dotted[: -len(_SPEC_CLASS_NAME) - 1]
-        return prefix.endswith("allocators") or prefix == REGISTRY_MODULE
-    return False
-
-
-def _iter_spec_calls(project: Project) -> Iterator[Tuple[ModuleInfo, ast.Call]]:
-    for name in sorted(project.modules):
-        info = project.modules[name]
-        for node in ast.walk(info.module.tree):
-            if isinstance(node, ast.Call) and _is_spec_call(project, info, node):
-                yield info, node
-
-
-def _call_argument(
-    node: ast.Call, position: int, keyword: str
-) -> Optional[ast.AST]:
-    """Positional-or-keyword lookup."""
-    if len(node.args) > position:
-        return node.args[position]
-    for item in node.keywords:
-        if item.arg == keyword:
-            return item.value
-    return None
-
-
-def _capability_literals(node: ast.AST) -> Optional[List[str]]:
-    """The literal capability strings, or ``None`` when not static."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in {"frozenset", "set", "tuple", "list"}
-        and len(node.args) == 1
-        and not node.keywords
-    ):
-        return _capability_literals(node.args[0])
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        values: List[str] = []
-        for elt in node.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                values.append(elt.value)
-            else:
-                return None
-        return values
-    return None
-
-
-def _capability_findings(
-    info: ModuleInfo, call: ast.Call, capabilities: Optional[ast.AST]
-) -> Iterator[Finding]:
-    if capabilities is None:
-        return
-    literals = _capability_literals(capabilities)
-    if literals is None:
-        return
-    for capability in literals:
-        if capability not in KNOWN_CAPABILITIES:
-            yield Finding(
-                info.path,
-                call.lineno,
-                call.col_offset,
-                "api-contract",
-                f"allocator capability {capability!r} is not in the known "
-                f"vocabulary {sorted(KNOWN_CAPABILITIES)}; capability gates "
-                "(supports / names_with) would silently never select it",
-            )
-
-
-# ----------------------------------------------------------------------
 # The pass
 # ----------------------------------------------------------------------
 
 
 @project_pass(
     "api-contract",
-    "registered allocator builders must be picklable module-level "
-    "callables using the known capability vocabulary; __all__ must be "
-    "consistent and free of dead exports",
+    "__all__ must be consistent and free of dead exports",
 )
 def check_api_contract(project: Project) -> List[Finding]:
     findings: List[Finding] = []
-
-    for info, call in _iter_spec_calls(project):
-        builder = _call_argument(call, 1, "builder")
-        if builder is not None:
-            findings.extend(_builder_findings(project, info, call, builder))
-        findings.extend(
-            _capability_findings(
-                info, call, _call_argument(call, 2, "capabilities")
-            )
-        )
 
     # Name-reference index for the dead-export scan: everything any
     # *other* module (or the usage index) references.

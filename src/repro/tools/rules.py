@@ -314,37 +314,13 @@ def check_bare_except(module: Module) -> Iterator[Finding]:
 #: experiments can swap allocators by name (see experiments.runner).
 _ALLOCATE_PARAMS = ("self", "units", "pool", "directory")
 
-#: The registry module whose import marks a file as defining allocators.
-_REGISTRY_MODULE = "repro.core.allocators"
-
-
-def _imports_allocator_registry(module: Module) -> bool:
-    """Whether the module imports :mod:`repro.core.allocators`.
-
-    Any module that registers an allocator must import the registry, so
-    this is how the rule reaches registered factories living outside
-    ``core/`` (plugins, experiment-local variants, tests).
-    """
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            if any(alias.name == _REGISTRY_MODULE for alias in node.names):
-                return True
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == _REGISTRY_MODULE:
-                return True
-            if node.module == "repro.core" and any(
-                alias.name == "allocators" for alias in node.names
-            ):
-                return True
-    return False
-
 
 @rule(
     "allocator-signature",
     "core allocator classes must keep allocate(self, units, pool, directory)",
 )
 def check_allocator_signature(module: Module) -> Iterator[Finding]:
-    if not module.in_package("core") and not _imports_allocator_registry(module):
+    if not module.in_package("core"):
         return
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.ClassDef):

@@ -2,29 +2,9 @@
 
 from __future__ import annotations
 
-from repro.core import allocators
+
+class UnusedExport:
+    pass
 
 
-class WrongAllocator:
-    def allocate(self, units, brokers):
-        return None
-
-
-def make_wrong(**_):
-    return WrongAllocator
-
-
-allocators.register_spec(
-    allocators.AllocatorSpec("lambda-builder", lambda **_: WrongAllocator)
-)
-allocators.register_spec(allocators.AllocatorSpec("wrong-signature", make_wrong))
-allocators.register_spec(allocators.AllocatorSpec("ghost-builder", ghost_maker))
-allocators.register_spec(
-    allocators.AllocatorSpec(
-        "typo-capability",
-        make_wrong,
-        capabilities=("incremental", "telepathic"),
-    )
-)
-
-__all__ = ["WrongAllocator", "ghost_export"]
+__all__ = ["UnusedExport", "ghost_export"]

@@ -1,23 +1,28 @@
-"""The allocator registry: registration contract and runner integration."""
+"""The closed allocator table and the runner's approach list."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.core import allocators
-from repro.core.allocators import AllocatorSpec, register_spec
 from repro.core.binpacking import BinPackingAllocator
-from repro.experiments.runner import (
-    APPROACHES,
-    ExperimentRunner,
-    available_approaches,
-)
+from repro.experiments.runner import APPROACHES, ExperimentRunner
 from repro.workloads.scenarios import cluster_homogeneous
+
+#: Every approach the evaluation runs, in presentation order.
+THIRTEEN = (
+    "manual", "automatic", "pairwise-k", "pairwise-n",
+    "fbf", "binpacking",
+    "cram-intersect", "cram-xor", "cram-ios", "cram-iou",
+    "cram-ios-sharded", "inc-trade", "fij-trade",
+)
 
 
 class TestRegistryContract:
     def test_paper_allocators_in_presentation_order(self):
-        assert allocators.registered_names()[:6] == (
+        assert allocators.NAMES[:6] == (
             "fbf",
             "binpacking",
             "cram-intersect",
@@ -32,6 +37,10 @@ class TestRegistryContract:
         assert first is not second
         assert first.name == "cram-ios"
 
+    def test_every_name_builds_an_allocator_of_that_name(self):
+        for name in allocators.NAMES:
+            assert allocators.get(name)().name == name
+
     def test_get_unknown_name_raises_with_inventory(self):
         with pytest.raises(ValueError, match="unknown allocator.*binpacking"):
             allocators.get("cram-cosine")
@@ -40,65 +49,20 @@ class TestRegistryContract:
         factory = allocators.get("binpacking", rng=object(), failure_budget=1)
         assert isinstance(factory(), BinPackingAllocator)
 
-    def test_register_rejects_empty_and_duplicate_names(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            AllocatorSpec("", lambda **_: BinPackingAllocator)
-        with pytest.raises(ValueError, match="already registered"):
-            register_spec(AllocatorSpec("fbf", lambda **_: BinPackingAllocator))
-
-    def test_replace_and_unregister_roundtrip(self):
-        marker = lambda **_: BinPackingAllocator  # noqa: E731
-        register_spec(AllocatorSpec("toy-replaceable", marker))
-        try:
-            assert allocators.is_registered("toy-replaceable")
-            replacement = lambda **_: BinPackingAllocator  # noqa: E731
-            register_spec(
-                AllocatorSpec("toy-replaceable", replacement), replace=True
-            )
-            assert allocators.get("toy-replaceable") is BinPackingAllocator
-        finally:
-            allocators.unregister("toy-replaceable")
-        assert not allocators.is_registered("toy-replaceable")
-        with pytest.raises(ValueError, match="not registered"):
-            allocators.unregister("toy-replaceable")
-
-    def test_aliases_are_the_same_objects(self):
-        assert allocators.get_allocator is allocators.get
-        assert allocators.registered_allocators is allocators.registered_names
-
-
-class _ToyAllocator(BinPackingAllocator):
-    """A registered plugin variant (keeps the allocate() contract)."""
-
-    name = "toy"
+    def test_misspelled_knob_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            allocators.get("binpacking", budget=1)
 
 
 class TestRunnerIntegration:
     def test_approaches_snapshot_includes_registry_names(self):
         assert APPROACHES[:4] == ("manual", "automatic", "pairwise-k", "pairwise-n")
-        assert set(allocators.registered_names()) <= set(APPROACHES)
+        assert APPROACHES[4:] == allocators.NAMES
 
-    def test_available_approaches_tracks_live_registry(self):
-        register_spec(AllocatorSpec("toy", lambda **_: _ToyAllocator))
-        try:
-            assert "toy" in available_approaches()
-            assert "toy" not in APPROACHES  # import-time snapshot stays fixed
-        finally:
-            allocators.unregister("toy")
-        assert "toy" not in available_approaches()
-
-    def test_runner_drives_a_registered_plugin_end_to_end(self):
-        register_spec(AllocatorSpec("toy", lambda **_: _ToyAllocator))
-        try:
-            scenario = cluster_homogeneous(
-                subscriptions_per_publisher=8, scale=0.1, measurement_time=10.0
-            )
-            result = ExperimentRunner(scenario, seed=7).run("toy")
-            assert result.approach == "toy"
-            assert result.allocated_brokers >= 1
-            assert result.summary.delivery_count > 0
-        finally:
-            allocators.unregister("toy")
+    def test_approaches_are_the_thirteen_in_order(self):
+        assert len(APPROACHES) == len(THIRTEEN)
+        for ours, expected in zip(APPROACHES, THIRTEEN):
+            assert ours == expected
 
     def test_runner_rejects_unregistered_approach(self):
         scenario = cluster_homogeneous(
@@ -106,3 +70,23 @@ class TestRunnerIntegration:
         )
         with pytest.raises(ValueError, match="unknown approach"):
             ExperimentRunner(scenario, seed=7).run("toy")
+
+    def test_online_one_shot_equals_cram_ios_with_its_stats(self):
+        """``inc-trade`` / ``fij-trade`` allocate through an inner
+        CRAM-IOS, so a one-shot run is CRAM-IOS's run — and reports its
+        ``cram_stats`` like one."""
+        scenario = cluster_homogeneous(8, scale=0.1)
+
+        def run(approach):
+            result = ExperimentRunner(scenario, seed=7).run(approach)
+            row = result.as_row()
+            del row["approach"], row["computation_s"]
+            return row, result.cram_stats
+
+        reference_row, reference_stats = run("cram-ios")
+        assert reference_stats is not None
+        for approach in allocators.INCREMENTAL:
+            row, stats = run(approach)
+            assert row == reference_row, approach
+            assert stats is not None, approach
+            assert dataclasses.asdict(stats) == dataclasses.asdict(reference_stats)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.experiments.cli import build_parser, main
-from repro.experiments.runner import available_approaches
+from repro.experiments.runner import APPROACHES
 from repro.sim.faults import FaultPlan
 
 
@@ -29,7 +29,7 @@ class TestParser:
             build_parser().parse_args(["run", "--approach", "magic"])
 
     def test_approach_choices_come_from_the_registry(self):
-        for approach in available_approaches():
+        for approach in APPROACHES:
             args = build_parser().parse_args(["run", "--approach", approach])
             assert args.approach == [approach]
 
@@ -59,6 +59,9 @@ class TestCommands:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "cram-ios" in out
+        assert "  inc-trade  [incremental]\n" in out
+        assert "  fij-trade  [incremental]\n" in out
+        assert "  cram-ios\n" in out
         assert "message-rate" in out
         assert "scinet" in out
 

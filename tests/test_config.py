@@ -14,6 +14,8 @@ from repro.core.cram import CramAllocator, ShardedCramAllocator
 from repro.core.fbf import first_fit
 from repro.core.online import OnlineAllocator, OnlineSpec
 from repro.core.pairwise import PairwiseAllocator
+from repro.experiments.runner import ExperimentRunner
+from repro.workloads.scenarios import cluster_homogeneous
 
 PACKAGE = Path(repro.__file__).parent
 
@@ -26,10 +28,11 @@ def test_runconfig_has_no_performance_field():
 def test_runconfig_validates_and_feeds_builders():
     with pytest.raises(TypeError, match="shard_jobs"):
         RunConfig(shard_jobs=1)
-    online = OnlineSpec()
-    assert RunConfig(online=online).allocator_knobs() == {
-        "online": online, "energy": None,
-    }
+    online = OnlineSpec(max_moves=9)
+    runner = ExperimentRunner(cluster_homogeneous(8, scale=0.1),
+                              config=RunConfig(online=online))
+    allocator = runner._allocator_factory("fij-trade")()
+    assert allocator.spec == dataclasses.replace(online, strategy="fij_trade")
 
 
 def test_allocators_take_no_path_selecting_parameter():

@@ -91,7 +91,7 @@ class TestSerialEqualsParallel:
                 spec.approach
             )
 
-    def test_energy_spec_survives_pickling(self):
+    def test_energy_config_survives_pickling(self):
         spec = energy_cells()[0]
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.config.energy == ENERGY

@@ -253,22 +253,21 @@ class TestContainers:
 
 
 # ----------------------------------------------------------------------
-# Registry integration: the incremental capability
+# Allocator table integration: the incremental approaches
 # ----------------------------------------------------------------------
 
 
 class TestRegistryCapabilities:
     def test_online_strategies_are_registered_incremental(self):
         for name in ("inc-trade", "fij-trade"):
-            assert allocators.is_registered(name)
-            assert allocators.supports(name, "incremental")
-        assert set(allocators.names_with("incremental")) == {
-            "inc-trade", "fij-trade",
-        }
+            assert name in allocators.NAMES
+            assert hasattr(allocators.get(name)(), "plan_migrations")
+        assert set(allocators.INCREMENTAL) == {"inc-trade", "fij-trade"}
 
     def test_croc_allocators_are_not_incremental(self):
         for name in ("fbf", "binpacking", "cram-ios"):
-            assert not allocators.supports(name, "incremental")
+            assert name not in allocators.INCREMENTAL
+            assert not hasattr(allocators.get(name)(), "plan_migrations")
 
     def test_factory_builds_online_allocator(self):
         allocator = allocators.get("fij-trade")()
@@ -281,7 +280,7 @@ class TestRegistryCapabilities:
         spec = OnlineSpec(steps=5, max_moves=9)
         allocator = allocators.get("inc-trade", online=spec)()
         assert allocator.spec.max_moves == 9
-        # The registered approach name wins over the spec's strategy.
+        # The approach name wins over the spec's strategy.
         crossed = allocators.get("fij-trade", online=spec)()
         assert crossed.spec.strategy == "fij_trade"
         assert crossed.spec.max_moves == 9

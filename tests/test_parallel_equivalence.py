@@ -3,8 +3,7 @@
 The determinism contract of :mod:`repro.experiments.parallel`: a sweep
 executed with ``jobs=N`` returns exactly the serial sweep's results —
 same rows, same metric floats (compared via ``repr``), same evaluation
-counters — for any N, with or without a fault plan, and with custom
-registry allocators resolved inside the spawned workers.
+counters — for any N, with or without a fault plan.
 
 ``computation_seconds`` is the one exception: it is a wall-clock
 *measurement* of the allocator run, not a simulation output, so it is
@@ -15,8 +14,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import allocators
-from repro.core.binpacking import BinPackingAllocator
 from repro.experiments import parallel
 from repro.experiments.parallel import (
     CellSpec,
@@ -90,46 +87,6 @@ class TestBitIdentity:
         sweep(scenarios, ("manual", "binpacking"), seed=2,
               progress=parallel_labels.append, jobs=2)
         assert serial_labels == parallel_labels
-
-
-# A spawn-safe custom allocator builder: module-level, so pool workers
-# unpickle it by reference (they import this module and replay the
-# registration via allocators.custom_registrations()).
-def custom_binpacking_builder(**_knobs):
-    return BinPackingAllocator
-
-
-@pytest.fixture
-def custom_allocator():
-    allocators.register_spec(
-        allocators.AllocatorSpec("custom-binpacking", custom_binpacking_builder)
-    )
-    try:
-        yield "custom-binpacking"
-    finally:
-        allocators.unregister("custom-binpacking")
-
-
-class TestCustomAllocatorInWorkers:
-    def test_registry_allocator_resolves_in_workers(self, custom_allocator):
-        scenarios = tiny_homo(4)
-        serial = sweep(scenarios, (custom_allocator,), seed=7)
-        par = sweep(scenarios, (custom_allocator,), seed=7, jobs=4)
-        for key in serial:
-            assert comparable(serial[key]) == comparable(par[key]), key
-        result = par[(scenarios[0].name, custom_allocator)]
-        assert result.allocated_brokers <= result.pool_size
-
-    def test_unpicklable_builder_rejected_up_front(self):
-        allocators.register_spec(
-            allocators.AllocatorSpec("bad-lambda", lambda **_: BinPackingAllocator)
-        )
-        try:
-            specs = sweep_specs(tiny_homo(3), ("manual", "binpacking"), seed=1)
-            with pytest.raises(ValueError, match="module-level"):
-                execute_cells(specs, jobs=2)
-        finally:
-            allocators.unregister("bad-lambda")
 
 
 class TestExecutorMechanics:

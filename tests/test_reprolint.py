@@ -193,35 +193,6 @@ def test_allocator_signature_accepts_repo_allocators():
     assert findings == []
 
 
-def test_allocator_signature_reaches_registry_importing_modules():
-    """A plugin outside core/ is held to the contract once it imports
-    the registry — that import is how allocators get registered."""
-    body = (
-        "class PluginAllocator:\n"
-        "    def allocate(self, units, brokers):\n"
-        "        return None\n"
-    )
-    for import_line in (
-        "import repro.core.allocators\n",
-        "from repro.core.allocators import register\n",
-        "from repro.core import allocators\n",
-    ):
-        findings = findings_for(
-            "allocator-signature", import_line + body, EXPERIMENTS
-        )
-        assert findings, import_line
-    # Without the registry import the same module is out of scope.
-    assert findings_for("allocator-signature", body, EXPERIMENTS) == []
-    # And a registry-importing module with the right signature is clean.
-    conforming = (
-        "from repro.core import allocators\n"
-        "class PluginAllocator:\n"
-        "    def allocate(self, units, pool, directory):\n"
-        "        return None\n"
-    )
-    assert findings_for("allocator-signature", conforming, EXPERIMENTS) == []
-
-
 def _core_allocate_sites():
     """(path, class name, ``pool`` arg node) per ``def allocate(`` in core."""
     for path in sorted((REPO_ROOT / "src" / "repro" / "core").glob("*.py")):
@@ -422,18 +393,3 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_name in RULE_CASES:
         assert rule_name in out
-
-
-# ----------------------------------------------------------------------
-# Mirrored vocabulary
-# ----------------------------------------------------------------------
-
-
-def test_capability_vocabulary_mirrors_registry():
-    # repro.tools is an import leaf (the layering gate bars it from
-    # repro.core), so contracts.py carries its own copy of the
-    # capability vocabulary.  This pin keeps the two sets identical.
-    from repro.core.allocators import KNOWN_CAPABILITIES as registry_vocab
-    from repro.tools.contracts import KNOWN_CAPABILITIES as lint_vocab
-
-    assert lint_vocab == registry_vocab

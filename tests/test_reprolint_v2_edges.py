@@ -114,7 +114,7 @@ def test_root_may_not_import_tools(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Contracts: builder shapes and binding scans
+# Contracts: binding scans
 # ----------------------------------------------------------------------
 
 
@@ -123,50 +123,6 @@ def _contract_findings(tmp_path, body):
     project, failures = Project.load([tmp_path / "src"])
     assert failures == []
     return run_passes(project, resolve_passes(["api-contract"]))
-
-
-def test_dotted_register_with_keyword_lambda(tmp_path):
-    findings = _contract_findings(
-        tmp_path,
-        "from __future__ import annotations\n"
-        "import repro.core.allocators\n"
-        "repro.core.allocators.AllocatorSpec('x', builder=lambda **_: None)\n",
-    )
-    assert any("lambda" in f.message for f in findings)
-
-
-def test_unresolvable_builder_call_is_flagged(tmp_path):
-    findings = _contract_findings(
-        tmp_path,
-        "from __future__ import annotations\n"
-        "from repro.core import allocators\n"
-        "from somewhere import factory\n"
-        "allocators.AllocatorSpec('x', factory())\n",
-    )
-    assert any("not" in f.message and "resolvable" in f.message
-               for f in findings)
-
-
-def test_opaque_builder_expression_is_flagged(tmp_path):
-    findings = _contract_findings(
-        tmp_path,
-        "from __future__ import annotations\n"
-        "from repro.core import allocators\n"
-        "import somewhere\n"
-        "allocators.AllocatorSpec('x', somewhere.builders['x'])\n",
-    )
-    assert any("not statically resolvable" in f.message for f in findings)
-
-
-def test_lambda_valued_name_builder_is_flagged(tmp_path):
-    findings = _contract_findings(
-        tmp_path,
-        "from __future__ import annotations\n"
-        "from repro.core import allocators\n"
-        "make = lambda **_: None\n"
-        "allocators.AllocatorSpec('x', make)\n",
-    )
-    assert any("lambda-valued name" in f.message for f in findings)
 
 
 def test_all_consistency_sees_loop_and_try_bindings(tmp_path):

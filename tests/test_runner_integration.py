@@ -11,6 +11,8 @@ import pytest
 from repro.experiments.runner import APPROACHES, ExperimentRunner
 from repro.workloads.scenarios import cluster_heterogeneous, cluster_homogeneous
 
+from per_delivery_oracle import networks_built
+
 
 @pytest.fixture(scope="module")
 def tiny_scenario():
@@ -115,6 +117,20 @@ class TestPipeline:
             row = result.as_row()
             assert isinstance(row["approach"], str)
             assert row["subscriptions"] > 0
+
+    @pytest.mark.parametrize("approach", APPROACHES)
+    def test_every_approach_conserves_deliveries(self, approach):
+        """Every copy sent toward a subscriber is delivered, dropped or
+        in flight at each run boundary, whichever approach reconfigured
+        the overlay (``conftest.ConservationWatch``)."""
+        scenario = cluster_homogeneous(
+            subscriptions_per_publisher=5, scale=0.08, measurement_time=6.0
+        )
+        with networks_built() as built:
+            ExperimentRunner(scenario, seed=11).run(approach)
+        [network] = built
+        assert network.watch.checked >= 2
+        assert network.watch.skipped == 0
 
     def test_reproducible_given_seed(self, tiny_scenario):
         a = ExperimentRunner(tiny_scenario, seed=5).run("binpacking")
