@@ -129,7 +129,8 @@ class LegacySimulator(Simulator):
         executed = 0
         try:
             while self._heap:
-                event_time, _seq, event = self._heap[0]
+                # Both workloads below queue cancellable events only.
+                event_time, _seq, event, _args = self._heap[0]
                 if until is not None and event_time > until:
                     break
                 heapq.heappop(self._heap)

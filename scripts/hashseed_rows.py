@@ -4,14 +4,16 @@
     scripts/hashseed_rows.py            # exit 0: identical, 1: they differ
 
 Builds the four workloads of ``bench_e2e/workloads.py`` (imported, not
-edited) at ``smoke`` size, once per ``PYTHONHASHSEED`` in
-:data:`HASH_SEEDS`, each in a fresh interpreter, and compares every
-workload's ``Outcome.row`` and ``Outcome.answers`` across them as JSON
-text.  ``bench_e2e/run.py`` pins ``PYTHONHASHSEED=0`` for its children,
-so an iteration over a ``set`` of strings that reached an answer — or
-an ordering argument that quietly leaned on hashing, like a stable sort
-whose ties are meant to keep append order — would pass there on every
-run and differ on a user's machine.
+edited) at ``smoke`` size, plus the ``cell_cram`` cell under a loss +
+jitter plan (so the order of the per-transmission fault draws is
+checked too), once per ``PYTHONHASHSEED`` in :data:`HASH_SEEDS`, each
+in a fresh interpreter, and compares every cell's row and answers
+across them as JSON text.  ``bench_e2e/run.py`` pins
+``PYTHONHASHSEED=0`` for its children, so an iteration over a ``set``
+of strings that reached an answer — or an ordering argument that
+quietly leaned on hashing, like a stable sort whose ties are meant to
+keep append order — would pass there on every run and differ on a
+user's machine.
 """
 
 from __future__ import annotations
@@ -26,12 +28,16 @@ from typing import Dict
 ROOT = Path(__file__).resolve().parent.parent
 HASH_SEEDS = ("0", "7", "2011")
 WORKLOAD_SEED = 2011
+#: ``(loss_rate, jitter)`` of the faulted ``cell_cram`` cell.
+LOSS_JITTER = (0.02, 0.01)
 
 
 def outcomes() -> Dict[str, Dict[str, str]]:
-    """Run every smoke workload in this interpreter."""
+    """Run every smoke workload, and the faulted cell, in this interpreter."""
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     from bench_e2e import workloads
+    from repro.experiments.runner import ExperimentRunner
+    from repro.sim.faults import FaultPlan
 
     result = {}
     for name in workloads.SIZES["smoke"]:
@@ -44,6 +50,22 @@ def outcomes() -> Dict[str, Dict[str, str]]:
             raise SystemExit(f"{name}: checks failed: {failed}")
         result[name] = {"row": json.dumps(outcome.row),
                         "answers": json.dumps(outcome.answers)}
+    # Loss makes ``nothing_lost`` fail by design, so this cell skips the
+    # workload's checks and is compared on its summary instead.
+    loss_rate, jitter = LOSS_JITTER
+    runner = ExperimentRunner(
+        workloads.build("cell_cram", "smoke").scenario, seed=WORKLOAD_SEED,
+        cram_failure_budget=workloads.CRAM_FAILURE_BUDGET,
+        fault_plan=FaultPlan(loss_rate=loss_rate, jitter=jitter, seed=5))
+    cell = runner.run("cram-ios")
+    row = cell.as_row()
+    del row["computation_s"]  # wall-clock
+    result["cell_cram+loss_jitter"] = {
+        "row": json.dumps(row),
+        "answers": json.dumps([repr(cell.summary), repr(cell.baseline_summary),
+                               runner.network.faults.drops,
+                               runner.network.sim.events_processed]),
+    }
     return result
 
 
@@ -72,7 +94,7 @@ def main() -> int:
                           f"\n  {hash_seed:>4}: {seen[name][part]}")
     if differing:
         return 1
-    print(f"{len(reference)} workloads: rows and answers identical under "
+    print(f"{len(reference)} cells: rows and answers identical under "
           f"PYTHONHASHSEED {', '.join(HASH_SEEDS)}")
     return 0
 

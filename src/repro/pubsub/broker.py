@@ -26,7 +26,8 @@ quantities CROC reasons about:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.capacity import BrokerSpec
 from repro.pubsub.cbc import CrocBackendComponent
@@ -154,18 +155,20 @@ class Broker:
     # ------------------------------------------------------------------
     def receive(self, message: Any, source: Destination) -> None:
         """Accept a message from a neighbor or local client."""
+        is_publication = isinstance(message, Publication)
         tracer = self._network.tracer
-        if tracer is not None and isinstance(message, Publication):
+        if tracer is not None and is_publication:
             tracer.record(self._sim.now, "receive", self.broker_id,
                           message.adv_id, message.message_id,
                           detail=f"from {source[1]}")
-        self._metrics.on_receive(self.broker_id, isinstance(message, Publication))
-        service = self.spec.delay_function.delay(len(self._srt))
-        self.delay_estimator.record(len(self._srt), service)
+        self._metrics.on_receive(self.broker_id, is_publication)
+        table_size = len(self._srt)
+        service = self.spec.delay_function.delay(table_size)
+        self.delay_estimator.record(table_size, service)
         start = max(self._sim.now, self._cpu_free_at)
         done = start + service
         self._cpu_free_at = done
-        self._sim.schedule_at(done, lambda: self._process(message, source))
+        self._sim.call_at(done, self._process, message, source)
 
     def _process(self, message: Any, source: Destination) -> None:
         if self._network.broker_is_down(self.broker_id):
@@ -191,95 +194,94 @@ class Broker:
     # Transmit path: queue behind the output link
     # ------------------------------------------------------------------
     def _transmit(self, destination: Destination, message: Any, size_kb: float) -> None:
-        """Serialize onto the output link and hand off to the network.
+        """Serialize a control message and hand it off to the network.
 
-        Publications share one FIFO output queue (the bandwidth
-        limiter); control messages (subscriptions, advertisements,
-        BIR/BIA, unsubscriptions) use a prioritized side lane with its
-        own budget, so a saturated data plane cannot starve the
+        Control messages (subscriptions, advertisements, BIR/BIA,
+        unsubscriptions) use a prioritized side lane with its own
+        budget, so a saturated data plane cannot starve the
         reconfiguration protocol — the standard control/data separation
-        of production brokers.
-        """
-        is_publication = isinstance(message, Publication)
-        if is_publication:
-            sent = self._serialize_publication(size_kb)
-        else:
-            bandwidth = self.spec.total_output_bandwidth
-            serialization = size_kb / bandwidth if bandwidth > 0 else 0.0
-            start = max(self._sim.now, self._ctl_free_at)
-            sent = start + serialization
-            self._ctl_free_at = sent
-        self._metrics.on_send(self.broker_id, size_kb, is_publication)
-        self._network.deliver(self.broker_id, destination, message, sent)
-
-    def _serialize_publication(self, size_kb: float) -> float:
-        """Advance the publication output lane by one message.
-
-        Returns the virtual time serialization completes (the FIFO
-        bandwidth limiter).  The client fan-out of
-        :meth:`_handle_publication` runs the same arithmetic hoisted.
+        of production brokers.  Publications share the one FIFO output
+        queue (the bandwidth limiter) of :meth:`_handle_publication`.
         """
         bandwidth = self.spec.total_output_bandwidth
         serialization = size_kb / bandwidth if bandwidth > 0 else 0.0
-        start = max(self._sim.now, self._out_free_at)
+        start = max(self._sim.now, self._ctl_free_at)
         sent = start + serialization
-        self._out_free_at = sent
-        return sent
+        self._ctl_free_at = sent
+        self._metrics.on_send(self.broker_id, size_kb)
+        self._network.deliver(self.broker_id, destination, message, sent)
 
     # ------------------------------------------------------------------
     # Publications
     # ------------------------------------------------------------------
     def _handle_publication(self, publication: Publication, source: Destination) -> None:
+        """Match, then put one copy per destination on the output lane.
+
+        Client copies go first, in match order, then broker forwards in
+        broker-id order; each copy serializes behind the last.  The
+        bookkeeping is done once for the whole publication: one CBC
+        call, one metrics call, one hop copy shared by every forward.
+        """
+        now = self._sim.now
         if source[0] == CLIENT:
-            self.cbc.on_local_publication(publication, self._sim.now)
+            self.cbc.on_local_publication(publication, now)
         clients, forwarded_brokers = self._srt.matching_routes(publication, source)
+        if not clients and not forwarded_brokers:
+            return
+        network = self._network
+        faults = network.faults
+        size_kb = publication.size_kb
+        bandwidth = self.spec.total_output_bandwidth
+        serialization = size_kb / bandwidth if bandwidth > 0 else 0.0
+        free_at = self._out_free_at
+        delivered: List[str] = []
         if clients:
             # Client fan-out: a delivery schedules nothing, so it is
             # logged with its final arrival time instead of becoming an
-            # event.  Loss and jitter are drawn here, at send time, in
-            # the order PubSubNetwork.deliver draws them for a hop.
-            network = self._network
+            # event.  Loss and jitter are drawn here, at send time, by
+            # the same FaultInjector.transit call a hop makes.
             local = self.local_clients
-            size_kb = publication.size_kb
-            on_send = self._metrics.on_send
-            cbc_on_delivery = self.cbc.on_delivery
-            broker_id = self.broker_id
-            faults = network.faults
             latency = network.link_latency
             log = network.delivery_log
-            log_delivery = log.append
-            # The publication lane arithmetic of _serialize_publication,
-            # hoisted: now and the per-copy serialization time are loop
-            # constants.
-            bandwidth = self.spec.total_output_bandwidth
-            serialization = size_kb / bandwidth if bandwidth > 0 else 0.0
-            now = self._sim.now
-            free_at = self._out_free_at
             for subscription, destination in clients:
                 client_id = destination[1]
                 if client_id not in local:
                     continue
-                cbc_on_delivery(subscription.sub_id, publication)
+                delivered.append(subscription.sub_id)
                 start = free_at if free_at > now else now
                 free_at = start + serialization
-                on_send(broker_id, size_kb, True, to_client=True)
                 arrival = free_at + latency
                 if faults is not None:
-                    if faults.drop_in_transit():
+                    extra = faults.transit()
+                    if extra is None:
                         self._metrics.on_fault_drop(True, to_client=True)
                         continue
-                    arrival += faults.extra_latency()
-                log_delivery((arrival, client_id, publication))
-            self._out_free_at = free_at
+                    arrival += extra
+                log.append((arrival, client_id, publication))
+            if delivered:
+                self.cbc.record_deliveries(publication, delivered)
             if len(log) >= network.settle_at:
                 network.settle_deliveries()
-        tracer = self._network.tracer
-        for broker_id in sorted(forwarded_brokers):
-            if tracer is not None:
-                tracer.record(self._sim.now, "forward", self.broker_id,
-                              publication.adv_id, publication.message_id,
-                              detail=f"-> {broker_id}")
-            self._transmit((BROKER, broker_id), publication.hopped(), publication.size_kb)
+        if forwarded_brokers:
+            tracer = network.tracer
+            hopped = publication.hopped()
+            for broker_id in sorted(forwarded_brokers):
+                if tracer is not None:
+                    tracer.record(now, "forward", self.broker_id,
+                                  publication.adv_id, publication.message_id,
+                                  detail=f"-> {broker_id}")
+                start = free_at if free_at > now else now
+                free_at = start + serialization
+                network.deliver(self.broker_id, (BROKER, broker_id), hopped, free_at)
+        self._out_free_at = free_at
+        copies = len(delivered) + len(forwarded_brokers)
+        if copies:
+            # This may create the broker's counters entry for the window.
+            # Nothing above creates one for another broker, so the table
+            # order (which per_broker_rates and energy follow) is the
+            # order of first sends.
+            self._metrics.on_publication_sent(self.broker_id, size_kb, copies,
+                                              len(delivered))
 
     # ------------------------------------------------------------------
     # Advertisements
@@ -412,8 +414,7 @@ class Broker:
         # A crashed downstream subtree would otherwise stall this
         # aggregation forever; answer with a partial set at the deadline.
         state.timer = self._sim.schedule(
-            self._network.bir_timeout,
-            lambda: self._bir_deadline(request.request_id),
+            self._network.bir_timeout, partial(self._bir_deadline, request.request_id)
         )
         for neighbor in sorted(downstream):
             self._transmit((BROKER, neighbor), request, CONTROL_MESSAGE_KB)

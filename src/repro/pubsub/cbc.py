@@ -9,7 +9,7 @@ broker's BIA report when CROC floods a BIR (paper §III).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from repro.core.bitvector import DEFAULT_CAPACITY
 from repro.core.capacity import BrokerSpec
@@ -64,11 +64,16 @@ class CrocBackendComponent:
         self._subscriber_of.pop(sub_id, None)
         self._profiles.pop(sub_id, None)
 
-    def on_delivery(self, sub_id: str, publication: Publication) -> None:
-        """Record a matched publication into the subscription's profile."""
-        profile = self._profiles.get(sub_id)
-        if profile is not None:
-            profile.record(publication.adv_id, publication.message_id)
+    def record_deliveries(self, publication: Publication,
+                          sub_ids: Iterable[str]) -> None:
+        """Record one publication into each matched subscription's profile."""
+        profiles = self._profiles
+        adv_id = publication.adv_id
+        message_id = publication.message_id
+        for sub_id in sub_ids:
+            profile = profiles.get(sub_id)
+            if profile is not None:
+                profile.record(adv_id, message_id)
 
     def on_local_publication(self, publication: Publication, now: float) -> None:
         """Update the measured profile of a locally attached publisher."""

@@ -32,7 +32,7 @@ availability counters (``publications_lost``, ``delivery_rate``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, FrozenSet, List, Set
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set
 
 from repro.sim.faults import CRASH, LINK_DOWN, LINK_UP, RECOVER, FaultEvent, FaultPlan
 from repro.sim.rng import SeededRng
@@ -74,7 +74,7 @@ class FaultInjector:
                     f"fault plan targets unknown broker(s) {unknown} "
                     f"(event {event.kind} at t={event.time})"
                 )
-            sim.schedule_at(event.time, lambda e=event: self._apply(e))
+            sim.call_at(event.time, self._apply, event)
 
     def _apply(self, event: FaultEvent) -> None:
         if event.kind == CRASH:
@@ -122,20 +122,20 @@ class FaultInjector:
     def link_down(self, first: str, second: str) -> bool:
         return bool(self.down_links) and frozenset((first, second)) in self.down_links
 
-    def drop_in_transit(self) -> bool:
-        """Seeded loss draw; never touches the RNG when loss is off."""
-        if self.plan.loss_rate <= 0.0:
-            return False
-        dropped = self._transit_rng.random() < self.plan.loss_rate
-        if dropped:
-            self.drops += 1
-        return dropped
+    def transit(self) -> Optional[float]:
+        """One transmission's seeded fate: ``None`` if it is lost, else
+        the extra latency it picks up.
 
-    def extra_latency(self) -> float:
-        """Seeded jitter draw; never touches the RNG when jitter is off."""
-        if self.plan.jitter <= 0.0:
+        The loss draw comes first and a lost transmission draws no
+        jitter; a knob that is off never touches the RNG.
+        """
+        plan = self.plan
+        if plan.loss_rate > 0.0 and self._transit_rng.random() < plan.loss_rate:
+            self.drops += 1
+            return None
+        if plan.jitter <= 0.0:
             return 0.0
-        return self._transit_rng.uniform(0.0, self.plan.jitter)
+        return self._transit_rng.uniform(0.0, plan.jitter)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -86,9 +86,10 @@ class Unsubscription:
 class Publication:
     """One event, stamped with its publisher's identity and counter.
 
-    ``hops`` counts broker-to-broker transfers; it is incremented by
-    the overlay as the (immutable) publication is re-wrapped for each
-    forward, so concurrent in-flight copies never share mutable state.
+    ``hops`` counts broker-to-broker transfers.  A broker that forwards
+    a publication makes one :meth:`hopped` copy and sends that same
+    object over every outgoing link: the publication is immutable, so
+    in-flight copies share no mutable state.
     """
 
     adv_id: str

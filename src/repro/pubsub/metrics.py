@@ -16,7 +16,7 @@ allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.energy import WindowUsage
 
@@ -221,22 +221,43 @@ class MetricsCollector:
         if is_publication:
             counters.publications_in += 1
 
-    def on_send(self, broker_id: str, size_kb: float, is_publication: bool,
-                to_client: bool = False) -> None:
+    def on_send(self, broker_id: str, size_kb: float) -> None:
+        """A broker sent one control message."""
         counters = self.counters(broker_id)
         counters.messages_out += 1
         counters.bytes_out_kb += size_kb
-        if is_publication:
-            counters.publications_out += 1
-            if to_client:
-                counters.deliveries += 1
 
-    def on_delivery(self, delay: float, hops: int) -> None:
-        self._delivery_count += 1
-        self._delay_sum += delay
+    def on_publication_sent(self, broker_id: str, size_kb: float, copies: int,
+                            deliveries: int) -> None:
+        """A broker put ``copies`` of one publication on its output lane,
+        ``deliveries`` of them toward local subscribers.
+
+        Counted at send, before any loss draw.  The output kB are added
+        one copy at a time: the float total must not depend on how a
+        broker's sends are grouped into calls.
+        """
+        counters = self.counters(broker_id)
+        counters.messages_out += copies
+        counters.publications_out += copies
+        counters.deliveries += deliveries
+        total = counters.bytes_out_kb
+        for _ in range(copies):
+            total += size_kb
+        counters.bytes_out_kb = total
+
+    def record_deliveries(self, delays: Sequence[float], hops: int) -> None:
+        """Add completed deliveries: their delays, in arrival order (the
+        float sum depends on it), and their summed hop counts."""
+        delay_sum = self._delay_sum
+        delay_max = self._delay_max
+        for delay in delays:
+            delay_sum += delay
+            if delay > delay_max:
+                delay_max = delay
+        self._delay_sum = delay_sum
+        self._delay_max = delay_max
+        self._delivery_count += len(delays)
         self._hop_sum += hops
-        if delay > self._delay_max:
-            self._delay_max = delay
 
     # ------------------------------------------------------------------
     # Fault / availability hooks (fault injector and robust gather)

@@ -216,21 +216,23 @@ class PubSubNetwork:
         source = self._client_sources.get(client_id)
         if source is None:
             source = self._client_sources[client_id] = (CLIENT, client_id)
-        delay = self.link_latency
-        if self.faults is not None:
-            if self.faults.broker_down(broker_id) or self.faults.drop_in_transit():
-                self.metrics.on_fault_drop(isinstance(message, Publication))
-                return
-            delay += self.faults.extra_latency()
-            self.sim.schedule(
-                delay, lambda: self._arrive_at_broker(broker_id, message, source)
-            )
+        sim = self.sim
+        faults = self.faults
+        if faults is None:
+            # Fault-free fast path: no broker can be down at arrival, so
+            # the down-at-arrival indirection is skipped and the broker's
+            # bound receive method is reused directly.
+            sim.call_at(sim.now + self.link_latency, self._receive_of[broker_id],
+                        message, source)
             return
-        # Fault-free fast path: no broker can be down at arrival, so the
-        # down-at-arrival indirection is skipped and the broker's bound
-        # receive method is reused directly.
-        receive = self._receive_of[broker_id]
-        self.sim.schedule(delay, lambda: receive(message, source))
+        extra = None if faults.broker_down(broker_id) else faults.transit()
+        if extra is None:
+            self.metrics.on_fault_drop(isinstance(message, Publication))
+            return
+        # Latency and jitter are summed before ``now`` is added: the
+        # grouping decides the arrival's float value, and answers follow it.
+        sim.call_at(sim.now + (self.link_latency + extra), self._arrive_at_broker,
+                    broker_id, message, source)
 
     def settle_deliveries(self) -> None:
         """Complete every logged delivery that has arrived by ``sim.now``.
@@ -251,10 +253,15 @@ class PubSubNetwork:
         self.settle_at = max(SETTLE_FLOOR, 2 * len(log))
 
     def _complete(self, deliveries: Iterable[LoggedDelivery]) -> None:
-        """Hand each publication to its subscriber, stamped with its arrival."""
+        """Hand each publication to its subscriber, stamped with its arrival.
+
+        The delays and hop counts reach the metrics in one call, delays
+        in arrival order.
+        """
         subscribers = self.subscribers
-        on_delivery = self.metrics.on_delivery
         tracer = self.tracer
+        delays: List[float] = []
+        hops = 0
         for arrival, client_id, message in deliveries:
             subscriber = subscribers.get(client_id)
             if subscriber is None:
@@ -263,8 +270,10 @@ class PubSubNetwork:
                 tracer.record(arrival, "deliver", client_id,
                               message.adv_id, message.message_id,
                               detail=f"hops={message.hops}")
-            on_delivery(arrival - message.publish_time, message.hops)
+            delays.append(arrival - message.publish_time)
+            hops += message.hops
             subscriber.receive(message, arrival)
+        self.metrics.record_deliveries(delays, hops)
 
     @property
     def deliveries_in_flight(self) -> int:
@@ -284,28 +293,23 @@ class PubSubNetwork:
         kind, identifier = destination
         faults = self.faults
         if faults is not None:
-            if kind == BROKER and faults.link_down(sender_broker, identifier):
+            cut = kind == BROKER and faults.link_down(sender_broker, identifier)
+            extra = None if cut else faults.transit()
+            if extra is None:
                 self.metrics.on_fault_drop(isinstance(message, Publication))
                 return
-            if faults.drop_in_transit():
-                self.metrics.on_fault_drop(isinstance(message, Publication))
-                return
-            arrival += faults.extra_latency()
+            arrival += extra
         if kind != BROKER:
-            self.sim.schedule_at(
-                arrival, lambda: self._deliver_to_control_client(identifier, message)
-            )
+            self.sim.call_at(arrival, self._deliver_to_control_client,
+                             identifier, message)
         elif faults is not None:
-            source = self._broker_sources[sender_broker]
-            self.sim.schedule_at(
-                arrival, lambda: self._arrive_at_broker(identifier, message, source)
-            )
+            self.sim.call_at(arrival, self._arrive_at_broker, identifier, message,
+                             self._broker_sources[sender_broker])
         else:
             # Fault-free fast path: reuse the interned source tuple and
             # the receiving broker's bound method for this repeat hop.
-            receive = self._receive_of[identifier]
-            source = self._broker_sources[sender_broker]
-            self.sim.schedule_at(arrival, lambda: receive(message, source))
+            self.sim.call_at(arrival, self._receive_of[identifier], message,
+                             self._broker_sources[sender_broker])
 
     def _arrive_at_broker(self, broker_id: str, message: Any,
                           source: Destination) -> None:

@@ -1,9 +1,21 @@
 """A minimal, deterministic discrete-event simulation engine.
 
 The engine is a priority queue of timestamped callbacks: a binary heap
-of ``(time, sequence, event)`` tuples (``heapq``).  Ties are broken by
-insertion order, which keeps runs bit-for-bit reproducible regardless
-of hash randomization or dict ordering quirks.
+of ``(time, sequence, fn, args)`` tuples (``heapq``).  Ties are broken
+by insertion order, which keeps runs bit-for-bit reproducible
+regardless of hash randomization or dict ordering quirks.
+
+Entries come in two forms that share the heap, the sequence counter,
+the run loop and the compaction:
+
+* **fire-and-forget** — :meth:`Simulator.call_at` queues
+  ``(time, seq, fn, args)`` and returns nothing; the loop calls
+  ``fn(*args)``.  No :class:`Event` and no closure is built, which is
+  what every message hop uses (a hop is never cancelled).
+* **cancellable** — :meth:`Simulator.schedule` / :meth:`schedule_at`
+  queue ``(time, seq, event, None)`` and return the :class:`Event`, for
+  the timers that may be called off (publisher ticks, BIR deadlines).
+  ``args is None`` is how the loop tells the two apart.
 
 Two fast paths keep the event loop cheap at scale without changing the
 execution order:
@@ -25,17 +37,17 @@ Example
 >>> sim = Simulator()
 >>> fired = []
 >>> _ = sim.schedule(5.0, lambda: fired.append(sim.now))
->>> _ = sim.schedule(1.0, lambda: fired.append(sim.now))
+>>> sim.call_at(1.0, fired.append, "hop")
 >>> sim.run()
 >>> fired
-[1.0, 5.0]
+['hop', 5.0]
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 #: Compaction threshold: rebuild the queue once at least this many
 #: cancelled events linger in it *and* they make up half the queue.
@@ -49,7 +61,7 @@ class SimulationError(Exception):
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled, cancellable callback.
 
     Events are returned by :meth:`Simulator.schedule` and can be
     cancelled before they fire.  A cancelled event stays queued but is
@@ -112,7 +124,9 @@ class Simulator:
         self._cancelled_in_heap = 0
         self._batched_events = 0
         self._compactions = 0
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: ``(time, seq, fn, args)``; a cancellable entry carries its
+        #: :class:`Event` as ``fn`` and ``None`` as ``args``.
+        self._heap: List[Tuple[float, int, Any, Optional[tuple]]] = []
 
     @property
     def now(self) -> float:
@@ -152,14 +166,27 @@ class Simulator:
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at an absolute virtual time."""
+        """Schedule ``callback`` at an absolute virtual time; cancellable."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
         event = Event(time, callback, self)
-        heapq.heappush(self._heap, (time, next(self._sequence), event))
+        heapq.heappush(self._heap, (time, next(self._sequence), event, None))
         return event
+
+    def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at an absolute virtual time; not cancellable.
+
+        The fire-and-forget form: it takes the same ``(time, sequence)``
+        slot :meth:`schedule_at` would, without building an
+        :class:`Event` or a closure.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before current time t={self._now}"
+            )
+        heapq.heappush(self._heap, (time, next(self._sequence), fn, args))
 
     def _note_cancelled(self) -> None:
         """Record one more cancelled-but-queued event (see :meth:`Event.cancel`)."""
@@ -179,7 +206,7 @@ class Simulator:
         heap = self._heap
         live = []
         for entry in heap:
-            if entry[2].cancelled:
+            if entry[3] is None and entry[2].cancelled:
                 entry[2]._sim = None
             else:
                 live.append(entry)
@@ -200,39 +227,47 @@ class Simulator:
         until:
             Stop once the clock would pass this time.  Events scheduled
             exactly at ``until`` are executed.  The clock is advanced to
-            ``until`` when the queue drains early, so repeated
-            ``run(until=...)`` calls tile time contiguously.
+            ``until`` when nothing is left to run by then (the queue
+            drained, or its next event lies past ``until``), so repeated
+            ``run(until=...)`` calls tile time contiguously; a run that
+            ``max_events`` cut short leaves the clock at its last event.
         max_events:
             Safety valve for tests; stop after this many callbacks.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        executed = 0
         heap = self._heap
         pop = heapq.heappop
         processed = self._events_processed
         batched = self._batched_events
+        limit = until if until is not None else float("inf")
+        # ``processed`` never reaches -1, so no max_events means no stop;
+        # a max_events below 1 still runs one event.
+        stop_at = processed + max(max_events, 1) if max_events is not None else -1
         try:
             while heap:
                 if self._cancelled_in_heap >= COMPACT_MIN_CANCELLED:
                     self._maybe_compact()
                     if not heap:
                         break
-                time, _seq, event = heap[0]
-                if until is not None and time > until:
+                time, _seq, fn, args = heap[0]
+                if time > limit:
                     break
                 pop(heap)
-                if event.cancelled:
-                    self._cancelled_in_heap -= 1
-                    event._sim = None
-                    continue
-                event._sim = None
-                self._now = time
-                event.callback()
+                if args is None:  # a cancellable Event
+                    if fn.cancelled:
+                        self._cancelled_in_heap -= 1
+                        fn._sim = None
+                        continue
+                    fn._sim = None
+                    self._now = time
+                    fn.callback()
+                else:
+                    self._now = time
+                    fn(*args)
                 processed += 1
-                executed += 1
-                if max_events is not None and executed >= max_events:
+                if processed == stop_at:
                     break
                 # Same-timestamp batch: ties are within any until-bound
                 # by construction, so drain them without re-checking it
@@ -240,17 +275,19 @@ class Simulator:
                 # callback carry a later sequence number and are reached
                 # by this same loop, preserving insertion order.
                 while heap and heap[0][0] == time:
-                    event = pop(heap)[2]
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        event._sim = None
-                        continue
-                    event._sim = None
-                    event.callback()
+                    _time, _seq, fn, args = pop(heap)
+                    if args is None:
+                        if fn.cancelled:
+                            self._cancelled_in_heap -= 1
+                            fn._sim = None
+                            continue
+                        fn._sim = None
+                        fn.callback()
+                    else:
+                        fn(*args)
                     processed += 1
-                    executed += 1
                     batched += 1
-                    if max_events is not None and executed >= max_events:
+                    if processed == stop_at:
                         break
                 else:
                     continue
@@ -259,5 +296,5 @@ class Simulator:
             self._events_processed = processed
             self._batched_events = batched
             self._running = False
-        if until is not None and self._now < until:
+        if until is not None and self._now < until and (not heap or heap[0][0] > until):
             self._now = until

@@ -36,7 +36,7 @@ class TestCbcProfiling:
         )
         cbc.register_subscription(subscription)
         for message_id in (1, 3, 5):
-            cbc.on_delivery("s1", make_publication(message_id=message_id))
+            cbc.record_deliveries(make_publication(message_id=message_id), ["s1"])
         report = cbc.report(BrokerSpec("b0", 100.0), now=10.0)
         record = report.subscriptions[0]
         assert record.sub_id == "s1"
@@ -57,7 +57,7 @@ class TestCbcProfiling:
 
     def test_unknown_subscription_delivery_ignored(self):
         cbc = CrocBackendComponent("b0")
-        cbc.on_delivery("ghost", make_publication())  # must not raise
+        cbc.record_deliveries(make_publication(), ["ghost"])  # must not raise
 
     def test_unregister_drops_profile(self):
         cbc = CrocBackendComponent("b0")

@@ -97,6 +97,30 @@ def test_one_kernel_decision_point_and_no_fallback_returns():
     assert "kernel" not in inspect.signature(first_fit).parameters
 
 
+#: The Simulator's scheduling entry points.
+SCHEDULING_CALLS = ("schedule", "schedule_at", "call_at")
+
+
+def test_no_lambda_is_scheduled_in_sim_or_pubsub():
+    """Message hops and timers hand the engine a callable and its
+    arguments, never a closure built per message."""
+    seen, offenders = set(), []
+    for package in ("sim", "pubsub"):
+        for path in sorted((PACKAGE / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in SCHEDULING_CALLS):
+                    continue
+                seen.add(node.func.attr)
+                arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+                if any(isinstance(inner, ast.Lambda)
+                       for argument in arguments for inner in ast.walk(argument)):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert seen == set(SCHEDULING_CALLS)
+    assert offenders == []
+
+
 def test_no_environment_reads_and_no_numpy_outside_tools():
     offenders = []
     for path in sorted(PACKAGE.rglob("*.py")):

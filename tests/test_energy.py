@@ -289,9 +289,9 @@ class TestEnergyUsageProjection:
     def test_summary_projects_window_usage(self):
         sim = _FakeSim()
         metrics = MetricsCollector(sim)
-        metrics.on_send("B1", size_kb=2.0, is_publication=True, to_client=True)
+        metrics.on_publication_sent("B1", size_kb=2.0, copies=1, deliveries=1)
         metrics.on_receive("B1", is_publication=True)
-        metrics.on_delivery(delay=0.2, hops=2)
+        metrics.record_deliveries([0.2], hops=2)
         sim.now = 10.0
         summary = metrics.summary(
             pool_size=3, active_brokers=["B1", "B2"],

@@ -2,11 +2,12 @@
 
 The determinism contract of the event core, pinned at two levels:
 
-* **trace level** — a Hypothesis property interprets random
-  schedule/cancel/run programs (with in-callback scheduling and
-  cancellation) against the engine and against
-  :class:`SortedListOracle`, the contract stated the slow way, and
-  demands identical traces, clocks and executed-event counts;
+* **trace level** — a Hypothesis property interprets random programs
+  mixing fire-and-forget and cancellable entries (with in-callback
+  scheduling of both and cancellation, bounded and ``max_events`` runs,
+  and cancel bursts that force compactions) against the engine and
+  against :class:`SortedListOracle`, the contract stated the slow way,
+  and demands identical traces, clocks and engine counters;
 * **experiment level** — client deliveries are logged and completed in
   stable arrival order instead of being simulator events; every
   deterministic output must be bit-identical to one event per delivery
@@ -23,18 +24,19 @@ import dataclasses
 import hashlib
 import itertools
 import json
+from functools import partial
 from operator import attrgetter
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.parallel import CellSpec, run_spec
 from repro.obs import recorder as obs
 from repro.pubsub.network import PubSubNetwork
 from repro.pubsub.tracing import MessageTracer
-from repro.sim.engine import Simulator
+from repro.sim.engine import COMPACT_MIN_CANCELLED, SimulationError, Simulator
 from repro.sim.faults import FaultPlan
 from repro.workloads.scenarios import cluster_homogeneous
 
@@ -51,75 +53,146 @@ from test_parallel_equivalence import comparable, tiny_homo
 # ----------------------------------------------------------------------
 
 
-class _OracleEvent:
-    def __init__(self, time, seq, callback):
+class _OracleEntry:
+    def __init__(self, oracle, time, seq, fn, args):
         self.key = (time, seq)
-        self.callback = callback
+        self.fn = fn
+        self.args = args
         self.cancelled = False
+        self.queued = True
+        self._oracle = oracle
 
     def cancel(self):
+        if self.cancelled:
+            return
         self.cancelled = True
+        if self.queued:
+            self._oracle.cancelled_pending += 1
 
 
 class SortedListOracle:
-    """Every pending event in one list; run the smallest (time, seq)."""
+    """Every queued entry in one list; take the smallest (time, seq).
+
+    The engine's contract stated the slow way, bookkeeping included: an
+    entry run at the same time as the one before it in the same ``run``
+    call is *batched*; a cancelled entry stays queued (and counted)
+    until it comes up or a compaction drops it; a compaction happens
+    just before an entry at a new time is taken, once at least
+    ``COMPACT_MIN_CANCELLED`` cancelled entries are queued and they are
+    half the queue or more.
+    """
 
     def __init__(self):
         self.now = 0.0
         self.events_processed = 0
+        self.batched_events = 0
+        self.heap_compactions = 0
+        self.cancelled_pending = 0
         self._seq = itertools.count()
         self._queue = []
 
-    def schedule(self, delay, callback):
-        event = _OracleEvent(self.now + delay, next(self._seq), callback)
-        self._queue.append(event)
-        return event
+    @property
+    def pending(self):
+        return len(self._queue)
 
-    def run(self, until=None):
-        while True:
-            live = sorted((e for e in self._queue if not e.cancelled),
-                          key=lambda e: e.key)
-            if not live or (until is not None and live[0].key[0] > until):
-                break
-            self._queue.remove(live[0])
-            self.now = live[0].key[0]
-            live[0].callback()
+    def _push(self, time, fn, args):
+        entry = _OracleEntry(self, time, next(self._seq), fn, args)
+        self._queue.append(entry)
+        return entry
+
+    def schedule(self, delay, callback):
+        return self._push(self.now + delay, callback, ())
+
+    def call_at(self, time, fn, *args):
+        self._push(time, fn, args)
+
+    def _head(self):
+        return min(self._queue, key=attrgetter("key"))
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        last = None  # time of the last entry run by this call
+        while self._queue:
+            head = self._head()
+            if head.key[0] != last:
+                cancelled = self.cancelled_pending
+                if (cancelled >= COMPACT_MIN_CANCELLED
+                        and 2 * cancelled >= len(self._queue)):
+                    for entry in self._queue:
+                        entry.queued = not entry.cancelled
+                    self._queue = [e for e in self._queue if not e.cancelled]
+                    self.cancelled_pending = 0
+                    self.heap_compactions += 1
+                    continue
+                if until is not None and head.key[0] > until:
+                    break
+            self._queue.remove(head)
+            head.queued = False
+            if head.cancelled:
+                self.cancelled_pending -= 1
+                continue
+            if head.key[0] == last:
+                self.batched_events += 1
+            self.now = last = head.key[0]
+            head.fn(*head.args)
             self.events_processed += 1
-        if until is not None and self.now < until:
+            executed += 1
+            if max_events is not None and executed >= max_events:
+                break
+        if (until is not None and self.now < until
+                and (not self._queue or self._head().key[0] > until)):
             self.now = until
 
 
-def run_program(sim, program):
-    """Interpret a schedule/cancel/run program, returning its trace.
+#: A burst queues far-future entries and cancels this many of them
+#: (bursts of 80 and 140 straddle the half-the-queue compaction bound).
+_BURST_CANCELS = 70
 
-    Callback behavior is a pure function of the event's tag, so engine
-    and oracle see the same in-callback scheduling (including
-    zero-delay ties landing inside the batch being drained) and the
-    same in-callback cancellations.
+
+def run_program(sim, program):
+    """Interpret a schedule/call/cancel/run program, returning its trace.
+
+    Callback behavior is a pure function of the entry's tag, so engine
+    and oracle see the same in-callback scheduling of both forms
+    (including zero-delay ties landing inside the batch being drained)
+    and the same in-callback cancellations, of events queued or already
+    run.
     """
     trace = []
-    events = []
+    events = []  # every cancellable handle, fired or not
 
-    def make_cb(tag):
-        def cb():
-            trace.append((repr(sim.now), tag))
-            if tag % 3 == 0:
-                events.append(sim.schedule((tag % 4) * 0.25, make_cb(tag + 1000)))
-            if tag % 5 == 0 and events:
-                events[tag % len(events)].cancel()
-
-        return cb
+    def fire(tag):
+        trace.append((repr(sim.now), tag))
+        if tag % 3 == 0:
+            delay = (tag % 4) * 0.25
+            if tag % 2:
+                events.append(sim.schedule(delay, partial(fire, tag + 1000)))
+            else:
+                sim.call_at(sim.now + delay, fire, tag + 1000)
+        if tag % 5 == 0 and events:
+            events[tag % len(events)].cancel()
 
     tag = 1
-    for offsets, cancels, run_for in program:
-        for offset in offsets:
-            events.append(sim.schedule(offset, make_cb(tag)))
+    for offsets, cancels, run_for, max_events, burst in program:
+        for offset, cancellable in offsets:
+            if cancellable:
+                events.append(sim.schedule(offset, partial(fire, tag)))
+            else:
+                sim.call_at(sim.now + offset, fire, tag)
             tag += 1
+        for index in range(burst):
+            event = sim.schedule(40.0 + index, partial(fire, tag))
+            tag += 1
+            if index < _BURST_CANCELS:
+                event.cancel()
         for index in cancels:
-            events[index % len(events)].cancel()
-        sim.run(until=sim.now + run_for)
+            if events:
+                events[index % len(events)].cancel()
+        sim.run(until=sim.now + run_for, max_events=max_events)
     sim.run()
-    return trace, repr(sim.now), sim.events_processed
+    counters = (sim.events_processed, sim.batched_events, sim.heap_compactions,
+                sim.cancelled_pending, sim.pending)
+    return trace, repr(sim.now), counters
 
 
 #: Coarse time grid with duplicates so tie groups are common, plus a
@@ -130,22 +203,42 @@ _OFFSETS = st.sampled_from(
 
 _SEGMENTS = st.lists(
     st.tuples(
-        st.lists(_OFFSETS, min_size=1, max_size=8),
+        st.lists(st.tuples(_OFFSETS, st.booleans()), min_size=1, max_size=8),
         st.lists(st.integers(0, 63), max_size=3),
         st.sampled_from([0.25, 0.5, 1.0, 2.5]),
+        st.sampled_from([None, None, None, 1, 3]),
+        st.sampled_from([0, 0, 0, 80, 140]),
     ),
     min_size=1,
     max_size=6,
 )
 
+#: Every feature at once: ties of both forms, a burst that compacts, a
+#: max_events stop inside a tie group, cancels of run and queued events.
+_EVERYTHING = [
+    ([(0.0, True), (0.0, False), (0.25, True), (0.25, False), (1.0, True)],
+     [0, 2], 0.5, None, 80),
+    ([(0.0, False), (0.0, True), (0.0, True)], [1, 5, 7], 1.0, 2, 0),
+    ([(0.1, True), (3.0, False)], [], 2.5, None, 140),
+    ([(0.5, False)], [3], 1.0, None, 0),
+]
+
 
 @settings(max_examples=80)
+@example(program=_EVERYTHING)
 @given(program=_SEGMENTS)
 def test_prop_engine_matches_sorted_list_oracle(program):
     sim = Simulator()
-    assert run_program(sim, program) == run_program(SortedListOracle(), program)
+    result = run_program(sim, program)
+    assert result == run_program(SortedListOracle(), program)
     assert sim.pending == 0
     assert sim.cancelled_pending == 0
+    if program is _EVERYTHING:
+        assert sim.heap_compactions and sim.batched_events
+    # The fire-and-forget form refuses the past like the cancellable one.
+    with pytest.raises(SimulationError):
+        sim.call_at(sim.now - 0.25, print)
+    assert sim.pending == 0
 
 
 # ----------------------------------------------------------------------

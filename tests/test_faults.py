@@ -238,8 +238,8 @@ class TestFaultInjector:
         network = make_network(2)
         injector = network.install_faults(FaultPlan())
         assert injector.schedule == []
-        assert not injector.drop_in_transit()
-        assert injector.extra_latency() == 0.0
+        assert injector.transit() == 0.0
+        assert injector.drops == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,180 @@
+"""Pinned answers of the publication hop path.
+
+Every digest below was recorded at ``3447b9d``, before message hops
+became closure-free engine entries and a publication's fan-out
+bookkeeping (counters, output kB, CBC profiles, fault draws, delivery
+sums) was done once per publication instead of once per copy.  That
+change claims to move no answer, so each digest must hold unchanged:
+
+* the four ``bench_e2e`` workloads at ``smoke`` size (row, answers,
+  event and delivery counts, mean delay);
+* a ``cram-ios`` cell under a loss + jitter plan and one under a crash
+  plan, with an observation recorder attached: the two
+  ``MetricsSummary`` reprs, every broker's ``BrokerCounters`` in table
+  order (floats as ``float.hex``), ``FaultInjector.drops``, the CBC bit
+  vectors CROC gathered and those the brokers hold at the end, the
+  engine counters, and the recorder's timeline samples and counters.
+
+Print the current values (to re-pin after a change that is *meant* to
+move answers) with::
+
+    PYTHONPATH=src python tests/test_hop_path_pins.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import sys
+from typing import Any, Dict, List
+from unittest import mock
+
+import pytest
+
+from repro.experiments.runner import ExperimentRunner
+from repro.obs import recorder as obs
+from repro.pubsub.metrics import MetricsCollector
+from repro.sim.faults import FaultPlan
+from repro.workloads.scenarios import cluster_homogeneous
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Seed of every pinned run (the one ``scripts/hashseed_rows.py`` uses).
+SEED = 2011
+
+#: Twelve 30 kB/s brokers, 240 subscriptions, two allocated: output
+#: queues build up, so fan-outs of different brokers interleave, and
+#: publications cross broker links in both windows.
+FAULT_CELL = cluster_homogeneous(40, scale=0.15, broker_bandwidth_kbps=30,
+                                 profile_capacity=96, measurement_time=6.0)
+
+FAULT_PLANS = {
+    "loss_jitter": FaultPlan(loss_rate=0.02, jitter=0.01, seed=5),
+    "crash": FaultPlan(crash_fraction=0.25, crash_start=4.0, downtime=5.0,
+                       seed=5),
+}
+
+SMOKE_PINS = {
+    "cell_cram": "cf45ff560e716eba",
+    "churn_online": "0771a8724da29012",
+    "forward_wide": "318e148a5513f9c4",
+    "plan_offline": "c21b5f69aa29ad6a",
+}
+
+FAULT_PINS: Dict[str, Dict[str, Any]] = {
+    "crash": {
+        "batched_events": 2129,
+        "cbc": "eada0bd9b5f47a23",
+        "counters": "71231758023f449c",
+        "drops": 0,
+        "events_processed": 11132,
+        "heap_compactions": 0,
+        "obs": "f424f00862949d6d",
+        "summary": "8653ef13327be9f1",
+    },
+    "loss_jitter": {
+        "batched_events": 620,
+        "cbc": "0e8f0ed0f51e09f6",
+        "counters": "d596c5227b03df39",
+        "drops": 556,
+        "events_processed": 17943,
+        "heap_compactions": 0,
+        "obs": "8518b782ef8d32d4",
+        "summary": "fb5f9eceb531ad4f",
+    },
+}
+
+
+def _digest(value: Any) -> str:
+    text = json.dumps(value, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _vectors(profile) -> list:
+    return [[adv_id, vector.first_id, hex(vector.raw_bits())]
+            for adv_id, vector in profile.items()]
+
+
+def smoke_digests() -> Dict[str, str]:
+    """One digest per ``bench_e2e`` smoke workload."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        from bench_e2e import workloads
+    finally:
+        sys.path.remove(str(ROOT))
+    digests = {}
+    for name in sorted(workloads.SIZES["smoke"]):
+        workload = workloads.build(name, "smoke")
+        workload.prepare(SEED)
+        workload.run()
+        outcome = workload.outcome()
+        digests[name] = _digest({"row": outcome.row, "answers": outcome.answers,
+                                 "work": outcome.work, "facts": outcome.facts})
+    return digests
+
+
+def _counter_table(metrics: MetricsCollector) -> list:
+    # Not metrics.counters(): that creates entries the summary reads.
+    return [
+        [broker_id, c.messages_in, c.messages_out, c.bytes_out_kb.hex(),
+         c.publications_in, c.publications_out, c.deliveries]
+        for broker_id, c in metrics._counters.items()
+    ]
+
+
+def fault_cell(plan_name: str) -> Dict[str, Any]:
+    """The pinned facts of one ``cram-ios`` cell under a fault plan."""
+    runner = ExperimentRunner(FAULT_CELL, seed=SEED,
+                              fault_plan=FAULT_PLANS[plan_name])
+    # Each window's table as it closes, then the last window's at the end.
+    tables: List[list] = []
+    reset_window = MetricsCollector.reset_window
+
+    def closing(metrics):
+        tables.append(_counter_table(metrics))
+        reset_window(metrics)
+
+    with obs.attached(obs.Recorder()) as recorder, \
+            mock.patch.object(MetricsCollector, "reset_window", closing):
+        result = runner.run("cram-ios")
+    network = runner.network
+    sim = network.sim
+    tables.append(_counter_table(network.metrics))
+    gathered = [[record.sub_id, _vectors(record.profile)]
+                for record in runner.last_gather.records]
+    held = []
+    for broker_id in sorted(network.brokers):
+        broker = network.brokers[broker_id]
+        report = broker.cbc.report(broker.spec, sim.now)
+        held.append([broker_id,
+                     [[p.adv_id, p.publication_rate.hex(), p.last_message_id]
+                      for p in report.publishers],
+                     [[r.sub_id, _vectors(r.profile)]
+                      for r in report.subscriptions]])
+    snapshot = recorder.snapshot(include_wall=False)
+    return {
+        "summary": _digest([repr(result.summary), repr(result.baseline_summary)]),
+        "counters": _digest(tables),
+        "drops": network.faults.drops,
+        "cbc": _digest([gathered, held]),
+        "events_processed": sim.events_processed,
+        "batched_events": sim.batched_events,
+        "heap_compactions": sim.heap_compactions,
+        "obs": _digest([snapshot["samples"], snapshot["counters"]]),
+    }
+
+
+def test_smoke_workload_rows_are_pinned():
+    assert smoke_digests() == SMOKE_PINS
+
+
+@pytest.mark.parametrize("plan_name", sorted(FAULT_PLANS))
+def test_fault_cell_is_pinned(plan_name):
+    assert fault_cell(plan_name) == FAULT_PINS[plan_name]
+
+
+if __name__ == "__main__":
+    print("SMOKE_PINS =", json.dumps(smoke_digests(), indent=4, sort_keys=True))
+    for name in sorted(FAULT_PLANS):
+        print(f"{name!r}:", json.dumps(fault_cell(name), indent=4, sort_keys=True))

@@ -15,7 +15,7 @@ class TestMetricsCollector:
     def test_counters_accumulate(self):
         _sim, metrics = self._collector()
         metrics.on_receive("b0", is_publication=True)
-        metrics.on_send("b0", size_kb=0.5, is_publication=True, to_client=True)
+        metrics.on_publication_sent("b0", size_kb=0.5, copies=1, deliveries=1)
         counters = metrics.counters("b0")
         assert counters.messages_in == 1
         assert counters.messages_out == 1
@@ -25,8 +25,7 @@ class TestMetricsCollector:
 
     def test_delivery_stats(self):
         _sim, metrics = self._collector()
-        metrics.on_delivery(delay=0.1, hops=2)
-        metrics.on_delivery(delay=0.3, hops=4)
+        metrics.record_deliveries([0.1, 0.3], hops=6)
         summary = self._summarize(metrics, duration=10.0)
         assert summary.delivery_count == 2
         assert summary.mean_delivery_delay == pytest.approx(0.2)
@@ -51,7 +50,7 @@ class TestMetricsCollector:
     def test_reset_window(self):
         sim, metrics = self._collector()
         metrics.on_receive("b0", is_publication=False)
-        metrics.on_delivery(0.1, 1)
+        metrics.record_deliveries([0.1], hops=1)
         sim.schedule(5.0, lambda: None)
         sim.run()
         metrics.reset_window()
@@ -62,7 +61,7 @@ class TestMetricsCollector:
 
     def test_utilization(self):
         _sim, metrics = self._collector()
-        metrics.on_send("b0", size_kb=50.0, is_publication=True)
+        metrics.on_publication_sent("b0", size_kb=50.0, copies=1, deliveries=0)
         summary = self._summarize(
             metrics, duration=10.0, bandwidths={"b0": 10.0}
         )

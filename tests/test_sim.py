@@ -165,6 +165,26 @@ class TestEngineEdgeCases:
         sim.run()
         assert fired == [0, 1, 2, 3, 4, 5]
 
+    def test_max_events_stop_does_not_advance_clock_to_until(self):
+        """A run cut short by ``max_events`` leaves earlier events queued;
+        jumping the clock to ``until`` would run them in the past."""
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append(sim.now))
+        sim.schedule_at(2.0, lambda: fired.append(sim.now))
+        sim.run(until=10.0, max_events=1)
+        assert (sim.now, sim.pending) == (1.0, 1)
+        sim.run(until=10.0)
+        assert fired == [1.0, 2.0]
+        assert sim.now == 10.0
+
+    def test_max_events_stop_advances_clock_when_rest_is_past_until(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, _noop)
+        sim.schedule_at(20.0, _noop)
+        sim.run(until=10.0, max_events=1)
+        assert (sim.now, sim.pending) == (10.0, 1)
+
 
 class TestCompactionAccounting:
     """Cancelled-event compaction drops corpses from the queue; their
