@@ -7,8 +7,11 @@ Builds the four workloads of ``bench_e2e/workloads.py`` (imported, not
 edited) at ``smoke`` size, plus the ``cell_cram`` cell under a loss +
 jitter plan (so the order of the per-transmission fault draws is
 checked too), once per ``PYTHONHASHSEED`` in :data:`HASH_SEEDS`, each
-in a fresh interpreter, and compares every cell's row and answers
-across them as JSON text.  ``bench_e2e/run.py`` pins
+in a fresh interpreter, and compares every cell's row, answers and
+``CramStats`` across them as text.  The stats catch what rows alone do
+not: a merge order that changed with the hash seed (a tie broken on a
+string's hash, say) yet happened to end in the same plan.
+``bench_e2e/run.py`` pins
 ``PYTHONHASHSEED=0`` for its children, so an iteration over a ``set``
 of strings that reached an answer — or an ordering argument that
 quietly leaned on hashing, like a stable sort whose ties are meant to
@@ -49,7 +52,8 @@ def outcomes() -> Dict[str, Dict[str, str]]:
         if failed:
             raise SystemExit(f"{name}: checks failed: {failed}")
         result[name] = {"row": json.dumps(outcome.row),
-                        "answers": json.dumps(outcome.answers)}
+                        "answers": json.dumps(outcome.answers),
+                        "cram_stats": repr(outcome.cram_stats)}
     # Loss makes ``nothing_lost`` fail by design, so this cell skips the
     # workload's checks and is compared on its summary instead.
     loss_rate, jitter = LOSS_JITTER
@@ -65,6 +69,7 @@ def outcomes() -> Dict[str, Dict[str, str]]:
         "answers": json.dumps([repr(cell.summary), repr(cell.baseline_summary),
                                runner.network.faults.drops,
                                runner.network.sim.events_processed]),
+        "cram_stats": repr(cell.cram_stats),
     }
     return result
 
@@ -86,7 +91,7 @@ def main() -> int:
     for hash_seed in HASH_SEEDS[1:]:
         seen = outcomes_under(hash_seed)
         for name, expected in reference.items():
-            for part in ("row", "answers"):
+            for part in ("row", "answers", "cram_stats"):
                 if seen[name][part] != expected[part]:
                     differing += 1
                     print(f"{name}: {part} differs under PYTHONHASHSEED="
@@ -94,7 +99,7 @@ def main() -> int:
                           f"\n  {hash_seed:>4}: {seen[name][part]}")
     if differing:
         return 1
-    print(f"{len(reference)} cells: rows and answers identical under "
+    print(f"{len(reference)} cells: rows, answers and CRAM stats identical under "
           f"PYTHONHASHSEED {', '.join(HASH_SEEDS)}")
     return 0
 

@@ -11,10 +11,24 @@ checks the same ordering.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, List, Sequence
+from bisect import bisect_right
+from typing import Iterable, List, Sequence, Tuple
 
-from repro.core.capacity import AllocationResult, BrokerSpec
-from repro.core.fbf import PackedPool, UnitRun, first_fit, first_fit_runs
+from repro.core.capacity import (
+    AllocationResult,
+    BrokerSpec,
+    packed_unit,
+    sorted_broker_pool,
+)
+from repro.core.fbf import (
+    PackedPool,
+    UnitRun,
+    first_fit,
+    first_fit_runs,
+    is_twin,
+    pool_columns,
+    unit_runs,
+)
 from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherDirectory
 from repro.core.units import AllocationUnit
@@ -32,21 +46,89 @@ def decreasing_bandwidth(units: Sequence[AllocationUnit]) -> List[AllocationUnit
     return sorted(units, key=operator.attrgetter("binpack_key"))
 
 
-def first_fit_decreasing_runs(
-    runs: Sequence[UnitRun],
-    size: int,
-    pool: PackedPool,
-    directory: PublisherDirectory,
-    kernel: ClosenessKernel,
-) -> AllocationResult:
-    """BIN PACKING of a ready order: ``size`` units in decreasing
-    bandwidth, held as ``runs`` of twins (CRAM's standing order).
+class StandingOrder:
+    """A packed pool in first-fit-decreasing order, held as runs of twins.
 
-    Opens the span :meth:`BinPackingAllocator.allocate` opens, so a
-    trace cannot tell which of the two ran a pass.
+    CRAM keeps one between its BIN PACKING passes instead of
+    re-flattening and re-sorting the pool per probe.  ``keys[i]`` is the
+    ``binpack_key`` the first member of ``runs[i]`` had when the run was
+    created.  Members only ever leave a run or join it at its end, so
+    ``keys[i] <= unit.binpack_key < keys[i + 1]`` holds for every member
+    of run ``i`` for the run's whole life and a bisect over ``keys``
+    finds any unit's run.  Orders are never mutated: a probe derives a
+    throw-away successor, a commit adopts it.
     """
-    with obs.span("binpacking.first_fit", units=size):
-        return first_fit_runs(runs, pool, directory, kernel)
+
+    __slots__ = ("runs", "keys", "size", "pool", "kernel")
+
+    def __init__(
+        self,
+        runs: List[UnitRun],
+        keys: List[Tuple[float, int]],
+        size: int,
+        pool: PackedPool,
+        kernel: ClosenessKernel,
+    ):
+        self.runs = runs
+        self.keys = keys
+        self.size = size  # units in the order (the obs span reports it)
+        self.pool = pool  # the brokers it is first-fitted onto, sorted
+        self.kernel = kernel  # packed every run
+
+    @classmethod
+    def build(
+        cls,
+        units: Sequence[AllocationUnit],
+        pool: Sequence[BrokerSpec],
+        kernel: ClosenessKernel,
+    ) -> "StandingOrder":
+        """The order of ``units``."""
+        runs = unit_runs(decreasing_bandwidth(units), kernel)
+        keys = [run[3][0].binpack_key for run in runs]
+        packed_pool = pool_columns(sorted_broker_pool(pool))
+        return cls(runs, keys, len(units), packed_pool, kernel)
+
+    def first_fit(self, directory: PublisherDirectory) -> AllocationResult:
+        """BIN PACKING of the order's units onto its pool.
+
+        Opens the span :meth:`BinPackingAllocator.allocate` opens, so a
+        trace cannot tell which of the two ran a pass.
+        """
+        with obs.span("binpacking.first_fit", units=self.size):
+            return first_fit_runs(self.runs, self.pool, directory, self.kernel)
+
+    def after_merge(
+        self, merge_units: Sequence[AllocationUnit], merged: AllocationUnit
+    ) -> "StandingOrder":
+        """The order once ``merge_units`` (two or more) fuse into ``merged``.
+
+        ``merged`` is newer than every pool unit, so its ``unit_id``
+        puts it behind all units of equal bandwidth: it lands between
+        two runs, never inside one.
+        """
+        packed = packed_unit(merged, self.kernel)
+        runs = list(self.runs)
+        keys = list(self.keys)
+        gone = {unit.unit_id for unit in merge_units}
+        touched = {bisect_right(keys, unit.binpack_key) - 1 for unit in merge_units}
+        for index in sorted(touched, reverse=True):  # deletions keep lower indexes valid
+            survivors = [unit for unit in runs[index][3] if unit.unit_id not in gone]
+            if survivors:
+                runs[index] = runs[index][:3] + (survivors,)
+            else:
+                del runs[index], keys[index]
+        position = bisect_right(keys, merged.binpack_key)
+        if position and is_twin(runs[position - 1], merged, packed):
+            previous = runs[position - 1]
+            runs[position - 1] = previous[:3] + (previous[3] + [merged],)
+        else:
+            runs.insert(
+                position,
+                (merged.delivery_bandwidth, merged.subscription_count, packed, [merged]),
+            )
+            keys.insert(position, merged.binpack_key)
+        size = self.size - len(merge_units) + 1
+        return StandingOrder(runs, keys, size, self.pool, self.kernel)
 
 
 class BinPackingAllocator:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bitvector import BitVector
 from repro.core.kernel import ClosenessKernel, PackedProfile
@@ -255,14 +255,39 @@ class AllocationResult:
         success: bool,
         failed_unit: Optional[AllocationUnit] = None,
     ):
-        self.bins = [bin_ for bin_ in bins if not bin_.is_empty()]
+        self._bins: Optional[List[BrokerBin]] = [
+            bin_ for bin_ in bins if not bin_.is_empty()
+        ]
+        self._build: Optional[Callable[[], List[BrokerBin]]] = None
+        #: Number of brokers actually allocated (non-empty bins).
+        self.broker_count = len(self._bins)
         self.success = success
         self.failed_unit = failed_unit
 
+    @classmethod
+    def deferred(
+        cls,
+        build: Callable[[], List[BrokerBin]],
+        broker_count: int,
+        success: bool,
+        failed_unit: Optional[AllocationUnit] = None,
+    ) -> "AllocationResult":
+        """A result whose bins ``build()`` makes when :attr:`bins` is first
+        read: the ``broker_count`` non-empty bins, in pool order."""
+        result = cls((), success, failed_unit)
+        result._bins = None
+        result._build = build
+        result.broker_count = broker_count
+        return result
+
     @property
-    def broker_count(self) -> int:
-        """Number of brokers actually allocated (non-empty bins)."""
-        return len(self.bins)
+    def bins(self) -> List[BrokerBin]:
+        """The non-empty bins, most resourceful broker first."""
+        if self._bins is None:
+            assert self._build is not None
+            self._bins = self._build()
+            self._build = None
+        return self._bins
 
     @property
     def broker_ids(self) -> List[str]:

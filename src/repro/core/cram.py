@@ -34,7 +34,8 @@ Per-relationship clustering rules (paper §IV-C.1):
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import heapq
+import itertools
 from dataclasses import dataclass, replace
 from typing import (
     Dict,
@@ -47,25 +48,9 @@ from typing import (
     Union,
 )
 
-from repro.core.binpacking import (
-    BinPackingAllocator,
-    decreasing_bandwidth,
-    first_fit_decreasing_runs,
-)
-from repro.core.capacity import (
-    AllocationResult,
-    BrokerSpec,
-    packed_unit,
-    sorted_broker_pool,
-)
+from repro.core.binpacking import BinPackingAllocator, StandingOrder
+from repro.core.capacity import AllocationResult, BrokerSpec
 from repro.core.closeness import ClosenessMetric, make_metric
-from repro.core.fbf import (
-    PackedPool,
-    UnitRun,
-    is_twin,
-    pool_columns,
-    unit_runs,
-)
 from repro.core.gif import Gif, build_gifs
 from repro.core.kernel import ClosenessKernel, pool_windows
 from repro.core.poset import Poset
@@ -223,11 +208,10 @@ class CramAllocator:
             stats=stats,
             kernel=kernel,
         )
-        base = state.allocate_unclustered()
-        if not base.success:
+        best = state.allocate_unclustered()
+        if not best.success:
             # Paper: if the unclustered allocation fails, terminate.
-            return base
-        best = base
+            return best
         stats.initial_gifs = len(state.gifs)
         state.refresh_partners()
         stats.initial_search_evaluations = self.metric.evaluations
@@ -402,86 +386,6 @@ def pair_value_load_bound(parent: Gif, pair_value: float) -> float:
     return parent.lightest_unit().delivery_bandwidth
 
 
-class _StandingOrder:
-    """The pool in first-fit-decreasing order, held as runs of twins.
-
-    ``keys[i]`` is the ``binpack_key`` the first member of ``runs[i]``
-    had when the run was created.  Members only ever leave a run or
-    join it at its end, so ``keys[i] <= unit.binpack_key < keys[i + 1]``
-    holds for every member of run ``i`` for the run's whole life and a
-    bisect over ``keys`` finds any unit's run.  Orders are never
-    mutated: a probe derives a throw-away successor, a commit adopts it.
-    """
-
-    __slots__ = ("runs", "keys", "size", "pool", "kernel")
-
-    def __init__(
-        self,
-        runs: List[UnitRun],
-        keys: List[Tuple[float, int]],
-        size: int,
-        pool: PackedPool,
-        kernel: ClosenessKernel,
-    ):
-        self.runs = runs
-        self.keys = keys
-        self.size = size  # units in the order (the obs span reports it)
-        self.pool = pool  # the brokers it is first-fitted onto, sorted
-        self.kernel = kernel  # packed every run (the state's is Optional)
-
-    @classmethod
-    def build(
-        cls,
-        units: Sequence[AllocationUnit],
-        pool: Sequence[BrokerSpec],
-        kernel: ClosenessKernel,
-    ) -> "_StandingOrder":
-        """The order of ``units``."""
-        runs = unit_runs(decreasing_bandwidth(units), kernel)
-        keys = [run[3][0].binpack_key for run in runs]
-        packed_pool = pool_columns(sorted_broker_pool(pool))
-        return cls(runs, keys, len(units), packed_pool, kernel)
-
-    def first_fit(self, directory: PublisherDirectory) -> AllocationResult:
-        """BIN PACKING of the order's units onto its pool."""
-        return first_fit_decreasing_runs(
-            self.runs, self.size, self.pool, directory, self.kernel
-        )
-
-    def after_merge(
-        self, merge_units: Sequence[AllocationUnit], merged: AllocationUnit
-    ) -> "_StandingOrder":
-        """The order once ``merge_units`` (two or more) fuse into ``merged``.
-
-        ``merged`` is newer than every pool unit, so its ``unit_id``
-        puts it behind all units of equal bandwidth: it lands between
-        two runs, never inside one.
-        """
-        packed = packed_unit(merged, self.kernel)
-        runs = list(self.runs)
-        keys = list(self.keys)
-        gone = {unit.unit_id for unit in merge_units}
-        touched = {bisect_right(keys, unit.binpack_key) - 1 for unit in merge_units}
-        for index in sorted(touched, reverse=True):  # deletions keep lower indexes valid
-            survivors = [unit for unit in runs[index][3] if unit.unit_id not in gone]
-            if survivors:
-                runs[index] = runs[index][:3] + (survivors,)
-            else:
-                del runs[index], keys[index]
-        position = bisect_right(keys, merged.binpack_key)
-        if position and is_twin(runs[position - 1], merged, packed):
-            previous = runs[position - 1]
-            runs[position - 1] = previous[:3] + (previous[3] + [merged],)
-        else:
-            runs.insert(
-                position,
-                (merged.delivery_bandwidth, merged.subscription_count, packed, [merged]),
-            )
-            keys.insert(position, merged.binpack_key)
-        size = self.size - len(merge_units) + 1
-        return _StandingOrder(runs, keys, size, self.pool, self.kernel)
-
-
 class _CramState:
     """Mutable state of one CRAM run: GIFs, poset, partner cache."""
 
@@ -506,9 +410,9 @@ class _CramState:
         #: With a kernel, BIN PACKING passes first-fit a standing FFD
         #: order instead of re-flattening and re-sorting the pool;
         #: ``None`` exactly when the kernel is.
-        self._order: Optional[_StandingOrder] = None
+        self._order: Optional[StandingOrder] = None
         if kernel is not None:
-            self._order = _StandingOrder.build(units, self.pool, kernel)
+            self._order = StandingOrder.build(units, self.pool, kernel)
         if enable_gif_grouping:
             gifs = build_gifs(units)
         else:
@@ -523,7 +427,17 @@ class _CramState:
         self._by_signature: Dict[Tuple, Gif] = {
             gif.profile.signature(): gif for gif in gifs
         }
+        #: ``gif_id`` -> the GIF's closest partner; written only by
+        #: :meth:`_set_entry`.
         self._entries: Dict[int, _PartnerEntry] = {}
+        #: Lazy max-heap over the entries with a partner:
+        #: ``(-value, gif_id, seq, entry)``, so the top is the highest
+        #: closeness, ties to the lowest ``gif_id`` (``seq`` keeps the
+        #: entries themselves out of the comparison).  An item whose
+        #: entry is no longer its GIF's current one is stale and is
+        #: dropped when it surfaces.
+        self._heap: List[Tuple[float, int, int, _PartnerEntry]] = []
+        self._seq = itertools.count()
         self._dirty: Set[int] = set()
         self._blacklist: Set[frozenset] = set()
 
@@ -532,7 +446,13 @@ class _CramState:
     # ------------------------------------------------------------------
     def refresh_partners(self) -> None:
         for gif in self.gifs.values():
-            self._entries[gif.gif_id] = self._compute_entry(gif)
+            self._set_entry(gif.gif_id, self._compute_entry(gif))
+
+    def _set_entry(self, gif_id: int, entry: _PartnerEntry) -> None:
+        """Make ``entry`` the GIF's partner entry (the one write path)."""
+        self._entries[gif_id] = entry
+        if entry.partner is not None and entry.value > 0:
+            heapq.heappush(self._heap, (-entry.value, gif_id, next(self._seq), entry))
 
     def _compute_entry(self, gif: Gif) -> _PartnerEntry:
         best = _PartnerEntry(None, 0.0)
@@ -549,7 +469,7 @@ class _CramState:
                 return
             entry = self._entries.get(candidate.gif_id)
             if entry is not None and value > entry.value:
-                self._entries[candidate.gif_id] = _PartnerEntry(gif, value)
+                self._set_entry(candidate.gif_id, _PartnerEntry(gif, value))
 
         if self.enable_pruning and self.metric.prunable:
             partner, value = self.poset.closest_partner(
@@ -588,7 +508,7 @@ class _CramState:
                 continue
             entry = entries.get(other.gif_id)
             if entry is not None and value > entry.value:
-                entries[other.gif_id] = _PartnerEntry(gif, value)
+                self._set_entry(other.gif_id, _PartnerEntry(gif, value))
             if value > best_value or (
                 value == best_value
                 and best_gif is not None
@@ -599,30 +519,35 @@ class _CramState:
         return best_gif, best_value
 
     def best_pair(self) -> Optional[Tuple[Gif, Union[Gif, str], float]]:
-        """The pair with the highest non-zero closeness, or ``None``."""
+        """The pair with the highest non-zero closeness, or ``None``.
+
+        Ties go to the lowest ``gif_id``.  ``tests/naive_cram.py`` keeps
+        a full scan of every entry as the oracle of this selection.
+        """
         while self._dirty:
             gif_id = self._dirty.pop()
             gif = self.gifs.get(gif_id)
             if gif is None or gif.is_empty():
                 continue
-            self._entries[gif_id] = self._compute_entry(gif)
-        best: Optional[Tuple[Gif, Union[Gif, str], float]] = None
-        for gif_id, entry in self._entries.items():
-            if entry.partner is None or entry.value <= 0:
+            self._set_entry(gif_id, self._compute_entry(gif))
+        heap = self._heap
+        entries = self._entries
+        while heap:
+            _, gif_id, _, entry = heap[0]
+            if entries.get(gif_id) is not entry:
+                heapq.heappop(heap)
                 continue
-            gif = self.gifs.get(gif_id)
-            if gif is None or gif.is_empty():
-                continue
-            if isinstance(entry.partner, Gif) and entry.partner.is_empty():
-                self._dirty.add(gif_id)
-                continue
-            if best is None or entry.value > best[2] or (
-                entry.value == best[2] and gif.gif_id < best[0].gif_id
-            ):
-                best = (gif, entry.partner, entry.value)
-        if best is None and self._dirty:
-            return self.best_pair()
-        return best
+            gif = self.gifs[gif_id]
+            partner = entry.partner
+            assert partner is not None
+            # Neither side can be empty: an emptied GIF is retired in
+            # the commit that empties it, ``_retire`` marks dirty every
+            # entry that names it, and the loop above recomputed every
+            # dirty entry before this selection.
+            assert not gif.is_empty()
+            assert not (isinstance(partner, Gif) and partner.is_empty())
+            return gif, partner, entry.value
+        return None
 
     def blacklist(self, gif: Gif, partner: Union[Gif, str]) -> None:
         if partner == SELF_PAIR:

@@ -13,7 +13,8 @@ S >> number of brokers).
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.capacity import (
     AllocationResult,
@@ -34,6 +35,10 @@ from repro.core.rng import SeededRng
 #: agree on all three (see :func:`is_twin`), so whatever a bin answers
 #: to the first it answers to every other.  Never empty.
 UnitRun = Tuple[float, int, PackedProfile, List[AllocationUnit]]
+
+#: One placement of :func:`first_fit_runs`: ``(bin index, run members,
+#: first, stop)`` — ``members[first:stop]`` joined that bin.
+Placement = Tuple[int, List[AllocationUnit], int, int]
 
 
 class PackedPool(NamedTuple):
@@ -56,25 +61,18 @@ def pool_columns(specs: Sequence[BrokerSpec]) -> PackedPool:
     )
 
 
-def same_bandwidth(bandwidth: float, other: Optional[float]) -> bool:
-    """Whether two delivery bandwidths are the same float.
-
-    Exact on purpose: a unit 1e-10 lighter changes the float sums of
-    every bin it joins and the outcome of every load test it takes, so
-    a tolerance would break bit-identity.  ``None`` equals no bandwidth.
-    """
-    return bandwidth == other  # reprolint: disable=float-equality
-
-
 def is_twin(run: UnitRun, unit: AllocationUnit, packed: PackedProfile) -> bool:
     """Whether ``unit`` (packed as ``packed``) is interchangeable with ``run``.
 
     Equal packed bits over the same planes make every rate delta the
-    same float; the bandwidth must be the same float too.
+    same float; the bandwidth must be the same float too.  That test is
+    exact on purpose: a unit 1e-10 lighter changes the float sums of
+    every bin it joins and the outcome of every load test it takes, so
+    a tolerance would break bit-identity.
     """
     bandwidth, subscription_count, run_packed, _ = run
     return (
-        same_bandwidth(unit.delivery_bandwidth, bandwidth)
+        unit.delivery_bandwidth == bandwidth  # reprolint: disable=float-equality
         and unit.subscription_count == subscription_count
         and packed.bits == run_packed.bits
         and packed.planes == run_packed.planes
@@ -153,6 +151,12 @@ def first_fit_runs(
 
     Every accepted unit sees the float operations of the one-by-one
     loop in the same order, so the result is bit-identical.
+
+    The pass builds no :class:`BrokerBin`: it logs each placement as
+    ``(bin, run members, first, stop)`` beside its flat columns, which
+    answer ``success``, ``failed_unit`` and ``broker_count`` at once.
+    The result makes its bins from them when ``bins`` is first read —
+    CRAM's probes never read it, only the result CRAM returns does.
     """
     specs, bandwidth_limits, delay_bases, delay_slopes = pool
     count = len(specs)
@@ -160,23 +164,26 @@ def first_fit_runs(
     subscription_counts = [0] * count
     input_rates = [0.0] * count
     union_bits = [0] * count
-    contents: List[List[AllocationUnit]] = [[] for _ in range(count)]
+    placements: List[Placement] = []
     failed: Optional[AllocationUnit] = None
     streak: Optional[float] = None  # the previous run's bandwidth
     start = 0
     for bandwidth, unit_subscriptions, packed, members in runs:
-        if not same_bandwidth(bandwidth, streak):
+        # Exact on purpose, as in ``is_twin``.
+        if bandwidth != streak:  # reprolint: disable=float-equality
             streak = bandwidth
             start = 0
+        bits = packed.bits
+        shift = packed.shift
         rate_memo = packed.rate_memo
         size = len(members)
         placed = 0
-        scan = range(start, count)
+        index = start
         start = count  # until a bin passes the load test
-        for index in scan:
-            limit = bandwidth_limits[index]
+        while index < count:
             load = used[index] + bandwidth
-            if load > limit:
+            if load > bandwidth_limits[index]:
+                index += 1
                 continue
             if start == count:
                 start = index
@@ -185,14 +192,17 @@ def first_fit_runs(
             slope = delay_slopes[index]
             delay = base + slope * total_subs
             bin_bits = union_bits[index]
-            increase = rate_memo.get(packed.memo_key(bin_bits))
+            # Inlined ``PackedProfile.memo_key(bin_bits)``.
+            increase = rate_memo.get((bin_bits & bits) >> shift)
             if increase is None:
                 increase = packed.rate_increase(bin_bits)
             rate = input_rates[index] + increase
             if delay > 0 and rate > 1.0 / delay + EPSILON:
+                index += 1
                 continue
             first = placed
             placed += 1
+            limit = bandwidth_limits[index]
             while placed < size:
                 more_load = load + bandwidth
                 if more_load > limit:
@@ -207,16 +217,40 @@ def first_fit_runs(
             used[index] = load
             subscription_counts[index] = total_subs
             input_rates[index] = rate
-            union_bits[index] = bin_bits | packed.bits
-            contents[index].extend(members[first:placed])
+            union_bits[index] = bin_bits | bits
+            placements.append((index, members, first, placed))
             if placed == size:
                 break
+            index += 1
         else:
             failed = members[placed]
             break
-    bins = [
+    return AllocationResult.deferred(
+        partial(_packed_bins, pool, directory, kernel, placements,
+                used, subscription_counts, input_rates, union_bits),
+        broker_count=len({placement[0] for placement in placements}),
+        success=failed is None,
+        failed_unit=failed,
+    )
+
+
+def _packed_bins(
+    pool: PackedPool,
+    directory: PublisherDirectory,
+    kernel: ClosenessKernel,
+    placements: List[Placement],
+    used: List[float],
+    subscription_counts: List[int],
+    input_rates: List[float],
+    union_bits: List[int],
+) -> List[BrokerBin]:
+    """The non-empty bins of one :func:`first_fit_runs` pass, in pool order."""
+    contents: Dict[int, List[AllocationUnit]] = {}
+    for index, members, first, stop in placements:
+        contents.setdefault(index, []).extend(members[first:stop])
+    return [
         BrokerBin.from_packed_state(
-            specs[index],
+            pool.specs[index],
             directory,
             kernel,
             contents[index],
@@ -225,10 +259,8 @@ def first_fit_runs(
             input_rates[index],
             union_bits[index],
         )
-        for index in range(count)
-        if contents[index]
+        for index in sorted(contents)
     ]
-    return AllocationResult(bins, success=failed is None, failed_unit=failed)
 
 
 class FbfAllocator:

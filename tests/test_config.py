@@ -84,7 +84,7 @@ def test_one_kernel_decision_point_and_no_fallback_returns():
             if isinstance(node, ast.Call) and path.name != "kernel.py"
             and ast.unparse(node.func).endswith("ClosenessKernel")
         ]
-        if path.name in ("kernel.py", "fbf.py", "cram.py"):
+        if path.name in ("kernel.py", "fbf.py", "binpacking.py", "cram.py"):
             returns.update({
                 node.name: ast.unparse(node.returns)
                 for node in ast.walk(tree)

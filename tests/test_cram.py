@@ -5,7 +5,11 @@ from bisect import bisect_right
 import pytest
 
 from repro.core import cram as cram_module
-from repro.core.binpacking import BinPackingAllocator, decreasing_bandwidth
+from repro.core.binpacking import (
+    BinPackingAllocator,
+    StandingOrder,
+    decreasing_bandwidth,
+)
 from repro.core.capacity import packed_unit
 from repro.core.closeness import make_metric
 from repro.core.cram import CramAllocator
@@ -301,7 +305,7 @@ class TestStandingOrder:
 
     def test_order_follows_every_probe_and_commit(self, monkeypatch):
         gather, units = self.gathered()
-        real_after = cram_module._StandingOrder.after_merge
+        real_after = StandingOrder.after_merge
         real_commit = cram_module._CramState.commit_merge
         seen = {"derived": 0, "commits": 0, "shrunk_runs": 0}
 
@@ -327,7 +331,7 @@ class TestStandingOrder:
             seen["commits"] += 1
             return outcome
 
-        monkeypatch.setattr(cram_module._StandingOrder, "after_merge", spy_after)
+        monkeypatch.setattr(StandingOrder, "after_merge", spy_after)
         monkeypatch.setattr(cram_module._CramState, "commit_merge", spy_commit)
         cram = CramAllocator(metric="ios", failure_budget=25)
         assert cram.allocate(units, gather.broker_pool, gather.directory).success
@@ -372,7 +376,7 @@ class TestStandingOrder:
         units.append(make_unit({"P0": [1]}, directory, capacity=16))
         built = []
         monkeypatch.setattr(
-            cram_module._StandingOrder, "build",
+            StandingOrder, "build",
             classmethod(lambda cls, *args: built.append(args)),
         )
         cram = CramAllocator(metric="ios")

@@ -7,16 +7,27 @@ one-unit-at-a-time loop every kernel-less allocator runs, so everything
 here compares with ``==`` and ``is`` — never a tolerance, never a clock.
 """
 
+import contextlib
+from unittest import mock
+
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.capacity import BrokerSpec, MatchingDelayFunction, sorted_broker_pool
+from repro.core.capacity import (
+    BrokerBin,
+    BrokerSpec,
+    MatchingDelayFunction,
+    sorted_broker_pool,
+)
+from repro.core.cram import CramAllocator
 from repro.core.fbf import first_fit, first_fit_runs, pool_columns, unit_runs
 from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherProfile
-from repro.core.units import AllocationUnit
+from repro.core.units import AllocationUnit, units_from_records
+from repro.workloads.offline import offline_gather
+from repro.workloads.scenarios import cluster_homogeneous
 
 from conftest import make_profile, make_record
 
@@ -88,11 +99,31 @@ def snapshot(result):
     )
 
 
+@contextlib.contextmanager
+def counted_bin_builds():
+    """Count ``BrokerBin.from_packed_state`` calls (yields the list)."""
+    built = []
+    real = BrokerBin.from_packed_state
+
+    def counting(*args):
+        built.append(args[0])
+        return real(*args)
+
+    with mock.patch.object(BrokerBin, "from_packed_state", counting):
+        yield built
+
+
 def assert_matches_oracle(units, pool):
     oracle = first_fit(units, pool, DIRECTORY)
-    packed = packed_first_fit(units, pool)
-    assert snapshot(packed) == snapshot(oracle)
-    assert packed.failed_unit is oracle.failed_unit
+    with counted_bin_builds() as built:
+        packed = packed_first_fit(units, pool)
+        # The pass's own answers, read before anything builds a bin.
+        assert packed.success is oracle.success
+        assert packed.failed_unit is oracle.failed_unit
+        assert packed.broker_count == oracle.broker_count
+        assert built == []
+        assert snapshot(packed) == snapshot(oracle)
+        assert len(built) == packed.broker_count
     return packed
 
 
@@ -322,10 +353,28 @@ def test_twins_cost_one_rate_lookup_per_bin_visited():
     kernel = kernel_for(units)
     memo = kernel.pack(profile).rate_memo = CountingMemo()
     pool = make_brokers([(250.0, 1e-4, 1e-7)] * 10)
-    result = packed_first_fit(units, pool, kernel)
+    passes = 3
+    for _ in range(passes):
+        result = packed_first_fit(units, pool, kernel)
     assert [len(bin_.units) for bin_ in result.bins] == [250] * 4
-    # One look-up per bin visited; a miss repeats it inside
-    # ``rate_increase``, and the four bins share one state (empty).
+    # Per pass, one look-up per bin visited, and the four bins share one
+    # state (empty).  Only the first pass misses, and ``rate_increase``
+    # repeats that one look-up.
     assert len(memo) == 1
-    assert memo.lookups == 4 + 1
+    assert memo.lookups == passes * 4 + 1
     assert snapshot(result) == snapshot(first_fit(units, pool, DIRECTORY))
+
+
+def test_a_cram_run_builds_only_the_bins_it_returns():
+    """Hundreds of probes, and not one of them builds a ``BrokerBin``:
+    the bins built are those of the returned result, on first read."""
+    gathered = offline_gather(cluster_homogeneous(25, scale=0.6), seed=2011)
+    units = units_from_records(gathered.records, gathered.directory)
+    cram = CramAllocator(metric="ios", failure_budget=150)
+    with counted_bin_builds() as built:
+        result = cram.allocate(units, gathered.broker_pool, gathered.directory)
+        assert built == []
+        bins = result.bins
+    assert cram.last_stats.binpack_runs > 300
+    assert len(built) == len(bins) == result.broker_count == 5
+    assert [bin_.spec for bin_ in bins] == built

@@ -10,7 +10,9 @@ production runs the kernel-less path itself.
 
 from __future__ import annotations
 
+import contextlib
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core import allocators
 from repro.core.capacity import BrokerBin
 from repro.core.closeness import METRIC_NAMES, make_metric
-from repro.core.cram import CramAllocator
+from repro.core.cram import CramAllocator, _CramState
 from repro.core.croc import Croc
 from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherProfile
@@ -30,7 +32,7 @@ from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_heterogeneous, cluster_homogeneous
 
 from conftest import make_directory, make_pool, make_profile, make_spec, make_unit
-from naive_cram import NaiveCramAllocator
+from naive_cram import NaiveCramAllocator, scan_best_pair
 
 # Three seeded scenarios: two homogeneous sizes and one heterogeneous
 # pool (different tiers, skewed subscription counts).
@@ -299,6 +301,64 @@ def test_prop_rate_increase_matches_the_brokerbin_walk(
         runs.append((_bins(result), stats.merges, stats.failures, stats.binpack_runs,
                      stats.final_units, stats.closeness_evaluations))
     assert runs[0] == runs[1]
+
+
+@contextlib.contextmanager
+def best_pair_checked_by_the_scan():
+    """Check every ``best_pair`` against :func:`scan_best_pair`.
+
+    The lazy heap must hand out the very ``(gif, partner, value)`` the
+    full scan of every partner entry selects, and the scan must never
+    meet an empty GIF or an emptied partner.  Yields the pairs taken.
+    """
+    real_best_pair = _CramState.best_pair
+    picks = []
+
+    def checked(state):
+        pair = real_best_pair(state)
+        assert not state._dirty
+        scanned = scan_best_pair(state)
+        assert not state._dirty  # neither skip branch fired
+        if pair is None:
+            assert scanned is None
+        else:
+            assert scanned[0] is pair[0] and scanned[1] is pair[1]
+            assert scanned[2] == pair[2]
+        picks.append(pair)
+        return pair
+
+    with mock.patch.object(_CramState, "best_pair", checked):
+        yield picks
+
+
+@settings(max_examples=80)
+@given(
+    patterns=st.lists(rate_pattern, min_size=2, max_size=10),
+    metric_name=st.sampled_from(METRIC_NAMES),
+    flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    bandwidth=st.sampled_from((8.0, 16.0, 100.0)),
+)
+def test_prop_heap_best_pair_is_the_full_scan(patterns, metric_name, flags, bandwidth):
+    """On every iteration, kernel on and off, under every metric and
+    ablation, over the pools of the rate property above."""
+    with best_pair_checked_by_the_scan():
+        for allocator in (NaiveCramAllocator, CramAllocator):
+            allocator(metric_name, *flags).allocate(
+                [make_unit(pattern, RATE_DIRECTORY, sub_id=f"s{index}")
+                 for index, pattern in enumerate(patterns + patterns)],
+                make_pool(6, bandwidth=bandwidth), RATE_DIRECTORY,
+            )
+
+
+@pytest.mark.parametrize("metric_name", ["ios", "xor"])
+def test_heap_best_pair_is_the_full_scan_on_a_gathered_pool(metric_name):
+    """The same check over every iteration of a 600-subscription pool
+    (271 under IOS, 306 under XOR)."""
+    gather, units = _gathered(cluster_homogeneous(25, scale=0.6), 2011)
+    with best_pair_checked_by_the_scan() as picks:
+        cram = CramAllocator(metric=metric_name, failure_budget=150)
+        cram.allocate(units, gather.broker_pool, gather.directory)
+    assert len(picks) == cram.last_stats.iterations + 1 > 250
 
 
 def test_rate_memo_keys_stay_plane_local(monkeypatch):
