@@ -97,6 +97,18 @@ class BitVector:
         return self._first_id + self._capacity
 
     @property
+    def newest_id(self) -> int:
+        """The newest message ID the window has reached (-1: none yet).
+
+        A slide lands its ID on the last bit (or on a publisher's last
+        message when synchronizing), so a window that has slid ends
+        there; one that has not ends at its newest set bit.
+        """
+        if self._first_id:
+            return self.end_id - 1
+        return self._bits.bit_length() - 1
+
+    @property
     def cardinality(self) -> int:
         """Number of set bits, i.e. publications received in-window."""
         if self._card is None:

@@ -48,11 +48,11 @@ from typing import (
     Union,
 )
 
-from repro.core.binpacking import BinPackingAllocator, StandingOrder
+from repro.core.binpacking import StandingOrder
 from repro.core.capacity import AllocationResult, BrokerSpec
 from repro.core.closeness import ClosenessMetric, make_metric
 from repro.core.gif import Gif, build_gifs
-from repro.core.kernel import ClosenessKernel, pool_windows
+from repro.core.kernel import ClosenessKernel
 from repro.core.poset import Poset
 from repro.core.profiles import PublisherDirectory, SubscriptionProfile
 from repro.core.relations import Relation, relationship
@@ -78,11 +78,8 @@ class CramStats:
     initial_search_evaluations: int = 0
     binpack_runs: int = 0
     # Fused-kernel diagnostics.
-    kernel_used: bool = False
     kernel_fused_evaluations: int = 0
     kernel_memo_hits: int = 0
-    #: Pools whose publishers were seen under two windows (kernel-less run).
-    kernel_declined_pools: int = 0
     # Sharded Phase-2 diagnostics (zero for monolithic runs).
     shard_count: int = 0
     shard_fallbacks: int = 0
@@ -156,51 +153,29 @@ class CramAllocator:
         self.last_stats = stats
         self.metric.reset_counter()
 
-        kernel = self._build_kernel(units, directory)
-        stats.kernel_used = kernel is not None
-        declined: Dict[str, int] = {}
-        if kernel is None:
-            # Said of the pool, so the kernel-less reference run reports
-            # it too and the two stay comparable field by field.
-            disagreeing = pool_windows(unit.profile for unit in units)[1]
-            if disagreeing:
-                stats.kernel_declined_pools = 1
-                declined["disagreeing_publishers"] = len(disagreeing)
+        kernel = ClosenessKernel.for_pool(directory, [unit.profile for unit in units])
         self.metric.attach_kernel(kernel)
         try:
-            with obs.span("cram.clustering", metric=self.metric.name,
-                          units=len(units), kernel=stats.kernel_used, **declined):
-                return self._clustering_run(units, pool, directory, stats, kernel)
+            with obs.span("cram.clustering", metric=self.metric.name, units=len(units)):
+                order = StandingOrder.build(units, pool, kernel)
+                return self._clustering_run(units, order, directory, stats, kernel)
         finally:
-            if kernel is not None:
-                stats.kernel_fused_evaluations = kernel.fused_evaluations
-                stats.kernel_memo_hits = kernel.memo_hits
+            stats.kernel_fused_evaluations = kernel.fused_evaluations
+            stats.kernel_memo_hits = kernel.memo_hits
             self.metric.attach_kernel(None)
-
-    def _build_kernel(
-        self, units: Sequence[AllocationUnit], directory: PublisherDirectory
-    ) -> Optional[ClosenessKernel]:
-        """The fused kernel over this run's profiles, if the pool packs.
-
-        Everything downstream takes ``Optional[ClosenessKernel]`` and
-        walks the profiles naively on ``None``; the equivalence suites
-        override this (``tests/naive_cram.py``) to compare against that
-        walk.
-        """
-        return ClosenessKernel.for_pool(directory, [unit.profile for unit in units])
 
     def _clustering_run(
         self,
         units: Sequence[AllocationUnit],
-        pool: List[BrokerSpec],
+        order: StandingOrder,
         directory: PublisherDirectory,
         stats: CramStats,
-        kernel: Optional[ClosenessKernel],
+        kernel: ClosenessKernel,
     ) -> AllocationResult:
         """The paper's clustering loop (kernel already attached)."""
         state = _CramState(
             units=units,
-            pool=pool,
+            order=order,
             directory=directory,
             metric=self.metric,
             enable_gif_grouping=self.enable_gif_grouping,
@@ -364,8 +339,7 @@ class CramAllocator:
         if not cgs or cgs_profile is None:
             return None
         cgs_value = self.metric(cgs_profile, parent.profile)
-        if state.kernel is not None:
-            state.kernel.forget(cgs_profile)  # ephemeral, like probe merges
+        state.kernel.forget(cgs_profile)  # ephemeral, like probe merges
         if cgs_value <= pair_value:
             return None
         merge_units = [anchor] + [g.lightest_unit() for g in cgs]
@@ -392,27 +366,23 @@ class _CramState:
     def __init__(
         self,
         units: Sequence[AllocationUnit],
-        pool: Sequence[BrokerSpec],
+        order: StandingOrder,
         directory: PublisherDirectory,
         metric: ClosenessMetric,
         enable_gif_grouping: bool,
         enable_pruning: bool,
         stats: CramStats,
-        kernel: Optional[ClosenessKernel] = None,
+        kernel: ClosenessKernel,
     ):
-        self.pool = list(pool)
         self.directory = directory
         self.metric = metric
         self.enable_pruning = enable_pruning
         self.stats = stats
         self.kernel = kernel
-        self._binpack = BinPackingAllocator()
-        #: With a kernel, BIN PACKING passes first-fit a standing FFD
-        #: order instead of re-flattening and re-sorting the pool;
-        #: ``None`` exactly when the kernel is.
-        self._order: Optional[StandingOrder] = None
-        if kernel is not None:
-            self._order = StandingOrder.build(units, self.pool, kernel)
+        #: BIN PACKING passes first-fit this standing FFD order of the
+        #: pool instead of re-flattening and re-sorting it; a probe
+        #: derives a successor, a commit adopts it.
+        self._order = order
         if enable_gif_grouping:
             gifs = build_gifs(units)
         else:
@@ -571,29 +541,18 @@ class _CramState:
     def allocate_unclustered(self) -> AllocationResult:
         """The base pass: plain BIN PACKING of the initial units."""
         self.stats.binpack_runs += 1
-        if self._order is not None:
-            return self._order.first_fit(self.directory)
-        return self._binpack.allocate(self.all_units(), self.pool, self.directory)
+        return self._order.first_fit(self.directory)
 
     def probe_merge(
         self, merge_units: Sequence[AllocationUnit]
     ) -> Optional[AllocationResult]:
         """Test-allocate the pool with ``merge_units`` fused; no commit."""
         merged = AllocationUnit.merged(list(merge_units), self.directory, kernel=self.kernel)
-        if self._order is not None:
-            result = self._order.after_merge(merge_units, merged).first_fit(self.directory)
-        else:
-            doomed = {unit.unit_id for unit in merge_units}
-            pool_units = [
-                unit for unit in self.all_units() if unit.unit_id not in doomed
-            ]
-            pool_units.append(merged)
-            result = self._binpack.allocate(pool_units, self.pool, self.directory)
+        result = self._order.after_merge(merge_units, merged).first_fit(self.directory)
         self.stats.binpack_runs += 1
-        if self.kernel is not None:
-            # The probe's merged profile is ephemeral (a commit builds a
-            # fresh one); drop its pack entry so probes don't accumulate.
-            self.kernel.forget(merged.profile)
+        # The probe's merged profile is ephemeral (a commit builds a
+        # fresh one); drop its pack entry so probes don't accumulate.
+        self.kernel.forget(merged.profile)
         if not result.success:
             return None
         return result
@@ -615,8 +574,7 @@ class _CramState:
     ) -> AllocationResult:
         """Apply a validated merge to the GIF pool and poset."""
         merged = AllocationUnit.merged(list(merge_units), self.directory, kernel=self.kernel)
-        if self._order is not None:
-            self._order = self._order.after_merge(merge_units, merged)
+        self._order = self._order.after_merge(merge_units, merged)
         for gif in sources:
             gif.remove_units(merge_units)
             self._dirty.add(gif.gif_id)
@@ -638,8 +596,7 @@ class _CramState:
 
     def _retire(self, gif: Gif) -> None:
         """Remove an emptied GIF from every index."""
-        if self.kernel is not None:
-            self.kernel.forget(gif.profile)
+        self.kernel.forget(gif.profile)
         if gif in self.poset:
             self.poset.remove(gif)
         self._entries.pop(gif.gif_id, None)
@@ -868,9 +825,7 @@ class ShardedCramAllocator:
             stats.closeness_evaluations += part.closeness_evaluations
             stats.initial_search_evaluations += part.initial_search_evaluations
             stats.binpack_runs += part.binpack_runs
-            stats.kernel_used = stats.kernel_used or part.kernel_used
             stats.kernel_fused_evaluations += part.kernel_fused_evaluations
             stats.kernel_memo_hits += part.kernel_memo_hits
-            stats.kernel_declined_pools += part.kernel_declined_pools
         stats.final_units = runs[-1].final_units
         return stats

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.core.capacity import AllocationResult, BrokerSpec
@@ -258,17 +258,41 @@ class Croc:
 
     @staticmethod
     def _assemble(reports: Dict[str, BrokerReport]) -> GatherResult:
-        """Merge per-broker reports and synchronize all profiles."""
+        """Merge per-broker reports into one alignment per gather.
+
+        Reports are snapshots taken at different virtual times, so a
+        gathered vector can hold a message ID newer than its publisher's
+        report, and a publisher whose home broker was silent is in no
+        report at all.  Each publisher keeps its newest report, with
+        ``last_message_id`` raised (on a copy: cached reports stay as
+        they were) to the newest ID any gathered vector reached.  An
+        unreported publisher's vectors slide to their newest ID, but it
+        stays out of the directory, so its rate stays 0.  Synchronizing
+        every profile to that alignment leaves all vectors of a
+        publisher on one window, so the pool packs.
+        """
         directory: Dict[str, PublisherProfile] = {}
         for report in reports.values():
             for profile in report.publishers:
-                directory[profile.adv_id] = profile
-        records: List[SubscriptionRecord] = []
-        for broker_id in sorted(reports):
-            report = reports[broker_id]
-            for record in report.subscriptions:
-                record.profile.synchronize(directory)
-                records.append(record)
+                known = directory.get(profile.adv_id)
+                if known is None or profile.last_message_id >= known.last_message_id:
+                    directory[profile.adv_id] = profile
+        records = [record for broker_id in sorted(reports)
+                   for record in reports[broker_id].subscriptions]
+        newest: Dict[str, int] = {}
+        for record in records:
+            for adv_id, vector in record.profile.items():
+                newest[adv_id] = max(newest.get(adv_id, -1), vector.newest_id)
+        alignment = dict(directory)
+        for adv_id, last in newest.items():
+            publisher = directory.get(adv_id)
+            if publisher is None:
+                alignment[adv_id] = PublisherProfile(adv_id, 0.0, 0.0, last)
+            elif last > publisher.last_message_id:
+                directory[adv_id] = alignment[adv_id] = replace(
+                    publisher, last_message_id=last)
+        for record in records:
+            record.profile.synchronize(alignment)
         pool = [reports[broker_id].spec for broker_id in sorted(reports)]
         return GatherResult(
             broker_pool=pool, records=records, directory=directory, reports=dict(reports)

@@ -22,20 +22,23 @@ vectors representation can be flattened once:
   of profile objects, so CRAM's re-validation loop stops recomputing
   unchanged pairs.
 
-A pool packs whole or not at all, and :meth:`ClosenessKernel.for_pool`
-is the one place that decides: it returns ``None`` when some publisher
-is seen under two windows (under loss or jitter a gather's directory
-can be stale, so ``synchronize`` cannot align), and the run takes the
-kernel-less path every caller already has.  Equal windows in give equal
-windows out of every OR-merge, so a packed pool stays packed; a profile
-that does not fit is an error, not a slower mode.  The kernel changes
-only wall-clock time (``tests/test_kernel_equivalence.py`` pins every
-value and counter against ``tests/naive_cram.py``).
+Every gathered pool packs.  ``Croc._assemble`` builds one alignment per
+gather: each publisher's last message ID is raised to the newest ID any
+gathered vector observed, and a publisher no report carries has its
+vectors slid to theirs.  After ``synchronize`` every vector of a
+publisher therefore sits on one window, whatever loss, jitter or a
+silent broker did to the reports.  Equal windows in give equal windows
+out of every OR-merge, so a packed pool stays packed.  A profile that
+does not fit is an error, not a slower mode: :meth:`ClosenessKernel.
+for_pool` and :meth:`ClosenessKernel.pack` raise ``ValueError`` naming
+the publisher.  The kernel changes only wall-clock time
+(``tests/test_kernel_equivalence.py`` pins every value and counter
+against the kernel-less reference in ``tests/naive_cram.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.bitvector import BitVector
 from repro.core.closeness import XOR_MAX
@@ -75,24 +78,6 @@ class Plane:
 
 
 Window = Tuple[int, int]  # a vector's (first_id, capacity)
-
-
-def pool_windows(
-    profiles: Iterable[SubscriptionProfile],
-) -> Tuple[Dict[str, Window], Set[str]]:
-    """Each publisher's window over a pool, and who is seen under two.
-
-    ``synchronize`` leaves every vector of a publisher on one window;
-    the second set names the publishers for which it could not.
-    """
-    windows: Dict[str, Window] = {}
-    disagreeing: Set[str] = set()
-    for profile in profiles:
-        for adv_id, vector in profile.items():
-            window = (vector.first_id, vector.capacity)
-            if windows.setdefault(adv_id, window) != window:
-                disagreeing.add(adv_id)
-    return windows, disagreeing
 
 
 class PackedProfile:
@@ -199,17 +184,18 @@ class ClosenessKernel:
     @classmethod
     def for_pool(
         cls, directory: PublisherDirectory, profiles: Iterable[SubscriptionProfile]
-    ) -> Optional["ClosenessKernel"]:
-        """The kernel over a pool, or ``None`` if the pool does not pack.
+    ) -> "ClosenessKernel":
+        """The kernel over a pool, every profile packed.
 
-        The one decision point: a pool packs when every publisher is
-        seen under a single window.  A declined run is kernel-less from
-        its first probe to its last.
+        Each publisher's plane takes the window its first vector has;
+        :meth:`pack` raises ``ValueError`` naming a publisher seen under
+        a second one (a pool no gather's alignment produced).
         """
         pool = list(profiles)
-        windows, disagreeing = pool_windows(pool)
-        if disagreeing:
-            return None
+        windows: Dict[str, Window] = {}
+        for profile in pool:
+            for adv_id, vector in profile.items():
+                windows.setdefault(adv_id, (vector.first_id, vector.capacity))
         kernel = cls(directory, windows)
         for profile in pool:
             kernel.pack(profile)

@@ -27,7 +27,6 @@ from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherDirectory
 from repro.core.units import AllocationUnit
 from repro.core.rng import SeededRng
-from repro.obs import recorder as obs
 
 
 def pairwise_cluster(
@@ -51,8 +50,6 @@ def pairwise_cluster(
     if cluster_count < 1:
         raise ValueError("cluster_count must be at least 1")
     kernel = ClosenessKernel.for_pool(directory, [unit.profile for unit in clusters])
-    if kernel is None:
-        obs.add("kernel.declined_pools")
     metric.attach_kernel(kernel)
     try:
         return _pairwise_cluster(clusters, cluster_count, directory, metric, kernel)
@@ -65,7 +62,7 @@ def _pairwise_cluster(
     cluster_count: int,
     directory: PublisherDirectory,
     metric: ClosenessMetric,
-    kernel: Optional[ClosenessKernel],
+    kernel: ClosenessKernel,
 ) -> List[AllocationUnit]:
     """The merge loop of :func:`pairwise_cluster` (kernel attached)."""
     best_partner: Dict[int, Tuple[int, float]] = {}
@@ -96,9 +93,8 @@ def _pairwise_cluster(
             [clusters[best_i], clusters[best_j]], directory, kernel=kernel
         )
         lo, hi = min(best_i, best_j), max(best_i, best_j)
-        if kernel is not None:
-            kernel.forget(clusters[lo].profile)
-            kernel.forget(clusters[hi].profile)
+        kernel.forget(clusters[lo].profile)
+        kernel.forget(clusters[hi].profile)
         clusters[lo] = merged
         clusters.pop(hi)
         # Rebuild the cache around the removed index.  Indices above hi

@@ -68,20 +68,16 @@ def allocator_counters(allocator) -> Dict[str, float]:
     stats = getattr(allocator, "last_stats", None)
     if stats is None:
         return {}
-    counters: Dict[str, float] = {
+    return {
         "cram.iterations": stats.iterations,
         "cram.merges": stats.merges,
         "cram.failures": stats.failures,
         "cram.binpack_runs": stats.binpack_runs,
         "cram.closeness_evaluations": stats.closeness_evaluations,
         "cram.initial_search_evaluations": stats.initial_search_evaluations,
+        "kernel.fused_evaluations": stats.kernel_fused_evaluations,
+        "kernel.memo_hits": stats.kernel_memo_hits,
     }
-    if stats.kernel_used:
-        counters["kernel.fused_evaluations"] = stats.kernel_fused_evaluations
-        counters["kernel.memo_hits"] = stats.kernel_memo_hits
-    if stats.kernel_declined_pools:  # a degradation: listed only when it happened
-        counters["kernel.declined_pools"] = stats.kernel_declined_pools
-    return counters
 
 
 def _accumulate(recorder: Optional[Recorder], counters: Dict[str, float]) -> None:

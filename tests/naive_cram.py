@@ -1,12 +1,15 @@
 """CRAM without the fused kernel: the reference the kernel is exact against.
 
-With no kernel every closeness evaluation walks the per-publisher
-``BitVector`` dicts, every bin keeps ``BrokerBin`` bookkeeping, and
-every probe flattens, sorts and first-fits unit by unit — the path
-production takes for a pool ``ClosenessKernel.for_pool`` declines, and
-the one FBF, BIN PACKING and Phase 3 always run.  The equivalence
-suites run it on the same input and demand the same placements, the
-same counters and the same spans.
+Production CRAM packs every pool it is given (each gather is aligned by
+``Croc._assemble``), so the kernel-less CRAM lives here only.  It runs
+the production clustering loop and ``_CramState`` over two unpacked
+stand-ins: :class:`Unpacked` in the kernel's place (merges and coverage
+tests walk the per-publisher ``BitVector`` dicts, and the metric stays
+detached) and :class:`UnpackedOrder` in the standing order's (every
+BIN PACKING pass flattens, sorts and first-fits unit by unit with
+``BrokerBin`` bookkeeping — the path FBF, BIN PACKING and Phase 3 always
+run).  The equivalence suites run it on the same input and demand the
+same placements, the same counters and the same spans.
 
 :func:`scan_best_pair` is the other reference here: a full scan of
 every partner entry, the oracle of the lazy heap ``_CramState.best_pair``
@@ -15,13 +18,53 @@ production, so only a check against this scan can see a change in pair
 order.
 """
 
-from repro.core.cram import CramAllocator
+from repro.core.binpacking import BinPackingAllocator
+from repro.core.cram import CramAllocator, CramStats
 from repro.core.gif import Gif
+from repro.core.profiles import merge_profiles
+from repro.obs import recorder as obs
+
+
+class Unpacked:
+    """What CRAM and PAIRWISE ask of a kernel, answered on the profiles."""
+
+    def covers(self, first, second):
+        return first.covers(second)
+
+    def merge_profiles(self, profiles):
+        return merge_profiles(profiles)
+
+    def forget(self, profile):
+        pass
+
+
+class UnpackedOrder:
+    """The standing order's interface over a plain list of units."""
+
+    def __init__(self, units, pool):
+        self.units = list(units)
+        self.pool = pool
+
+    def first_fit(self, directory):
+        return BinPackingAllocator().allocate(self.units, self.pool, directory)
+
+    def after_merge(self, merge_units, merged):
+        gone = {unit.unit_id for unit in merge_units}
+        kept = [unit for unit in self.units if unit.unit_id not in gone]
+        return UnpackedOrder(kept + [merged], self.pool)
 
 
 class NaiveCramAllocator(CramAllocator):
-    def _build_kernel(self, units, directory):
-        return None
+    def allocate(self, units, pool, directory):
+        stats = CramStats(
+            subscriptions=sum(unit.subscription_count for unit in units),
+            initial_units=len(units),
+        )
+        self.last_stats = stats
+        self.metric.reset_counter()
+        with obs.span("cram.clustering", metric=self.metric.name, units=len(units)):
+            order = UnpackedOrder(units, list(pool))
+            return self._clustering_run(units, order, directory, stats, Unpacked())
 
 
 def scan_best_pair(state):

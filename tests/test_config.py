@@ -72,9 +72,10 @@ def test_one_process_pool_and_no_install_hooks_in_core():
 
 
 def test_one_kernel_decision_point_and_no_fallback_returns():
-    """Whether a pool packs is decided where the kernel is built, once:
-    nothing else constructs one, the kernel-less first fit takes none,
-    and no packed operation may answer "fall back" instead."""
+    """The kernel is built in one place, and always: nothing else
+    constructs one, ``for_pool`` never answers "no kernel", the
+    kernel-less first fit takes none, and no packed operation may answer
+    "fall back" instead."""
     sites = []
     returns = {}
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -93,8 +94,23 @@ def test_one_kernel_decision_point_and_no_fallback_returns():
     assert sites == []
     for name in ("unit_runs", "merge_profiles", "covers", "build", "after_merge"):
         assert "Optional" not in returns[name] and "None" not in returns[name], name
-    assert "Optional" in returns["for_pool"]
+    assert "Optional" not in returns["for_pool"] and "None" not in returns["for_pool"]
     assert "kernel" not in inspect.signature(first_fit).parameters
+
+
+def test_cram_and_pairwise_never_test_for_a_missing_kernel():
+    """Every pool CRAM and PAIRWISE get packs, so no branch there may
+    ask whether a kernel exists."""
+    offenders = []
+    for name in ("cram.py", "pairwise.py"):
+        path = PACKAGE / "core" / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                    and "kernel" in ast.unparse(node.left)
+                    and any(ast.unparse(side) == "None" for side in node.comparators)):
+                offenders.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []
 
 
 #: The Simulator's scheduling entry points.

@@ -359,29 +359,3 @@ class TestStandingOrder:
         assert runs[0] == runs[1] == len(spans[0])
         assert spans[0] == spans[1]
         assert spans[1][0] == len(units) and len(set(spans[1])) > 5
-
-    def test_no_kernel_keeps_no_order(self, directory):
-        units = symbol_units(directory, per_symbol=3, symbols=2)
-        state = cram_module._CramState(
-            units, make_pool(4), directory, make_metric("ios"), True, True,
-            cram_module.CramStats(),
-        )
-        assert state._order is None
-        assert state.probe_merge(units[:2]) is not None
-
-    def test_declined_pool_builds_no_order(self, directory, monkeypatch):
-        """No kernel means no order, and that is settled before the
-        first probe: a pool that does not pack never builds one."""
-        units = symbol_units(directory, per_symbol=3, symbols=2)
-        units.append(make_unit({"P0": [1]}, directory, capacity=16))
-        built = []
-        monkeypatch.setattr(
-            StandingOrder, "build",
-            classmethod(lambda cls, *args: built.append(args)),
-        )
-        cram = CramAllocator(metric="ios")
-        assert cram.allocate(units, make_pool(4), directory).success
-        assert not built
-        stats = cram.last_stats
-        assert stats.merges > 0 and stats.binpack_runs > stats.merges
-        assert not stats.kernel_used and stats.kernel_declined_pools == 1

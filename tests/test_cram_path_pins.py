@@ -14,6 +14,10 @@ to move no answer, so each value must hold unchanged:
 * a pool that does not fit at all: the base pass fails, and the unit it
   failed on is pinned by its member subscriptions.
 
+On top of ``cbcaf9b`` every gathered pool became packable and
+``CramStats`` lost ``kernel_used`` and ``kernel_declined_pools``; those
+two keys dropped out of the pins and no value changed.
+
 The kernel-vs-naive suite cannot see a change in the order CRAM tries
 pairs in — ``tests/naive_cram.py`` shares ``best_pair`` — so the
 ``CramStats`` counters here are what pins it.
@@ -61,8 +65,7 @@ _CRAM_IOS = {
               "final_units": 78, "iterations": 271, "merges": 271,
               "failures": 0, "closeness_evaluations": 16837,
               "initial_search_evaluations": 7147, "binpack_runs": 348,
-              "kernel_used": True, "kernel_fused_evaluations": 6689,
-              "kernel_memo_hits": 10148, "kernel_declined_pools": 0,
+              "kernel_fused_evaluations": 6689, "kernel_memo_hits": 10148,
               "shard_count": 0, "shard_fallbacks": 0},
 }
 
@@ -74,8 +77,7 @@ PINS: Dict[str, Dict[str, Any]] = {
               "final_units": 92, "iterations": 290, "merges": 257,
               "failures": 33, "closeness_evaluations": 18630,
               "initial_search_evaluations": 7147, "binpack_runs": 367,
-              "kernel_used": True, "kernel_fused_evaluations": 6845,
-              "kernel_memo_hits": 11785, "kernel_declined_pools": 0,
+              "kernel_fused_evaluations": 6845, "kernel_memo_hits": 11785,
               "shard_count": 0, "shard_fallbacks": 0},
     },
     "cram-xor": {
@@ -84,8 +86,7 @@ PINS: Dict[str, Dict[str, Any]] = {
               "final_units": 6, "iterations": 306, "merges": 291,
               "failures": 15, "closeness_evaluations": 219399,
               "initial_search_evaluations": 56940, "binpack_runs": 388,
-              "kernel_used": True, "kernel_fused_evaluations": 34854,
-              "kernel_memo_hits": 184545, "kernel_declined_pools": 0,
+              "kernel_fused_evaluations": 34854, "kernel_memo_hits": 184545,
               "shard_count": 0, "shard_fallbacks": 0},
     },
     "fij-trade": _CRAM_IOS,
@@ -97,8 +98,7 @@ NO_FIT_PIN: Dict[str, Any] = {
               "final_units": 0, "iterations": 0, "merges": 0,
               "failures": 0, "closeness_evaluations": 0,
               "initial_search_evaluations": 0, "binpack_runs": 1,
-              "kernel_used": True, "kernel_fused_evaluations": 0,
-              "kernel_memo_hits": 0, "kernel_declined_pools": 0,
+              "kernel_fused_evaluations": 0, "kernel_memo_hits": 0,
               "shard_count": 0, "shard_fallbacks": 0},
 }
 

@@ -308,24 +308,26 @@ def test_prop_logged_delivery_equals_one_event_per_delivery(
     _assert_same_run(logged, oracle)
 
 
-#: ``LOADED`` / ``cram-ios`` under one fault at a time, recorded at the
-#: last commit whose kernel still packed part of a pool (``c92a17e``):
-#: plan -> seed -> digest of everything :func:`comparable` covers bar
-#: ``CramStats``' ``kernel_*`` diagnostics, which say which path ran.
+#: ``LOADED`` / ``cram-ios`` under one fault at a time: plan -> seed ->
+#: digest of everything :func:`comparable` covers bar ``CramStats``'
+#: ``kernel_*`` diagnostics.  Recorded at ``c92a17e``; ``loss_rate``
+#: seed 2 and ``jitter`` seed 1 were re-pinned once, on top of
+#: ``cbcaf9b``, when each gather became one alignment.  Those two gathers
+#: had vectors ahead of their publisher's report (and, under loss, a
+#: publisher in no report), so their profiles, plan and rows moved.  The
+#: other four gathered nothing stale and hold their values.
 FAULT_PLAN_ROWS = {
-    "loss_rate": (0.05, {1: "49cdd644c7ce74e7", 2: "9726d2607171e106"}),
-    "jitter": (0.05, {1: "be5ad35700e3618a", 2: "1ba3ea63ddae1d68"}),
+    "loss_rate": (0.05, {1: "49cdd644c7ce74e7", 2: "184dd780e6fe3cd0"}),
+    "jitter": (0.05, {1: "6616b318055da89f", 2: "1ba3ea63ddae1d68"}),
     "crash_fraction": (0.25, {1: "edd01812cebfe110", 2: "3853bd5dbe0d392d"}),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FAULT_PLAN_ROWS))
-def test_declined_pools_move_no_row_under_fault_plans(fault):
-    """Loss and jitter leave a gather's directory stale, the pool does
-    not pack, and the kernel-less run it takes is the run the mixed
-    mode made; a crash plan's pools all pack."""
+def test_fault_plan_rows_are_pinned(fault):
+    """Under loss, jitter or crashes every gathered pool packs, and the
+    rows are the pinned ones."""
     level, pinned = FAULT_PLAN_ROWS[fault]
-    declined = 0
     for seed, digest in pinned.items():
         plan = FaultPlan(crash_start=4.0, downtime=5.0, seed=5, **{fault: level})
         with obs.attached(obs.Recorder()) as recorder:
@@ -339,8 +341,7 @@ def test_declined_pools_move_no_row_under_fault_plans(fault):
         }
         text = json.dumps(record, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, seed
-        declined += recorder.counters.get("kernel.declined_pools", 0)
-    assert (declined > 0) is (fault != "crash_fraction")
+        assert recorder.counters["kernel.fused_evaluations"] > 0, seed
 
 
 def test_continuous_churn_equals_one_event_per_delivery():

@@ -15,6 +15,13 @@ change claims to move no answer, so each digest must hold unchanged:
   vectors CROC gathered and those the brokers hold at the end, the
   engine counters, and the recorder's timeline samples and counters.
 
+``loss_jitter`` was re-pinned once, on top of ``cbcaf9b``, when each
+gather became one alignment: its publishers' last message IDs are
+raised to the newest ID a gathered vector reached, so the gathered
+vectors, the plan and every answer after it moved.  The smoke rows and
+the ``crash`` cell gather no vector ahead of its report and hold the
+values recorded at ``3447b9d``.
+
 Print the current values (to re-pin after a change that is *meant* to
 move answers) with::
 
@@ -75,13 +82,13 @@ FAULT_PINS: Dict[str, Dict[str, Any]] = {
     },
     "loss_jitter": {
         "batched_events": 620,
-        "cbc": "0e8f0ed0f51e09f6",
-        "counters": "d596c5227b03df39",
+        "cbc": "5c829f1145bae44b",
+        "counters": "af9845f381f2d9ae",
         "drops": 556,
-        "events_processed": 17943,
+        "events_processed": 17937,
         "heap_compactions": 0,
-        "obs": "8518b782ef8d32d4",
-        "summary": "fb5f9eceb531ad4f",
+        "obs": "4f1cf53c78d6164f",
+        "summary": "fc8538d6a092a580",
     },
 }
 

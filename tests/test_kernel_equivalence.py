@@ -3,15 +3,16 @@
 The fused bit-plane kernel (:mod:`repro.core.kernel`) promises to be a
 pure wall-clock optimization: attaching it must never change a metric
 value, an allocation, or an evaluation counter.  These tests pin that
-contract on seeded end-to-end scenarios, on generated pools, and on the
-pools the kernel declines (a publisher seen under two windows), where
-production runs the kernel-less path itself.
+contract on seeded end-to-end scenarios, on pools CROC gathered under
+loss and jitter, and on generated pools.  A pool no gather produces (a
+publisher seen under two windows) is an error, not a slower path.
 """
 
 from __future__ import annotations
 
 import contextlib
 import sys
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -24,29 +25,38 @@ from repro.core.closeness import METRIC_NAMES, make_metric
 from repro.core.cram import CramAllocator, _CramState
 from repro.core.croc import Croc
 from repro.core.kernel import ClosenessKernel
+from repro.core.pairwise import pairwise_cluster
 from repro.core.profiles import PublisherProfile
 from repro.core.units import units_from_records
-from repro.obs import recorder as obs
-from repro.obs.collect import allocator_counters
 from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_heterogeneous, cluster_homogeneous
 
 from conftest import make_directory, make_pool, make_profile, make_spec, make_unit
 from naive_cram import NaiveCramAllocator, scan_best_pair
+from test_gather_alignment import gathered_under
 
 # Three seeded scenarios: two homogeneous sizes and one heterogeneous
-# pool (different tiers, skewed subscription counts).
+# pool (different tiers, skewed subscription counts) ...
 SCENARIOS = [
-    ("homo-small", cluster_homogeneous(subscriptions_per_publisher=8, scale=0.08), 7),
-    ("homo-dense", cluster_homogeneous(subscriptions_per_publisher=14, scale=0.06), 11),
-    ("hetero", cluster_heterogeneous(ns=12, scale=0.05), 13),
+    ("homo-small", partial(offline_gather, cluster_homogeneous(
+        subscriptions_per_publisher=8, scale=0.08), seed=7)),
+    ("homo-dense", partial(offline_gather, cluster_homogeneous(
+        subscriptions_per_publisher=14, scale=0.06), seed=11)),
+    ("hetero", partial(offline_gather, cluster_heterogeneous(ns=12, scale=0.05), seed=13)),
 ]
+# ... and the ``LOADED`` gathers whose windows were apart before each
+# gather became one alignment (silent brokers, unreported publishers,
+# vectors ahead of their publisher's report).
+SCENARIOS += [
+    (f"loaded-loss-{seed}", partial(gathered_under, 0.05, 0.0, seed))
+    for seed in (2, 3, 2011)
+] + [("loaded-jitter-1", partial(gathered_under, 0.0, 0.05, 1))]
 
 
-def _gathered(scenario, seed):
-    gather = offline_gather(scenario, seed=seed)
-    units = units_from_records(gather.records, gather.directory)
-    return gather, units
+def _gathered(gather):
+    """A gather and fresh units over its records."""
+    gathered = gather()
+    return gathered, units_from_records(gathered.records, gathered.directory)
 
 
 def _placement_signature(result):
@@ -59,16 +69,16 @@ def _placement_signature(result):
 
 @pytest.mark.parametrize("metric_name", METRIC_NAMES)
 @pytest.mark.parametrize(
-    "scenario", SCENARIOS, ids=[name for name, _, _ in SCENARIOS]
+    "scenario", SCENARIOS, ids=[name for name, _ in SCENARIOS]
 )
 class TestAllocationEquivalence:
     def test_identical_allocations_and_counters(self, scenario, metric_name):
         """CRAM with the kernel reproduces the naive run bit-for-bit."""
-        _, spec, seed = scenario
+        _, gather_pool = scenario
         signatures = []
         counters = []
         for allocator in (NaiveCramAllocator, CramAllocator):
-            gather, units = _gathered(spec, seed)
+            gather, units = _gathered(gather_pool)
             cram = allocator(metric=metric_name, failure_budget=25)
             result = cram.allocate(units, gather.broker_pool, gather.directory)
             signatures.append(_placement_signature(result))
@@ -82,14 +92,14 @@ class TestAllocationEquivalence:
                     cram.metric.evaluations,
                 )
             )
-            assert stats.kernel_used is (allocator is CramAllocator)
+            assert (stats.kernel_fused_evaluations > 0) is (allocator is CramAllocator)
         assert signatures[0] == signatures[1]
         assert counters[0] == counters[1]
 
     def test_identical_closeness_values(self, scenario, metric_name):
         """Every pairwise metric value matches the naive float exactly."""
-        _, spec, seed = scenario
-        gather, units = _gathered(spec, seed)
+        _, gather_pool = scenario
+        gather, units = _gathered(gather_pool)
         profiles = [unit.profile for unit in units][:40]
         naive = make_metric(metric_name)
         fused = make_metric(metric_name)
@@ -121,38 +131,8 @@ def _bins(result):
     )
 
 
-def assert_declined_and_equal_to_naive(patterns, directory, disagreeing):
-    """The pool does not pack, and CRAM on it *is* the kernel-less run."""
-
-    def make_units():
-        """Fresh units per run, synchronized the way a gather leaves them."""
-        units = [make_unit(pattern, directory, sub_id=f"s{index}")
-                 for index, pattern in enumerate(patterns)]
-        for unit in units:
-            unit.profile.synchronize(directory)
-        return units
-
-    profiles = [unit.profile for unit in make_units()]
-    assert ClosenessKernel.for_pool(directory, profiles) is None
-    for metric_name in METRIC_NAMES:
-        runs = []
-        for allocator in (NaiveCramAllocator, CramAllocator):
-            cram = allocator(metric=metric_name)
-            with obs.attached(obs.Recorder()) as recorder:
-                result = cram.allocate(make_units(), make_pool(6, bandwidth=30.0), directory)
-            (span,) = [s for s in recorder.spans if s.name == "cram.clustering"]
-            assert span.attrs["kernel"] is False
-            assert span.attrs["disagreeing_publishers"] == disagreeing
-            runs.append((_bins(result), cram.last_stats))
-        assert runs[0] == runs[1]
-        stats = runs[1][1]
-        assert stats.merges > 0 and not stats.kernel_used
-        assert stats.kernel_declined_pools == 1
-        assert allocator_counters(cram)["kernel.declined_pools"] == 1
-
-
 class TestFusedCountsFallbacks:
-    """Direct fused_counts checks, and the pools that get no kernel."""
+    """Direct fused_counts checks, and the pools that cannot pack."""
 
     def _naive_counts(self, first, second):
         return (
@@ -170,26 +150,22 @@ class TestFusedCountsFallbacks:
         assert kernel.fused_counts(a, b) == self._naive_counts(a, b)
         assert kernel.memo_hits == 1
 
-    def test_conflicted_window_pool_is_declined(self):
-        """A stale directory: some subscribers saw publications past its
-        ``last_message_id``, so ``synchronize`` leaves their window of A
-        ahead of everyone else's."""
-        directory = make_directory(["A", "B"])  # last_message_id 63
-        patterns = [{"A": range(8), "B": range(16)}] * 3
-        patterns += [{"A": range(4, 12)}] * 2 + [{"B": range(8, 24)}] * 2
-        patterns += [{"A": range(70, 101), "B": range(16)}] * 2  # A slides to 37
-        late = make_profile(patterns[-1])
-        late.synchronize(directory)
-        assert late.vector("A").first_id == 37 and late.vector("B").first_id == 0
-        assert_declined_and_equal_to_naive(patterns, directory, disagreeing=1)
-
-    def test_pool_missing_a_publisher_is_declined(self):
-        """The gather lost GHOST's advertisement: nothing aligns its vectors."""
-        directory = make_directory(["A"])
-        patterns = [{"A": range(8), "GHOST": range(40, 90)}] * 3
-        patterns += [{"A": range(4, 12), "GHOST": range(8)}] * 3
-        patterns += [{"GHOST": range(60, 120)}] * 2
-        assert_declined_and_equal_to_naive(patterns, directory, disagreeing=1)
+    def test_misaligned_pool_is_an_error(self):
+        """No gather leaves a publisher under two windows (here A's late
+        vector slid to 37), so CRAM and PAIRWISE have no kernel-less
+        path to take: the pool is refused, naming the publisher."""
+        directory = make_directory(["A", "B"])
+        units = [make_unit(pattern, directory, sub_id=f"s{index}")
+                 for index, pattern in enumerate([
+                     {"A": range(8), "B": range(16)},
+                     {"A": range(4, 12)},
+                     {"A": range(70, 101), "B": range(16)},
+                 ])]
+        assert units[2].profile.vector("A").first_id == 37
+        with pytest.raises(ValueError, match=r"publisher 'A' has window \(37, 64\)"):
+            CramAllocator(metric="ios").allocate(units, make_pool(4), directory)
+        with pytest.raises(ValueError, match=r"publisher 'A' has window \(37, 64\)"):
+            pairwise_cluster(units, 1, directory)
 
     def test_foreign_profile_is_an_error(self):
         """A profile from outside the pool's windows is a caller's bug,
@@ -296,8 +272,6 @@ def test_prop_rate_increase_matches_the_brokerbin_walk(
             make_pool(6, bandwidth=bandwidth), RATE_DIRECTORY,
         )
         stats = cram.last_stats
-        assert stats.kernel_used is (allocator is CramAllocator)
-        assert stats.kernel_declined_pools == 0
         runs.append((_bins(result), stats.merges, stats.failures, stats.binpack_runs,
                      stats.final_units, stats.closeness_evaluations))
     assert runs[0] == runs[1]
@@ -354,7 +328,8 @@ def test_prop_heap_best_pair_is_the_full_scan(patterns, metric_name, flags, band
 def test_heap_best_pair_is_the_full_scan_on_a_gathered_pool(metric_name):
     """The same check over every iteration of a 600-subscription pool
     (271 under IOS, 306 under XOR)."""
-    gather, units = _gathered(cluster_homogeneous(25, scale=0.6), 2011)
+    gather, units = _gathered(partial(offline_gather, cluster_homogeneous(25, scale=0.6),
+                                      seed=2011))
     with best_pair_checked_by_the_scan() as picks:
         cram = CramAllocator(metric=metric_name, failure_budget=150)
         cram.allocate(units, gather.broker_pool, gather.directory)

@@ -21,6 +21,7 @@ from repro.core.units import AllocationUnit
 from repro.sim.rng import SeededRng
 
 from conftest import make_directory, make_unit
+from naive_cram import Unpacked
 
 
 def _brute_force_cluster(
@@ -77,9 +78,9 @@ def _random_units(seed: int, count: int, directory) -> List[AllocationUnit]:
 
 
 def _naive_cluster(units, cluster_count, directory, metric_name):
-    """The cached search on its kernel-less fallback."""
+    """The cached search with nothing packed (metric detached)."""
     return _pairwise_cluster(
-        list(units), cluster_count, directory, make_metric(metric_name), kernel=None
+        list(units), cluster_count, directory, make_metric(metric_name), Unpacked()
     )
 
 
