@@ -4,9 +4,28 @@ The allocation algorithms only consume bit-vector profiles, broker
 specs, and publisher profiles — everything CROC's Phase 1 gathers.
 For algorithm-only studies (computation-time benchmarks, GIF/poset
 statistics, CRAM ablations) simulating the whole overlay is wasted
-work: this module replays each symbol's quote feed through the
-subscription matcher directly and synthesizes the exact profiles the
+work: this module replays each symbol's quote window against that
+symbol's subscriptions directly and synthesizes the exact profiles the
 CBCs would have produced.
+
+Matching is evaluated per distinct predicate, not per (subscription,
+publication) pair.  Each distinct compiled predicate
+(:meth:`~repro.pubsub.predicate.Predicate.compiled`) of a symbol's
+subscriptions gets one int *mask* over the window: bit ``message_id``
+is set when that publication carries the attribute and the operator
+test passes.  A subscription's matched set is the AND of its
+predicates' masks (the whole window for one with no predicates), and
+its bit vector is built in one step from that set.  Subscriptions that
+share a predicate — ``[class,=,'STOCK']`` and ``[symbol,=,S]`` are in
+all of them, and thresholds are drawn from a few buckets — share its
+evaluation.
+
+This is exact against :func:`~repro.pubsub.matching.matches`, although
+every predicate is evaluated on every publication where ``matches``
+stops at the first failing one: the operator tests are pure functions
+and never raise on the numbers and strings the quote feed and the
+subscription generator produce, so skipping an evaluation can change
+neither a result nor any state.
 
 The result is byte-for-byte the same *kind* of input CROC sees —
 :class:`~repro.core.croc.GatherResult` — so anything accepting gathered
@@ -14,9 +33,9 @@ state runs unchanged on it.
 
 Record production is streaming: :func:`iter_offline_records` yields one
 :class:`~repro.core.units.SubscriptionRecord` at a time, holding only
-one symbol's publication window in memory, so a consumer can walk an
-arbitrarily large workload without ever materializing every profile
-object.  :func:`offline_gather` is the
+one symbol's publication window and predicate masks in memory, so a
+consumer can walk an arbitrarily large workload without ever
+materializing every profile object.  :func:`offline_gather` is the
 eager wrapper.  Laziness cannot perturb the RNG: every stream is a
 *keyed* child (``rng.child("stock", symbol)`` inside the quote feed,
 ``rng.child("subs", symbol)`` inside the subscription generator), so
@@ -25,13 +44,13 @@ draw order across symbols is immaterial.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.bitvector import BitVector
 from repro.core.croc import GatherResult
 from repro.core.profiles import PublisherProfile, SubscriptionProfile
 from repro.core.units import SubscriptionRecord
-from repro.pubsub.matching import matches
-from repro.pubsub.message import Publication
+from repro.pubsub.predicate import Test, Value
 from repro.sim.rng import SeededRng
 from repro.workloads.scenarios import Scenario
 from repro.workloads.stocks import StockQuoteFeed
@@ -55,6 +74,22 @@ def offline_directory(
     }
 
 
+def _predicate_mask(
+    quotes: List[Dict[str, Any]], compiled: Tuple[str, Test, Value]
+) -> int:
+    """Bit ``i + 1`` set where ``quotes[i]`` satisfies the predicate.
+
+    ``quotes[i]`` is the publication with message ID ``i + 1``, so the
+    mask is indexed by message ID; bit 0 (no such ID) stays clear.
+    """
+    attribute, test, wanted = compiled
+    digits = "".join(
+        "1" if attribute in quote and test(quote[attribute], wanted) else "0"
+        for quote in reversed(quotes)
+    )
+    return int(digits + "0", 2)
+
+
 def iter_offline_records(
     scenario: Scenario,
     seed: int = 0,
@@ -66,7 +101,13 @@ def iter_offline_records(
     Records arrive in the same order :func:`offline_gather` returns
     them (symbols in scenario order, subscriptions in generation
     order), one at a time; only the current symbol's publication
-    window is resident.
+    window and predicate masks are resident.
+
+    A matched set becomes a vector in one step: recording its IDs in
+    ascending order would slide the window to start at
+    ``max(0, newest - capacity + 1)`` and keep every ID from there on,
+    which is what setting the newest ID and loading the shifted mask
+    does.  A subscription that matched nothing opens no vector.
     """
     window = window if window is not None else scenario.profile_capacity
     if directory is None:
@@ -74,20 +115,14 @@ def iter_offline_records(
     if len(scenario.symbols) != len(scenario.subscription_counts):
         raise ValueError("symbols and subscription counts must align")
     rng = SeededRng(seed, "offline", scenario.name)
+    capacity = scenario.profile_capacity
+    whole_window = ((1 << window) - 1) << 1  # message IDs 1..window
     for symbol, count in zip(scenario.symbols, scenario.subscription_counts):
         adv_id = f"adv-{symbol}"
         feed = StockQuoteFeed(symbol, rng)
         price_hint = feed.price  # before the window advances the feed
-        publications = [
-            Publication(
-                adv_id=adv_id,
-                message_id=message_id,
-                attributes=next(feed),
-                publish_time=0.0,
-                size_kb=scenario.message_kb,
-            )
-            for message_id in range(1, window + 1)
-        ]
+        quotes = [next(feed) for _ in range(window)]
+        masks: Dict[Tuple[str, Test, Value], int] = {}
         subscriptions = iter_subscriptions_for_symbol(
             symbol,
             count,
@@ -96,10 +131,19 @@ def iter_offline_records(
             threshold_buckets=scenario.threshold_buckets,
         )
         for subscription in subscriptions:
-            profile = SubscriptionProfile(capacity=scenario.profile_capacity)
-            for publication in publications:
-                if matches(subscription, publication):
-                    profile.record(adv_id, publication.message_id)
+            matched = whole_window
+            for predicate in subscription.predicates:
+                compiled = predicate.compiled()
+                mask = masks.get(compiled)
+                if mask is None:
+                    mask = masks[compiled] = _predicate_mask(quotes, compiled)
+                matched &= mask
+            profile = SubscriptionProfile(capacity=capacity)
+            if matched:
+                vector = BitVector(capacity)
+                vector.set(matched.bit_length() - 1)
+                vector.load_bits(matched >> vector.first_id)
+                profile.adopt_vectors({adv_id: vector})
             profile.synchronize(directory)
             yield SubscriptionRecord(
                 sub_id=subscription.sub_id,

@@ -1,14 +1,36 @@
 """Tests for offline profile generation (simulator-free Phase 1)."""
 
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import offline_oracle
+from offline_oracle import differing_records, iter_oracle_records, record_facts
 from repro.core.units import units_from_records
+from repro.pubsub.message import Subscription
+from repro.pubsub.predicate import parse_predicates
 from repro.workloads.offline import (
     iter_offline_records,
     offline_directory,
     offline_gather,
 )
 from repro.workloads.scenarios import cluster_homogeneous
+
+#: ``record_facts`` of every record of
+#: ``offline_gather(cluster_homogeneous(100, scale=0.6), seed=2011)``
+#: (the ``plan_offline`` benchmark pool), hashed in order.  Recorded at
+#: ``c2b4c61``, where each record was built pair by pair; the masks must
+#: reproduce it unchanged.
+PLAN_OFFLINE_DIGEST = "795d979af6a4a16e"
+
+
+def gather_digest(records) -> str:
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(repr(record_facts(record)).encode())
+    return digest.hexdigest()[:16]
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +139,84 @@ class TestOfflineGather:
         # Both see the same 40% template population at full density.
         assert offline_template_share > 0
         assert live_template_share > 0
+
+
+class TestAgainstOracle:
+    """Predicate masks against the pair-by-pair loop of ``offline_oracle``."""
+
+    @settings(max_examples=30)
+    @given(
+        data=st.data(),
+        per_publisher=st.integers(1, 16),
+        scale=st.sampled_from([0.05, 0.1, 0.15]),
+        buckets=st.integers(1, 6),
+        capacity=st.integers(8, 256),
+        seed=st.integers(0, 2**16),
+        drop_publisher=st.booleans(),
+    )
+    def test_records_equal_the_oracle(
+        self, data, per_publisher, scale, buckets, capacity, seed, drop_publisher
+    ):
+        window = data.draw(st.one_of(
+            st.sampled_from([0, capacity - 1, capacity, capacity + 1, 3 * capacity]),
+            st.integers(0, 3 * capacity),
+        ), label="window")
+        scenario = cluster_homogeneous(
+            per_publisher, scale=scale, threshold_buckets=buckets,
+            profile_capacity=capacity,
+        )
+        directory = offline_directory(scenario, window)
+        if drop_publisher:
+            dropped = data.draw(st.sampled_from(sorted(directory)), label="dropped")
+            del directory[dropped]
+        produced = list(iter_offline_records(
+            scenario, seed=seed, window=window, directory=directory))
+        expected = list(iter_oracle_records(
+            scenario, seed=seed, window=window, directory=directory))
+        assert differing_records(produced, expected) == []
+
+    def test_operators_beyond_the_generator(self, monkeypatch):
+        """No predicates, a missing attribute, string and type-mismatched tests."""
+        filters = [
+            [],
+            [("date", "isPresent", True)],
+            [("dividend", "isPresent", True)],
+            [("dividend", "<", 1.0)],
+            [("symbol", ">", 1.0)],
+            [("closeEqualsLow", "<>", "true")],
+            [("date", "str-prefix", "1")],
+            [("date", "str-suffix", "-96"), ("volume", ">=", 8000)],
+            [("date", "str-contains", "Sep")],
+            [("class", "=", "STOCK"), ("open", "<", 50.0), ("close", ">", 50.0)],
+        ]
+
+        def subscriptions(symbol, count, rng, **_hints):
+            for index, triples in enumerate(filters):
+                sub_id = f"sub-{symbol}-{index}"
+                yield Subscription(sub_id, sub_id, parse_predicates(triples))
+
+        monkeypatch.setattr(
+            "repro.workloads.offline.iter_subscriptions_for_symbol", subscriptions)
+        monkeypatch.setattr(
+            offline_oracle, "iter_subscriptions_for_symbol", subscriptions)
+        scenario = cluster_homogeneous(1, scale=0.05, profile_capacity=64)
+        for window in (0, 40, 64, 150):
+            produced = list(iter_offline_records(scenario, seed=5, window=window))
+            expected = list(iter_oracle_records(scenario, seed=5, window=window))
+            assert differing_records(produced, expected) == []
+            assert len(produced) == len(filters) * scenario.publishers
+        # Over a full window: every quote for the predicate-free filter,
+        # nothing for the missing attribute and the mistyped comparison.
+        full = {record.sub_id.rsplit("-", 1)[1]: record.profile.cardinality
+                for record in produced[:len(filters)]}
+        assert full["0"] == 64
+        assert full["2"] == full["3"] == full["4"] == 0
+
+    def test_plan_offline_pool_is_pinned(self):
+        gathered = offline_gather(cluster_homogeneous(100, scale=0.6), seed=2011)
+        assert gather_digest(gathered.records) == PLAN_OFFLINE_DIGEST
+
+
+if __name__ == "__main__":
+    print(gather_digest(
+        offline_gather(cluster_homogeneous(100, scale=0.6), seed=2011).records))
