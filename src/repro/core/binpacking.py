@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.capacity import (
     AllocationResult,
@@ -27,6 +27,7 @@ from repro.core.fbf import (
     first_fit_runs,
     is_twin,
     pool_columns,
+    rate_never_refuses,
     unit_runs,
 )
 from repro.core.kernel import ClosenessKernel
@@ -57,9 +58,14 @@ class StandingOrder:
     of run ``i`` for the run's whole life and a bisect over ``keys``
     finds any unit's run.  Orders are never mutated: a probe derives a
     throw-away successor, a commit adopts it.
+
+    A merge keeps the pool's summed bandwidth (up to float rounding) and
+    its subscription count, so the order carries the first from build
+    to build and the verdict of :func:`rate_never_refuses` on the
+    second: together they let :meth:`first_fit` stop a pass early.
     """
 
-    __slots__ = ("runs", "keys", "size", "pool", "kernel")
+    __slots__ = ("runs", "keys", "size", "pool", "kernel", "bandwidth", "cuttable")
 
     def __init__(
         self,
@@ -68,12 +74,16 @@ class StandingOrder:
         size: int,
         pool: PackedPool,
         kernel: ClosenessKernel,
+        bandwidth: float,
+        cuttable: bool,
     ):
         self.runs = runs
         self.keys = keys
         self.size = size  # units in the order (the obs span reports it)
         self.pool = pool  # the brokers it is first-fitted onto, sorted
         self.kernel = kernel  # packed every run
+        self.bandwidth = bandwidth  # summed delivery bandwidth of the units
+        self.cuttable = cuttable  # whether a pass may stop early
 
     @classmethod
     def build(
@@ -86,16 +96,31 @@ class StandingOrder:
         runs = unit_runs(decreasing_bandwidth(units), kernel)
         keys = [run[3][0].binpack_key for run in runs]
         packed_pool = pool_columns(sorted_broker_pool(pool))
-        return cls(runs, keys, len(units), packed_pool, kernel)
+        subscriptions = sum(unit.subscription_count for unit in units)
+        return cls(
+            runs, keys, len(units), packed_pool, kernel,
+            bandwidth=sum(unit.delivery_bandwidth for unit in units),
+            cuttable=rate_never_refuses(packed_pool, kernel, subscriptions),
+        )
 
-    def first_fit(self, directory: PublisherDirectory) -> AllocationResult:
+    def first_fit(
+        self, directory: PublisherDirectory, stop_above: Optional[int] = None
+    ) -> AllocationResult:
         """BIN PACKING of the order's units onto its pool.
+
+        With ``stop_above``, a pass that has proved it succeeds with more
+        brokers than that may return a :class:`CutResult` instead (see
+        :func:`first_fit_runs`); on a pool where the matching-rate
+        ceiling could refuse a unit it always runs out.
 
         Opens the span :meth:`BinPackingAllocator.allocate` opens, so a
         trace cannot tell which of the two ran a pass.
         """
         with obs.span("binpacking.first_fit", units=self.size):
-            return first_fit_runs(self.runs, self.pool, directory, self.kernel)
+            return first_fit_runs(
+                self.runs, self.pool, directory, self.kernel,
+                stop_above if self.cuttable else None, self.bandwidth,
+            )
 
     def after_merge(
         self, merge_units: Sequence[AllocationUnit], merged: AllocationUnit
@@ -128,7 +153,9 @@ class StandingOrder:
             )
             keys.insert(position, merged.binpack_key)
         size = self.size - len(merge_units) + 1
-        return StandingOrder(runs, keys, size, self.pool, self.kernel)
+        return StandingOrder(
+            runs, keys, size, self.pool, self.kernel, self.bandwidth, self.cuttable
+        )
 
 
 class BinPackingAllocator:

@@ -319,6 +319,25 @@ class AllocationResult:
         return f"AllocationResult({status}, brokers={self.broker_count})"
 
 
+class CutResult(AllocationResult):
+    """A first-fit pass that stopped once it had proved the pool fits on
+    more than its ``stop_above`` brokers (:func:`repro.core.fbf.first_fit_runs`).
+
+    ``success`` is true.  ``broker_count`` is the number of brokers open
+    when the pass stopped: a floor of the full pass's count, already
+    above ``stop_above``, good for that comparison and nothing else.
+    There are no bins, so reading them is an error.
+    """
+
+    def __init__(self, opened: int):
+        super().__init__((), success=True)
+        self.broker_count = opened
+
+    @property
+    def bins(self) -> List[BrokerBin]:
+        raise RuntimeError("a cut first-fit pass has no bins")
+
+
 def sorted_broker_pool(pool: Iterable[BrokerSpec]) -> List[BrokerSpec]:
     """Brokers in descending order of resource capacity (paper §IV-A)."""
     return sorted(pool, key=lambda spec: spec.capacity_key)

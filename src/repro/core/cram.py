@@ -49,7 +49,7 @@ from typing import (
 )
 
 from repro.core.binpacking import StandingOrder
-from repro.core.capacity import AllocationResult, BrokerSpec
+from repro.core.capacity import AllocationResult, BrokerSpec, CutResult
 from repro.core.closeness import ClosenessMetric, make_metric
 from repro.core.gif import Gif, build_gifs
 from repro.core.kernel import ClosenessKernel
@@ -74,6 +74,11 @@ class CramStats:
     iterations: int = 0
     merges: int = 0
     failures: int = 0
+    #: The iteration whose scheme is returned (0: the unclustered one).
+    returned_iteration: int = 0
+    #: Merges committed after that iteration; none of their schemes is
+    #: returned.
+    merges_past_best: int = 0
     closeness_evaluations: int = 0
     initial_search_evaluations: int = 0
     binpack_runs: int = 0
@@ -134,6 +139,9 @@ class CramAllocator:
         self.max_iterations = max_iterations
         self.name = f"cram-{metric.name}"
         self.last_stats = CramStats()
+        #: Probes of the last run that stopped early (:class:`CutResult`).
+        #: Kept out of :class:`CramStats`, which a cut must not move.
+        self.last_cut_passes = 0
 
     # ------------------------------------------------------------------
     # Entry point
@@ -173,6 +181,7 @@ class CramAllocator:
         kernel: ClosenessKernel,
     ) -> AllocationResult:
         """The paper's clustering loop (kernel already attached)."""
+        self.last_cut_passes = 0
         state = _CramState(
             units=units,
             order=order,
@@ -187,6 +196,7 @@ class CramAllocator:
         if not best.success:
             # Paper: if the unclustered allocation fails, terminate.
             return best
+        state.stop_above = best.broker_count
         stats.initial_gifs = len(state.gifs)
         state.refresh_partners()
         stats.initial_search_evaluations = self.metric.evaluations
@@ -215,11 +225,20 @@ class CramAllocator:
                 # very first recorded scheme is BIN PACKING's, so CRAM
                 # never returns more brokers than BIN PACKING).  Later
                 # schemes win ties: more clustering, less in-network
-                # traffic for the same broker count.
+                # traffic for the same broker count.  DESIGN.md §5e
+                # ("Which scheme CRAM returns") has this reading and
+                # the open question about it.  A probe's CutResult
+                # holds a count above ``best``'s and so never wins.
                 if outcome.broker_count <= best.broker_count:
                     best = outcome
+                    state.stop_above = best.broker_count
+                    stats.returned_iteration = stats.iterations
+                    stats.merges_past_best = 0
+                else:
+                    stats.merges_past_best += 1
         stats.final_units = state.unit_count()
         stats.closeness_evaluations = self.metric.evaluations
+        self.last_cut_passes = state.cut_passes
         return best
 
     # ------------------------------------------------------------------
@@ -410,6 +429,12 @@ class _CramState:
         self._seq = itertools.count()
         self._dirty: Set[int] = set()
         self._blacklist: Set[frozenset] = set()
+        #: The returned scheme's broker count: a probe that opens more
+        #: brokers is never returned, so it may stop as soon as it is
+        #: proven to fit.  ``None`` (the base pass) runs every pass out.
+        self.stop_above: Optional[int] = None
+        #: Probes that stopped early.
+        self.cut_passes = 0
 
     # ------------------------------------------------------------------
     # Partner cache
@@ -548,8 +573,12 @@ class _CramState:
     ) -> Optional[AllocationResult]:
         """Test-allocate the pool with ``merge_units`` fused; no commit."""
         merged = AllocationUnit.merged(list(merge_units), self.directory, kernel=self.kernel)
-        result = self._order.after_merge(merge_units, merged).first_fit(self.directory)
+        result = self._order.after_merge(merge_units, merged).first_fit(
+            self.directory, self.stop_above
+        )
         self.stats.binpack_runs += 1
+        if isinstance(result, CutResult):
+            self.cut_passes += 1
         # The probe's merged profile is ephemeral (a commit builds a
         # fresh one); drop its pack entry so probes don't accumulate.
         self.kernel.forget(merged.profile)
@@ -708,6 +737,8 @@ class ShardedCramAllocator:
         self.max_iterations = max_iterations
         self.name = f"cram-{metric}-sharded"
         self.last_stats = CramStats()
+        #: Summed over every CRAM run of the last ``allocate``.
+        self.last_cut_passes = 0
 
     def _make_allocator(self) -> CramAllocator:
         return CramAllocator(
@@ -728,6 +759,7 @@ class ShardedCramAllocator:
     ) -> AllocationResult:
         allocator = self._make_allocator()
         result = allocator.allocate(units, pool, directory)
+        self.last_cut_passes += allocator.last_cut_passes
         self.last_stats = replace(
             allocator.last_stats,
             shard_count=0,
@@ -744,6 +776,7 @@ class ShardedCramAllocator:
         """Shard, allocate, merge, recurse — or fall back monolithic."""
         units = list(units)
         pool = list(pool)
+        self.last_cut_passes = 0
         buckets = plan_shards(units, self.shards)
         if buckets is None:
             return self._monolithic(units, pool, directory, after_sharding=False)
@@ -753,6 +786,7 @@ class ShardedCramAllocator:
         if pseudo is not None:
             final = self._make_allocator()
             result = final.allocate(pseudo, pool, directory)
+            self.last_cut_passes += final.last_cut_passes
             if result.success:
                 runs.append(final.last_stats)
                 self.last_stats = self._aggregate_stats(units, len(buckets), runs)
@@ -788,6 +822,7 @@ class ShardedCramAllocator:
                 pool,
                 directory,
             )
+            self.last_cut_passes += allocator.last_cut_passes
             if not result.success:
                 return None
             runs.append(allocator.last_stats)
@@ -828,4 +863,6 @@ class ShardedCramAllocator:
             stats.kernel_fused_evaluations += part.kernel_fused_evaluations
             stats.kernel_memo_hits += part.kernel_memo_hits
         stats.final_units = runs[-1].final_units
+        stats.returned_iteration = runs[-1].returned_iteration
+        stats.merges_past_best = runs[-1].merges_past_best
         return stats

@@ -20,6 +20,7 @@ from repro.core.capacity import (
     AllocationResult,
     BrokerBin,
     BrokerSpec,
+    CutResult,
     packed_unit,
     sorted_broker_pool,
 )
@@ -39,6 +40,11 @@ UnitRun = Tuple[float, int, PackedProfile, List[AllocationUnit]]
 #: One placement of :func:`first_fit_runs`: ``(bin index, run members,
 #: first, stop)`` — ``members[first:stop]`` joined that bin.
 Placement = Tuple[int, List[AllocationUnit], int, int]
+
+#: Relative float margin of the early-stop bound in :func:`first_fit_runs`
+#: and of :func:`rate_never_refuses`.  The float sums those tests read
+#: are off by far less (about ``units · 2**-53`` of the pool total).
+CUT_MARGIN = 1e-9
 
 
 class PackedPool(NamedTuple):
@@ -119,11 +125,37 @@ def first_fit(
     return AllocationResult(bins, success=True)
 
 
+def rate_never_refuses(
+    pool: PackedPool, kernel: ClosenessKernel, subscriptions: int
+) -> bool:
+    """Whether no bin of ``pool`` can ever refuse a unit on its matching rate.
+
+    A bin's input rate is a sum of per-plane terms ``min(1, new bits /
+    window) · rate``; the new bits of one plane add up to at most its
+    capacity, so no bin carries more than ``Σ rate · capacity / window``.
+    No bin holds more than the pool's ``subscriptions`` either, so its
+    delay never exceeds ``max(base, base + slope · subscriptions)``.
+    When that rate stays below ``1 / delay`` on every broker (with
+    :data:`CUT_MARGIN` to spare), the ceiling test cannot fail — the
+    condition :func:`first_fit_runs` needs to stop a pass early.
+    """
+    rate = sum(
+        plane.rate * plane.capacity / plane.window for plane in kernel.planes.values()
+    ) * (1.0 + CUT_MARGIN)
+    for base, slope in zip(pool.delay_bases, pool.delay_slopes):
+        delay = max(base, base + slope * subscriptions)
+        if delay > 0 and rate >= 1.0 / delay:
+            return False
+    return True
+
+
 def first_fit_runs(
     runs: Iterable[UnitRun],
     pool: PackedPool,
     directory: PublisherDirectory,
     kernel: ClosenessKernel,
+    stop_above: Optional[int] = None,
+    bandwidth_total: float = 0.0,
 ) -> AllocationResult:
     """First fit over runs of twins and flat packed bin state.
 
@@ -157,6 +189,25 @@ def first_fit_runs(
     answer ``success``, ``failed_unit`` and ``broker_count`` at once.
     The result makes its bins from them when ``bins`` is first read —
     CRAM's probes never read it, only the result CRAM returns does.
+
+    **Stopping early.**  A caller that only needs to know whether the
+    pass succeeds with more than ``stop_above`` brokers may pass that
+    count, given three preconditions: the runs come in non-increasing
+    bandwidth order (first fit *decreasing*), ``bandwidth_total`` is
+    their summed bandwidth, and :func:`rate_never_refuses` holds for the
+    pool.  At each run boundary, with ``opened > stop_above`` bins in
+    use, ``E`` bins still empty, ``s`` the run's bandwidth (the largest
+    left), ``C`` the smallest bandwidth limit less ``EPSILON`` and ``R``
+    the bandwidth still to place, the pass returns a :class:`CutResult`
+    once ``(E - 1) · (C - s) > R`` (with :data:`CUT_MARGIN`).  That
+    verdict is exact: no bin refuses on rate, so an empty bin takes any
+    unit left and empty bins open in pool order; each bin opened after
+    this point had, when the next one opened, refused a unit of at most
+    ``s`` on load, so it holds more than ``C - s`` of ``R``.  Fewer than
+    ``R / (C - s) + 1 < E`` bins open, one stays empty, and the full
+    pass would succeed — with more than ``stop_above`` brokers.
+    Counting open bins by their subscriptions assumes every unit counts
+    at least one, as every :class:`AllocationUnit` constructor does.
     """
     specs, bandwidth_limits, delay_bases, delay_slopes = pool
     count = len(specs)
@@ -168,7 +219,22 @@ def first_fit_runs(
     failed: Optional[AllocationUnit] = None
     streak: Optional[float] = None  # the previous run's bandwidth
     start = 0
+    opened = 0  # bins holding a subscription
+    # With no bound, ``opened > stop`` never holds and the pass runs out.
+    stop = count if stop_above is None else stop_above
+    floor = min(bandwidth_limits, default=0.0) - EPSILON  # C
+    remaining = bandwidth_total  # R
+    margin = CUT_MARGIN * bandwidth_total
     for bandwidth, unit_subscriptions, packed, members in runs:
+        if opened > stop:
+            spare = count - opened - 1
+            gap = floor - bandwidth
+            if (
+                spare > 0
+                and gap > 0
+                and spare * gap * (1.0 - CUT_MARGIN) > remaining + margin
+            ):
+                return CutResult(opened)
         # Exact on purpose, as in ``is_twin``.
         if bandwidth != streak:  # reprolint: disable=float-equality
             streak = bandwidth
@@ -214,6 +280,8 @@ def first_fit_runs(
                 load = more_load
                 total_subs = more_subs
                 placed += 1
+            if not subscription_counts[index]:
+                opened += 1
             used[index] = load
             subscription_counts[index] = total_subs
             input_rates[index] = rate
@@ -225,10 +293,11 @@ def first_fit_runs(
         else:
             failed = members[placed]
             break
+        remaining -= bandwidth * size
     return AllocationResult.deferred(
         partial(_packed_bins, pool, directory, kernel, placements,
                 used, subscription_counts, input_rates, union_bits),
-        broker_count=len({placement[0] for placement in placements}),
+        broker_count=opened,
         success=failed is None,
         failed_unit=failed,
     )

@@ -548,6 +548,11 @@ class OnlineAllocator:
         """The inner CRAM run's statistics (for parity with cram-*)."""
         return self._inner.last_stats
 
+    @property
+    def last_cut_passes(self) -> int:
+        """The inner CRAM run's early-stopped probes."""
+        return self._inner.last_cut_passes
+
     def allocate(self, units, pool, directory) -> AllocationResult:
         """Full Phase-2 allocation, delegated to the inner CRAM."""
         return self._inner.allocate(units, pool, directory)

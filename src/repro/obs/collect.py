@@ -72,7 +72,10 @@ def allocator_counters(allocator) -> Dict[str, float]:
         "cram.iterations": stats.iterations,
         "cram.merges": stats.merges,
         "cram.failures": stats.failures,
+        "cram.returned_iteration": stats.returned_iteration,
+        "cram.merges_past_best": stats.merges_past_best,
         "cram.binpack_runs": stats.binpack_runs,
+        "cram.cut_passes": getattr(allocator, "last_cut_passes", 0),
         "cram.closeness_evaluations": stats.closeness_evaluations,
         "cram.initial_search_evaluations": stats.initial_search_evaluations,
         "kernel.fused_evaluations": stats.kernel_fused_evaluations,

@@ -18,6 +18,11 @@ On top of ``cbcaf9b`` every gathered pool became packable and
 ``CramStats`` lost ``kernel_used`` and ``kernel_declined_pools``; those
 two keys dropped out of the pins and no value changed.
 
+Later ``CramStats`` gained ``returned_iteration`` and
+``merges_past_best``, and CRAM's probes began to stop early once a
+first-fit bound proves they cannot become the returned scheme.  The two
+keys joined the pins; no other value changed.
+
 The kernel-vs-naive suite cannot see a change in the order CRAM tries
 pairs in — ``tests/naive_cram.py`` shares ``best_pair`` — so the
 ``CramStats`` counters here are what pins it.
@@ -64,6 +69,7 @@ _CRAM_IOS = {
     "stats": {"subscriptions": 600, "initial_units": 600, "initial_gifs": 239,
               "final_units": 78, "iterations": 271, "merges": 271,
               "failures": 0, "closeness_evaluations": 16837,
+              "returned_iteration": 271, "merges_past_best": 0,
               "initial_search_evaluations": 7147, "binpack_runs": 348,
               "kernel_fused_evaluations": 6689, "kernel_memo_hits": 10148,
               "shard_count": 0, "shard_fallbacks": 0},
@@ -76,6 +82,7 @@ PINS: Dict[str, Dict[str, Any]] = {
         "stats": {"subscriptions": 600, "initial_units": 600, "initial_gifs": 239,
               "final_units": 92, "iterations": 290, "merges": 257,
               "failures": 33, "closeness_evaluations": 18630,
+              "returned_iteration": 216, "merges_past_best": 63,
               "initial_search_evaluations": 7147, "binpack_runs": 367,
               "kernel_fused_evaluations": 6845, "kernel_memo_hits": 11785,
               "shard_count": 0, "shard_fallbacks": 0},
@@ -85,6 +92,7 @@ PINS: Dict[str, Dict[str, Any]] = {
         "stats": {"subscriptions": 600, "initial_units": 600, "initial_gifs": 239,
               "final_units": 6, "iterations": 306, "merges": 291,
               "failures": 15, "closeness_evaluations": 219399,
+              "returned_iteration": 289, "merges_past_best": 2,
               "initial_search_evaluations": 56940, "binpack_runs": 388,
               "kernel_fused_evaluations": 34854, "kernel_memo_hits": 184545,
               "shard_count": 0, "shard_fallbacks": 0},
@@ -97,6 +105,7 @@ NO_FIT_PIN: Dict[str, Any] = {
     "stats": {"subscriptions": 600, "initial_units": 600, "initial_gifs": 0,
               "final_units": 0, "iterations": 0, "merges": 0,
               "failures": 0, "closeness_evaluations": 0,
+              "returned_iteration": 0, "merges_past_best": 0,
               "initial_search_evaluations": 0, "binpack_runs": 1,
               "kernel_fused_evaluations": 0, "kernel_memo_hits": 0,
               "shard_count": 0, "shard_fallbacks": 0},

@@ -316,6 +316,9 @@ def test_prop_logged_delivery_equals_one_event_per_delivery(
 #: had vectors ahead of their publisher's report (and, under loss, a
 #: publisher in no report), so their profiles, plan and rows moved.  The
 #: other four gathered nothing stale and hold their values.
+#: ``CramStats.returned_iteration`` and ``merges_past_best`` came later
+#: and are left out of the digest, so every recorded digest holds
+#: (tests/test_cram_path_pins.py pins both on its own pools).
 FAULT_PLAN_ROWS = {
     "loss_rate": (0.05, {1: "49cdd644c7ce74e7", 2: "184dd780e6fe3cd0"}),
     "jitter": (0.05, {1: "6616b318055da89f", 2: "1ba3ea63ddae1d68"}),
@@ -338,6 +341,7 @@ def test_fault_plan_rows_are_pinned(fault):
             name: value
             for name, value in dataclasses.asdict(result.cram_stats).items()
             if not name.startswith("kernel_")
+            and name not in ("returned_iteration", "merges_past_best")
         }
         text = json.dumps(record, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, seed

@@ -5,6 +5,11 @@
 two-comparison test.  The claim is bit-identity with ``first_fit``, the
 one-unit-at-a-time loop every kernel-less allocator runs, so everything
 here compares with ``==`` and ``is`` — never a tolerance, never a clock.
+
+A pass given ``stop_above`` may stop early with a :class:`CutResult`;
+the claim there is that the full pass would have succeeded with more
+than ``stop_above`` brokers, and that a pass that does not stop is the
+full pass.
 """
 
 import contextlib
@@ -15,14 +20,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.binpacking import StandingOrder
 from repro.core.capacity import (
     BrokerBin,
     BrokerSpec,
+    CutResult,
     MatchingDelayFunction,
     sorted_broker_pool,
 )
 from repro.core.cram import CramAllocator
-from repro.core.fbf import first_fit, first_fit_runs, pool_columns, unit_runs
+from repro.core.fbf import (
+    first_fit,
+    first_fit_runs,
+    pool_columns,
+    rate_never_refuses,
+    unit_runs,
+)
 from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherProfile
 from repro.core.units import AllocationUnit, units_from_records
@@ -378,3 +391,117 @@ def test_a_cram_run_builds_only_the_bins_it_returns():
     assert cram.last_stats.binpack_runs > 300
     assert len(built) == len(bins) == result.broker_count == 5
     assert [bin_.spec for bin_ in bins] == built
+
+
+class TestStoppingEarly:
+    """``stop_above``: a pass may stop once it is proven to fit on more."""
+
+    PATTERNS = [{"P0": range(32)}, {"P1": range(32)}]
+
+    def test_a_cut_result_has_no_bins(self):
+        units = make_units([(0, 1.0, 1, 6), (1, 0.3, 1, 4)], self.PATTERNS)
+        order = StandingOrder.build(units, make_brokers([(3.0, 1e-4, 0.0)] * 8),
+                                    kernel_for(units))
+        assert order.cuttable
+        full = order.first_fit(DIRECTORY)
+        assert full.success and full.broker_count == 3
+        result = order.first_fit(DIRECTORY, stop_above=1)
+        assert isinstance(result, CutResult)
+        assert result.success and 1 < result.broker_count <= full.broker_count
+        with pytest.raises(RuntimeError, match="no bins"):
+            result.bins
+        with pytest.raises(RuntimeError, match="no bins"):
+            result.subscription_placement()
+        # At or under the bound the pass runs out.
+        assert snapshot(order.first_fit(DIRECTORY, stop_above=3)) == snapshot(full)
+
+    def test_a_pool_whose_rate_ceiling_can_bind_never_cuts(self):
+        """Zero-bandwidth twins leave the load bound every slack there is,
+        yet 1 / (0.01 + 0.02 n) holds P0's 5 msg/s for nine subscriptions
+        a bin only: 41 of them do not fit on four brokers.  A cut after
+        the first run would have called that pool a fit."""
+        units = make_units([(0, 0.1, 1, 1), (0, 0.0, 1, 40)], self.PATTERNS)
+        order = StandingOrder.build(units, make_brokers([(10.0, 0.01, 0.02)] * 4),
+                                    kernel_for(units))
+        assert not order.cuttable
+        assert not rate_never_refuses(order.pool, order.kernel, 41)
+        full = order.first_fit(DIRECTORY)
+        assert not full.success
+        for stop_above in range(4):
+            result = order.first_fit(DIRECTORY, stop_above)
+            assert not isinstance(result, CutResult)
+            assert snapshot(result) == snapshot(full)
+
+    def test_the_bound_reads_the_smallest_broker(self):
+        """One 30-unit broker and three of 0.5: after the first run the
+        three empty bins cannot take a 1.0 unit, so nothing may be cut."""
+        units = make_units([(0, 2.5, 1, 1), (1, 1.0, 1, 40)], self.PATTERNS)
+        pool = make_brokers([(30.0, 1e-4, 0.0)] + [(0.5, 1e-4, 0.0)] * 3)
+        order = StandingOrder.build(units, pool, kernel_for(units))
+        assert order.cuttable
+        full = order.first_fit(DIRECTORY)
+        assert not full.success
+        assert snapshot(order.first_fit(DIRECTORY, 0)) == snapshot(full)
+
+    def test_the_rate_bound_counts_every_plane_in_full(self):
+        """``Σ rate · capacity / window`` over all four publishers is
+        21.75 msg/s: a ceiling of 1 / 0.045 passes, 1 / 0.046 does not."""
+        kernel = ClosenessKernel.for_pool(
+            DIRECTORY, [make_profile({adv_id: [0]}) for adv_id in DIRECTORY]
+        )
+        for base, verdict in ((0.045, True), (0.046, False)):
+            pool = pool_columns(make_brokers([(3.0, base, 0.0)]))
+            assert rate_never_refuses(pool, kernel, 1) is verdict
+
+
+cut_brokers_strategy = st.one_of(
+    # Homogeneous: one spec, many copies.
+    st.tuples(
+        st.sampled_from((0.5, 3.0, 10.0, 30.0)),
+        st.sampled_from((1e-4, 0.01, 0.05)),
+        st.sampled_from((0.0, 1e-6, 0.005, 0.02)),
+        st.integers(1, 16),
+    ).map(lambda row: [row[:3]] * row[3]),
+    # Heterogeneous: every broker its own spec.
+    st.lists(
+        st.tuples(
+            st.sampled_from((0.0, 0.5, 3.0, 10.0, 30.0, 30.0)),
+            st.sampled_from((1e-4, 0.01, 0.05)),
+            st.sampled_from((0.0, 1e-6, 0.005, 0.02)),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(
+    patterns=patterns_strategy,
+    shapes=shapes_strategy,
+    brokers=cut_brokers_strategy,
+    data=st.data(),
+)
+def test_prop_a_cut_pass_fits_on_more_brokers(patterns, shapes, brokers, data):
+    """FFD runs (zero-bandwidth units among them) onto homogeneous and
+    heterogeneous pools: a cut implies that the full pass succeeds with
+    more than ``stop_above`` brokers; a pass that is not cut is the full
+    pass; a pool whose rate ceiling can bind never cuts."""
+    shapes = [(pattern % len(patterns), *rest) for pattern, *rest in shapes]
+    units = make_units(shapes, patterns)
+    order = StandingOrder.build(units, make_brokers(brokers), kernel_for(units))
+    full = order.first_fit(DIRECTORY)
+    # At most the full count: above it no pass can stop (it never opens
+    # that many bins), and CRAM holds its probes against the count of a
+    # pass that succeeded.
+    stop_above = data.draw(st.integers(0, full.broker_count), label="stop_above")
+    result = order.first_fit(DIRECTORY, stop_above)
+    if isinstance(result, CutResult):
+        assert order.cuttable
+        assert full.success and full.broker_count > stop_above
+        assert stop_above < result.broker_count <= full.broker_count
+        with pytest.raises(RuntimeError):
+            result.bins
+    else:
+        assert result.broker_count == full.broker_count
+        assert snapshot(result) == snapshot(full)

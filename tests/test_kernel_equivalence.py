@@ -11,6 +11,7 @@ publisher seen under two windows) is an error, not a slower path.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import sys
 from functools import partial
 from unittest import mock
@@ -31,6 +32,7 @@ from repro.core.units import units_from_records
 from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_heterogeneous, cluster_homogeneous
 
+import cut_probe_oracle
 from conftest import make_directory, make_pool, make_profile, make_spec, make_unit
 from naive_cram import NaiveCramAllocator, scan_best_pair
 from test_gather_alignment import gathered_under
@@ -359,3 +361,31 @@ def test_rate_memo_keys_stay_plane_local(monkeypatch):
     # Measured 43 kB (1,244 keys); keyed on whole bin unions the same
     # run kept 12,908 keys of 7.7 MB.
     assert sum(sys.getsizeof(key) for _, key in entries) < 200_000
+
+
+@pytest.mark.parametrize("metric_name", METRIC_NAMES)
+def test_cut_probes_match_the_naive_run(metric_name):
+    """A pool shaped like ``plan_offline``'s (400 subscriptions, 100 per
+    publisher): clustering soon needs more brokers than the returned
+    scheme, so most kernel-run probes stop early; the naive run first-fits
+    every probe to the end, and the two agree on the placement and on
+    every ``CramStats`` counter outside the kernel's own."""
+    gather = partial(offline_gather, cluster_homogeneous(100, scale=0.1), seed=2011)
+    answers = []
+    for allocator in (NaiveCramAllocator, CramAllocator):
+        gathered, units = _gathered(gather)
+        cram = allocator(metric=metric_name, failure_budget=25)
+        result = cram.allocate(units, gathered.broker_pool, gathered.directory)
+        stats = dataclasses.asdict(cram.last_stats)
+        del stats["kernel_fused_evaluations"], stats["kernel_memo_hits"]
+        answers.append((_placement_signature(result), stats))
+        cut = cram.last_cut_passes
+    assert answers[0] == answers[1]
+    assert 0 < cut < answers[1][1]["binpack_runs"]
+
+
+def test_the_paper_scale_cut_check_runs_on_a_small_pool(capsys):
+    """``tests/cut_probe_oracle.py`` (a CI step at paper scale), here at
+    400 subscriptions: the same answers with and without cuts."""
+    assert cut_probe_oracle.main(["--scale", "0.1", "--approach", "cram-ios"]) == 0
+    assert "cram-ios: same answers" in capsys.readouterr().out

@@ -143,23 +143,28 @@ def placement(result) -> list:
 #: process pool: seed -> (placement digest, brokers, counters).  The
 #: fused / memo split was re-pinned when the content-keyed pair memo
 #: went (25, 42 and 37 of its hits are fused evaluations now; the sums
-#: are the recorded ones).
+#: are the recorded ones).  ``returned_iteration`` and
+#: ``merges_past_best`` (the final pass's) were added later, with no
+#: other value changed.
 PINNED = {
     1: ("ce7eb6f43f6d3c4a", 17, CramStats(
         subscriptions=2400, initial_units=2400, initial_gifs=618,
         final_units=19, iterations=923, merges=866, failures=57,
+        returned_iteration=25, merges_past_best=0,
         closeness_evaluations=67289, initial_search_evaluations=33093,
         binpack_runs=1199, kernel_fused_evaluations=32938,
         kernel_memo_hits=34351, shard_count=4)),
     2: ("01a5e31a8d2c6e23", 17, CramStats(
         subscriptions=2400, initial_units=2400, initial_gifs=640,
         final_units=19, iterations=967, merges=908, failures=59,
+        returned_iteration=10, merges_past_best=0,
         closeness_evaluations=72245, initial_search_evaluations=34932,
         binpack_runs=1258, kernel_fused_evaluations=35128,
         kernel_memo_hits=37117, shard_count=4)),
     3: ("731d24761faad903", 17, CramStats(
         subscriptions=2400, initial_units=2400, initial_gifs=594,
         final_units=19, iterations=889, merges=822, failures=67,
+        returned_iteration=0, merges_past_best=0,
         closeness_evaluations=68797, initial_search_evaluations=32842,
         binpack_runs=1158, kernel_fused_evaluations=32783,
         kernel_memo_hits=36014, shard_count=4)),
