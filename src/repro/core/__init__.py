@@ -29,7 +29,6 @@ from repro.core.online import (
     STRATEGIES,
     Migration,
     MigrationPlan,
-    OnlineAllocator,
     OnlineSpec,
     make_strategy,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "STRATEGIES",
     "Migration",
     "MigrationPlan",
-    "OnlineAllocator",
     "OnlineSpec",
     "make_strategy",
     "DEFAULT_CAPACITY",

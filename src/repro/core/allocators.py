@@ -13,6 +13,8 @@ Example
 'cram-ios'
 >>> "inc-trade" in INCREMENTAL
 True
+>>> get("inc-trade")().name
+'cram-ios'
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from typing import Any, Callable, Optional, Tuple
 from repro.core.binpacking import BinPackingAllocator
 from repro.core.cram import CramAllocator, ShardedCramAllocator
 from repro.core.fbf import FbfAllocator
-from repro.core.online import OnlineAllocator, OnlineSpec
 
 #: Every allocator, in the paper's presentation order (§IV–V: FBF,
 #: BIN PACKING, the four CRAM closeness metrics), then sharded CRAM and
-#: the online incremental strategies.
+#: the approaches that add online migrations to CRAM-IOS.
 NAMES: Tuple[str, ...] = (
     "fbf",
     "binpacking",
@@ -39,9 +40,9 @@ NAMES: Tuple[str, ...] = (
     "fij-trade",
 )
 
-#: The approaches whose allocator also plans online migrations
-#: (:meth:`~repro.core.online.OnlineAllocator.plan_migrations`) for the
-#: continuous loop's mixed schedule.
+#: The approaches whose migration strategy (``inc-trade`` runs
+#: ``inc_trade``) the continuous loop's mixed schedule runs between full
+#: cycles.  Their Phase-2 allocator is CRAM-IOS.
 INCREMENTAL: Tuple[str, ...] = ("inc-trade", "fij-trade")
 
 
@@ -50,14 +51,12 @@ def get(
     *,
     rng: Any = None,
     failure_budget: Optional[int] = None,
-    online: Optional[OnlineSpec] = None,
 ) -> Callable[[], Any]:
     """Resolve ``name`` to a zero-argument allocator factory.
 
-    Each allocator takes the knobs it understands: FBF the ``rng``; the
-    CRAM family and the online strategies the ``failure_budget``; the
-    online strategies also the ``online`` spec, whose strategy the
-    approach name overrides.
+    Each allocator takes the knobs it understands: FBF the ``rng``, the
+    CRAM family the ``failure_budget``.  The :data:`INCREMENTAL`
+    approaches allocate with CRAM-IOS.
     """
     if name == "fbf":
         return lambda: FbfAllocator(rng=rng)
@@ -67,12 +66,7 @@ def get(
         return lambda: ShardedCramAllocator(
             metric="ios", failure_budget=failure_budget
         )
-    if name in INCREMENTAL:
-        strategy = name.replace("-", "_")
-        return lambda: OnlineAllocator(
-            strategy=strategy, failure_budget=failure_budget, spec=online
-        )
-    if name in NAMES:  # the four cram-<metric> entries
-        metric = name[len("cram-"):]
+    if name in NAMES:  # the four cram-<metric> entries and INCREMENTAL
+        metric = "ios" if name in INCREMENTAL else name[len("cram-"):]
         return lambda: CramAllocator(metric=metric, failure_budget=failure_budget)
     raise ValueError(f"unknown allocator {name!r}; known: {', '.join(NAMES)}")

@@ -307,7 +307,7 @@ class Croc:
         units = units_from_records(gathered.records, gathered.directory)
         allocator = self._allocator_factory()
         self.last_allocator = allocator
-        with obs.span("phase2.allocate", allocator=allocator.name,
+        with obs.span("phase2.allocate", allocator=self.approach,
                       units=len(units)) as allocate_span:
             allocation = allocator.allocate(
                 units, gathered.broker_pool, gathered.directory

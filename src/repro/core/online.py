@@ -35,11 +35,9 @@ estimator feeding and the migration *execution* live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.capacity import AllocationResult
-from repro.core.cram import CramAllocator, CramStats
 from repro.core.floats import EPSILON, approx_le
 
 #: Recognized strategy names (underscore canonical form).
@@ -332,14 +330,6 @@ class _TradeStrategy:
     ) -> MigrationPlan:
         raise NotImplementedError
 
-    def plan_migrations(
-        self,
-        brokers: Sequence[BrokerLoad],
-        subscriptions: Sequence[SubscriptionLoad],
-    ) -> MigrationPlan:
-        """Alias matching :class:`OnlineAllocator`'s incremental API."""
-        return self.plan(brokers, subscriptions)
-
 
 class IncTrade(_TradeStrategy):
     """Harvest: worst overloaded broker feeds the best-off broker.
@@ -511,56 +501,3 @@ def make_strategy(spec: OnlineSpec) -> _TradeStrategy:
     raise ValueError(
         f"unknown online strategy {spec.strategy!r}; pick from {STRATEGIES}"
     )
-
-
-class OnlineAllocator:
-    """Allocator pairing full CROC with online trades.
-
-    As a Phase-2 allocator it delegates :meth:`allocate` to an inner
-    :class:`~repro.core.cram.CramAllocator` — running ``inc-trade`` or
-    ``fij-trade`` as a one-shot approach produces the same allocation
-    as the CRAM metric it wraps.  What makes the two approaches
-    :data:`~repro.core.allocators.INCREMENTAL` is :meth:`plan_migrations`:
-    the online scheduler calls it between full cycles with estimator
-    predictions and per-subscription loads.
-    """
-
-    def __init__(
-        self,
-        strategy: str = "inc_trade",
-        metric: str = "ios",
-        failure_budget: Optional[int] = None,
-        spec: Optional[OnlineSpec] = None,
-    ):
-        if spec is None:
-            spec = OnlineSpec(strategy=strategy)
-        elif spec.strategy != strategy:
-            # The approach name decides the strategy; the spec
-            # contributes every other knob.
-            spec = replace(spec, strategy=strategy)
-        self.spec = spec
-        self.strategy = make_strategy(self.spec)
-        self.name = strategy.replace("_", "-")
-        self._inner = CramAllocator(metric=metric, failure_budget=failure_budget)
-
-    @property
-    def last_stats(self) -> CramStats:
-        """The inner CRAM run's statistics (for parity with cram-*)."""
-        return self._inner.last_stats
-
-    @property
-    def last_cut_passes(self) -> int:
-        """The inner CRAM run's early-stopped probes."""
-        return self._inner.last_cut_passes
-
-    def allocate(self, units, pool, directory) -> AllocationResult:
-        """Full Phase-2 allocation, delegated to the inner CRAM."""
-        return self._inner.allocate(units, pool, directory)
-
-    def plan_migrations(
-        self,
-        brokers: Sequence[BrokerLoad],
-        subscriptions: Sequence[SubscriptionLoad],
-    ) -> MigrationPlan:
-        """Plan one online step from predicted loads (pure, no I/O)."""
-        return self.strategy.plan(brokers, subscriptions)

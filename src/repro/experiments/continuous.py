@@ -124,18 +124,10 @@ class OnlineScheduler:
     migration execution advances only virtual time.
     """
 
-    def __init__(
-        self,
-        network: PubSubNetwork,
-        spec: OnlineSpec,
-        planner=None,
-    ):
+    def __init__(self, network: PubSubNetwork, spec: OnlineSpec):
         self.network = network
         self.spec = spec
-        #: Any object with ``plan_migrations(brokers, subscriptions)``
-        #: — a core strategy by default, or the allocator of one of the
-        #: ``allocators.INCREMENTAL`` approaches.
-        self.planner = planner if planner is not None else make_strategy(spec)
+        self.strategy = make_strategy(spec)
         self.estimator = BrokerLoadEstimator(
             window=spec.window, horizon=spec.horizon
         )
@@ -251,7 +243,7 @@ class OnlineScheduler:
         subscriptions = self.subscription_loads(loads)
         if not brokers or not subscriptions:
             return empty, 0, 0.0
-        plan = self.planner.plan_migrations(brokers, subscriptions)
+        plan = self.strategy.plan(brokers, subscriptions)
         moved, gap = self._execute(plan)
         self.steps_run += 1
         self.subscriptions_moved += moved
@@ -424,10 +416,6 @@ class ContinuousReconfigurator:
         profiling phase, and a drift-gated skip of the full CROC run.
         ``None`` (the default) reproduces the periodic-full-CROC loop
         bit for bit.
-    planner:
-        Optional override for the online planner (anything with
-        ``plan_migrations(brokers, subscriptions)``); defaults to the
-        core strategy named by ``online.strategy``.
     energy:
         Optional :class:`~repro.core.energy.EnergySpec` attaching an
         :class:`~repro.core.energy.EnergyAccountant` that integrates
@@ -443,7 +431,6 @@ class ContinuousReconfigurator:
         measurement_time: float = 30.0,
         on_cycle_start: Optional[Callable[[int], None]] = None,
         online: Optional[OnlineSpec] = None,
-        planner=None,
         energy: Optional[EnergySpec] = None,
     ):
         self.croc = croc
@@ -451,7 +438,6 @@ class ContinuousReconfigurator:
         self.measurement_time = measurement_time
         self.on_cycle_start = on_cycle_start
         self.online = online
-        self._planner = planner
         self._scheduler: Optional[OnlineScheduler] = None
         self.accountant = (
             EnergyAccountant(energy) if energy is not None else None
@@ -468,7 +454,7 @@ class ContinuousReconfigurator:
         if self.online is None:
             return None
         if self._scheduler is None or self._scheduler.network is not network:
-            self._scheduler = OnlineScheduler(network, self.online, self._planner)
+            self._scheduler = OnlineScheduler(network, self.online)
             self.autoscaler = (
                 PoolAutoscaler(self._scheduler, self.online)
                 if self.online.autoscale

@@ -19,7 +19,7 @@ names in :data:`APPROACHES`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import allocators
@@ -262,7 +262,6 @@ class ExperimentRunner:
             approach,
             rng=self._rng.child(approach),
             failure_budget=self.cram_failure_budget,
-            online=self.config.online,
         )
 
     def croc_for(self, approach: str, overlay_builder: Optional[OverlayBuilder] = None) -> Croc:
@@ -388,9 +387,8 @@ class ExperimentRunner:
         Deploys the MANUAL baseline, then executes ``cycles`` cycles of
         :class:`~repro.experiments.continuous.ContinuousReconfigurator`.
         When ``self.config.online`` is set the loop runs the mixed
-        schedule; the :data:`allocators.INCREMENTAL` approaches supply
-        their own migration planner (the allocator instance), others
-        fall back to the core strategy named in the spec.
+        schedule; an :data:`allocators.INCREMENTAL` approach names the
+        strategy it runs, over the spec's.
 
         ``make_driver`` (optional) receives the freshly built network
         and returns the per-cycle drift hook — e.g.
@@ -405,16 +403,14 @@ class ExperimentRunner:
             network.obs_sampler = TimelineSampler(network, recorder)
         self._deploy_manual(network)
         online = self.config.online
-        planner = None
         if online is not None and approach in allocators.INCREMENTAL:
-            planner = self._allocator_factory(approach)()
+            online = replace(online, strategy=approach.replace("-", "_"))
         loop = ContinuousReconfigurator(
             croc,
             profiling_time=profiling_time,
             measurement_time=measurement_time,
             on_cycle_start=make_driver(network) if make_driver else None,
             online=online,
-            planner=planner,
             energy=self.config.energy,
         )
         self.last_continuous = loop
@@ -438,10 +434,14 @@ class ExperimentRunner:
         units = units_from_records(gathered.records, gathered.directory)
         started = time.perf_counter()
         if approach == "pairwise-k":
-            # K = the cluster count CRAM computes with the XOR metric.
+            # K = the cluster count of the allocation CRAM-XOR returns.
             cram = CramAllocator(metric="xor", failure_budget=self.cram_failure_budget)
             cram_result = cram.allocate(units, gathered.broker_pool, gathered.directory)
-            k = max(1, cram.last_stats.final_units) if cram_result.success else len(pool)
+            k = (
+                max(1, sum(len(bin_.units) for bin_ in cram_result.bins))
+                if cram_result.success
+                else len(pool)
+            )
             allocator = PairwiseKAllocator(
                 cluster_count=k, rng=self._rng.child("pairwise-k")
             )

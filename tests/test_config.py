@@ -12,7 +12,7 @@ import repro
 from repro.core.config import RunConfig
 from repro.core.cram import CramAllocator, ShardedCramAllocator
 from repro.core.fbf import first_fit
-from repro.core.online import OnlineAllocator, OnlineSpec
+from repro.core.online import OnlineSpec
 from repro.core.pairwise import PairwiseAllocator
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.scenarios import cluster_homogeneous
@@ -29,15 +29,18 @@ def test_runconfig_validates_and_feeds_builders():
     with pytest.raises(TypeError, match="shard_jobs"):
         RunConfig(shard_jobs=1)
     online = OnlineSpec(max_moves=9)
-    runner = ExperimentRunner(cluster_homogeneous(8, scale=0.1),
-                              config=RunConfig(online=online))
-    allocator = runner._allocator_factory("fij-trade")()
-    assert allocator.spec == dataclasses.replace(online, strategy="fij_trade")
+    scenario = cluster_homogeneous(8, scale=0.1)
+    runner = ExperimentRunner(scenario, config=RunConfig(online=online))
+    runner.run_continuous("fij-trade", cycles=1,
+                          profiling_time=scenario.derived_profiling_time(),
+                          measurement_time=6.0)
+    loop = runner.last_continuous
+    assert loop.online == dataclasses.replace(online, strategy="fij_trade")
+    assert loop.scheduler.spec is loop.online
 
 
 def test_allocators_take_no_path_selecting_parameter():
-    for allocator in (CramAllocator, ShardedCramAllocator, OnlineAllocator,
-                      PairwiseAllocator):
+    for allocator in (CramAllocator, ShardedCramAllocator, PairwiseAllocator):
         parameters = inspect.signature(allocator).parameters
         assert not [name for name in parameters
                     if "kernel" in name or "columnar" in name], allocator

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import allocators
+from repro.core.config import RunConfig
 from repro.core.online import (
     STRATEGIES,
     BrokerLoad,
@@ -12,11 +16,12 @@ from repro.core.online import (
     IncTrade,
     Migration,
     MigrationPlan,
-    OnlineAllocator,
     OnlineSpec,
     SubscriptionLoad,
     make_strategy,
 )
+from repro.experiments.runner import ExperimentRunner
+from repro.workloads.scenarios import cluster_homogeneous
 
 
 # ----------------------------------------------------------------------
@@ -256,12 +261,51 @@ class TestContainers:
 # Allocator table integration: the incremental approaches
 # ----------------------------------------------------------------------
 
+#: The narrow band moves subscriptions in the first cycle, and the two
+#: strategies move different ones; the default band moves none.
+NARROW_BAND = {"util_high": 0.3, "util_low": 0.15}
+
+#: ``run_continuous`` row digests for an approach whose spec names the
+#: other strategy, recorded at ``3684ae2``, when the approach's allocator
+#: carried its own migration planner.  Each equals the digest of the
+#: approach run with a spec that names its own strategy.
+MISMATCHED_PINS = {
+    ("inc-trade", "default"): "3710f9510bd77a3a",
+    ("fij-trade", "default"): "3710f9510bd77a3a",
+    ("inc-trade", "narrow"): "c56afe3592488781",
+    ("fij-trade", "narrow"): "f3c2dedad8271e14",
+}
+
+#: Each approach against a spec that names the other strategy.
+CROSSED = {"inc-trade": ("fij_trade", IncTrade), "fij-trade": ("inc_trade", FijTrade)}
+
+
+def _continuous(approach, spec):
+    """``tests/test_online_equivalence.py``'s mixed-schedule scenario."""
+    scenario = cluster_homogeneous(
+        subscriptions_per_publisher=10,
+        scale=0.1,
+        broker_bandwidth_kbps=25.0,
+        profile_capacity=96,
+    )
+    runner = ExperimentRunner(scenario, seed=17, config=RunConfig(online=spec))
+    reports = runner.run_continuous(
+        approach, cycles=2,
+        profiling_time=scenario.derived_profiling_time(),
+        measurement_time=6.0,
+    )
+    rows = [
+        {key: repr(value) for key, value in report.as_row().items()}
+        for report in reports
+    ]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    return runner.last_continuous.scheduler, digest[:16]
+
 
 class TestRegistryCapabilities:
     def test_online_strategies_are_registered_incremental(self):
         for name in ("inc-trade", "fij-trade"):
             assert name in allocators.NAMES
-            assert hasattr(allocators.get(name)(), "plan_migrations")
         assert set(allocators.INCREMENTAL) == {"inc-trade", "fij-trade"}
 
     def test_croc_allocators_are_not_incremental(self):
@@ -269,29 +313,28 @@ class TestRegistryCapabilities:
             assert name not in allocators.INCREMENTAL
             assert not hasattr(allocators.get(name)(), "plan_migrations")
 
-    def test_factory_builds_online_allocator(self):
-        allocator = allocators.get("fij-trade")()
-        assert isinstance(allocator, OnlineAllocator)
-        assert allocator.name == "fij-trade"
-        assert allocator.spec.strategy == "fij_trade"
-        assert isinstance(allocator.strategy, FijTrade)
+    def test_no_allocator_plans_migrations(self):
+        for name in allocators.NAMES:
+            assert not hasattr(allocators.get(name)(), "plan_migrations"), name
 
-    def test_factory_threads_online_spec_knob(self):
-        spec = OnlineSpec(steps=5, max_moves=9)
-        allocator = allocators.get("inc-trade", online=spec)()
-        assert allocator.spec.max_moves == 9
-        # The approach name wins over the spec's strategy.
-        crossed = allocators.get("fij-trade", online=spec)()
-        assert crossed.spec.strategy == "fij_trade"
-        assert crossed.spec.max_moves == 9
+    @pytest.mark.parametrize("band", ["default", "narrow"])
+    @pytest.mark.parametrize("approach", ["inc-trade", "fij-trade"])
+    def test_approach_strategy_wins(self, approach, band):
+        """The loop runs the approach's strategy whatever the spec names."""
+        spec_strategy, strategy_type = CROSSED[approach]
+        knobs = NARROW_BAND if band == "narrow" else {}
+        spec = OnlineSpec(strategy=spec_strategy, steps=2, **knobs)
+        scheduler, digest = _continuous(approach, spec)
+        assert isinstance(scheduler.strategy, strategy_type)
+        assert scheduler.spec.strategy == approach.replace("-", "_")
+        assert scheduler.spec.util_high == spec.util_high
+        assert digest == MISMATCHED_PINS[approach, band]
+        if band == "narrow":
+            assert scheduler.subscriptions_moved > 0
 
-    def test_plan_migrations_delegates_to_strategy(self):
-        allocator = OnlineAllocator(strategy="inc_trade")
-        brokers = [
-            BrokerLoad("hot", capacity=100.0, load=90.0),
-            BrokerLoad("cold", capacity=100.0, load=10.0),
-        ]
-        subs = _subs("hot", [30.0, 30.0, 30.0], "s")
-        plan = allocator.plan_migrations(brokers, subs)
-        assert plan.strategy == "inc_trade"
-        assert not plan.is_empty
+
+if __name__ == "__main__":
+    for (approach, band) in MISMATCHED_PINS:
+        knobs = NARROW_BAND if band == "narrow" else {}
+        spec = OnlineSpec(strategy=CROSSED[approach][0], steps=2, **knobs)
+        print(approach, band, _continuous(approach, spec)[1])

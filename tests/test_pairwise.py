@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.core.cram import CramAllocator
 from repro.core.pairwise import (
     PairwiseKAllocator,
     PairwiseNAllocator,
     pairwise_cluster,
 )
+from repro.core.units import units_from_records
+from repro.experiments import runner as runner_module
+from repro.experiments.runner import ExperimentRunner
 from repro.sim.rng import SeededRng
+from repro.workloads.scenarios import cluster_homogeneous
 
 from conftest import make_directory, make_pool, make_unit
 
@@ -98,6 +103,35 @@ class TestPairwiseK:
 
     def test_name(self):
         assert PairwiseKAllocator(1).name == "pairwise-k"
+
+    def test_runner_takes_k_from_the_scheme_cram_xor_returns(self, monkeypatch):
+        """K counts the units of the allocation CRAM-XOR returns, not the
+        units left after its last merge.  On this pool CRAM keeps merging
+        past the scheme it returns, so the two counts differ."""
+
+        class Planned(Exception):
+            pass
+
+        chosen = []
+
+        def record_k(cluster_count, rng=None):
+            chosen.append(cluster_count)
+            raise Planned
+
+        monkeypatch.setattr(runner_module, "PairwiseKAllocator", record_k)
+        runner = ExperimentRunner(cluster_homogeneous(40, scale=0.25), seed=2011)
+        with pytest.raises(Planned):
+            runner.run("pairwise-k")
+        gathered = runner.last_gather
+        cram = CramAllocator(metric="xor", failure_budget=runner.cram_failure_budget)
+        result = cram.allocate(
+            units_from_records(gathered.records, gathered.directory),
+            gathered.broker_pool,
+            gathered.directory,
+        )
+        returned = sum(len(bin_.units) for bin_ in result.bins)
+        assert returned != cram.last_stats.final_units
+        assert chosen == [returned]
 
 
 class TestPairwiseN:
