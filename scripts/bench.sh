@@ -7,7 +7,6 @@
 #
 #   scripts/bench.sh                                  # full harness
 #   scripts/bench.sh benchmarks/test_bench_closeness_kernel.py
-#   scripts/bench.sh benchmarks/test_bench_sharded.py # sharded Phase 2
 #   scripts/bench.sh benchmarks/test_bench_energy.py  # energy + pareto
 #   REPRO_BENCH_OUT=out/bench scripts/bench.sh -k comptime
 #

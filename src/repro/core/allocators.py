@@ -22,12 +22,12 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Tuple
 
 from repro.core.binpacking import BinPackingAllocator
-from repro.core.cram import CramAllocator, ShardedCramAllocator
+from repro.core.cram import CramAllocator
 from repro.core.fbf import FbfAllocator
 
 #: Every allocator, in the paper's presentation order (§IV–V: FBF,
-#: BIN PACKING, the four CRAM closeness metrics), then sharded CRAM and
-#: the approaches that add online migrations to CRAM-IOS.
+#: BIN PACKING, the four CRAM closeness metrics), then the approaches
+#: that add online migrations to CRAM-IOS.
 NAMES: Tuple[str, ...] = (
     "fbf",
     "binpacking",
@@ -35,7 +35,6 @@ NAMES: Tuple[str, ...] = (
     "cram-xor",
     "cram-ios",
     "cram-iou",
-    "cram-ios-sharded",
     "inc-trade",
     "fij-trade",
 )
@@ -62,10 +61,6 @@ def get(
         return lambda: FbfAllocator(rng=rng)
     if name == "binpacking":
         return BinPackingAllocator
-    if name == "cram-ios-sharded":
-        return lambda: ShardedCramAllocator(
-            metric="ios", failure_budget=failure_budget
-        )
     if name in NAMES:  # the four cram-<metric> entries and INCREMENTAL
         metric = "ios" if name in INCREMENTAL else name[len("cram-"):]
         return lambda: CramAllocator(metric=metric, failure_budget=failure_budget)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Dict,
     Iterable,
@@ -56,7 +56,7 @@ from repro.core.kernel import ClosenessKernel
 from repro.core.poset import Poset
 from repro.core.profiles import PublisherDirectory, SubscriptionProfile
 from repro.core.relations import Relation, relationship
-from repro.core.units import AllocationUnit, units_from_records
+from repro.core.units import AllocationUnit
 from repro.obs import recorder as obs
 
 #: Marker used in the partner table for "GIF paired with itself".
@@ -85,9 +85,6 @@ class CramStats:
     # Fused-kernel diagnostics.
     kernel_fused_evaluations: int = 0
     kernel_memo_hits: int = 0
-    # Sharded Phase-2 diagnostics (zero for monolithic runs).
-    shard_count: int = 0
-    shard_fallbacks: int = 0
 
     @property
     def gif_reduction(self) -> float:
@@ -326,7 +323,9 @@ class CramAllocator:
         if not covered:
             return None
         anchor = parent.lightest_unit()
-        load_bound = anchor.delivery_bandwidth + pair_value_load_bound(parent, pair_value)
+        # The partner-side allowance is the parent's own lightest unit
+        # again: the partner is not threaded through.
+        load_bound = 2 * anchor.delivery_bandwidth
         cgs: List[Gif] = []
         cgs_profile: Optional[SubscriptionProfile] = None
         total_load = anchor.delivery_bandwidth
@@ -363,20 +362,6 @@ class CramAllocator:
             return None
         merge_units = [anchor] + [g.lightest_unit() for g in cgs]
         return state.try_merge(merge_units, sources=[parent] + cgs)
-
-
-def pair_value_load_bound(parent: Gif, pair_value: float) -> float:
-    """Load allowance contributed by the original pair's other side.
-
-    The paper bounds the CGS-parent cluster by "the load requirements of
-    the original GIF pair"; the parent's own lightest unit is counted by
-    the caller, so this returns the partner-side allowance.  We use the
-    parent's lightest-unit bandwidth again as a symmetric stand-in when
-    the partner's identity is not threaded through (the bound only
-    stops the greedy loop early; validity is still checked by the
-    closeness comparison and the allocation test).
-    """
-    return parent.lightest_unit().delivery_bandwidth
 
 
 class _CramState:
@@ -636,233 +621,3 @@ class _CramState:
         for gif_id, entry in list(self._entries.items()):
             if isinstance(entry.partner, Gif) and entry.partner.gif_id == gif.gif_id:
                 self._dirty.add(gif_id)
-
-
-# ----------------------------------------------------------------------
-# Sharded Phase 2 (paper §IV-D's recursion applied *inside* Phase 2)
-# ----------------------------------------------------------------------
-#
-# The partner search is quadratic in the GIF count, so splitting a pool
-# into S shards cuts the dominant cost by ~S on one core.  Shards are
-# allocated one after another, each by a fresh monolithic CRAM run, and
-# every shard-local broker bin becomes one *pseudo-subscription* merged
-# from its members; a final CRAM pass over the pseudo-units then plays
-# the role Phase 3 plays for brokers, recursively clustering the shard
-# results onto the real pool.
-#
-# Determinism: the shard partition is a pure function of the unit list
-# (GIF groups, first-occurrence order, greedy lightest-shard placement)
-# and shards are allocated and merged in partition order.
-
-
-def plan_shards(
-    units: Sequence[AllocationUnit], shards: int
-) -> Optional[List[List[AllocationUnit]]]:
-    """Deterministic GIF-whole partition of a subscription pool.
-
-    Units with equal profile signatures (one GIF) always land in the
-    same shard, so GIF grouping inside each shard sees exactly the
-    groups it would see monolithically.  Groups are taken in
-    first-occurrence order and placed greedily on the lightest shard by
-    summed delivery bandwidth (ties: lowest shard index) — a pure
-    function of the unit list.
-
-    Returns ``None`` when the pool is not shardable: fewer than two
-    usable shards, or any unit that is not a singleton subscription
-    (Phase-3 pseudo-unit pools keep the monolithic path).
-    """
-    if shards <= 1 or len(units) < 2 * shards:
-        return None
-    for unit in units:
-        if unit.kind != "subscription" or len(unit.members) != 1:
-            return None
-    groups: Dict[Tuple, List[AllocationUnit]] = {}
-    order: List[Tuple] = []
-    for unit in units:
-        signature = unit.profile.signature()
-        bucket = groups.get(signature)
-        if bucket is None:
-            groups[signature] = [unit]
-            order.append(signature)
-        else:
-            bucket.append(unit)
-    if len(order) < shards:
-        return None
-    loads = [0.0] * shards
-    buckets: List[List[AllocationUnit]] = [[] for _ in range(shards)]
-    for signature in order:
-        members = groups[signature]
-        weight = sum(unit.delivery_bandwidth for unit in members)
-        lightest = min(range(shards), key=lambda s: (loads[s], s))
-        buckets[lightest].extend(members)
-        loads[lightest] += weight
-    if any(not bucket for bucket in buckets):
-        return None
-    return buckets
-
-
-class ShardedCramAllocator:
-    """CRAM with intra-run sharded Phase 2.
-
-    Partitions the pool with :func:`plan_shards`, allocates each shard
-    with a fresh :class:`CramAllocator`, turns every shard-local broker
-    bin into one pseudo-subscription, and runs one final CRAM pass over
-    the pseudo-units — the paper's Phase-3 recursion applied inside
-    Phase 2.  Falls back to a single monolithic run whenever the pool
-    is unshardable or any shard (or the final pass) fails, so the
-    sharded allocator never succeeds less often than plain CRAM.
-
-    The shard count is fixed (default 4), so results are a function of
-    the pool alone.
-    """
-
-    def __init__(
-        self,
-        metric: Union[str, ClosenessMetric] = "ios",
-        shards: int = 4,
-        enable_gif_grouping: bool = True,
-        enable_pruning: bool = True,
-        enable_one_to_many: bool = True,
-        failure_budget: Optional[int] = None,
-        max_iterations: Optional[int] = None,
-    ):
-        if isinstance(metric, ClosenessMetric):
-            metric = metric.name
-        self.metric = metric
-        self.shards = max(1, int(shards))
-        self.enable_gif_grouping = enable_gif_grouping
-        self.enable_pruning = enable_pruning
-        self.enable_one_to_many = enable_one_to_many
-        self.failure_budget = failure_budget
-        self.max_iterations = max_iterations
-        self.name = f"cram-{metric}-sharded"
-        self.last_stats = CramStats()
-        #: Summed over every CRAM run of the last ``allocate``.
-        self.last_cut_passes = 0
-
-    def _make_allocator(self) -> CramAllocator:
-        return CramAllocator(
-            metric=self.metric,
-            enable_gif_grouping=self.enable_gif_grouping,
-            enable_pruning=self.enable_pruning,
-            enable_one_to_many=self.enable_one_to_many,
-            failure_budget=self.failure_budget,
-            max_iterations=self.max_iterations,
-        )
-
-    def _monolithic(
-        self,
-        units: List[AllocationUnit],
-        pool: List[BrokerSpec],
-        directory: PublisherDirectory,
-        after_sharding: bool,
-    ) -> AllocationResult:
-        allocator = self._make_allocator()
-        result = allocator.allocate(units, pool, directory)
-        self.last_cut_passes += allocator.last_cut_passes
-        self.last_stats = replace(
-            allocator.last_stats,
-            shard_count=0,
-            shard_fallbacks=1 if after_sharding else 0,
-        )
-        return result
-
-    def allocate(
-        self,
-        units: Sequence[AllocationUnit],
-        pool: Iterable[BrokerSpec],
-        directory: PublisherDirectory,
-    ) -> AllocationResult:
-        """Shard, allocate, merge, recurse — or fall back monolithic."""
-        units = list(units)
-        pool = list(pool)
-        self.last_cut_passes = 0
-        buckets = plan_shards(units, self.shards)
-        if buckets is None:
-            return self._monolithic(units, pool, directory, after_sharding=False)
-        runs: List[CramStats] = []
-        with obs.span("cram.sharding", shards=len(buckets), units=len(units)):
-            pseudo = self._pseudo_units(buckets, pool, directory, runs)
-        if pseudo is not None:
-            final = self._make_allocator()
-            result = final.allocate(pseudo, pool, directory)
-            self.last_cut_passes += final.last_cut_passes
-            if result.success:
-                runs.append(final.last_stats)
-                self.last_stats = self._aggregate_stats(units, len(buckets), runs)
-                return result
-        return self._monolithic(units, pool, directory, after_sharding=True)
-
-    def _pseudo_units(
-        self,
-        buckets: Sequence[Sequence[AllocationUnit]],
-        pool: List[BrokerSpec],
-        directory: PublisherDirectory,
-        runs: List[CramStats],
-    ) -> Optional[List[AllocationUnit]]:
-        """One pseudo-subscription per shard-local broker bin, shard order.
-
-        A bin's members are merged as the caller's singleton units, in
-        bin fill order, via :meth:`AllocationUnit.merged` — the same
-        profile-union Phase 3 applies to whole brokers.  Appends each
-        shard run's stats to ``runs``; returns ``None`` as soon as a
-        shard fails (monolithic fallback).
-        """
-        pseudo: List[AllocationUnit] = []
-        for bucket in buckets:
-            allocator = self._make_allocator()
-            # The shard runs on units rebuilt from its records: their
-            # IDs ascend in bucket order, so every unit-ID tie-break in
-            # the run depends on the bucket alone, not on how IDs fell
-            # across the whole pool.
-            result = allocator.allocate(
-                units_from_records(
-                    [unit.members[0] for unit in bucket], directory
-                ),
-                pool,
-                directory,
-            )
-            self.last_cut_passes += allocator.last_cut_passes
-            if not result.success:
-                return None
-            runs.append(allocator.last_stats)
-            own = {unit.members[0].sub_id: unit for unit in bucket}
-            for broker_bin in result.bins:
-                pseudo.append(
-                    AllocationUnit.merged(
-                        [
-                            own[record.sub_id]
-                            for unit in broker_bin.units
-                            for record in unit.members
-                        ],
-                        directory,
-                    )
-                )
-        return pseudo
-
-    @staticmethod
-    def _aggregate_stats(
-        units: Sequence[AllocationUnit],
-        shard_count: int,
-        runs: Sequence[CramStats],
-    ) -> CramStats:
-        """Sum the shard runs' and the final pass's (last) counters."""
-        stats = CramStats(
-            subscriptions=sum(unit.subscription_count for unit in units),
-            initial_units=len(units),
-            shard_count=shard_count,
-        )
-        for part in runs:
-            stats.initial_gifs += part.initial_gifs
-            stats.iterations += part.iterations
-            stats.merges += part.merges
-            stats.failures += part.failures
-            stats.closeness_evaluations += part.closeness_evaluations
-            stats.initial_search_evaluations += part.initial_search_evaluations
-            stats.binpack_runs += part.binpack_runs
-            stats.kernel_fused_evaluations += part.kernel_fused_evaluations
-            stats.kernel_memo_hits += part.kernel_memo_hits
-        stats.final_units = runs[-1].final_units
-        stats.returned_iteration = runs[-1].returned_iteration
-        stats.merges_past_best = runs[-1].merges_past_best
-        return stats

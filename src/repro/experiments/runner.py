@@ -59,7 +59,7 @@ BASE_APPROACHES: Tuple[str, ...] = (
 
 #: Every runnable approach: the paper's ten (two baselines, two
 #: related derivatives, two sorting allocators, four CRAM closeness
-#: metrics), then sharded CRAM and the two online strategies.
+#: metrics), then the two online strategies.
 APPROACHES: Tuple[str, ...] = BASE_APPROACHES + allocators.NAMES
 
 #: Virtual seconds allowed for control traffic to quiesce after a

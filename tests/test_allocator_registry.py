@@ -12,11 +12,11 @@ from repro.experiments.runner import APPROACHES, ExperimentRunner
 from repro.workloads.scenarios import cluster_homogeneous
 
 #: Every approach the evaluation runs, in presentation order.
-THIRTEEN = (
+TWELVE = (
     "manual", "automatic", "pairwise-k", "pairwise-n",
     "fbf", "binpacking",
     "cram-intersect", "cram-xor", "cram-ios", "cram-iou",
-    "cram-ios-sharded", "inc-trade", "fij-trade",
+    "inc-trade", "fij-trade",
 )
 
 
@@ -45,8 +45,9 @@ class TestRegistryContract:
             assert allocators.get(name)().name == expected
 
     def test_get_unknown_name_raises_with_inventory(self):
-        with pytest.raises(ValueError, match="unknown allocator.*binpacking"):
-            allocators.get("cram-cosine")
+        for name in ("cram-cosine", "cram-ios-sharded"):
+            with pytest.raises(ValueError, match="unknown allocator.*binpacking"):
+                allocators.get(name)
 
     def test_builders_ignore_foreign_knobs(self):
         factory = allocators.get("binpacking", rng=object(), failure_budget=1)
@@ -62,17 +63,18 @@ class TestRunnerIntegration:
         assert APPROACHES[:4] == ("manual", "automatic", "pairwise-k", "pairwise-n")
         assert APPROACHES[4:] == allocators.NAMES
 
-    def test_approaches_are_the_thirteen_in_order(self):
-        assert len(APPROACHES) == len(THIRTEEN)
-        for ours, expected in zip(APPROACHES, THIRTEEN):
+    def test_approaches_are_the_twelve_in_order(self):
+        assert len(APPROACHES) == len(TWELVE)
+        for ours, expected in zip(APPROACHES, TWELVE):
             assert ours == expected
 
     def test_runner_rejects_unregistered_approach(self):
         scenario = cluster_homogeneous(
             subscriptions_per_publisher=8, scale=0.1, measurement_time=10.0
         )
-        with pytest.raises(ValueError, match="unknown approach"):
-            ExperimentRunner(scenario, seed=7).run("toy")
+        for approach in ("toy", "cram-ios-sharded"):
+            with pytest.raises(ValueError, match="unknown approach"):
+                ExperimentRunner(scenario, seed=7).run(approach)
 
     def test_online_one_shot_equals_cram_ios_with_its_stats(self):
         """``inc-trade`` / ``fij-trade`` allocate with CRAM-IOS, so a

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.core.config import RunConfig
-from repro.core.cram import CramAllocator, ShardedCramAllocator
+from repro.core.cram import CramAllocator
 from repro.core.fbf import first_fit
 from repro.core.online import OnlineSpec
 from repro.core.pairwise import PairwiseAllocator
@@ -40,12 +40,12 @@ def test_runconfig_validates_and_feeds_builders():
 
 
 def test_allocators_take_no_path_selecting_parameter():
-    for allocator in (CramAllocator, ShardedCramAllocator, PairwiseAllocator):
+    for allocator in (CramAllocator, PairwiseAllocator):
         parameters = inspect.signature(allocator).parameters
         assert not [name for name in parameters
                     if "kernel" in name or "columnar" in name], allocator
     with pytest.raises(TypeError, match="runner"):
-        ShardedCramAllocator(runner=list)
+        CramAllocator(runner=list)
 
 
 def _pool_constructions(root):

@@ -71,8 +71,7 @@ _CRAM_IOS = {
               "failures": 0, "closeness_evaluations": 16837,
               "returned_iteration": 271, "merges_past_best": 0,
               "initial_search_evaluations": 7147, "binpack_runs": 348,
-              "kernel_fused_evaluations": 6689, "kernel_memo_hits": 10148,
-              "shard_count": 0, "shard_fallbacks": 0},
+              "kernel_fused_evaluations": 6689, "kernel_memo_hits": 10148},
 }
 
 PINS: Dict[str, Dict[str, Any]] = {
@@ -84,8 +83,7 @@ PINS: Dict[str, Dict[str, Any]] = {
               "failures": 33, "closeness_evaluations": 18630,
               "returned_iteration": 216, "merges_past_best": 63,
               "initial_search_evaluations": 7147, "binpack_runs": 367,
-              "kernel_fused_evaluations": 6845, "kernel_memo_hits": 11785,
-              "shard_count": 0, "shard_fallbacks": 0},
+              "kernel_fused_evaluations": 6845, "kernel_memo_hits": 11785},
     },
     "cram-xor": {
         "brokers": 6, "placement": "09845496a73f45e2", "tree": "0b3a5cc747b413e8",
@@ -94,8 +92,7 @@ PINS: Dict[str, Dict[str, Any]] = {
               "failures": 15, "closeness_evaluations": 219399,
               "returned_iteration": 289, "merges_past_best": 2,
               "initial_search_evaluations": 56940, "binpack_runs": 388,
-              "kernel_fused_evaluations": 34854, "kernel_memo_hits": 184545,
-              "shard_count": 0, "shard_fallbacks": 0},
+              "kernel_fused_evaluations": 34854, "kernel_memo_hits": 184545},
     },
     "fij-trade": _CRAM_IOS,
 }
@@ -107,8 +104,7 @@ NO_FIT_PIN: Dict[str, Any] = {
               "failures": 0, "closeness_evaluations": 0,
               "returned_iteration": 0, "merges_past_best": 0,
               "initial_search_evaluations": 0, "binpack_runs": 1,
-              "kernel_fused_evaluations": 0, "kernel_memo_hits": 0,
-              "shard_count": 0, "shard_fallbacks": 0},
+              "kernel_fused_evaluations": 0, "kernel_memo_hits": 0},
 }
 
 

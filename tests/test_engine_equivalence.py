@@ -318,11 +318,14 @@ def test_prop_logged_delivery_equals_one_event_per_delivery(
 #: other four gathered nothing stale and hold their values.
 #: ``CramStats.returned_iteration`` and ``merges_past_best`` came later
 #: and are left out of the digest, so every recorded digest holds
-#: (tests/test_cram_path_pins.py pins both on its own pools).
+#: (tests/test_cram_path_pins.py pins both on its own pools).  All six
+#: were re-pinned once more when ``CramStats`` lost the two always-zero
+#: counters of the deleted shard allocator; putting them back as zeros
+#: reproduces every previous digest.
 FAULT_PLAN_ROWS = {
-    "loss_rate": (0.05, {1: "49cdd644c7ce74e7", 2: "184dd780e6fe3cd0"}),
-    "jitter": (0.05, {1: "6616b318055da89f", 2: "1ba3ea63ddae1d68"}),
-    "crash_fraction": (0.25, {1: "edd01812cebfe110", 2: "3853bd5dbe0d392d"}),
+    "loss_rate": (0.05, {1: "8804e8f81924e77c", 2: "354c28da79a044d5"}),
+    "jitter": (0.05, {1: "1709ff7d9f88ca41", 2: "8bbb01b9ecbc70d1"}),
+    "crash_fraction": (0.25, {1: "1ad4eca344ba38eb", 2: "a4a4aeab3592a61c"}),
 }
 
 

@@ -47,18 +47,16 @@ def deterministic_snapshot(result) -> dict:
 class TestAttachedDetachedIdentity:
     def test_single_cell_attached_equals_detached(self):
         scenario = tiny_homo()[0]
-        for approach in ("manual", "binpacking", "cram-ios", "cram-ios-sharded"):
+        for approach in ("manual", "binpacking", "cram-ios"):
             spec = CellSpec(scenario=scenario, approach=approach, seed=11)
             detached = run_spec(spec)
             attached = run_spec(observed(spec))
             assert comparable(detached) == comparable(attached), approach
             assert detached.obs is None
             assert attached.obs is not None
-        # The shard runs are recorded like any other CRAM run: four
-        # shards and the final pass under one sharding span.
+        # One CRAM run, recorded as one clustering span.
         names = [span["name"] for span in attached.obs["spans"]]
-        assert names.count("cram.sharding") == 1
-        assert names.count("cram.clustering") == attached.cram_stats.shard_count + 1 == 5
+        assert names.count("cram.clustering") == 1
 
     def test_attached_under_fault_plan(self):
         scenario = tiny_homo(4)[0]

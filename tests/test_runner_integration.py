@@ -39,10 +39,9 @@ class TestPipeline:
         with pytest.raises(ValueError):
             ExperimentRunner(tiny_scenario).run("simulated-annealing")
 
-    def test_approaches_constant_lists_all_thirteen(self):
-        # 4 baselines + 6 registry builtins + sharded CRAM + 2 online.
-        assert len(APPROACHES) == 13
-        assert "cram-ios-sharded" in APPROACHES
+    def test_approaches_constant_lists_all_twelve(self):
+        # 4 baselines + 6 registry builtins + 2 online.
+        assert len(APPROACHES) == 12
         assert "inc-trade" in APPROACHES
         assert "fij-trade" in APPROACHES
 
