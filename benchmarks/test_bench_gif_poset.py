@@ -17,17 +17,26 @@ import pytest
 from conftest import BENCH_SCALE, BENCH_SUBS, print_figure
 from repro.core.closeness import make_metric
 from repro.core.gif import build_gifs, gif_reduction_ratio
+from repro.core.kernel import ClosenessKernel
 from repro.core.poset import Poset
 from repro.core.units import units_from_records
 from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_homogeneous
 
 
-def _units(subs):
+def _pool(subs):
     scenario = cluster_homogeneous(subscriptions_per_publisher=subs,
                                    scale=BENCH_SCALE)
     gathered = offline_gather(scenario, seed=2011)
-    return units_from_records(gathered.records, gathered.directory)
+    units = units_from_records(gathered.records, gathered.directory)
+    return units, gathered.directory
+
+
+def _gifs_and_kernel(subs):
+    """The GIFs of a pool and the pool's kernel, as CRAM builds its poset."""
+    units, directory = _pool(subs)
+    kernel = ClosenessKernel.for_pool(directory, [unit.profile for unit in units])
+    return build_gifs(units), kernel
 
 
 def test_tab_gif_reduction(benchmark):
@@ -40,7 +49,7 @@ def test_tab_gif_reduction(benchmark):
                     100 * gif_reduction_ratio(len(units), len(build_gifs(units))), 1
                 ),
             }
-            for units in (_units(subs) for subs in BENCH_SUBS)
+            for units, _ in (_pool(subs) for subs in BENCH_SUBS)
         ],
         rounds=1,
         iterations=1,
@@ -51,11 +60,10 @@ def test_tab_gif_reduction(benchmark):
 
 
 def test_tab_poset_insertion_time(benchmark):
-    units = _units(BENCH_SUBS[-1])
-    gifs = build_gifs(units)
+    gifs, kernel = _gifs_and_kernel(BENCH_SUBS[-1])
 
     def insert_all():
-        poset = Poset()
+        poset = Poset(kernel)
         for gif in gifs:
             poset.insert(gif)
         return poset
@@ -67,9 +75,8 @@ def test_tab_poset_insertion_time(benchmark):
 
 def test_tab_pruning_saves_closeness_evaluations(benchmark):
     """Pruned initial closest-partner search vs exhaustive scan."""
-    units = _units(BENCH_SUBS[-1])
-    gifs = build_gifs(units)
-    poset = Poset()
+    gifs, kernel = _gifs_and_kernel(BENCH_SUBS[-1])
+    poset = Poset(kernel)
     for gif in gifs:
         poset.insert(gif)
 

@@ -103,9 +103,7 @@ class StandingOrder:
             cuttable=rate_never_refuses(packed_pool, kernel, subscriptions),
         )
 
-    def first_fit(
-        self, directory: PublisherDirectory, stop_above: Optional[int] = None
-    ) -> AllocationResult:
+    def first_fit(self, stop_above: Optional[int] = None) -> AllocationResult:
         """BIN PACKING of the order's units onto its pool.
 
         With ``stop_above``, a pass that has proved it succeeds with more
@@ -118,7 +116,7 @@ class StandingOrder:
         """
         with obs.span("binpacking.first_fit", units=self.size):
             return first_fit_runs(
-                self.runs, self.pool, directory, self.kernel,
+                self.runs, self.pool, self.kernel,
                 stop_above if self.cuttable else None, self.bandwidth,
             )
 

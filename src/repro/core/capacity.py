@@ -15,7 +15,10 @@ output bandwidth is the sum of the delivery bandwidths of the allocated
 units, and the incoming publication rate is the rate of the per-
 publisher **union** of the allocated profiles — a broker receives each
 needed publication once, no matter how many of its subscriptions want
-it.  The union is what rewards co-locating similar subscriptions.
+it.  The union is what rewards co-locating similar subscriptions.  It is
+held packed, one integer over a :class:`~repro.core.kernel.
+ClosenessKernel`'s planes; ``tests/first_fit_oracle.py`` keeps the
+per-publisher ``BitVector`` walk the packed test is exact against.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.bitvector import BitVector
 from repro.core.kernel import ClosenessKernel, PackedProfile
-from repro.core.profiles import PublisherDirectory
 from repro.core.units import AllocationUnit, approx_le
 
 
@@ -88,40 +89,35 @@ def packed_unit(unit: AllocationUnit, kernel: ClosenessKernel) -> PackedProfile:
 
 
 class BrokerBin:
-    """A broker being filled during an allocation run."""
+    """A broker being filled during an allocation run.
+
+    The per-publisher union is one packed integer over ``kernel``'s
+    planes; every unit the bin is offered must fit them.
+    """
 
     __slots__ = (
         "spec",
-        "_directory",
         "units",
         "used_bandwidth",
         "subscription_count",
         "input_rate",
-        "_adv_vectors",
-        "_adv_cardinality",
         "_kernel",
         "_packed_bits",
     )
 
-    def __init__(self, spec: BrokerSpec, directory: PublisherDirectory):
+    def __init__(self, spec: BrokerSpec, kernel: ClosenessKernel):
         self.spec = spec
-        self._directory = directory
         self.units: List[AllocationUnit] = []
         self.used_bandwidth = 0.0
         self.subscription_count = 0
         self.input_rate = 0.0
-        self._adv_vectors: Dict[str, BitVector] = {}
-        self._adv_cardinality: Dict[str, int] = {}
-        # A bin of a packed pool (:meth:`from_packed_state`) keeps the
-        # per-publisher union as one packed integer instead.
-        self._kernel: Optional[ClosenessKernel] = None
+        self._kernel = kernel
         self._packed_bits = 0
 
     @classmethod
     def from_packed_state(
         cls,
         spec: BrokerSpec,
-        directory: PublisherDirectory,
         kernel: ClosenessKernel,
         units: List[AllocationUnit],
         used_bandwidth: float,
@@ -134,8 +130,7 @@ class BrokerBin:
         The bin keeps accepting units of the same pool exactly as one
         filled by :meth:`add` alone would.
         """
-        bin_ = cls(spec, directory)
-        bin_._kernel = kernel
+        bin_ = cls(spec, kernel)
         bin_.units = units
         bin_.used_bandwidth = used_bandwidth
         bin_.subscription_count = subscription_count
@@ -160,42 +155,6 @@ class BrokerBin:
     def is_empty(self) -> bool:
         return not self.units
 
-    def _publisher_window(self, adv_id: str, vector: BitVector) -> int:
-        publisher = self._directory.get(adv_id)
-        if publisher is None:
-            return vector.capacity
-        window = publisher.last_message_id - vector.first_id + 1
-        return max(1, min(vector.capacity, window))
-
-    def _rate_increase(self, unit: AllocationUnit) -> float:
-        """Input-rate delta if ``unit`` joined this broker.
-
-        Only the publications *not already flowing* to the broker add
-        input load — the per-publisher union captures that.
-        """
-        if self._kernel is not None:
-            return packed_unit(unit, self._kernel).rate_increase(self._packed_bits)
-        increase = 0.0
-        for adv_id, vector in unit.profile.items():
-            if not vector:
-                continue
-            publisher = self._directory.get(adv_id)
-            if publisher is None:
-                continue
-            current = self._adv_vectors.get(adv_id)
-            if current is None:
-                new_cardinality = vector.cardinality
-                old_cardinality = 0
-            else:
-                new_cardinality = current.union_cardinality(vector)
-                old_cardinality = self._adv_cardinality[adv_id]
-            if new_cardinality == old_cardinality:
-                continue
-            window = self._publisher_window(adv_id, vector)
-            fraction = (new_cardinality - old_cardinality) / window
-            increase += min(1.0, fraction) * publisher.publication_rate
-        return increase
-
     # ------------------------------------------------------------------
     # Feasibility and mutation
     # ------------------------------------------------------------------
@@ -212,28 +171,16 @@ class BrokerBin:
         function = self.spec.delay_function
         delay = function.base + function.per_subscription * subscription_count
         max_rate = math.inf if delay <= 0 else 1.0 / delay
-        return approx_le(self.input_rate + self._rate_increase(unit), max_rate)
+        # Only the publications *not already flowing* to the broker add
+        # input load: the per-publisher union captures that.
+        increase = packed_unit(unit, self._kernel).rate_increase(self._packed_bits)
+        return approx_le(self.input_rate + increase, max_rate)
 
     def add(self, unit: AllocationUnit) -> None:
         """Place ``unit`` on this broker (caller checked feasibility)."""
-        self.input_rate += self._rate_increase(unit)
-        self._absorb(unit)
-
-    def _absorb(self, unit: AllocationUnit) -> None:
-        """Fold ``unit`` into the per-publisher union and bookkeeping."""
-        if self._kernel is not None:
-            self._packed_bits |= packed_unit(unit, self._kernel).bits
-        else:
-            for adv_id, vector in unit.profile.items():
-                if not vector:
-                    continue
-                current = self._adv_vectors.get(adv_id)
-                if current is None:
-                    merged = vector.copy()
-                else:
-                    merged = current.union(vector)
-                self._adv_vectors[adv_id] = merged
-                self._adv_cardinality[adv_id] = merged.cardinality
+        packed = packed_unit(unit, self._kernel)
+        self.input_rate += packed.rate_increase(self._packed_bits)
+        self._packed_bits |= packed.bits
         self.units.append(unit)
         self.used_bandwidth += unit.delivery_bandwidth
         self.subscription_count += unit.subscription_count

@@ -551,16 +551,14 @@ class _CramState:
     def allocate_unclustered(self) -> AllocationResult:
         """The base pass: plain BIN PACKING of the initial units."""
         self.stats.binpack_runs += 1
-        return self._order.first_fit(self.directory)
+        return self._order.first_fit()
 
     def probe_merge(
         self, merge_units: Sequence[AllocationUnit]
     ) -> Optional[AllocationResult]:
         """Test-allocate the pool with ``merge_units`` fused; no commit."""
         merged = AllocationUnit.merged(list(merge_units), self.directory, kernel=self.kernel)
-        result = self._order.after_merge(merge_units, merged).first_fit(
-            self.directory, self.stop_above
-        )
+        result = self._order.after_merge(merge_units, merged).first_fit(self.stop_above)
         self.stats.binpack_runs += 1
         if isinstance(result, CutResult):
             self.cut_passes += 1

@@ -9,6 +9,10 @@ as soon as one subscription fits nowhere.
 
 Complexity: O(S) in the number of subscriptions (the paper assumes
 S >> number of brokers).
+
+FBF, BIN PACKING and CRAM's probes share one feasibility pass,
+:func:`first_fit_runs`, over profiles packed by a
+:class:`~repro.core.kernel.ClosenessKernel`.
 """
 
 from __future__ import annotations
@@ -110,19 +114,14 @@ def first_fit(
 
     Shared engine of FBF and BIN PACKING: the two differ only in how
     they order the unit sequence.  Each unit goes to the first broker
-    (most resourceful first) that passes the feasibility test.  CRAM's
-    packed pools take :func:`first_fit_runs` instead (same results, far
-    fewer bin tests).
+    (most resourceful first) that passes the feasibility test.  The
+    units are packed over a kernel of their own profiles and placed by
+    :func:`first_fit_runs`, CRAM's pass.
     """
-    bins = [BrokerBin(spec, directory) for spec in sorted_broker_pool(pool)]
-    for unit in ordered_units:
-        for bin_ in bins:
-            if bin_.can_accept(unit):
-                bin_.add(unit)
-                break
-        else:
-            return AllocationResult(bins, success=False, failed_unit=unit)
-    return AllocationResult(bins, success=True)
+    kernel = ClosenessKernel.for_pool(directory, [unit.profile for unit in ordered_units])
+    return first_fit_runs(
+        unit_runs(ordered_units, kernel), pool_columns(sorted_broker_pool(pool)), kernel
+    )
 
 
 def rate_never_refuses(
@@ -152,20 +151,19 @@ def rate_never_refuses(
 def first_fit_runs(
     runs: Iterable[UnitRun],
     pool: PackedPool,
-    directory: PublisherDirectory,
     kernel: ClosenessKernel,
     stop_above: Optional[int] = None,
     bandwidth_total: float = 0.0,
 ) -> AllocationResult:
     """First fit over runs of twins and flat packed bin state.
 
-    The first member of a run scans the bins exactly as the
-    :class:`BrokerBin` loop would: same tolerance checks, same inlined
-    delay arithmetic, same memoized packed rate deltas.  Its twins then
-    join the bin it landed in for as long as that bin takes them — the
-    bin already holds their bits, so their rate delta is exactly
-    ``0.0`` and only the bandwidth sum and the matching-rate ceiling
-    (which falls as subscriptions arrive) are re-checked.  When a twin
+    The first member of a run scans the bins exactly as a unit-by-unit
+    loop of :meth:`BrokerBin.can_accept` would: same tolerance checks,
+    same inlined delay arithmetic, same memoized packed rate deltas.
+    Its twins then join the bin it landed in for as long as that bin
+    takes them — the bin already holds their bits, so their rate delta
+    is exactly ``0.0`` and only the bandwidth sum and the matching-rate
+    ceiling (which falls as subscriptions arrive) are re-checked.  When a twin
     is turned away the scan resumes at the *next* bin, never at bin 0:
     first fit touched no earlier bin since each of them turned the
     run's first member away, so they would turn this one away too.
@@ -182,7 +180,9 @@ def first_fit_runs(
     sends the scan back to bin 0.
 
     Every accepted unit sees the float operations of the one-by-one
-    loop in the same order, so the result is bit-identical.
+    loop in the same order, so the result is bit-identical to it and to
+    the per-publisher ``BitVector`` walk ``tests/first_fit_oracle.py``
+    keeps as this pass's oracle.
 
     The pass builds no :class:`BrokerBin`: it logs each placement as
     ``(bin, run members, first, stop)`` beside its flat columns, which
@@ -295,7 +295,7 @@ def first_fit_runs(
             break
         remaining -= bandwidth * size
     return AllocationResult.deferred(
-        partial(_packed_bins, pool, directory, kernel, placements,
+        partial(_packed_bins, pool, kernel, placements,
                 used, subscription_counts, input_rates, union_bits),
         broker_count=opened,
         success=failed is None,
@@ -305,7 +305,6 @@ def first_fit_runs(
 
 def _packed_bins(
     pool: PackedPool,
-    directory: PublisherDirectory,
     kernel: ClosenessKernel,
     placements: List[Placement],
     used: List[float],
@@ -320,7 +319,6 @@ def _packed_bins(
     return [
         BrokerBin.from_packed_state(
             pool.specs[index],
-            directory,
             kernel,
             contents[index],
             used[index],

@@ -134,9 +134,7 @@ class GrapeRelocator:
                     vector = record.profile.vector(adv_id)
                     if vector is None or not vector:
                         continue
-                    window = max(
-                        1, min(vector.capacity, publisher.last_message_id - vector.first_id + 1)
-                    )
+                    window = publisher.observed_window(vector.first_id, vector.capacity)
                     delivery += min(1.0, vector.cardinality / window) * publisher.publication_rate
                     union_vector = (
                         vector.copy() if union_vector is None else union_vector.union(vector)
@@ -144,12 +142,8 @@ class GrapeRelocator:
             if union_vector is None:
                 needs[broker_id] = (0.0, 0.0)
             else:
-                window = max(
-                    1,
-                    min(
-                        union_vector.capacity,
-                        publisher.last_message_id - union_vector.first_id + 1,
-                    ),
+                window = publisher.observed_window(
+                    union_vector.first_id, union_vector.capacity
                 )
                 fraction = min(1.0, union_vector.cardinality / window)
                 needs[broker_id] = (fraction, delivery)
@@ -279,7 +273,5 @@ class GrapeRelocator:
     def _vector_rate(vector: Optional[BitVector], publisher: PublisherProfile) -> float:
         if vector is None or not vector:
             return 0.0
-        window = max(
-            1, min(vector.capacity, publisher.last_message_id - vector.first_id + 1)
-        )
+        window = publisher.observed_window(vector.first_id, vector.capacity)
         return min(1.0, vector.cardinality / window) * publisher.publication_rate

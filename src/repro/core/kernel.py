@@ -1,13 +1,13 @@
-"""Fused bit-plane closeness kernel (CRAM clustering).
+"""Fused bit-plane kernel: the one representation allocation runs on.
 
-Closeness evaluation is not where most of CRAM's Phase-2 time goes —
-the bin-packing probes are — but without this kernel it would be: the
-benchmark's allocation-only workload (``plan_offline``) takes 3.5x as
-long on the kernel-less path.  That path walks a per-publisher dict of
-:class:`~repro.core.bitvector.BitVector` per evaluation, re-aligns each
-pair of windows with big-int shifts, and repeats the walk for every
-metric component.  After Phase 1 all profiles are synchronized against
-the publisher directory (croc/offline both call
+Every feasibility test in ``src/`` — FBF, BIN PACKING, CRAM's probes,
+Phase 3's takeover and best-fit passes, PAIRWISE's forced assignment —
+and CRAM's closeness, merges and coverage tests read profiles packed by
+this kernel.  The per-publisher dict of
+:class:`~repro.core.bitvector.BitVector` walk they replace lives on in
+``tests/`` as their oracle (``tests/first_fit_oracle.py`` for the bins,
+``tests/naive_cram.py`` for CRAM).  After Phase 1 all profiles are
+synchronized against the publisher directory (croc/offline both call
 ``SubscriptionProfile.synchronize``), so the per-publisher windows of
 every profile in a pool coincide — which means the whole dict-of-
 vectors representation can be flattened once:
@@ -31,9 +31,9 @@ silent broker did to the reports.  Equal windows in give equal windows
 out of every OR-merge, so a packed pool stays packed.  A profile that
 does not fit is an error, not a slower mode: :meth:`ClosenessKernel.
 for_pool` and :meth:`ClosenessKernel.pack` raise ``ValueError`` naming
-the publisher.  The kernel changes only wall-clock time
-(``tests/test_kernel_equivalence.py`` pins every value and counter
-against the kernel-less reference in ``tests/naive_cram.py``).
+the publisher.  ``tests/test_kernel_equivalence.py`` and
+``tests/test_first_fit_runs.py`` pin every value and counter against
+the oracles.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class Plane:
         #: ``(first_id, capacity)`` — the exact window a vector must
         #: occupy to be packable onto this plane.
         self.span = (first_id, capacity)
-        #: Observed-slot count used by the rate estimate, precomputed
-        #: with the same clamp as ``BrokerBin._publisher_window``.
+        #: Observed-slot count used by the rate estimate
+        #: (``PublisherProfile.observed_window``), precomputed.
         self.window = window
         #: Publisher publication rate; 0.0 when the publisher is absent
         #: from the directory (the naive path skips those terms, and
@@ -146,11 +146,11 @@ class PackedProfile:
 class ClosenessKernel:
     """Packs a pool once, then serves fused pairwise set cardinalities.
 
-    Drop-in acceleration behind :class:`~repro.core.closeness.
-    ClosenessMetric` (via ``attach_kernel``), the run-length first fit
-    (packed union/rate bookkeeping), ``AllocationUnit.merged`` (packed
-    OR-merge), and the poset builder (packed ``covers``).  Built by
-    :meth:`for_pool` only.
+    Serves :class:`~repro.core.closeness.ClosenessMetric` (via
+    ``attach_kernel``), every broker bin and first-fit pass (packed
+    union/rate bookkeeping), ``AllocationUnit.merged`` (packed OR-merge),
+    and the poset builder (packed ``covers``).  Built by :meth:`for_pool`
+    only.
     """
 
     def __init__(self, directory: PublisherDirectory, windows: Mapping[str, Window]):
@@ -164,7 +164,7 @@ class ClosenessKernel:
                 window = capacity
                 rate = 0.0
             else:
-                window = max(1, min(capacity, publisher.last_message_id - first_id + 1))
+                window = publisher.observed_window(first_id, capacity)
                 rate = publisher.publication_rate
             self.planes[adv_id] = Plane(adv_id, offset, first_id, capacity, window, rate)
             offset += capacity

@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.capacity import AllocationResult, BrokerBin, BrokerSpec, sorted_broker_pool
 from repro.core.deployment import BrokerTree
+from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherDirectory
 from repro.core.units import AllocationUnit
 
@@ -99,6 +100,10 @@ class OverlayBuilder:
             # overlay exists (publishers still need somewhere to attach).
             best = sorted_broker_pool(pool)[0]
             return self._finish(best.broker_id, children, broker_units)
+        # Pseudo-units OR-merge Phase-2 profiles, so they fit these planes.
+        kernel = ClosenessKernel.for_pool(
+            directory, [unit.profile for units in broker_units.values() for unit in units]
+        )
 
         while len(current) > 1:
             stats.layers += 1
@@ -132,11 +137,11 @@ class OverlayBuilder:
             remaining = [spec for spec in remaining if spec.broker_id not in used]
             if self.takeover_children:
                 self._takeover_pass(layer, children, broker_units, specs,
-                                    remaining, used, directory, stats)
+                                    remaining, used, kernel, stats)
             if self.best_fit_replacement:
                 remaining = self._best_fit_pass(
                     layer, children, broker_units, specs, remaining, used,
-                    directory, stats
+                    kernel, stats
                 )
             if len(layer) >= len(current):
                 current = self._fallback_layer(
@@ -158,7 +163,7 @@ class OverlayBuilder:
         specs: Dict[str, BrokerSpec],
         remaining: List[BrokerSpec],
         used: Set[str],
-        directory: PublisherDirectory,
+        kernel: ClosenessKernel,
         stats: OverlayBuildStats,
     ) -> None:
         """Optimization B: parents absorb under-utilized children.
@@ -192,7 +197,7 @@ class OverlayBuilder:
                     for unit in broker_units[parent_id]
                     if unit.child_broker_ids != (child_id,)
                 ] + list(broker_units[child_id])
-                bin_ = BrokerBin(specs[parent_id], directory)
+                bin_ = BrokerBin(specs[parent_id], kernel)
                 feasible = True
                 for unit in candidate_units:
                     if bin_.can_accept(unit):
@@ -221,7 +226,7 @@ class OverlayBuilder:
         specs: Dict[str, BrokerSpec],
         remaining: List[BrokerSpec],
         used: Set[str],
-        directory: PublisherDirectory,
+        kernel: ClosenessKernel,
         stats: OverlayBuildStats,
     ) -> List[BrokerSpec]:
         """Optimization C: swap each broker for the tightest-fitting one."""
@@ -232,7 +237,7 @@ class OverlayBuilder:
             for candidate in remaining:
                 if candidate.total_output_bandwidth >= current_spec.total_output_bandwidth:
                     continue
-                bin_ = BrokerBin(candidate, directory)
+                bin_ = BrokerBin(candidate, kernel)
                 if all(self._try_add(bin_, unit) for unit in units):
                     if best is None or (
                         candidate.total_output_bandwidth < best.total_output_bandwidth

@@ -149,11 +149,12 @@ class PairwiseAllocator:
         Pairwise is capacity-unaware: overload simply happens, and the
         evaluation measures its consequences.
         """
+        kernel = ClosenessKernel.for_pool(directory, [cluster.profile for cluster in clusters])
         bins: Dict[str, BrokerBin] = {}
         for cluster, spec in zip(clusters, targets):
             bin_ = bins.get(spec.broker_id)
             if bin_ is None:
-                bin_ = BrokerBin(spec, directory)
+                bin_ = BrokerBin(spec, kernel)
                 bins[spec.broker_id] = bin_
             bin_.add(cluster)
         return AllocationResult(list(bins.values()), success=True)

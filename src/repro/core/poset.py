@@ -84,12 +84,12 @@ def _ordered_children(node: PosetNode) -> List[PosetNode]:
 class Poset:
     """DAG of GIFs ordered by bit-vector coverage.
 
-    An optional fused ``kernel`` accelerates the coverage tests that
-    dominate insertion; :meth:`validate` deliberately stays on the
-    naive path so it remains an independent check.
+    The pool's fused ``kernel`` answers the coverage tests that dominate
+    insertion; :meth:`validate` deliberately stays on the naive path so
+    it remains an independent check.
     """
 
-    def __init__(self, kernel: Optional["ClosenessKernel"] = None):
+    def __init__(self, kernel: "ClosenessKernel"):
         self.root = PosetNode(None)
         self._nodes: Dict[int, PosetNode] = {}
         self._kernel = kernel
@@ -109,10 +109,7 @@ class Poset:
         key = (node.gif.gif_id, other.gif.gif_id)
         verdict = self._cover_memo.get(key)
         if verdict is None:
-            if self._kernel is not None:
-                verdict = self._kernel.covers(node.gif.profile, other.gif.profile)
-            else:
-                verdict = node.gif.profile.covers(other.gif.profile)
+            verdict = self._kernel.covers(node.gif.profile, other.gif.profile)
             self._cover_memo[key] = verdict
         return verdict
 

@@ -72,6 +72,11 @@ class PublisherProfile:
             return 0.0
         return self.bandwidth / self.publication_rate
 
+    def observed_window(self, first_id: int, capacity: int) -> int:
+        """Publication slots a vector of ``capacity`` bits starting at
+        ``first_id`` had a chance to see (at least one)."""
+        return max(1, min(capacity, self.last_message_id - first_id + 1))
+
     def record_publication(self, message_id: int, size_kb: Optional[float] = None) -> None:
         """Advance the last-seen message ID (monotonically)."""
         if message_id > self.last_message_id:
@@ -168,18 +173,12 @@ class SubscriptionProfile:
     # ------------------------------------------------------------------
     # Load estimation
     # ------------------------------------------------------------------
-    def _observed_window(self, adv_id: str, publisher: PublisherProfile) -> int:
-        """Number of publication slots the vector had a chance to see."""
-        vector = self._vectors[adv_id]
-        window = publisher.last_message_id - vector.first_id + 1
-        return max(1, min(vector.capacity, window))
-
     def fraction(self, adv_id: str, publisher: PublisherProfile) -> float:
         """Fraction of ``adv_id``'s publications this subscription sinks."""
         vector = self._vectors.get(adv_id)
         if vector is None:
             return 0.0
-        window = self._observed_window(adv_id, publisher)
+        window = publisher.observed_window(vector.first_id, vector.capacity)
         return min(1.0, vector.cardinality / window)
 
     def estimated_rate(self, directory: PublisherDirectory) -> float:

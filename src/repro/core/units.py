@@ -172,7 +172,7 @@ class AllocationUnit:
         cls,
         units: Sequence["AllocationUnit"],
         directory: PublisherDirectory,
-        kernel: Optional["ClosenessKernel"] = None,
+        kernel: "ClosenessKernel",
     ) -> "AllocationUnit":
         """Cluster several units into one (CRAM's OR-merge).
 
@@ -185,9 +185,8 @@ class AllocationUnit:
         each subscriber still receives its own copy, and each child
         broker still gets its own downlink stream.
 
-        With a fused ``kernel`` the profile OR-merge happens on packed
-        bits (one big-int pass); the result is bit-identical to the
-        naive merge.
+        The profile OR-merge happens on ``kernel``'s packed bits (one
+        big-int pass); the result is bit-identical to the naive merge.
         """
         if not units:
             raise ValueError("cannot merge zero units")
@@ -196,10 +195,7 @@ class AllocationUnit:
             raise ValueError(f"cannot merge units of mixed kinds {sorted(kinds)}")
         if len(units) == 1:
             return units[0]
-        if kernel is not None:
-            profile = kernel.merge_profiles([unit.profile for unit in units])
-        else:
-            profile = merge_profiles(unit.profile for unit in units)
+        profile = kernel.merge_profiles([unit.profile for unit in units])
         members = tuple(itertools.chain.from_iterable(unit.members for unit in units))
         children = tuple(
             itertools.chain.from_iterable(unit.child_broker_ids for unit in units)

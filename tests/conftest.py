@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from repro.core.bitvector import BitVector
 from repro.core.capacity import BrokerSpec, MatchingDelayFunction
+from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import PublisherProfile, SubscriptionProfile
 from repro.core.units import AllocationUnit, SubscriptionRecord
 
@@ -78,6 +79,13 @@ def make_unit(
 ) -> AllocationUnit:
     record = make_record(bits_by_adv, capacity=capacity, sub_id=sub_id)
     return AllocationUnit.for_subscription(record, directory)
+
+
+def make_kernel(
+    directory: Dict[str, PublisherProfile], units: Iterable[AllocationUnit]
+) -> ClosenessKernel:
+    """The kernel over ``units``' profiles, which a ``BrokerBin`` reads."""
+    return ClosenessKernel.for_pool(directory, [unit.profile for unit in units])
 
 
 def make_spec(

@@ -49,8 +49,8 @@ def _digest(value: Any) -> str:
 def _full_pass(real):
     """``StandingOrder.first_fit`` that ignores ``stop_above``."""
 
-    def first_fit(self, directory, stop_above: Optional[int] = None):
-        return real(self, directory)
+    def first_fit(self, stop_above: Optional[int] = None):
+        return real(self)
 
     return first_fit
 

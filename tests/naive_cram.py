@@ -6,10 +6,10 @@ the production clustering loop and ``_CramState`` over two unpacked
 stand-ins: :class:`Unpacked` in the kernel's place (merges and coverage
 tests walk the per-publisher ``BitVector`` dicts, and the metric stays
 detached) and :class:`UnpackedOrder` in the standing order's (every
-BIN PACKING pass flattens, sorts and first-fits unit by unit with
-``BrokerBin`` bookkeeping — the path FBF, BIN PACKING and Phase 3 always
-run).  The equivalence suites run it on the same input and demand the
-same placements, the same counters and the same spans.
+BIN PACKING pass flattens, sorts and first-fits unit by unit over
+:mod:`first_fit_oracle`'s ``BitVector`` dict bins).  The equivalence
+suites run it on the same input and demand the same placements, the
+same counters and the same spans.
 
 :func:`scan_best_pair` is the other reference here: a full scan of
 every partner entry, the oracle of the lazy heap ``_CramState.best_pair``
@@ -18,11 +18,12 @@ production, so only a check against this scan can see a change in pair
 order.
 """
 
-from repro.core.binpacking import BinPackingAllocator
 from repro.core.cram import CramAllocator, CramStats
 from repro.core.gif import Gif
 from repro.core.profiles import merge_profiles
 from repro.obs import recorder as obs
+
+import first_fit_oracle
 
 
 class Unpacked:
@@ -41,19 +42,22 @@ class Unpacked:
 class UnpackedOrder:
     """The standing order's interface over a plain list of units."""
 
-    def __init__(self, units, pool):
+    def __init__(self, units, pool, directory):
         self.units = list(units)
         self.pool = pool
+        self.directory = directory
 
-    def first_fit(self, directory, stop_above=None):
+    def first_fit(self, stop_above=None):
         """Every pass runs out: ``stop_above`` is accepted and ignored, so
-        the equivalence suites hold the cut probes against full ones."""
-        return BinPackingAllocator().allocate(self.units, self.pool, directory)
+        the equivalence suites hold the cut probes against full ones.
+        Opens the span ``StandingOrder.first_fit`` opens."""
+        with obs.span("binpacking.first_fit", units=len(self.units)):
+            return first_fit_oracle.binpacking(self.units, self.pool, self.directory)
 
     def after_merge(self, merge_units, merged):
         gone = {unit.unit_id for unit in merge_units}
         kept = [unit for unit in self.units if unit.unit_id not in gone]
-        return UnpackedOrder(kept + [merged], self.pool)
+        return UnpackedOrder(kept + [merged], self.pool, self.directory)
 
 
 class NaiveCramAllocator(CramAllocator):
@@ -65,7 +69,7 @@ class NaiveCramAllocator(CramAllocator):
         self.last_stats = stats
         self.metric.reset_counter()
         with obs.span("cram.clustering", metric=self.metric.name, units=len(units)):
-            order = UnpackedOrder(units, list(pool))
+            order = UnpackedOrder(units, list(pool), directory)
             return self._clustering_run(units, order, directory, stats, Unpacked())
 
 

@@ -26,7 +26,7 @@ from repro.core.profiles import PublisherProfile
 from repro.core.units import AllocationUnit, units_from_records
 from repro.sim.rng import SeededRng
 
-from conftest import make_record
+from conftest import make_kernel, make_record
 
 WINDOW = 48
 
@@ -145,7 +145,7 @@ def test_prop_cram_xor_invariants(spec_list, bandwidths):
 @settings(max_examples=25)
 def test_prop_merged_unit_conserves_members(spec_list):
     units, directory = build_pool(spec_list)
-    merged = AllocationUnit.merged(units, directory)
+    merged = AllocationUnit.merged(units, directory, make_kernel(directory, units))
     assert merged.subscription_count == sum(u.subscription_count for u in units)
     assert merged.delivery_bandwidth == pytest.approx(
         sum(u.delivery_bandwidth for u in units)

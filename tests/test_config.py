@@ -4,6 +4,7 @@ environment behind its back."""
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,57 @@ def test_cram_and_pairwise_never_test_for_a_missing_kernel():
                     and "kernel" in ast.unparse(node.left)
                     and any(ast.unparse(side) == "None" for side in node.comparators)):
                 offenders.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []
+
+
+#: The modules whose bins, passes, merges and poset read a kernel.
+KERNEL_MODULES = (
+    "capacity.py", "fbf.py", "binpacking.py", "overlay_builder.py", "poset.py", "units.py",
+)
+
+#: ``Optional[ClosenessKernel]``, quoted or qualified, in an annotation.
+OPTIONAL_KERNEL = re.compile(r"Optional\[\s*['\"]?(\w+\.)*ClosenessKernel['\"]?\s*\]")
+
+
+def test_bins_passes_merges_and_the_poset_require_a_kernel():
+    """One feasibility test: no parameter there defaults a kernel to
+    ``None`` or types it optional, no branch asks whether one exists,
+    and ``BrokerBin`` keeps no per-publisher ``BitVector`` dict (that
+    walk is ``tests/first_fit_oracle.py``'s)."""
+    offenders = []
+    for name in KERNEL_MODULES:
+        tree = ast.parse((PACKAGE / "core" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                    and "kernel" in ast.unparse(node.left)
+                    and any(ast.unparse(side) == "None" for side in node.comparators)):
+                offenders.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.arguments):
+                positional = node.posonlyargs + node.args
+                defaults = [None] * (len(positional) - len(node.defaults)) + node.defaults
+                for arg, default in [*zip(positional, defaults),
+                                     *zip(node.kwonlyargs, node.kw_defaults)]:
+                    annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                    if OPTIONAL_KERNEL.search(annotation) or (
+                        "kernel" in arg.arg and default is not None
+                        and ast.unparse(default) == "None"
+                    ):
+                        offenders.append(f"{name}:{arg.lineno} {arg.arg}")
+            elif (isinstance(node, (ast.AnnAssign, ast.FunctionDef))
+                    and OPTIONAL_KERNEL.search(
+                        ast.unparse(node.annotation if isinstance(node, ast.AnnAssign)
+                                    else node.returns or ast.Constant(None)))):
+                offenders.append(f"{name}:{node.lineno}")
+        if name == "capacity.py":
+            (brokerbin,) = [node for node in tree.body
+                            if isinstance(node, ast.ClassDef) and node.name == "BrokerBin"]
+            (slots,) = [ast.literal_eval(node.value) for node in brokerbin.body
+                        if isinstance(node, ast.Assign)
+                        and ast.unparse(node.targets[0]) == "__slots__"]
+            assert "_kernel" in slots
+            offenders += [slot for slot in slots
+                          if slot in ("_adv_vectors", "_adv_cardinality", "_directory")]
     assert offenders == []
 
 

@@ -343,8 +343,8 @@ class TestStandingOrder:
         assert seen["shrunk_runs"] > 0  # some merge emptied a run
 
     def test_probes_keep_their_span_and_their_count(self):
-        """Kernel on (standing order) and off (flatten, sort, BrokerBin
-        loop) open the same ``binpacking.first_fit`` spans."""
+        """Kernel on (standing order) and off (flatten, sort, the
+        first-fit oracle) open the same ``binpacking.first_fit`` spans."""
         spans, runs = [], []
         for allocator in (NaiveCramAllocator, CramAllocator):
             gather, units = self.gathered()

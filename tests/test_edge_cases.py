@@ -11,35 +11,36 @@ from repro.core.overlay_builder import OverlayBuilder
 from repro.core.profiles import PublisherProfile
 from repro.core.units import AllocationUnit
 
-from conftest import make_directory, make_pool, make_spec, make_unit
+from conftest import make_directory, make_kernel, make_pool, make_spec, make_unit
 from test_broker_routing import make_network, make_publisher, make_subscriber
 
 
 class TestCapacityBoundaries:
     def test_unit_exactly_filling_bandwidth_accepted(self, directory):
         spec = make_spec("b", bandwidth=5.0)
-        bin_ = BrokerBin(spec, directory)
         unit = make_unit({"A": range(32)}, directory)  # exactly 5.0 kB/s
+        bin_ = BrokerBin(spec, make_kernel(directory, [unit]))
         assert unit.delivery_bandwidth == pytest.approx(5.0)
         assert bin_.can_accept(unit)
 
     def test_unit_epsilon_over_bandwidth_rejected(self, directory):
         spec = make_spec("b", bandwidth=4.999)
-        bin_ = BrokerBin(spec, directory)
         unit = make_unit({"A": range(32)}, directory)
+        bin_ = BrokerBin(spec, make_kernel(directory, [unit]))
         assert not bin_.can_accept(unit)
 
     def test_zero_bandwidth_broker_accepts_only_empty_units(self, directory):
         spec = make_spec("b", bandwidth=0.0)
-        bin_ = BrokerBin(spec, directory)
-        assert bin_.can_accept(make_unit({}, directory))
-        assert not bin_.can_accept(make_unit({"A": [1]}, directory))
+        empty, one = make_unit({}, directory), make_unit({"A": [1]}, directory)
+        bin_ = BrokerBin(spec, make_kernel(directory, [empty, one]))
+        assert bin_.can_accept(empty)
+        assert not bin_.can_accept(one)
 
     def test_input_rate_with_unknown_publisher(self, directory):
         """Profiles may reference publishers that left the system."""
         spec = make_spec("b")
-        bin_ = BrokerBin(spec, directory)
         unit = make_unit({"GHOST": range(10)}, directory)
+        bin_ = BrokerBin(spec, make_kernel(directory, [unit]))
         bin_.add(unit)
         assert bin_.input_rate == 0.0  # no rate without a directory entry
 
@@ -70,10 +71,12 @@ class TestOverlayBuilderRename:
         pool = big + small
         from repro.core.capacity import AllocationResult
 
+        units = [make_unit({adv: range(32)}, directory) for adv in ("P0", "P1")]
+        kernel = make_kernel(directory, units)
         bins = []
-        for spec, adv in zip(big[:2], ("P0", "P1")):
-            bin_ = BrokerBin(spec, directory)
-            bin_.add(make_unit({adv: range(32)}, directory))
+        for spec, unit in zip(big[:2], units):
+            bin_ = BrokerBin(spec, kernel)
+            bin_.add(unit)
             bins.append(bin_)
         allocation = AllocationResult(bins, success=True)
         builder = OverlayBuilder(

@@ -1,10 +1,11 @@
-"""Run-length first fit vs the :class:`BrokerBin` loop (its oracle).
+"""Run-length first fit vs the unit-by-unit ``BitVector`` loop (its oracle).
 
 ``first_fit_runs`` takes consecutive interchangeable units as runs
 (``unit_runs``) and lets the twins of a placed unit join its bin on a
-two-comparison test.  The claim is bit-identity with ``first_fit``, the
-one-unit-at-a-time loop every kernel-less allocator runs, so everything
-here compares with ``==`` and ``is`` — never a tolerance, never a clock.
+two-comparison test.  The claim is bit-identity with
+``first_fit_oracle.first_fit``, one unit at a time over per-publisher
+``BitVector`` dicts, so everything here compares with ``==`` and ``is``
+— never a tolerance, never a clock.
 
 A pass given ``stop_above`` may stop early with a :class:`CutResult`;
 the claim there is that the full pass would have succeeded with more
@@ -29,8 +30,8 @@ from repro.core.capacity import (
     sorted_broker_pool,
 )
 from repro.core.cram import CramAllocator
+from repro.core import fbf
 from repro.core.fbf import (
-    first_fit,
     first_fit_runs,
     pool_columns,
     rate_never_refuses,
@@ -43,6 +44,7 @@ from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_homogeneous
 
 from conftest import make_profile, make_record
+from first_fit_oracle import first_fit
 
 #: Unequal rates so that input-rate sums are not round numbers.
 DIRECTORY = {
@@ -91,7 +93,7 @@ def packed_first_fit(units, pool, kernel=None):
     """The production pairing: runs of twins onto the pool's columns."""
     kernel = kernel if kernel is not None else kernel_for(units)
     columns = pool_columns(sorted_broker_pool(pool))
-    return first_fit_runs(unit_runs(units, kernel), columns, DIRECTORY, kernel)
+    return first_fit_runs(unit_runs(units, kernel), columns, kernel)
 
 
 def snapshot(result):
@@ -137,6 +139,8 @@ def assert_matches_oracle(units, pool):
         assert built == []
         assert snapshot(packed) == snapshot(oracle)
         assert len(built) == packed.broker_count
+    # FBF's and BIN PACKING's entry point packs the units itself.
+    assert snapshot(fbf.first_fit(units, pool, DIRECTORY)) == snapshot(oracle)
     return packed
 
 
@@ -403,9 +407,9 @@ class TestStoppingEarly:
         order = StandingOrder.build(units, make_brokers([(3.0, 1e-4, 0.0)] * 8),
                                     kernel_for(units))
         assert order.cuttable
-        full = order.first_fit(DIRECTORY)
+        full = order.first_fit()
         assert full.success and full.broker_count == 3
-        result = order.first_fit(DIRECTORY, stop_above=1)
+        result = order.first_fit(stop_above=1)
         assert isinstance(result, CutResult)
         assert result.success and 1 < result.broker_count <= full.broker_count
         with pytest.raises(RuntimeError, match="no bins"):
@@ -413,7 +417,7 @@ class TestStoppingEarly:
         with pytest.raises(RuntimeError, match="no bins"):
             result.subscription_placement()
         # At or under the bound the pass runs out.
-        assert snapshot(order.first_fit(DIRECTORY, stop_above=3)) == snapshot(full)
+        assert snapshot(order.first_fit(stop_above=3)) == snapshot(full)
 
     def test_a_pool_whose_rate_ceiling_can_bind_never_cuts(self):
         """Zero-bandwidth twins leave the load bound every slack there is,
@@ -425,10 +429,10 @@ class TestStoppingEarly:
                                     kernel_for(units))
         assert not order.cuttable
         assert not rate_never_refuses(order.pool, order.kernel, 41)
-        full = order.first_fit(DIRECTORY)
+        full = order.first_fit()
         assert not full.success
         for stop_above in range(4):
-            result = order.first_fit(DIRECTORY, stop_above)
+            result = order.first_fit(stop_above)
             assert not isinstance(result, CutResult)
             assert snapshot(result) == snapshot(full)
 
@@ -439,9 +443,9 @@ class TestStoppingEarly:
         pool = make_brokers([(30.0, 1e-4, 0.0)] + [(0.5, 1e-4, 0.0)] * 3)
         order = StandingOrder.build(units, pool, kernel_for(units))
         assert order.cuttable
-        full = order.first_fit(DIRECTORY)
+        full = order.first_fit()
         assert not full.success
-        assert snapshot(order.first_fit(DIRECTORY, 0)) == snapshot(full)
+        assert snapshot(order.first_fit(0)) == snapshot(full)
 
     def test_the_rate_bound_counts_every_plane_in_full(self):
         """``Σ rate · capacity / window`` over all four publishers is
@@ -490,12 +494,12 @@ def test_prop_a_cut_pass_fits_on_more_brokers(patterns, shapes, brokers, data):
     shapes = [(pattern % len(patterns), *rest) for pattern, *rest in shapes]
     units = make_units(shapes, patterns)
     order = StandingOrder.build(units, make_brokers(brokers), kernel_for(units))
-    full = order.first_fit(DIRECTORY)
+    full = order.first_fit()
     # At most the full count: above it no pass can stop (it never opens
     # that many bins), and CRAM holds its probes against the count of a
     # pass that succeeded.
     stop_above = data.draw(st.integers(0, full.broker_count), label="stop_above")
-    result = order.first_fit(DIRECTORY, stop_above)
+    result = order.first_fit(stop_above)
     if isinstance(result, CutResult):
         assert order.cuttable
         assert full.success and full.broker_count > stop_above

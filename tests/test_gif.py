@@ -5,7 +5,7 @@ import pytest
 from repro.core.gif import Gif, build_gifs, gif_reduction_ratio
 from repro.core.units import AllocationUnit
 
-from conftest import make_directory, make_unit
+from conftest import make_directory, make_kernel, make_unit
 
 
 @pytest.fixture
@@ -61,10 +61,8 @@ class TestGif:
 
     def test_lightest_unit(self, directory):
         light = make_unit({"A": [1]}, directory)
-        heavy = AllocationUnit.merged(
-            [make_unit({"A": [1]}, directory), make_unit({"A": [1]}, directory)],
-            directory,
-        )
+        pair = [make_unit({"A": [1]}, directory), make_unit({"A": [1]}, directory)]
+        heavy = AllocationUnit.merged(pair, directory, make_kernel(directory, pair))
         gif = Gif(light.profile, [heavy, light])
         assert gif.lightest_unit() is light
 

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import allocators
-from repro.core.capacity import BrokerBin
 from repro.core.closeness import METRIC_NAMES, make_metric
 from repro.core.cram import CramAllocator, _CramState
 from repro.core.croc import Croc
@@ -34,6 +33,7 @@ from repro.workloads.scenarios import cluster_heterogeneous, cluster_homogeneous
 
 import cut_probe_oracle
 from conftest import make_directory, make_pool, make_profile, make_spec, make_unit
+from first_fit_oracle import OracleBin
 from naive_cram import NaiveCramAllocator, scan_best_pair
 from test_gather_alignment import gathered_under
 
@@ -256,12 +256,12 @@ def test_prop_rate_increase_matches_the_brokerbin_walk(
     packed = kernel.pack(unit.profile)
     assert {plane.adv_id for plane in packed.planes} == owned
     for content in (first_bin, second_bin):
-        naive = BrokerBin(make_spec("B00"), RATE_DIRECTORY)
+        naive = OracleBin(make_spec("B00"), RATE_DIRECTORY)
         union = 0
         for member in content:
             naive.add(member)
             union |= kernel.pack(member.profile).bits
-        assert packed.rate_increase(union) == naive._rate_increase(unit)
+        assert packed.rate_increase(union) == naive.rate_increase(unit)
     (key,) = packed.rate_memo
     assert key.bit_length() <= own_span(packed)
     patterns = [unit_pattern] + bin_patterns + elsewhere

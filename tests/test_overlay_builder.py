@@ -8,7 +8,7 @@ from repro.core.cram import CramAllocator
 from repro.core.overlay_builder import OverlayBuilder
 from repro.core.units import AllocationUnit
 
-from conftest import make_directory, make_pool, make_spec, make_unit
+from conftest import make_directory, make_kernel, make_pool, make_spec, make_unit
 
 
 @pytest.fixture
@@ -18,9 +18,10 @@ def directory():
 
 def phase2(units_per_broker, pool, directory):
     """Build a synthetic Phase-2 result: broker i ← its unit list."""
+    kernel = make_kernel(directory, [unit for units in units_per_broker for unit in units])
     bins = []
     for spec, units in zip(pool, units_per_broker):
-        bin_ = BrokerBin(spec, directory)
+        bin_ = BrokerBin(spec, kernel)
         for unit in units:
             bin_.add(unit)
         bins.append(bin_)

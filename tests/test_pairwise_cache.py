@@ -48,7 +48,7 @@ def _brute_force_cluster(
                 if value > best_value:
                     best_i, best_j, best_value = i, j, value
         merged = AllocationUnit.merged(
-            [clusters[best_i], clusters[best_j]], directory
+            [clusters[best_i], clusters[best_j]], directory, Unpacked()
         )
         lo, hi = min(best_i, best_j), max(best_i, best_j)
         clusters[lo] = merged

@@ -9,6 +9,7 @@ from repro.core.gif import Gif, build_gifs
 from repro.core.poset import Poset
 
 from conftest import make_directory, make_profile, make_unit
+from naive_cram import Unpacked
 
 
 def gif_of(bits, directory, capacity=64):
@@ -23,7 +24,7 @@ def directory():
 
 class TestInsertion:
     def test_single_node_under_root(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         gif = gif_of([1, 2], directory)
         node = poset.insert(gif)
         assert node.parents == {poset.root}
@@ -31,7 +32,7 @@ class TestInsertion:
         poset.validate()
 
     def test_superset_becomes_parent(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         big = gif_of([1, 2, 3], directory)
         small = gif_of([1, 2], directory)
         poset.insert(big)
@@ -40,7 +41,7 @@ class TestInsertion:
         poset.validate()
 
     def test_inserting_parent_after_child_relinks(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         small = gif_of([1, 2], directory)
         big = gif_of([1, 2, 3], directory)
         poset.insert(small)
@@ -52,7 +53,7 @@ class TestInsertion:
         poset.validate()
 
     def test_siblings_for_intersecting_profiles(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         a = gif_of([1, 2], directory)
         b = gif_of([2, 3], directory)
         poset.insert(a)
@@ -62,7 +63,7 @@ class TestInsertion:
         poset.validate()
 
     def test_chain_insertion_any_order(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         gifs = [gif_of(range(n), directory) for n in (4, 1, 3, 2)]
         for gif in gifs:
             poset.insert(gif)
@@ -74,14 +75,14 @@ class TestInsertion:
             assert poset.node_of(larger) in node.parents
 
     def test_duplicate_insert_raises(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         gif = gif_of([1], directory)
         poset.insert(gif)
         with pytest.raises(ValueError):
             poset.insert(gif)
 
     def test_diamond_multiple_parents(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         left = gif_of([1, 2], directory)
         right = gif_of([2, 3], directory)
         bottom = gif_of([2], directory)
@@ -95,7 +96,7 @@ class TestInsertion:
 
 class TestRemoval:
     def test_remove_middle_of_chain_splices(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         top = gif_of([1, 2, 3], directory)
         middle = gif_of([1, 2], directory)
         bottom = gif_of([1], directory)
@@ -108,7 +109,7 @@ class TestRemoval:
         assert poset.node_of(top) in node_bottom.parents
 
     def test_remove_leaf(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         a = gif_of([1, 2], directory)
         b = gif_of([1], directory)
         poset.insert(a)
@@ -118,7 +119,7 @@ class TestRemoval:
         assert len(poset) == 1
 
     def test_remove_top_reattaches_to_root(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         top = gif_of([1, 2], directory)
         bottom = gif_of([1], directory)
         poset.insert(top)
@@ -130,7 +131,7 @@ class TestRemoval:
 
 class TestCoveredGifs:
     def test_direct_children_only(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         top = gif_of([1, 2, 3, 4], directory)
         mid = gif_of([1, 2], directory)
         leaf = gif_of([1], directory)
@@ -143,7 +144,7 @@ class TestCoveredGifs:
 
 class TestClosestPartner:
     def test_finds_highest_closeness(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         target = gif_of([1, 2, 3, 4], directory)
         near = gif_of([1, 2, 3], directory)
         far = gif_of([1], directory)
@@ -156,7 +157,7 @@ class TestClosestPartner:
         assert value > 0
 
     def test_prunes_empty_subtrees(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         target = gif_of([1, 2], directory)
         poset.insert(target)
         # A disjoint chain: none of it should be evaluated past the top.
@@ -172,7 +173,7 @@ class TestClosestPartner:
         assert metric.evaluations <= 2
 
     def test_xor_scans_everything(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         gifs = [gif_of([i], directory) for i in range(6)]
         for gif in gifs:
             poset.insert(gif)
@@ -184,7 +185,7 @@ class TestClosestPartner:
         assert metric.evaluations == 5  # every other node evaluated
 
     def test_blacklisted_pair_skipped(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         a = gif_of([1, 2], directory)
         b = gif_of([1, 2, 3], directory)
         c = gif_of([1], directory)
@@ -198,7 +199,7 @@ class TestClosestPartner:
         assert partner is c
 
     def test_no_partner_when_all_disjoint(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         a = gif_of([1], directory)
         b = gif_of([2], directory)
         poset.insert(a)
@@ -208,7 +209,7 @@ class TestClosestPartner:
         assert value == 0.0
 
     def test_on_candidate_callback_sees_pairs(self, directory):
-        poset = Poset()
+        poset = Poset(Unpacked())
         a = gif_of([1, 2], directory)
         b = gif_of([1, 3], directory)
         poset.insert(a)
@@ -220,7 +221,7 @@ class TestClosestPartner:
 
     def test_search_descends_past_own_node(self, directory):
         """The target's own poset node is transparent to the search."""
-        poset = Poset()
+        poset = Poset(Unpacked())
         target = gif_of([1, 2, 3], directory)
         below = gif_of([1, 2], directory)
         poset.insert(target)
@@ -245,7 +246,7 @@ profile_sets = st.lists(
 @settings(max_examples=60)
 def test_prop_insertion_keeps_invariants(bit_sets):
     directory = make_directory(["A"], last_message_id=12)
-    poset = Poset()
+    poset = Poset(Unpacked())
     gifs = []
     for bits in bit_sets:
         gif = gif_of(bits, directory)
@@ -283,7 +284,7 @@ def test_prop_pruned_intersect_search_matches_exhaustive(bit_sets):
     """For INTERSECT the decrease-prune is exact: |∩| is non-increasing
     down the poset, so a pruned subtree can never hold a better pair."""
     directory = make_directory(["A"], last_message_id=12)
-    poset = Poset()
+    poset = Poset(Unpacked())
     gifs = [gif_of(bits, directory) for bits in bit_sets]
     for gif in gifs:
         poset.insert(gif)
@@ -304,7 +305,7 @@ def test_prop_pruned_ios_search_is_sound_heuristic(bit_sets):
     return a lower-closeness pair on adversarial posets, but it never
     overshoots the true best and never misses that *a* partner exists."""
     directory = make_directory(["A"], last_message_id=12)
-    poset = Poset()
+    poset = Poset(Unpacked())
     gifs = [gif_of(bits, directory) for bits in bit_sets]
     for gif in gifs:
         poset.insert(gif)

@@ -13,7 +13,7 @@ from repro.core.capacity import (
 )
 from repro.core.units import AllocationUnit, units_from_records
 
-from conftest import make_directory, make_record, make_spec, make_unit
+from conftest import make_directory, make_kernel, make_record, make_spec, make_unit
 
 
 class TestMatchingDelayFunction:
@@ -53,7 +53,7 @@ class TestAllocationUnit:
     def test_merged_sums_bandwidth_unions_profile(self, directory):
         a = make_unit({"A": range(32)}, directory)
         b = make_unit({"A": range(32)}, directory)  # identical interests
-        merged = AllocationUnit.merged([a, b], directory)
+        merged = AllocationUnit.merged([a, b], directory, make_kernel(directory, [a, b]))
         # Delivery bandwidth doubles (two subscribers, two copies)...
         assert merged.delivery_bandwidth == pytest.approx(10.0)
         # ...but the profile is the union (same publications).
@@ -63,17 +63,17 @@ class TestAllocationUnit:
 
     def test_merge_single_unit_returns_it(self, directory):
         unit = make_unit({"A": [1]}, directory)
-        assert AllocationUnit.merged([unit], directory) is unit
+        assert AllocationUnit.merged([unit], directory, make_kernel(directory, [unit])) is unit
 
     def test_merge_zero_units_raises(self, directory):
         with pytest.raises(ValueError):
-            AllocationUnit.merged([], directory)
+            AllocationUnit.merged([], directory, make_kernel(directory, []))
 
     def test_merge_mixed_kinds_raises(self, directory):
         sub = make_unit({"A": [1]}, directory)
         broker = AllocationUnit.for_child_broker("B1", [sub], directory)
         with pytest.raises(ValueError, match="mixed kinds"):
-            AllocationUnit.merged([sub, broker], directory)
+            AllocationUnit.merged([sub, broker], directory, make_kernel(directory, [sub, broker]))
 
     def test_child_broker_unit_uses_union_stream_bandwidth(self, directory):
         # Two identical subscriptions: deliveries need 2x, but the
@@ -90,7 +90,7 @@ class TestAllocationUnit:
         b = make_unit({"A": [2]}, directory)
         pa = AllocationUnit.for_child_broker("B1", [a], directory)
         pb = AllocationUnit.for_child_broker("B2", [b], directory)
-        merged = AllocationUnit.merged([pa, pb], directory)
+        merged = AllocationUnit.merged([pa, pb], directory, make_kernel(directory, [pa, pb]))
         assert set(merged.child_broker_ids) == {"B1", "B2"}
         assert merged.kind == "broker"
 
@@ -104,13 +104,14 @@ class TestAllocationUnit:
 class TestBrokerBin:
     def test_bandwidth_constraint(self, directory):
         spec = make_spec("b", bandwidth=7.0)
-        bin_ = BrokerBin(spec, directory)
         unit = make_unit({"A": range(32)}, directory)  # 5 kB/s
+        second = make_unit({"A": range(32)}, directory)
+        bin_ = BrokerBin(spec, make_kernel(directory, [unit, second]))
         assert bin_.can_accept(unit)
         bin_.add(unit)
         assert bin_.used_bandwidth == pytest.approx(5.0)
         # Second identical unit would need 10 kB/s total > 7.
-        assert not bin_.can_accept(make_unit({"A": range(32)}, directory))
+        assert not bin_.can_accept(second)
 
     def test_matching_rate_constraint(self, directory):
         # delay = 0.05 + 0.05*n → with one subscription, max rate = 10.
@@ -119,44 +120,48 @@ class TestBrokerBin:
             total_output_bandwidth=1000.0,
             delay_function=MatchingDelayFunction(base=0.05, per_subscription=0.05),
         )
-        bin_ = BrokerBin(spec, directory)
         light = make_unit({"A": range(32)}, directory)  # input 5 msg/s
+        other = make_unit({"B": range(32)}, directory)
+        bin_ = BrokerBin(spec, make_kernel(directory, [light, other]))
         assert bin_.can_accept(light)
         bin_.add(light)
         # Adding another subscription drops max rate to 1/(0.15) ≈ 6.67,
         # and the union input would grow to 10 msg/s → reject.
-        other = make_unit({"B": range(32)}, directory)
         assert not bin_.can_accept(other)
 
     def test_input_rate_uses_union_not_sum(self, directory):
         """Identical subscriptions add no input load — the clustering payoff."""
         spec = make_spec("b", bandwidth=1000.0)
-        bin_ = BrokerBin(spec, directory)
-        bin_.add(make_unit({"A": range(32)}, directory))
+        units = [make_unit({"A": ids}, directory)
+                 for ids in (range(32), range(32), range(32, 64))]
+        bin_ = BrokerBin(spec, make_kernel(directory, units))
+        bin_.add(units[0])
         first_rate = bin_.input_rate
-        bin_.add(make_unit({"A": range(32)}, directory))
+        bin_.add(units[1])
         assert bin_.input_rate == pytest.approx(first_rate)
-        bin_.add(make_unit({"A": range(32, 64)}, directory))
+        bin_.add(units[2])
         assert bin_.input_rate == pytest.approx(first_rate * 2)
 
     def test_utilization(self, directory):
         spec = make_spec("b", bandwidth=10.0)
-        bin_ = BrokerBin(spec, directory)
+        unit = make_unit({"A": range(32)}, directory)  # 5 kB/s
+        bin_ = BrokerBin(spec, make_kernel(directory, [unit]))
         assert bin_.utilization == 0.0
-        bin_.add(make_unit({"A": range(32)}, directory))  # 5 kB/s
+        bin_.add(unit)
         assert bin_.utilization == pytest.approx(0.5)
 
     def test_empty_profile_unit_always_fits(self, directory):
         spec = make_spec("b", bandwidth=0.001)
-        bin_ = BrokerBin(spec, directory)
-        assert bin_.can_accept(make_unit({}, directory))
+        unit = make_unit({}, directory)
+        assert BrokerBin(spec, make_kernel(directory, [unit])).can_accept(unit)
 
 
 class TestAllocationResult:
     def _bins(self, directory):
-        spec_a, spec_b = make_spec("a"), make_spec("b")
-        bin_a, bin_b = BrokerBin(spec_a, directory), BrokerBin(spec_b, directory)
-        bin_a.add(make_unit({"A": [1]}, directory, sub_id="s-a"))
+        unit = make_unit({"A": [1]}, directory, sub_id="s-a")
+        kernel = make_kernel(directory, [unit])
+        bin_a, bin_b = BrokerBin(make_spec("a"), kernel), BrokerBin(make_spec("b"), kernel)
+        bin_a.add(unit)
         return [bin_a, bin_b]
 
     def test_empty_bins_not_counted(self, directory):
