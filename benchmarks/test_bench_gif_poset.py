@@ -12,6 +12,9 @@
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import pytest
 
 from conftest import BENCH_SCALE, BENCH_SUBS, print_figure
@@ -22,6 +25,9 @@ from repro.core.poset import Poset
 from repro.core.units import units_from_records
 from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_homogeneous
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from profile_oracle import validate_poset  # noqa: E402
 
 
 def _pool(subs):
@@ -70,7 +76,7 @@ def test_tab_poset_insertion_time(benchmark):
 
     poset = benchmark(insert_all)
     assert len(poset) == len(gifs)
-    poset.validate()
+    validate_poset(poset)
 
 
 def test_tab_pruning_saves_closeness_evaluations(benchmark):
@@ -91,7 +97,7 @@ def test_tab_pruning_saves_closeness_evaluations(benchmark):
     for gif in gifs:
         for other in gifs:
             if other is not gif:
-                exhaustive_metric(gif.profile, other.profile)
+                exhaustive_metric(kernel, gif.profile, other.profile)
     exhaustive = exhaustive_metric.evaluations
     rows = [{
         "gifs": len(gifs),

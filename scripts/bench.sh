@@ -6,12 +6,11 @@
 # the output directory and forwards any extra pytest arguments, e.g.
 #
 #   scripts/bench.sh                                  # full harness
-#   scripts/bench.sh benchmarks/test_bench_closeness_kernel.py
 #   scripts/bench.sh benchmarks/test_bench_energy.py  # energy + pareto
 #   REPRO_BENCH_OUT=out/bench scripts/bench.sh -k comptime
 #
 # Scenario knobs (REPRO_BENCH_SCALE, REPRO_BENCH_SUBS, REPRO_BENCH_SEED,
-# REPRO_BENCH_KERNEL_SUBS, ...) are documented in benchmarks/conftest.py.
+# ...) are documented in benchmarks/conftest.py.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -40,15 +40,7 @@ from repro.core.capacity import (
     BrokerSpec,
     MatchingDelayFunction,
 )
-from repro.core.closeness import (
-    METRIC_NAMES,
-    ClosenessMetric,
-    intersect_metric,
-    ios_metric,
-    iou_metric,
-    make_metric,
-    xor_metric,
-)
+from repro.core.closeness import METRIC_NAMES, ClosenessMetric, make_metric
 from repro.core.cram import CramAllocator, CramStats
 from repro.core.croc import Croc, GatherResult, ReconfigurationError, ReconfigurationReport
 from repro.core.deployment import BrokerTree, Deployment
@@ -59,7 +51,7 @@ from repro.core.overlay_builder import OverlayBuilder, OverlayBuildStats
 from repro.core.pairwise import PairwiseKAllocator, PairwiseNAllocator, pairwise_cluster
 from repro.core.poset import Poset, PosetNode
 from repro.core.profiles import PublisherProfile, SubscriptionProfile, merge_profiles
-from repro.core.relations import Relation, relationship
+from repro.core.relations import Relation
 from repro.core.units import (
     EPSILON,
     AllocationUnit,
@@ -109,11 +101,7 @@ __all__ = [
     "MatchingDelayFunction",
     "METRIC_NAMES",
     "ClosenessMetric",
-    "intersect_metric",
-    "ios_metric",
-    "iou_metric",
     "make_metric",
-    "xor_metric",
     "CramAllocator",
     "CramStats",
     "Croc",
@@ -139,7 +127,6 @@ __all__ = [
     "SubscriptionProfile",
     "merge_profiles",
     "Relation",
-    "relationship",
     "EPSILON",
     "approx_eq",
     "approx_ge",

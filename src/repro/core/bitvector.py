@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.popcount import fused_counts, popcount
-
 DEFAULT_CAPACITY = 1280
 
 
@@ -112,7 +110,7 @@ class BitVector:
     def cardinality(self) -> int:
         """Number of set bits, i.e. publications received in-window."""
         if self._card is None:
-            self._card = popcount(self._bits)
+            self._card = self._bits.bit_count()
         return self._card
 
     def __len__(self) -> int:
@@ -210,81 +208,27 @@ class BitVector:
         self._card = None
 
     # ------------------------------------------------------------------
-    # Aligned binary operations
+    # Union
     # ------------------------------------------------------------------
-    def _aligned_with(self, other: "BitVector") -> Tuple[int, int, int, int]:
-        """Project both vectors onto their common window.
-
-        Returns ``(first_id, capacity, self_bits, other_bits)`` where
-        bits below the later window start are discarded (they are not
-        comparable: one side has no observation for them).
-        """
-        first = max(self._first_id, other._first_id)
-        end = max(self.end_id, other.end_id)
-        capacity = max(end - first, 1)
-        mine = self._bits >> (first - self._first_id)
-        theirs = other._bits >> (first - other._first_id)
-        return first, capacity, mine, theirs
-
-    def _combine(self, other: "BitVector", op) -> "BitVector":
-        first, capacity, mine, theirs = self._aligned_with(other)
-        result = BitVector(capacity=capacity, first_id=first)
-        result._bits = op(mine, theirs)
-        return result
-
     def union(self, other: "BitVector") -> "BitVector":
         """OR of the two vectors over their common window.
 
         This is the paper's clustering operation (Figure 1): the profile
-        of a merged subscription is the OR of the member profiles.
+        of a merged subscription is the OR of the member profiles.  Bits
+        below the later window start are discarded (they are not
+        comparable: one side has no observation for them).
         """
-        return self._combine(other, lambda a, b: a | b)
-
-    def intersection(self, other: "BitVector") -> "BitVector":
-        return self._combine(other, lambda a, b: a & b)
-
-    def symmetric_difference(self, other: "BitVector") -> "BitVector":
-        return self._combine(other, lambda a, b: a ^ b)
-
-    def intersection_cardinality(self, other: "BitVector") -> int:
-        _f, _c, mine, theirs = self._aligned_with(other)
-        return popcount(mine & theirs)
-
-    def union_cardinality(self, other: "BitVector") -> int:
-        _f, _c, mine, theirs = self._aligned_with(other)
-        return popcount(mine | theirs)
-
-    def xor_cardinality(self, other: "BitVector") -> int:
-        _f, _c, mine, theirs = self._aligned_with(other)
-        return popcount(mine ^ theirs)
-
-    def fused_cardinalities(self, other: "BitVector") -> Tuple[int, int, int]:
-        """``(|∩|, |∪|, |⊕|)`` from a single window alignment.
-
-        One ``_aligned_with`` pass feeds the shared
-        :func:`repro.core.popcount.fused_counts` helper, so callers that
-        need several counts (the XOR closeness metric) pay the big-int
-        shifts only once.
-        """
-        _f, _c, mine, theirs = self._aligned_with(other)
-        return fused_counts(mine, theirs)
-
-    def covers(self, other: "BitVector") -> bool:
-        """Whether every bit set in ``other`` is also set here."""
-        _f, _c, mine, theirs = self._aligned_with(other)
-        return theirs & ~mine == 0
-
-    def is_disjoint(self, other: "BitVector") -> bool:
-        return self.intersection_cardinality(other) == 0
+        first = max(self._first_id, other._first_id)
+        end = max(self.end_id, other.end_id)
+        result = BitVector(capacity=max(end - first, 1), first_id=first)
+        result._bits = (self._bits >> (first - self._first_id)) | (
+            other._bits >> (first - other._first_id)
+        )
+        return result
 
     # ------------------------------------------------------------------
     # Equality / hashing
     # ------------------------------------------------------------------
-    def same_bits(self, other: "BitVector") -> bool:
-        """Set-equality over the common window (ignores capacity)."""
-        _f, _c, mine, theirs = self._aligned_with(other)
-        return mine == theirs
-
     def signature(self) -> Tuple[int, int]:
         """Hashable identity of the observed bit pattern.
 

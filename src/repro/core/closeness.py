@@ -21,11 +21,17 @@ empty relationships (enabling poset pruning), account for both shared
 and dragged-along traffic, and square the intersection so that
 high-traffic subscriptions — whose placement matters most — cluster
 first.
+
+The arithmetic runs in one place, on packed bits:
+:meth:`repro.core.kernel.ClosenessKernel.closeness`.  This module names
+the metrics and counts their evaluations; ``tests/profile_oracle.py``
+keeps the per-publisher formulas as the reference the kernel is
+checked against.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.core.profiles import SubscriptionProfile
 
@@ -38,39 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel imports us)
 #: profiles always sort first.
 XOR_MAX = 1.0e9
 
-MetricFunction = Callable[[SubscriptionProfile, SubscriptionProfile], float]
-
-
-def intersect_metric(first: SubscriptionProfile, second: SubscriptionProfile) -> float:
-    """Cardinality of the intersection."""
-    return float(first.intersection_cardinality(second))
-
-
-def xor_metric(first: SubscriptionProfile, second: SubscriptionProfile) -> float:
-    """Inverse of the XOR cardinality, capped at :data:`XOR_MAX`."""
-    xor = first.xor_cardinality(second)
-    if xor == 0:
-        return XOR_MAX
-    return 1.0 / xor
-
-
-def ios_metric(first: SubscriptionProfile, second: SubscriptionProfile) -> float:
-    """Intersection squared over the sum of cardinalities."""
-    intersect = first.intersection_cardinality(second)
-    if intersect == 0:
-        return 0.0
-    denominator = first.cardinality + second.cardinality
-    return intersect * intersect / denominator
-
-
-def iou_metric(first: SubscriptionProfile, second: SubscriptionProfile) -> float:
-    """Intersection squared over the cardinality of the union."""
-    intersect = first.intersection_cardinality(second)
-    if intersect == 0:
-        return 0.0
-    union = first.union_cardinality(second)
-    return intersect * intersect / union
-
 
 class ClosenessMetric:
     """A named closeness metric plus its search properties.
@@ -80,40 +53,28 @@ class ClosenessMetric:
     subtrees (paper optimization 2).  The XOR metric is not prunable —
     the paper measures it at ≥75% longer computation time because of
     this — and our benchmark harness reproduces that comparison.
+
+    The values come from the kernel the caller passes in
+    (:meth:`~repro.core.kernel.ClosenessKernel.closeness`); the metric
+    itself only names the formula and counts evaluations.
     """
 
-    def __init__(self, name: str, function: MetricFunction, prunable: bool):
+    def __init__(self, name: str, prunable: bool):
         self.name = name
-        self._function = function
         self.prunable = prunable
         self.evaluations = 0
-        self._kernel: Optional["ClosenessKernel"] = None
 
-    def __call__(self, first: SubscriptionProfile, second: SubscriptionProfile) -> float:
+    def __call__(
+        self, kernel: "ClosenessKernel", first: SubscriptionProfile, second: SubscriptionProfile
+    ) -> float:
         self.evaluations += 1
-        kernel = self._kernel
-        if kernel is not None:
-            return kernel.closeness(self.name, first, second)
-        return self._function(first, second)
-
-    # ------------------------------------------------------------------
-    # Fused-kernel acceleration (drop-in: values and counters unchanged)
-    # ------------------------------------------------------------------
-    @property
-    def kernel(self) -> Optional["ClosenessKernel"]:
-        return self._kernel
-
-    def attach_kernel(self, kernel: Optional["ClosenessKernel"]) -> None:
-        """Route evaluations through a fused bit-plane kernel.
-
-        The kernel produces bit-for-bit identical values, so attaching
-        one only changes speed; it must have been built over the pool
-        the evaluated profiles come from.  Pass ``None`` to detach.
-        """
-        self._kernel = kernel
+        return kernel.closeness(self.name, first, second)
 
     def closeness_row(
-        self, first: SubscriptionProfile, others: Sequence[SubscriptionProfile]
+        self,
+        kernel: "ClosenessKernel",
+        first: SubscriptionProfile,
+        others: Sequence[SubscriptionProfile],
     ) -> List[float]:
         """Batched one-vs-all closeness (CRAM partner search, pairwise).
 
@@ -121,19 +82,11 @@ class ClosenessMetric:
         individual calls.
         """
         self.evaluations += len(others)
-        kernel = self._kernel
-        if kernel is not None:
-            return kernel.closeness_row(self.name, first, others)
-        function = self._function
-        return [function(first, other) for other in others]
+        return kernel.closeness_row(self.name, first, others)
 
     def reset_counter(self) -> None:
         """Zero the evaluation counter (used by the pruning benchmark)."""
         self.evaluations = 0
-
-    def fresh(self) -> "ClosenessMetric":
-        """A new instance with its own evaluation counter."""
-        return ClosenessMetric(self.name, self._function, self.prunable)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClosenessMetric({self.name!r}, prunable={self.prunable})"
@@ -146,19 +99,20 @@ def make_metric(name: str) -> ClosenessMetric:
     (case-insensitive).
     """
     try:
-        function, prunable = _METRICS[name.lower()]
+        prunable = _PRUNABLE[name.lower()]
     except KeyError:
         raise ValueError(
-            f"unknown closeness metric {name!r}; expected one of {sorted(_METRICS)}"
+            f"unknown closeness metric {name!r}; expected one of {sorted(_PRUNABLE)}"
         ) from None
-    return ClosenessMetric(name.lower(), function, prunable)
+    return ClosenessMetric(name.lower(), prunable)
 
 
-_METRICS: Dict[str, Tuple[MetricFunction, bool]] = {
-    "intersect": (intersect_metric, True),
-    "xor": (xor_metric, False),
-    "ios": (ios_metric, True),
-    "iou": (iou_metric, True),
+#: Metric name -> whether it is zero exactly on empty relationships.
+_PRUNABLE: Dict[str, bool] = {
+    "intersect": True,
+    "xor": False,
+    "ios": True,
+    "iou": True,
 }
 
-METRIC_NAMES = tuple(sorted(_METRICS))
+METRIC_NAMES = tuple(sorted(_PRUNABLE))

@@ -54,8 +54,8 @@ from repro.core.closeness import ClosenessMetric, make_metric
 from repro.core.gif import Gif, build_gifs
 from repro.core.kernel import ClosenessKernel
 from repro.core.poset import Poset
-from repro.core.profiles import PublisherDirectory, SubscriptionProfile
-from repro.core.relations import Relation, relationship
+from repro.core.profiles import PublisherDirectory
+from repro.core.relations import Relation
 from repro.core.units import AllocationUnit
 from repro.obs import recorder as obs
 
@@ -159,7 +159,6 @@ class CramAllocator:
         self.metric.reset_counter()
 
         kernel = ClosenessKernel.for_pool(directory, [unit.profile for unit in units])
-        self.metric.attach_kernel(kernel)
         try:
             with obs.span("cram.clustering", metric=self.metric.name, units=len(units)):
                 order = StandingOrder.build(units, pool, kernel)
@@ -167,7 +166,6 @@ class CramAllocator:
         finally:
             stats.kernel_fused_evaluations = kernel.fused_evaluations
             stats.kernel_memo_hits = kernel.memo_hits
-            self.metric.attach_kernel(None)
 
     def _clustering_run(
         self,
@@ -177,7 +175,7 @@ class CramAllocator:
         stats: CramStats,
         kernel: ClosenessKernel,
     ) -> AllocationResult:
-        """The paper's clustering loop (kernel already attached)."""
+        """The paper's clustering loop over the pool's ``kernel``."""
         self.last_cut_passes = 0
         state = _CramState(
             units=units,
@@ -251,7 +249,7 @@ class CramAllocator:
         """Build and validate one cluster; commit on success."""
         if partner == SELF_PAIR:
             return self._attempt_self(state, gif)
-        relation = relationship(gif.profile, partner.profile)
+        relation = state.kernel.relationship(gif.profile, partner.profile)
         if relation is Relation.SUPERSET:
             return self._attempt_covering(state, coverer=gif, covered=partner)
         if relation is Relation.SUBSET:
@@ -326,38 +324,34 @@ class CramAllocator:
         # The partner-side allowance is the parent's own lightest unit
         # again: the partner is not threaded through.
         load_bound = 2 * anchor.delivery_bandwidth
+        kernel = state.kernel
+        bits = {g.gif_id: kernel.pack(g.profile).bits for g in covered}
         cgs: List[Gif] = []
-        cgs_profile: Optional[SubscriptionProfile] = None
+        cgs_bits = 0
         total_load = anchor.delivery_bandwidth
         remaining = list(covered)
         while remaining:
-            def gain(candidate: Gif) -> int:
-                if cgs_profile is None:
-                    return candidate.profile.cardinality
-                return (
-                    cgs_profile.union_cardinality(candidate.profile)
-                    - cgs_profile.cardinality
-                )
-
-            remaining.sort(key=lambda g: (-gain(g), g.gif_id))
+            covered_count = cgs_bits.bit_count()
+            gains = {
+                g.gif_id: (cgs_bits | bits[g.gif_id]).bit_count() - covered_count
+                for g in remaining
+            }
+            remaining.sort(key=lambda g: (-gains[g.gif_id], g.gif_id))
             chosen = remaining[0]
-            if gain(chosen) <= 0:
+            if gains[chosen.gif_id] <= 0:
                 break
             chosen_unit = chosen.lightest_unit()
             if total_load + chosen_unit.delivery_bandwidth > load_bound:
                 break
             cgs.append(chosen)
             total_load += chosen_unit.delivery_bandwidth
-            cgs_profile = (
-                chosen.profile.copy()
-                if cgs_profile is None
-                else cgs_profile.union(chosen.profile)
-            )
+            cgs_bits |= bits[chosen.gif_id]
             remaining.pop(0)
-        if not cgs or cgs_profile is None:
+        if not cgs:
             return None
-        cgs_value = self.metric(cgs_profile, parent.profile)
-        state.kernel.forget(cgs_profile)  # ephemeral, like probe merges
+        cgs_profile = kernel.merge_profiles([g.profile for g in cgs])
+        cgs_value = self.metric(kernel, cgs_profile, parent.profile)
+        kernel.forget(cgs_profile)  # ephemeral, like probe merges
         if cgs_value <= pair_value:
             return None
         merge_units = [anchor] + [g.lightest_unit() for g in cgs]
@@ -437,7 +431,7 @@ class _CramState:
     def _compute_entry(self, gif: Gif) -> _PartnerEntry:
         best = _PartnerEntry(None, 0.0)
         if gif.unit_count >= 2 and frozenset((gif.gif_id, gif.gif_id)) not in self._blacklist:
-            value = self.metric(gif.profile, gif.profile)
+            value = self.metric(self.kernel, gif.profile, gif.profile)
             if value > 0:
                 best = _PartnerEntry(SELF_PAIR, value)
 
@@ -470,7 +464,7 @@ class _CramState:
 
         The scan is one batched ``closeness_row`` call — same values
         and evaluation count as per-candidate metric calls, but the
-        kernel (when attached) serves the whole row from packed bits
+        kernel serves the whole row from packed bits
         and its pair memo.  The loop body folds in exactly what
         ``symmetric_update`` + the best-candidate test do.
         """
@@ -480,7 +474,9 @@ class _CramState:
         entries = self._entries
         blacklist = self._blacklist
         others = [other for other in self.gifs.values() if other.gif_id != gif_id]
-        row = self.metric.closeness_row(gif.profile, [other.profile for other in others])
+        row = self.metric.closeness_row(
+            self.kernel, gif.profile, [other.profile for other in others]
+        )
         for other, value in zip(others, row):
             if value <= 0:
                 continue

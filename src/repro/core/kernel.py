@@ -1,11 +1,14 @@
-"""Fused bit-plane kernel: the one representation allocation runs on.
+"""Fused bit-plane kernel: the one profile algebra allocation runs on.
 
-Every feasibility test in ``src/`` — FBF, BIN PACKING, CRAM's probes,
-Phase 3's takeover and best-fit passes, PAIRWISE's forced assignment —
-and CRAM's closeness, merges and coverage tests read profiles packed by
-this kernel.  The per-publisher dict of
-:class:`~repro.core.bitvector.BitVector` walk they replace lives on in
-``tests/`` as their oracle (``tests/first_fit_oracle.py`` for the bins,
+Paper §IV-C defines closeness, relationship and coverage as set
+operations on bit-vector profiles.  In ``src/`` they are computed here
+and nowhere else: every feasibility test — FBF, BIN PACKING, CRAM's
+probes, Phase 3's takeover and best-fit passes, PAIRWISE's forced
+assignment — and CRAM's closeness, relationships, one-to-many cover,
+merges and coverage tests read profiles packed by this kernel.  The
+per-publisher walk over :class:`~repro.core.bitvector.BitVector` dicts
+lives on in ``tests/`` as the reference (``tests/profile_oracle.py``
+for the algebra, ``tests/first_fit_oracle.py`` for the bins,
 ``tests/naive_cram.py`` for CRAM).  After Phase 1 all profiles are
 synchronized against the publisher directory (croc/offline both call
 ``SubscriptionProfile.synchronize``), so the per-publisher windows of
@@ -42,8 +45,8 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.bitvector import BitVector
 from repro.core.closeness import XOR_MAX
-from repro.core.popcount import popcount
 from repro.core.profiles import PublisherDirectory, SubscriptionProfile
+from repro.core.relations import Relation
 
 
 class Plane:
@@ -95,7 +98,7 @@ class PackedProfile:
         self.planes = planes
         #: Popcount of the packed planes (``|A∪B| = |A|+|B|-|A∩B|``
         #: turns the pairwise union into integer arithmetic).
-        self.pcard = popcount(bits)
+        self.pcard = bits.bit_count()
         #: Offset of the lowest plane this pack owns (see :meth:`memo_key`).
         self.shift = min((plane.offset for plane in planes), default=0)
         #: :meth:`memo_key` of a bin -> rate delta.  CRAM's probe runs
@@ -146,11 +149,11 @@ class PackedProfile:
 class ClosenessKernel:
     """Packs a pool once, then serves fused pairwise set cardinalities.
 
-    Serves :class:`~repro.core.closeness.ClosenessMetric` (via
-    ``attach_kernel``), every broker bin and first-fit pass (packed
-    union/rate bookkeeping), ``AllocationUnit.merged`` (packed OR-merge),
-    and the poset builder (packed ``covers``).  Built by :meth:`for_pool`
-    only.
+    Serves :class:`~repro.core.closeness.ClosenessMetric` (whose callers
+    pass the run's kernel in), CRAM's relationship test and one-to-many
+    cover, every broker bin and first-fit pass (packed union/rate
+    bookkeeping), ``AllocationUnit.merged`` (packed OR-merge), and the
+    poset builder (packed ``covers``).  Built by :meth:`for_pool` only.
     """
 
     def __init__(self, directory: PublisherDirectory, windows: Mapping[str, Window]):
@@ -271,12 +274,13 @@ class ClosenessKernel:
         return counts
 
     # ------------------------------------------------------------------
-    # Closeness metrics (identical arithmetic to repro.core.closeness)
+    # Closeness metrics (paper §IV-C; the formulas are documented in
+    # repro.core.closeness)
     # ------------------------------------------------------------------
     def closeness(
         self, name: str, first: SubscriptionProfile, second: SubscriptionProfile
     ) -> float:
-        """Metric value from fused counts; bit-identical to the naive one."""
+        """Metric value from the pair's fused counts."""
         intersect, union = self.fused_counts(first, second)
         if name == "intersect":
             return float(intersect)
@@ -363,11 +367,28 @@ class ClosenessKernel:
         return row
 
     # ------------------------------------------------------------------
-    # Coverage (poset builder)
+    # Coverage and relationship (poset builder, CRAM's clustering rules)
     # ------------------------------------------------------------------
     def covers(self, first: SubscriptionProfile, second: SubscriptionProfile) -> bool:
         """Packed superset test."""
         return not (self.pack(second).bits & ~self.pack(first).bits)
+
+    def relationship(
+        self, first: SubscriptionProfile, second: SubscriptionProfile
+    ) -> Relation:
+        """Classify a pair from its packs (reads no pair memo, moves no
+        counter)."""
+        mine = self.pack(first).bits
+        theirs = self.pack(second).bits
+        if not mine & theirs:
+            return Relation.EMPTY
+        if mine == theirs:
+            return Relation.EQUAL
+        if not theirs & ~mine:
+            return Relation.SUPERSET
+        if not mine & ~theirs:
+            return Relation.SUBSET
+        return Relation.INTERSECT
 
     # ------------------------------------------------------------------
     # Packed OR-merge (CRAM clustering)

@@ -41,8 +41,8 @@ def pairwise_cluster(
     criticizes.  Uses a cached best-partner table so each merge costs
     O(C) metric evaluations instead of an O(C²) rescan; the cache is
     maintained so the merge sequence is *identical* to the rescan's
-    (``tests/test_pairwise_cache.py`` checks this property).  The fused
-    kernel accelerates the rows without changing any value.
+    (``tests/test_pairwise_cache.py`` checks this property).  The pool's
+    fused kernel computes every row.
     """
     if isinstance(metric, str):
         metric = make_metric(metric)
@@ -50,11 +50,7 @@ def pairwise_cluster(
     if cluster_count < 1:
         raise ValueError("cluster_count must be at least 1")
     kernel = ClosenessKernel.for_pool(directory, [unit.profile for unit in clusters])
-    metric.attach_kernel(kernel)
-    try:
-        return _pairwise_cluster(clusters, cluster_count, directory, metric, kernel)
-    finally:
-        metric.attach_kernel(None)
+    return _pairwise_cluster(clusters, cluster_count, directory, metric, kernel)
 
 
 def _pairwise_cluster(
@@ -64,13 +60,15 @@ def _pairwise_cluster(
     metric: ClosenessMetric,
     kernel: ClosenessKernel,
 ) -> List[AllocationUnit]:
-    """The merge loop of :func:`pairwise_cluster` (kernel attached)."""
+    """The merge loop of :func:`pairwise_cluster` over the pool's ``kernel``."""
     best_partner: Dict[int, Tuple[int, float]] = {}
 
     def compute_partner(index: int) -> None:
         mine = clusters[index]
         indices = [j for j in range(len(clusters)) if j != index]
-        row = metric.closeness_row(mine.profile, [clusters[j].profile for j in indices])
+        row = metric.closeness_row(
+            kernel, mine.profile, [clusters[j].profile for j in indices]
+        )
         best_j, best_value = -1, -1.0
         for j, value in zip(indices, row):
             if value > best_value:
@@ -119,7 +117,7 @@ def _pairwise_cluster(
             # go to the lower index, mirroring the strict-`>` scan).
             survivors = [i for i in sorted(best_partner) if i not in stale]
             row = metric.closeness_row(
-                merged.profile, [clusters[i].profile for i in survivors]
+                kernel, merged.profile, [clusters[i].profile for i in survivors]
             )
             for i, value in zip(survivors, row):
                 cached_j, cached_value = best_partner[i]

@@ -52,14 +52,6 @@ class PosetNode:
     def is_root(self) -> bool:
         return self.gif is None
 
-    def covers(self, other: "PosetNode") -> bool:
-        """Whether this node's profile is a superset of ``other``'s."""
-        if self.is_root:
-            return True
-        if other.is_root:
-            return False
-        return self.gif.profile.covers(other.gif.profile)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_root:
             return "PosetNode(ROOT)"
@@ -85,8 +77,10 @@ class Poset:
     """DAG of GIFs ordered by bit-vector coverage.
 
     The pool's fused ``kernel`` answers the coverage tests that dominate
-    insertion; :meth:`validate` deliberately stays on the naive path so
-    it remains an independent check.
+    insertion and every closeness the partner search evaluates.  The
+    structural check lives in ``tests/profile_oracle.py``
+    (``validate_poset``), on the per-publisher profiles, so it stays an
+    independent check.
     """
 
     def __init__(self, kernel: "ClosenessKernel"):
@@ -101,7 +95,8 @@ class Poset:
         self._cover_memo: Dict[Tuple[int, int], bool] = {}
 
     def _covers(self, node: PosetNode, other: PosetNode) -> bool:
-        """Kernel-accelerated :meth:`PosetNode.covers` (same verdicts)."""
+        """Whether ``node``'s profile is a superset of ``other``'s (the
+        root covers everything)."""
         if node.is_root:
             return True
         if other.is_root:
@@ -295,7 +290,7 @@ class Poset:
                 if node.gif.gif_id != gif.gif_id
             ]
             row = metric.closeness_row(
-                gif.profile, [candidate.profile for candidate in candidates]
+                self._kernel, gif.profile, [candidate.profile for candidate in candidates]
             )
             for candidate, value in zip(candidates, row):
                 consider(candidate, value)
@@ -337,7 +332,7 @@ class Poset:
                 # A row of one gains nothing over a direct call.
                 row = None
             else:
-                row = metric.closeness_row(gif.profile, profiles)
+                row = metric.closeness_row(self._kernel, gif.profile, profiles)
             position = 0
             next_wave: List[Tuple[PosetNode, Optional[float]]] = []
             for node, parent_value in wave:
@@ -346,7 +341,7 @@ class Poset:
                     # self-pairing separately); still descend through it.
                 else:
                     if row is None:
-                        value = metric(gif.profile, node.gif.profile)
+                        value = metric(self._kernel, gif.profile, node.gif.profile)
                     else:
                         value = row[position]
                         position += 1
@@ -361,30 +356,3 @@ class Poset:
                         seen.add(id(child))
                         next_wave.append((child, next_value))
             wave = next_wave
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check structural invariants; raises AssertionError on breakage.
-
-        Used by tests and property-based checks: every parent must
-        cover every child, edges must be symmetric, and every non-root
-        node must be reachable from the root.
-        """
-        reachable: Set[int] = set()
-        queue = deque([self.root])
-        while queue:
-            node = queue.popleft()
-            for child in node.children:
-                assert node in child.parents, "child missing back-edge"
-                assert node.covers(child) or node.is_root, (
-                    f"parent {node!r} does not cover child {child!r}"
-                )
-                if id(child) not in reachable:
-                    reachable.add(id(child))
-                    queue.append(child)
-        for node in self._nodes.values():
-            assert id(node) in reachable, f"{node!r} unreachable from root"
-            for parent in node.parents:
-                assert node in parent.children, "parent missing forward-edge"

@@ -200,7 +200,7 @@ class SubscriptionProfile:
         return total
 
     # ------------------------------------------------------------------
-    # Set algebra over whole profiles
+    # Union over whole profiles
     # ------------------------------------------------------------------
     def union(self, other: "SubscriptionProfile") -> "SubscriptionProfile":
         """OR-merge two profiles (the paper's clustering operation)."""
@@ -213,65 +213,6 @@ class SubscriptionProfile:
             else:
                 merged._vectors[adv_id] = existing.union(vector)
         return merged
-
-    def intersection_cardinality(self, other: "SubscriptionProfile") -> int:
-        total = 0
-        for adv_id, vector in self._vectors.items():
-            theirs = other._vectors.get(adv_id)
-            if theirs is not None:
-                total += vector.intersection_cardinality(theirs)
-        return total
-
-    def fused_cardinalities(
-        self, other: "SubscriptionProfile"
-    ) -> Tuple[int, int, int]:
-        """``(|∩|, |∪|, |⊕|)`` from one two-sided walk over both profiles.
-
-        This is the single shared counting path: each shared publisher
-        is aligned once via
-        :meth:`~repro.core.bitvector.BitVector.fused_cardinalities`
-        (which routes through :mod:`repro.core.popcount`, the same
-        helper the fused kernel uses), and the
-        one-sided vectors contribute their cached cardinalities.
-        :meth:`union_cardinality` and :meth:`xor_cardinality` are thin
-        projections of this walk rather than duplicated traversals.
-        """
-        intersect = 0
-        union = 0
-        for adv_id, vector in self._vectors.items():
-            theirs = other._vectors.get(adv_id)
-            if theirs is None:
-                union += vector.cardinality
-            else:
-                i, u, _x = vector.fused_cardinalities(theirs)
-                intersect += i
-                union += u
-        for adv_id, theirs in other._vectors.items():
-            if adv_id not in self._vectors:
-                union += theirs.cardinality
-        return intersect, union, union - intersect
-
-    def union_cardinality(self, other: "SubscriptionProfile") -> int:
-        _i, union, _x = self.fused_cardinalities(other)
-        return union
-
-    def xor_cardinality(self, other: "SubscriptionProfile") -> int:
-        """``|self ⊕ other|`` via the shared fused walk."""
-        _i, _u, xor = self.fused_cardinalities(other)
-        return xor
-
-    def covers(self, other: "SubscriptionProfile") -> bool:
-        """Whether this profile's bits are a superset of ``other``'s."""
-        for adv_id, theirs in other._vectors.items():
-            if not theirs:
-                continue
-            mine = self._vectors.get(adv_id)
-            if mine is None or not mine.covers(theirs):
-                return False
-        return True
-
-    def is_disjoint(self, other: "SubscriptionProfile") -> bool:
-        return self.intersection_cardinality(other) == 0
 
     # ------------------------------------------------------------------
     # Identity

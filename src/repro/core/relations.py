@@ -1,9 +1,9 @@
-"""Relationship identification between subscription profiles.
+"""The relationship between two subscription profiles.
 
 The paper identifies the relationship among subscriptions *from their
 bit vectors* rather than from the subscription language (the algorithm
-itself lives in the paper's online appendix; this module reconstructs
-it from cardinalities, which is the unique set-theoretic definition).
+itself lives in the paper's online appendix; the set-theoretic
+definition is the unique reconstruction).
 
 Five relationships are possible between two profiles ``A`` and ``B``:
 
@@ -16,14 +16,14 @@ EMPTY       they share no publications
 ==========  =====================================================
 
 These drive both the poset construction (CRAM optimization 2) and the
-per-relationship clustering rules of CRAM optimization 1.
+per-relationship clustering rules of CRAM optimization 1.  The kernel
+classifies a pair from its packed bits
+(:meth:`repro.core.kernel.ClosenessKernel.relationship`).
 """
 
 from __future__ import annotations
 
 import enum
-
-from repro.core.profiles import SubscriptionProfile
 
 
 class Relation(enum.Enum):
@@ -34,32 +34,3 @@ class Relation(enum.Enum):
     SUBSET = "subset"
     INTERSECT = "intersect"
     EMPTY = "empty"
-
-    def inverse(self) -> "Relation":
-        """The relation seen from the other operand's point of view."""
-        if self is Relation.SUPERSET:
-            return Relation.SUBSET
-        if self is Relation.SUBSET:
-            return Relation.SUPERSET
-        return self
-
-
-def relationship(first: SubscriptionProfile, second: SubscriptionProfile) -> Relation:
-    """Classify the relationship between two profiles.
-
-    Computed purely from bit-vector cardinalities over the profiles'
-    common observation windows, so it is independent of the
-    publish/subscribe language (topic, content, XPath, graph ...).
-    """
-    intersect = first.intersection_cardinality(second)
-    if intersect == 0:
-        return Relation.EMPTY
-    card_first = first.cardinality
-    card_second = second.cardinality
-    if intersect == card_first and intersect == card_second:
-        return Relation.EQUAL
-    if intersect == card_second:
-        return Relation.SUPERSET
-    if intersect == card_first:
-        return Relation.SUBSET
-    return Relation.INTERSECT

@@ -79,7 +79,7 @@ class OracleBin:
                 new_cardinality = vector.cardinality
                 old_cardinality = 0
             else:
-                new_cardinality = current.union_cardinality(vector)
+                new_cardinality = current.union(vector).cardinality
                 old_cardinality = self.cardinalities[adv_id]
             if new_cardinality == old_cardinality:
                 continue

@@ -3,9 +3,10 @@
 Production CRAM packs every pool it is given (each gather is aligned by
 ``Croc._assemble``), so the kernel-less CRAM lives here only.  It runs
 the production clustering loop and ``_CramState`` over two unpacked
-stand-ins: :class:`Unpacked` in the kernel's place (merges and coverage
-tests walk the per-publisher ``BitVector`` dicts, and the metric stays
-detached) and :class:`UnpackedOrder` in the standing order's (every
+stand-ins: :class:`Unpacked` in the kernel's place (closeness,
+relationships, coverage tests, the one-to-many cover's gain and merges
+walk the per-publisher ``BitVector`` dicts through :mod:`profile_oracle`)
+and :class:`UnpackedOrder` in the standing order's (every
 BIN PACKING pass flattens, sorts and first-fits unit by unit over
 :mod:`first_fit_oracle`'s ``BitVector`` dict bins).  The equivalence
 suites run it on the same input and demand the same placements, the
@@ -18,19 +19,38 @@ production, so only a check against this scan can see a change in pair
 order.
 """
 
+from types import SimpleNamespace
+
 from repro.core.cram import CramAllocator, CramStats
 from repro.core.gif import Gif
 from repro.core.profiles import merge_profiles
 from repro.obs import recorder as obs
 
 import first_fit_oracle
+import profile_oracle
 
 
 class Unpacked:
     """What CRAM and PAIRWISE ask of a kernel, answered on the profiles."""
 
+    def __init__(self):
+        self._index = {}  # (publisher, message ID) -> bit of pack()'s ints
+
+    def closeness(self, name, first, second):
+        return profile_oracle.closeness(name, first, second)
+
+    def closeness_row(self, name, first, others):
+        return [profile_oracle.closeness(name, first, other) for other in others]
+
+    def relationship(self, first, second):
+        return profile_oracle.relationship(first, second)
+
     def covers(self, first, second):
-        return first.covers(second)
+        return profile_oracle.covers(first, second)
+
+    def pack(self, profile):
+        """The one-to-many cover ORs and popcounts ``bits``."""
+        return SimpleNamespace(bits=profile_oracle.id_bits(profile, self._index))
 
     def merge_profiles(self, profiles):
         return merge_profiles(profiles)

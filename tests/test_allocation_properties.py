@@ -26,6 +26,7 @@ from repro.core.profiles import PublisherProfile
 from repro.core.units import AllocationUnit, units_from_records
 from repro.sim.rng import SeededRng
 
+import profile_oracle
 from conftest import make_kernel, make_record
 
 WINDOW = 48
@@ -151,4 +152,4 @@ def test_prop_merged_unit_conserves_members(spec_list):
         sum(u.delivery_bandwidth for u in units)
     )
     for unit in units:
-        assert merged.profile.covers(unit.profile)
+        assert profile_oracle.covers(merged.profile, unit.profile)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.closeness import ClosenessMetric
 from repro.core.config import RunConfig
 from repro.core.cram import CramAllocator
 from repro.core.fbf import first_fit
@@ -166,6 +167,39 @@ def test_bins_passes_merges_and_the_poset_require_a_kernel():
             offenders += [slot for slot in slots
                           if slot in ("_adv_vectors", "_adv_cardinality", "_directory")]
     assert offenders == []
+
+
+#: Per-publisher algebra whose only home is ``tests/profile_oracle.py``.
+ORACLE_ONLY = {
+    "attach_kernel", "fused_cardinalities", "intersection_cardinality",
+    "xor_cardinality", "union_cardinality",
+}
+
+
+def test_the_kernel_is_the_only_profile_algebra():
+    """Closeness, relationship and coverage run on packed bits: under
+    ``src/repro/core`` no metric function, no ``relationship`` function,
+    no set-algebra method, and ``covers`` / ``relationship`` only as
+    methods of the kernel.  A metric names a formula and counts its
+    evaluations; the kernel its caller passes in computes it."""
+    offenders = []
+    for path in sorted((PACKAGE / "core").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(node): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name, owner = node.name, methods.get(id(node))
+            if (name in ORACLE_ONLY
+                    or (name.endswith("_metric") and name != "make_metric")
+                    or (name in ("covers", "relationship")
+                        and owner != "ClosenessKernel")):
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+    assert not (PACKAGE / "core" / "popcount.py").exists()
+    parameters = list(inspect.signature(ClosenessMetric.__init__).parameters)
+    assert parameters == ["self", "name", "prunable"]
 
 
 #: The Simulator's scheduling entry points.

@@ -21,10 +21,10 @@ S1+S2 pair.
 
 import pytest
 
-from repro.core.closeness import ios_metric
 from repro.core.cram import CramAllocator
+from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import merge_profiles
-from repro.core.relations import Relation, relationship
+from repro.core.relations import Relation
 from repro.core.units import units_from_records
 
 from conftest import make_directory, make_record, make_pool
@@ -57,28 +57,32 @@ def records():
     return recs
 
 
+def figure3_kernel(recs):
+    """The kernel CRAM packs the Figure 3 pool into."""
+    return ClosenessKernel.for_pool({}, [record.profile for record in recs.values()])
+
+
 class TestFigure3Numbers:
     def test_cardinalities(self):
         recs = {record.sub_id: record for record in records()}
         assert recs["S1"].profile.cardinality == 36
         assert recs["S2"].profile.cardinality == 16
-        assert recs["S1"].profile.intersection_cardinality(
-            recs["S2"].profile
-        ) == 8
+        kernel = figure3_kernel(recs)
+        assert kernel.fused_counts(recs["S1"].profile, recs["S2"].profile)[0] == 8
 
     def test_pairwise_closeness_ordering(self):
         recs = {record.sub_id: record for record in records()}
         s1, s2 = recs["S1"].profile, recs["S2"].profile
         block = recs["S1-block-0"].profile
-        small = recs["S2-block-0"].profile
-        ios_pair = ios_metric(s1, s2)
-        ios_block = ios_metric(s1, block)
+        kernel = figure3_kernel(recs)
+        ios_pair = kernel.closeness("ios", s1, s2)
+        ios_block = kernel.closeness("ios", s1, block)
         assert ios_pair == pytest.approx(64 / 52)
         assert ios_block == pytest.approx(16 / 40)
         # The pairwise trap: S1+S2 looks better than S1+block...
         assert ios_pair > ios_block
         # S2's blocks fall outside S2 here, used only as covered set.
-        assert relationship(s1, block) is Relation.SUPERSET
+        assert kernel.relationship(s1, block) is Relation.SUPERSET
 
     def test_covered_set_beats_the_pair(self):
         """IOS(S1, union of its covered blocks) exceeds IOS(S1, S2)."""
@@ -88,8 +92,9 @@ class TestFigure3Numbers:
             recs[f"S1-block-{index}"].profile for index in range(3)
         )
         assert covered_union.cardinality == 12
-        ios_cgs = ios_metric(covered_union, s1)
-        ios_pair = ios_metric(s1, recs["S2"].profile)
+        kernel = figure3_kernel(recs)
+        ios_cgs = kernel.closeness("ios", covered_union, s1)
+        ios_pair = kernel.closeness("ios", s1, recs["S2"].profile)
         assert ios_cgs == pytest.approx(144 / 48)
         assert ios_cgs > ios_pair
 

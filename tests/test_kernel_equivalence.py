@@ -1,8 +1,10 @@
 """Kernel vs naive equivalence (the kernel's exactness contract).
 
-The fused bit-plane kernel (:mod:`repro.core.kernel`) promises to be a
-pure wall-clock optimization: attaching it must never change a metric
-value, an allocation, or an evaluation counter.  These tests pin that
+The fused bit-plane kernel (:mod:`repro.core.kernel`) is the one
+profile algebra in ``src/``; the per-publisher walk of
+``profile_oracle`` (and CRAM over it, ``naive_cram``) is the reference.
+The two must agree on every metric value, relationship, coverage
+verdict, allocation and evaluation counter.  These tests pin that
 contract on seeded end-to-end scenarios, on pools CROC gathered under
 loss and jitter, and on generated pools.  A pool no gather produces (a
 publisher seen under two windows) is an error, not a slower path.
@@ -27,11 +29,13 @@ from repro.core.croc import Croc
 from repro.core.kernel import ClosenessKernel
 from repro.core.pairwise import pairwise_cluster
 from repro.core.profiles import PublisherProfile
+from repro.core.relations import Relation
 from repro.core.units import units_from_records
 from repro.workloads.offline import offline_gather
 from repro.workloads.scenarios import cluster_heterogeneous, cluster_homogeneous
 
 import cut_probe_oracle
+import profile_oracle
 from conftest import make_directory, make_pool, make_profile, make_spec, make_unit
 from first_fit_oracle import OracleBin
 from naive_cram import NaiveCramAllocator, scan_best_pair
@@ -99,21 +103,39 @@ class TestAllocationEquivalence:
         assert counters[0] == counters[1]
 
     def test_identical_closeness_values(self, scenario, metric_name):
-        """Every pairwise metric value matches the naive float exactly."""
+        """Every pairwise metric value matches the oracle's float exactly."""
         _, gather_pool = scenario
         gather, units = _gathered(gather_pool)
         profiles = [unit.profile for unit in units][:40]
-        naive = make_metric(metric_name)
-        fused = make_metric(metric_name)
-        fused.attach_kernel(ClosenessKernel.for_pool(gather.directory, profiles))
+        kernel = ClosenessKernel.for_pool(gather.directory, profiles)
+        metric = make_metric(metric_name)
         anchor = profiles[0]
         others = profiles[1:]
-        naive_row = [naive(anchor, other) for other in others]
+        naive_row = [profile_oracle.closeness(metric_name, anchor, other) for other in others]
         # Bit-for-bit, both per-pair and batched (no approx).
-        assert [fused(anchor, other) for other in others] == naive_row
-        assert fused.closeness_row(anchor, others) == naive_row
+        assert [metric(kernel, anchor, other) for other in others] == naive_row
+        assert metric.closeness_row(kernel, anchor, others) == naive_row
         # The batched form repeats cleanly off the pair memo.
-        assert fused.closeness_row(anchor, others) == naive_row
+        assert metric.closeness_row(kernel, anchor, others) == naive_row
+        assert metric.evaluations == 3 * len(others)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=[name for name, _ in SCENARIOS])
+def test_identical_relationships_and_coverage(scenario):
+    """Every ordered pair (self-pairs included) of a gathered pool: the
+    kernel's relationship and coverage verdicts are the oracle's."""
+    gather, units = _gathered(scenario[1])
+    profiles = [unit.profile for unit in units][:40]
+    kernel = ClosenessKernel.for_pool(gather.directory, profiles)
+    relations = set()
+    for first in profiles:
+        for second in profiles:
+            relation = kernel.relationship(first, second)
+            assert relation is profile_oracle.relationship(first, second)
+            assert kernel.covers(first, second) is profile_oracle.covers(first, second)
+            relations.add(relation)
+    assert kernel.fused_evaluations == kernel.memo_hits == 0
+    assert relations == set(Relation)
 
 
 def _bins(result):
@@ -136,20 +158,14 @@ def _bins(result):
 class TestFusedCountsFallbacks:
     """Direct fused_counts checks, and the pools that cannot pack."""
 
-    def _naive_counts(self, first, second):
-        return (
-            first.intersection_cardinality(second),
-            first.union_cardinality(second),
-        )
-
     def test_pure_pair_counts(self):
         directory = make_directory(["A", "B"])
         a = make_profile({"A": [1, 2, 3], "B": [10, 11]})
         b = make_profile({"A": [2, 3, 4]})
         kernel = ClosenessKernel.for_pool(directory, [a, b])
-        assert kernel.fused_counts(a, b) == self._naive_counts(a, b)
+        assert kernel.fused_counts(a, b) == profile_oracle.counts(a, b)[:2]
         assert kernel.fused_evaluations == 1
-        assert kernel.fused_counts(a, b) == self._naive_counts(a, b)
+        assert kernel.fused_counts(a, b) == profile_oracle.counts(a, b)[:2]
         assert kernel.memo_hits == 1
 
     def test_misaligned_pool_is_an_error(self):
@@ -188,7 +204,7 @@ class TestFusedCountsFallbacks:
         a = make_profile({"A": [1], "GHOST": [2, 3]})
         b = make_profile({"GHOST": [3, 4]})
         kernel = ClosenessKernel.for_pool(directory, [a, b])
-        assert kernel.fused_counts(a, b) == self._naive_counts(a, b)
+        assert kernel.fused_counts(a, b) == profile_oracle.counts(a, b)[:2]
 
 
 # ----------------------------------------------------------------------

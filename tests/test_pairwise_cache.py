@@ -37,6 +37,7 @@ def _brute_force_cluster(
     the exact selection rule ``pairwise_cluster`` documents.
     """
     metric = make_metric(metric_name)
+    kernel = Unpacked()
     clusters = list(units)
     while len(clusters) > cluster_count and len(clusters) > 1:
         best_i, best_j, best_value = -1, -1, -1.0
@@ -44,11 +45,11 @@ def _brute_force_cluster(
             for j, theirs in enumerate(clusters):
                 if j == i:
                     continue
-                value = metric(mine.profile, theirs.profile)
+                value = metric(kernel, mine.profile, theirs.profile)
                 if value > best_value:
                     best_i, best_j, best_value = i, j, value
         merged = AllocationUnit.merged(
-            [clusters[best_i], clusters[best_j]], directory, Unpacked()
+            [clusters[best_i], clusters[best_j]], directory, kernel
         )
         lo, hi = min(best_i, best_j), max(best_i, best_j)
         clusters[lo] = merged
@@ -78,7 +79,7 @@ def _random_units(seed: int, count: int, directory) -> List[AllocationUnit]:
 
 
 def _naive_cluster(units, cluster_count, directory, metric_name):
-    """The cached search with nothing packed (metric detached)."""
+    """The cached search with nothing packed (the oracle's algebra)."""
     return _pairwise_cluster(
         list(units), cluster_count, directory, make_metric(metric_name), Unpacked()
     )

@@ -10,6 +10,7 @@ from repro.core.poset import Poset
 
 from conftest import make_directory, make_profile, make_unit
 from naive_cram import Unpacked
+from profile_oracle import covers, validate_poset
 
 
 def gif_of(bits, directory, capacity=64):
@@ -29,7 +30,7 @@ class TestInsertion:
         node = poset.insert(gif)
         assert node.parents == {poset.root}
         assert len(poset) == 1
-        poset.validate()
+        validate_poset(poset)
 
     def test_superset_becomes_parent(self, directory):
         poset = Poset(Unpacked())
@@ -38,7 +39,7 @@ class TestInsertion:
         poset.insert(big)
         node_small = poset.insert(small)
         assert poset.node_of(big) in node_small.parents
-        poset.validate()
+        validate_poset(poset)
 
     def test_inserting_parent_after_child_relinks(self, directory):
         poset = Poset(Unpacked())
@@ -50,7 +51,7 @@ class TestInsertion:
         assert node_big in node_small.parents
         assert poset.root not in node_small.parents
         assert node_big.parents == {poset.root}
-        poset.validate()
+        validate_poset(poset)
 
     def test_siblings_for_intersecting_profiles(self, directory):
         poset = Poset(Unpacked())
@@ -60,14 +61,14 @@ class TestInsertion:
         poset.insert(b)
         assert poset.node_of(a).parents == {poset.root}
         assert poset.node_of(b).parents == {poset.root}
-        poset.validate()
+        validate_poset(poset)
 
     def test_chain_insertion_any_order(self, directory):
         poset = Poset(Unpacked())
         gifs = [gif_of(range(n), directory) for n in (4, 1, 3, 2)]
         for gif in gifs:
             poset.insert(gif)
-        poset.validate()
+        validate_poset(poset)
         # The chain {0..3} ⊃ {0..2} ⊃ {0..1} ⊃ {0} must hold.
         by_card = sorted(gifs, key=lambda g: g.profile.cardinality)
         for smaller, larger in zip(by_card, by_card[1:]):
@@ -91,7 +92,7 @@ class TestInsertion:
         parents = poset.node_of(bottom).parents
         assert poset.node_of(left) in parents
         assert poset.node_of(right) in parents
-        poset.validate()
+        validate_poset(poset)
 
 
 class TestRemoval:
@@ -103,7 +104,7 @@ class TestRemoval:
         for gif in (top, middle, bottom):
             poset.insert(gif)
         poset.remove(middle)
-        poset.validate()
+        validate_poset(poset)
         assert middle not in poset
         node_bottom = poset.node_of(bottom)
         assert poset.node_of(top) in node_bottom.parents
@@ -115,7 +116,7 @@ class TestRemoval:
         poset.insert(a)
         poset.insert(b)
         poset.remove(b)
-        poset.validate()
+        validate_poset(poset)
         assert len(poset) == 1
 
     def test_remove_top_reattaches_to_root(self, directory):
@@ -125,7 +126,7 @@ class TestRemoval:
         poset.insert(top)
         poset.insert(bottom)
         poset.remove(top)
-        poset.validate()
+        validate_poset(poset)
         assert poset.node_of(bottom).parents == {poset.root}
 
 
@@ -252,7 +253,7 @@ def test_prop_insertion_keeps_invariants(bit_sets):
         gif = gif_of(bits, directory)
         gifs.append(gif)
         poset.insert(gif)
-        poset.validate()
+        validate_poset(poset)
     # Every strict-superset relation must be reachable via ancestors.
     for gif in gifs:
         node = poset.node_of(gif)
@@ -267,8 +268,8 @@ def test_prop_insertion_keeps_invariants(bit_sets):
         for other in gifs:
             if other is gif:
                 continue
-            if other.profile.covers(gif.profile) and not gif.profile.covers(
-                other.profile
+            if covers(other.profile, gif.profile) and not covers(
+                gif.profile, other.profile
             ):
                 assert poset.node_of(other) in ancestors
 
@@ -284,7 +285,8 @@ def test_prop_pruned_intersect_search_matches_exhaustive(bit_sets):
     """For INTERSECT the decrease-prune is exact: |∩| is non-increasing
     down the poset, so a pruned subtree can never hold a better pair."""
     directory = make_directory(["A"], last_message_id=12)
-    poset = Poset(Unpacked())
+    kernel = Unpacked()
+    poset = Poset(kernel)
     gifs = [gif_of(bits, directory) for bits in bit_sets]
     for gif in gifs:
         poset.insert(gif)
@@ -292,7 +294,7 @@ def test_prop_pruned_intersect_search_matches_exhaustive(bit_sets):
     for gif in gifs:
         _partner, value = poset.closest_partner(gif, metric)
         best = max(
-            (metric(gif.profile, other.profile) for other in gifs if other is not gif),
+            (metric(kernel, gif.profile, other.profile) for other in gifs if other is not gif),
             default=0.0,
         )
         assert value == pytest.approx(best)
@@ -305,7 +307,8 @@ def test_prop_pruned_ios_search_is_sound_heuristic(bit_sets):
     return a lower-closeness pair on adversarial posets, but it never
     overshoots the true best and never misses that *a* partner exists."""
     directory = make_directory(["A"], last_message_id=12)
-    poset = Poset(Unpacked())
+    kernel = Unpacked()
+    poset = Poset(kernel)
     gifs = [gif_of(bits, directory) for bits in bit_sets]
     for gif in gifs:
         poset.insert(gif)
@@ -313,7 +316,7 @@ def test_prop_pruned_ios_search_is_sound_heuristic(bit_sets):
     for gif in gifs:
         _partner, value = poset.closest_partner(gif, metric)
         best = max(
-            (metric(gif.profile, other.profile) for other in gifs if other is not gif),
+            (metric(kernel, gif.profile, other.profile) for other in gifs if other is not gif),
             default=0.0,
         )
         assert value <= best + 1e-12

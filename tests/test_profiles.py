@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import (
     PublisherProfile,
     SubscriptionProfile,
     merge_profiles,
 )
 
+import profile_oracle
 from conftest import make_directory, make_profile
 
 
@@ -121,25 +123,31 @@ class TestSetAlgebra:
     def test_cardinalities_across_publishers(self):
         first = make_profile({"A": [1, 2], "B": [5]})
         second = make_profile({"A": [2, 3], "C": [8]})
-        assert first.intersection_cardinality(second) == 1
-        assert first.union_cardinality(second) == 5
-        assert first.xor_cardinality(second) == 4
+        assert profile_oracle.counts(first, second) == (1, 5, 4)
+        kernel = ClosenessKernel.for_pool({}, [first, second])
+        assert kernel.fused_counts(first, second) == (1, 5)
 
     def test_covers_multi_publisher(self):
         big = make_profile({"A": [1, 2, 3], "B": [4]})
         small = make_profile({"A": [2], "B": [4]})
-        assert big.covers(small)
-        assert not small.covers(big)
+        kernel = ClosenessKernel.for_pool({}, [big, small])
+        for covers in (profile_oracle.covers, kernel.covers):
+            assert covers(big, small)
+            assert not covers(small, big)
 
     def test_covers_requires_all_publishers(self):
         big = make_profile({"A": [1, 2, 3]})
         small = make_profile({"A": [1], "B": [0]})
-        assert not big.covers(small)
+        kernel = ClosenessKernel.for_pool({}, [big, small])
+        assert not profile_oracle.covers(big, small)
+        assert not kernel.covers(big, small)
 
     def test_disjoint(self):
         first = make_profile({"A": [1]})
         second = make_profile({"A": [2], "B": [1]})
-        assert first.is_disjoint(second)
+        kernel = ClosenessKernel.for_pool({}, [first, second])
+        assert profile_oracle.counts(first, second)[0] == 0
+        assert kernel.fused_counts(first, second)[0] == 0
 
     def test_merge_profiles_helper(self):
         merged = merge_profiles(
@@ -185,5 +193,5 @@ def test_prop_union_with_self_is_identity(bits):
     for adv, pub_id in bits:
         profile.record(adv, pub_id)
     assert profile.union(profile) == profile
-    assert profile.intersection_cardinality(profile) == profile.cardinality
-    assert profile.xor_cardinality(profile) == 0
+    card = profile.cardinality
+    assert profile_oracle.counts(profile, profile) == (card, card, 0)

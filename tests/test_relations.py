@@ -1,12 +1,22 @@
-"""Tests for bit-vector relationship identification."""
+"""Tests for bit-vector relationship identification.
+
+The production classifier is the kernel's, on packed bits; the
+properties also hold the per-publisher oracle to the same answers.
+"""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.kernel import ClosenessKernel
 from repro.core.profiles import SubscriptionProfile
-from repro.core.relations import Relation, relationship
+from repro.core.relations import Relation
 
+import profile_oracle
 from conftest import make_profile
+
+
+def relationship(first, second):
+    return ClosenessKernel.for_pool({}, [first, second]).relationship(first, second)
 
 
 class TestRelationship:
@@ -52,15 +62,6 @@ class TestRelationship:
         assert relationship(a, b) is Relation.EMPTY
 
 
-class TestInverse:
-    def test_inverse_mapping(self):
-        assert Relation.SUPERSET.inverse() is Relation.SUBSET
-        assert Relation.SUBSET.inverse() is Relation.SUPERSET
-        assert Relation.EQUAL.inverse() is Relation.EQUAL
-        assert Relation.INTERSECT.inverse() is Relation.INTERSECT
-        assert Relation.EMPTY.inverse() is Relation.EMPTY
-
-
 sets = st.sets(st.integers(0, 40), max_size=20)
 
 
@@ -69,6 +70,7 @@ def test_prop_relationship_matches_set_semantics(a, b):
     pa = make_profile({"A": a}, capacity=64)
     pb = make_profile({"A": b}, capacity=64)
     rel = relationship(pa, pb)
+    assert profile_oracle.relationship(pa, pb) is rel
     if not a & b:
         assert rel is Relation.EMPTY
     elif a == b:
@@ -85,4 +87,6 @@ def test_prop_relationship_matches_set_semantics(a, b):
 def test_prop_relationship_symmetry(a, b):
     pa = make_profile({"A": a}, capacity=64)
     pb = make_profile({"A": b}, capacity=64)
-    assert relationship(pa, pb).inverse() is relationship(pb, pa)
+    inverse = {Relation.SUPERSET: Relation.SUBSET, Relation.SUBSET: Relation.SUPERSET}
+    relation = relationship(pa, pb)
+    assert inverse.get(relation, relation) is relationship(pb, pa)
