@@ -30,7 +30,6 @@ from repro.core.online import (
     Migration,
     MigrationPlan,
     OnlineSpec,
-    make_strategy,
 )
 from repro.core.binpacking import BinPackingAllocator
 from repro.core.baselines import automatic_deployment, manual_deployment
@@ -89,7 +88,6 @@ __all__ = [
     "Migration",
     "MigrationPlan",
     "OnlineSpec",
-    "make_strategy",
     "DEFAULT_CAPACITY",
     "BitVector",
     "BinPackingAllocator",

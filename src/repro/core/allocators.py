@@ -11,9 +11,9 @@ Example
 -------
 >>> get("cram-ios")().name
 'cram-ios'
->>> "inc-trade" in INCREMENTAL
+>>> "fij-trade" in INCREMENTAL
 True
->>> get("inc-trade")().name
+>>> get("fij-trade")().name
 'cram-ios'
 """
 
@@ -26,8 +26,8 @@ from repro.core.cram import CramAllocator
 from repro.core.fbf import FbfAllocator
 
 #: Every allocator, in the paper's presentation order (§IV–V: FBF,
-#: BIN PACKING, the four CRAM closeness metrics), then the approaches
-#: that add online migrations to CRAM-IOS.
+#: BIN PACKING, the four CRAM closeness metrics), then the approach
+#: that adds online migrations to CRAM-IOS.
 NAMES: Tuple[str, ...] = (
     "fbf",
     "binpacking",
@@ -35,14 +35,13 @@ NAMES: Tuple[str, ...] = (
     "cram-xor",
     "cram-ios",
     "cram-iou",
-    "inc-trade",
     "fij-trade",
 )
 
-#: The approaches whose migration strategy (``inc-trade`` runs
-#: ``inc_trade``) the continuous loop's mixed schedule runs between full
-#: cycles.  Their Phase-2 allocator is CRAM-IOS.
-INCREMENTAL: Tuple[str, ...] = ("inc-trade", "fij-trade")
+#: The approach whose ``fij_trade`` migrations the continuous loop's
+#: mixed schedule runs between full cycles.  Its Phase-2 allocator is
+#: CRAM-IOS.
+INCREMENTAL: Tuple[str, ...] = ("fij-trade",)
 
 
 def get(
@@ -55,7 +54,7 @@ def get(
 
     Each allocator takes the knobs it understands: FBF the ``rng``, the
     CRAM family the ``failure_budget``.  The :data:`INCREMENTAL`
-    approaches allocate with CRAM-IOS.
+    approach allocates with CRAM-IOS.
     """
     if name == "fbf":
         return lambda: FbfAllocator(rng=rng)

@@ -28,7 +28,6 @@ from repro.core import allocators
 from repro.core.config import RunConfig
 from repro.core.croc import ReconfigurationError
 from repro.core.energy import EnergySpec
-from repro.core.online import OnlineSpec
 from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.report import format_rows, summarize_pareto
 from repro.experiments.runner import APPROACHES
@@ -107,13 +106,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "and write them to PATH (JSONL, or JSON "
                              "with a .json suffix); outputs stay "
                              "bit-identical to an unobserved run")
-    parser.add_argument("--online", type=OnlineSpec.from_spec, default=None,
-                        metavar="SPEC",
-                        help="online incremental reallocation between "
-                             "full CROC cycles, e.g. 'inc_trade' or "
-                             "'strategy=fij_trade,steps=2,high=0.75,"
-                             "low=0.45,drift=0.2,moves=4' "
-                             "('none' disables)")
     parser.add_argument("--energy", type=EnergySpec.from_spec, default=None,
                         metavar="SPEC",
                         help="attach post-hoc energy accounting, e.g. "
@@ -175,14 +167,13 @@ def _run_config(args) -> Optional[RunConfig]:
     ``None`` when nothing was set, so default invocations keep shipping
     config-free cell specs (bit-identical to earlier releases).
     """
-    online = getattr(args, "online", None)
     energy = getattr(args, "energy", None)
     if energy is None and getattr(args, "pareto", False):
         # Pareto ranking needs joules; default the model when unset.
         energy = EnergySpec()
-    if online is None and energy is None:
+    if energy is None:
         return None
-    return RunConfig(online=online, energy=energy)
+    return RunConfig(energy=energy)
 
 
 def _write_obs(path: str, labeled_results) -> None:

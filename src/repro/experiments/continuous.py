@@ -17,8 +17,8 @@ schedule instead: the profiling phase is cut into ``steps + 1`` equal
 slices, and after each of the first ``steps`` slices the
 :class:`OnlineScheduler` feeds the window's per-broker output rates to
 a fitted :class:`~repro.sim.estimator.BrokerLoadEstimator` and executes
-at most ``max_moves`` individual subscription migrations planned by an
-incremental strategy (``inc_trade`` / ``fij_trade``).  When the
+at most :data:`~repro.core.online.MAX_MOVES` individual subscription
+migrations planned by :func:`~repro.core.online.fij_trade`.  When the
 estimator's drift against the post-reconfiguration baseline stays
 under ``drift_threshold`` the expensive full CROC run is skipped for
 that cycle — the online steps alone track the workload.
@@ -26,7 +26,6 @@ that cycle — the online steps alone track the workload.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -38,7 +37,7 @@ from repro.core.online import (
     MigrationPlan,
     OnlineSpec,
     SubscriptionLoad,
-    make_strategy,
+    fij_trade,
 )
 from repro.obs import recorder as obs
 from repro.pubsub.message import CONTROL_MESSAGE_KB, Unsubscription
@@ -73,12 +72,6 @@ class CycleReport:
     subscriptions_moved: int = 0
     migration_gap_s: float = 0.0
     drift: float = 0.0
-    #: Pool-autoscaler outcome (``OnlineSpec.autoscale``): the broker
-    #: count the estimator's predicted load asked for this cycle, and
-    #: its difference from the allocation entering the cycle.  Both 0
-    #: when the autoscaler is off.
-    autoscale_target: int = 0
-    autoscale_delta: int = 0
     #: Energy accounted over this cycle's measurement window
     #: (``RunConfig.energy``); 0.0 when the model is detached.
     joules: float = 0.0
@@ -101,8 +94,6 @@ class CycleReport:
             "subscriptions_moved": self.subscriptions_moved,
             "migration_gap_s": round(self.migration_gap_s, 4),
             "drift": round(self.drift, 4),
-            "autoscale_target": self.autoscale_target,
-            "autoscale_delta": self.autoscale_delta,
             "joules": round(self.joules, 4),
             "joules_per_delivery": round(self.joules_per_delivery, 6),
         }
@@ -111,7 +102,7 @@ class CycleReport:
 class OnlineScheduler:
     """Estimator-driven migration stepper for the mixed schedule.
 
-    Owns the per-network state the online strategies need: a
+    Owns the per-network state the ``fij_trade`` planner needs: a
     :class:`BrokerLoadEstimator` fed with per-broker output rates
     (kB/s over the current metrics window, the same load unit Phase 2
     budgets against ``total_output_bandwidth``), cumulative delivery
@@ -127,19 +118,13 @@ class OnlineScheduler:
     def __init__(self, network: PubSubNetwork, spec: OnlineSpec):
         self.network = network
         self.spec = spec
-        self.strategy = make_strategy(spec)
-        self.estimator = BrokerLoadEstimator(
-            window=spec.window, horizon=spec.horizon
-        )
+        self.estimator = BrokerLoadEstimator()
         self.baseline: Dict[str, float] = {}
         self._capacity = {
             broker.broker_id: broker.total_output_bandwidth
             for broker in network.broker_pool()
         }
         self._last_delivered: Dict[str, int] = {}
-        self.steps_run = 0
-        self.subscriptions_moved = 0
-        self.migration_gap_s = 0.0
 
     # ------------------------------------------------------------------
     # Sampling
@@ -185,7 +170,7 @@ class OnlineScheduler:
         in proportion to their delivery-count deltas since the previous
         sample (uniformly when nobody received anything), then split
         equally across each subscriber's subscriptions.  Approximate by
-        design: the strategies only need a consistent relative ranking
+        design: the planner only needs a consistent relative ranking
         of "how much would moving this subscription shift".
         """
         by_broker: Dict[str, List] = {}
@@ -236,18 +221,15 @@ class OnlineScheduler:
         crashed between planning and execution).
         """
         loads = self.observe_window()
-        empty = MigrationPlan(strategy=self.spec.strategy, moves=())
+        empty = MigrationPlan()
         if not loads:
             return empty, 0, 0.0
         brokers = self.broker_loads()
         subscriptions = self.subscription_loads(loads)
         if not brokers or not subscriptions:
             return empty, 0, 0.0
-        plan = self.strategy.plan(brokers, subscriptions)
+        plan = fij_trade(brokers, subscriptions)
         moved, gap = self._execute(plan)
-        self.steps_run += 1
-        self.subscriptions_moved += moved
-        self.migration_gap_s += gap
         return plan, moved, gap
 
     def _execute(self, plan: MigrationPlan) -> Tuple[int, float]:
@@ -316,86 +298,6 @@ class OnlineScheduler:
         """Capture the current predictions as the new drift baseline."""
         self.baseline = self.estimator.predicted_loads()
 
-    def pool_capacities(self) -> Dict[str, float]:
-        """Output-bandwidth capacity per pool broker (a copy)."""
-        return dict(self._capacity)
-
-
-@dataclass(frozen=True)
-class AutoscaleDecision:
-    """One cycle's pool-sizing verdict from predicted load.
-
-    ``target`` is the broker count that lands the estimator's total
-    predicted output load at ``target_util`` of summed capacity,
-    clamped to ``[min_brokers, pool_size]``; ``current`` is the
-    allocation entering the cycle.
-    """
-
-    cycle: int
-    current: int
-    target: int
-    predicted_load: float
-    mean_capacity: float
-
-    @property
-    def delta(self) -> int:
-        return self.target - self.current
-
-
-class PoolAutoscaler:
-    """Drift-gated pool sizing from the estimator's predicted load.
-
-    The online drift gate answers "has the load *shape* moved?"; this
-    hook answers "is the allocated broker set the right *size*?".  Each
-    cycle it converts the estimator's total predicted output load into
-    a target broker count (load / (target_util × mean capacity),
-    rounded up).  A non-zero delta overrides the drift-gated skip so
-    the full CROC run resizes the allocation; a zero delta leaves the
-    skip decision to the drift gate.  Pure arithmetic over already
-    sampled predictions — deterministic, and inert unless
-    ``OnlineSpec.autoscale`` is set.
-    """
-
-    def __init__(
-        self,
-        scheduler: OnlineScheduler,
-        spec: OnlineSpec,
-        min_brokers: int = 1,
-    ):
-        if min_brokers < 1:
-            raise ValueError(f"min_brokers must be >= 1, got {min_brokers}")
-        self.scheduler = scheduler
-        self.spec = spec
-        self.min_brokers = min_brokers
-        self.decisions: List[AutoscaleDecision] = []
-
-    def decide(self, cycle: int, current: int) -> AutoscaleDecision:
-        """Size the pool for the predicted load (records the decision)."""
-        capacities = self.scheduler.pool_capacities()
-        predicted = self.scheduler.estimator.predicted_loads()
-        total_load = sum(
-            max(predicted[broker_id], 0.0) for broker_id in sorted(predicted)
-        )
-        pool_size = len(capacities)
-        mean_capacity = (
-            sum(capacities.values()) / pool_size if pool_size else 0.0
-        )
-        usable = self.spec.target_util * mean_capacity
-        if usable > EPSILON and total_load > EPSILON:
-            need = math.ceil(total_load / usable)
-        else:
-            need = self.min_brokers
-        target = max(self.min_brokers, min(need, pool_size or self.min_brokers))
-        decision = AutoscaleDecision(
-            cycle=cycle,
-            current=current,
-            target=target,
-            predicted_load=total_load,
-            mean_capacity=mean_capacity,
-        )
-        self.decisions.append(decision)
-        return decision
-
 
 class ContinuousReconfigurator:
     """Periodic CROC control loop.
@@ -442,7 +344,6 @@ class ContinuousReconfigurator:
         self.accountant = (
             EnergyAccountant(energy) if energy is not None else None
         )
-        self.autoscaler: Optional[PoolAutoscaler] = None
         self.reports: List[CycleReport] = []
 
     @property
@@ -455,11 +356,6 @@ class ContinuousReconfigurator:
             return None
         if self._scheduler is None or self._scheduler.network is not network:
             self._scheduler = OnlineScheduler(network, self.online)
-            self.autoscaler = (
-                PoolAutoscaler(self._scheduler, self.online)
-                if self.online.autoscale
-                else None
-            )
         return self._scheduler
 
     def run(self, network: PubSubNetwork, cycles: int) -> List[CycleReport]:
@@ -503,23 +399,11 @@ class ContinuousReconfigurator:
                 subscriptions = 0
                 degraded = False
                 rolled_back = False
-                autoscale_target = 0
-                autoscale_delta = 0
-                if self.autoscaler is not None:
-                    decision = self.autoscaler.decide(
-                        cycle, len(network.active_brokers)
-                    )
-                    autoscale_target = decision.target
-                    autoscale_delta = decision.delta
                 skip_full = (
                     scheduler is not None
                     and scheduler.baseline
                     and self.online.drift_threshold > 0
                     and drift_value <= self.online.drift_threshold
-                    # A mis-sized pool forces the full run even when the
-                    # load shape has not drifted: only a full CROC cycle
-                    # can grow or shrink the allocated broker set.
-                    and autoscale_delta == 0
                 )
                 if skip_full:
                     reconfigured = False
@@ -574,8 +458,6 @@ class ContinuousReconfigurator:
                     subscriptions_moved=moved,
                     migration_gap_s=gap_s,
                     drift=drift_value,
-                    autoscale_target=autoscale_target,
-                    autoscale_delta=autoscale_delta,
                     joules=joules,
                     joules_per_delivery=joules_per_delivery,
                 )

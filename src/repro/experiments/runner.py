@@ -19,7 +19,7 @@ names in :data:`APPROACHES`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import allocators
@@ -59,7 +59,7 @@ BASE_APPROACHES: Tuple[str, ...] = (
 
 #: Every runnable approach: the paper's ten (two baselines, two
 #: related derivatives, two sorting allocators, four CRAM closeness
-#: metrics), then the two online strategies.
+#: metrics), then ``fij-trade``, CRAM-IOS with online migrations.
 APPROACHES: Tuple[str, ...] = BASE_APPROACHES + allocators.NAMES
 
 #: Virtual seconds allowed for control traffic to quiesce after a
@@ -387,8 +387,8 @@ class ExperimentRunner:
         Deploys the MANUAL baseline, then executes ``cycles`` cycles of
         :class:`~repro.experiments.continuous.ContinuousReconfigurator`.
         When ``self.config.online`` is set the loop runs the mixed
-        schedule; an :data:`allocators.INCREMENTAL` approach names the
-        strategy it runs, over the spec's.
+        schedule (``fij_trade`` migrations between full cycles) for any
+        approach; without it every approach re-plans periodically.
 
         ``make_driver`` (optional) receives the freshly built network
         and returns the per-cycle drift hook — e.g.
@@ -402,15 +402,12 @@ class ExperimentRunner:
             recorder.use_clock(lambda: network.sim.now)
             network.obs_sampler = TimelineSampler(network, recorder)
         self._deploy_manual(network)
-        online = self.config.online
-        if online is not None and approach in allocators.INCREMENTAL:
-            online = replace(online, strategy=approach.replace("-", "_"))
         loop = ContinuousReconfigurator(
             croc,
             profiling_time=profiling_time,
             measurement_time=measurement_time,
             on_cycle_start=make_driver(network) if make_driver else None,
-            online=online,
+            online=self.config.online,
             energy=self.config.energy,
         )
         self.last_continuous = loop

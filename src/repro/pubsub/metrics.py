@@ -130,14 +130,6 @@ class MetricsSummary:
             ),
         }
 
-    def migration_row(self) -> Dict[str, float]:
-        """The online-reallocation disruption counters as a flat dict."""
-        return {
-            "subscriptions_migrated": self.subscriptions_migrated,
-            "migration_gap_s": round(self.migration_gap_s, 4),
-            "delivery_rate": round(self.delivery_rate, 4),
-        }
-
     def energy_usage(self) -> WindowUsage:
         """This window's counters projected for the energy model.
 

@@ -4,18 +4,16 @@ The online reallocation scheduler (see :mod:`repro.experiments.
 continuous`) needs to know, *between* full CROC cycles, which brokers
 are drifting towards overload and which have headroom to spare.  The
 simulation already produces the raw signal deterministically: the
-metrics collector counts per-broker messages and output bytes, and the
-observability layer's timeline sampler snapshots the same counters at
-virtual-time boundaries.  This module turns those streams into small
-fitted models:
+metrics collector counts per-broker output bytes over each window.
+This module turns that stream into small fitted models:
 
 * a :class:`LoadSample` is one (virtual time, broker, load) observation
   — load is whatever unit the caller samples (the scheduler feeds
   output kB/s, the unit the capacity model bounds);
 * a :class:`BrokerLoadEstimator` keeps a sliding window of samples per
   broker and fits an ordinary least-squares line through them, so
-  :meth:`~BrokerLoadEstimator.predict` extrapolates a short horizon
-  ahead instead of reacting to the last sample alone.
+  :meth:`~BrokerLoadEstimator.predict` reads the smoothed trend at the
+  latest sample instead of reacting to that sample alone.
 
 Every input is derived from the virtual clock and integer counters, and
 the fit is pure float arithmetic over an ordered window — so the same
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Tuple
 
 from repro.core.floats import EPSILON, approx_zero
 
@@ -41,16 +39,12 @@ class LoadSample:
 
     ``load`` is the broker's observed output rate over the elapsed
     sampling interval (the scheduler samples kB/s, matching the
-    capacity model's ``total_output_bandwidth`` unit);
-    ``queue_depth`` / ``in_flight`` mirror the engine gauges the obs
-    timeline records and ride along for diagnostics.
+    capacity model's ``total_output_bandwidth`` unit).
     """
 
     t: float
     broker_id: str
     load: float
-    queue_depth: int = 0
-    in_flight: int = 0
 
 
 class BrokerLoadEstimator:
@@ -62,21 +56,13 @@ class BrokerLoadEstimator:
         Samples retained per broker.  Two are enough to fit a line;
         with fewer than two the estimator falls back to the last
         observed load (or 0.0 before any observation).
-    horizon:
-        Virtual seconds ahead of the latest sample that
-        :meth:`predict` extrapolates by default.  ``0.0`` predicts the
-        smoothed *current* load.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW, horizon: float = 0.0):
+    def __init__(self, window: int = DEFAULT_WINDOW):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {horizon}")
         self.window = window
-        self.horizon = horizon
         self._samples: Dict[str, Deque[LoadSample]] = {}
-        self.samples_seen = 0
 
     # ------------------------------------------------------------------
     # Feeding
@@ -87,34 +73,12 @@ class BrokerLoadEstimator:
         if window is None:
             window = self._samples[sample.broker_id] = deque(maxlen=self.window)
         window.append(sample)
-        self.samples_seen += 1
 
     def observe_loads(self, t: float, loads: Mapping[str, float]) -> None:
         """Record one sample per broker, in sorted broker order."""
         for broker_id in sorted(loads):
             self.observe(LoadSample(t=t, broker_id=broker_id,
                                     load=loads[broker_id]))
-
-    def consume(self, record: Mapping[str, object]) -> None:
-        """Ingest one obs timeline sample record.
-
-        Accepts the dict shape the observability layer's
-        :class:`~repro.obs.timeline.TimelineSampler` emits
-        (``{"t": ..., "broker_rates": {...}, "queue_depth": ...,
-        "in_flight": ...}``), so an estimator can be fitted offline
-        from an ``--obs`` export as well as live from the scheduler.
-        """
-        t = float(record["t"])  # type: ignore[arg-type]
-        rates = record.get("broker_rates")
-        if not isinstance(rates, Mapping):
-            return
-        depth = int(record.get("queue_depth", 0))  # type: ignore[arg-type]
-        flight = int(record.get("in_flight", 0))  # type: ignore[arg-type]
-        for broker_id in sorted(rates):
-            self.observe(LoadSample(
-                t=t, broker_id=broker_id, load=float(rates[broker_id]),
-                queue_depth=depth, in_flight=flight,
-            ))
 
     # ------------------------------------------------------------------
     # Queries
@@ -123,11 +87,6 @@ class BrokerLoadEstimator:
     def broker_ids(self) -> List[str]:
         """Brokers with at least one sample, sorted."""
         return sorted(self._samples)
-
-    def fitted(self, broker_id: str) -> bool:
-        """Whether the broker has enough samples for a line fit."""
-        window = self._samples.get(broker_id)
-        return window is not None and len(window) >= 2
 
     def fit(self, broker_id: str) -> Tuple[float, float]:
         """Least-squares ``(intercept, slope)`` for one broker's window.
@@ -155,30 +114,27 @@ class BrokerLoadEstimator:
         intercept = mean_load - slope * mean_t
         return intercept, slope
 
-    def predict(self, broker_id: str, at: Optional[float] = None) -> float:
-        """Predicted load for ``broker_id`` at virtual time ``at``.
+    def predict(self, broker_id: str) -> float:
+        """Predicted load for ``broker_id`` at its latest sample time.
 
-        ``at=None`` evaluates the fit at the broker's latest sample
-        time plus the configured ``horizon``.  Predictions are clamped
-        at zero — a fitted downward trend never promises negative load.
+        Predictions are clamped at zero — a fitted downward trend never
+        promises negative load.
         """
         window = self._samples.get(broker_id)
         if not window:
             return 0.0
-        if at is None:
-            at = window[-1].t + self.horizon
         intercept, slope = self.fit(broker_id)
-        predicted = intercept + slope * at
+        predicted = intercept + slope * window[-1].t
         return predicted if predicted > 0.0 else 0.0
 
-    def predicted_loads(self, at: Optional[float] = None) -> Dict[str, float]:
+    def predicted_loads(self) -> Dict[str, float]:
         """``{broker_id: predicted load}`` over all observed brokers.
 
         Keys are inserted in sorted order so iteration over the result
         is deterministic.
         """
         return {
-            broker_id: self.predict(broker_id, at=at)
+            broker_id: self.predict(broker_id)
             for broker_id in self.broker_ids
         }
 

@@ -12,11 +12,11 @@ from repro.experiments.runner import APPROACHES, ExperimentRunner
 from repro.workloads.scenarios import cluster_homogeneous
 
 #: Every approach the evaluation runs, in presentation order.
-TWELVE = (
+ELEVEN = (
     "manual", "automatic", "pairwise-k", "pairwise-n",
     "fbf", "binpacking",
     "cram-intersect", "cram-xor", "cram-ios", "cram-iou",
-    "inc-trade", "fij-trade",
+    "fij-trade",
 )
 
 
@@ -38,8 +38,8 @@ class TestRegistryContract:
         assert first.name == "cram-ios"
 
     def test_every_name_builds_an_allocator_of_that_name(self):
-        """The incremental approaches differ from CRAM-IOS only in the
-        migration strategy the continuous loop runs, so they build it."""
+        """The incremental approach differs from CRAM-IOS only in the
+        migrations the continuous loop runs, so it builds CRAM-IOS."""
         for name in allocators.NAMES:
             expected = "cram-ios" if name in allocators.INCREMENTAL else name
             assert allocators.get(name)().name == expected
@@ -63,23 +63,22 @@ class TestRunnerIntegration:
         assert APPROACHES[:4] == ("manual", "automatic", "pairwise-k", "pairwise-n")
         assert APPROACHES[4:] == allocators.NAMES
 
-    def test_approaches_are_the_twelve_in_order(self):
-        assert len(APPROACHES) == len(TWELVE)
-        for ours, expected in zip(APPROACHES, TWELVE):
+    def test_approaches_are_the_eleven_in_order(self):
+        assert len(APPROACHES) == len(ELEVEN)
+        for ours, expected in zip(APPROACHES, ELEVEN):
             assert ours == expected
 
     def test_runner_rejects_unregistered_approach(self):
         scenario = cluster_homogeneous(
             subscriptions_per_publisher=8, scale=0.1, measurement_time=10.0
         )
-        for approach in ("toy", "cram-ios-sharded"):
+        for approach in ("toy", "cram-ios-sharded", "inc-trade"):
             with pytest.raises(ValueError, match="unknown approach"):
                 ExperimentRunner(scenario, seed=7).run(approach)
 
     def test_online_one_shot_equals_cram_ios_with_its_stats(self):
-        """``inc-trade`` / ``fij-trade`` allocate with CRAM-IOS, so a
-        one-shot run is CRAM-IOS's run — and reports its ``cram_stats``
-        like one."""
+        """``fij-trade`` allocates with CRAM-IOS, so a one-shot run is
+        CRAM-IOS's run — and reports its ``cram_stats`` like one."""
         scenario = cluster_homogeneous(8, scale=0.1)
 
         def run(approach):

@@ -59,8 +59,8 @@ class TestCommands:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "cram-ios" in out
-        assert "  inc-trade  [incremental]\n" in out
         assert "  fij-trade  [incremental]\n" in out
+        assert "inc-trade" not in out
         assert "  cram-ios\n" in out
         assert "message-rate" in out
         assert "scinet" in out

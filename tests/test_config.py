@@ -16,6 +16,7 @@ from repro.core.cram import CramAllocator
 from repro.core.fbf import first_fit
 from repro.core.online import OnlineSpec
 from repro.core.pairwise import PairwiseAllocator
+from repro.experiments.cli import build_parser
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.scenarios import cluster_homogeneous
 
@@ -30,15 +31,34 @@ def test_runconfig_has_no_performance_field():
 def test_runconfig_validates_and_feeds_builders():
     with pytest.raises(TypeError, match="shard_jobs"):
         RunConfig(shard_jobs=1)
-    online = OnlineSpec(max_moves=9)
+    online = OnlineSpec(steps=3)
     scenario = cluster_homogeneous(8, scale=0.1)
     runner = ExperimentRunner(scenario, config=RunConfig(online=online))
     runner.run_continuous("fij-trade", cycles=1,
                           profiling_time=scenario.derived_profiling_time(),
                           measurement_time=6.0)
     loop = runner.last_continuous
-    assert loop.online == dataclasses.replace(online, strategy="fij_trade")
-    assert loop.scheduler.spec is loop.online
+    assert loop.online is online
+    assert loop.scheduler.spec is online
+
+
+def test_online_spec_is_what_the_workload_sets():
+    """``OnlineSpec`` holds the four fields ``churn_online`` passes; the
+    band, the move cap and the estimator window are module constants,
+    and nothing parses a spec string or sizes the pool."""
+    fields = tuple(f.name for f in dataclasses.fields(OnlineSpec))
+    assert fields == ("strategy", "steps", "drift_threshold", "gap")
+    assert not hasattr(OnlineSpec, "from_spec")
+    continuous = (PACKAGE / "experiments" / "continuous.py").read_text(encoding="utf-8")
+    assert "PoolAutoscaler" not in continuous
+    online = (PACKAGE / "core" / "online.py").read_text(encoding="utf-8")
+    assert "IncTrade" not in online
+    for command in ("run", "figure"):
+        arguments = [command, "--online", "fij_trade"]
+        if command == "figure":
+            arguments += ["--figure", "brokers"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(arguments)
 
 
 def test_allocators_take_no_path_selecting_parameter():

@@ -2,9 +2,8 @@
 
 Covers the pure arithmetic (:mod:`repro.core.energy`), the per-window
 crash-downtime accounting in :class:`repro.pubsub.metrics.MetricsCollector`
-(including the t=0-crash-before-first-reset regression), the
-``MetricsSummary.energy_usage`` projection, and the drift-gated pool
-autoscaler's sizing rule.
+(including the t=0-crash-before-first-reset regression), and the
+``MetricsSummary.energy_usage`` projection.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from repro.core.energy import (
     account_window,
     combined_report,
 )
-from repro.core.online import OnlineSpec
-from repro.experiments.continuous import AutoscaleDecision, PoolAutoscaler
 from repro.pubsub.metrics import MetricsCollector, MetricsSummary
 
 
@@ -306,73 +303,3 @@ class TestEnergyUsageProjection:
         assert projected.utilization["B1"] == pytest.approx(0.2)
         assert projected.deliveries == 1
         assert projected.mean_delay_s == pytest.approx(0.2)
-
-
-class _StubEstimator:
-    def __init__(self, loads):
-        self._loads = loads
-
-    def predicted_loads(self):
-        return dict(self._loads)
-
-
-class _StubScheduler:
-    def __init__(self, capacities, loads):
-        self._capacities = capacities
-        self.estimator = _StubEstimator(loads)
-
-    def pool_capacities(self):
-        return dict(self._capacities)
-
-
-class TestPoolAutoscaler:
-    def scaler(self, capacities, loads, target_util=0.5, min_brokers=1):
-        spec = OnlineSpec(autoscale=True, target_util=target_util)
-        return PoolAutoscaler(
-            _StubScheduler(capacities, loads), spec, min_brokers=min_brokers
-        )
-
-    def test_target_covers_predicted_load(self):
-        # 30 kB/s over 10 kB/s brokers at 50% target: ceil(30/5) = 6.
-        scaler = self.scaler(
-            {f"B{i}": 10.0 for i in range(8)},
-            {"B0": 12.0, "B1": 18.0},
-        )
-        decision = scaler.decide(cycle=1, current=4)
-        assert decision == AutoscaleDecision(
-            cycle=1, current=4, target=6, predicted_load=30.0,
-            mean_capacity=10.0,
-        )
-        assert decision.delta == 2
-        assert scaler.decisions == [decision]
-
-    def test_target_clamped_to_pool_size(self):
-        scaler = self.scaler({"B0": 10.0, "B1": 10.0}, {"B0": 500.0})
-        assert scaler.decide(cycle=1, current=2).target == 2
-
-    def test_idle_load_shrinks_to_min_brokers(self):
-        scaler = self.scaler(
-            {f"B{i}": 10.0 for i in range(8)}, {"B0": 0.0}, min_brokers=2
-        )
-        decision = scaler.decide(cycle=3, current=6)
-        assert decision.target == 2
-        assert decision.delta == -4
-
-    def test_negative_predictions_are_floored(self):
-        scaler = self.scaler(
-            {f"B{i}": 10.0 for i in range(4)}, {"B0": -25.0, "B1": 12.0}
-        )
-        assert scaler.decide(cycle=1, current=1).predicted_load == 12.0
-
-    def test_min_brokers_validated(self):
-        with pytest.raises(ValueError, match="min_brokers"):
-            self.scaler({}, {}, min_brokers=0)
-
-    def test_target_util_validated_on_spec(self):
-        with pytest.raises(ValueError, match="target_util"):
-            OnlineSpec(autoscale=True, target_util=0.0)
-
-    def test_from_spec_parses_autoscale_keys(self):
-        spec = OnlineSpec.from_spec("inc_trade,autoscale=1,target=0.8")
-        assert spec.autoscale is True
-        assert spec.target_util == 0.8

@@ -26,7 +26,7 @@ class TestFit:
         estimator = BrokerLoadEstimator()
         estimator.observe(LoadSample(t=4.0, broker_id="b1", load=7.0))
         assert estimator.fit("b1") == (7.0, 0.0)
-        assert not estimator.fitted("b1")
+        assert estimator.predict("b1") == 7.0
 
     def test_coincident_timestamps_degrade_to_mean(self):
         estimator = BrokerLoadEstimator()
@@ -53,21 +53,16 @@ class TestFit:
 
 
 class TestPredict:
-    def test_horizon_extrapolates(self):
-        estimator = BrokerLoadEstimator(horizon=2.0)
-        linear_feed(estimator, intercept=10.0, slope=1.0, points=6)
-        # Last sample at t=5 → predicts at t=7.
-        assert estimator.predict("b1") == pytest.approx(17.0)
-
-    def test_explicit_at_overrides_horizon(self):
-        estimator = BrokerLoadEstimator(horizon=5.0)
-        linear_feed(estimator, intercept=0.0, slope=2.0, points=4)
-        assert estimator.predict("b1", at=10.0) == pytest.approx(20.0)
-
     def test_prediction_clamped_at_zero(self):
+        # A burst, then silence: the fitted line ends below zero at the
+        # latest sample (4.17 - 0.83 * 7 = -1.67).
         estimator = BrokerLoadEstimator()
-        linear_feed(estimator, intercept=4.0, slope=-1.0, points=5)
-        assert estimator.predict("b1", at=100.0) == 0.0
+        for t in range(8):
+            estimator.observe(LoadSample(t=float(t), broker_id="b1",
+                                         load=10.0 if t == 0 else 0.0))
+        intercept, slope = estimator.fit("b1")
+        assert intercept + slope * 7.0 < 0.0
+        assert estimator.predict("b1") == 0.0
 
     def test_predicted_loads_sorted_and_complete(self):
         estimator = BrokerLoadEstimator()
@@ -79,26 +74,6 @@ class TestPredict:
     def test_validation(self):
         with pytest.raises(ValueError):
             BrokerLoadEstimator(window=0)
-        with pytest.raises(ValueError):
-            BrokerLoadEstimator(horizon=-1.0)
-
-
-class TestConsume:
-    def test_obs_timeline_record_shape(self):
-        estimator = BrokerLoadEstimator()
-        estimator.consume({
-            "t": 3.0,
-            "broker_rates": {"b1": 5.0, "b2": 1.0},
-            "queue_depth": 4,
-            "in_flight": 2,
-        })
-        assert estimator.broker_ids == ["b1", "b2"]
-        assert estimator.predict("b1") == pytest.approx(5.0)
-
-    def test_record_without_rates_is_ignored(self):
-        estimator = BrokerLoadEstimator()
-        estimator.consume({"t": 3.0})
-        assert estimator.broker_ids == []
 
 
 class TestDrift:
@@ -144,7 +119,7 @@ sample_strategy = st.tuples(
 def test_identical_streams_fit_identically(raw_samples, window):
     streams = []
     for _ in range(2):
-        estimator = BrokerLoadEstimator(window=window, horizon=1.0)
+        estimator = BrokerLoadEstimator(window=window)
         for step, broker_id, centiload in raw_samples:
             estimator.observe(LoadSample(
                 t=step / 2.0, broker_id=broker_id, load=centiload / 100.0,
@@ -161,7 +136,7 @@ def test_identical_streams_fit_identically(raw_samples, window):
 @settings(max_examples=50)
 @given(st.lists(sample_strategy, min_size=1, max_size=40))
 def test_predictions_never_negative(raw_samples):
-    estimator = BrokerLoadEstimator(window=4, horizon=3.0)
+    estimator = BrokerLoadEstimator(window=4)
     for step, broker_id, centiload in raw_samples:
         estimator.observe(LoadSample(
             t=float(step), broker_id=broker_id, load=centiload / 100.0,

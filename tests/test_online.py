@@ -1,94 +1,72 @@
-"""Online migration strategies: spec parsing, hysteresis, convergence."""
+"""Online migrations: the spec, the fij_trade hysteresis band, convergence,
+and the mixed schedule's disruption floors."""
 
 from __future__ import annotations
-
-import hashlib
-import json
 
 import pytest
 
 from repro.core import allocators
 from repro.core.config import RunConfig
 from repro.core.online import (
+    MAX_MOVES,
     STRATEGIES,
+    UTIL_HIGH,
+    UTIL_LOW,
     BrokerLoad,
-    FijTrade,
-    IncTrade,
     Migration,
     MigrationPlan,
     OnlineSpec,
     SubscriptionLoad,
-    make_strategy,
+    fij_trade,
 )
+from repro.experiments.continuous import SubscriberChurn
 from repro.experiments.runner import ExperimentRunner
+from repro.sim.faults import FaultPlan
+from repro.sim.rng import SeededRng
 from repro.workloads.scenarios import cluster_homogeneous
 
 
 # ----------------------------------------------------------------------
-# OnlineSpec parsing and validation
+# OnlineSpec validation
 # ----------------------------------------------------------------------
 
 
 class TestOnlineSpec:
     def test_defaults(self):
         spec = OnlineSpec()
-        assert spec.strategy == "inc_trade"
+        assert spec.strategy == "fij_trade"
         assert spec.steps == 2
-        assert 0.0 < spec.util_low < spec.util_high
-
-    def test_from_spec_full(self):
-        spec = OnlineSpec.from_spec(
-            "strategy=fij_trade,steps=3,high=0.8,low=0.4,drift=0.2,"
-            "moves=6,window=12,horizon=5.0,gap=0.1"
-        )
-        assert spec == OnlineSpec(
-            strategy="fij_trade", steps=3, util_high=0.8, util_low=0.4,
-            drift_threshold=0.2, max_moves=6, window=12, horizon=5.0, gap=0.1,
-        )
-
-    def test_from_spec_bare_word_and_hyphens(self):
-        assert OnlineSpec.from_spec("fij-trade").strategy == "fij_trade"
-        assert OnlineSpec.from_spec("inc_trade").strategy == "inc_trade"
-
-    def test_from_spec_none_disables(self):
-        assert OnlineSpec.from_spec("") is None
-        assert OnlineSpec.from_spec("none") is None
-        assert OnlineSpec.from_spec("  NONE ") is None
-
-    def test_from_spec_rejects_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown online spec key"):
-            OnlineSpec.from_spec("stepz=3")
-
-    def test_from_spec_rejects_non_numeric(self):
-        with pytest.raises(ValueError, match="not numeric"):
-            OnlineSpec.from_spec("steps=three")
+        assert spec.drift_threshold == 0.0
+        assert spec.gap == 0.05
+        assert STRATEGIES == ("fij_trade",)
+        # The band and the cap the spec's knobs used to default to.
+        assert (UTIL_HIGH, UTIL_LOW, MAX_MOVES) == (0.75, 0.45, 4)
 
     @pytest.mark.parametrize("kwargs", [
         {"strategy": "bogus"},
         {"steps": -1},
-        {"util_low": 0.8, "util_high": 0.5},
-        {"util_low": 0.0},
+        {"strategy": "inc_trade"},
         {"drift_threshold": -0.1},
-        {"max_moves": 0},
-        {"window": 1},
-        {"horizon": -1.0},
         {"gap": -0.01},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             OnlineSpec(**kwargs)
 
-    def test_make_strategy_dispatch(self):
-        assert isinstance(make_strategy(OnlineSpec()), IncTrade)
-        assert isinstance(
-            make_strategy(OnlineSpec(strategy="fij_trade")), FijTrade
-        )
-        assert STRATEGIES == ("inc_trade", "fij_trade")
-
 
 # ----------------------------------------------------------------------
-# Strategy planning: the hysteresis band
+# Planning: the hysteresis band
 # ----------------------------------------------------------------------
+
+#: Every broker in the band tests has this capacity, so a load reads as
+#: a utilization in percent.
+CAPACITY = 100.0
+
+#: Loads placed against the band: above the ceiling, inside the band,
+#: and below the low-water mark.
+HOT = (UTIL_HIGH + 0.15) * CAPACITY
+MID = (UTIL_LOW + UTIL_HIGH) / 2 * CAPACITY
+COLD = (UTIL_LOW - 0.35) * CAPACITY
 
 
 def _subs(broker_id, loads, prefix):
@@ -107,65 +85,62 @@ def _apply(plan, brokers):
     return loads
 
 
-@pytest.fixture(params=STRATEGIES)
-def strategy(request):
-    return make_strategy(OnlineSpec(strategy=request.param))
-
-
 class TestHysteresisBand:
-    def test_calm_cluster_plans_nothing(self, strategy):
+    def test_calm_cluster_plans_nothing(self):
         brokers = [
-            BrokerLoad("b1", capacity=100.0, load=60.0),
-            BrokerLoad("b2", capacity=100.0, load=50.0),
+            BrokerLoad("b1", capacity=CAPACITY, load=MID),
+            BrokerLoad("b2", capacity=CAPACITY, load=UTIL_LOW * CAPACITY),
         ]
-        subs = _subs("b1", [30.0, 30.0], "s") + _subs("b2", [25.0, 25.0], "t")
-        assert strategy.plan(brokers, subs).is_empty
+        subs = (_subs("b1", [MID / 2] * 2, "s")
+                + _subs("b2", [UTIL_LOW * CAPACITY / 2] * 2, "t"))
+        assert len(fij_trade(brokers, subs)) == 0
 
-    def test_overload_sheds_to_underloaded(self, strategy):
+    def test_overload_sheds_to_underloaded(self):
         brokers = [
-            BrokerLoad("hot", capacity=100.0, load=90.0),
-            BrokerLoad("cold", capacity=100.0, load=10.0),
+            BrokerLoad("hot", capacity=CAPACITY, load=HOT),
+            BrokerLoad("cold", capacity=CAPACITY, load=COLD),
         ]
-        subs = _subs("hot", [30.0, 30.0, 30.0], "s")
-        plan = strategy.plan(brokers, subs)
-        assert not plan.is_empty
+        subs = _subs("hot", [HOT / 3] * 3, "s")
+        plan = fij_trade(brokers, subs)
+        assert len(plan) > 0
         assert all(m.source == "hot" and m.target == "cold" for m in plan)
         after = _apply(plan, brokers)
-        assert after["hot"] <= 90.0 - 30.0 + 1e-9
-        assert after["cold"] <= 75.0 + 1e-9
+        assert after["hot"] <= HOT - HOT / 3 + 1e-9
+        assert after["cold"] <= UTIL_HIGH * CAPACITY + 1e-9
 
-    def test_in_band_brokers_never_accept(self, strategy):
-        # The only other broker sits inside the band (0.45 ≤ u ≤ 0.75):
-        # it must not take load, so the plan stays empty.
+    def test_in_band_brokers_never_accept(self):
+        # The only other broker sits inside the band: it must not take
+        # load, so the plan stays empty.
         brokers = [
-            BrokerLoad("hot", capacity=100.0, load=90.0),
-            BrokerLoad("mid", capacity=100.0, load=60.0),
+            BrokerLoad("hot", capacity=CAPACITY, load=HOT),
+            BrokerLoad("mid", capacity=CAPACITY, load=MID),
         ]
-        subs = _subs("hot", [30.0, 30.0, 30.0], "s")
-        assert strategy.plan(brokers, subs).is_empty
+        subs = _subs("hot", [HOT / 3] * 3, "s")
+        assert len(fij_trade(brokers, subs)) == 0
 
-    def test_move_never_overloads_target(self, strategy):
+    def test_move_never_overloads_target(self):
         brokers = [
-            BrokerLoad("hot", capacity=100.0, load=95.0),
-            BrokerLoad("cold", capacity=100.0, load=40.0),
+            BrokerLoad("hot", capacity=CAPACITY, load=95.0),
+            BrokerLoad("cold", capacity=CAPACITY, load=UTIL_LOW * CAPACITY - 5.0),
         ]
         subs = _subs("hot", [20.0, 25.0, 25.0, 25.0], "s")
-        plan = strategy.plan(brokers, subs)
+        plan = fij_trade(brokers, subs)
         after = _apply(plan, brokers)
-        assert after["cold"] / 100.0 <= 0.75 + 1e-9
+        assert after["cold"] / CAPACITY <= UTIL_HIGH + 1e-9
 
-    def test_max_moves_caps_the_batch(self, strategy):
-        spec = OnlineSpec(strategy=strategy.name, max_moves=1)
-        capped = make_strategy(spec)
+    def test_max_moves_caps_the_batch(self):
+        # Two brokers at full load each need three 10-unit moves to clear
+        # the ceiling, and four empty brokers could take them all.
         brokers = [
-            BrokerLoad("hot", capacity=100.0, load=100.0),
-            BrokerLoad("cold1", capacity=100.0, load=0.0),
-            BrokerLoad("cold2", capacity=100.0, load=0.0),
-        ]
-        subs = _subs("hot", [20.0] * 5, "s")
-        assert len(capped.plan(brokers, subs)) == 1
+            BrokerLoad(f"hot{i}", capacity=CAPACITY, load=CAPACITY) for i in (1, 2)
+        ] + [BrokerLoad(f"cold{i}", capacity=CAPACITY, load=0.0) for i in range(4)]
+        subs = _subs("hot1", [10.0] * 10, "a") + _subs("hot2", [10.0] * 10, "b")
+        plan = fij_trade(brokers, subs)
+        assert len(plan) == MAX_MOVES
+        after = _apply(plan, brokers)
+        assert max(after.values()) / CAPACITY > UTIL_HIGH
 
-    def test_plan_is_deterministic(self, strategy):
+    def test_plan_is_deterministic(self):
         brokers = [
             BrokerLoad("b1", capacity=100.0, load=95.0),
             BrokerLoad("b2", capacity=80.0, load=20.0),
@@ -176,24 +151,17 @@ class TestHysteresisBand:
             + _subs("b2", [10.0, 10.0], "b")
             + _subs("b3", [15.0, 15.0], "c")
         )
-        first = strategy.plan(brokers, subs)
-        second = strategy.plan(list(reversed(brokers)), list(reversed(subs)))
+        first = fij_trade(brokers, subs)
+        second = fij_trade(list(reversed(brokers)), list(reversed(subs)))
         assert repr(first) == repr(second)
 
 
 class TestConvergence:
     """A static workload must settle: no ping-pong between steps."""
 
-    @pytest.mark.parametrize("name", STRATEGIES)
-    def test_repeated_planning_reaches_fixpoint(self, name):
-        planner = make_strategy(OnlineSpec(strategy=name, max_moves=2))
-        brokers = {
-            "b1": BrokerLoad("b1", capacity=100.0, load=95.0),
-            "b2": BrokerLoad("b2", capacity=100.0, load=30.0),
-            "b3": BrokerLoad("b3", capacity=100.0, load=25.0),
-        }
+    def test_repeated_planning_reaches_fixpoint(self):
+        brokers = {"b1": CAPACITY, "b2": CAPACITY, "b3": CAPACITY}
         location = {}
-        subs = []
         for i, load in enumerate([10.0, 10.0, 15.0, 20.0, 20.0, 20.0]):
             location[f"s{i}"] = ("b1", load)
         for i, load in enumerate([15.0, 15.0]):
@@ -206,18 +174,17 @@ class TestConvergence:
             for sub_id, (broker_id, load) in sorted(location.items()):
                 loads[broker_id] += load
                 subs.append(SubscriptionLoad(sub_id, broker_id, load))
-            rows = [
-                BrokerLoad(b, brokers[b].capacity, loads[b])
-                for b in sorted(brokers)
-            ]
+            rows = [BrokerLoad(b, brokers[b], loads[b]) for b in sorted(brokers)]
             return rows, subs
 
+        rows, _ = current_state()
+        assert rows[0].utilization > UTIL_HIGH
         plans = []
         for _ in range(12):
             rows, subs = current_state()
-            plan = planner.plan(rows, subs)
+            plan = fij_trade(rows, subs)
             plans.append(plan)
-            if plan.is_empty:
+            if len(plan) == 0:
                 break
             for move in plan:
                 broker_id, load = location[move.sub_id]
@@ -225,9 +192,10 @@ class TestConvergence:
                 location[move.sub_id] = (move.target, load)
 
         # Settles within the step budget, and once settled stays settled.
-        assert plans[-1].is_empty
+        assert len(plans) > 1 and len(plans[-1]) == 0
         rows, subs = current_state()
-        assert planner.plan(rows, subs).is_empty
+        assert len(fij_trade(rows, subs)) == 0
+        assert all(row.utilization <= UTIL_HIGH + 1e-9 for row in rows)
         # No subscription ever moved twice across the whole run.
         moved = [m.sub_id for plan in plans for m in plan]
         assert len(moved) == len(set(moved))
@@ -245,68 +213,26 @@ class TestContainers:
         assert BrokerLoad("b1", 50.0, 25.0).utilization == pytest.approx(0.5)
 
     def test_plan_aggregates(self):
-        plan = MigrationPlan(strategy="inc_trade", moves=(
+        moves = (
             Migration("s1", "a", "b", 3.0, 0.1),
             Migration("s2", "a", "c", 4.0, 0.2),
-        ))
-        assert len(plan) == 2 and not plan.is_empty
-        assert plan.total_load == pytest.approx(7.0)
-        assert plan.subscription_ids() == ("s1", "s2")
-        row = plan.as_row()
-        assert row["moves"] == 2
-        assert row["predicted_delta"] == pytest.approx(0.3)
+        )
+        plan = MigrationPlan(moves)
+        assert len(plan) == 2
+        assert tuple(plan) == moves
+        assert len(MigrationPlan()) == 0
 
 
 # ----------------------------------------------------------------------
-# Allocator table integration: the incremental approaches
+# Allocator table integration: the incremental approach
 # ----------------------------------------------------------------------
-
-#: The narrow band moves subscriptions in the first cycle, and the two
-#: strategies move different ones; the default band moves none.
-NARROW_BAND = {"util_high": 0.3, "util_low": 0.15}
-
-#: ``run_continuous`` row digests for an approach whose spec names the
-#: other strategy, recorded at ``3684ae2``, when the approach's allocator
-#: carried its own migration planner.  Each equals the digest of the
-#: approach run with a spec that names its own strategy.
-MISMATCHED_PINS = {
-    ("inc-trade", "default"): "3710f9510bd77a3a",
-    ("fij-trade", "default"): "3710f9510bd77a3a",
-    ("inc-trade", "narrow"): "c56afe3592488781",
-    ("fij-trade", "narrow"): "f3c2dedad8271e14",
-}
-
-#: Each approach against a spec that names the other strategy.
-CROSSED = {"inc-trade": ("fij_trade", IncTrade), "fij-trade": ("inc_trade", FijTrade)}
-
-
-def _continuous(approach, spec):
-    """``tests/test_online_equivalence.py``'s mixed-schedule scenario."""
-    scenario = cluster_homogeneous(
-        subscriptions_per_publisher=10,
-        scale=0.1,
-        broker_bandwidth_kbps=25.0,
-        profile_capacity=96,
-    )
-    runner = ExperimentRunner(scenario, seed=17, config=RunConfig(online=spec))
-    reports = runner.run_continuous(
-        approach, cycles=2,
-        profiling_time=scenario.derived_profiling_time(),
-        measurement_time=6.0,
-    )
-    rows = [
-        {key: repr(value) for key, value in report.as_row().items()}
-        for report in reports
-    ]
-    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-    return runner.last_continuous.scheduler, digest[:16]
 
 
 class TestRegistryCapabilities:
     def test_online_strategies_are_registered_incremental(self):
-        for name in ("inc-trade", "fij-trade"):
-            assert name in allocators.NAMES
-        assert set(allocators.INCREMENTAL) == {"inc-trade", "fij-trade"}
+        assert allocators.INCREMENTAL == ("fij-trade",)
+        assert "fij-trade" in allocators.NAMES
+        assert "inc-trade" not in allocators.NAMES
 
     def test_croc_allocators_are_not_incremental(self):
         for name in ("fbf", "binpacking", "cram-ios"):
@@ -317,24 +243,80 @@ class TestRegistryCapabilities:
         for name in allocators.NAMES:
             assert not hasattr(allocators.get(name)(), "plan_migrations"), name
 
-    @pytest.mark.parametrize("band", ["default", "narrow"])
-    @pytest.mark.parametrize("approach", ["inc-trade", "fij-trade"])
-    def test_approach_strategy_wins(self, approach, band):
-        """The loop runs the approach's strategy whatever the spec names."""
-        spec_strategy, strategy_type = CROSSED[approach]
-        knobs = NARROW_BAND if band == "narrow" else {}
-        spec = OnlineSpec(strategy=spec_strategy, steps=2, **knobs)
-        scheduler, digest = _continuous(approach, spec)
-        assert isinstance(scheduler.strategy, strategy_type)
-        assert scheduler.spec.strategy == approach.replace("-", "_")
-        assert scheduler.spec.util_high == spec.util_high
-        assert digest == MISMATCHED_PINS[approach, band]
-        if band == "narrow":
-            assert scheduler.subscriptions_moved > 0
+
+# ----------------------------------------------------------------------
+# The mixed schedule against periodic CRAM-IOS: disruption floors
+# ----------------------------------------------------------------------
+
+SEED = 2011
+CYCLES = 3
+MEASUREMENT_TIME = 30.0
+
+#: Disruption ceilings the mixed schedule must respect.
+MAX_MOVED_FRACTION = 0.20  # of the subscription pool, per cycle
+MAX_GAP_FRACTION = 0.02    # detach seconds per measurement second
 
 
-if __name__ == "__main__":
-    for (approach, band) in MISMATCHED_PINS:
-        knobs = NARROW_BAND if band == "narrow" else {}
-        spec = OnlineSpec(strategy=CROSSED[approach][0], steps=2, **knobs)
-        print(approach, band, _continuous(approach, spec)[1])
+def _continuous(online):
+    """Churn plus 10% of the brokers crashing mid-profiling, on brokers of
+    15 kB/s: tight enough that the pool cannot collapse onto one broker,
+    so churn pushes brokers past :data:`UTIL_HIGH` and the online steps
+    have imbalances to trade away.  Returns ``(reports, pool size)``."""
+    scenario = cluster_homogeneous(
+        subscriptions_per_publisher=12, scale=0.15, broker_bandwidth_kbps=15.0,
+        profile_capacity=96, measurement_time=MEASUREMENT_TIME,
+    )
+    runner = ExperimentRunner(
+        scenario, seed=SEED, cram_failure_budget=150,
+        fault_plan=FaultPlan(crash_fraction=0.1, crash_start=10.0,
+                             crash_stagger=2.0, seed=SEED),
+        config=RunConfig(online=online),
+    )
+    reports = runner.run_continuous(
+        "fij-trade" if online is not None else "cram-ios", cycles=CYCLES,
+        profiling_time=scenario.derived_profiling_time(),
+        measurement_time=MEASUREMENT_TIME,
+        make_driver=lambda net: SubscriberChurn(net, SeededRng(SEED)),
+    )
+    pool = sum(len(subscriber.subscriptions)
+               for subscriber in runner.network.subscribers.values())
+    return reports, pool
+
+
+@pytest.fixture(scope="module")
+def periodic():
+    return _continuous(None)
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    return _continuous(OnlineSpec("fij_trade", steps=2, drift_threshold=0.5, gap=0.02))
+
+
+class TestMixedScheduleFloors:
+    def test_mixed_schedule_moves_subscriptions(self, mixed):
+        reports, _pool = mixed
+        assert all(report.online_steps == 2 for report in reports)
+        # With no migration every other floor here would hold vacuously.
+        assert sum(report.subscriptions_moved for report in reports) >= 1
+
+    def test_no_cycle_moves_more_than_a_fifth_of_the_pool(self, mixed):
+        reports, pool = mixed
+        assert pool > 0
+        for report in reports:
+            assert report.subscriptions_moved <= MAX_MOVED_FRACTION * pool, report.cycle
+
+    def test_summed_gap_stays_within_two_percent_of_the_window(self, mixed):
+        reports, _pool = mixed
+        # ``migration_gap_s`` sums every mover's detach time in a cycle.
+        for report in reports:
+            assert report.migration_gap_s <= MAX_GAP_FRACTION * MEASUREMENT_TIME, (
+                report.cycle)
+        assert sum(report.migration_gap_s for report in reports) > 0.0
+
+    def test_min_delivery_rate_at_least_periodic_cram_ios(self, mixed, periodic):
+        def floor(run):
+            return min(report.summary.delivery_rate for report in run[0])
+
+        assert all(report.summary.delivery_count > 0 for report in mixed[0])
+        assert floor(mixed) >= floor(periodic)

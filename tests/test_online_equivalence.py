@@ -2,8 +2,8 @@
 
 The online subsystem joins three existing equivalence contracts:
 
-* registered online approaches (``inc-trade``, ``fij-trade``) produce
-  identical results under ``execute_cells`` serial vs ``jobs=4``;
+* the online approach ``fij-trade`` and the CRAM-IOS it allocates with
+  produce identical results under ``execute_cells`` serial vs ``jobs=4``;
 * an attached obs recorder never changes the deterministic outputs;
 * the mixed schedule (online steps between full CROC cycles) is a pure
   function of ``(scenario, seed, OnlineSpec)`` — two invocations agree
@@ -23,7 +23,7 @@ from repro.workloads.scenarios import cluster_homogeneous
 
 from test_parallel_equivalence import comparable, tiny_homo
 
-ONLINE = OnlineSpec(strategy="inc_trade", steps=2, gap=0.02)
+ONLINE = OnlineSpec(strategy="fij_trade", steps=2, gap=0.02)
 
 
 def online_cells(observe: bool = False):
@@ -36,7 +36,7 @@ def online_cells(observe: bool = False):
             observe=observe,
             config=RunConfig(online=ONLINE),
         )
-        for approach in ("inc-trade", "fij-trade")
+        for approach in ("fij-trade", "cram-ios")
     ]
 
 

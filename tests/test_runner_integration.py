@@ -39,10 +39,10 @@ class TestPipeline:
         with pytest.raises(ValueError):
             ExperimentRunner(tiny_scenario).run("simulated-annealing")
 
-    def test_approaches_constant_lists_all_twelve(self):
-        # 4 baselines + 6 registry builtins + 2 online.
-        assert len(APPROACHES) == 12
-        assert "inc-trade" in APPROACHES
+    def test_approaches_constant_lists_all_eleven(self):
+        # 4 baselines + 6 registry builtins + 1 online.
+        assert len(APPROACHES) == 11
+        assert "inc-trade" not in APPROACHES
         assert "fij-trade" in APPROACHES
 
     def test_manual_baseline_uses_all_brokers(self, results, tiny_scenario):
