@@ -4,12 +4,14 @@
     scripts/bench_pairs.py PARENT_REF                 # every workload, in turn
     scripts/bench_pairs.py PARENT_REF --workload plan_offline
     scripts/bench_pairs.py HEAD~1 --workload cell_cram --pairs 12 --seed-base 500
+    scripts/bench_pairs.py HEAD~1 --workload plan_offline --size full
 
 Exports PARENT_REF with ``git archive`` into a temporary directory and
 runs the *unmodified* ``bench_e2e/run.py --workload W --seed N
 --seconds S --trace 0`` (the form BENCHMARK.json's runner uses, ``S``
 its ``run_seconds``) in that export and in this working tree —
-uncommitted edits included.
+uncommitted edits included.  ``--size full`` adds ``--size full`` to
+both sides' command, for the paper-scale inputs.
 Pair *i* uses seed ``seed-base + i`` on both sides; even pairs run the
 parent first, odd pairs the change.  Both sides get the same
 environment with ``PYTHONDONTWRITEBYTECODE`` removed, so each compiles
@@ -58,11 +60,13 @@ def export(ref: str, target: Path) -> None:
         raise SystemExit(f"git archive {ref} failed")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int,
+def run_once(tree: Path, workload: str, seed: int, seconds: int, size: str,
              env: Dict[str, str]) -> Dict[str, float]:
     """One contract-form run in ``tree``; its end-to-end metric values."""
     command = [sys.executable, "bench_e2e/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    if size != "bench":
+        command += ["--size", size]
     done = subprocess.run(command, cwd=tree, env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -97,7 +101,7 @@ def regression(old: List[float], new: List[float], better: str,
 def report(workload: str, sides: Dict[str, List[Dict[str, float]]],
            metrics: List[Dict[str, object]], args: argparse.Namespace) -> None:
     pairs = args.pairs
-    print(f"\n{workload}: {pairs} pairs, parent {args.parent_ref}, "
+    print(f"\n{workload} ({args.size}): {pairs} pairs, parent {args.parent_ref}, "
           f"seeds {args.seed_base}..{args.seed_base + pairs - 1}")
     print(f"{'metric':<21}{'side':<8}{'q1':>10}{'median':>10}{'q3':>10}"
           f"  {'wins':>5}{'ties':>5}  {'parent q3-q1':>12}  {'claim':<19}no regression")
@@ -132,6 +136,7 @@ def main() -> int:
                              "BENCHMARK.json, in turn)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=100)
+    parser.add_argument("--size", choices=("bench", "full"), default="bench")
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -152,7 +157,7 @@ def main() -> int:
                 for side in order:
                     sides[side].append(
                         run_once(trees[side], workload, seed,
-                                 spec["run_seconds"], env))
+                                 spec["run_seconds"], args.size, env))
                 print(f"{workload} pair {pair + 1}/{args.pairs} seed {seed} "
                       f"({order[0]} first): "
                       f"wall_s parent {sides['parent'][-1]['wall_s']:.3f} "

@@ -25,19 +25,19 @@ merges the results in submission order, with three guarantees:
 
 from __future__ import annotations
 
-import cProfile
 import os
 import re
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
-from typing import Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.core.config import RunConfig
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.obs import recorder as obs
 from repro.sim.faults import FaultPlan
 from repro.workloads.scenarios import Scenario
+
+if TYPE_CHECKING:  # pragma: no cover - type-only (the pool loads on first use)
+    from concurrent.futures import Future
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,8 @@ def _run_one(spec: CellSpec, profile_dir: Optional[str]) -> ExperimentResult:
     """
     if profile_dir is None:
         return run_spec(spec)
+    import cProfile
+
     profile = cProfile.Profile()
     try:
         return profile.runcall(run_spec, spec)
@@ -197,6 +199,11 @@ def execute_cells(
         return _run_serial(specs, progress, return_exceptions, profile_dir)
     if jobs <= 1 or len(specs) <= 1:
         return _run_serial(specs, progress, return_exceptions)
+
+    # Imported here, not at module level: only a parallel sweep needs
+    # the pool, and it would add about a fifth to ``import repro``.
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    from multiprocessing import get_context
 
     try:
         # spawn, not fork: workers must re-import repro from scratch so

@@ -20,6 +20,31 @@ share a predicate — ``[class,=,'STOCK']`` and ``[symbol,=,S]`` are in
 all of them, and thresholds are drawn from a few buckets — share its
 evaluation.
 
+A mask for ``<``, ``<=``, ``>`` or ``>=`` is read off a *column*,
+built once per symbol and attribute by :func:`_column`: the window's
+numeric values in sorted order with prefix-OR masks over their message
+IDs.  A threshold test is one bisect and one prefix read (``<`` takes
+the prefix before ``bisect_left``, ``<=`` before ``bisect_right``,
+``>`` and ``>=`` the complement of those within the numeric values).
+This is the operators' own semantics, not an approximation of it:
+
+* the sorted list holds exactly the values a numeric operator can
+  match — ints and floats, no bool, no string — so everything else
+  stays clear, as the operator returns ``False`` for it;
+* int and float compare exactly in Python, in the sort, in the bisect
+  and in the operator alike, and over those values (NaN excluded) ``<``
+  is a total preorder, so the values below a threshold are exactly a
+  prefix of the sorted list;
+* NaN compares false with everything, so it is kept out of the list
+  and matches nothing, as in the operator; a NaN *threshold* would
+  defeat the bisect, so it is evaluated per quote.
+
+``=``, ``<>``, the string operators and ``isPresent`` are evaluated per
+quote (:func:`_predicate_mask`), as is any threshold that is not a
+number.  The generator's ``=`` predicates are ``[class,=,'STOCK']`` and
+``[symbol,=,S]``, one per attribute and symbol, so the ``masks`` cache
+already evaluates each of them once.
+
 This is exact against :func:`~repro.pubsub.matching.matches`, although
 every predicate is evaluated on every publication where ``matches``
 stops at the first failing one: the operator tests are pure functions
@@ -44,13 +69,15 @@ draw order across symbols is immaterial.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.bitvector import BitVector
 from repro.core.croc import GatherResult
 from repro.core.profiles import PublisherProfile, SubscriptionProfile
 from repro.core.units import SubscriptionRecord
-from repro.pubsub.predicate import Test, Value
+from repro.pubsub.predicate import Operator, Test, Value
 from repro.sim.rng import SeededRng
 from repro.workloads.scenarios import Scenario
 from repro.workloads.stocks import StockQuoteFeed
@@ -90,6 +117,67 @@ def _predicate_mask(
     return int(digits + "0", 2)
 
 
+#: The threshold tests a column answers: the bisect that finds the
+#: first value failing ``<`` (or ``<=``), and whether the mask is the
+#: prefix before it or the numeric values from it on.
+_BISECTS = {
+    Operator.LT.test: (bisect_left, False),
+    Operator.LE.test: (bisect_right, False),
+    Operator.GT.test: (bisect_right, True),
+    Operator.GE.test: (bisect_left, True),
+}
+
+
+def _column(
+    quotes: List[Dict[str, Any]], attribute: str
+) -> Tuple[List[Any], List[int]]:
+    """One attribute's numeric values over the window, for threshold tests.
+
+    Returns ``(values, prefixes)``: the int and float values (no bool,
+    no NaN) of the quotes carrying ``attribute``, sorted, and
+    ``prefixes[k]`` the mask of the message IDs of ``values[:k]`` (so
+    ``prefixes[-1]`` is every numeric value's).
+    """
+    numeric = sorted(
+        (
+            (value, message_id)
+            for message_id, value in enumerate(
+                (quote.get(attribute) for quote in quotes), 1)
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+            # NaN equals nothing, itself included, and matches nothing.
+            and value == value
+        ),
+        key=operator.itemgetter(0),
+    )
+    prefixes = [0]
+    for _value, message_id in numeric:
+        prefixes.append(prefixes[-1] | (1 << message_id))
+    return [value for value, _message_id in numeric], prefixes
+
+
+def _mask(
+    quotes: List[Dict[str, Any]],
+    columns: Dict[str, Tuple[List[Any], List[int]]],
+    compiled: Tuple[str, Test, Value],
+) -> int:
+    """The predicate's mask: read off its attribute's column where that
+    is exact, else evaluated per quote by :func:`_predicate_mask`."""
+    attribute, test, wanted = compiled
+    if not (
+        test in _BISECTS
+        and isinstance(wanted, (int, float))
+        and wanted == wanted  # a NaN threshold defeats the bisect
+    ):
+        return _predicate_mask(quotes, compiled)
+    column = columns.get(attribute)
+    if column is None:
+        column = columns[attribute] = _column(quotes, attribute)
+    values, prefixes = column
+    search, above = _BISECTS[test]
+    below = prefixes[search(values, wanted)]
+    return prefixes[-1] ^ below if above else below
+
+
 def iter_offline_records(
     scenario: Scenario,
     seed: int = 0,
@@ -123,6 +211,7 @@ def iter_offline_records(
         price_hint = feed.price  # before the window advances the feed
         quotes = [next(feed) for _ in range(window)]
         masks: Dict[Tuple[str, Test, Value], int] = {}
+        columns: Dict[str, Tuple[List[Any], List[int]]] = {}
         subscriptions = iter_subscriptions_for_symbol(
             symbol,
             count,
@@ -136,7 +225,7 @@ def iter_offline_records(
                 compiled = predicate.compiled()
                 mask = masks.get(compiled)
                 if mask is None:
-                    mask = masks[compiled] = _predicate_mask(quotes, compiled)
+                    mask = masks[compiled] = _mask(quotes, columns, compiled)
                 matched &= mask
             profile = SubscriptionProfile(capacity=capacity)
             if matched:

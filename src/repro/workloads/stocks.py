@@ -42,11 +42,17 @@ STOCK_SYMBOLS: Tuple[str, ...] = (
 
 _BASE_DATE = datetime.date(1996, 1, 2)
 
+#: English month abbreviations, so a date reads the same in any locale.
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
 
 def _format_date(day_offset: int) -> str:
     """Dates in Yahoo!'s '5-Sep-96' style."""
     day = _BASE_DATE + datetime.timedelta(days=day_offset)
-    return f"{day.day}-{day.strftime('%b')}-{day.strftime('%y')}"
+    return f"{day.day}-{_MONTHS[day.month - 1]}-{day.year % 100:02d}"
 
 
 class StockQuoteFeed:

@@ -1,8 +1,9 @@
 """Offline profiles pair by pair: the reference the predicate masks are exact against.
 
 ``repro.workloads.offline`` evaluates each distinct predicate of a
-symbol once over the whole publication window and builds every vector
-in one step from the AND of its subscription's masks.  This is the loop
+symbol once over the whole publication window (a threshold by a read
+off a sorted column) and builds every vector in one step from
+the AND of its subscription's masks.  This is the loop
 it replaced, kept as the oracle: every (subscription, publication) pair
 goes through :func:`repro.pubsub.matching.matches` (short-circuit and
 all), every hit through ``SubscriptionProfile.record`` in ascending
@@ -10,8 +11,9 @@ message-ID order, and then ``synchronize``.  It shares the feed, the
 subscription generator and the directory with production, and nothing
 of the mask arithmetic.
 
-Run it as a script to compare the two at paper scale (1,280-bit vectors
-and the 200-subscriptions-per-publisher homogeneous cell)::
+Run it as a script to compare the two at paper scale (1,280-bit vectors,
+the 200-subscriptions-per-publisher homogeneous cell and a heterogeneous
+pool)::
 
     PYTHONPATH=src python tests/offline_oracle.py
 
@@ -114,7 +116,7 @@ def differing_records(
 
 def main() -> int:
     from repro.workloads.offline import offline_gather
-    from repro.workloads.scenarios import cluster_homogeneous
+    from repro.workloads.scenarios import cluster_heterogeneous, cluster_homogeneous
 
     seed = 2011
     cases = {
@@ -122,6 +124,8 @@ def main() -> int:
             cluster_homogeneous(200, scale=1.0),
         "cluster_homogeneous(100, scale=0.6, profile_capacity=1280)":
             cluster_homogeneous(100, scale=0.6, profile_capacity=1280),
+        "cluster_heterogeneous(200, scale=0.5)":
+            cluster_heterogeneous(200, scale=0.5),
     }
     failed = False
     for name, scenario in cases.items():

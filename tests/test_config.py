@@ -4,7 +4,10 @@ environment behind its back."""
 import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,6 +97,23 @@ def test_one_process_pool_and_no_install_hooks_in_core():
         sites += inside
     assert sites == ["execute_cells"]
     assert hooks == []
+
+
+def test_import_repro_loads_no_process_pool():
+    """Only ``--jobs N`` and ``--profile`` use the pool and the profiler,
+    so ``import repro`` must not load them: in a fresh interpreter, none
+    of these modules is imported."""
+    heavy = ("multiprocessing", "concurrent.futures", "cProfile", "logging")
+    probe = (
+        "import sys, repro; "
+        f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.strip()
+    assert loaded == ""
 
 
 def test_one_kernel_decision_point_and_no_fallback_returns():

@@ -1,6 +1,7 @@
 """Tests for offline profile generation (simulator-free Phase 1)."""
 
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,10 @@ import offline_oracle
 from offline_oracle import differing_records, iter_oracle_records, record_facts
 from repro.core.units import units_from_records
 from repro.pubsub.message import Subscription
-from repro.pubsub.predicate import parse_predicates
+from repro.pubsub.predicate import Operator, Predicate, parse_predicates
 from repro.workloads.offline import (
+    _mask,
+    _predicate_mask,
     iter_offline_records,
     offline_directory,
     offline_gather,
@@ -139,6 +142,60 @@ class TestOfflineGather:
         # Both see the same 40% template population at full density.
         assert offline_template_share > 0
         assert live_template_share > 0
+
+
+#: Thresholds shared by the quote values and the predicates, so a value
+#: exactly equal to a threshold is common; ``1``, ``1.0`` and ``True``
+#: are equal, ``0.0`` and ``-0.0`` too.
+SHARED_NUMBERS = (-2, 0, 1, 3, -2.5, 0.0, -0.0, 1.0, 3.0, 2**53 + 1, float(2**53))
+COLUMN_OPERATORS = (Operator.LT, Operator.LE, Operator.GT, Operator.GE)
+
+numbers = st.one_of(
+    st.sampled_from(SHARED_NUMBERS),
+    st.integers(-4, 4),
+    st.floats(-4.0, 4.0),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.booleans(),
+)
+#: ``None`` stands for a quote that lacks the attribute.
+quote_values = st.one_of(
+    numbers, st.sampled_from(["1", "STOCK", "", "nan"]), st.none(),
+)
+
+
+class TestColumnMasks:
+    """Sorted columns against the per-quote evaluation they replace."""
+
+    @settings(max_examples=300)
+    @given(
+        values=st.lists(quote_values, max_size=40),
+        thresholds=st.lists(numbers, min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_column_mask_equals_per_quote_mask(self, values, thresholds, data):
+        quotes = [{} if value is None else {"x": value} for value in values]
+        present = [value for value in values if value is not None]
+        if present:  # a threshold exactly equal to a quote's value
+            thresholds.append(data.draw(st.sampled_from(present), label="equal"))
+        columns: dict = {}  # shared, so later thresholds reuse the column
+        for threshold in thresholds:
+            if isinstance(threshold, str):
+                continue  # the language has no numeric test against a string
+            for op in COLUMN_OPERATORS:
+                compiled = Predicate("x", op, threshold).compiled()
+                assert _mask(quotes, columns, compiled) == _predicate_mask(
+                    quotes, compiled), (op, threshold)
+
+    def test_other_operators_evaluate_per_quote(self):
+        quotes = [{"x": 1.0}, {"x": "a"}, {}, {"x": math.nan}]
+        columns: dict = {}
+        for op, wanted in ((Operator.EQ, 1), (Operator.NEQ, 1), (Operator.PREFIX, "a"),
+                           (Operator.PRESENT, True), (Operator.LT, math.nan),
+                           (Operator.GE, math.nan)):
+            compiled = Predicate("x", op, wanted).compiled()
+            assert _mask(quotes, columns, compiled) == _predicate_mask(
+                quotes, compiled)
+        assert columns == {}
 
 
 class TestAgainstOracle:

@@ -12,9 +12,10 @@ excluded from the comparison.
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
-from repro.experiments import parallel
 from repro.experiments.parallel import (
     CellSpec,
     execute_cells,
@@ -130,7 +131,8 @@ class TestExecutorMechanics:
         def broken_pool(*_args, **_kwargs):
             raise OSError("no processes for you")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", broken_pool)
         scenarios = tiny_homo(3)
         specs = sweep_specs(scenarios, ("manual", "binpacking"), seed=4)
         labels: list = []

@@ -1,5 +1,7 @@
 """Tests for the stock-quote and subscription workload generators."""
 
+import datetime
+
 import pytest
 
 from repro.pubsub.matching import matches, overlaps
@@ -12,7 +14,13 @@ from repro.workloads.scenarios import (
     cluster_homogeneous,
     scinet,
 )
-from repro.workloads.stocks import STOCK_SYMBOLS, StockQuoteFeed, stock_advertisement
+from repro.workloads.stocks import (
+    _BASE_DATE,
+    STOCK_SYMBOLS,
+    StockQuoteFeed,
+    _format_date,
+    stock_advertisement,
+)
 from repro.workloads.subscriptions import (
     heterogeneous_counts,
     subscription_workload,
@@ -47,6 +55,14 @@ class TestStockFeed:
         second = next(feed)["date"]
         assert first == "2-Jan-96"
         assert second == "3-Jan-96"
+
+    def test_dates_equal_strftime(self):
+        """The month table and ``year % 100`` spell what ``strftime``
+        spells in the C locale, across the century turn and beyond."""
+        for offset in range(40_001):
+            day = _BASE_DATE + datetime.timedelta(days=offset)
+            expected = f"{day.day}-{day.strftime('%b')}-{day.strftime('%y')}"
+            assert _format_date(offset) == expected, offset
 
     def test_deterministic_per_seed_and_symbol(self):
         a = [next(StockQuoteFeed("YHOO", SeededRng(3))) for _ in range(1)]
