@@ -51,6 +51,13 @@ class SeededRng:
         self.names = names
         self._random = random.Random(derive_seed(master_seed, *names))
 
+    @property
+    def stream(self) -> random.Random:
+        """The underlying generator, for hot loops that bind its draw
+        methods once instead of paying a wrapper call per draw.  Draws
+        through it advance this same stream."""
+        return self._random
+
     def child(self, *names: str) -> "SeededRng":
         """Derive an independent sub-stream."""
         return SeededRng(self.master_seed, *self.names, *names)

@@ -95,6 +95,10 @@ class Broker:
         self._suppressed: Dict[str, Dict[str, str]] = {}
         self.delay_estimator = DelayModelEstimator()
         self._cpu_free_at = 0.0
+        #: Service time of the last queued message and the SRT size it
+        #: was computed for (see :meth:`_matched_at`).
+        self._service_size = -1
+        self._service = 0.0
         self._out_free_at = 0.0
         self._ctl_free_at = 0.0
         self._pending_bir: Dict[int, _PendingBir] = {}
@@ -138,7 +142,7 @@ class Broker:
 
     @property
     def srt_size(self) -> int:
-        return len(self._srt)
+        return self._srt.size
 
     @property
     def probe_cache_hits(self) -> int:
@@ -155,29 +159,56 @@ class Broker:
     # ------------------------------------------------------------------
     def receive(self, message: Any, source: Destination) -> None:
         """Accept a message from a neighbor or local client."""
-        is_publication = isinstance(message, Publication)
+        if isinstance(message, Publication):
+            self.receive_publication(message, source)
+            return
+        self._metrics.on_receive(self.broker_id, False)
+        self._sim.call_at(self._matched_at(), self._process, message, source)
+
+    def receive_publication(self, publication: Publication,
+                            source: Destination) -> None:
+        """Accept a publication; its handler runs once the CPU is done.
+
+        Broker-to-broker forwards arrive here directly
+        (:meth:`PubSubNetwork.forward`), with no type dispatch.
+        """
         tracer = self._network.tracer
-        if tracer is not None and is_publication:
+        if tracer is not None:
             tracer.record(self._sim.now, "receive", self.broker_id,
-                          message.adv_id, message.message_id,
+                          publication.adv_id, publication.message_id,
                           detail=f"from {source[1]}")
-        self._metrics.on_receive(self.broker_id, is_publication)
-        table_size = len(self._srt)
-        service = self.spec.delay_function.delay(table_size)
+        self._metrics.on_receive(self.broker_id, True)
+        self._sim.call_at(self._matched_at(), self._handle_publication,
+                          publication, source)
+
+    def _matched_at(self) -> float:
+        """Queue one message behind the matching CPU; when it is done.
+
+        The service time is the delay function at the current SRT size.
+        It is recomputed only when the size differs from the last
+        message's: the cache is keyed on the size alone, so SRT writes
+        and :meth:`reset` (a fresh, empty table) invalidate it by
+        construction.
+        """
+        table_size = self._srt.size
+        if table_size != self._service_size:
+            self._service_size = table_size
+            self._service = self.spec.delay_function.delay(table_size)
+        service = self._service
         self.delay_estimator.record(table_size, service)
-        start = max(self._sim.now, self._cpu_free_at)
-        done = start + service
+        now = self._sim.now
+        free_at = self._cpu_free_at
+        done = (free_at if free_at > now else now) + service
         self._cpu_free_at = done
-        self._sim.call_at(done, self._process, message, source)
+        return done
 
     def _process(self, message: Any, source: Destination) -> None:
+        """Handle a control message once the CPU is done with it."""
         if self._network.broker_is_down(self.broker_id):
             # The process died while this message sat in the CPU queue.
-            self._metrics.on_fault_drop(isinstance(message, Publication))
+            self._metrics.on_fault_drop(False)
             return
-        if isinstance(message, Publication):
-            self._handle_publication(message, source)
-        elif isinstance(message, Subscription):
+        if isinstance(message, Subscription):
             self._handle_subscription(message, source)
         elif isinstance(message, Advertisement):
             self._handle_advertisement(message, source)
@@ -222,14 +253,18 @@ class Broker:
         bookkeeping is done once for the whole publication: one CBC
         call, one metrics call, one hop copy shared by every forward.
         """
+        network = self._network
+        faults = network.faults
+        if faults is not None and faults.broker_down(self.broker_id):
+            # The process died while this publication sat in the CPU queue.
+            self._metrics.on_fault_drop(True)
+            return
         now = self._sim.now
         if source[0] == CLIENT:
             self.cbc.on_local_publication(publication, now)
         clients, forwarded_brokers = self._srt.matching_routes(publication, source)
         if not clients and not forwarded_brokers:
             return
-        network = self._network
-        faults = network.faults
         size_kb = publication.size_kb
         bandwidth = self.spec.total_output_bandwidth
         serialization = size_kb / bandwidth if bandwidth > 0 else 0.0
@@ -264,15 +299,18 @@ class Broker:
                 network.settle_deliveries()
         if forwarded_brokers:
             tracer = network.tracer
+            forward = network.forward
             hopped = publication.hopped()
-            for broker_id in sorted(forwarded_brokers):
+            targets = (forwarded_brokers if len(forwarded_brokers) == 1
+                       else sorted(forwarded_brokers))
+            for broker_id in targets:
                 if tracer is not None:
                     tracer.record(now, "forward", self.broker_id,
                                   publication.adv_id, publication.message_id,
                                   detail=f"-> {broker_id}")
                 start = free_at if free_at > now else now
                 free_at = start + serialization
-                network.deliver(self.broker_id, (BROKER, broker_id), hopped, free_at)
+                forward(self.broker_id, broker_id, hopped, free_at)
         self._out_free_at = free_at
         copies = len(delivered) + len(forwarded_brokers)
         if copies:

@@ -48,6 +48,7 @@ class FaultInjector:
         self._network = network
         self.plan = plan
         self._transit_rng = SeededRng(seed, "faults", "transit")
+        self._transit_draw = self._transit_rng.stream.random
         self.down_brokers: Set[str] = set()
         self.down_links: Set[FrozenSet[str]] = set()
         self.schedule: List[FaultEvent] = []
@@ -130,12 +131,14 @@ class FaultInjector:
         jitter; a knob that is off never touches the RNG.
         """
         plan = self.plan
-        if plan.loss_rate > 0.0 and self._transit_rng.random() < plan.loss_rate:
+        if plan.loss_rate > 0.0 and self._transit_draw() < plan.loss_rate:
             self.drops += 1
             return None
         if plan.jitter <= 0.0:
             return 0.0
-        return self._transit_rng.uniform(0.0, plan.jitter)
+        # ``uniform(0.0, jitter)`` is ``0.0 + (jitter - 0.0) * random()``:
+        # the same draw and, bit for bit, the same float.
+        return plan.jitter * self._transit_draw()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -176,7 +176,9 @@ class MatchingIndex:
         #: Probe-cache hit/miss tallies (read by :mod:`repro.obs`).
         self.probe_cache_hits = 0
         self.probe_cache_misses = 0
-        self._size = 0
+        #: Number of entries (what ``len()`` returns), as an attribute so
+        #: the broker's per-message delay model reads it without a call.
+        self.size = 0
 
     @staticmethod
     def _index_key(subscription: Subscription) -> Optional[Tuple[str, Hashable]]:
@@ -193,7 +195,7 @@ class MatchingIndex:
         return best
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
     @staticmethod
     def _residual(subscription: Subscription, key: Tuple[str, Hashable]) -> Filter:
@@ -228,7 +230,7 @@ class MatchingIndex:
             self._bucket_attrs[attribute] = count + 1
             if count == 0:
                 self._probe_cache.clear()
-        self._size += 1
+        self.size += 1
 
     def remove_subscription(self, sub_id: str) -> None:
         """Drop every entry of the given subscription.
@@ -263,7 +265,7 @@ class MatchingIndex:
                 else:
                     del self._bucket_attrs[attribute]
                     self._probe_cache.clear()
-            self._size -= 1
+            self.size -= 1
 
     def _bucket_probes(self, publication: Publication) -> Tuple[str, ...]:
         """The publication's attributes that can hit a bucket, in order.
@@ -271,9 +273,10 @@ class MatchingIndex:
         Attributes without any bucketed subscription (``price``,
         ``volume``, …) can never produce a bucket hit, so probing them
         is pure dict-lookup waste; the surviving names are cached per
-        attribute-name tuple, which is constant per publisher feed.
+        attribute-name tuple, which is constant per publisher feed (the
+        publication carries it, built once at publish time).
         """
-        names = tuple(publication.attributes)
+        names = publication.attribute_names
         probes = self._probe_cache.get(names)
         if probes is None:
             self.probe_cache_misses += 1

@@ -74,10 +74,12 @@ class PubSubNetwork:
         self.brokers: Dict[str, Broker] = {}
         self.publishers: Dict[str, PublisherClient] = {}
         self.subscribers: Dict[str, SubscriberClient] = {}
-        #: Fan-out fast path: per-broker bound ``receive`` methods and
-        #: interned source tuples, reused across the millions of repeat
-        #: (publisher, broker) hops instead of re-allocated per message.
+        #: Fan-out fast path: per-broker bound ``receive`` and
+        #: ``receive_publication`` methods and interned source tuples,
+        #: reused across the millions of repeat (publisher, broker) hops
+        #: instead of re-allocated per message.
         self._receive_of: Dict[str, Any] = {}
+        self._receive_publication_of: Dict[str, Any] = {}
         self._broker_sources: Dict[str, Destination] = {}
         self._client_sources: Dict[str, Destination] = {}
         self._subscriber_of_sub: Dict[str, str] = {}
@@ -108,6 +110,7 @@ class PubSubNetwork:
                         covering_enabled=self.enable_covering)
         self.brokers[spec.broker_id] = broker
         self._receive_of[spec.broker_id] = broker.receive
+        self._receive_publication_of[spec.broker_id] = broker.receive_publication
         self._broker_sources[spec.broker_id] = (BROKER, spec.broker_id)
         return broker
 
@@ -283,11 +286,13 @@ class PubSubNetwork:
 
     def deliver(self, sender_broker: str, destination: Destination, message: Any,
                 sent_at: float) -> None:
-        """Complete a broker transmission after serialization + latency.
+        """Complete a broker's control transmission after serialization +
+        latency.
 
         Client destinations here are control clients only (the BIA back
-        to CROC); publications reach subscribers through the delivery
-        log.
+        to CROC).  Publications never come this way: broker-to-broker
+        copies go through :meth:`forward`, and subscribers are reached
+        through the delivery log.
         """
         arrival = sent_at + self.link_latency
         kind, identifier = destination
@@ -296,7 +301,7 @@ class PubSubNetwork:
             cut = kind == BROKER and faults.link_down(sender_broker, identifier)
             extra = None if cut else faults.transit()
             if extra is None:
-                self.metrics.on_fault_drop(isinstance(message, Publication))
+                self.metrics.on_fault_drop(False)
                 return
             arrival += extra
         if kind != BROKER:
@@ -306,10 +311,33 @@ class PubSubNetwork:
             self.sim.call_at(arrival, self._arrive_at_broker, identifier, message,
                              self._broker_sources[sender_broker])
         else:
-            # Fault-free fast path: reuse the interned source tuple and
-            # the receiving broker's bound method for this repeat hop.
             self.sim.call_at(arrival, self._receive_of[identifier], message,
                              self._broker_sources[sender_broker])
+
+    def forward(self, sender_broker: str, broker_id: str,
+                publication: Publication, sent_at: float) -> None:
+        """Complete one publication copy, broker to broker, after
+        serialization + latency.
+
+        The per-hop entry of the data plane.  Fault-free, the copy is
+        scheduled straight onto the receiver's bound
+        ``receive_publication`` with the sender's interned source tuple;
+        under a fault plan it takes the same link, loss and jitter
+        draws as :meth:`deliver` and the down-at-arrival check.
+        """
+        arrival = sent_at + self.link_latency
+        faults = self.faults
+        if faults is None:
+            self.sim.call_at(arrival, self._receive_publication_of[broker_id],
+                             publication, self._broker_sources[sender_broker])
+            return
+        extra = None if faults.link_down(sender_broker, broker_id) else faults.transit()
+        if extra is None:
+            self.metrics.on_fault_drop(True)
+            return
+        arrival += extra
+        self.sim.call_at(arrival, self._arrive_at_broker, broker_id, publication,
+                         self._broker_sources[sender_broker])
 
     def _arrive_at_broker(self, broker_id: str, message: Any,
                           source: Destination) -> None:

@@ -17,6 +17,7 @@ A generated publication carries exactly the paper's attributes::
 from __future__ import annotations
 
 import datetime
+from functools import lru_cache
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.pubsub.message import Advertisement
@@ -49,8 +50,15 @@ _MONTHS = (
 )
 
 
+@lru_cache(maxsize=None)
 def _format_date(day_offset: int) -> str:
-    """Dates in Yahoo!'s '5-Sep-96' style."""
+    """Dates in Yahoo!'s '5-Sep-96' style.
+
+    Memoised: every feed of a run walks the same day offsets, so each
+    date is formatted once per process, not once per quote.  The cache
+    holds one short string per day offset reached, so it is bounded by
+    the longest feed the process has run.
+    """
     day = _BASE_DATE + datetime.timedelta(days=day_offset)
     return f"{day.day}-{_MONTHS[day.month - 1]}-{day.year % 100:02d}"
 
@@ -83,6 +91,10 @@ class StockQuoteFeed:
             if initial_price is not None
             else self._rng.uniform(5.0, 120.0)
         )
+        # Bound once: ``__next__`` is every publisher's per-quote cost.
+        stream = self._rng.stream
+        self._gauss = stream.gauss
+        self._lognormvariate = stream.lognormvariate
         self._volatility = daily_volatility
         self._base_volume = base_volume
         self._day = 0
@@ -96,14 +108,16 @@ class StockQuoteFeed:
         return self
 
     def __next__(self) -> Dict[str, Any]:
+        gauss = self._gauss
+        volatility = self._volatility
         open_price = self._price
-        drift = self._rng.gauss(0.0, self._volatility)
+        drift = gauss(0.0, volatility)
         close = max(0.25, round(open_price * (1.0 + drift), 2))
-        wiggle_high = abs(self._rng.gauss(0.0, self._volatility / 2.0))
-        wiggle_low = abs(self._rng.gauss(0.0, self._volatility / 2.0))
+        wiggle_high = abs(gauss(0.0, volatility / 2.0))
+        wiggle_low = abs(gauss(0.0, volatility / 2.0))
         high = round(max(open_price, close) * (1.0 + wiggle_high), 2)
         low = round(min(open_price, close) * (1.0 - wiggle_low), 2)
-        volume = int(self._rng.lognormal(0.0, 0.6) * self._base_volume)
+        volume = int(self._lognormvariate(0.0, 0.6) * self._base_volume)
         self._price = close
         date = _format_date(self._day)
         self._day += 1

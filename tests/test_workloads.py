@@ -71,6 +71,23 @@ class TestStockFeed:
         c = next(StockQuoteFeed("MSFT", SeededRng(3)))
         assert c != a[0]
 
+    def test_bound_draws_are_the_wrapper_draws_in_order(self):
+        """The feed binds its stream's draw methods once; each quote is
+        what the same draws through the ``SeededRng`` wrappers give."""
+        feed = StockQuoteFeed("YHOO", SeededRng(5))
+        rng = SeededRng(5).child("stock", "YHOO")
+        price = rng.uniform(5.0, 120.0)
+        for _ in range(300):
+            bar = next(feed)
+            close = max(0.25, round(price * (1.0 + rng.gauss(0.0, 0.02)), 2))
+            wiggle_high = abs(rng.gauss(0.0, 0.02 / 2.0))
+            wiggle_low = abs(rng.gauss(0.0, 0.02 / 2.0))
+            volume = int(rng.lognormal(0.0, 0.6) * 8000.0)
+            assert (bar["open"], bar["close"], bar["volume"]) == (price, close, volume)
+            assert bar["high"] == round(max(price, close) * (1.0 + wiggle_high), 2)
+            assert bar["low"] == round(min(price, close) * (1.0 - wiggle_low), 2)
+            price = close
+
     def test_open_continues_from_previous_close(self):
         feed = StockQuoteFeed("ORCL", SeededRng(4))
         first = next(feed)
