@@ -6,7 +6,7 @@
 # the output directory and forwards any extra pytest arguments, e.g.
 #
 #   scripts/bench.sh                                  # full harness
-#   scripts/bench.sh benchmarks/test_bench_energy.py  # energy + pareto
+#   scripts/bench.sh benchmarks/test_bench_faults.py  # one suite
 #   REPRO_BENCH_OUT=out/bench scripts/bench.sh -k comptime
 #
 # Scenario knobs (REPRO_BENCH_SCALE, REPRO_BENCH_SUBS, REPRO_BENCH_SEED,

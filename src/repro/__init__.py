@@ -36,7 +36,7 @@ from repro.core import (
 )
 from repro.core import allocators
 from repro.core.config import RunConfig
-from repro.core.energy import EnergyAccountant, EnergyReport, EnergySpec
+from repro.core.energy import EnergyReport, EnergySpec
 from repro.core.online import OnlineSpec
 from repro.experiments.continuous import (
     ContinuousReconfigurator,
@@ -84,7 +84,6 @@ __all__ = [
     # Run configuration and online reallocation
     "RunConfig",
     "OnlineSpec",
-    "EnergyAccountant",
     "EnergyReport",
     "EnergySpec",
     "OnlineScheduler",

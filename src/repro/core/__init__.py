@@ -18,12 +18,10 @@ from repro.core.bitvector import DEFAULT_CAPACITY, BitVector
 from repro.core.config import RunConfig
 from repro.core.energy import (
     BrokerEnergy,
-    EnergyAccountant,
     EnergyReport,
     EnergySpec,
     WindowUsage,
     account_window,
-    combined_report,
 )
 from repro.core.online import (
     STRATEGIES,
@@ -78,12 +76,10 @@ __all__ = [
     "allocators",
     "RunConfig",
     "BrokerEnergy",
-    "EnergyAccountant",
     "EnergyReport",
     "EnergySpec",
     "WindowUsage",
     "account_window",
-    "combined_report",
     "STRATEGIES",
     "Migration",
     "MigrationPlan",

@@ -3,8 +3,8 @@
 A :class:`RunConfig` is the picklable record that the runner, the
 sweeps, and the spawn-pool cells all thread explicitly: the
 :class:`~repro.core.online.OnlineSpec` steering online incremental
-reallocation, and the :class:`~repro.core.energy.EnergySpec` for
-energy accounting.
+reallocation.  Energy is not configured here: it is a reading of a
+finished result (``ExperimentResult.energy()``).
 
 No field selects between implementations of the same computation, and
 no configuration value flows into reported metrics except through the
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.energy import EnergySpec
 from repro.core.online import OnlineSpec
 
 
@@ -30,12 +29,6 @@ class RunConfig:
         An :class:`~repro.core.online.OnlineSpec` enabling online
         incremental reallocation between full CROC cycles; ``None``
         leaves the classic full-cycle-only schedule.
-    energy:
-        An :class:`~repro.core.energy.EnergySpec` attaching post-hoc
-        energy accounting to each measurement; ``None`` = off.  Pure
-        arithmetic over already-measured counters — never a behavioral
-        knob (pinned by the energy equivalence suite).
     """
 
     online: Optional[OnlineSpec] = None
-    energy: Optional[EnergySpec] = None

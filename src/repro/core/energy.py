@@ -6,23 +6,21 @@ with an energy-proportional model (idle floor plus a utilization-scaled
 active band, per-message matching cost, per-kB transmission cost — the
 shape used by the messaging-system energy study in PAPERS.md), and
 :func:`account_window` folds one measurement window's counters into a
-:class:`EnergyReport`.  :class:`EnergyAccountant` integrates windows
-over the virtual clock for the continuous-operation loop.
+:class:`EnergyReport`.
 
 Everything here is pure arithmetic over an already-measured
-:class:`WindowUsage` snapshot — the model never touches the simulator,
-so attaching it is bit-identical on every non-energy output by
-construction (pinned by ``tests/test_energy_equivalence.py``).
+:class:`WindowUsage` snapshot, so energy is a reading of a finished
+result (``ExperimentResult.energy()``, ``CycleReport.energy()``), not
+an option of the run that produced it.
 
-Float comparisons route through :mod:`repro.core.floats` — the
-``api-contract`` reprolint pass enforces this for every ``*energy*`` /
-``*watts*`` function returning a float.
+Float comparisons route through :mod:`repro.core.floats` (reprolint's
+``float-equality`` rule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.core.floats import approx_zero
 
@@ -35,15 +33,6 @@ DEFAULT_ACTIVE_WATTS = 90.0
 DEFAULT_MATCHING_JOULES = 0.05
 DEFAULT_TRANSMISSION_JOULES_PER_KB = 0.02
 DEFAULT_CRASHED_WATTS = 0.0
-
-#: ``EnergySpec.from_spec`` key -> field mapping (CLI surface).
-_SPEC_KEYS = {
-    "idle": "idle_watts",
-    "active": "active_watts",
-    "match": "matching_joules",
-    "tx": "transmission_joules_per_kb",
-    "crashed": "crashed_watts",
-}
 
 
 @dataclass(frozen=True)
@@ -72,38 +61,6 @@ class EnergySpec:
                     f"EnergySpec.{spec_field.name} must be a non-negative "
                     f"number, got {value!r}"
                 )
-
-    @staticmethod
-    def from_spec(text: str) -> Optional["EnergySpec"]:
-        """Parse a CLI spec string, e.g. ``'idle=60,active=90,tx=0.02'``.
-
-        ``'none'`` disables the model (returns ``None``); ``''`` and
-        ``'default'`` select the default spec.
-        """
-        cleaned = text.strip().lower()
-        if cleaned == "none":
-            return None
-        if cleaned in ("", "default"):
-            return EnergySpec()
-        values: Dict[str, float] = {}
-        for part in cleaned.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            if key not in _SPEC_KEYS:
-                raise ValueError(
-                    f"unknown energy spec key {key!r}; known keys: "
-                    f"{', '.join(sorted(_SPEC_KEYS))}"
-                )
-            try:
-                values[_SPEC_KEYS[key]] = float(raw.strip())
-            except ValueError:
-                raise ValueError(
-                    f"energy spec key {key!r} needs a number, got {raw!r}"
-                ) from None
-        return EnergySpec(**values)
 
 
 @dataclass(frozen=True)
@@ -153,7 +110,7 @@ class BrokerEnergy:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Itemized energy for one window (or one accumulated run)."""
+    """Itemized energy for one measurement window."""
 
     spec: EnergySpec
     duration_s: float
@@ -296,91 +253,4 @@ def account_window(spec: EnergySpec, usage: WindowUsage) -> EnergyReport:
         mean_delay_s=usage.mean_delay_s,
         delivery_rate=usage.delivery_rate,
         migration_gap_s=usage.migration_gap_s,
-    )
-
-
-class EnergyAccountant:
-    """Integrates :class:`EnergyReport` windows over the virtual clock.
-
-    The continuous-operation loop feeds one :class:`WindowUsage` per
-    cycle; fault-crashed intervals arrive via per-broker downtime and
-    online-migration gaps via ``migration_gap_s`` (detached subscribers
-    lose deliveries, which raises joules per delivery — brokers keep
-    drawing power through a migration).
-    """
-
-    def __init__(self, spec: EnergySpec):
-        self._spec = spec
-        self._windows: List[EnergyReport] = []
-
-    @property
-    def spec(self) -> EnergySpec:
-        return self._spec
-
-    @property
-    def windows(self) -> Tuple[EnergyReport, ...]:
-        return tuple(self._windows)
-
-    def observe(self, usage: WindowUsage) -> EnergyReport:
-        """Account one window and fold it into the running totals."""
-        report = account_window(self._spec, usage)
-        self._windows.append(report)
-        return report
-
-    def total_joules(self) -> float:
-        return sum(report.joules for report in self._windows)
-
-    def total_duration_s(self) -> float:
-        return sum(report.duration_s for report in self._windows)
-
-    def total_deliveries(self) -> int:
-        return sum(report.deliveries for report in self._windows)
-
-    def joules_per_delivery(self) -> float:
-        """Run-level joules per delivered publication (0.0 when none)."""
-        deliveries = self.total_deliveries()
-        if deliveries <= 0:
-            return 0.0
-        return self.total_joules() / deliveries
-
-    def mean_watts(self) -> float:
-        duration = self.total_duration_s()
-        if approx_zero(duration):
-            return 0.0
-        return self.total_joules() / duration
-
-
-def combined_report(reports: Sequence[EnergyReport]) -> Optional[EnergyReport]:
-    """Concatenate window reports into one run-level report.
-
-    Broker entries are kept per window (the same broker may appear once
-    per window); scalar fields accumulate.  ``None`` for an empty run.
-    """
-    if not reports:
-        return None
-    brokers: List[BrokerEnergy] = []
-    for report in reports:
-        brokers.extend(report.brokers)
-    total_deliveries = sum(report.deliveries for report in reports)
-    total_duration = sum(report.duration_s for report in reports)
-    weighted_delay = sum(
-        report.mean_delay_s * report.deliveries for report in reports
-    )
-    weighted_rate = sum(
-        report.delivery_rate * report.duration_s for report in reports
-    )
-    return EnergyReport(
-        spec=reports[0].spec,
-        duration_s=total_duration,
-        pool_size=max(report.pool_size for report in reports),
-        brokers=tuple(brokers),
-        deliveries=total_deliveries,
-        mean_delay_s=(
-            weighted_delay / total_deliveries if total_deliveries else 0.0
-        ),
-        delivery_rate=(
-            weighted_rate / total_duration if not approx_zero(total_duration)
-            else 1.0
-        ),
-        migration_gap_s=sum(report.migration_gap_s for report in reports),
     )

@@ -25,9 +25,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.core import allocators
-from repro.core.config import RunConfig
 from repro.core.croc import ReconfigurationError
-from repro.core.energy import EnergySpec
 from repro.experiments.parallel import CellSpec, execute_cells
 from repro.experiments.report import format_rows, summarize_pareto
 from repro.experiments.runner import APPROACHES
@@ -106,12 +104,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "and write them to PATH (JSONL, or JSON "
                              "with a .json suffix); outputs stay "
                              "bit-identical to an unobserved run")
-    parser.add_argument("--energy", type=EnergySpec.from_spec, default=None,
-                        metavar="SPEC",
-                        help="attach post-hoc energy accounting, e.g. "
-                             "'default' or 'idle=60,active=90,match=0.05,"
-                             "tx=0.02,crashed=0' ('none' disables); "
-                             "non-energy outputs stay bit-identical")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,8 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # No abbreviations: a retired option such as ``--energy`` must fail
+    # instead of silently meaning ``--energy-out``.
     run_cmd = commands.add_parser(
-        "run", help="run one or more approaches on one scenario family"
+        "run", help="run one or more approaches on one scenario family",
+        allow_abbrev=False,
     )
     _add_common(run_cmd)
     run_cmd.add_argument("--approach", action="append", choices=APPROACHES,
@@ -131,14 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--pareto", action="store_true",
                          help="rank the approaches by non-dominated "
                               "{brokers, joules, delay, delivery_rate} "
-                              "vectors (implies --energy default)")
+                              "vectors; prints the energy table too")
     run_cmd.add_argument("--energy-out", metavar="PATH", default=None,
-                         help="write the energy/pareto records to PATH "
-                              "(JSONL, or JSON with a .json suffix) for "
-                              "'repro report pareto'")
+                         help="print the energy table and write the "
+                              "energy (and, with --pareto, pareto) records "
+                              "to PATH (JSONL, or JSON with a .json suffix) "
+                              "for 'repro report pareto'")
 
     figure_cmd = commands.add_parser(
-        "figure", help="regenerate one of the paper's figures"
+        "figure", help="regenerate one of the paper's figures",
+        allow_abbrev=False,
     )
     _add_common(figure_cmd)
     figure_cmd.add_argument("--figure", choices=sorted(FIGURES), required=True)
@@ -161,21 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args) -> Optional[RunConfig]:
-    """Fold the config-bearing CLI flags into one RunConfig.
-
-    ``None`` when nothing was set, so default invocations keep shipping
-    config-free cell specs (bit-identical to earlier releases).
-    """
-    energy = getattr(args, "energy", None)
-    if energy is None and getattr(args, "pareto", False):
-        # Pareto ranking needs joules; default the model when unset.
-        energy = EnergySpec()
-    if energy is None:
-        return None
-    return RunConfig(energy=energy)
-
-
 def _write_obs(path: str, labeled_results) -> None:
     """Merge per-cell snapshots (submission order) and write the export."""
     observations = [
@@ -188,14 +170,16 @@ def _write_obs(path: str, labeled_results) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _print_energy(args, finished) -> int:
+def _print_energy(args, finished) -> None:
     """Energy table, optional Pareto ranking, optional export file.
 
     ``finished`` is the list of ``(CellSpec, ExperimentResult)`` pairs
     that completed; failed cells are already reported by the caller.
+    Joules are read from each result under the default
+    :class:`~repro.core.energy.EnergySpec`.
     """
     if not finished:
-        return 0
+        return
     energy_rows = [cell.energy_row() for _spec, cell in finished]
     print()
     print("energy:")
@@ -219,7 +203,7 @@ def _print_energy(args, finished) -> int:
         for spec, cell in finished:
             scenario_name = spec.scenario.name
             label = f"{scenario_name}/{spec.approach}"
-            labeled.append((label, cell.energy.export_record(
+            labeled.append((label, cell.energy().export_record(
                 label, scenario_name, spec.approach)))
         records = obs_export.energy_export(labeled)
         if front is not None:
@@ -234,17 +218,14 @@ def _print_energy(args, finished) -> int:
                 })
         obs_export.write_export(args.energy_out, records)
         print(f"wrote {args.energy_out}", file=sys.stderr)
-    return 0
 
 
 def cmd_run(args) -> int:
     approaches = args.approach or ["manual", "cram-ios"]
     scenarios = _build_scenarios(args)
-    config = _run_config(args)
     specs = [
         CellSpec(scenario=scenario, approach=approach, seed=args.seed,
-                 fault_plan=args.faults, observe=bool(args.obs),
-                 config=config)
+                 fault_plan=args.faults, observe=bool(args.obs))
         for scenario in scenarios
         for approach in approaches
     ]
@@ -265,7 +246,7 @@ def cmd_run(args) -> int:
     if rows:
         print(format_rows(rows))
         _export(rows, args)
-    if config is not None and config.energy is not None:
+    if args.pareto or args.energy_out:
         finished = [
             (spec, cell) for spec, cell in zip(specs, cells)
             if not isinstance(cell, BaseException)
@@ -295,7 +276,6 @@ def cmd_figure(args) -> int:
             fault_plan=args.faults,
             jobs=args.jobs,
             observe=bool(args.obs),
-            config=_run_config(args),
             profile_dir=args.profile,
         )
     except ReconfigurationError as exc:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.croc import Croc, ReconfigurationError
-from repro.core.energy import EnergyAccountant, EnergySpec
+from repro.core.energy import EnergyReport, EnergySpec, account_window
 from repro.core.floats import EPSILON
 from repro.core.online import (
     BrokerLoad,
@@ -72,10 +72,10 @@ class CycleReport:
     subscriptions_moved: int = 0
     migration_gap_s: float = 0.0
     drift: float = 0.0
-    #: Energy accounted over this cycle's measurement window
-    #: (``RunConfig.energy``); 0.0 when the model is detached.
-    joules: float = 0.0
-    joules_per_delivery: float = 0.0
+
+    def energy(self, spec: EnergySpec = EnergySpec()) -> EnergyReport:
+        """This cycle's measurement window priced under ``spec``."""
+        return account_window(spec, self.summary.energy_usage())
 
     def as_row(self) -> dict:
         return {
@@ -94,8 +94,6 @@ class CycleReport:
             "subscriptions_moved": self.subscriptions_moved,
             "migration_gap_s": round(self.migration_gap_s, 4),
             "drift": round(self.drift, 4),
-            "joules": round(self.joules, 4),
-            "joules_per_delivery": round(self.joules_per_delivery, 6),
         }
 
 
@@ -318,12 +316,6 @@ class ContinuousReconfigurator:
         profiling phase, and a drift-gated skip of the full CROC run.
         ``None`` (the default) reproduces the periodic-full-CROC loop
         bit for bit.
-    energy:
-        Optional :class:`~repro.core.energy.EnergySpec` attaching an
-        :class:`~repro.core.energy.EnergyAccountant` that integrates
-        each cycle's measurement window (crash downtime and migration
-        gaps included) into per-cycle joules.  Post-hoc arithmetic
-        only — the loop's behavior is identical with it detached.
     """
 
     def __init__(
@@ -333,7 +325,6 @@ class ContinuousReconfigurator:
         measurement_time: float = 30.0,
         on_cycle_start: Optional[Callable[[int], None]] = None,
         online: Optional[OnlineSpec] = None,
-        energy: Optional[EnergySpec] = None,
     ):
         self.croc = croc
         self.profiling_time = profiling_time
@@ -341,9 +332,6 @@ class ContinuousReconfigurator:
         self.on_cycle_start = on_cycle_start
         self.online = online
         self._scheduler: Optional[OnlineScheduler] = None
-        self.accountant = (
-            EnergyAccountant(energy) if energy is not None else None
-        )
         self.reports: List[CycleReport] = []
 
     @property
@@ -437,12 +425,6 @@ class ContinuousReconfigurator:
                     len(pool), network.active_brokers, bandwidths
                 )
                 cycle_span.set(reconfigured=reconfigured, rolled_back=rolled_back)
-            joules = 0.0
-            joules_per_delivery = 0.0
-            if self.accountant is not None:
-                energy_report = self.accountant.observe(summary.energy_usage())
-                joules = energy_report.joules
-                joules_per_delivery = energy_report.joules_per_delivery
             self.reports.append(
                 CycleReport(
                     cycle=cycle,
@@ -458,8 +440,6 @@ class ContinuousReconfigurator:
                     subscriptions_moved=moved,
                     migration_gap_s=gap_s,
                     drift=drift_value,
-                    joules=joules,
-                    joules_per_delivery=joules_per_delivery,
                 )
             )
         return self.reports

@@ -57,7 +57,7 @@ class CellSpec:
     #: ship its snapshot back on ``result.obs``.  Does not change the
     #: deterministic outputs (pinned by ``tests/test_obs_equivalence``).
     observe: bool = False
-    #: The online-reallocation / energy specs for this cell.
+    #: The online-reallocation spec for this cell.
     #: ``RunConfig`` is frozen and picklable, so a spec carries the
     #: exact configuration into spawned workers.  ``None`` = all
     #: defaults.

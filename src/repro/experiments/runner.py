@@ -30,7 +30,7 @@ from repro.core.config import RunConfig
 from repro.core.cram import CramAllocator, CramStats
 from repro.core.croc import Croc, GatherResult
 from repro.core.deployment import Deployment
-from repro.core.energy import EnergyReport, account_window
+from repro.core.energy import EnergyReport, EnergySpec, account_window
 from repro.core.grape import GrapeRelocator
 from repro.core.overlay_builder import OverlayBuilder
 from repro.core.pairwise import PairwiseKAllocator, PairwiseNAllocator
@@ -86,11 +86,6 @@ class ExperimentResult:
     #: wall-clock measurements, and the bit-identity contract compares
     #: rows.
     obs: Optional[Dict[str, object]] = None
-    #: Post-hoc energy accounting (``RunConfig.energy``).  Also
-    #: excluded from :meth:`as_row`: attaching the model must leave
-    #: every pre-existing output byte-identical, so energy gets its own
-    #: :meth:`energy_row` surface.
-    energy: Optional[EnergyReport] = None
 
     @property
     def message_rate_reduction(self) -> float:
@@ -119,22 +114,23 @@ class ExperimentResult:
         row.update(self.summary.as_row())
         return row
 
+    def energy(self, spec: EnergySpec = EnergySpec()) -> EnergyReport:
+        """The measurement window priced under ``spec``."""
+        return account_window(spec, self.summary.energy_usage())
+
     def energy_row(self) -> Dict[str, object]:
-        """Flat energy dict (raises when accounting was not attached)."""
-        if self.energy is None:
-            raise ValueError(
-                f"{self.scenario}/{self.approach}: no energy accounting "
-                "attached (set RunConfig.energy / --energy)"
-            )
+        """Flat energy dict under the default :class:`EnergySpec`.
+
+        Kept apart from :meth:`as_row`, whose columns are the paper's.
+        """
+        energy = self.energy()
         row: Dict[str, object] = {
             "approach": self.approach,
             "subscriptions": self.total_subscriptions,
         }
-        row.update(self.energy.as_row())
-        row["mean_delivery_delay_ms"] = round(
-            self.energy.mean_delay_s * 1000.0, 4
-        )
-        row["delivery_rate"] = round(self.energy.delivery_rate, 4)
+        row.update(energy.as_row())
+        row["mean_delivery_delay_ms"] = round(energy.mean_delay_s * 1000.0, 4)
+        row["delivery_rate"] = round(energy.delivery_rate, 4)
         return row
 
 
@@ -160,8 +156,8 @@ class ExperimentRunner:
         path.
     config:
         A :class:`~repro.core.config.RunConfig` with the
-        online-reallocation and energy specs.  The default (both
-        fields ``None``) switches neither on.
+        online-reallocation spec.  The default (``online=None``) keeps
+        the full-cycle-only schedule.
     """
 
     def __init__(
@@ -339,13 +335,6 @@ class ExperimentRunner:
                 cram_stats = stats
 
         obs_collect.add_network(network)
-        energy: Optional[EnergyReport] = None
-        if self.config.energy is not None:
-            # Post-hoc arithmetic over the already-built summary; the
-            # simulator is never touched, so every non-energy output is
-            # byte-identical with the model detached (pinned by
-            # tests/test_energy_equivalence.py).
-            energy = account_window(self.config.energy, summary.energy_usage())
         return ExperimentResult(
             approach=approach,
             scenario=scenario.name,
@@ -357,7 +346,6 @@ class ExperimentRunner:
             total_subscriptions=scenario.total_subscriptions,
             cram_stats=cram_stats,
             extra=extra,
-            energy=energy,
         )
 
     def _measure(
@@ -408,7 +396,6 @@ class ExperimentRunner:
             measurement_time=measurement_time,
             on_cycle_start=make_driver(network) if make_driver else None,
             online=self.config.online,
-            energy=self.config.energy,
         )
         self.last_continuous = loop
         reports = loop.run(network, cycles)

@@ -318,21 +318,12 @@ def pareto_front(
     results: Mapping[Tuple[str, str], ExperimentResult],
     objectives: Tuple[Tuple[str, bool], ...] = PARETO_OBJECTIVES,
 ) -> ParetoFront:
-    """Extract the front from an energy-attached sweep.
-
-    Every result must carry energy accounting (``RunConfig.energy``);
-    :meth:`ExperimentResult.energy_row` raises otherwise.
-    """
+    """Extract the front from a sweep, joules under the default spec."""
     items = []
     for (scenario_name, approach), result in results.items():
-        if result.energy is None:
-            raise ValueError(
-                f"{scenario_name}/{approach}: pareto extraction needs "
-                "energy accounting (set RunConfig.energy / --energy)"
-            )
         metrics = {
             "allocated_brokers": float(result.allocated_brokers),
-            "joules": result.energy.joules,
+            "joules": result.energy().joules,
             "mean_delay_ms": result.summary.mean_delivery_delay * 1000.0,
             "delivery_rate": result.summary.delivery_rate,
         }

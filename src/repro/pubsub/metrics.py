@@ -134,10 +134,10 @@ class MetricsSummary:
         """This window's counters projected for the energy model.
 
         A pure copy of already-measured numbers — building it never
-        touches the simulator, so energy accounting stays bit-identical
-        on every non-energy output.  Per-broker message counts are
-        reconstructed as ``rate * duration`` (the summary stores
-        rates); the round trip is deterministic.
+        touches the simulator, so energy is read from a finished
+        summary (``ExperimentResult.energy()``).  Per-broker message
+        counts are reconstructed as ``rate * duration`` (the summary
+        stores rates); the round trip is deterministic.
         """
         return WindowUsage(
             duration_s=self.duration,

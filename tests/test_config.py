@@ -16,6 +16,7 @@ import repro
 from repro.core.closeness import ClosenessMetric
 from repro.core.config import RunConfig
 from repro.core.cram import CramAllocator
+from repro.core.energy import EnergySpec
 from repro.core.fbf import first_fit
 from repro.core.online import OnlineSpec
 from repro.core.pairwise import PairwiseAllocator
@@ -27,8 +28,21 @@ PACKAGE = Path(repro.__file__).parent
 
 
 def test_runconfig_has_no_performance_field():
-    assert {f.name for f in dataclasses.fields(RunConfig)} == {"online", "energy"}
+    assert {f.name for f in dataclasses.fields(RunConfig)} == {"online"}
     assert not hasattr(RunConfig, "resolved")
+
+
+def test_energy_is_a_reading_not_a_run_option():
+    """Energy is priced from a finished result, so nothing parses an
+    energy spec string and neither ``run`` nor ``figure`` takes
+    ``--energy``."""
+    assert not hasattr(EnergySpec, "from_spec")
+    for command in ("run", "figure"):
+        arguments = [command, "--energy", "default"]
+        if command == "figure":
+            arguments += ["--figure", "brokers"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(arguments)
 
 
 def test_runconfig_validates_and_feeds_builders():

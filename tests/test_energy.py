@@ -2,8 +2,10 @@
 
 Covers the pure arithmetic (:mod:`repro.core.energy`), the per-window
 crash-downtime accounting in :class:`repro.pubsub.metrics.MetricsCollector`
-(including the t=0-crash-before-first-reset regression), and the
-``MetricsSummary.energy_usage`` projection.
+(including the t=0-crash-before-first-reset regression), the
+``MetricsSummary.energy_usage`` projection, and the ``energy()``
+readings of a finished ``ExperimentResult`` / ``CycleReport`` (with
+the Pareto front they feed).
 """
 
 from __future__ import annotations
@@ -12,14 +14,17 @@ import pytest
 
 from repro.core.energy import (
     BrokerEnergy,
-    EnergyAccountant,
     EnergyReport,
     EnergySpec,
     WindowUsage,
     account_window,
-    combined_report,
 )
+from repro.core.floats import approx_eq, approx_le
+from repro.experiments.parallel import CellSpec, run_spec
+from repro.experiments.runner import ExperimentRunner
+from repro.experiments.sweeps import PARETO_OBJECTIVES, homogeneous_scenarios, pareto_front
 from repro.pubsub.metrics import MetricsCollector, MetricsSummary
+from repro.workloads.scenarios import cluster_homogeneous
 
 
 def usage(**overrides) -> WindowUsage:
@@ -46,34 +51,6 @@ class TestEnergySpec:
         assert spec.idle_watts == 60.0
         assert spec.active_watts == 90.0
         assert spec.crashed_watts == 0.0
-
-    def test_from_spec_none_disables(self):
-        assert EnergySpec.from_spec("none") is None
-        assert EnergySpec.from_spec(" NONE ") is None
-
-    def test_from_spec_default_selects_defaults(self):
-        assert EnergySpec.from_spec("") == EnergySpec()
-        assert EnergySpec.from_spec("default") == EnergySpec()
-
-    def test_from_spec_parses_every_key(self):
-        spec = EnergySpec.from_spec(
-            "idle=10,active=20,match=0.5,tx=0.25,crashed=3"
-        )
-        assert spec == EnergySpec(
-            idle_watts=10.0,
-            active_watts=20.0,
-            matching_joules=0.5,
-            transmission_joules_per_kb=0.25,
-            crashed_watts=3.0,
-        )
-
-    def test_from_spec_rejects_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown energy spec key"):
-            EnergySpec.from_spec("volts=3")
-
-    def test_from_spec_rejects_non_number(self):
-        with pytest.raises(ValueError, match="needs a number"):
-            EnergySpec.from_spec("idle=lots")
 
     def test_negative_knob_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -160,48 +137,6 @@ class TestAccountWindow:
         assert record["cell"] == "homo/manual"
         assert record["deliveries"] == 80
         assert record["mean_delay_ms"] == 100.0
-
-
-class TestEnergyAccountant:
-    def test_totals_accumulate_across_windows(self):
-        accountant = EnergyAccountant(EnergySpec(idle_watts=10.0,
-                                                 active_watts=0.0,
-                                                 matching_joules=0.0,
-                                                 transmission_joules_per_kb=0.0))
-        first = accountant.observe(usage())
-        second = accountant.observe(usage(duration_s=5.0, deliveries=20))
-        assert accountant.windows == (first, second)
-        assert accountant.total_duration_s() == 15.0
-        assert accountant.total_deliveries() == 100
-        assert accountant.total_joules() == first.joules + second.joules
-        assert accountant.joules_per_delivery() == (
-            accountant.total_joules() / 100
-        )
-        assert accountant.mean_watts() == accountant.total_joules() / 15.0
-
-    def test_empty_accountant_reports_zero(self):
-        accountant = EnergyAccountant(EnergySpec())
-        assert accountant.total_joules() == 0.0
-        assert accountant.joules_per_delivery() == 0.0
-        assert accountant.mean_watts() == 0.0
-
-    def test_combined_report_concatenates_windows(self):
-        spec = EnergySpec()
-        reports = [
-            account_window(spec, usage(mean_delay_s=0.1)),
-            account_window(spec, usage(duration_s=5.0, deliveries=40,
-                                       mean_delay_s=0.4)),
-        ]
-        combined = combined_report(reports)
-        assert combined.duration_s == 15.0
-        assert combined.deliveries == 120
-        assert combined.allocated_brokers == 4  # 2 brokers × 2 windows
-        assert combined.joules == reports[0].joules + reports[1].joules
-        # Delivery-weighted delay: (80×0.1 + 40×0.4) / 120.
-        assert combined.mean_delay_s == pytest.approx(0.2)
-
-    def test_combined_report_empty_is_none(self):
-        assert combined_report([]) is None
 
 
 class _FakeSim:
@@ -303,3 +238,52 @@ class TestEnergyUsageProjection:
         assert projected.utilization["B1"] == pytest.approx(0.2)
         assert projected.deliveries == 1
         assert projected.mean_delay_s == pytest.approx(0.2)
+
+
+def _objectives_beaten(first, second) -> int:
+    """On how many objectives ``first`` is strictly better than ``second``."""
+    beaten = 0
+    for index, (_key, maximize) in enumerate(PARETO_OBJECTIVES):
+        a, b = first[index], second[index]
+        better = approx_le(b, a) if maximize else approx_le(a, b)
+        if better and not approx_eq(a, b):
+            beaten += 1
+    return beaten
+
+
+class TestResultReadings:
+    """Energy is read from a finished result under a caller's spec."""
+
+    def test_pareto_front_prices_consolidation(self):
+        """cram-ios sits on the front and beats manual on at least two
+        objectives: fewer brokers must mean fewer joules."""
+        (scenario,) = homogeneous_scenarios(
+            subs_sweep=(10,), scale=0.2, measurement_time=30.0)
+        results = {
+            (scenario.name, approach): run_spec(
+                CellSpec(scenario=scenario, approach=approach, seed=2011))
+            for approach in ("manual", "binpacking", "cram-ios")
+        }
+        front = pareto_front(results)
+        vectors = {entry.approach: entry.vector for entry in front.entries}
+        assert front.rank_of(scenario.name, "cram-ios") == 1
+        assert _objectives_beaten(vectors["cram-ios"], vectors["manual"]) >= 2
+        manual = results[(scenario.name, "manual")]
+        assert manual.energy() == account_window(
+            EnergySpec(), manual.summary.energy_usage())
+        assert manual.energy(EnergySpec(idle_watts=0.0)).joules < manual.energy().joules
+
+    def test_cycle_reports_price_their_measurement_window(self):
+        scenario = cluster_homogeneous(8, scale=0.1)
+        runner = ExperimentRunner(scenario, seed=2011)
+        reports = runner.run_continuous(
+            "cram-ios", cycles=2,
+            profiling_time=scenario.derived_profiling_time(),
+            measurement_time=6.0,
+        )
+        assert len(reports) == 2
+        for report in reports:
+            expected = account_window(EnergySpec(), report.summary.energy_usage())
+            assert report.energy().joules == expected.joules
+            assert report.energy().joules > 0
+            assert "joules" not in report.as_row()

@@ -250,16 +250,37 @@ class TestCliPareto:
             outputs.append(path.read_text())
         assert outputs[0] == outputs[1]
 
-    def test_energy_flag_without_pareto_prints_table_only(self, capsys):
+    def test_energy_flag_without_pareto_prints_table_only(self, tmp_path,
+                                                          capsys):
+        """``--energy-out`` without ``--pareto`` prints the energy table
+        and no ranking."""
         code = main([
             "run", "--scenario", "homo", "--subs", "8", "--scale", "0.1",
             "--approach", "binpacking", "--measurement-time", "10",
-            "--energy", "idle=40,active=80",
+            "--energy-out", str(tmp_path / "energy.jsonl"),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "energy:" in out
         assert "pareto" not in out
+
+    def test_lone_energy_out_writes_the_energy_records(self, tmp_path,
+                                                       capsys):
+        """``--energy-out`` alone writes one ``energy`` record per
+        approach and no ``pareto`` record."""
+        out_path = tmp_path / "energy.jsonl"
+        code = main([
+            "run", "--scenario", "homo", "--subs", "8", "--scale", "0.1",
+            "--approach", "manual", "--approach", "cram-ios",
+            "--measurement-time", "10", "--energy-out", str(out_path),
+        ])
+        assert code == 0
+        assert f"wrote {out_path}" in capsys.readouterr().err
+        records = read_export(str(out_path))
+        assert validate_records(records) == []
+        energy = [r["approach"] for r in records if r["record"] == "energy"]
+        assert energy == ["manual", "cram-ios"]
+        assert not [r for r in records if r["record"] == "pareto"]
 
 
 def _regen() -> None:

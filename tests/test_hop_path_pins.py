@@ -22,10 +22,12 @@ vectors, the plan and every answer after it moved.  The smoke rows and
 the ``crash`` cell gather no vector ahead of its report and hold the
 values recorded at ``3447b9d``.
 
-``churn_online`` was re-pinned once, when ``CycleReport`` rows lost
-the ``autoscale_target`` and ``autoscale_delta`` keys, which were 0 in
-every row: its new digest is the digest of the rows recorded before,
-with those two keys removed and every other value unchanged.
+``churn_online`` was re-pinned twice, each time because ``CycleReport``
+rows lost two keys that were 0 in every row: first ``autoscale_target``
+and ``autoscale_delta``, then ``joules`` and ``joules_per_delivery``
+(energy became the ``CycleReport.energy()`` reading).  Each new digest
+is the digest of the rows recorded before, with those two keys removed
+and every other value unchanged.
 
 The allocator's obs counters later gained ``cram.returned_iteration``,
 ``cram.merges_past_best`` and ``cram.cut_passes``.  They are pinned on
@@ -77,7 +79,7 @@ ADDED_COUNTERS = ("cram.cut_passes", "cram.merges_past_best", "cram.returned_ite
 
 SMOKE_PINS = {
     "cell_cram": "cf45ff560e716eba",
-    "churn_online": "c686461883d4fd0c",
+    "churn_online": "9acce26f955f956e",
     "forward_wide": "318e148a5513f9c4",
     "plan_offline": "c21b5f69aa29ad6a",
 }
