@@ -107,9 +107,11 @@ class StandingOrder:
         """BIN PACKING of the order's units onto its pool.
 
         With ``stop_above``, a pass that has proved it succeeds with more
-        brokers than that may return a :class:`CutResult` instead (see
-        :func:`first_fit_runs`); on a pool where the matching-rate
-        ceiling could refuse a unit it always runs out.
+        brokers than that may return a :class:`CutResult` instead, and
+        one that has proved its exact count, at most that, a
+        :class:`SettledResult` (see :func:`first_fit_runs`); on a pool
+        where the matching-rate ceiling could refuse a unit it always
+        runs out.
 
         Opens the span :meth:`BinPackingAllocator.allocate` opens, so a
         trace cannot tell which of the two ran a pass.

@@ -285,6 +285,16 @@ class CutResult(AllocationResult):
         raise RuntimeError("a cut first-fit pass has no bins")
 
 
+class SettledResult(AllocationResult):
+    """A first-fit pass that stopped once bounds had proved its exact
+    broker count, at most its ``stop_above`` (:func:`repro.core.fbf.first_fit_runs`).
+
+    ``success`` is true and ``broker_count`` is the full pass's.  The
+    bins are the full pass's too: the first read runs the same
+    deterministic pass out with no bound.
+    """
+
+
 def sorted_broker_pool(pool: Iterable[BrokerSpec]) -> List[BrokerSpec]:
     """Brokers in descending order of resource capacity (paper §IV-A)."""
     return sorted(pool, key=lambda spec: spec.capacity_key)

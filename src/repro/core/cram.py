@@ -49,7 +49,7 @@ from typing import (
 )
 
 from repro.core.binpacking import StandingOrder
-from repro.core.capacity import AllocationResult, BrokerSpec, CutResult
+from repro.core.capacity import AllocationResult, BrokerSpec, CutResult, SettledResult
 from repro.core.closeness import ClosenessMetric, make_metric
 from repro.core.gif import Gif, build_gifs
 from repro.core.kernel import ClosenessKernel
@@ -136,9 +136,12 @@ class CramAllocator:
         self.max_iterations = max_iterations
         self.name = f"cram-{metric.name}"
         self.last_stats = CramStats()
-        #: Probes of the last run that stopped early (:class:`CutResult`).
-        #: Kept out of :class:`CramStats`, which a cut must not move.
+        #: Probes of the last run that stopped early, above the returned
+        #: scheme's count (:class:`CutResult`) or at an exact count no
+        #: higher (:class:`SettledResult`).  Kept out of
+        #: :class:`CramStats`, which stopping early must not move.
         self.last_cut_passes = 0
+        self.last_settled_passes = 0
 
     # ------------------------------------------------------------------
     # Entry point
@@ -177,6 +180,7 @@ class CramAllocator:
     ) -> AllocationResult:
         """The paper's clustering loop over the pool's ``kernel``."""
         self.last_cut_passes = 0
+        self.last_settled_passes = 0
         state = _CramState(
             units=units,
             order=order,
@@ -223,7 +227,9 @@ class CramAllocator:
                 # traffic for the same broker count.  DESIGN.md §5e
                 # ("Which scheme CRAM returns") has this reading and
                 # the open question about it.  A probe's CutResult
-                # holds a count above ``best``'s and so never wins.
+                # holds a count above ``best``'s and so never wins; a
+                # SettledResult holds its exact count and makes its
+                # bins only if it is returned.
                 if outcome.broker_count <= best.broker_count:
                     best = outcome
                     state.stop_above = best.broker_count
@@ -234,6 +240,7 @@ class CramAllocator:
         stats.final_units = state.unit_count()
         stats.closeness_evaluations = self.metric.evaluations
         self.last_cut_passes = state.cut_passes
+        self.last_settled_passes = state.settled_passes
         return best
 
     # ------------------------------------------------------------------
@@ -410,10 +417,13 @@ class _CramState:
         self._blacklist: Set[frozenset] = set()
         #: The returned scheme's broker count: a probe that opens more
         #: brokers is never returned, so it may stop as soon as it is
-        #: proven to fit.  ``None`` (the base pass) runs every pass out.
+        #: proven to fit, and one that opens no more needs only its count
+        #: until it is returned.  ``None`` (the base pass) runs every
+        #: pass out.
         self.stop_above: Optional[int] = None
-        #: Probes that stopped early.
+        #: Probes that stopped early, cut or settled.
         self.cut_passes = 0
+        self.settled_passes = 0
 
     # ------------------------------------------------------------------
     # Partner cache
@@ -558,6 +568,8 @@ class _CramState:
         self.stats.binpack_runs += 1
         if isinstance(result, CutResult):
             self.cut_passes += 1
+        elif isinstance(result, SettledResult):
+            self.settled_passes += 1
         # The probe's merged profile is ephemeral (a commit builds a
         # fresh one); drop its pack entry so probes don't accumulate.
         self.kernel.forget(merged.profile)

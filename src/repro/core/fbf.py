@@ -17,6 +17,8 @@ FBF, BIN PACKING and CRAM's probes share one feasibility pass,
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from functools import partial
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -25,6 +27,7 @@ from repro.core.capacity import (
     BrokerBin,
     BrokerSpec,
     CutResult,
+    SettledResult,
     packed_unit,
     sorted_broker_pool,
 )
@@ -45,7 +48,7 @@ UnitRun = Tuple[float, int, PackedProfile, List[AllocationUnit]]
 #: first, stop)`` — ``members[first:stop]`` joined that bin.
 Placement = Tuple[int, List[AllocationUnit], int, int]
 
-#: Relative float margin of the early-stop bound in :func:`first_fit_runs`
+#: Relative float margin of the early-stop bounds in :func:`first_fit_runs`
 #: and of :func:`rate_never_refuses`.  The float sums those tests read
 #: are off by far less (about ``units · 2**-53`` of the pool total).
 CUT_MARGIN = 1e-9
@@ -149,7 +152,7 @@ def rate_never_refuses(
 
 
 def first_fit_runs(
-    runs: Iterable[UnitRun],
+    runs: Sequence[UnitRun],
     pool: PackedPool,
     kernel: ClosenessKernel,
     stop_above: Optional[int] = None,
@@ -190,24 +193,51 @@ def first_fit_runs(
     The result makes its bins from them when ``bins`` is first read —
     CRAM's probes never read it, only the result CRAM returns does.
 
-    **Stopping early.**  A caller that only needs to know whether the
-    pass succeeds with more than ``stop_above`` brokers may pass that
-    count, given three preconditions: the runs come in non-increasing
-    bandwidth order (first fit *decreasing*), ``bandwidth_total`` is
-    their summed bandwidth, and :func:`rate_never_refuses` holds for the
-    pool.  At each run boundary, with ``opened > stop_above`` bins in
-    use, ``E`` bins still empty, ``s`` the run's bandwidth (the largest
-    left), ``C`` the smallest bandwidth limit less ``EPSILON`` and ``R``
-    the bandwidth still to place, the pass returns a :class:`CutResult`
-    once ``(E - 1) · (C - s) > R`` (with :data:`CUT_MARGIN`).  That
-    verdict is exact: no bin refuses on rate, so an empty bin takes any
-    unit left and empty bins open in pool order; each bin opened after
-    this point had, when the next one opened, refused a unit of at most
-    ``s`` on load, so it holds more than ``C - s`` of ``R``.  Fewer than
-    ``R / (C - s) + 1 < E`` bins open, one stays empty, and the full
-    pass would succeed — with more than ``stop_above`` brokers.
-    Counting open bins by their subscriptions assumes every unit counts
-    at least one, as every :class:`AllocationUnit` constructor does.
+    **Stopping early.**  A caller that holds the pass against a broker
+    count may pass it as ``stop_above``, given three preconditions: the
+    runs come in non-increasing bandwidth order (first fit
+    *decreasing*), ``bandwidth_total`` is their summed bandwidth, and
+    :func:`rate_never_refuses` holds for the pool, so that no bin ever
+    refuses on rate.  At each run boundary let ``s`` be the run's
+    bandwidth (the largest left) and ``R`` the bandwidth still to
+    place.  Both tests below keep :data:`CUT_MARGIN` to spare.
+
+    *Cut.*  With ``opened > stop_above`` bins in use, ``E`` bins still
+    empty and ``C`` the smallest bandwidth limit less ``EPSILON``, the
+    pass returns a :class:`CutResult` once ``(E - 1) · (C - s) > R``.
+    That verdict is exact: an empty bin takes any unit left and empty
+    bins open in pool order; each bin opened after this point had, when
+    the next one opened, refused a unit of at most ``s`` on load, so it
+    holds more than ``C - s`` of ``R``.  Fewer than ``R / (C - s) + 1 <
+    E`` bins open, one stays empty, and the full pass would succeed —
+    with more than ``stop_above`` brokers.  Counting open bins by their
+    subscriptions assumes every unit counts at least one, as every
+    :class:`AllocationUnit` constructor does.
+
+    *Settle.*  Let ``m = max(opened, ⌈total / C_max⌉)``, ``C_max`` the
+    largest limit, and ``r_i`` the room left in each of the first ``m``
+    bins (an empty bin's whole limit).  With ``1 <= m <= stop_above``
+    and no bin at index ``m`` or later open, the pass returns a
+    :class:`SettledResult` of ``m`` brokers once ``Σ_{r_i > s} (r_i - s)
+    + s > R``.  That count is exact.  A later unit of size ``b <= s``
+    that all ``m`` bins refuse needs ``Σ max(0, r_i - b) <= R - b`` (each
+    refusing bin took more than ``r_i - b`` of ``R``, none of it that
+    unit).  Left side minus right side is convex in ``b`` and least, on
+    ``(0, s]``, at ``b = min(s, r_(2))``, ``r_(2)`` the second largest
+    room.  There it is the test's left side less ``R``: at ``b = s``
+    plainly, and at ``r_(2) < s`` both equal ``max r_i - R``.  Where no
+    room exceeds ``s`` the test cannot pass, as ``R >= s``.  So every
+    unit left lands in the first ``m`` bins, and the pass succeeds on at
+    most ``m``.  It opens at least ``m``: at least the bins already
+    open, and each bin holds at most ``C_max``.
+
+    A failed settle test is held while ``m`` stands.  The room each
+    placement takes above the test's ``s`` is taken off its left side,
+    and a fall of ``s`` raises that side by at most ``K - 1`` times the
+    fall, ``K`` the rooms the test saw above the new ``s``.  The rooms
+    are re-read only when that bound passes, so a pass pays ``O(m)``
+    about once per bin opened past ``⌈total / C_max⌉`` and where the
+    test is close, and ``O(1)`` at every other run.
     """
     specs, bandwidth_limits, delay_bases, delay_slopes = pool
     count = len(specs)
@@ -220,11 +250,23 @@ def first_fit_runs(
     streak: Optional[float] = None  # the previous run's bandwidth
     start = 0
     opened = 0  # bins holding a subscription
-    # With no bound, ``opened > stop`` never holds and the pass runs out.
+    beyond = 0  # one past the last bin holding a subscription
+    # With no bound, ``opened > stop`` never holds, no ``m`` is at most
+    # ``settle``, and the pass runs out.
     stop = count if stop_above is None else stop_above
+    settle = 0 if stop_above is None else stop_above
     floor = min(bandwidth_limits, default=0.0) - EPSILON  # C
+    top = max(bandwidth_limits, default=0.0)  # C_max
+    needed = math.ceil(bandwidth_total * (1.0 - CUT_MARGIN) / top) if top > 0 else 0
     remaining = bandwidth_total  # R
     margin = CUT_MARGIN * bandwidth_total
+    # A failed settle test is held while ``m`` stands: ``held`` is its
+    # ``m`` (0 when none is held), ``rooms`` its rooms in ascending order,
+    # ``pivot`` its ``s`` and ``excess`` today's ``Σ max(0, r_i - pivot)``.
+    held = 0
+    rooms: List[float] = []
+    pivot = 0.0
+    excess = 0.0
     for bandwidth, unit_subscriptions, packed, members in runs:
         if opened > stop:
             spare = count - opened - 1
@@ -235,6 +277,29 @@ def first_fit_runs(
                 and spare * gap * (1.0 - CUT_MARGIN) > remaining + margin
             ):
                 return CutResult(opened)
+        else:
+            m = opened if opened > needed else needed
+            if 0 < m <= settle and beyond <= m:
+                if held:
+                    # A bound on the test's left side now: the held
+                    # value, raised for the fall of ``s`` below its pivot.
+                    bound = excess + pivot
+                    if bandwidth < pivot:
+                        above = held - bisect_right(rooms, bandwidth)
+                        bound += (above - 1) * (pivot - bandwidth)
+                else:
+                    bound = math.inf
+                if bound * (1.0 - CUT_MARGIN) > remaining + margin:
+                    rooms = sorted([bandwidth_limits[i] - used[i] for i in range(m)])
+                    pivot = bandwidth
+                    excess = sum([room - pivot for room in rooms if room > pivot])
+                    if (excess + pivot) * (1.0 - CUT_MARGIN) > remaining + margin:
+                        return SettledResult.deferred(
+                            partial(_run_out_bins, runs, pool, kernel),
+                            broker_count=m,
+                            success=True,
+                        )
+                    held = m
         # Exact on purpose, as in ``is_twin``.
         if bandwidth != streak:  # reprolint: disable=float-equality
             streak = bandwidth
@@ -282,6 +347,12 @@ def first_fit_runs(
                 placed += 1
             if not subscription_counts[index]:
                 opened += 1
+                if index >= beyond:
+                    beyond = index + 1
+                if opened > needed:  # ``m`` grows: the held test is stale
+                    held = 0
+            if index < held:
+                excess -= max(0.0, limit - used[index] - pivot) - max(0.0, limit - load - pivot)
             used[index] = load
             subscription_counts[index] = total_subs
             input_rates[index] = rate
@@ -301,6 +372,13 @@ def first_fit_runs(
         success=failed is None,
         failed_unit=failed,
     )
+
+
+def _run_out_bins(
+    runs: Sequence[UnitRun], pool: PackedPool, kernel: ClosenessKernel
+) -> List[BrokerBin]:
+    """The bins of a settled pass: the same pass, run out with no bound."""
+    return first_fit_runs(runs, pool, kernel).bins
 
 
 def _packed_bins(

@@ -76,6 +76,7 @@ def allocator_counters(allocator) -> Dict[str, float]:
         "cram.merges_past_best": stats.merges_past_best,
         "cram.binpack_runs": stats.binpack_runs,
         "cram.cut_passes": getattr(allocator, "last_cut_passes", 0),
+        "cram.settled_passes": getattr(allocator, "last_settled_passes", 0),
         "cram.closeness_evaluations": stats.closeness_evaluations,
         "cram.initial_search_evaluations": stats.initial_search_evaluations,
         "kernel.fused_evaluations": stats.kernel_fused_evaluations,

@@ -1,11 +1,13 @@
-"""CRAM with every probe run out: the reference cut probes are exact against.
+"""CRAM with every probe run out: the reference early-stopping probes are exact against.
 
 A CRAM probe whose pass has opened more brokers than the scheme CRAM
 will return stops as soon as a first-fit bound proves the rest of the
-pool fits (``first_fit_runs``'s ``stop_above``).  The claim is that no
-answer moves.  This script plans one offline pool twice per approach —
-once as shipped, once with :meth:`StandingOrder.first_fit` patched to
-drop ``stop_above`` so that every pass runs out — and compares every
+pool fits (a *cut*); one that will open no more stops as soon as two
+bounds prove its exact broker count (a *settle*; both are
+``first_fit_runs``'s ``stop_above``).  The claim is that no answer
+moves.  This script plans one offline pool twice per approach — once as
+shipped, once with :meth:`StandingOrder.first_fit` patched to drop
+``stop_above`` so that every pass runs out — and compares every
 ``CramStats`` counter, the placement digest and the overlay tree digest.
 
 Run it as a script (the default is ``cluster_homogeneous(100,
@@ -16,8 +18,9 @@ scale=1.0)``, 4,000 subscriptions, seed 2011, ``cram-ios`` and
     PYTHONPATH=src python tests/cut_probe_oracle.py --scale 0.6 \\
         --approach cram-intersect --approach cram-iou
 
-It prints one line per approach and exits 1 if any answer differs, or
-if the shipped run cut no probe (then the comparison proves nothing).
+It prints one line per approach and exits 1 if any answer differs, if
+the shipped run cut no probe, or if no ``cram-ios`` probe settled (then
+the comparison proves nothing about that stop).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def _digest(value: Any) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
 
 
-def _full_pass(real):
+def full_pass(real):
     """``StandingOrder.first_fit`` that ignores ``stop_above``."""
 
     def first_fit(self, stop_above: Optional[int] = None):
@@ -56,10 +59,10 @@ def _full_pass(real):
 
 
 def plan(gathered, approach: str, full: bool) -> Dict[str, Any]:
-    """One ``Croc.plan``: its answers, its cut probes and its seconds."""
+    """One ``Croc.plan``: its answers, its early-stopped probes and its seconds."""
     croc = Croc(allocators.get(approach, failure_budget=FAILURE_BUDGET))
     patch = (
-        mock.patch.object(StandingOrder, "first_fit", _full_pass(StandingOrder.first_fit))
+        mock.patch.object(StandingOrder, "first_fit", full_pass(StandingOrder.first_fit))
         if full
         else contextlib.nullcontext()
     )
@@ -76,6 +79,7 @@ def plan(gathered, approach: str, full: bool) -> Dict[str, Any]:
             "stats": dataclasses.asdict(croc.last_allocator.last_stats),
         },
         "cut_passes": croc.last_allocator.last_cut_passes,
+        "settled_passes": croc.last_allocator.last_settled_passes,
         "seconds": seconds,
     }
 
@@ -101,8 +105,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{stats['iterations']} iterations, returned iteration "
             f"{stats['returned_iteration']}, {stats['merges_past_best']} merges past it; "
             f"{cut['cut_passes']} of {stats['binpack_runs']} passes cut "
-            f"({cut['cut_passes'] / stats['binpack_runs']:.0%}); "
-            f"Croc.plan {full['seconds']:.2f} s full, {cut['seconds']:.2f} s cut"
+            f"({cut['cut_passes'] / stats['binpack_runs']:.0%}), "
+            f"{cut['settled_passes']} settled "
+            f"({cut['settled_passes'] / stats['binpack_runs']:.0%}); "
+            f"Croc.plan {full['seconds']:.2f} s full, {cut['seconds']:.2f} s shipped"
         )
         if not same:
             for key in ("brokers", "placement", "tree", "stats"):
@@ -111,6 +117,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             failed = True
         if cut["cut_passes"] == 0:
             print(f"  {approach}: no probe was cut; the comparison proves nothing")
+            failed = True
+        if approach == "cram-ios" and cut["settled_passes"] == 0:
+            print(f"  {approach}: no probe settled; the comparison proves nothing")
             failed = True
     return 1 if failed else 0
 

@@ -10,7 +10,9 @@ two-comparison test.  The claim is bit-identity with
 A pass given ``stop_above`` may stop early with a :class:`CutResult`;
 the claim there is that the full pass would have succeeded with more
 than ``stop_above`` brokers, and that a pass that does not stop is the
-full pass.
+full pass.  It may instead stop with a :class:`SettledResult`: the
+claim there is that the full pass succeeds on exactly that many
+brokers, at most ``stop_above``, in the same bins.
 """
 
 import contextlib
@@ -18,15 +20,16 @@ from unittest import mock
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.binpacking import StandingOrder
+from repro.core.binpacking import StandingOrder, decreasing_bandwidth
 from repro.core.capacity import (
     BrokerBin,
     BrokerSpec,
     CutResult,
     MatchingDelayFunction,
+    SettledResult,
     sorted_broker_pool,
 )
 from repro.core.cram import CramAllocator
@@ -100,6 +103,7 @@ def snapshot(result):
     """Everything an allocation result exposes, floats untouched."""
     return (
         result.success,
+        result.broker_count,
         result.failed_unit.unit_id if result.failed_unit is not None else None,
         [
             (
@@ -423,7 +427,8 @@ class TestStoppingEarly:
         """Zero-bandwidth twins leave the load bound every slack there is,
         yet 1 / (0.01 + 0.02 n) holds P0's 5 msg/s for nine subscriptions
         a bin only: 41 of them do not fit on four brokers.  A cut after
-        the first run would have called that pool a fit."""
+        the first run would have called that pool a fit, and so would a
+        settle: the load bounds alone settle it on one broker."""
         units = make_units([(0, 0.1, 1, 1), (0, 0.0, 1, 40)], self.PATTERNS)
         order = StandingOrder.build(units, make_brokers([(10.0, 0.01, 0.02)] * 4),
                                     kernel_for(units))
@@ -431,10 +436,12 @@ class TestStoppingEarly:
         assert not rate_never_refuses(order.pool, order.kernel, 41)
         full = order.first_fit()
         assert not full.success
-        for stop_above in range(4):
+        for stop_above in range(5):
             result = order.first_fit(stop_above)
-            assert not isinstance(result, CutResult)
+            assert not isinstance(result, (CutResult, SettledResult))
             assert snapshot(result) == snapshot(full)
+        ungated = first_fit_runs(order.runs, order.pool, order.kernel, 4, order.bandwidth)
+        assert isinstance(ungated, SettledResult) and ungated.broker_count == 1
 
     def test_the_bound_reads_the_smallest_broker(self):
         """One 30-unit broker and three of 0.5: after the first run the
@@ -456,6 +463,71 @@ class TestStoppingEarly:
         for base, verdict in ((0.045, True), (0.046, False)):
             pool = pool_columns(make_brokers([(3.0, base, 0.0)]))
             assert rate_never_refuses(pool, kernel, 1) is verdict
+
+
+class TestSettling:
+    """``stop_above``: a pass may stop once bounds prove its exact count."""
+
+    PATTERNS = [{"P0": range(32)}, {"P1": range(32)}]
+
+    @staticmethod
+    def settle(units, brokers, stop_above):
+        """The order's full pass and its pass held against ``stop_above``."""
+        order = StandingOrder.build(units, make_brokers(brokers), kernel_for(units))
+        assert order.cuttable
+        return order.first_fit(), order.first_fit(stop_above)
+
+    def test_one_broker(self):
+        """``m = 1``: everything left fits in the first bin, so the pass
+        settles at its first run and builds no bin until one is read."""
+        units = make_units([(0, 1.0, 1, 1), (1, 0.3, 1, 4)], self.PATTERNS)
+        full, result = self.settle(units, [(3.0, 1e-4, 0.0)] * 8, 1)
+        assert isinstance(result, SettledResult)
+        assert result.success and result.broker_count == full.broker_count == 1
+        with counted_bin_builds() as built:
+            assert len(result.bins) == 1
+        assert len(built) == 1
+        assert snapshot(result) == snapshot(full)
+        # Under the count the same pass is cut instead.
+        assert isinstance(self.settle(units, [(3.0, 1e-4, 0.0)] * 8, 0)[1], CutResult)
+
+    def test_units_that_fill_a_broker_exactly_run_out(self):
+        """2.0 + 1.0 on brokers of 3.0: after the first run the room left
+        equals the bandwidth left.  The test wants more, so the pass runs
+        out and the last unit still fits (the limit keeps EPSILON)."""
+        units = make_units([(0, 2.0, 1, 1), (1, 1.0, 1, 1)], self.PATTERNS)
+        full, result = self.settle(units, [(3.0, 1e-4, 0.0)] * 4, 1)
+        assert not isinstance(result, SettledResult)
+        assert full.success and full.broker_count == 1
+        assert snapshot(result) == snapshot(full)
+
+    @pytest.mark.parametrize("first", [9.8, 9.5])
+    def test_second_largest_room_at_or_below_the_run(self, first):
+        """Rooms 0.2 (or 0.5, just room for one more) and 5.0 before a
+        run of 0.5s: the second-largest room is at or below the run, so
+        the bound is the largest room, 5.0, against the 3.0 to place."""
+        shapes = [(0, first, 1, 1), (1, 5.0, 1, 1), (0, 0.5, 1, 6)]
+        units = make_units(shapes, self.PATTERNS)
+        full, result = self.settle(units, [(10.0, 1e-4, 0.0)] * 3, 2)
+        assert isinstance(result, SettledResult)
+        assert result.broker_count == full.broker_count == 2
+        assert snapshot(result) == snapshot(full)
+
+    def test_an_open_bin_past_the_first_m_blocks_the_settle(self):
+        """Brokers of 0.5, 10 and 10, in that order: 2.5 opens the
+        second bin, past ``m = 1``; the first bin's 0.5 of room covers
+        the 0.3 left, yet the pass ends on two brokers."""
+        units = make_units([(0, 2.5, 1, 1), (1, 0.1, 1, 3)], self.PATTERNS)
+        kernel = kernel_for(units)
+        pool = pool_columns(make_brokers([(0.5, 1e-4, 0.0), (10.0, 1e-4, 0.0),
+                                          (10.0, 1e-4, 0.0)]))
+        assert rate_never_refuses(pool, kernel, 4)
+        runs = unit_runs(decreasing_bandwidth(units), kernel)
+        full = first_fit_runs(runs, pool, kernel)
+        total = sum(unit.delivery_bandwidth for unit in units)
+        result = first_fit_runs(runs, pool, kernel, 2, total)
+        assert full.broker_count == 2
+        assert snapshot(result) == snapshot(full)
 
 
 cut_brokers_strategy = st.one_of(
@@ -508,4 +580,63 @@ def test_prop_a_cut_pass_fits_on_more_brokers(patterns, shapes, brokers, data):
             result.bins
     else:
         assert result.broker_count == full.broker_count
+        assert snapshot(result) == snapshot(full)
+
+
+#: Pools whose matching-rate ceiling cannot bind (the settle's
+#: precondition), homogeneous or each broker its own capacity.
+settle_brokers_strategy = st.one_of(
+    st.tuples(
+        st.sampled_from((0.5, 3.0, 10.0, 30.0)),
+        st.sampled_from((1e-4, 0.01)),
+        st.sampled_from((0.0, 1e-6)),
+        st.integers(1, 16),
+    ).map(lambda row: [row[:3]] * row[3]),
+    st.lists(
+        st.tuples(
+            st.sampled_from((0.0, 0.5, 1.0, 3.0, 10.0, 30.0)),
+            st.sampled_from((1e-4, 0.01)),
+            st.sampled_from((0.0, 1e-6)),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(
+    patterns=patterns_strategy,
+    shapes=shapes_strategy,
+    brokers=settle_brokers_strategy,
+    data=st.data(),
+)
+def test_prop_a_settled_pass_is_the_full_pass(patterns, shapes, brokers, data):
+    """FFD runs (zero-bandwidth units among them) onto homogeneous and
+    heterogeneous pools (zero-capacity brokers among them) in any broker
+    order, so that an empty bin may come before an open one: a settled
+    pass has the full pass's broker count, at most ``stop_above``, its
+    success and its bins, element by element."""
+    shapes = [(pattern % len(patterns), *rest) for pattern, *rest in shapes]
+    units = make_units(shapes, patterns)
+    kernel = kernel_for(units)
+    specs = sorted_broker_pool(make_brokers(brokers))
+    order = data.draw(st.sampled_from(("sorted", "smallest first", "shuffled")),
+                      label="pool order")
+    if order == "smallest first":
+        specs = specs[-1:] + specs[:-1]
+    elif order == "shuffled":
+        specs = data.draw(st.permutations(specs), label="shuffled pool")
+    pool = pool_columns(specs)
+    runs = unit_runs(decreasing_bandwidth(units), kernel)
+    subscriptions = sum(unit.subscription_count for unit in units)
+    assume(rate_never_refuses(pool, kernel, subscriptions))
+    full = first_fit_runs(runs, pool, kernel)
+    stop_above = data.draw(st.integers(0, full.broker_count), label="stop_above")
+    total = sum(unit.delivery_bandwidth for unit in units)
+    result = first_fit_runs(runs, pool, kernel, stop_above, total)
+    if isinstance(result, SettledResult):
+        assert result.broker_count <= stop_above
+        assert result.broker_count == full.broker_count
+        assert result.success is full.success is True
         assert snapshot(result) == snapshot(full)

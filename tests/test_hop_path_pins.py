@@ -30,9 +30,10 @@ is the digest of the rows recorded before, with those two keys removed
 and every other value unchanged.
 
 The allocator's obs counters later gained ``cram.returned_iteration``,
-``cram.merges_past_best`` and ``cram.cut_passes``.  They are pinned on
-their own (``cram_counters``) and left out of the ``obs`` digest, which
-keeps its recorded value.
+``cram.merges_past_best``, ``cram.cut_passes`` and
+``cram.settled_passes``.  They are pinned on their own
+(``cram_counters``) and left out of the ``obs`` digest, which keeps its
+recorded value.
 
 Print the current values (to re-pin after a change that is *meant* to
 move answers) with::
@@ -75,7 +76,8 @@ FAULT_PLANS = {
 }
 
 #: Obs counters added after the ``obs`` digests were recorded.
-ADDED_COUNTERS = ("cram.cut_passes", "cram.merges_past_best", "cram.returned_iteration")
+ADDED_COUNTERS = ("cram.cut_passes", "cram.merges_past_best", "cram.returned_iteration",
+                  "cram.settled_passes")
 
 SMOKE_PINS = {
     "cell_cram": "cf45ff560e716eba",
@@ -90,7 +92,7 @@ FAULT_PINS: Dict[str, Dict[str, Any]] = {
         "cbc": "eada0bd9b5f47a23",
         "counters": "71231758023f449c",
         "cram_counters": {"cram.cut_passes": 0, "cram.merges_past_best": 0,
-                          "cram.returned_iteration": 32},
+                          "cram.returned_iteration": 32, "cram.settled_passes": 39},
         "drops": 0,
         "events_processed": 11132,
         "heap_compactions": 0,
@@ -102,7 +104,7 @@ FAULT_PINS: Dict[str, Dict[str, Any]] = {
         "cbc": "5c829f1145bae44b",
         "counters": "af9845f381f2d9ae",
         "cram_counters": {"cram.cut_passes": 0, "cram.merges_past_best": 0,
-                          "cram.returned_iteration": 103},
+                          "cram.returned_iteration": 103, "cram.settled_passes": 109},
         "drops": 556,
         "events_processed": 17937,
         "heap_compactions": 0,

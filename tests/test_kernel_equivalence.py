@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import allocators
+from repro.core.binpacking import StandingOrder
 from repro.core.closeness import METRIC_NAMES, make_metric
 from repro.core.cram import CramAllocator, _CramState
 from repro.core.croc import Croc
@@ -356,7 +357,12 @@ def test_heap_best_pair_is_the_full_scan_on_a_gathered_pool(metric_name):
 
 def test_rate_memo_keys_stay_plane_local(monkeypatch):
     """What a CRAM run retains per memo entry is a few machine words,
-    not a copy of a bin's union across every publisher's plane."""
+    not a copy of a bin's union across every publisher's plane.
+
+    Every probe runs out, as in ``cut_probe_oracle.py``: probes that
+    stop early fill too few entries (288) for the bound to say much."""
+    monkeypatch.setattr(StandingOrder, "first_fit",
+                        cut_probe_oracle.full_pass(StandingOrder.first_fit))
     packs = {}
     pack = ClosenessKernel.pack
 
@@ -383,9 +389,10 @@ def test_rate_memo_keys_stay_plane_local(monkeypatch):
 def test_cut_probes_match_the_naive_run(metric_name):
     """A pool shaped like ``plan_offline``'s (400 subscriptions, 100 per
     publisher): clustering soon needs more brokers than the returned
-    scheme, so most kernel-run probes stop early; the naive run first-fits
-    every probe to the end, and the two agree on the placement and on
-    every ``CramStats`` counter outside the kernel's own."""
+    scheme, so most kernel-run probes are cut, and many of the rest
+    settle their count early; the naive run first-fits every probe to the
+    end, and the two agree on the placement and on every ``CramStats``
+    counter outside the kernel's own."""
     gather = partial(offline_gather, cluster_homogeneous(100, scale=0.1), seed=2011)
     answers = []
     for allocator in (NaiveCramAllocator, CramAllocator):
@@ -396,8 +403,10 @@ def test_cut_probes_match_the_naive_run(metric_name):
         del stats["kernel_fused_evaluations"], stats["kernel_memo_hits"]
         answers.append((_placement_signature(result), stats))
         cut = cram.last_cut_passes
+        settled = cram.last_settled_passes
     assert answers[0] == answers[1]
     assert 0 < cut < answers[1][1]["binpack_runs"]
+    assert 0 < settled < answers[1][1]["binpack_runs"] - cut
 
 
 def test_the_paper_scale_cut_check_runs_on_a_small_pool(capsys):

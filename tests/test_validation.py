@@ -159,20 +159,23 @@ class TestAgainstRealAllocations:
         assert validation.violations_of("placement") == []
         assert validation.violations_of("output-bandwidth") == []
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the overlay builder's fallback root has no capacity test: a "
-        "15 kB/s broker becomes root and forwards about 59 kB/s"))
-    def test_heterogeneous_binpacking_plan_validates(self):
-        """The paper's heterogeneous scenario at half size.  Phase 3
-        finds no layer root, so ``_fallback_layer`` makes the most
-        resourceful remaining broker root with no capacity test, and
-        here that broker is a 25%-tier one."""
-        from repro.core.binpacking import BinPackingAllocator
+        "25%-tier broker becomes root and forwards more than it can"))
+    @pytest.mark.parametrize("seed", [2011, 1, 2])
+    @pytest.mark.parametrize("approach", ["fbf", "binpacking"])
+    def test_heterogeneous_binpacking_plan_validates(self, approach, seed):
+        """The paper's heterogeneous scenario at half size, planned by
+        FBF and by BIN PACKING.  Phase 3 finds no layer root, so
+        ``_fallback_layer`` makes the most resourceful remaining broker
+        root with no capacity test, and here that broker is a 25%-tier
+        one."""
+        from repro.core import allocators
         from repro.core.croc import Croc
         from repro.workloads.scenarios import cluster_heterogeneous
 
-        gathered = offline_gather(cluster_heterogeneous(200, scale=0.5), seed=1)
-        croc = Croc(allocator_factory=BinPackingAllocator)
+        gathered = offline_gather(cluster_heterogeneous(200, scale=0.5), seed=seed)
+        croc = Croc(allocators.get(approach))
         report = croc.plan(gathered)
         specs = {spec.broker_id: spec for spec in gathered.broker_pool}
         validation = validate_deployment(
