@@ -28,9 +28,10 @@ echo "== answers under PYTHONHASHSEED 0 / 7 / 2011 =="
 # hash seed; rows and answers must be identical (about 2 s).
 python scripts/hashseed_rows.py
 
-echo "== reprolint (rules + layering/taint/contract passes) =="
-# Exit 1 = findings, exit 2 = parse failures; both are hard errors
-# under `set -e`.
+echo "== reprolint (one check list) =="
+# Every check in repro.tools.lint.CHECKS; tests/lint_corpus.py records
+# which seeded defects each one is the in-container gate for.  Exit 1 =
+# findings, exit 2 = parse failures; both are hard errors under `set -e`.
 python -m repro.tools lint src --usage tests --usage benchmarks
 
 echo "== ruff =="

@@ -26,7 +26,6 @@ from repro.core.energy import (
 from repro.core.online import (
     STRATEGIES,
     Migration,
-    MigrationPlan,
     OnlineSpec,
 )
 from repro.core.binpacking import BinPackingAllocator
@@ -82,7 +81,6 @@ __all__ = [
     "account_window",
     "STRATEGIES",
     "Migration",
-    "MigrationPlan",
     "OnlineSpec",
     "DEFAULT_CAPACITY",
     "BitVector",

@@ -23,7 +23,7 @@ to an empty plan and subscriptions never ping-pong (pinned by
 ``tests/test_online.py``).
 
 Everything here is pure data in, pure data out — broker loads and
-per-subscription loads as floats, a :class:`MigrationPlan` back.  The
+per-subscription loads as floats, a tuple of :class:`Migration` back.  The
 layering contract keeps :mod:`repro.core` below the simulator, so the
 estimator feeding and the migration *execution* live in
 :mod:`repro.experiments.continuous`.
@@ -137,19 +137,6 @@ class Migration:
     predicted_delta: float
 
 
-@dataclass(frozen=True)
-class MigrationPlan:
-    """An ordered batch of migrations produced by one planning step."""
-
-    moves: Tuple[Migration, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.moves)
-
-    def __iter__(self):
-        return iter(self.moves)
-
-
 def _above(value: float, bound: float) -> bool:
     """Strictly above with float slack (the overload test)."""
     return not approx_le(value, bound)
@@ -169,7 +156,7 @@ def _score(util_source: float, util_source_after: float,
 def fij_trade(
     brokers: Sequence[BrokerLoad],
     subscriptions: Sequence[SubscriptionLoad],
-) -> MigrationPlan:
+) -> Tuple[Migration, ...]:
     """Pairwise trades scored by predicted load delta (``f_ij``).
 
     Every (overloaded source, underloaded target, subscription) triple
@@ -246,4 +233,4 @@ def fij_trade(
             for sub in by_broker[best.source]
             if sub.sub_id != best.sub_id
         ]
-    return MigrationPlan(tuple(moves))
+    return tuple(moves)

@@ -27,14 +27,14 @@ that cycle — the online steps alone track the workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.croc import Croc, ReconfigurationError
 from repro.core.energy import EnergyReport, EnergySpec, account_window
 from repro.core.floats import EPSILON
 from repro.core.online import (
     BrokerLoad,
-    MigrationPlan,
+    Migration,
     OnlineSpec,
     SubscriptionLoad,
     fij_trade,
@@ -210,27 +210,24 @@ class OnlineScheduler:
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
-    def step(self) -> Tuple[MigrationPlan, int, float]:
+    def step(self) -> Tuple[int, float]:
         """One online step: sample, plan, execute.
 
-        Returns the plan plus the subscriptions actually moved and the
-        summed detach gap (both may be less than planned when a move
-        went stale — its subscriber churned away or its target broker
-        crashed between planning and execution).
+        Returns the subscriptions actually moved and the summed detach
+        gap (both may be less than planned when a move went stale — its
+        subscriber churned away or its target broker crashed between
+        planning and execution).
         """
         loads = self.observe_window()
-        empty = MigrationPlan()
         if not loads:
-            return empty, 0, 0.0
+            return 0, 0.0
         brokers = self.broker_loads()
         subscriptions = self.subscription_loads(loads)
         if not brokers or not subscriptions:
-            return empty, 0, 0.0
-        plan = fij_trade(brokers, subscriptions)
-        moved, gap = self._execute(plan)
-        return plan, moved, gap
+            return 0, 0.0
+        return self._execute(fij_trade(brokers, subscriptions))
 
-    def _execute(self, plan: MigrationPlan) -> Tuple[int, float]:
+    def _execute(self, plan: Sequence[Migration]) -> Tuple[int, float]:
         """Apply a plan at client granularity.
 
         Subscriptions live on clients; moving one means moving its
@@ -373,7 +370,7 @@ class ContinuousReconfigurator:
                         network.metrics.reset_window()
                         with obs.span("cycle.online_step", index=step):
                             network.run(slice_time)
-                            _plan, step_moved, step_gap = scheduler.step()
+                            step_moved, step_gap = scheduler.step()
                         online_steps += 1
                         moved += step_moved
                         gap_s += step_gap

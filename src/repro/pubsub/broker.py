@@ -102,6 +102,11 @@ class Broker:
         self._out_free_at = 0.0
         self._ctl_free_at = 0.0
         self._pending_bir: Dict[int, _PendingBir] = {}
+        #: The process incarnation, bumped by each crash
+        #: (:meth:`~repro.pubsub.faults.FaultInjector.crash_now`).  A
+        #: message carries the epoch it was queued (or sent) in and is
+        #: dropped if its turn comes in a later one.
+        self.epoch = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -163,7 +168,8 @@ class Broker:
             self.receive_publication(message, source)
             return
         self._metrics.on_receive(self.broker_id, False)
-        self._sim.call_at(self._matched_at(), self._process, message, source)
+        self._sim.call_at(self._matched_at(), self._process, message, source,
+                          self.epoch)
 
     def receive_publication(self, publication: Publication,
                             source: Destination) -> None:
@@ -179,7 +185,7 @@ class Broker:
                           detail=f"from {source[1]}")
         self._metrics.on_receive(self.broker_id, True)
         self._sim.call_at(self._matched_at(), self._handle_publication,
-                          publication, source)
+                          publication, source, self.epoch)
 
     def _matched_at(self) -> float:
         """Queue one message behind the matching CPU; when it is done.
@@ -202,9 +208,9 @@ class Broker:
         self._cpu_free_at = done
         return done
 
-    def _process(self, message: Any, source: Destination) -> None:
+    def _process(self, message: Any, source: Destination, epoch: int) -> None:
         """Handle a control message once the CPU is done with it."""
-        if self._network.broker_is_down(self.broker_id):
+        if epoch != self.epoch:
             # The process died while this message sat in the CPU queue.
             self._metrics.on_fault_drop(False)
             return
@@ -245,7 +251,8 @@ class Broker:
     # ------------------------------------------------------------------
     # Publications
     # ------------------------------------------------------------------
-    def _handle_publication(self, publication: Publication, source: Destination) -> None:
+    def _handle_publication(self, publication: Publication, source: Destination,
+                            epoch: int) -> None:
         """Match, then put one copy per destination on the output lane.
 
         Client copies go first, in match order, then broker forwards in
@@ -253,12 +260,12 @@ class Broker:
         bookkeeping is done once for the whole publication: one CBC
         call, one metrics call, one hop copy shared by every forward.
         """
-        network = self._network
-        faults = network.faults
-        if faults is not None and faults.broker_down(self.broker_id):
+        if epoch != self.epoch:
             # The process died while this publication sat in the CPU queue.
             self._metrics.on_fault_drop(True)
             return
+        network = self._network
+        faults = network.faults
         now = self._sim.now
         if source[0] == CLIENT:
             self.cbc.on_local_publication(publication, now)

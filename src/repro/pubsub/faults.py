@@ -13,9 +13,12 @@ Fault semantics
 * **Crash** — the broker process dies: its routing state (SRT, known
   subscriptions, pending BIR aggregations, CBC profiles) is wiped, and
   every message addressed to it, queued inside it, or injected by its
-  local clients is dropped and counted.  Physical wiring and client
-  attachments survive — they belong to the data center, not the
-  process.
+  local clients is dropped and counted.  A message queued or on the
+  wire at the crash is dropped even when the broker has recovered by
+  its turn: it belongs to the dead process's epoch
+  (:attr:`~repro.pubsub.broker.Broker.epoch`).  Physical wiring and
+  client attachments survive — they belong to the data center, not
+  the process.
 * **Recover** — the broker returns as a *blank* process: reachable
   again, but with no routing state until the next reconfiguration
   replays control traffic through it.
@@ -99,6 +102,7 @@ class FaultInjector:
         # the clients pointing at this node survive the crash.
         neighbors = set(broker.neighbors)
         clients = set(broker.local_clients)
+        broker.epoch += 1
         broker.reset()
         broker.neighbors.update(neighbors)
         broker.local_clients.update(clients)

@@ -235,7 +235,7 @@ class PubSubNetwork:
         # Latency and jitter are summed before ``now`` is added: the
         # grouping decides the arrival's float value, and answers follow it.
         sim.call_at(sim.now + (self.link_latency + extra), self._arrive_at_broker,
-                    broker_id, message, source)
+                    broker_id, message, source, self.brokers[broker_id].epoch)
 
     def settle_deliveries(self) -> None:
         """Complete every logged delivery that has arrived by ``sim.now``.
@@ -309,7 +309,8 @@ class PubSubNetwork:
                              identifier, message)
         elif faults is not None:
             self.sim.call_at(arrival, self._arrive_at_broker, identifier, message,
-                             self._broker_sources[sender_broker])
+                             self._broker_sources[sender_broker],
+                             self.brokers[identifier].epoch)
         else:
             self.sim.call_at(arrival, self._receive_of[identifier], message,
                              self._broker_sources[sender_broker])
@@ -337,19 +338,22 @@ class PubSubNetwork:
             return
         arrival += extra
         self.sim.call_at(arrival, self._arrive_at_broker, broker_id, publication,
-                         self._broker_sources[sender_broker])
+                         self._broker_sources[sender_broker],
+                         self.brokers[broker_id].epoch)
 
     def _arrive_at_broker(self, broker_id: str, message: Any,
-                          source: Destination) -> None:
+                          source: Destination, epoch: int) -> None:
         """Hand a message to a broker at its arrival time.
 
-        The down-check happens *at arrival*, not at send time: a broker
-        that crashes while a message is on the wire still loses it.
+        The checks happen *at arrival*: a broker that is down then, or
+        that crashed while the message was on the wire (its epoch moved
+        on since the send, even if it has recovered), loses it.
         """
-        if self.broker_is_down(broker_id):
+        broker = self.brokers[broker_id]
+        if broker.epoch != epoch or self.broker_is_down(broker_id):
             self.metrics.on_fault_drop(isinstance(message, Publication))
             return
-        self.brokers[broker_id].receive(message, source)
+        broker.receive(message, source)
 
     def register_control_client(self, client_id: str, callback) -> None:
         """Register an out-of-band client (e.g. CROC) with a message callback."""

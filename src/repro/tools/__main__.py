@@ -14,7 +14,7 @@ _USAGE = """\
 usage: python -m repro.tools COMMAND [options]
 
 commands:
-  lint    run reprolint (per-file rules + whole-program passes);
+  lint    run reprolint (one list of checks);
           see `python -m repro.tools lint --help`
 """
 

@@ -21,7 +21,7 @@ import ast
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.tools.engine import Finding
-from repro.tools.project import ModuleInfo, Project, project_pass
+from repro.tools.project import ModuleInfo, Project
 
 
 # ----------------------------------------------------------------------
@@ -123,11 +123,8 @@ def _referenced_names(info: ModuleInfo) -> Set[str]:
 # ----------------------------------------------------------------------
 
 
-@project_pass(
-    "api-contract",
-    "__all__ must be consistent and free of dead exports",
-)
 def check_api_contract(project: Project) -> List[Finding]:
+    """``__all__`` names only bound names and no dead export."""
     findings: List[Finding] = []
 
     # Name-reference index for the dead-export scan: everything any

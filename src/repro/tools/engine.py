@@ -1,10 +1,8 @@
-"""The *reprolint* rule framework.
+"""The *reprolint* data model: parsed modules, findings, suppressions.
 
-The engine is deliberately small: a :class:`Module` wraps one parsed
-source file, a :class:`Rule` is a named check producing
-:class:`Finding` objects, and a module-level registry maps rule names
-to implementations (populated by the :func:`rule` decorator in
-:mod:`repro.tools.rules`).
+A :class:`Module` wraps one parsed source file and a check reports
+:class:`Finding` objects against it.  The one list of checks lives in
+:mod:`repro.tools.lint`.
 
 Suppressions
 ------------
@@ -29,25 +27,12 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, Iterator, Set, Tuple, Union
 
 #: The audited wall-time allowlist: path prefixes below ``repro`` whose
-#: modules may read a host timer.  The per-file ``wall-clock-output``
-#: rule and the ``determinism-taint`` pass both read this one table, so
-#: a module cannot be excused from one and not the other.  Every entry
-#: cites the mechanism that keeps the reading out of deterministic
-#: outputs.
+#: modules may read a host clock; the ``clock`` check flags every read
+#: anywhere else.  Every entry cites the mechanism that keeps the
+#: reading out of deterministic outputs.
 WALL_TIME_ALLOWLIST: Tuple[Tuple[str, ...], ...] = (
     # The obs recorder segregates wall readings behind include_wall;
     # bit-identity attached vs. detached is pinned by
@@ -153,84 +138,6 @@ class Module:
     def suppressed(self, finding: Finding) -> bool:
         names = self.line_suppressions.get(finding.line, set()) | self.file_suppressions
         return finding.rule in names or "all" in names
-
-
-# ----------------------------------------------------------------------
-# Rule registry
-# ----------------------------------------------------------------------
-RuleCheck = Callable[[Module], Iterator[Finding]]
-
-
-@dataclass(frozen=True)
-class Rule:
-    """A named check over one module."""
-
-    name: str
-    summary: str
-    check: RuleCheck
-
-
-_REGISTRY: Dict[str, Rule] = {}
-
-
-def rule(name: str, summary: str) -> Callable[[RuleCheck], RuleCheck]:
-    """Register a rule implementation under ``name``."""
-
-    def decorate(check: RuleCheck) -> RuleCheck:
-        if name in _REGISTRY:
-            raise ValueError(f"duplicate rule name {name!r}")
-        _REGISTRY[name] = Rule(name, summary, check)
-        return check
-
-    return decorate
-
-
-def _load_builtin_rules() -> None:
-    # Imported lazily: rules.py needs the decorator above, so a
-    # module-level import here would be circular.
-    from repro.tools import rules as _rules  # noqa: F401  # reprolint: disable=unused-import (registration side effect)
-
-
-def all_rules() -> List[Rule]:
-    """Every registered rule, in stable name order."""
-    _load_builtin_rules()
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
-def resolve_rules(names: Optional[Iterable[str]] = None) -> List[Rule]:
-    """Map a ``--select`` list to rules; ``None`` means all of them."""
-    available = {rule_.name: rule_ for rule_ in all_rules()}
-    if names is None:
-        return list(available.values())
-    selected: List[Rule] = []
-    for name in names:
-        if name not in available:
-            known = ", ".join(sorted(available))
-            raise LintError(f"unknown rule {name!r} (known rules: {known})")
-        selected.append(available[name])
-    return selected
-
-
-# ----------------------------------------------------------------------
-# Entry points
-# ----------------------------------------------------------------------
-def run_rules(module: Module, rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
-    """Apply rules to one module, honouring suppression comments."""
-    findings: List[Finding] = []
-    for rule_ in rules if rules is not None else all_rules():
-        for finding in rule_.check(module):
-            if not module.suppressed(finding):
-                findings.append(finding)
-    return sorted(findings, key=lambda finding: finding.sort_key)
-
-
-def lint_source(
-    text: str,
-    path: str = "<fixture>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint an in-memory source string (the test-suite entry point)."""
-    return run_rules(Module(text, path), rules)
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:

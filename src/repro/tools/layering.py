@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Set, Tuple
 
 from repro.tools.engine import Finding
-from repro.tools.project import Project, project_pass
+from repro.tools.project import Project
 
 #: The layered packages, bottom (index 0) to top.
 LAYERS: Tuple[str, ...] = ("core", "sim", "pubsub", "workloads", "experiments")
@@ -56,12 +56,8 @@ def allowed_imports(package: str) -> Set[str]:
     return set()
 
 
-@project_pass(
-    "layering",
-    "package imports must follow the declared DAG "
-    "(core < sim < pubsub < workloads < experiments; obs/tools leaves)",
-)
 def check_layering(project: Project) -> List[Finding]:
+    """Package imports follow the declared DAG; no import-time cycle."""
     findings: List[Finding] = []
     declared = set(LAYERS) | set(LEAVES) | {ROOT}
 

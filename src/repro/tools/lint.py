@@ -2,12 +2,10 @@
 
 Usage::
 
-    python -m repro.tools lint [PATH ...]
-        [--select RULE[,RULE...]] [--passes PASS[,PASS...]|none]
-        [--usage PATH ...] [--list-rules] [--list-passes]
+    python -m repro.tools lint [PATH ...] [--usage PATH ...]
 
-One pipeline: parse the project, run the per-file rules, run the
-whole-program passes, print the findings as text.
+One pipeline: parse the project, run every check in :data:`CHECKS`,
+print the findings as text.
 
 Exit codes: 0 — clean; 1 — findings reported; 2 — usage error, I/O
 error, or one or more files failed to parse.  Parse failures never
@@ -23,50 +21,79 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.tools.engine import (
-    Finding,
-    LintError,
-    all_rules,
-    resolve_rules,
-    run_rules,
-)
-from repro.tools.project import (
-    ParseFailure,
-    Project,
-    all_passes,
-    resolve_passes,
-    run_passes,
-)
+from repro.tools import rules
+from repro.tools.contracts import check_api_contract
+from repro.tools.engine import Finding, LintError, Module
+from repro.tools.layering import check_layering
+from repro.tools.project import ModuleInfo, ParseFailure, Project, module_name_for
+from repro.tools.taint import check_determinism_taint
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
+Check = Callable[[Project], Iterable[Finding]]
+
+
+def _per_module(rule: Callable[[Module], Iterator[Finding]]) -> Check:
+    """A check that looks at one module at a time."""
+
+    def check(project: Project) -> Iterator[Finding]:
+        for info in project.modules.values():
+            yield from rule(info.module)
+
+    return check
+
+
+#: Every check, by the name its findings carry.  Each guards one hazard
+#: no other in-container gate catches (see EXPERIMENTS.md "lint-corpus").
+CHECKS: Dict[str, Check] = {
+    "allocator-signature": _per_module(rules.check_allocator_signature),
+    "api-contract": check_api_contract,
+    "bare-except": _per_module(rules.check_bare_except),
+    "clock": _per_module(rules.check_clock),
+    "determinism-taint": check_determinism_taint,
+    "float-equality": _per_module(rules.check_float_equality),
+    "future-annotations": _per_module(rules.check_future_annotations),
+    "layering": check_layering,
+    "mutable-default": _per_module(rules.check_mutable_default),
+    "return-annotation": _per_module(rules.check_return_annotation),
+    "unmanaged-random": _per_module(rules.check_unmanaged_random),
+    "unpicklable-worker": _per_module(rules.check_unpicklable_worker),
+    "unused-import": _per_module(rules.check_unused_import),
+}
+
+
+def run_checks(project: Project) -> List[Finding]:
+    """Every check over the project, honouring suppression comments."""
+    owners = {info.path: info.module for info in project.modules.values()}
+    findings: List[Finding] = []
+    for check in CHECKS.values():
+        for finding in check(project):
+            owner = owners.get(finding.path)
+            if owner is None or not owner.suppressed(finding):
+                findings.append(finding)
+    return sorted(findings, key=lambda finding: finding.sort_key)
+
+
+def lint_source(text: str, path: str = "<fixture>") -> List[Finding]:
+    """Lint one in-memory source as a one-module project (the test entry
+    point); ``path`` places it in the package layout."""
+    module = Module(text, path)
+    return run_checks(Project([ModuleInfo(module_name_for(path), path, module)]))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools lint",
-        description=(
-            "reprolint — per-file invariants plus whole-program layering, "
-            "determinism-taint, and API-contract analysis"
-        ),
+        description="reprolint — the repo's determinism, layering and API checks",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         help="files or directories to lint (default: src, else the cwd)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="RULE[,RULE...]",
-        help="run only the named per-file rules",
-    )
-    parser.add_argument(
-        "--passes",
-        metavar="PASS[,PASS...]",
-        help="run only the named whole-program passes ('none' disables them)",
     )
     parser.add_argument(
         "--usage",
@@ -77,16 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
             "extra trees (tests, benchmarks) indexed for the dead-export "
             "scan but not linted; may repeat"
         ),
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the registered per-file rules and exit",
-    )
-    parser.add_argument(
-        "--list-passes",
-        action="store_true",
-        help="print the registered whole-program passes and exit",
     )
     return parser
 
@@ -102,8 +119,6 @@ class LintRun:
     findings: List[Finding] = field(default_factory=list)
     parse_failures: List[ParseFailure] = field(default_factory=list)
     checked: int = 0
-    rule_names: List[str] = field(default_factory=list)
-    pass_names: List[str] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
@@ -127,62 +142,18 @@ class LintRun:
         return "\n".join(lines)
 
 
-def run_lint(
-    paths: Sequence[str],
-    *,
-    select: Optional[Sequence[str]] = None,
-    passes: Optional[Sequence[str]] = None,
-    usage_paths: Sequence[str] = (),
-) -> LintRun:
-    """The full pipeline: parse, per-file rules, whole-program passes."""
-    selected_rules = resolve_rules(select)
-    selected_passes = resolve_passes(passes)
-
+def run_lint(paths: Sequence[str], usage_paths: Sequence[str] = ()) -> LintRun:
+    """The full pipeline: parse, then every check."""
     project, parse_failures = Project.load(paths, usage_paths)
-    findings: List[Finding] = []
-    for name in sorted(project.modules):
-        findings.extend(run_rules(project.modules[name].module, selected_rules))
-    findings.extend(run_passes(project, selected_passes))
-
-    return LintRun(
-        findings=sorted(findings, key=lambda finding: finding.sort_key),
-        parse_failures=parse_failures,
-        checked=len(project.modules),
-        rule_names=[rule_.name for rule_ in selected_rules],
-        pass_names=[pass_.name for pass_ in selected_passes],
-    )
+    return LintRun(run_checks(project), parse_failures, len(project.modules))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     options = build_parser().parse_args(argv)
-
-    if options.list_rules:
-        for rule_ in all_rules():
-            print(f"{rule_.name:22s} {rule_.summary}")
-        return EXIT_CLEAN
-    if options.list_passes:
-        for pass_ in all_passes():
-            print(f"{pass_.name:22s} {pass_.summary}")
-        return EXIT_CLEAN
-
-    pass_names: Optional[Sequence[str]]
-    if options.passes is None:
-        pass_names = None
-    elif options.passes == "none":
-        pass_names = []
-    else:
-        pass_names = options.passes.split(",")
-
     try:
-        run = run_lint(
-            options.paths or _default_paths(),
-            select=options.select.split(",") if options.select else None,
-            passes=pass_names,
-            usage_paths=options.usage,
-        )
+        run = run_lint(options.paths or _default_paths(), options.usage)
     except LintError as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
     print(run.render_text())
     return run.exit_code

@@ -3,10 +3,9 @@
 A :class:`Project` parses every target file once, derives each file's
 dotted module name from its path (``src/repro/core/croc.py`` →
 ``repro.core.croc``), and extracts the project-internal import edges —
-the facts the per-file rule engine cannot see.  Project *passes*
-(:data:`ProjectPass`) consume the model and report
-:class:`~repro.tools.engine.Finding` objects through the same pipeline
-as the per-file rules, so suppression comments apply uniformly.
+the facts a check of one file alone cannot see.  Every check in
+:mod:`repro.tools.lint` reads this model, so suppression comments apply
+uniformly.
 
 The model is deterministic by construction: modules are keyed and
 iterated in sorted dotted-name order and edges are sorted, so the
@@ -20,24 +19,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.tools.engine import (
-    Finding,
-    LintError,
-    Module,
-    iter_python_files,
-)
+from repro.tools.engine import LintError, Module, iter_python_files
 
 #: The project root package every dotted name hangs off.
 ROOT_PACKAGE = "repro"
@@ -409,73 +393,3 @@ def _package_of(dotted: str) -> str:
     if len(parts) == 1 or parts[1] == "__main__":
         return "<root>"
     return parts[1]
-
-
-# ----------------------------------------------------------------------
-# Pass registry (mirrors the per-file rule registry in engine.py)
-# ----------------------------------------------------------------------
-PassCheck = Callable[[Project], List[Finding]]
-
-
-@dataclass(frozen=True)
-class ProjectPass:
-    """A named whole-program check."""
-
-    name: str
-    summary: str
-    check: PassCheck
-
-
-_PASS_REGISTRY: Dict[str, ProjectPass] = {}
-
-
-def project_pass(name: str, summary: str) -> Callable[[PassCheck], PassCheck]:
-    """Register a whole-program pass under ``name``."""
-
-    def decorate(check: PassCheck) -> PassCheck:
-        if name in _PASS_REGISTRY:
-            raise ValueError(f"duplicate pass name {name!r}")
-        _PASS_REGISTRY[name] = ProjectPass(name, summary, check)
-        return check
-
-    return decorate
-
-
-def _load_builtin_passes() -> None:
-    # Imported lazily — the pass modules need the decorator above.
-    from repro.tools import contracts, layering, taint  # noqa: F401  # reprolint: disable=unused-import (registration side effect)
-
-
-def all_passes() -> List[ProjectPass]:
-    """Every registered pass, in stable name order."""
-    _load_builtin_passes()
-    return [_PASS_REGISTRY[name] for name in sorted(_PASS_REGISTRY)]
-
-
-def resolve_passes(names: Optional[Iterable[str]] = None) -> List[ProjectPass]:
-    """Map a ``--passes`` list to passes; ``None`` means all of them."""
-    available = {pass_.name: pass_ for pass_ in all_passes()}
-    if names is None:
-        return list(available.values())
-    selected: List[ProjectPass] = []
-    for name in names:
-        if name not in available:
-            known = ", ".join(sorted(available))
-            raise LintError(f"unknown pass {name!r} (known passes: {known})")
-        selected.append(available[name])
-    return selected
-
-
-def run_passes(
-    project: Project, passes: Optional[Sequence[ProjectPass]] = None
-) -> List[Finding]:
-    """Run whole-program passes, honouring per-line suppressions."""
-    findings: List[Finding] = []
-    by_path = {info.path: info for info in project.modules.values()}
-    for pass_ in passes if passes is not None else all_passes():
-        for finding in pass_.check(project):
-            owner = by_path.get(finding.path)
-            if owner is not None and owner.module.suppressed(finding):
-                continue
-            findings.append(finding)
-    return sorted(findings, key=lambda finding: finding.sort_key)

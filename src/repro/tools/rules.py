@@ -1,10 +1,12 @@
-"""The built-in *reprolint* rules.
+"""The *reprolint* checks that look at one module at a time.
 
-Each rule guards one invariant the reproduction's results depend on
-(determinism, unit-safety, allocator interchangeability) or one Python
-footgun that has historically produced irreproducible numbers
-elsewhere (mutable defaults, bare excepts).  Rules are deliberately
-repo-specific: they know the package layout (``core/``, ``sim/``,
+The whole-program checks live in :mod:`repro.tools.layering`,
+:mod:`repro.tools.taint` and :mod:`repro.tools.contracts`;
+:data:`repro.tools.lint.CHECKS` lists them all.  Each rule guards one
+invariant the reproduction's results depend on (determinism,
+unit-safety, allocator interchangeability) or one Python footgun that
+has historically produced irreproducible numbers elsewhere (mutable
+defaults, bare excepts).  Rules are deliberately repo-specific: they know the package layout (``core/``, ``sim/``,
 ``workloads/``) and the sanctioned escape hatches
 (:mod:`repro.sim.rng`, the tolerance helpers in
 :mod:`repro.core.units`).
@@ -15,7 +17,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.tools.engine import Finding, Module, rule
+from repro.tools.engine import Finding, Module
 
 # ----------------------------------------------------------------------
 # Shared AST helpers
@@ -46,64 +48,53 @@ def _identifier_tokens(node: ast.AST) -> Set[str]:
 
 
 # ----------------------------------------------------------------------
-# Rule 1 — determinism: all randomness flows through SeededRng
+# determinism: all randomness flows through SeededRng
 # ----------------------------------------------------------------------
 
 #: The one module allowed to touch the stdlib RNG.
 _RNG_HOME = ("core", "rng.py")
 
 
-@rule(
-    "unmanaged-random",
-    "random / numpy.random may only be used inside core/rng.py; draw from SeededRng",
-)
 def check_unmanaged_random(module: Module) -> Iterator[Finding]:
+    """``random`` may only be imported by core/rng.py; draw from SeededRng.
+
+    numpy is banned from ``src/repro`` outright (``tests/test_config.py``),
+    so only the stdlib module is checked here.
+    """
     if module.is_module(*_RNG_HOME):
         return
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "random" or alias.name.startswith("numpy.random"):
-                    yield module.finding(
-                        node,
-                        "unmanaged-random",
-                        f"import of {alias.name!r} outside core/rng.py; "
-                        "route randomness through repro.sim.rng.SeededRng",
-                    )
+            names = [alias.name for alias in node.names if alias.name == "random"]
         elif isinstance(node, ast.ImportFrom):
-            source = node.module or ""
-            imports_random = source in ("random", "numpy.random") or (
-                source == "numpy"
-                and any(alias.name == "random" for alias in node.names)
+            names = [node.module] if node.module == "random" else []
+        else:
+            continue
+        for name in names:
+            yield module.finding(
+                node,
+                "unmanaged-random",
+                f"import of {name!r} outside core/rng.py; "
+                "route randomness through repro.sim.rng.SeededRng",
             )
-            if imports_random:
-                yield module.finding(
-                    node,
-                    "unmanaged-random",
-                    f"import from {source!r} outside core/rng.py; "
-                    "route randomness through repro.sim.rng.SeededRng",
-                )
-        elif isinstance(node, ast.Attribute) and node.attr == "random":
-            if isinstance(node.value, ast.Name) and node.value.id in ("numpy", "np"):
-                yield module.finding(
-                    node,
-                    "unmanaged-random",
-                    "numpy.random accessed outside core/rng.py; "
-                    "route randomness through repro.sim.rng.SeededRng",
-                )
 
 
 # ----------------------------------------------------------------------
-# Rule 2 — determinism: no wall-clock reads in replayable paths
+# determinism: no host clock outside the wall-time allowlist
 # ----------------------------------------------------------------------
 
-#: Dotted call targets that read the wall clock.  Monotonic timers
-#: (``time.perf_counter``) are handled separately by the
-#: ``wall-clock-output`` rule below: they are legal only in the audited
-#: modules that keep their readings out of deterministic outputs.
-_WALL_CLOCK_CALLS = {
+#: Dotted call targets that read a host clock, absolute or monotonic.
+#: Either reading is wall time: the moment it lands in a row, an export
+#: or a simulation decision, runs stop being comparable.
+_CLOCK_CALLS = {
     "time.time",
     "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
     "datetime.now",
     "datetime.utcnow",
     "datetime.today",
@@ -114,33 +105,29 @@ _WALL_CLOCK_CALLS = {
     "date.today",
 }
 
-#: Subpackages whose behaviour must be a pure function of (config, seed).
-_REPLAYABLE_PACKAGES = ("core", "sim", "workloads")
 
-
-@rule(
-    "wall-clock",
-    "no time.time()/datetime.now() in core/, sim/, or workloads/ — wall clock breaks replay",
-)
-def check_wall_clock(module: Module) -> Iterator[Finding]:
-    if not module.in_package(*_REPLAYABLE_PACKAGES):
+def check_clock(module: Module) -> Iterator[Finding]:
+    """Host clocks are read only in the audited wall-time allowlist
+    (:data:`repro.tools.engine.WALL_TIME_ALLOWLIST`)."""
+    if module.wall_time_exempt:
         return
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
         dotted = _dotted_name(node.func)
-        if dotted in _WALL_CLOCK_CALLS:
+        if dotted in _CLOCK_CALLS:
             yield module.finding(
                 node,
-                "wall-clock",
-                f"{dotted}() reads the wall clock; replayable paths must derive "
-                "time from the simulator clock or an explicit base date "
-                "(see workloads/stocks.py)",
+                "clock",
+                f"{dotted}() reads a host clock outside the wall-time "
+                "allowlist; derive time from the simulator clock or an "
+                "explicit base date, or record wall time through repro.obs "
+                "spans or the computation_s pattern in an allowlisted module",
             )
 
 
 # ----------------------------------------------------------------------
-# Rule 3 — unit-safety: no exact equality on float-typed quantities
+# unit-safety: no exact equality on float-typed quantities
 # ----------------------------------------------------------------------
 
 #: Identifier tokens that mark a float-typed physical quantity.
@@ -161,12 +148,9 @@ def _is_unit_operand(node: ast.AST) -> bool:
     return bool(_identifier_tokens(node) & _UNIT_TOKENS)
 
 
-@rule(
-    "float-equality",
-    "no ==/!= on float capacity/bandwidth/rate expressions; use "
-    "approx_eq/approx_zero from repro.core.units",
-)
 def check_float_equality(module: Module) -> Iterator[Finding]:
+    """No ==/!= on float capacity/bandwidth/rate expressions; use
+    approx_eq/approx_zero from repro.core.units."""
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Compare):
             continue
@@ -185,7 +169,7 @@ def check_float_equality(module: Module) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 4 — no mutable default arguments
+# no mutable default arguments
 # ----------------------------------------------------------------------
 
 _MUTABLE_CALLS = {"list", "dict", "set", "bytearray"}
@@ -203,8 +187,8 @@ def _is_mutable_default(node: ast.AST) -> bool:
     return False
 
 
-@rule("mutable-default", "no mutable default arguments (shared across calls)")
 def check_mutable_default(module: Module) -> Iterator[Finding]:
+    """No mutable default arguments (shared across calls)."""
     for node in ast.walk(module.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
@@ -223,15 +207,12 @@ def check_mutable_default(module: Module) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 5 — postponed annotations everywhere
+# postponed annotations everywhere
 # ----------------------------------------------------------------------
 
 
-@rule(
-    "future-annotations",
-    "every repro module must start with `from __future__ import annotations`",
-)
 def check_future_annotations(module: Module) -> Iterator[Finding]:
+    """Every repro module starts with `from __future__ import annotations`."""
     if not module.tree.body:
         return
     for node in module.tree.body:
@@ -250,7 +231,7 @@ def check_future_annotations(module: Module) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 6 — public core functions carry return annotations
+# public core functions carry return annotations
 # ----------------------------------------------------------------------
 
 
@@ -273,11 +254,8 @@ def _public_functions(
     yield from from_body(module.tree.body)
 
 
-@rule(
-    "return-annotation",
-    "public functions in core/ must declare a return type",
-)
 def check_return_annotation(module: Module) -> Iterator[Finding]:
+    """Public functions in core/ must declare a return type."""
     if not module.in_package("core"):
         return
     for node, name in _public_functions(module):
@@ -290,12 +268,12 @@ def check_return_annotation(module: Module) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 7 — no bare except
+# no bare except
 # ----------------------------------------------------------------------
 
 
-@rule("bare-except", "no bare `except:` — it swallows KeyboardInterrupt and typos alike")
 def check_bare_except(module: Module) -> Iterator[Finding]:
+    """No bare `except:` — it swallows KeyboardInterrupt and typos alike."""
     for node in ast.walk(module.tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             yield module.finding(
@@ -307,7 +285,7 @@ def check_bare_except(module: Module) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 8 — allocators stay interchangeable
+# allocators stay interchangeable
 # ----------------------------------------------------------------------
 
 #: The common allocator entry-point signature every scheme must keep so
@@ -315,11 +293,8 @@ def check_bare_except(module: Module) -> Iterator[Finding]:
 _ALLOCATE_PARAMS = ("self", "units", "pool", "directory")
 
 
-@rule(
-    "allocator-signature",
-    "core allocator classes must keep allocate(self, units, pool, directory)",
-)
 def check_allocator_signature(module: Module) -> Iterator[Finding]:
+    """Core allocator classes keep allocate(self, units, pool, directory)."""
     if not module.in_package("core"):
         return
     for node in ast.walk(module.tree):
@@ -349,7 +324,7 @@ def check_allocator_signature(module: Module) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 9 — process-pool workers must be spawn-picklable
+# process-pool workers must be spawn-picklable
 # ----------------------------------------------------------------------
 
 #: Pool methods whose first positional argument is the worker callable.
@@ -417,12 +392,9 @@ def _unpicklable_reason(node: ast.AST, scan: _LocalCallableScan) -> Optional[str
     return None
 
 
-@rule(
-    "unpicklable-worker",
-    "callables handed to a process pool must be module-level "
-    "(spawn pickles workers by reference)",
-)
 def check_unpicklable_worker(module: Module) -> Iterator[Finding]:
+    """Callables handed to a process pool must be module-level (spawn
+    pickles workers by reference)."""
     scan = _LocalCallableScan()
     scan.visit(module.tree)
     for node in ast.walk(module.tree):
@@ -466,48 +438,7 @@ def check_unpicklable_worker(module: Module) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule 10 — determinism: monotonic timers only in the wall-time allowlist
-# ----------------------------------------------------------------------
-
-#: Dotted call targets that read a monotonic host timer.  Harmless by
-#: themselves, but the reading is wall time: the moment it lands in a
-#: row, export, or simulation decision, runs stop being comparable.
-_MONOTONIC_TIMER_CALLS = {
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "time.process_time_ns",
-}
-
-
-@rule(
-    "wall-clock-output",
-    "time.perf_counter()/monotonic() only in the audited wall-time "
-    "allowlist (repro.tools.engine.WALL_TIME_ALLOWLIST) — elsewhere "
-    "the reading leaks into deterministic outputs",
-)
-def check_wall_clock_output(module: Module) -> Iterator[Finding]:
-    if module.wall_time_exempt:
-        return
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = _dotted_name(node.func)
-        if dotted in _MONOTONIC_TIMER_CALLS:
-            yield module.finding(
-                node,
-                "wall-clock-output",
-                f"{dotted}() outside the wall-time allowlist; deterministic "
-                "outputs must not carry host timings — record wall time "
-                "through repro.obs spans (wall_s) or the computation_s "
-                "pattern, in an allowlisted module",
-            )
-
-
-# ----------------------------------------------------------------------
-# Rule 11 — no unused imports
+# no unused imports
 # ----------------------------------------------------------------------
 
 
@@ -612,12 +543,9 @@ def unused_import_aliases(
     return unused
 
 
-@rule(
-    "unused-import",
-    "imported names must be used, exported via __all__, or re-exported "
-    "with the `as` convention",
-)
 def check_unused_import(module: Module) -> Iterator[Finding]:
+    """Imported names must be used, exported via __all__, or re-exported
+    with the `as` convention."""
     for node, alias in unused_import_aliases(module):
         bound = alias.asname or alias.name
         yield module.finding(

@@ -1,41 +1,33 @@
-"""The ``determinism-taint`` pass: flow-sensitive nondeterminism tracking.
+"""The ``determinism-taint`` pass: set iteration order, tracked to its sinks.
 
 The bit-identity suites prove determinism *after* the fact; this pass
-explains it statically.  Four taint kinds model the ways a value can
-come to depend on something other than (config, seed):
+explains the one hazard no other check bans outright.  Randomness, the
+environment and host clocks are each banned at their source
+(``unmanaged-random``, the ``tests/test_config.py`` environment pin,
+``clock``); a ``set`` cannot be, so its *iteration order* — hash-seed
+and insertion-history dependent — is followed instead.
 
-* ``set-order`` — the value derives from the iteration order of a
-  ``set``/``frozenset`` (hash-seed and insertion-history dependent);
-* ``env`` — the value derives from ``os.environ``;
-* ``wall-clock`` — the value derives from a host clock reading;
-* ``randomness`` — the value derives from stdlib/numpy randomness that
-  did not flow through :class:`repro.core.rng.SeededRng`.
-
-The lattice per variable is the powerset of taint kinds plus an
-``unordered`` bit marking set-typed values (a *clean* set exists; only
-its iteration order is tainted).  Taint propagates flow-sensitively
-through assignments, expressions, loops, branches, and function calls
-(cross-module, via import-graph-resolved return summaries computed to
-a small fixpoint).  ``sorted()`` — and the other order-insensitive
-reductions ``len``/``min``/``max``/``any``/``all`` — sanitize
-``set-order``; nothing sanitizes ``env``, ``wall-clock``, or
-``randomness``.
+The lattice per variable is a set of origin lines (where an order was
+read off a set) plus an ``unordered`` bit marking set-typed values (a
+*clean* set exists; only its iteration order is tainted).  Taint
+propagates flow-sensitively through assignments, expressions, loops,
+branches, and function calls (cross-module, via import-graph-resolved
+return summaries computed to a small fixpoint).  ``sorted()`` — and the
+other order-insensitive reductions ``len``/``min``/``max``/``any``/
+``all``, membership and equality — sanitize it.
 
 A finding fires when a tainted value reaches a *sink*: an output or
 export call (``print``, ``repr``, ``json.dump[s]``, ``.write*``,
 ``write_*(...)``), the return value of an ``allocate()`` method (an
 allocation decision), or the return value of a metrics-row builder
-(``as_row``/``*_row``/``rows``).  The audited wall-time allowlist
-(:data:`repro.tools.engine.WALL_TIME_ALLOWLIST`, the same table the
-per-file ``wall-clock-output`` rule reads) excuses ``wall-clock`` taint
-in the modules the repo has proven safe by other means; everything
-else is a defect or a ``# reprolint: disable=`` comment with its
-reason.
+(``as_row``/``*_row``/``rows``).
 
 Known approximations (all conservative in the safe direction for this
-codebase, and documented in DESIGN.md): attribute stores are not
-tracked, implicit flows (control dependence) are ignored, and unknown
-calls propagate argument taint without generating any.
+codebase, and documented in DESIGN.md): a store into a named container
+(``row[key] = value``, ``rows.append(row)``) taints the container,
+attribute stores are not tracked, implicit flows (control dependence)
+are ignored, and unknown calls propagate argument taint without
+generating any.
 """
 
 from __future__ import annotations
@@ -45,44 +37,38 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.tools.engine import Finding, Module
-from repro.tools.project import ModuleInfo, Project, project_pass
+from repro.tools.project import ModuleInfo, Project
 
 # ----------------------------------------------------------------------
 # Lattice
 # ----------------------------------------------------------------------
 
-#: One taint fact: (kind, origin line in the defining module).
-Taint = Tuple[str, int]
-
-KIND_SET_ORDER = "set-order"
-KIND_ENV = "env"
-KIND_WALL_CLOCK = "wall-clock"
-KIND_RANDOMNESS = "randomness"
-
 
 @dataclass(frozen=True)
 class VarState:
-    """Abstract value: carried taints plus the unordered-collection bit."""
+    """Abstract value: lines its order was read off a set, plus the
+    unordered-collection bit."""
 
-    taints: FrozenSet[Taint] = frozenset()
+    origins: FrozenSet[int] = frozenset()
     unordered: bool = False
 
     def union(self, other: "VarState") -> "VarState":
-        if not other.taints and not other.unordered:
+        if not other.origins and not other.unordered:
             return self
-        return VarState(self.taints | other.taints, self.unordered or other.unordered)
+        return VarState(self.origins | other.origins, self.unordered or other.unordered)
 
-    def with_taint(self, kind: str, lineno: int) -> "VarState":
-        return VarState(self.taints | {(kind, lineno)}, self.unordered)
+    def ordered_at(self, lineno: int) -> "VarState":
+        """The value's order read off a set at ``lineno``."""
+        return VarState(self.origins | {lineno}, self.unordered)
 
-    def sanitized(self) -> "VarState":
-        """Order-insensitive reduction: drop set-order, keep the rest."""
-        return VarState(
-            frozenset(t for t in self.taints if t[0] != KIND_SET_ORDER), False
-        )
+    def ordered(self) -> "VarState":
+        """The same value, no longer a set."""
+        return VarState(self.origins, False)
 
 
 CLEAN = VarState()
+#: A fresh set: no order read off it yet.
+UNORDERED = VarState(unordered=True)
 
 #: Builtins whose result cannot depend on the iteration order of their
 #: argument (sorted output, cardinality, extrema, boolean reductions).
@@ -91,18 +77,8 @@ _SANITIZERS = {"sorted", "len", "min", "max", "any", "all"}
 #: Builtins that materialize an iteration order.
 _ORDER_MATERIALIZERS = {"list", "tuple", "iter", "enumerate", "reversed"}
 
-#: Wall-clock reading calls (both absolute and monotonic timers).
-_CLOCK_CALLS = {
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-    "time.process_time_ns", "datetime.now", "datetime.utcnow",
-    "datetime.datetime.now", "datetime.datetime.utcnow", "date.today",
-    "datetime.date.today",
-}
-
-#: Unmanaged randomness call prefixes (SeededRng methods resolve through
-#: object attributes and are never dotted ``random.*`` module calls).
-_RANDOM_PREFIXES = ("random.", "numpy.random.", "np.random.")
+#: Methods that put their arguments into the receiving container.
+_FILLERS = {"append", "extend", "insert", "add", "update", "setdefault"}
 
 #: Output / export call sinks.
 _OUTPUT_NAME_CALLS = {"print", "repr"}
@@ -115,11 +91,6 @@ _ALLOCATION_SINKS = {"allocate"}
 
 def _is_row_builder(name: str) -> bool:
     return name in {"as_row", "to_row", "rows"} or name.endswith("_row")
-
-
-def _excused(info: ModuleInfo, kind: str) -> bool:
-    """Only ``wall-clock`` taint is ever excused, and only by the allowlist."""
-    return kind == KIND_WALL_CLOCK and info.module.wall_time_exempt
 
 
 # ----------------------------------------------------------------------
@@ -213,29 +184,17 @@ class _Analyzer:
         return None
 
     def _report(self, node: ast.AST, state: VarState, sink: str) -> None:
-        if self.collect is None or not state.taints:
+        if self.collect is None or not state.origins:
             return
-        kinds = sorted({t[0] for t in state.taints})
-        live = [k for k in kinds if not _excused(self.info, k)]
-        if not live:
-            return
-        origins = {
-            kind: min(line for k, line in state.taints if k == kind)
-            for kind in live
-        }
-        detail = ", ".join(
-            f"{kind} (from line {origins[kind]})" for kind in live
-        )
         self.collect.append(
             Finding(
                 self.info.path,
                 getattr(node, "lineno", 1),
                 getattr(node, "col_offset", 0),
                 "determinism-taint",
-                f"value tainted by {detail} reaches {sink}; sort/sanitize "
-                "before it lands in a deterministic output "
-                "(sorted() clears set-order; env/clock/randomness need a "
-                "seam or a disable= comment with its reason)",
+                f"value ordered by set iteration (from line "
+                f"{min(state.origins)}) reaches {sink}; sort it before it "
+                "lands in a deterministic output",
             )
         )
 
@@ -245,9 +204,8 @@ class _Analyzer:
             return CLEAN
         if isinstance(node, ast.Name):
             return self._lookup(node.id)
-        if isinstance(node, (ast.Set,)):
-            state = _union(self.eval(e) for e in node.elts)
-            return VarState(state.taints, True)
+        if isinstance(node, ast.Set):
+            return VarState(_union(self.eval(e) for e in node.elts).origins, True)
         if isinstance(node, (ast.List, ast.Tuple)):
             return _union(self.eval(e) for e in node.elts)
         if isinstance(node, ast.Dict):
@@ -259,11 +217,11 @@ class _Analyzer:
         if isinstance(node, ast.BinOp):
             left, right = self.eval(node.left), self.eval(node.right)
             merged = left.union(right)
-            if (left.unordered or right.unordered) and isinstance(
+            if merged.unordered and isinstance(
                 node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
             ):
-                return VarState(merged.taints, True)
-            return VarState(merged.taints, False)
+                return merged
+            return merged.ordered()
         if isinstance(node, ast.BoolOp):
             return _union(self.eval(v) for v in node.values)
         if isinstance(node, ast.UnaryOp):
@@ -273,22 +231,13 @@ class _Analyzer:
                 [self.eval(node.left)] + [self.eval(c) for c in node.comparators]
             )
             # Membership and equality are order-insensitive.
-            return merged.sanitized()
+            return CLEAN
         if isinstance(node, ast.IfExp):
             return self.eval(node.body).union(self.eval(node.orelse))
         if isinstance(node, ast.Subscript):
-            base = self.eval(node.value)
-            dotted = self._dotted(node.value)
-            if dotted in ("os.environ",):
-                base = base.with_taint(KIND_ENV, node.lineno)
-            return VarState(base.taints | self.eval(node.slice).taints, False)
+            return self.eval(node.value).union(self.eval(node.slice)).ordered()
         if isinstance(node, ast.Attribute):
-            dotted = self._dotted(node)
-            if dotted == "os.environ":
-                return VarState(
-                    frozenset({(KIND_ENV, node.lineno)}), False
-                )
-            return VarState(self.eval(node.value).taints, False)
+            return self.eval(node.value).ordered()
         if isinstance(node, ast.Starred):
             return self.eval(node.value)
         if isinstance(node, (ast.JoinedStr,)):
@@ -313,10 +262,8 @@ class _Analyzer:
         return CLEAN
 
     def _element_state(self, iterable: VarState, lineno: int) -> VarState:
-        state = VarState(iterable.taints, False)
-        if iterable.unordered:
-            state = state.with_taint(KIND_SET_ORDER, lineno)
-        return state
+        state = iterable.ordered()
+        return state.ordered_at(lineno) if iterable.unordered else state
 
     def _eval_comp(
         self, node: ast.AST, results: Sequence[ast.AST], unordered: bool
@@ -330,9 +277,7 @@ class _Analyzer:
                 self.eval(test)
         state = _union(self.eval(r) for r in results)
         self.env = saved
-        if unordered:
-            return VarState(state.sanitized().taints, True)
-        return state
+        return UNORDERED if unordered else state
 
     def _eval_call(self, node: ast.Call) -> VarState:
         args = [self.eval(a) for a in node.args]
@@ -344,23 +289,15 @@ class _Analyzer:
         if isinstance(func, ast.Name):
             name = func.id
             if name in _SANITIZERS:
-                return merged.sanitized()
+                return CLEAN
             if name in ("set", "frozenset"):
-                return VarState(merged.sanitized().taints, True)
+                return UNORDERED
             if name in _ORDER_MATERIALIZERS:
                 if any(a.unordered for a in args):
-                    merged = merged.with_taint(KIND_SET_ORDER, node.lineno)
-                return VarState(merged.taints, False)
-            if name == "getattr" and merged.taints:
+                    merged = merged.ordered_at(node.lineno)
+                return merged.ordered()
+            if name == "getattr" and merged.origins:
                 return merged
-
-        if dotted is not None:
-            if dotted in _CLOCK_CALLS:
-                return merged.with_taint(KIND_WALL_CLOCK, node.lineno)
-            if dotted in ("os.getenv", "os.environ.get"):
-                return merged.with_taint(KIND_ENV, node.lineno)
-            if dotted.startswith(_RANDOM_PREFIXES):
-                return merged.with_taint(KIND_RANDOMNESS, node.lineno)
 
         # Output sinks.
         if isinstance(func, ast.Name) and func.id in _OUTPUT_NAME_CALLS:
@@ -375,43 +312,46 @@ class _Analyzer:
         # Set-method algebra keeps the unordered bit.
         if isinstance(func, ast.Attribute):
             receiver = self.eval(func.value)
+            if func.attr in _FILLERS and isinstance(func.value, ast.Name):
+                # ``rows.append(row)``: the container now holds the value.
+                self.env[func.value.id] = receiver.union(merged.ordered())
             if func.attr in (
                 "union", "intersection", "difference",
                 "symmetric_difference", "copy",
             ) and receiver.unordered:
-                return VarState(merged.union(receiver).taints, True)
+                return VarState(merged.union(receiver).origins, True)
             if func.attr == "pop" and receiver.unordered:
-                return merged.union(receiver).with_taint(
-                    KIND_SET_ORDER, node.lineno
-                )
-            merged = merged.union(VarState(receiver.taints, False))
+                return merged.union(receiver).ordered().ordered_at(node.lineno)
+            if func.attr == "join" and any(a.unordered for a in args):
+                # ``sep.join(a_set)`` writes the set out in its order.
+                return merged.union(receiver).ordered().ordered_at(node.lineno)
+            merged = merged.union(receiver.ordered())
 
         summary = self._summary_for_call(func)
         if summary is not None:
-            return VarState(
-                merged.taints | summary.taints,
-                summary.unordered,
-            )
-        return VarState(merged.taints, False)
+            return VarState(merged.origins | summary.origins, summary.unordered)
+        return merged.ordered()
 
     def _check_args(
         self, node: ast.Call, args: Sequence[VarState], sink: str
     ) -> None:
-        merged = _union(args)
-        if merged.taints:
-            self._report(node, merged, sink)
+        self._report(node, _union(args), sink)
 
     # -- statements ----------------------------------------------------
     def _bind(self, target: ast.AST, state: VarState) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = state
         elif isinstance(target, (ast.Tuple, ast.List)):
-            element = VarState(state.taints, False)
+            element = state.ordered()
             for item in target.elts:
                 self._bind(item, element)
         elif isinstance(target, ast.Starred):
             self._bind(target.value, state)
-        # Attribute / Subscript stores are not tracked (documented).
+        elif isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
+            # ``row[key] = value``: the container now holds the value.
+            name = target.value.id
+            self.env[name] = self._lookup(name).union(state.ordered())
+        # Attribute stores are not tracked (documented).
 
     def exec_block(self, body: Sequence[ast.stmt]) -> None:
         for stmt in body:
@@ -500,7 +440,7 @@ class _Analyzer:
         # Import / Global / Pass / Break / Continue: no taint effect.
 
     def _check_return(self, stmt: ast.Return, state: VarState) -> None:
-        if self.func_name is None or not state.taints:
+        if self.func_name is None or not state.origins:
             return
         if self.func_name in _ALLOCATION_SINKS:
             self._report(stmt, state, "an allocation decision (allocate() return)")
@@ -575,12 +515,9 @@ def _analyze_module(
     return changed
 
 
-@project_pass(
-    "determinism-taint",
-    "set-iteration/env/clock/randomness taint must not reach allocation "
-    "decisions, metrics rows, or exports (sorted() sanitizes set-order)",
-)
 def check_determinism_taint(project: Project) -> List[Finding]:
+    """Set iteration order does not reach allocation decisions, metrics
+    rows or exports (sorted() sanitizes it)."""
     summaries: Dict[SummaryKey, VarState] = {}
     # Fixpoint over call summaries (bounded; the lattice is tiny and
     # union-monotone, so three sweeps settle real codebases).

@@ -1,9 +1,6 @@
-"""Fixture: determinism taint reaching every sink class (all findings)."""
+"""Fixture: set iteration order reaching every sink class (all findings)."""
 
 from __future__ import annotations
-
-import os
-import time
 
 
 def allocate(self, units, pool, directory):
@@ -12,15 +9,14 @@ def allocate(self, units, pool, directory):
     return picked
 
 
-def wall_report():
-    started = time.time()
-    print(started)
+def names_report(names):
+    for name in set(names):
+        print(name)
 
 
-def env_row():
-    mode = os.environ.get("REPRO_MODE", "default")
-    return {"mode": mode}
+def names_row(names):
+    return {"names": ",".join(set(names))}
 
 
-def as_row():
-    return env_row()
+def as_row(names):
+    return names_row(names)

@@ -13,8 +13,6 @@ from repro.core.online import (
     UTIL_HIGH,
     UTIL_LOW,
     BrokerLoad,
-    Migration,
-    MigrationPlan,
     OnlineSpec,
     SubscriptionLoad,
     fij_trade,
@@ -211,16 +209,6 @@ class TestContainers:
         with pytest.raises(ValueError):
             BrokerLoad("b1", capacity=0.0, load=1.0)
         assert BrokerLoad("b1", 50.0, 25.0).utilization == pytest.approx(0.5)
-
-    def test_plan_aggregates(self):
-        moves = (
-            Migration("s1", "a", "b", 3.0, 0.1),
-            Migration("s2", "a", "c", 4.0, 0.2),
-        )
-        plan = MigrationPlan(moves)
-        assert len(plan) == 2
-        assert tuple(plan) == moves
-        assert len(MigrationPlan()) == 0
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,14 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.tools
 from repro.tools.layering import allowed_imports
-from repro.tools.lint import LintRun, build_parser, main, run_lint
-from repro.tools.project import Project, module_name_for, resolve_passes, run_passes
+from repro.tools.lint import CHECKS, LintRun, build_parser, main, run_checks, run_lint
+from repro.tools.project import Project, module_name_for
 
 DATA = Path(__file__).parent / "data" / "lint"
 
@@ -26,7 +27,7 @@ DATA = Path(__file__).parent / "data" / "lint"
 def pass_findings(tree, pass_name):
     project, failures = Project.load([DATA / tree])
     assert failures == []
-    return run_passes(project, resolve_passes([pass_name]))
+    return [finding for finding in run_checks(project) if finding.rule == pass_name]
 
 
 # ----------------------------------------------------------------------
@@ -40,9 +41,10 @@ def test_taint_reaches_every_sink_class():
     assert any("allocation decision" in message for message in messages)
     assert any("print()" in message for message in messages)
     assert any("metrics row" in message for message in messages)
-    # Cross-function propagation: as_row() leaks env taint born in env_row().
+    # Cross-function propagation: as_row() leaks the order names_row() read.
     assert any(
-        "as_row() return" in message and "env" in message for message in messages
+        "as_row() return" in message and "set iteration" in message
+        for message in messages
     )
     assert all("leaky.py" in finding.path for finding in findings)
 
@@ -128,9 +130,7 @@ def test_import_graph_is_visit_order_independent(rng):
     assert base.module_edges() == permuted.module_edges()
     assert base.import_cycles() == permuted.import_cycles()
     assert list(base.modules) == list(permuted.modules)
-    assert run_passes(base, resolve_passes(["layering"])) == run_passes(
-        permuted, resolve_passes(["layering"])
-    )
+    assert list(CHECKS["layering"](base)) == list(CHECKS["layering"](permuted))
 
 
 # ----------------------------------------------------------------------
@@ -167,20 +167,27 @@ def test_exit_one_on_findings_and_zero_when_clean(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 
-def test_cli_exposes_exactly_five_options():
+def test_cli_exposes_only_usage():
     options = {
         option
         for action in build_parser()._actions
         for option in action.option_strings
     }
-    assert options - {"-h", "--help"} == {
-        "--select", "--passes", "--usage", "--list-rules", "--list-passes",
-    }
+    assert options - {"-h", "--help"} == {"--usage"}
 
 
-def test_lint_run_has_exactly_five_fields():
+@pytest.mark.parametrize(
+    "option", ["--select", "--passes", "--list-rules", "--list-passes"])
+def test_check_selection_options_stay_deleted(option, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main([option, "x"] if option in ("--select", "--passes") else [option])
+    assert exited.value.code == 2
+    capsys.readouterr()
+
+
+def test_lint_run_has_exactly_three_fields():
     assert [f.name for f in dataclasses.fields(LintRun)] == [
-        "findings", "parse_failures", "checked", "rule_names", "pass_names",
+        "findings", "parse_failures", "checked",
     ]
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from repro.tools.__main__ import main as tools_main
 from repro.tools.engine import LintError
-from repro.tools.lint import main, run_lint
-from repro.tools.project import ParseFailure, Project, resolve_passes, run_passes
+from repro.tools.lint import CHECKS, run_lint
+from repro.tools.project import ParseFailure, Project
 
 
 def _write_tree(root, files):
@@ -33,41 +33,15 @@ def test_tools_main_usage_and_unknown_command(capsys):
     assert "unknown command" in capsys.readouterr().err
 
 
-def test_tools_main_dispatches_lint(capsys):
-    assert tools_main(["lint", "--list-rules"]) == 0
-    assert "unmanaged-random" in capsys.readouterr().out
-
-
-def test_list_passes(capsys):
-    assert main(["--list-passes"]) == 0
-    out = capsys.readouterr().out
-    assert "layering" in out and "determinism-taint" in out
-
-
-# ----------------------------------------------------------------------
-# CLI option plumbing
-# ----------------------------------------------------------------------
-
-
-def test_passes_none_disables_project_passes(tmp_path, capsys):
+def test_tools_main_dispatches_lint(tmp_path, capsys):
     _write_tree(tmp_path, {
         "src/repro/core/up.py":
             "from __future__ import annotations\n"
             "from repro.experiments.runner import run_experiment\n"
             "entry = run_experiment\n",
     })
-    assert main([str(tmp_path / "src"), "--passes", "none"]) == 0
-    capsys.readouterr()
-    assert main([str(tmp_path / "src"), "--passes", "layering"]) == 1
-    capsys.readouterr()
-
-
-def test_unknown_pass_and_rule_are_usage_errors(tmp_path, capsys):
-    target = tmp_path / "x.py"
-    target.write_text("from __future__ import annotations\n")
-    assert main([str(target), "--passes", "no-such-pass"]) == 2
-    assert main([str(target), "--select", "no-such-rule"]) == 2
-    capsys.readouterr()
+    assert tools_main(["lint", str(tmp_path / "src")]) == 1
+    assert "[layering]" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +56,7 @@ def test_undeclared_package_is_flagged(tmp_path):
             "from repro.core.units import EPSILON\n",
     })
     project, _ = Project.load([tmp_path / "src"])
-    findings = run_passes(project, resolve_passes(["layering"]))
+    findings = list(CHECKS["layering"](project))
     assert any("not declared in the layering DAG" in f.message for f in findings)
 
 
@@ -96,7 +70,7 @@ def test_subpackage_may_not_import_root_facade(tmp_path):
             "v = repro.VERSION\n",
     })
     project, _ = Project.load([tmp_path / "src"])
-    findings = run_passes(project, resolve_passes(["layering"]))
+    findings = list(CHECKS["layering"](project))
     assert any("public facade" in f.message for f in findings)
 
 
@@ -109,7 +83,7 @@ def test_root_may_not_import_tools(tmp_path):
             "from __future__ import annotations\nFinding = object\n",
     })
     project, _ = Project.load([tmp_path / "src"])
-    findings = run_passes(project, resolve_passes(["layering"]))
+    findings = list(CHECKS["layering"](project))
     assert any("tools" in f.message for f in findings)
 
 
@@ -122,7 +96,7 @@ def _contract_findings(tmp_path, body):
     _write_tree(tmp_path, {"src/repro/core/mod.py": body})
     project, failures = Project.load([tmp_path / "src"])
     assert failures == []
-    return run_passes(project, resolve_passes(["api-contract"]))
+    return list(CHECKS["api-contract"](project))
 
 
 def test_all_consistency_sees_loop_and_try_bindings(tmp_path):
