@@ -24,7 +24,8 @@ else
 fi
 
 echo "== answers under PYTHONHASHSEED 0 / 7 / 2011 =="
-# The four bench_e2e workloads at smoke size, a fresh interpreter per
+# The four bench_e2e workloads at smoke size, a faulted cram-ios cell and
+# a manual cell on every broker of the pool, a fresh interpreter per
 # hash seed; rows and answers must be identical (about 2 s).
 python scripts/hashseed_rows.py
 

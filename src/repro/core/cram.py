@@ -403,8 +403,11 @@ class _CramState:
             gif.profile.signature(): gif for gif in gifs
         }
         #: ``gif_id`` -> the GIF's closest partner; written only by
-        #: :meth:`_set_entry`.
+        #: :meth:`_set_entry` (and dropped by :meth:`_retire`).
         self._entries: Dict[int, _PartnerEntry] = {}
+        #: Partner ``gif_id`` -> the ``gif_id``s whose entries name it,
+        #: kept with ``_entries`` so a retire reads whom to mark dirty.
+        self._named_by: Dict[int, Set[int]] = {}
         #: Lazy max-heap over the entries with a partner:
         #: ``(-value, gif_id, seq, entry)``, so the top is the highest
         #: closeness, ties to the lowest ``gif_id`` (``seq`` keeps the
@@ -415,6 +418,10 @@ class _CramState:
         self._seq = itertools.count()
         self._dirty: Set[int] = set()
         self._blacklist: Set[frozenset] = set()
+        #: The merged unit and successor order of each successful probe
+        #: of the current attempt, by the merged units' IDs: a commit
+        #: adopts its probe's pair and forgets the others' packs.
+        self._probes: Dict[Tuple[int, ...], Tuple[AllocationUnit, StandingOrder]] = {}
         #: The returned scheme's broker count: a probe that opens more
         #: brokers is never returned, so it may stop as soon as it is
         #: proven to fit, and one that opens no more needs only its count
@@ -434,9 +441,21 @@ class _CramState:
 
     def _set_entry(self, gif_id: int, entry: _PartnerEntry) -> None:
         """Make ``entry`` the GIF's partner entry (the one write path)."""
+        self._unname(gif_id)
         self._entries[gif_id] = entry
+        if isinstance(entry.partner, Gif):
+            self._named_by.setdefault(entry.partner.gif_id, set()).add(gif_id)
         if entry.partner is not None and entry.value > 0:
             heapq.heappush(self._heap, (-entry.value, gif_id, next(self._seq), entry))
+
+    def _unname(self, gif_id: int) -> None:
+        """Take the GIF out of its current partner's ``_named_by`` set
+        (gone already if that partner was retired)."""
+        entry = self._entries.get(gif_id)
+        if entry is not None and isinstance(entry.partner, Gif):
+            named = self._named_by.get(entry.partner.gif_id)
+            if named is not None:
+                named.discard(gif_id)
 
     def _compute_entry(self, gif: Gif) -> _PartnerEntry:
         best = _PartnerEntry(None, 0.0)
@@ -444,49 +463,38 @@ class _CramState:
             value = self.metric(self.kernel, gif.profile, gif.profile)
             if value > 0:
                 best = _PartnerEntry(SELF_PAIR, value)
-
-        def symmetric_update(candidate: Gif, value: float) -> None:
-            if value <= 0:
-                return
-            blacklist = self._blacklist
-            if blacklist and frozenset((gif.gif_id, candidate.gif_id)) in blacklist:
-                return
-            entry = self._entries.get(candidate.gif_id)
-            if entry is not None and value > entry.value:
-                self._set_entry(candidate.gif_id, _PartnerEntry(gif, value))
-
         if self.enable_pruning and self.metric.prunable:
-            partner, value = self.poset.closest_partner(
-                gif, self.metric, self._blacklist, on_candidate=symmetric_update
-            )
+            others, row = self.poset.pruned_row(gif, self.metric)
         else:
             # Non-prunable (XOR) or pruning disabled: the poset cannot
-            # skip anything, so scan the GIF list directly — same
-            # candidates in the same order, same evaluation count, but
-            # one flat loop instead of per-candidate callback hops.
-            partner, value = self._exhaustive_partner(gif)
+            # skip anything, so the row is every other GIF, in one
+            # batched ``closeness_row`` call — same values and
+            # evaluation count as per-candidate metric calls.
+            others = [other for other in self.gifs.values() if other.gif_id != gif.gif_id]
+            row = self.metric.closeness_row(
+                self.kernel, gif.profile, [other.profile for other in others]
+            )
+        partner, value = self._fold_row(gif, others, row)
         if partner is not None and value > best.value:
             best = _PartnerEntry(partner, value)
         return best
 
-    def _exhaustive_partner(self, gif: Gif) -> Tuple[Optional[Gif], float]:
-        """Exhaustive partner scan with the symmetric update inlined.
+    def _fold_row(
+        self, gif: Gif, others: Sequence[Gif], row: Sequence[float]
+    ) -> Tuple[Optional[Gif], float]:
+        """``gif``'s closest partner in a partner-search row.
 
-        The scan is one batched ``closeness_row`` call — same values
-        and evaluation count as per-candidate metric calls, but the
-        kernel serves the whole row from packed bits
-        and its pair memo.  The loop body folds in exactly what
-        ``symmetric_update`` + the best-candidate test do.
+        One flat loop does the symmetric update (an evaluated candidate
+        whose own entry is weaker than ``gif`` takes ``gif`` as its
+        partner) and the best-candidate test, in evaluation order; a
+        blacklisted pair takes part in neither.  Ties go to the lowest
+        ``gif_id``.
         """
         best_gif: Optional[Gif] = None
         best_value = 0.0
         gif_id = gif.gif_id
         entries = self._entries
         blacklist = self._blacklist
-        others = [other for other in self.gifs.values() if other.gif_id != gif_id]
-        row = self.metric.closeness_row(
-            self.kernel, gif.profile, [other.profile for other in others]
-        )
         for other, value in zip(others, row):
             if value <= 0:
                 continue
@@ -562,19 +570,24 @@ class _CramState:
     def probe_merge(
         self, merge_units: Sequence[AllocationUnit]
     ) -> Optional[AllocationResult]:
-        """Test-allocate the pool with ``merge_units`` fused; no commit."""
+        """Test-allocate the pool with ``merge_units`` fused; no commit.
+
+        A successful probe keeps its merged unit and successor order for
+        :meth:`commit_merge`; a failed one drops its merged profile's
+        pack entry at once, so probes don't accumulate.
+        """
         merged = AllocationUnit.merged(list(merge_units), self.directory, kernel=self.kernel)
-        result = self._order.after_merge(merge_units, merged).first_fit(self.stop_above)
+        order = self._order.after_merge(merge_units, merged)
+        result = order.first_fit(self.stop_above)
         self.stats.binpack_runs += 1
         if isinstance(result, CutResult):
             self.cut_passes += 1
         elif isinstance(result, SettledResult):
             self.settled_passes += 1
-        # The probe's merged profile is ephemeral (a commit builds a
-        # fresh one); drop its pack entry so probes don't accumulate.
-        self.kernel.forget(merged.profile)
         if not result.success:
+            self.kernel.forget(merged.profile)
             return None
+        self._probes[_merge_key(merge_units)] = (merged, order)
         return result
 
     def try_merge(
@@ -592,9 +605,17 @@ class _CramState:
         sources: Sequence[Gif],
         result: AllocationResult,
     ) -> AllocationResult:
-        """Apply a validated merge to the GIF pool and poset."""
-        merged = AllocationUnit.merged(list(merge_units), self.directory, kernel=self.kernel)
-        self._order = self._order.after_merge(merge_units, merged)
+        """Apply a validated merge to the GIF pool and poset.
+
+        Adopts the merged unit and successor order the probe of
+        ``merge_units`` built.  Its unit is newer than every pool unit,
+        as a fresh one would be, so the ``binpack_key`` order is the
+        same.
+        """
+        merged, self._order = self._probes.pop(_merge_key(merge_units))
+        for other, _order in self._probes.values():
+            self.kernel.forget(other.profile)
+        self._probes.clear()
         for gif in sources:
             gif.remove_units(merge_units)
             self._dirty.add(gif.gif_id)
@@ -619,11 +640,18 @@ class _CramState:
         self.kernel.forget(gif.profile)
         if gif in self.poset:
             self.poset.remove(gif)
+        self._unname(gif.gif_id)
         self._entries.pop(gif.gif_id, None)
         self.gifs.pop(gif.gif_id, None)
         signature = gif.profile.signature()
         if self._by_signature.get(signature) is gif:
             del self._by_signature[signature]
-        for gif_id, entry in list(self._entries.items()):
-            if isinstance(entry.partner, Gif) and entry.partner.gif_id == gif.gif_id:
-                self._dirty.add(gif_id)
+        # Ascending ``gif_id``: the order a scan of ``_entries`` (whose
+        # keys are created in ascending ID order) would mark them in,
+        # which decides the order ``best_pair`` pops the dirty set in.
+        self._dirty.update(sorted(self._named_by.pop(gif.gif_id, ())))
+
+
+def _merge_key(merge_units: Sequence[AllocationUnit]) -> Tuple[int, ...]:
+    """What identifies a probe within one attempt: its units' IDs."""
+    return tuple(unit.unit_id for unit in merge_units)

@@ -19,17 +19,70 @@ This module is a faithful re-implementation of GRAPE's *placement
 decision* on the simulated overlay; the original's sampling machinery
 (trace collection at brokers) is subsumed by the bit-vector profiles
 that Phase 1 already collects — the same information GRAPE gathers.
+
+:class:`TreeIndex` reads the tree's profiles once per plan: every
+publisher's walks then visit only the vectors of that publisher.
+``tests/grape_oracle.py`` keeps the per-publisher walk over every
+record it replaced, as the reference it is exact against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.bitvector import BitVector
 from repro.core.deployment import BrokerTree
 from repro.core.profiles import PublisherDirectory, PublisherProfile
 from repro.obs import recorder as obs
+
+
+Vectors = Dict[str, List[BitVector]]  # broker_id -> non-empty vectors
+
+
+class TreeIndex:
+    """A finished tree, read once for every publisher GRAPE places.
+
+    ``members[adv_id]`` maps each broker to the non-empty vectors of
+    ``adv_id`` in the subscriptions it serves, and ``units[adv_id]`` to
+    those of its subscription units' (merged) profiles; broker
+    pseudo-units are left out.  Each list is in the order a walk of one
+    publisher visits them (the broker's units in order, a unit's members
+    in order), so the float sums over it add terms in that order too.
+    ``order`` is root first, children after their parents.
+    """
+
+    __slots__ = ("tree", "brokers", "order", "children", "members", "units")
+
+    def __init__(self, tree: BrokerTree):
+        self.tree = tree
+        self.brokers = tree.brokers
+        self.children: Dict[str, List[str]] = {
+            broker_id: tree.children(broker_id) for broker_id in self.brokers
+        }
+        self.order: List[str] = []
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            self.order.append(node)
+            stack.extend(self.children[node])
+        self.members: Dict[str, Vectors] = {}
+        self.units: Dict[str, Vectors] = {}
+        for broker_id in self.brokers:
+            for unit in tree.broker_units.get(broker_id, ()):  # real units only
+                if unit.kind != "subscription":
+                    continue
+                _collect(self.units, broker_id, unit.profile.items())
+                for record in unit.members:
+                    _collect(self.members, broker_id, record.profile.items())
+
+
+def _collect(
+    index: Dict[str, Vectors], broker_id: str, items: Iterable[Tuple[str, BitVector]]
+) -> None:
+    for adv_id, vector in items:
+        if vector:
+            index.setdefault(adv_id, {}).setdefault(broker_id, []).append(vector)
 
 
 @dataclass
@@ -72,24 +125,31 @@ class GrapeRelocator:
     ) -> Dict[str, str]:
         """adv_id → broker_id for every publisher in the directory."""
         with obs.span("phase3.grape", publishers=len(directory)):
+            index = TreeIndex(tree)
             placement: Dict[str, str] = {}
             for adv_id, publisher in directory.items():
-                decision = self.place_one(tree, adv_id, publisher)
+                decision = self.place_one(tree, adv_id, publisher, index)
                 placement[adv_id] = decision.broker_id
             return placement
 
     def place_one(
-        self, tree: BrokerTree, adv_id: str, publisher: PublisherProfile
+        self,
+        tree: BrokerTree,
+        adv_id: str,
+        publisher: PublisherProfile,
+        index: Optional[TreeIndex] = None,
     ) -> PlacementDecision:
-        """Choose the attachment broker for one publisher."""
-        needs = self._broker_needs(tree, adv_id, publisher)
+        """Choose the attachment broker for one publisher (``index``, if
+        given, must be ``tree``'s)."""
+        if index is None:
+            index = TreeIndex(tree)
+        needs = self._broker_needs(index, adv_id, publisher)
         if not any(fraction > 0 for fraction, _ in needs.values()):
             # Nobody wants this publisher's traffic: park it at the root
             # where it costs a single matching operation per message.
             return PlacementDecision(adv_id, tree.root, 0.0, 0.0)
-        load = self._load_scores(tree, publisher, needs)
-        delay = self._delay_scores(tree, publisher, needs)
-        brokers = tree.brokers
+        load = self._load_scores(index, publisher)
+        delay = self._delay_scores(index, needs)
         max_load = max(load.values()) or 1.0
         max_delay = max(delay.values()) or 1.0
         if self.objective == "load":
@@ -106,7 +166,7 @@ class GrapeRelocator:
             )
             return (mixed, broker_id)
 
-        best = min(brokers, key=score)
+        best = min(index.brokers, key=score)
         return PlacementDecision(adv_id, best, load[best], delay[best])
 
     # ------------------------------------------------------------------
@@ -114,7 +174,7 @@ class GrapeRelocator:
     # ------------------------------------------------------------------
     @staticmethod
     def _broker_needs(
-        tree: BrokerTree, adv_id: str, publisher: PublisherProfile
+        index: TreeIndex, adv_id: str, publisher: PublisherProfile
     ) -> Dict[str, Tuple[float, float]]:
         """broker_id → (union fraction needed, delivery rate) for ``adv_id``.
 
@@ -123,22 +183,18 @@ class GrapeRelocator:
         its subscriptions' fractions — weighs the delay objective, since
         every matched subscription is a separate delivery.
         """
+        vectors = index.members.get(adv_id, {})
+        rate = publisher.publication_rate
         needs: Dict[str, Tuple[float, float]] = {}
-        for broker_id in tree.brokers:
+        for broker_id in index.brokers:
             union_vector: Optional[BitVector] = None
             delivery = 0.0
-            for unit in tree.broker_units.get(broker_id, ()):  # real units only
-                if unit.kind != "subscription":
-                    continue
-                for record in unit.members:
-                    vector = record.profile.vector(adv_id)
-                    if vector is None or not vector:
-                        continue
-                    window = publisher.observed_window(vector.first_id, vector.capacity)
-                    delivery += min(1.0, vector.cardinality / window) * publisher.publication_rate
-                    union_vector = (
-                        vector.copy() if union_vector is None else union_vector.union(vector)
-                    )
+            for vector in vectors.get(broker_id, ()):
+                window = publisher.observed_window(vector.first_id, vector.capacity)
+                delivery += min(1.0, vector.cardinality / window) * rate
+                union_vector = (
+                    vector.copy() if union_vector is None else union_vector.union(vector)
+                )
             if union_vector is None:
                 needs[broker_id] = (0.0, 0.0)
             else:
@@ -153,10 +209,7 @@ class GrapeRelocator:
     # Load objective (total forwarding rate) via rerooting
     # ------------------------------------------------------------------
     def _load_scores(
-        self,
-        tree: BrokerTree,
-        publisher: PublisherProfile,
-        needs: Dict[str, Tuple[float, float]],
+        self, index: TreeIndex, publisher: PublisherProfile
     ) -> Dict[str, float]:
         """Total msg/s crossing tree edges if the publisher sat at v.
 
@@ -167,19 +220,25 @@ class GrapeRelocator:
         path root→v of (up(c) − down(c))`` — one O(B) pass plus O(depth)
         per candidate.
         """
-        order = self._topo_order(tree)
+        tree = index.tree
+        order = index.order
+        children = index.children
+        need = {
+            broker_id: _union(vectors)
+            for broker_id, vectors in index.units.get(publisher.adv_id, {}).items()
+        }
         down_union: Dict[str, Optional[BitVector]] = {}
         for broker_id in reversed(order):  # leaves first
-            union = self._need_vector(tree, broker_id, publisher.adv_id)
-            for child in tree.children(broker_id):
+            union = need.get(broker_id)
+            for child in children[broker_id]:
                 child_union = down_union[child]
                 if child_union is not None:
                     union = child_union.copy() if union is None else union.union(child_union)
             down_union[broker_id] = union
         up_union: Dict[str, Optional[BitVector]] = {tree.root: None}
         for broker_id in order:  # root first
-            kids = tree.children(broker_id)
-            base = self._need_vector(tree, broker_id, publisher.adv_id)
+            kids = children[broker_id]
+            base = need.get(broker_id)
             parent_up = up_union[broker_id]
             if parent_up is not None:
                 base = parent_up.copy() if base is None else base.union(parent_up)
@@ -196,7 +255,6 @@ class GrapeRelocator:
                             else union.union(sibling_union)
                         )
                 up_union[child] = union
-        rate = publisher.publication_rate
         down_rate = {
             broker_id: self._vector_rate(vec, publisher) for broker_id, vec in down_union.items()
         }
@@ -217,29 +275,29 @@ class GrapeRelocator:
     # ------------------------------------------------------------------
     # Delay objective (delivery-weighted distance) via rerooting
     # ------------------------------------------------------------------
+    @staticmethod
     def _delay_scores(
-        self,
-        tree: BrokerTree,
-        publisher: PublisherProfile,
-        needs: Dict[str, Tuple[float, float]],
+        index: TreeIndex, needs: Dict[str, Tuple[float, float]]
     ) -> Dict[str, float]:
         """Σ_d deliveries(d) · hops(v, d) for every candidate v."""
-        order = self._topo_order(tree)
-        weight = {broker_id: needs[broker_id][1] for broker_id in tree.brokers}
+        order = index.order
+        children = index.children
+        weight = {broker_id: needs[broker_id][1] for broker_id in index.brokers}
         total_weight = sum(weight.values())
         count_down: Dict[str, float] = {}
         dist_down: Dict[str, float] = {}
         for broker_id in reversed(order):
             count = weight[broker_id]
             dist = 0.0
-            for child in tree.children(broker_id):
+            for child in children[broker_id]:
                 count += count_down[child]
                 dist += dist_down[child] + count_down[child]
             count_down[broker_id] = count
             dist_down[broker_id] = dist
-        scores: Dict[str, float] = {tree.root: dist_down[tree.root]}
+        root = index.tree.root
+        scores: Dict[str, float] = {root: dist_down[root]}
         for broker_id in order:
-            for child in tree.children(broker_id):
+            for child in children[broker_id]:
                 scores[child] = scores[broker_id] + total_weight - 2.0 * count_down[child]
         return scores
 
@@ -247,31 +305,16 @@ class GrapeRelocator:
     # Helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _topo_order(tree: BrokerTree) -> List[str]:
-        """Root-first order with children after their parents."""
-        order: List[str] = []
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(tree.children(node))
-        return order
-
-    @staticmethod
-    def _need_vector(tree: BrokerTree, broker_id: str, adv_id: str) -> Optional[BitVector]:
-        union: Optional[BitVector] = None
-        for unit in tree.broker_units.get(broker_id, ()):
-            if unit.kind != "subscription":
-                continue
-            vector = unit.profile.vector(adv_id)
-            if vector is None or not vector:
-                continue
-            union = vector.copy() if union is None else union.union(vector)
-        return union
-
-    @staticmethod
     def _vector_rate(vector: Optional[BitVector], publisher: PublisherProfile) -> float:
         if vector is None or not vector:
             return 0.0
         window = publisher.observed_window(vector.first_id, vector.capacity)
         return min(1.0, vector.cardinality / window) * publisher.publication_rate
+
+
+def _union(vectors: List[BitVector]) -> BitVector:
+    """OR of a non-empty list, first to last."""
+    union = vectors[0].copy()
+    for vector in vectors[1:]:
+        union = union.union(vector)
+    return union

@@ -24,7 +24,7 @@ closeness evaluations).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.closeness import ClosenessMetric
 from repro.core.gif import Gif
@@ -247,43 +247,17 @@ class Poset:
         gif: Gif,
         metric: ClosenessMetric,
         blacklist: Optional[Set[frozenset]] = None,
-        on_candidate: Optional[Callable[[Gif, float], None]] = None,
     ) -> Tuple[Optional[Gif], float]:
         """Find the partner GIF with the highest non-zero closeness.
 
-        For prunable metrics the traversal starts at the root, skips
-        zero-closeness subtrees, and stops descending once the
-        closeness decreases (paper §IV-C.2).  For XOR every node is
-        evaluated.  ``on_candidate`` is invoked for every evaluated
-        pair — CRAM uses it to opportunistically refresh other GIFs'
-        cached partners, and the pruning benchmark uses the metric's
-        evaluation counter.
+        For prunable metrics the candidates are :meth:`pruned_row`'s;
+        for XOR every node is evaluated, as one batched row.  Ties go to
+        the lowest ``gif_id``; a blacklisted pair is never chosen.  The
+        pruning benchmark reads the metric's evaluation counter.
         """
-        blacklist = blacklist or set()
-        best_gif: Optional[Gif] = None
-        best_value = 0.0
-
-        def consider(candidate: Gif, value: float) -> None:
-            nonlocal best_gif, best_value
-            if on_candidate is not None:
-                on_candidate(candidate, value)
-            if blacklist and frozenset((gif.gif_id, candidate.gif_id)) in blacklist:
-                return
-            if value > best_value or (
-                value == best_value
-                and best_gif is not None
-                and value > 0
-                and candidate.gif_id < best_gif.gif_id
-            ):
-                best_gif = candidate
-                best_value = value
-
         if metric.prunable:
-            self._pruned_scan(gif, metric, consider)
+            candidates, row = self.pruned_row(gif, metric)
         else:
-            # Non-prunable (XOR): every node is evaluated anyway, so do
-            # it as one batched row — same values, same order, same
-            # evaluation count, but one pass through the fused kernel.
             candidates = [
                 node.gif
                 for node in self._nodes.values()
@@ -292,31 +266,46 @@ class Poset:
             row = metric.closeness_row(
                 self._kernel, gif.profile, [candidate.profile for candidate in candidates]
             )
-            for candidate, value in zip(candidates, row):
-                consider(candidate, value)
+        best_gif: Optional[Gif] = None
+        best_value = 0.0
+        for candidate, value in zip(candidates, row):
+            if value <= 0:
+                continue
+            if blacklist and frozenset((gif.gif_id, candidate.gif_id)) in blacklist:
+                continue
+            if value > best_value or (
+                value == best_value
+                and best_gif is not None
+                and candidate.gif_id < best_gif.gif_id
+            ):
+                best_gif = candidate
+                best_value = value
         return best_gif, best_value
 
-    def _pruned_scan(
-        self,
-        gif: Gif,
-        metric: ClosenessMetric,
-        consider: Callable[[Gif, float], None],
-    ) -> None:
-        """Breadth-first descent with zero- and decrease-pruning.
+    def pruned_row(
+        self, gif: Gif, metric: ClosenessMetric
+    ) -> Tuple[List[Gif], List[float]]:
+        """The candidates a pruned partner search evaluates, with their
+        closeness to ``gif``, in evaluation order.
 
+        A breadth-first descent with zero- and decrease-pruning.
         Children are visited in ascending ``gif_id`` order — the poset
         stores edges in sets, and which parent reaches a shared child
         first decides the ``parent_value`` its pruning test uses, so an
         id-hash-ordered traversal would make the evaluation count (and
-        the symmetric partner-cache updates) depend on heap layout.
+        CRAM's symmetric partner-cache updates) depend on heap layout.
 
         The walk is level-batched: BFS processes the frontier one full
         wave at a time, and which nodes form wave ``k+1`` depends only
         on wave ``k``'s prune verdicts, so evaluating a whole wave as
         one ``closeness_row`` call (one vectorized row per visited
         level) preserves the exact per-pair values, evaluation count,
-        and ``consider`` order of the node-at-a-time loop.
+        and order of the node-at-a-time loop.  ``gif`` itself is never
+        evaluated (CRAM handles self-pairing separately), but the walk
+        descends through its node.
         """
+        candidates: List[Gif] = []
+        values: List[float] = []
         seen: Set[int] = set()
         wave: List[Tuple[PosetNode, Optional[float]]] = []
         for child in _ordered_children(self.root):
@@ -324,35 +313,36 @@ class Poset:
                 seen.add(id(child))
                 wave.append((child, None))  # None: no parent value yet
         gif_id = gif.gif_id
+        profile = gif.profile
+        kernel = self._kernel
         while wave:
             profiles = [
                 node.gif.profile for node, _ in wave if node.gif.gif_id != gif_id
             ]
             if len(profiles) == 1:
                 # A row of one gains nothing over a direct call.
-                row = None
+                row = [metric(kernel, profile, profiles[0])]
             else:
-                row = metric.closeness_row(self._kernel, gif.profile, profiles)
+                row = metric.closeness_row(kernel, profile, profiles)
             position = 0
             next_wave: List[Tuple[PosetNode, Optional[float]]] = []
             for node, parent_value in wave:
-                if node.gif.gif_id == gif_id:
-                    value = None  # do not pair with self here (CRAM handles
-                    # self-pairing separately); still descend through it.
+                other = node.gif
+                if other.gif_id == gif_id:
+                    next_value = parent_value
                 else:
-                    if row is None:
-                        value = metric(self._kernel, gif.profile, node.gif.profile)
-                    else:
-                        value = row[position]
-                        position += 1
-                    consider(node.gif, value)
+                    value = row[position]
+                    position += 1
+                    candidates.append(other)
+                    values.append(value)
                     if approx_zero(value):
                         continue  # empty relation: whole subtree is empty too
                     if parent_value is not None and value < parent_value:
                         continue  # closeness started to decrease: prune
-                next_value = parent_value if value is None else value
+                    next_value = value
                 for child in _ordered_children(node):
                     if id(child) not in seen:
                         seen.add(id(child))
                         next_wave.append((child, next_value))
             wave = next_wave
+        return candidates, values

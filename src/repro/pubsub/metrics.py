@@ -208,7 +208,11 @@ class MetricsCollector:
         return counters
 
     def on_receive(self, broker_id: str, is_publication: bool) -> None:
-        counters = self.counters(broker_id)
+        # ``counters()`` inlined (a per-hop path); the entry is created
+        # at the same first touch, so the table keeps its order.
+        counters = self._counters.get(broker_id)
+        if counters is None:
+            counters = self._counters[broker_id] = BrokerCounters()
         counters.messages_in += 1
         if is_publication:
             counters.publications_in += 1
@@ -228,7 +232,9 @@ class MetricsCollector:
         one copy at a time: the float total must not depend on how a
         broker's sends are grouped into calls.
         """
-        counters = self.counters(broker_id)
+        counters = self._counters.get(broker_id)  # ``counters()`` inlined
+        if counters is None:
+            counters = self._counters[broker_id] = BrokerCounters()
         counters.messages_out += copies
         counters.publications_out += copies
         counters.deliveries += deliveries

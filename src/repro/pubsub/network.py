@@ -379,6 +379,13 @@ class PubSubNetwork:
         overlay is wired from the deployment's tree.  Control traffic
         (advertisements, subscriptions) replays through the new overlay;
         run the simulator briefly afterwards to let it quiesce.
+
+        Traffic of the old overlay is not flushed.  A message still
+        queued behind a broker's CPU, or on the wire to it, is handled
+        by the reset broker when its turn comes, against whatever
+        routing state the replay has rebuilt by then: it is neither
+        dropped nor counted lost.  A reset is not a crash, so
+        ``Broker.epoch`` stays (DESIGN.md §5, item 10).
         """
         deployment.validate()
         unknown = [

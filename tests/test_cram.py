@@ -337,9 +337,10 @@ class TestStandingOrder:
         assert cram.allocate(units, gather.broker_pool, gather.directory).success
         stats = cram.last_stats
         assert seen["commits"] == stats.merges > 10
-        # Every probe and every commit derives one order; the first
-        # binpack run (the base pass) packs the standing order as built.
-        assert seen["derived"] == (stats.binpack_runs - 1) + stats.merges
+        # Every probe derives one order and a commit adopts its probe's;
+        # the first binpack run (the base pass) packs the standing order
+        # as built.
+        assert seen["derived"] == stats.binpack_runs - 1
         assert seen["shrunk_runs"] > 0  # some merge emptied a run
 
     def test_probes_keep_their_span_and_their_count(self):
@@ -359,3 +360,53 @@ class TestStandingOrder:
         assert runs[0] == runs[1] == len(spans[0])
         assert spans[0] == spans[1]
         assert spans[1][0] == len(units) and len(set(spans[1])) > 5
+
+
+class TestPartnerIndex:
+    """The reverse index a retire reads (DESIGN.md §5e)."""
+
+    def test_reverse_index_equals_a_scan_after_every_commit(self, monkeypatch):
+        gather = offline_gather(cluster_homogeneous(25, scale=0.25), seed=7)
+        units = units_from_records(gather.records, gather.directory)
+        real_commit = cram_module._CramState.commit_merge
+        real_retire = cram_module._CramState._retire
+        seen = {"commits": 0, "retires": 0, "marked": 0}
+
+        def scan(state):
+            named_by = {}
+            for gif_id, entry in state._entries.items():
+                if isinstance(entry.partner, cram_module.Gif):
+                    named_by.setdefault(entry.partner.gif_id, set()).add(gif_id)
+            return named_by
+
+        def spy_commit(state, merge_units, sources, result):
+            outcome = real_commit(state, merge_units, sources, result)
+            indexed = {key: ids for key, ids in state._named_by.items() if ids}
+            scanned = scan(state)
+            assert indexed == {
+                key: ids for key, ids in scanned.items() if key in state.gifs
+            }
+            # An entry naming a retired GIF is left to its dirty mark.
+            for key, ids in scanned.items():
+                assert key in state.gifs or ids <= state._dirty
+            assert not state._probes  # the rest of the attempt is forgotten
+            seen["commits"] += 1
+            return outcome
+
+        def spy_retire(state, gif):
+            # The scan a retire replaced walked ``_entries`` in key
+            # order; ascending keys make that the index's sorted order.
+            keys = list(state._entries)
+            assert keys == sorted(keys)
+            marked = scan(state).get(gif.gif_id, set()) - {gif.gif_id}
+            real_retire(state, gif)
+            assert marked <= state._dirty
+            seen["retires"] += 1
+            seen["marked"] += len(marked)
+
+        monkeypatch.setattr(cram_module._CramState, "commit_merge", spy_commit)
+        monkeypatch.setattr(cram_module._CramState, "_retire", spy_retire)
+        cram = CramAllocator(metric="ios", failure_budget=50)
+        assert cram.allocate(units, gather.broker_pool, gather.directory).success
+        assert seen["commits"] == cram.last_stats.merges
+        assert seen["retires"] > 10 and seen["marked"] > 0

@@ -1,11 +1,15 @@
 """Tests for GRAPE publisher relocation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.deployment import BrokerTree
-from repro.core.grape import GrapeRelocator
+from repro.core.grape import GrapeRelocator, TreeIndex
+from repro.core.profiles import merge_profiles
 from repro.core.units import AllocationUnit
 
+import grape_oracle
 from conftest import make_directory, make_record
 
 
@@ -83,7 +87,7 @@ class TestLoadObjective:
         tree = chain_tree(3)
         place_subscription(tree, "b2", range(64), directory)
         grape = GrapeRelocator(objective="load")
-        scores = grape._load_scores(tree, directory["A"], {})
+        scores = grape._load_scores(TreeIndex(tree), directory["A"])
         assert scores["b0"] == pytest.approx(20.0)
         assert scores["b1"] == pytest.approx(10.0)
         assert scores["b2"] == pytest.approx(0.0)
@@ -105,8 +109,9 @@ class TestDelayObjective:
         place_subscription(tree, "b0", range(64), directory)  # weight 10
         place_subscription(tree, "b2", range(64), directory)  # weight 10
         grape = GrapeRelocator(objective="delay")
-        needs = grape._broker_needs(tree, "A", directory["A"])
-        scores = grape._delay_scores(tree, directory["A"], needs)
+        index = TreeIndex(tree)
+        needs = grape._broker_needs(index, "A", directory["A"])
+        scores = grape._delay_scores(index, needs)
         assert scores["b0"] == pytest.approx(20.0)  # 0*10 + 2*10
         assert scores["b1"] == pytest.approx(20.0)  # 1*10 + 1*10
         assert scores["b2"] == pytest.approx(20.0)
@@ -152,3 +157,62 @@ class TestPlaceAll:
         tree.set_units("b0", [pseudo])
         decision = GrapeRelocator("load").place_one(tree, "A", directory["A"])
         assert decision.broker_id == "b2"
+
+
+# ----------------------------------------------------------------------
+# The tree index against the per-publisher walk (tests/grape_oracle.py)
+# ----------------------------------------------------------------------
+
+bits_strategy = st.sets(st.integers(0, 63), max_size=12)
+record_strategy = st.dictionaries(st.sampled_from("ABC"), bits_strategy, max_size=3)
+
+
+@given(
+    parents=st.lists(st.integers(0, 10**6), max_size=6),
+    units=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.lists(record_strategy, min_size=1, max_size=3),
+        ),
+        max_size=10,
+    ),
+    pseudo=st.lists(st.integers(0, 10**6), max_size=2),
+    last_ids=st.tuples(*(st.integers(0, 90) for _ in range(3))),
+)
+@settings(max_examples=80)
+def test_prop_index_equals_the_per_publisher_walk(parents, units, pseudo, last_ids):
+    """Needs, load scores and delay scores read off the index equal the
+    oracle's walk over every record, bit for bit."""
+    directory = make_directory(["A", "B", "C", "D"])
+    for adv_id, last_id in zip("ABC", last_ids):
+        directory[adv_id].last_message_id = last_id
+    tree = BrokerTree("b0")
+    for index, parent in enumerate(parents, start=1):
+        tree.add_broker(f"b{index}", f"b{parent % index}")
+    brokers = tree.brokers
+    for where, records in units:
+        members = [make_record(bits) for bits in records]
+        unit = AllocationUnit(
+            members=members,
+            profile=merge_profiles([record.profile for record in members]),
+            delivery_bandwidth=1.0,
+            delivery_rate=1.0,
+            subscription_count=len(members),
+        )
+        broker_id = brokers[where % len(brokers)]
+        tree.set_units(broker_id, list(tree.broker_units[broker_id]) + [unit])
+    for where in pseudo:
+        broker_id = brokers[where % len(brokers)]
+        served = tree.broker_units[brokers[-1]] or [
+            AllocationUnit.for_subscription(make_record({"A": {1}}), directory)
+        ]
+        stand_in = AllocationUnit.for_child_broker(brokers[-1], served, directory)
+        tree.set_units(broker_id, list(tree.broker_units[broker_id]) + [stand_in])
+    assert grape_oracle.differences(tree, directory) == []
+    for objective in ("load", "delay"):
+        grape = GrapeRelocator(objective, 0.7)
+        index = TreeIndex(tree)
+        for adv_id, publisher in directory.items():
+            assert grape.place_one(tree, adv_id, publisher, index) == grape.place_one(
+                tree, adv_id, publisher
+            )

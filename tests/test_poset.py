@@ -209,16 +209,16 @@ class TestClosestPartner:
         assert partner is None
         assert value == 0.0
 
-    def test_on_candidate_callback_sees_pairs(self, directory):
+    def test_pruned_row_lists_evaluated_pairs(self, directory):
         poset = Poset(Unpacked())
         a = gif_of([1, 2], directory)
         b = gif_of([1, 3], directory)
         poset.insert(a)
         poset.insert(b)
-        seen = []
-        poset.closest_partner(a, make_metric("ios"),
-                              on_candidate=lambda g, v: seen.append((g, v)))
-        assert [g.gif_id for g, _v in seen] == [b.gif_id]
+        metric = make_metric("ios")
+        candidates, values = poset.pruned_row(a, metric)
+        assert [g.gif_id for g in candidates] == [b.gif_id]
+        assert values == [metric(Unpacked(), a.profile, b.profile)]
 
     def test_search_descends_past_own_node(self, directory):
         """The target's own poset node is transparent to the search."""

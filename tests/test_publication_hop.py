@@ -9,6 +9,9 @@
   crashes is dropped and counted, publications included, and so is one
   on the wire to it: both belong to the crashed process's epoch, even
   when the broker has recovered by the time their turn comes.
+* A redeploy is not a crash: a publication queued behind a broker's CPU
+  when the new overlay is applied is handled by the reset broker, against
+  the routing state it holds by then.
 """
 
 from __future__ import annotations
@@ -133,6 +136,42 @@ class TestCrashInQueue:
         assert summary.messages_lost == 2
         assert summary.publications_lost == 1
         assert summary.broker_recoveries == 1
+
+
+class TestAcrossARedeploy:
+    """Three publications queue behind the CPU (turns at ~2.6, 3.6 and
+    4.6 s) after the subscription landed; the overlay is re-applied at
+    1.6 s, which replays the subscription into the reset broker (lands at
+    ~2.6 s, behind the first publication)."""
+
+    def _run(self, redeploy: bool):
+        network = _slow_broker_network()
+        subscriber = make_subscriber("s1")
+        network.attach_subscriber(subscriber, "b0")  # lands at ~1.0 s
+        network.run(1.5)
+        for message_id in (1, 2, 3):
+            publication = Publication("adv-YHOO", message_id, dict(QUOTE), 1.5, 0.5)
+            network.client_send("pub-YHOO", "b0", publication, 0.5)
+        network.run(0.1)
+        if redeploy:
+            network.apply_deployment(Deployment(BrokerTree("b0"), {"s1": "b0"}))
+        network.run(5.0)
+        return network, subscriber
+
+    def test_without_a_redeploy_all_three_are_delivered(self):
+        network, subscriber = self._run(redeploy=False)
+        assert subscriber.delivered == 3
+
+    def test_queued_publications_survive_and_meet_the_new_routing_state(self):
+        network, subscriber = self._run(redeploy=True)
+        # Nothing is dropped: the reset broker handles all three.  The
+        # first finds the reset table empty; the replayed subscription
+        # has landed before the other two.
+        summary = network.metrics.summary(1, network.active_brokers)
+        assert summary.messages_lost == 0
+        assert network.brokers["b0"].srt_size == 1
+        assert subscriber.delivered == 2
+        assert network.metrics.counters("b0").publications_out == 2
 
 
 class TestCrashInFlight:
