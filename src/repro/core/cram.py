@@ -82,9 +82,6 @@ class CramStats:
     closeness_evaluations: int = 0
     initial_search_evaluations: int = 0
     binpack_runs: int = 0
-    # Fused-kernel diagnostics.
-    kernel_fused_evaluations: int = 0
-    kernel_memo_hits: int = 0
 
     @property
     def gif_reduction(self) -> float:
@@ -162,13 +159,9 @@ class CramAllocator:
         self.metric.reset_counter()
 
         kernel = ClosenessKernel.for_pool(directory, [unit.profile for unit in units])
-        try:
-            with obs.span("cram.clustering", metric=self.metric.name, units=len(units)):
-                order = StandingOrder.build(units, pool, kernel)
-                return self._clustering_run(units, order, directory, stats, kernel)
-        finally:
-            stats.kernel_fused_evaluations = kernel.fused_evaluations
-            stats.kernel_memo_hits = kernel.memo_hits
+        with obs.span("cram.clustering", metric=self.metric.name, units=len(units)):
+            order = StandingOrder.build(units, pool, kernel)
+            return self._clustering_run(units, order, directory, stats, kernel)
 
     def _clustering_run(
         self,

@@ -20,10 +20,12 @@ vectors representation can be flattened once:
 * packing a profile ORs its per-publisher bits into that integer, so
   any pairwise ``{intersect, union, xor}`` cardinality is a single
   aligned pass of C-speed big-int ops plus ``int.bit_count()`` instead
-  of a dict walk;
-* fused ``(intersect, union)`` counts are memoized per unordered pair
-  of profile objects, so CRAM's re-validation loop stops recomputing
-  unchanged pairs.
+  of a dict walk.
+
+Packs are cached per profile object; pair counts are not.  One AND and
+one popcount of two packed ints cost less than a pair memo's tuple,
+dict probe and reverse-index bookkeeping, and the memo held most of
+PAIRWISE's memory.
 
 Every gathered pool packs.  ``Croc._assemble`` builds one alignment per
 gather: each publisher's last message ID is raised to the newest ID any
@@ -174,15 +176,6 @@ class ClosenessKernel:
         #: ``id(profile)`` -> pack; the pack pins the profile, so the key
         #: cannot be recycled while the entry lives (see :meth:`forget`).
         self._packs: Dict[int, PackedProfile] = {}
-        # Pair memo keyed on object identity: profiles are immutable
-        # during a run, so an id pair uniquely identifies a profile
-        # pair.  Entries die with :meth:`forget`, before the id can be
-        # recycled.
-        self._id_memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._id_pairs: Dict[int, List[Tuple[int, int]]] = {}
-        # Diagnostics consumed by CramStats / the benchmark harness.
-        self.fused_evaluations = 0
-        self.memo_hits = 0
 
     @classmethod
     def for_pool(
@@ -240,12 +233,8 @@ class ClosenessKernel:
         return packed
 
     def forget(self, profile: SubscriptionProfile) -> None:
-        """Drop a retired profile's pack and every memoized pair naming it."""
-        profile_id = id(profile)
-        if self._packs.pop(profile_id, None) is None:
-            return
-        for pair in self._id_pairs.pop(profile_id, ()):
-            self._id_memo.pop(pair, None)
+        """Drop a retired profile's pack."""
+        self._packs.pop(id(profile), None)
 
     # ------------------------------------------------------------------
     # Fused pairwise counts
@@ -253,25 +242,12 @@ class ClosenessKernel:
     def fused_counts(
         self, first: SubscriptionProfile, second: SubscriptionProfile
     ) -> Tuple[int, int]:
-        """``(|∩|, |∪|)`` for a profile pair, memoized per object pair."""
-        ia = id(first)
-        ib = id(second)
-        id_pair = (ia, ib) if ia <= ib else (ib, ia)
-        hit = self._id_memo.get(id_pair)
-        if hit is not None:
-            self.memo_hits += 1
-            return hit
+        """``(|∩|, |∪|)`` for a profile pair, from the cached packs."""
         packs = self._packs
-        pa = packs.get(ia) or self.pack(first)
-        pb = packs.get(ib) or self.pack(second)
+        pa = packs.get(id(first)) or self.pack(first)
+        pb = packs.get(id(second)) or self.pack(second)
         intersect = (pa.bits & pb.bits).bit_count()
-        counts = (intersect, pa.pcard + pb.pcard - intersect)
-        self.fused_evaluations += 1
-        self._id_memo[id_pair] = counts
-        self._id_pairs.setdefault(ia, []).append(id_pair)
-        if ib != ia:
-            self._id_pairs.setdefault(ib, []).append(id_pair)
-        return counts
+        return intersect, pa.pcard + pb.pcard - intersect
 
     # ------------------------------------------------------------------
     # Closeness metrics (paper §IV-C; the formulas are documented in
@@ -308,9 +284,8 @@ class ClosenessKernel:
         """Batched one-vs-all closeness (CRAM partner search, pairwise).
 
         Equivalent to ``[closeness(name, first, o) for o in others]``
-        but with the pair-memo lookup, the popcounts, and the metric
-        arithmetic inlined into one loop — this is the hot row of
-        CRAM's partner searches.
+        but with the popcounts and the metric arithmetic inlined into
+        one loop — this is the hot row of CRAM's partner searches.
         """
         if name == "intersect":
             mode = 0
@@ -322,48 +297,27 @@ class ClosenessKernel:
             mode = 3
         else:
             raise ValueError(f"unknown closeness metric {name!r}")
-        ia = id(first)
-        id_memo = self._id_memo
-        id_pairs = self._id_pairs
         packs = self._packs
-        pa = packs.get(ia) or self.pack(first)
+        pa = packs.get(id(first)) or self.pack(first)
         pa_bits = pa.bits
         pa_pcard = pa.pcard
         first_card = first.cardinality if mode == 2 else 0
-        hits = 0
-        fused = 0
         row: List[float] = []
         append = row.append
         for other in others:
-            ib = id(other)
-            id_pair = (ia, ib) if ia <= ib else (ib, ia)
-            counts = id_memo.get(id_pair)
-            if counts is not None:
-                hits += 1
-                intersect, union = counts
-            else:
-                pb = packs.get(ib) or self.pack(other)
-                intersect = (pa_bits & pb.bits).bit_count()
-                union = pa_pcard + pb.pcard - intersect
-                fused += 1
-                # ``fused_counts``' bookkeeping inlined (hot row): ia != ib
-                # here, so both reverse-index entries are recorded.
-                id_memo[id_pair] = (intersect, union)
-                id_pairs.setdefault(ia, []).append(id_pair)
-                id_pairs.setdefault(ib, []).append(id_pair)
+            pb = packs.get(id(other)) or self.pack(other)
+            intersect = (pa_bits & pb.bits).bit_count()
             if mode == 0:
                 append(float(intersect))
             elif mode == 1:
-                xor = union - intersect
+                xor = pa_pcard + pb.pcard - 2 * intersect
                 append(XOR_MAX if xor == 0 else 1.0 / xor)
             elif intersect == 0:
                 append(0.0)
             elif mode == 2:
                 append(intersect * intersect / (first_card + other.cardinality))
             else:
-                append(intersect * intersect / union)
-        self.memo_hits += hits
-        self.fused_evaluations += fused
+                append(intersect * intersect / (pa_pcard + pb.pcard - intersect))
         return row
 
     # ------------------------------------------------------------------
@@ -376,8 +330,7 @@ class ClosenessKernel:
     def relationship(
         self, first: SubscriptionProfile, second: SubscriptionProfile
     ) -> Relation:
-        """Classify a pair from its packs (reads no pair memo, moves no
-        counter)."""
+        """Classify a pair from its packs."""
         mine = self.pack(first).bits
         theirs = self.pack(second).bits
         if not mine & theirs:

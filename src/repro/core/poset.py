@@ -87,12 +87,6 @@ class Poset:
         self.root = PosetNode(None)
         self._nodes: Dict[int, PosetNode] = {}
         self._kernel = kernel
-        #: (coverer gif_id, covered gif_id) -> verdict.  Sound for the
-        #: poset's lifetime: a GIF's profile is fixed at construction
-        #: and gif_ids are never reused, so a verdict cannot go stale.
-        #: This is what makes re-inserting after a CRAM merge cheap —
-        #: only pairs involving the brand-new merged GIF miss.
-        self._cover_memo: Dict[Tuple[int, int], bool] = {}
 
     def _covers(self, node: PosetNode, other: PosetNode) -> bool:
         """Whether ``node``'s profile is a superset of ``other``'s (the
@@ -101,12 +95,7 @@ class Poset:
             return True
         if other.is_root:
             return False
-        key = (node.gif.gif_id, other.gif.gif_id)
-        verdict = self._cover_memo.get(key)
-        if verdict is None:
-            verdict = self._kernel.covers(node.gif.profile, other.gif.profile)
-            self._cover_memo[key] = verdict
-        return verdict
+        return self._kernel.covers(node.gif.profile, other.gif.profile)
 
     def __len__(self) -> int:
         return len(self._nodes)

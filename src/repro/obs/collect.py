@@ -1,9 +1,8 @@
 """Pull existing hot-path counters into one namespaced registry.
 
 The simulation already counts the things the paper's claims hang on —
-kernel memo hits, closeness evaluations, heap compactions, matching
-probe-cache hits, fault drops — but each lives on its own object with
-its own spelling.  The helpers here read those counters (they are all
+closeness evaluations, heap compactions, matching probe-cache hits,
+fault drops — but each lives on its own object with its own spelling.  The helpers here read those counters (they are all
 plain deterministic ints, incremented identically with or without a
 recorder) and accumulate them into the active recorder under stable
 ``namespace.name`` keys.
@@ -60,7 +59,7 @@ def network_counters(network) -> Dict[str, float]:
 
 
 def allocator_counters(allocator) -> Dict[str, float]:
-    """CRAM clustering / kernel counters for one finished ``allocate``.
+    """CRAM clustering counters for one finished ``allocate``.
 
     Non-CRAM allocators (no ``last_stats``) contribute nothing — their
     work is visible through their phase spans instead.
@@ -79,8 +78,6 @@ def allocator_counters(allocator) -> Dict[str, float]:
         "cram.settled_passes": getattr(allocator, "last_settled_passes", 0),
         "cram.closeness_evaluations": stats.closeness_evaluations,
         "cram.initial_search_evaluations": stats.initial_search_evaluations,
-        "kernel.fused_evaluations": stats.kernel_fused_evaluations,
-        "kernel.memo_hits": stats.kernel_memo_hits,
     }
 
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from collections.abc import Hashable
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.pubsub.message import Advertisement, Publication, Subscription
 from repro.pubsub.predicate import (

@@ -23,6 +23,11 @@ Later ``CramStats`` gained ``returned_iteration`` and
 first-fit bound proves they cannot become the returned scheme.  The two
 keys joined the pins; no other value changed.
 
+When the kernel stopped memoizing pair counts, ``CramStats`` lost
+``kernel_fused_evaluations`` and ``kernel_memo_hits`` (their sum was
+``closeness_evaluations``); those two keys dropped out of the pins and
+no value changed.
+
 The kernel-vs-naive suite cannot see a change in the order CRAM tries
 pairs in — ``tests/naive_cram.py`` shares ``best_pair`` — so the
 ``CramStats`` counters here are what pins it.
@@ -70,8 +75,7 @@ _CRAM_IOS = {
               "final_units": 78, "iterations": 271, "merges": 271,
               "failures": 0, "closeness_evaluations": 16837,
               "returned_iteration": 271, "merges_past_best": 0,
-              "initial_search_evaluations": 7147, "binpack_runs": 348,
-              "kernel_fused_evaluations": 6689, "kernel_memo_hits": 10148},
+              "initial_search_evaluations": 7147, "binpack_runs": 348},
 }
 
 PINS: Dict[str, Dict[str, Any]] = {
@@ -82,8 +86,7 @@ PINS: Dict[str, Dict[str, Any]] = {
               "final_units": 92, "iterations": 290, "merges": 257,
               "failures": 33, "closeness_evaluations": 18630,
               "returned_iteration": 216, "merges_past_best": 63,
-              "initial_search_evaluations": 7147, "binpack_runs": 367,
-              "kernel_fused_evaluations": 6845, "kernel_memo_hits": 11785},
+              "initial_search_evaluations": 7147, "binpack_runs": 367},
     },
     "cram-xor": {
         "brokers": 6, "placement": "09845496a73f45e2", "tree": "0b3a5cc747b413e8",
@@ -91,8 +94,7 @@ PINS: Dict[str, Dict[str, Any]] = {
               "final_units": 6, "iterations": 306, "merges": 291,
               "failures": 15, "closeness_evaluations": 219399,
               "returned_iteration": 289, "merges_past_best": 2,
-              "initial_search_evaluations": 56940, "binpack_runs": 388,
-              "kernel_fused_evaluations": 34854, "kernel_memo_hits": 184545},
+              "initial_search_evaluations": 56940, "binpack_runs": 388},
     },
     "fij-trade": _CRAM_IOS,
 }
@@ -103,8 +105,7 @@ NO_FIT_PIN: Dict[str, Any] = {
               "final_units": 0, "iterations": 0, "merges": 0,
               "failures": 0, "closeness_evaluations": 0,
               "returned_iteration": 0, "merges_past_best": 0,
-              "initial_search_evaluations": 0, "binpack_runs": 1,
-              "kernel_fused_evaluations": 0, "kernel_memo_hits": 0},
+              "initial_search_evaluations": 0, "binpack_runs": 1},
 }
 
 

@@ -348,7 +348,7 @@ def test_fault_plan_rows_are_pinned(fault):
         }
         text = json.dumps(record, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, seed
-        assert recorder.counters["kernel.fused_evaluations"] > 0, seed
+        assert recorder.counters["cram.closeness_evaluations"] > 0, seed
 
 
 def test_continuous_churn_equals_one_event_per_delivery():

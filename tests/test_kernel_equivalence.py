@@ -27,8 +27,10 @@ from repro.core.binpacking import StandingOrder
 from repro.core.closeness import METRIC_NAMES, make_metric
 from repro.core.cram import CramAllocator, _CramState
 from repro.core.croc import Croc
+from repro.core.gif import Gif
 from repro.core.kernel import ClosenessKernel
 from repro.core.pairwise import pairwise_cluster
+from repro.core.poset import Poset
 from repro.core.profiles import PublisherProfile
 from repro.core.relations import Relation
 from repro.core.units import units_from_records
@@ -99,7 +101,6 @@ class TestAllocationEquivalence:
                     cram.metric.evaluations,
                 )
             )
-            assert (stats.kernel_fused_evaluations > 0) is (allocator is CramAllocator)
         assert signatures[0] == signatures[1]
         assert counters[0] == counters[1]
 
@@ -116,7 +117,7 @@ class TestAllocationEquivalence:
         # Bit-for-bit, both per-pair and batched (no approx).
         assert [metric(kernel, anchor, other) for other in others] == naive_row
         assert metric.closeness_row(kernel, anchor, others) == naive_row
-        # The batched form repeats cleanly off the pair memo.
+        # Asked again, the batched form recomputes the same floats.
         assert metric.closeness_row(kernel, anchor, others) == naive_row
         assert metric.evaluations == 3 * len(others)
 
@@ -135,7 +136,6 @@ def test_identical_relationships_and_coverage(scenario):
             assert relation is profile_oracle.relationship(first, second)
             assert kernel.covers(first, second) is profile_oracle.covers(first, second)
             relations.add(relation)
-    assert kernel.fused_evaluations == kernel.memo_hits == 0
     assert relations == set(Relation)
 
 
@@ -164,10 +164,10 @@ class TestFusedCountsFallbacks:
         a = make_profile({"A": [1, 2, 3], "B": [10, 11]})
         b = make_profile({"A": [2, 3, 4]})
         kernel = ClosenessKernel.for_pool(directory, [a, b])
-        assert kernel.fused_counts(a, b) == profile_oracle.counts(a, b)[:2]
-        assert kernel.fused_evaluations == 1
-        assert kernel.fused_counts(a, b) == profile_oracle.counts(a, b)[:2]
-        assert kernel.memo_hits == 1
+        expected = profile_oracle.counts(a, b)[:2]
+        for _ in range(2):
+            assert kernel.fused_counts(a, b) == expected
+            assert kernel.fused_counts(b, a) == expected
 
     def test_misaligned_pool_is_an_error(self):
         """No gather leaves a publisher under two windows (here A's late
@@ -197,7 +197,6 @@ class TestFusedCountsFallbacks:
             kernel.pack(late)
         with pytest.raises(ValueError, match=r"'B'.*\(0, 64\).*no plane"):
             kernel.fused_counts(a, make_profile({"B": [1]}))
-        assert kernel.fused_evaluations == kernel.memo_hits == 0
 
     def test_unknown_publisher_still_exact(self):
         """Publishers absent from the directory pack with rate 0."""
@@ -296,6 +295,69 @@ def test_prop_rate_increase_matches_the_brokerbin_walk(
     assert runs[0] == runs[1]
 
 
+def _check_against_the_oracle(kernel, pool, metric_name):
+    """Every ordered pair of ``pool``, self-pairs included: counts,
+    metric values and each one-vs-all row are the oracle's."""
+    for first in pool:
+        row = [profile_oracle.closeness(metric_name, first, other) for other in pool]
+        assert kernel.closeness_row(metric_name, first, pool) == row
+        for other, value in zip(pool, row):
+            assert kernel.fused_counts(first, other) == profile_oracle.counts(first, other)[:2]
+            assert kernel.closeness(metric_name, first, other) == value
+
+
+@settings(max_examples=100)
+@given(
+    patterns=st.lists(rate_pattern, min_size=2, max_size=8),
+    forgotten=st.sets(st.integers(0, 7), max_size=4),
+    replacements=st.lists(rate_pattern, max_size=3),
+    metric_name=st.sampled_from(METRIC_NAMES),
+)
+def test_prop_counts_are_recomputed_exactly(patterns, forgotten, replacements, metric_name):
+    """Nothing a kernel answered before changes what it answers next:
+    the same pairs asked twice (in both orders, since every ordered pair
+    is asked), then after some profiles were forgotten, dropped and
+    replaced by new ones (whose ``id`` may be a dropped one's), the
+    counts and rows are the oracle's."""
+    # Laid out over every publisher, so that any replacement fits.
+    layout = make_unit(dict.fromkeys(RATE_DIRECTORY, {0}), RATE_DIRECTORY).profile
+    profiles = [make_unit(pattern, RATE_DIRECTORY, sub_id=f"s{index}").profile
+                for index, pattern in enumerate(patterns)]
+    kernel = ClosenessKernel.for_pool(RATE_DIRECTORY, [layout] + profiles)
+    for _ in range(2):
+        _check_against_the_oracle(kernel, profiles, metric_name)
+    for index in sorted(forgotten & set(range(len(profiles))), reverse=True):
+        kernel.forget(profiles.pop(index))
+    profiles += [make_unit(pattern, RATE_DIRECTORY, sub_id=f"r{index}").profile
+                 for index, pattern in enumerate(replacements)]
+    _check_against_the_oracle(kernel, profiles, metric_name)
+
+
+def test_no_pair_memo_is_held():
+    """Counts and cover verdicts are recomputed from the packs, never
+    remembered per pair: after a poset build and partner searches, a
+    kernel holds its planes and its pack cache, one pack a profile, and
+    the poset holds its root, its nodes by ``gif_id`` and its kernel."""
+    directory = make_directory(["A", "B"])
+    units = [make_unit(pattern, directory, sub_id=f"s{index}")
+             for index, pattern in enumerate([
+                 {"A": range(8)}, {"A": range(4)}, {"A": range(2, 6), "B": [1]},
+                 {"B": range(8)},
+             ])]
+    kernel = ClosenessKernel.for_pool(directory, [unit.profile for unit in units])
+    gifs = [Gif(unit.profile, [unit]) for unit in units]
+    poset = Poset(kernel)
+    for gif in gifs:
+        poset.insert(gif)
+    for name in METRIC_NAMES:
+        for gif in gifs:
+            poset.closest_partner(gif, make_metric(name))
+    assert set(vars(kernel)) == {"planes", "_packs"}
+    assert set(kernel._packs) == {id(unit.profile) for unit in units}
+    assert set(vars(poset)) == {"root", "_nodes", "_kernel"}
+    assert set(poset._nodes) == {gif.gif_id for gif in gifs}
+
+
 @contextlib.contextmanager
 def best_pair_checked_by_the_scan():
     """Check every ``best_pair`` against :func:`scan_best_pair`.
@@ -392,7 +454,7 @@ def test_cut_probes_match_the_naive_run(metric_name):
     scheme, so most kernel-run probes are cut, and many of the rest
     settle their count early; the naive run first-fits every probe to the
     end, and the two agree on the placement and on every ``CramStats``
-    counter outside the kernel's own."""
+    counter."""
     gather = partial(offline_gather, cluster_homogeneous(100, scale=0.1), seed=2011)
     answers = []
     for allocator in (NaiveCramAllocator, CramAllocator):
@@ -400,7 +462,6 @@ def test_cut_probes_match_the_naive_run(metric_name):
         cram = allocator(metric=metric_name, failure_budget=25)
         result = cram.allocate(units, gathered.broker_pool, gathered.directory)
         stats = dataclasses.asdict(cram.last_stats)
-        del stats["kernel_fused_evaluations"], stats["kernel_memo_hits"]
         answers.append((_placement_signature(result), stats))
         cut = cram.last_cut_passes
         settled = cram.last_settled_passes
